@@ -3,8 +3,8 @@
 
 Prints liou_norm(M_k)/liou_norm(M_1) for the optimal hierarchy and the same
 ratio for the single-set transfer tensors, plus the first index where each
-falls below the threshold.  Seeding cost grows as 4^(r-1); r around 11-12
-is the practical ceiling.
+falls below the threshold.  Seeding cost grows as 4^(r-1): on one core of
+a 2-vCPU Xeon the whole script takes about 1 s at r = 12 and 2 s at r = 13.
 """
 
 import argparse

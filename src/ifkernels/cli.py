@@ -33,7 +33,7 @@ from .kernels import (
     propagate,
 )
 from .liouville import TimeGrid, apply_map, fb_propagator
-from .pathsum import PathSumRequest, oracle_trajectory, rdm_exact
+from .pathsum import oracle_trajectory
 
 
 def _fmt(x: float) -> str:
@@ -81,9 +81,10 @@ def _cmd_oracle(args) -> int:
     dim = cfg.system.dim
     ident = np.eye(dim, dtype=complex)
     rows.append(["0", _fmt(0.0)] + _map_fields(ident))
-    for k in range(1, steps + 1):
-        req = PathSumRequest(cfg.system, grid, cfg.splitting, "full_U", k, cfg.bath, budget)
-        u = rdm_exact(req, eta=table)
+    full, _, _ = oracle_trajectory(
+        cfg.system, grid, cfg.splitting, steps, eta=table, budget=budget
+    )
+    for k, u in enumerate(full, start=1):
         rows.append([str(k), _fmt(k * grid.dt)] + _map_fields(u))
     path = os.path.join(args.out, "oracle_maps.csv")
     _write_csv(path, ["step", "t"] + _map_columns(dim, "u"), rows)
@@ -112,7 +113,7 @@ def _cmd_extract(args) -> int:
     args.out = _out_dir(args, cfg)
     splitting = args.splitting or cfg.splitting
     flavor = args.flavor or cfg.flavor
-    r_max = args.rmax or cfg.grid.r_max
+    r_max = args.rmax if args.rmax is not None else cfg.grid.r_max
     kset, _, _ = _extraction(cfg, splitting, flavor, r_max)
     os.makedirs(args.out, exist_ok=True)
 

@@ -1,15 +1,30 @@
-"""Brute-force path-sum oracle for the discretized reduced dynamics.
+"""Exact path-sum oracle for the discretized reduced dynamics.
 
-The reduced-density-matrix map after N steps is summed explicitly over all
+The reduced-density-matrix map after N steps is summed over all
 forward-backward paths:
 
     U_N[a_N, a_0] = sum over a_1..a_{N-1} of
         prod_j G1[a_j, a_{j-1}] * prod_{k >= k'} F(k, k')[a_k, a_{k'}]
 
 where G1 is the whole-step system propagator and F(k, k') are influence
-factors built from the eta table of the requested splitting.  The oracle is
-deliberately naive (no filtering, no contraction tricks); it exists to pin
-down every other object in the package at desk scale.
+factors built from the eta table of the requested splitting.  No path is
+filtered or approximated; the oracle pins down every other object in the
+package at desk scale.
+
+Summation
+---------
+A path weight is a product of per-pair factor matrices (the QuAPI
+construction), so weights are built by broadcasting, not per path.  Each
+whole-step propagator is merged into the pair factor of its two neighbours.
+The trailing interior points are the axes of a block tensor of
+n^(2 (m+1)) <= _BATCH entries per end; their mutual factors and their
+factors with both ends are built once per map length, axis by axis.  The
+leading interior points run on an odometer: each block folds their factors
+into one scalar, one vector per tensor axis and one vector per end, and is
+contracted with one matmul.  Blocks are added in odometer order, so results
+are reproducible bit for bit.  Maps of one length that differ only at the
+measured end are summed in the same pass, and ``oracle_trajectory`` sums
+each length once.
 
 Structure per splitting
 -----------------------
@@ -17,7 +32,8 @@ sym_env
     Path points 0..N all carry influence factors; entries touching the
     measured end N take the endpoint-flavored coefficients, everything else
     interior.  The auxiliary map replaces the endpoint-flavored entries by
-    interior values of equal separation (fully translation invariant).
+    interior values of equal separation (fully translation invariant), so a
+    full map and its auxiliary share one pass.
 sym_sys
     U_N = G_half . (auxiliary of length N-1) . G_half, where the auxiliary
     joins k+1 points with whole-step propagators and uniform-window factors.
@@ -25,13 +41,11 @@ sym_sys
 asym
     The initial point carries no influence factors at all (I_{k,0} = 1); the
     auxiliary coincides with the full map.
-
-Path enumeration runs an odometer over the interior indices in fixed batches
-and accumulates in index order, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +86,14 @@ def config_count(n: int, steps: int) -> int:
     return (n * n) ** (steps - 1)
 
 
-def _check_budget(req: PathSumRequest, steps: int):
-    count = config_count(req.sys.n, steps)
-    if count > req.budget:
+def _check_budget(n: int, steps: int, budget: int):
+    """Refuse a path sum of ``steps`` >= 1 steps before any enumeration."""
+    if steps < 1:
+        return
+    count = config_count(n, steps)
+    if count > budget:
         raise PathSumBudgetError(
-            f"pathsum_budget: {count} configurations exceed budget {req.budget}"
+            f"pathsum_budget: {count} configurations exceed budget {budget}"
         )
 
 
@@ -92,105 +109,127 @@ def _resolve_table(req: PathSumRequest, eta: EtaTable | None) -> EtaTable:
     return eta_table(req.bath, req.grid, req.splitting)
 
 
-class _FactorSet:
-    """Per-point self weights and per-pair factor matrices for one path sum."""
+def _influence(sys, table, horizon, g1, self_role, pair_role):
+    """(self weights, pair factors by separation 0..horizon) of one coefficient role.
 
-    def __init__(self, sys, table, steps, endpoint_flavored, bare_origin):
-        d = sys.dim
-        self.steps = steps
-        self.dim = d
-        self.selfw = {}
-        self.pairs = {}
-        cache = {}
-
-        def pair(sep, role):
-            key = (sep, role)
-            if key not in cache:
-                cache[key] = influence_pair_matrix(sys, table.by_separation(sep, role))
-            return cache[key]
-
-        for j in range(steps + 1):
-            if bare_origin and j == 0:
-                continue
-            if endpoint_flavored and j == steps and steps > 0:
-                self.selfw[j] = influence_self_weights(
-                    sys, table.by_separation(0, "right_endpoint")
-                )
-            else:
-                self.selfw[j] = influence_self_weights(sys, table.by_separation(0, "self"))
-        for k in range(steps + 1):
-            for kp in range(k):
-                if bare_origin and kp == 0:
-                    continue
-                if endpoint_flavored and k == steps:
-                    role = "both_endpoints" if kp == 0 else "right_endpoint"
-                else:
-                    role = "interior"
-                self.pairs[(k, kp)] = pair(k - kp, role)
+    ``pairs[s][a_k, a_k']`` is the factor of two points s = k - k' apart; the
+    whole-step propagator G1 linking neighbours is merged into ``pairs[1]``.
+    """
+    self_w = influence_self_weights(sys, table.by_separation(0, self_role))
+    pairs = [None] + [
+        influence_pair_matrix(sys, table.by_separation(s, pair_role))
+        for s in range(1, horizon + 1)
+    ]
+    if horizon >= 1:
+        pairs[1] = pairs[1] * g1
+    return self_w, pairs
 
 
-def _path_sum(g1: np.ndarray, factors: _FactorSet, budget_guard) -> np.ndarray:
-    """Sum the weighted paths of a factor set joined by whole-step propagators."""
-    d = factors.dim
-    steps = factors.steps
-    if steps == 0:
-        if 0 in factors.selfw:
-            return np.diag(factors.selfw[0].astype(complex))
-        return np.eye(d, dtype=complex)
+@dataclass(frozen=True)
+class _Factors:
+    """Everything the path sums of one splitting need, up to a horizon.
 
-    budget_guard(steps)
+    ``inner`` covers points 0..N-1 and their mutual pairs; ``end`` covers the
+    measured end N of the full map and its pairs with 0..N-1 (endpoint
+    flavored under sym_env, ``inner`` otherwise).  A bare origin (asym)
+    carries no influence factors, only its link G1 to point 1.
+    """
 
-    if steps == 1:
-        out = g1.copy()
-        if (1, 0) in factors.pairs:
-            out = out * factors.pairs[(1, 0)]
-        if 1 in factors.selfw:
-            out = out * factors.selfw[1][:, None]
-        if 0 in factors.selfw:
-            out = out * factors.selfw[0][None, :]
-        return check_finite(out, "path sum")
+    g1: np.ndarray
+    inner: tuple
+    end: tuple
+    bare_origin: bool
+
+
+def _factors(sys: SystemSpec, dt: float, table: EtaTable, horizon: int) -> _Factors:
+    g1 = fb_propagator(sys, dt)
+    inner = _influence(sys, table, horizon, g1, "self", "interior")
+    end = inner
+    if table.splitting == "sym_env":
+        end = _influence(sys, table, horizon, g1, "right_endpoint", "right_endpoint")
+    return _Factors(g1, inner, end, table.splitting == "asym")
+
+
+def _aux0(f: _Factors) -> LiouvilleMatrix:
+    """Index-0 auxiliary: the single-point factor matrix (identity on a bare origin)."""
+    self_w = f.inner[0]
+    if f.bare_origin:
+        return np.eye(self_w.size, dtype=complex)
+    return np.diag(self_w.astype(complex))
+
+
+def _on_axes(mat: np.ndarray, i: int, j: int, ndim: int) -> np.ndarray:
+    """View of ``mat[x_i, x_j]`` (i < j) that broadcasts over ``ndim`` tensor axes."""
+    shape = [1] * ndim
+    shape[i] = shape[j] = mat.shape[0]
+    return mat.reshape(shape)
+
+
+def _path_sums(steps: int, f: _Factors, ends) -> list:
+    """Maps of ``steps`` >= 1 steps, one per measured-end factor set, in one pass."""
+    self_w, pairs = f.inner
+    d = self_w.size
+    ones = np.ones((d, d), dtype=complex)
+    if f.bare_origin:
+        self0 = np.ones(d, dtype=complex)
+        origin = [None, f.g1] + [ones] * (steps - 1)
+    else:
+        self0 = self_w
+        origin = pairs
 
     n_int = steps - 1
-    total = d**n_int
-    shape = (d,) * n_int
-    out = np.zeros((d, d), dtype=complex)
-    g1_flat = g1.ravel()
+    m = 0
+    while m < n_int and d ** (m + 2) <= _BATCH:
+        m += 1
+    p = n_int - m
+    # Interior points 1..p run on the odometer; points p+1..N-1 are the block
+    # tensor axes 0..m-1.  Factors among block axes and between block axes
+    # and the ends are the same in every block, so they are built once here.
+    inner_t = np.ones((), dtype=complex)
+    left_t = self0
+    right_t = [end_self for end_self, _ in ends]
+    for i in range(m):
+        k = p + 1 + i
+        inner_t = inner_t[..., None] * self_w
+        for i2 in range(i):
+            inner_t *= _on_axes(pairs[i - i2].T, i2, i, i + 1)
+        left_t = left_t[..., None] * _on_axes(origin[k].T, 0, i + 1, i + 2)
+        right_t = [
+            r[..., None] * _on_axes(end_pairs[steps - k], 0, i + 1, i + 2)
+            for r, (_, end_pairs) in zip(right_t, ends)
+        ]
+    size = d**m
+    right_block = np.concatenate([(r * inner_t).reshape(d, size) for r in right_t])
+    left_block = left_t.reshape(d, size).T
 
-    for start in range(0, total, _BATCH):
-        stop = min(start + _BATCH, total)
-        idx = np.unravel_index(np.arange(start, stop), shape)
-        # idx[j-1] holds a_j for interior points j = 1..steps-1
-        a = {j: idx[j - 1] for j in range(1, steps)}
-        w = np.ones(stop - start, dtype=complex)
-        # interior propagator links and self weights
-        for j in range(2, steps):
-            w *= g1_flat[a[j] * d + a[j - 1]]
-        for j in range(1, steps):
-            if j in factors.selfw:
-                w *= factors.selfw[j][a[j]]
-        # pair factors among interior points
-        for (k, kp), mat in factors.pairs.items():
-            if 1 <= kp and k <= steps - 1:
-                w *= mat.ravel()[a[k] * d + a[kp]]
-        # left boundary block: couplings of interior points (and the first link) to a_0
-        left = g1[a[1], :].copy()
-        for (k, kp), mat in factors.pairs.items():
-            if kp == 0 and k <= steps - 1:
-                left *= mat[a[k], :]
-        if 0 in factors.selfw:
-            left *= factors.selfw[0][None, :]
-        # right boundary block: couplings of a_N to interior points (and the last link)
-        right = g1[:, a[steps - 1]].copy()
-        for (k, kp), mat in factors.pairs.items():
-            if k == steps and kp >= 1:
-                right *= mat[:, a[kp]]
-        if steps in factors.selfw:
-            right *= factors.selfw[steps][:, None]
-        out += (right * w[None, :]) @ left
+    acc = np.zeros((len(ends) * d, d), dtype=complex)
+    for prefix in itertools.product(range(d), repeat=p):
+        a = (None,) + prefix  # a[k] is a_k for the odometer points k = 1..p
+        weight = np.ones((), dtype=complex)
+        left_v = np.ones(d, dtype=complex)
+        right_v = np.ones((len(ends), d), dtype=complex)
+        for k in range(1, p + 1):
+            weight = weight * self_w[a[k]]
+            for k2 in range(1, k):
+                weight = weight * pairs[k - k2][a[k], a[k2]]
+            left_v = left_v * origin[k][a[k]]
+            right_v = right_v * [end_pairs[steps - k][:, a[k]] for _, end_pairs in ends]
+        for j in range(p + 1, steps):
+            axis_v = np.ones(d, dtype=complex)
+            for k in range(1, p + 1):
+                axis_v = axis_v * pairs[j - k][:, a[k]]
+            weight = weight[..., None] * axis_v
+        block = right_block @ (weight.reshape(size, 1) * left_block)
+        acc += right_v.reshape(-1, 1) * block * left_v
 
-    if (steps, 0) in factors.pairs:
-        out = out * factors.pairs[(steps, 0)]
-    return check_finite(out, "path sum")
+    out = []
+    for e, (_, end_pairs) in enumerate(ends):
+        if f.bare_origin:
+            corner = f.g1 if steps == 1 else ones
+        else:
+            corner = end_pairs[steps]
+        out.append(check_finite(acc[e * d : (e + 1) * d] * corner, "path sum"))
+    return out
 
 
 def rdm_exact(req: PathSumRequest, eta: EtaTable | None = None) -> LiouvilleMatrix:
@@ -201,16 +240,6 @@ def rdm_exact(req: PathSumRequest, eta: EtaTable | None = None) -> LiouvilleMatr
     n_steps = req.steps
     if n_steps == 0:
         return np.eye(req.sys.dim, dtype=complex)
-    guard = lambda steps: _check_budget(req, steps)
-
-    if req.splitting == "sym_env":
-        g1 = fb_propagator(req.sys, req.grid.dt)
-        factors = _FactorSet(req.sys, table, n_steps, endpoint_flavored=True, bare_origin=False)
-        return _path_sum(g1, factors, guard)
-    if req.splitting == "asym":
-        g1 = fb_propagator(req.sys, req.grid.dt)
-        factors = _FactorSet(req.sys, table, n_steps, endpoint_flavored=False, bare_origin=True)
-        return _path_sum(g1, factors, guard)
     if req.splitting == "sym_sys":
         g_half = fb_propagator(req.sys, 0.5 * req.grid.dt)
         aux = aux_rdm_exact(
@@ -220,7 +249,9 @@ def rdm_exact(req: PathSumRequest, eta: EtaTable | None = None) -> LiouvilleMatr
             eta=table,
         )
         return check_finite(g_half @ aux @ g_half, "dressed path sum")
-    raise ValidationError(f"unknown splitting {req.splitting!r}")
+    _check_budget(req.sys.n, n_steps, req.budget)
+    f = _factors(req.sys, req.grid.dt, table, n_steps)
+    return _path_sums(n_steps, f, [f.end])[0]
 
 
 def aux_rdm_exact(req: PathSumRequest, eta: EtaTable | None = None) -> LiouvilleMatrix:
@@ -235,16 +266,11 @@ def aux_rdm_exact(req: PathSumRequest, eta: EtaTable | None = None) -> Liouville
         raise ValidationError("aux_rdm_exact expects an aux_U request")
     table = _resolve_table(req, eta)
     k = req.steps
-    guard = lambda steps: _check_budget(req, steps)
-    g1 = fb_propagator(req.sys, req.grid.dt)
-
-    if req.splitting == "asym":
-        if k == 0:
-            return np.eye(req.sys.dim, dtype=complex)
-        factors = _FactorSet(req.sys, table, k, endpoint_flavored=False, bare_origin=True)
-        return _path_sum(g1, factors, guard)
-    factors = _FactorSet(req.sys, table, k, endpoint_flavored=False, bare_origin=False)
-    return _path_sum(g1, factors, guard)
+    _check_budget(req.sys.n, k, req.budget)
+    f = _factors(req.sys, req.grid.dt, table, k)
+    if k == 0:
+        return _aux0(f)
+    return _path_sums(k, f, [f.inner])[0]
 
 
 def oracle_trajectory(
@@ -261,19 +287,24 @@ def oracle_trajectory(
 
     The trailing element of the auxiliary information is the index-0
     auxiliary (single-point factor matrix), needed as the terminal of the
-    midpoint hierarchy.
+    midpoint hierarchy.  Each map length is summed once.
     """
-    req0 = PathSumRequest(sys, grid, splitting, "full_U", steps, bath, budget)
-    table = _resolve_table(req0, eta)
+    req = PathSumRequest(sys, grid, splitting, "full_U", steps, bath, budget)
+    table = _resolve_table(req, eta)
+    _check_budget(sys.n, steps, budget)
+    f = _factors(sys, grid.dt, table, steps)
+    g_half = fb_propagator(sys, 0.5 * grid.dt) if splitting == "sym_sys" else None
+    aux0 = _aux0(f)
     full = []
     aux = []
     for k in range(1, steps + 1):
-        req = PathSumRequest(sys, grid, splitting, "full_U", k, bath, budget)
-        full.append(rdm_exact(req, eta=table))
-    for k in range(1, steps + 1):
-        req = PathSumRequest(sys, grid, splitting, "aux_U", k, bath, budget)
-        aux.append(aux_rdm_exact(req, eta=table))
-    aux0 = aux_rdm_exact(
-        PathSumRequest(sys, grid, splitting, "aux_U", 0, bath, budget), eta=table
-    )
+        if splitting == "sym_env":
+            u, a = _path_sums(k, f, [f.end, f.inner])
+        elif splitting == "asym":
+            u = a = _path_sums(k, f, [f.inner])[0]
+        else:
+            a = _path_sums(k, f, [f.inner])[0]
+            u = check_finite(g_half @ (aux[-1] if aux else aux0) @ g_half, "dressed path sum")
+        full.append(u)
+        aux.append(a)
     return full, aux0, aux

@@ -4,8 +4,13 @@ These deliberately take different routes from the production code: the
 correlation function comes from a Matsubara-series closed form instead of
 frequency quadrature, and window coefficients come from a spectral-domain
 single integral (scipy.integrate.quad) instead of the time-domain double
-Gauss rule.
+Gauss rule.  The path-sum reference visits every forward-backward path one
+at a time and writes its weight out from the definition, instead of building
+weights from factor matrices in blocks.
 """
+
+import cmath
+import itertools
 
 import numpy as np
 from scipy.integrate import quad
@@ -77,6 +82,54 @@ def expm_series(h, tau, terms=80):
         term = term @ (-1j * tau * h) / k
         acc = acc + term
     return acc
+
+
+def _path_eta(table, splitting, steps, k, kp, measured_end):
+    """eta(k, k') of a ``steps``-step path; the measured end N is flavored or not."""
+    if splitting == "asym" and kp == 0:
+        return 0.0  # the initial point carries no influence factors
+    sep = k - kp
+    if splitting == "sym_env" and measured_end and k == steps:
+        return table.by_separation(sep, "both_endpoints" if kp == 0 else "right_endpoint")
+    return table.by_separation(sep, "self" if sep == 0 else "interior")
+
+
+def path_sum_reference(sys, dt, table, steps, measured_end=True):
+    """Map of ``steps`` steps by visiting every forward-backward path one at a time.
+
+    The weight of the path (f_0, b_0), ..., (f_N, b_N) is
+    prod_j U[f_j, f_{j-1}] conj(U[b_j, b_{j-1}]) times
+    exp(-sum_{k >= k'} (s_{f_k} - s_{b_k}) (eta(k, k') s_{f_k'} - eta(k, k')* s_{b_k'})),
+    with U = exp(-i H dt) by Taylor series.  ``measured_end=False`` gives the
+    auxiliary map (interior coefficients at N).  sym_sys full maps are the
+    half-step-dressed auxiliary of one step fewer.
+    """
+    splitting = table.splitting
+    if splitting == "sym_sys" and measured_end:
+        h = np.kron(expm_series(sys.hamiltonian, 0.5 * dt),
+                    expm_series(sys.hamiltonian, 0.5 * dt).conj())
+        inner = path_sum_reference(sys, dt, table, steps - 1, measured_end=False)
+        return h @ inner @ h
+    n = sys.n
+    s = sys.coupling_eigenvalues
+    u = expm_series(sys.hamiltonian, dt)
+    eta = {
+        (k, kp): complex(_path_eta(table, splitting, steps, k, kp, measured_end))
+        for k in range(steps + 1)
+        for kp in range(k + 1)
+    }
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for fwd in itertools.product(range(n), repeat=steps + 1):
+        for bwd in itertools.product(range(n), repeat=steps + 1):
+            amp = 1.0 + 0.0j
+            for j in range(1, steps + 1):
+                amp *= u[fwd[j], fwd[j - 1]] * u[bwd[j], bwd[j - 1]].conjugate()
+            phase = 0.0j
+            for (k, kp), e in eta.items():
+                ds = s[fwd[k]] - s[bwd[k]]
+                phase += ds * (e * s[fwd[kp]] - e.conjugate() * s[bwd[kp]])
+            out[fwd[-1] * n + bwd[-1], fwd[0] * n + bwd[0]] += amp * cmath.exp(-phase)
+    return out
 
 
 def catalan_recurrence(m):

@@ -225,6 +225,29 @@ class TestCli:
         assert len(lines) == 5  # header + steps 0..3
         assert len(lines[0].split(",")) == 2 + 32
 
+    def test_oracle_maps_match_rdm_exact(self, tmp_path, sys2, tables):
+        from ifkernels.liouville import TimeGrid
+        from ifkernels.pathsum import PathSumRequest, rdm_exact
+
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"run.splitting": "sym_sys"}))
+        out = tmp_path / "out"
+        assert cli_main(["oracle", "--config", str(cfg), "--out", str(out), "--steps", "3"]) == 0
+        rows = (out / "oracle_maps.csv").read_text().splitlines()[1:]
+        grid = TimeGrid(0.1, 8, 8)
+        for k, row in enumerate(rows):
+            vals = np.array([float(x) for x in row.split(",")[2:]])
+            got = (vals[0::2] + 1j * vals[1::2]).reshape(4, 4)
+            req = PathSumRequest(sys2, grid, "sym_sys", "full_U", k)
+            assert liou_norm(got - rdm_exact(req, eta=tables["sym_sys"])) < 1e-12
+
+    def test_extract_rmax_zero_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        argv = ["extract", "--config", str(cfg), "--out", str(tmp_path / "o"), "--rmax", "0"]
+        assert cli_main(argv) == 1
+        assert "r_max must satisfy 1 <= r_max <= n_steps" in capsys.readouterr().err
+
     def test_out_falls_back_to_config_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.txt"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ifkernels import BathSpec, SpectralDensity, SystemSpec
+from _oracles import path_sum_reference
+from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
 from ifkernels.bath import bump_correlation, eta_table, eta_table_from_correlation
 from ifkernels.errors import PathSumBudgetError, ValidationError
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
@@ -173,3 +174,49 @@ def test_oracle_trajectory_shapes(sys2, tables):
     assert aux0.shape == (4, 4)
     # index-0 auxiliary is the diagonal single-point factor matrix
     assert liou_norm(aux0 - np.diag(np.diag(aux0))) == 0.0
+
+
+SPLITTINGS = ("sym_env", "sym_sys", "asym")
+
+
+@pytest.fixture(scope="module")
+def sys3():
+    h = np.array([[0.0, 0.4, 0.0], [0.4, 0.2, 0.3], [0.0, 0.3, -0.2]], dtype=complex)
+    return SystemSpec(h, (1.0, 0.0, -1.0))
+
+
+class TestPathByPathReference:
+    """rdm_exact, aux_rdm_exact and oracle_trajectory against one-path-at-a-time sums."""
+
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("system, horizon", [("sys2", 5), ("sys3", 3)])
+    def test_matches_reference(self, splitting, system, horizon, request, bath_default):
+        sys_ = request.getfixturevalue(system)
+        grid = TimeGrid(0.1, horizon, horizon)
+        tab = eta_table(bath_default, grid, splitting)
+        full, aux0, aux = oracle_trajectory(sys_, grid, splitting, horizon, eta=tab)
+        assert np.max(np.abs(aux0 - path_sum_reference(sys_, 0.1, tab, 0, False))) < 1e-13
+        for n in range(1, horizon + 1):
+            ref_u = path_sum_reference(sys_, 0.1, tab, n)
+            ref_a = path_sum_reference(sys_, 0.1, tab, n, measured_end=False)
+            u = rdm_exact(PathSumRequest(sys_, grid, splitting, "full_U", n), eta=tab)
+            a = aux_rdm_exact(PathSumRequest(sys_, grid, splitting, "aux_U", n), eta=tab)
+            for got, ref in ((u, ref_u), (full[n - 1], ref_u), (a, ref_a), (aux[n - 1], ref_a)):
+                assert np.max(np.abs(got - ref)) < 1e-13
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_odometer_blocks_match_single_block(self, splitting, batch, sys2, tables, monkeypatch):
+        # N = 5 has 4 interior points: one block of 4^4 paths unpatched; with
+        # _BATCH = 64 two points (_BATCH = 1: all four) run on the odometer
+        grid = TimeGrid(0.1, 8, 8)
+        whole = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
+        monkeypatch.setattr(pathsum, "_BATCH", batch)
+        blocked = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
+        again = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
+        for a, b, c in zip(whole[0] + whole[2], blocked[0] + blocked[2], again[0] + again[2]):
+            assert np.max(np.abs(a - b)) < 1e-14
+            assert np.array_equal(b, c)
+        assert np.array_equal(whole[1], blocked[1])
