@@ -11,8 +11,8 @@ Bath correlation function:
 
     C(t) = (1/pi) * int_0^inf J(w) [coth(beta w / 2) cos(w t) - i sin(w t)] dw
 
-with coth -> 1 at infinite beta, where the closed form
-C(t) = (alpha/2) * omega_c^2 / (1 + i omega_c t)^2 is used instead of
+with coth -> 1 at infinite beta, where ``bath_correlation`` uses the closed
+form C(t) = (alpha/2) * omega_c^2 / (1 + i omega_c t)^2 instead of
 quadrature.  These choices make C(0) = alpha * omega_c^2 / 2 at zero
 temperature.
 
@@ -33,6 +33,42 @@ windows owned by each pair of path points.  Window assignment per splitting:
 
 Self entries (k = k') integrate the triangular region t' < t within one
 window.
+
+Spectral route
+--------------
+For the physical bath, ``eta_table`` moves the window integrals inside the
+frequency integral, so each coefficient is a single integral over w (the
+QuAPI coefficient form of Makri & Makarov, J. Chem. Phys. 102, 4600 (1995)):
+
+    eta = (1/pi) * int_0^inf J(w) [coth(beta w / 2) Re phi(w) + i Im phi(w)] dw
+
+For windows A = [a0, a1] and B = [b0, b1] (widths wa, wb, centres ca, cb),
+phi is the product of the window transforms
+hat_[a0, a1](w) = int_a0^a1 exp(-i w t) dt:
+
+    phi(w) = hat_A(w) * conj(hat_B(w))
+           = wa wb sinc(w wa / 2) sinc(w wb / 2) exp(-i w (ca - cb)),
+
+with sinc(x) = sin(x) / x.  For the triangle t' < t in one window of width
+w0, with x = w w0:
+
+    phi(w) = (1 - i x - exp(-i x)) / w^2
+           = w0^2 [sinc(x / 2)^2 / 2 - i (x - sin x) / x^2].
+
+Both forms stay accurate as w -> 0: the sinc and the phase never divide
+small differences, and x - sin x comes from its Taylor series for |x| < 1
+instead of a cancelling subtraction.  All coefficients of a table are
+integrated together, as one (coefficients x nodes) array per Gauss-Legendre
+level on [0, 40 omega_c]; the node count doubles from OMEGA_NODES_START
+until the whole vector changes by at most rtol relative to its largest
+entry, and QuadratureError is raised past OMEGA_NODES_MAX.  Zero and finite
+temperature share this route (coth -> 1 at beta = inf); alpha = 0 gives an
+all-zero table without quadrature.
+
+``eta_table_from_correlation`` integrates an arbitrary C(t) over the same
+windows in the time domain (nested Gauss-Legendre rules) for synthetic
+correlation functions.  Both routes share one window layout and one table
+assembly step and differ only in how they integrate.
 """
 
 from __future__ import annotations
@@ -69,6 +105,8 @@ class SpectralDensity:
     def __post_init__(self):
         if self.kind != "ohmic_exponential":
             raise ValidationError(f"unsupported spectral density kind {self.kind!r}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.omega_c)):
+            raise ValidationError("non_finite: alpha and omega_c must be finite")
         if self.alpha < 0:
             raise ValidationError("alpha must be >= 0")
         if not self.omega_c > 0:
@@ -246,85 +284,150 @@ def _role_sym_env(k: int, kp: int, horizon: int) -> str:
     return "interior"
 
 
+# ---------------------------------------------------------------------------
+# Window layout and table assembly
+# ---------------------------------------------------------------------------
+
+
+def _window_layout(grid: TimeGrid, splitting: str):
+    """The window integrals of one table, in assembly order.
+
+    Returns (triangles, pairs): the windows of the self (t' < t) integrals
+    and the (win_a, win_b) windows of the separations m = 1..N.  sym_env
+    appends the measured-end half window to the triangles and the
+    measured-end pairs m = 1..N to the pairs.
+    """
+    if splitting not in SPLITTINGS:
+        raise ValidationError(f"unknown splitting {splitting!r}")
+    dt = grid.dt
+    seps = range(1, grid.n_steps + 1)
+    if splitting in ("sym_sys", "asym"):
+        # Uniform windows [k dt, (k+1) dt): one value per separation.
+        return [(0.0, dt)], [((m * dt, m * dt + dt), (0.0, dt)) for m in seps]
+    # sym_env: centered windows; the measured end owns the trailing half window.
+    h = 0.5 * dt
+    pairs = [((m * dt - h, m * dt + h), (-h, h)) for m in seps]
+    pairs += [((m * dt - h, m * dt), (-h, h)) for m in seps]
+    return [(-h, h), (-h, 0.0)], pairs
+
+
+def _role_uniform(k: int, kp: int, horizon: int) -> str:
+    return "self" if k == kp else "interior"
+
+
+def _assemble(grid: TimeGrid, splitting: str, values) -> EtaTable:
+    """An EtaTable from window integrals in ``_window_layout`` order."""
+    n = grid.n_steps
+    values = [complex(v) for v in values]
+    if splitting in ("sym_sys", "asym"):
+        sep_values = {(0, "self"): values[0]}
+        for m in range(1, n + 1):
+            sep_values[(m, "interior")] = values[m]
+        role_of = _role_uniform
+    else:
+        sep_values = {
+            (0, "self"): values[0],
+            (0, "left_endpoint"): values[0],
+            (0, "right_endpoint"): values[1],
+        }
+        for m in range(1, n + 1):
+            sep_values[(m, "interior")] = sep_values[(m, "left_endpoint")] = values[m + 1]
+            right = values[n + m + 1]
+            sep_values[(m, "right_endpoint")] = sep_values[(m, "both_endpoints")] = right
+        role_of = _role_sym_env
+    roles = {(k, kp): role_of(k, kp, n) for k in range(n + 1) for kp in range(k + 1)}
+    entries = {key: sep_values[(key[0] - key[1], role)] for key, role in roles.items()}
+    return EtaTable(splitting, grid.dt, n, entries, roles, sep_values)
+
+
 def eta_table_from_correlation(corr, grid: TimeGrid, splitting: str) -> EtaTable:
     """Build an EtaTable by integrating an arbitrary correlation function.
 
     ``corr`` must accept an ndarray of time differences >= 0 and return the
     complex correlation values.  ``eta_table`` wires in the physical bath;
     this entry point exists so synthetic correlation functions (finite
-    memory, controlled smoothness) can drive the same machinery.
+    memory, controlled smoothness) can drive the same table layout.
     """
-    if splitting not in SPLITTINGS:
-        raise ValidationError(f"unknown splitting {splitting!r}")
-    dt = grid.dt
-    n = grid.n_steps
-    h = 0.5 * dt
+    triangles, pairs = _window_layout(grid, splitting)
+    values = [_window_self_integral(corr, win) for win in triangles]
+    values += [_window_pair_integral(corr, win_a, win_b) for win_a, win_b in pairs]
+    return _assemble(grid, splitting, values)
 
-    entries = {}
-    roles = {}
-    sep_values = {}
 
-    if splitting in ("sym_sys", "asym"):
-        # Uniform windows [k dt, (k+1) dt): one value per separation.
-        eta_self = _window_self_integral(corr, (0.0, dt))
-        eta_sep = {
-            m: _window_pair_integral(corr, (m * dt, m * dt + dt), (0.0, dt))
-            for m in range(1, n + 1)
-        }
-        sep_values[(0, "self")] = eta_self
-        for m in range(1, n + 1):
-            sep_values[(m, "interior")] = eta_sep[m]
-        for k in range(n + 1):
-            for kp in range(k + 1):
-                m = k - kp
-                if m == 0:
-                    entries[(k, kp)] = eta_self
-                    roles[(k, kp)] = "self"
-                else:
-                    entries[(k, kp)] = eta_sep[m]
-                    roles[(k, kp)] = "interior"
-        return EtaTable(splitting, dt, n, entries, roles, sep_values)
+# ---------------------------------------------------------------------------
+# Spectral-domain window integrals (physical bath)
+# ---------------------------------------------------------------------------
 
-    # sym_env: centered windows; the measured end owns the trailing half window.
-    eta_self = _window_self_integral(corr, (-h, h))
-    eta_sep = {
-        m: _window_pair_integral(corr, (m * dt - h, m * dt + h), (-h, h))
-        for m in range(1, n + 1)
-    }
-    eta_right_self = _window_self_integral(corr, (-h, 0.0))
-    eta_right = {
-        m: _window_pair_integral(corr, (m * dt - h, m * dt), (-h, h))
-        for m in range(1, n + 1)
-    }
-    sep_values[(0, "self")] = eta_self
-    sep_values[(0, "left_endpoint")] = eta_self
-    sep_values[(0, "right_endpoint")] = eta_right_self
-    for m in range(1, n + 1):
-        sep_values[(m, "interior")] = eta_sep[m]
-        sep_values[(m, "left_endpoint")] = eta_sep[m]
-        sep_values[(m, "right_endpoint")] = eta_right[m]
-        sep_values[(m, "both_endpoints")] = eta_right[m]
-    for k in range(n + 1):
-        for kp in range(k + 1):
-            m = k - kp
-            role = _role_sym_env(k, kp, n)
-            if k == n:
-                entries[(k, kp)] = eta_right_self if m == 0 else eta_right[m]
-            else:
-                entries[(k, kp)] = eta_self if m == 0 else eta_sep[m]
-            roles[(k, kp)] = role
-    return EtaTable(splitting, dt, n, entries, roles, sep_values)
+
+def _sinc(x):
+    """sin(x) / x, with the limit 1 at x = 0."""
+    return np.sinc(x / np.pi)
+
+
+def _x_minus_sin(x):
+    """x - sin(x), from its Taylor series through x^17 where |x| < 1.
+
+    The direct subtraction cancels to relative error ~eps / x^2 at small x.
+    """
+    small = np.abs(x) < 1.0
+    xs = np.where(small, x, 0.0)
+    x2 = xs * xs
+    # x^3/3! (1 - x^2/(4*5) (1 - x^2/(6*7) (1 - ...)))
+    acc = np.ones_like(xs)
+    for j in range(7, 0, -1):
+        acc = 1.0 - x2 * acc / ((2 * j + 2) * (2 * j + 3))
+    return np.where(small, xs * x2 * acc / 6.0, x - np.sin(x))
+
+
+def _spectral_window_integrals(bath: BathSpec, triangles, pairs, rtol: float):
+    """Window integrals of C(t - t') for the physical bath, all in one frequency integral.
+
+    Returns (values, nodes): the complex integrals (triangles, then pairs)
+    and the Gauss-Legendre node count at which the whole vector converged
+    (0 when alpha = 0 makes every value zero without quadrature).
+    """
+    sd = bath.spectral_density
+    if sd.alpha == 0.0:
+        return np.zeros(len(triangles) + len(pairs), dtype=complex), 0
+    w0 = np.array([b - a for a, b in triangles], dtype=float)
+    ends = np.array(pairs, dtype=float).reshape(-1, 4)  # a0, a1, b0, b1
+    wa = ends[:, 1] - ends[:, 0]
+    wb = ends[:, 3] - ends[:, 2]
+    shift = 0.5 * (ends[:, 0] + ends[:, 1] - ends[:, 2] - ends[:, 3])
+
+    prev = None
+    n = OMEGA_NODES_START
+    while n <= OMEGA_NODES_MAX:
+        omega, w = _gauss_nodes(n, 0.0, OMEGA_CUTOFF_FACTOR * sd.omega_c)
+        # J(w) / pi times the node weights; coth(beta w / 2) -> 1 at T = 0
+        j_w = 0.5 * sd.alpha * omega * np.exp(-omega / sd.omega_c) * w
+        j_coth = j_w if math.isinf(bath.beta) else j_w / np.tanh(0.5 * bath.beta * omega)
+        x = np.multiply.outer(w0, omega)
+        amp = (
+            (wa * wb)[:, None]
+            * _sinc(0.5 * np.multiply.outer(wa, omega))
+            * _sinc(0.5 * np.multiply.outer(wb, omega))
+        )
+        phase = np.multiply.outer(shift, omega)
+        re_phi = np.vstack([0.5 * (w0 * w0)[:, None] * _sinc(0.5 * x) ** 2, amp * np.cos(phase)])
+        im_phi = np.vstack([-(w0 * w0)[:, None] * _x_minus_sin(x) / (x * x), -amp * np.sin(phase)])
+        vals = re_phi @ j_coth + 1j * (im_phi @ j_w)
+        if prev is not None:
+            scale = max(np.max(np.abs(vals)), 1e-30)
+            if np.max(np.abs(vals - prev)) <= rtol * scale:
+                return vals, n
+        prev = vals
+        n *= 2
+    raise QuadratureError("quadrature_failed: spectral eta integral did not converge")
 
 
 def eta_table(
     bath: BathSpec, grid: TimeGrid, splitting: str, rtol: float = OMEGA_RTOL
 ) -> EtaTable:
-    """Discretized influence coefficients for the physical bath."""
-
-    def corr(tau):
-        return np.asarray(bath_correlation(bath, tau, rtol=rtol), dtype=complex)
-
-    return eta_table_from_correlation(corr, grid, splitting)
+    """Discretized influence coefficients for the physical bath (spectral route)."""
+    triangles, pairs = _window_layout(grid, splitting)
+    values, _ = _spectral_window_integrals(bath, triangles, pairs, rtol)
+    return _assemble(grid, splitting, values)
 
 
 def eta_truncated(table: EtaTable, max_separation: int) -> EtaTable:

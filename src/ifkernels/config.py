@@ -23,11 +23,14 @@ under ``<section>.row.<i>`` keys.  Example::
     initial_state.row.1 = 0+0j 0+0j
 
 Validation re-checks every structural invariant of the embedded types and
-reports violations with the offending field path.
+reports violations with the offending field path.  Every number must be
+finite ("non_finite" otherwise); ``bath.beta = inf`` (or ``infinite``) is
+the only way to write zero temperature.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -135,13 +138,20 @@ class _Fields:
         return [rows[i] for i in range(len(rows))]
 
 
+def _finite(value, path, raw):
+    if not cmath.isfinite(value):
+        raise ValidationError(f"{path}: non_finite value {raw!r}")
+    return value
+
+
 def _complex_row(text, path):
     out = []
     for tok in text.split():
         try:
-            out.append(complex(tok))
+            value = complex(tok)
         except ValueError:
             raise ValidationError(f"{path}: bad complex literal {tok!r}") from None
+        out.append(_finite(value, path, tok))
     return out
 
 
@@ -150,9 +160,10 @@ def _float(fields, key, default=None, required=False):
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValidationError(f"{key}: expected a number, got {raw!r}") from None
+    return _finite(value, key, raw)
 
 
 def _int(fields, key, default=None, required=False):
@@ -180,6 +191,8 @@ def parse_config(text: str) -> RunConfig:
         coupling = [float(x) for x in coupling_raw.split()]
     except ValueError:
         raise ValidationError("system.coupling_eigenvalues: bad real literal") from None
+    for value in coupling:
+        _finite(value, "system.coupling_eigenvalues", coupling_raw)
     try:
         system = SystemSpec(np.array(ham_rows, dtype=complex), tuple(coupling))
     except ValidationError as exc:
@@ -197,6 +210,7 @@ def parse_config(text: str) -> RunConfig:
             beta = float(beta_raw)
         except ValueError:
             raise ValidationError(f"bath.beta: expected a number or 'inf', got {beta_raw!r}") from None
+        _finite(beta, "bath.beta", beta_raw)
     try:
         bath = BathSpec(SpectralDensity(kind, alpha, omega_c), beta)
     except ValidationError as exc:

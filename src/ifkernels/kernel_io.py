@@ -71,7 +71,12 @@ def save_kernels(kset: KernelSet, path, metadata: dict | None = None) -> None:
 
 
 def load_kernels(path) -> KernelSet:
-    """Read a KernelSet written by save_kernels; exact elementwise round trip."""
+    """Read a KernelSet written by save_kernels; exact elementwise round trip.
+
+    Raises ParseError ("parse") for malformed files and for contents that
+    KernelSet rejects: non-finite entries, an r_max header that differs from
+    a stored matrix count, or an aux0 that is not (dim, dim).
+    """
     header = {}
     blocks = {}
     current = None
@@ -142,7 +147,12 @@ def load_kernels(path) -> KernelSet:
         raise ParseError("parse: no midpoint matrices")
     midpoint = tuple(build(blocks["midpoint"]))
     termination = tuple(build(blocks["termination"])) if "termination" in blocks else None
-    aux0 = build(blocks["aux0"])[0] if "aux0" in blocks else None
+    aux0 = None
+    if "aux0" in blocks:
+        aux0s = build(blocks["aux0"])
+        if len(aux0s) != 1:
+            raise ParseError(f"parse: aux0 block holds {len(aux0s)} matrices, expected 1")
+        aux0 = aux0s[0]
 
     try:
         return KernelSet(

@@ -82,7 +82,8 @@ class KernelSet:
 
     For flavor "ttm" the single matrix set lives in ``midpoint`` and
     ``termination`` is None.  ``aux0`` is the terminal auxiliary matrix
-    used by the terminal_times_I0 convention (None for standalone).
+    used by the terminal_times_I0 convention (None for standalone).  Each
+    stored set holds exactly r_max finite (dim, dim) matrices.
     """
 
     splitting: str
@@ -101,10 +102,21 @@ class KernelSet:
             raise ValidationError("ttm flavor carries a single matrix set")
         mids = tuple(np.asarray(m, dtype=complex) for m in self.midpoint)
         object.__setattr__(self, "midpoint", mids)
+        sets = {"midpoint": mids}
         if self.termination is not None:
-            object.__setattr__(
-                self, "termination", tuple(np.asarray(m, dtype=complex) for m in self.termination)
-            )
+            terms = tuple(np.asarray(m, dtype=complex) for m in self.termination)
+            object.__setattr__(self, "termination", terms)
+            sets["termination"] = terms
+        if self.aux0 is not None:
+            sets["aux0"] = (np.asarray(self.aux0),)
+        d = self.dim
+        for name, mats in sets.items():
+            if name != "aux0" and len(mats) != self.r_max:
+                raise ValidationError(f"r_max {self.r_max} but {len(mats)} {name} matrices")
+            for m in mats:
+                if m.shape != (d, d):
+                    raise DimMismatchError(f"dim_mismatch: {name} shape {m.shape}, expected {(d, d)}")
+                check_finite(m, f"{name} matrix")
         if self.aux_zero_convention is not None and self.aux_zero_convention not in AUX0_CONVENTIONS:
             raise ValidationError(f"unknown aux_zero_convention {self.aux_zero_convention!r}")
 

@@ -2,11 +2,15 @@
 
 These deliberately take different routes from the production code: the
 correlation function comes from a Matsubara-series closed form instead of
-frequency quadrature, and window coefficients come from a spectral-domain
-single integral (scipy.integrate.quad) instead of the time-domain double
-Gauss rule.  The path-sum reference visits every forward-backward path one
-at a time and writes its weight out from the definition, instead of building
-weights from factor matrices in blocks.
+frequency quadrature; window coefficients come one at a time from a
+spectral-domain single integral (scipy.integrate.quad) instead of one
+vectorised fixed-rule integral over all coefficients; and the time-domain
+eta table integrates C(t - t') over the windows by nested Gauss rules, with
+C(t) itself from its own frequency quadrature (or closed form at T = 0),
+instead of moving the window integrals inside the frequency integral.  The
+path-sum reference visits every forward-backward path one at a time and
+writes its weight out from the definition, instead of building weights from
+factor matrices in blocks.
 """
 
 import cmath
@@ -14,6 +18,8 @@ import itertools
 
 import numpy as np
 from scipy.integrate import quad
+
+from ifkernels.bath import bath_correlation, eta_table_from_correlation
 
 
 def matsubara_correlation(alpha, wc, beta, t, nsum=2000):
@@ -37,7 +43,7 @@ def _spectral_integral(alpha, wc, beta, phi):
     def coth(w):
         if np.isinf(beta):
             return 1.0
-        return np.cosh(0.5 * beta * w) / np.sinh(0.5 * beta * w)
+        return 1.0 / np.tanh(0.5 * beta * w)  # cosh/sinh overflows at large beta w
 
     def f_re(w):
         return (1.0 / np.pi) * j(w) * coth(w) * phi(w).real
@@ -49,6 +55,15 @@ def _spectral_integral(alpha, wc, beta, phi):
     re = quad(f_re, 0.0, 40.0 * wc, **kw)[0]
     im = quad(f_im, 0.0, 40.0 * wc, **kw)[0]
     return complex(re, im)
+
+
+def time_domain_eta_table(bath, grid, splitting):
+    """The physical-bath eta table by time-domain window quadrature of C(t)."""
+
+    def corr(tau):
+        return np.asarray(bath_correlation(bath, tau), dtype=complex)
+
+    return eta_table_from_correlation(corr, grid, splitting)
 
 
 def spectral_eta_pair(alpha, wc, beta, win_a, win_b):

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifkernels import BathSpec, SpectralDensity
+from ifkernels import bath as bath_module
 from ifkernels.bath import (
+    OMEGA_NODES_START,
+    _spectral_window_integrals,
+    _window_layout,
+    _x_minus_sin,
     bath_correlation,
     bump_correlation,
     eta_table,
@@ -12,10 +17,15 @@ from ifkernels.bath import (
     eta_truncated,
     influence_factor_matrix,
 )
-from ifkernels.errors import EtaMissingError, ValidationError
+from ifkernels.errors import EtaMissingError, QuadratureError, ValidationError
 from ifkernels.liouville import TimeGrid, liou_norm
 
-from _oracles import matsubara_correlation, spectral_eta_pair, spectral_eta_self
+from _oracles import (
+    matsubara_correlation,
+    spectral_eta_pair,
+    spectral_eta_self,
+    time_domain_eta_table,
+)
 
 # Frozen from the quadrature route and confirmed against the independent
 # spectral-form oracle to ~1e-16 (default set: alpha=0.1, omega_c=5, beta=5,
@@ -26,6 +36,10 @@ GOLDEN_ETA_10 = 0.006233598303998054 - 0.007094852730208117j
 def test_spectral_density_validation():
     with pytest.raises(ValidationError):
         SpectralDensity("drude", 0.1, 5.0)
+    with pytest.raises(ValidationError, match="non_finite"):
+        SpectralDensity("ohmic_exponential", float("nan"), 5.0)
+    with pytest.raises(ValidationError, match="non_finite"):
+        SpectralDensity("ohmic_exponential", 0.1, float("inf"))
     with pytest.raises(ValidationError):
         SpectralDensity("ohmic_exponential", -0.1, 5.0)
     with pytest.raises(ValidationError):
@@ -122,6 +136,67 @@ class TestEtaTable:
         assert tab.value(2, 0) == 0.0
         assert tab.by_separation(2, "interior") == 0.0
         assert tab.value(1, 0) == tables["sym_env"].value(1, 0)
+
+
+def _oracle_coefficient(beta, dt, splitting, separation, role):
+    """One stored coefficient of the default bath from the scipy-quad oracles."""
+    h = 0.5 * dt
+    if splitting == "sym_env":
+        end = h if role in ("self", "interior", "left_endpoint") else 0.0
+        if separation == 0:
+            return spectral_eta_self(0.1, 5.0, beta, (-h, end))
+        start = separation * dt - h
+        return spectral_eta_pair(0.1, 5.0, beta, (start, separation * dt + end), (-h, h))
+    if separation == 0:
+        return spectral_eta_self(0.1, 5.0, beta, (0.0, dt))
+    start = separation * dt
+    return spectral_eta_pair(0.1, 5.0, beta, (start, start + dt), (0.0, dt))
+
+
+class TestSpectralRoute:
+    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
+    @pytest.mark.parametrize("beta", [0.5, 5.0, 20.0, np.inf])
+    def test_every_coefficient_against_oracles(self, beta, splitting):
+        bath = BathSpec(SpectralDensity("ohmic_exponential", 0.1, 5.0), beta)
+        grid = TimeGrid(0.1, 11, 11)
+        got = eta_table(bath, grid, splitting)
+        want = time_domain_eta_table(bath, grid, splitting)
+        assert got.roles == want.roles
+        assert got.sep_values.keys() == want.sep_values.keys()
+        for key, value in want.entries.items():
+            assert abs(got.entries[key] - value) < 1e-13
+        for (separation, role), value in got.sep_values.items():
+            assert abs(value - want.sep_values[(separation, role)]) < 1e-13
+            quad_value = _oracle_coefficient(beta, 0.1, splitting, separation, role)
+            assert abs(value - quad_value) < 1e-12
+
+    def test_default_table_node_count(self, bath_default):
+        # work-count guard: the default finite-T table converges by 1024 nodes
+        triangles, pairs = _window_layout(TimeGrid(0.1, 11, 11), "sym_env")
+        values, nodes = _spectral_window_integrals(bath_default, triangles, pairs, 1e-11)
+        assert len(values) == len(triangles) + len(pairs) == 24
+        assert OMEGA_NODES_START < nodes <= 1024
+
+    def test_zero_coupling_skips_quadrature(self):
+        bath = BathSpec(SpectralDensity("ohmic_exponential", 0.0, 5.0), 5.0)
+        triangles, pairs = _window_layout(TimeGrid(0.1, 4, 4), "asym")
+        values, nodes = _spectral_window_integrals(bath, triangles, pairs, 1e-11)
+        assert nodes == 0 and not np.any(values)
+
+    def test_forced_non_convergence(self, bath_default, monkeypatch):
+        monkeypatch.setattr(bath_module, "OMEGA_NODES_MAX", 128)
+        with pytest.raises(QuadratureError, match="quadrature_failed"):
+            eta_table(bath_default, TimeGrid(0.1, 4, 4), "sym_env", rtol=1e-15)
+
+    def test_small_frequency_forms(self):
+        # stable forms against direct evaluation where it is still accurate,
+        # and against the leading Taylor term where it is not
+        x = np.array([1e-8, 1e-3, 0.5, 0.999, 1.0, 3.0])
+        direct = x - np.sin(x)
+        assert abs(_x_minus_sin(x[-1]) - direct[-1]) < 1e-15
+        assert np.allclose(_x_minus_sin(x[2:]), direct[2:], rtol=1e-13, atol=0)
+        assert _x_minus_sin(x[0]) == pytest.approx(x[0] ** 3 / 6, rel=1e-15)
+        assert _x_minus_sin(x[1]) == pytest.approx(x[1] ** 3 / 6 - x[1] ** 5 / 120, rel=1e-15)
 
 
 class TestInfluenceFactors:

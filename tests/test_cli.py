@@ -52,6 +52,28 @@ class TestConfig:
         cfg = parse_config(small_config(**{"bath.beta": "inf"}))
         assert np.isinf(cfg.bath.beta)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bath.alpha", "nan"),
+            ("bath.omega_c", "inf"),
+            ("bath.beta", "nan"),
+            ("bath.beta", "1e400"),
+            ("bath.beta", "Infinity"),
+            ("grid.dt", "nan"),
+            ("system.coupling_eigenvalues", "1 nan"),
+            ("system.hamiltonian.row.0", "0+0j nan+0j"),
+            ("initial_state.row.0", "1+0j infj"),
+        ],
+    )
+    def test_non_finite_rejected_with_field_path(self, key, value):
+        with pytest.raises(ValidationError, match=rf"{key.split('.row')[0]}: non_finite"):
+            parse_config(small_config(**{key: value}))
+
+    def test_non_finite_tolerance_rejected(self):
+        with pytest.raises(ValidationError, match="tolerances.quadrature: non_finite"):
+            parse_config(small_config() + "\ntolerances.quadrature = nan\n")
+
     def test_parse_error_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_config("system.n = 2\nnot a line\n")
@@ -106,6 +128,76 @@ class TestKernelFile:
             load_kernels(path)
 
 
+def _extracted(tmp_path):
+    """(config path, kernel file path) of a small sym_env smatpi extraction."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(small_config())
+    out = tmp_path / "out"
+    assert cli_main(["extract", "--config", str(cfg), "--out", str(out)]) == 0
+    return cfg, out / "kernels.txt"
+
+
+def _propagate_exit(cfg, kpath, capsys):
+    capsys.readouterr()
+    code = cli_main(["propagate", "--config", str(cfg), "--kernels", str(kpath),
+                     "--out", str(kpath.parent / "prop")])
+    return code, capsys.readouterr().err
+
+
+class TestBadKernelFiles:
+    def test_non_finite_entry(self, tmp_path, capsys):
+        cfg, kpath = _extracted(tmp_path)
+        lines = kpath.read_text().splitlines()
+        idx = lines.index("matrices = midpoint") + 1
+        k, row, col, _, im = lines[idx].split(",")
+        lines[idx] = ",".join([k, row, col, "nan", im])
+        kpath.write_text("\n".join(lines) + "\n")
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert "parse:" in err and "non-finite" in err
+        out = tmp_path / "cmp"
+        argv = ["compare", "--kernels-a", str(kpath), "--kernels-b", str(kpath), "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_max", ["9", "3"])
+    def test_r_max_header_disagrees_with_midpoint_count(self, tmp_path, capsys, r_max):
+        cfg, kpath = _extracted(tmp_path)
+        kpath.write_text(kpath.read_text().replace("r_max = 4", f"r_max = {r_max}"))
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert f"parse: inconsistent kernel file (r_max {r_max} but 4 midpoint matrices)" in err
+
+    def test_termination_count_disagrees_with_r_max(self, tmp_path, capsys):
+        cfg, kpath = _extracted(tmp_path)
+        lines = kpath.read_text().splitlines()
+        start = lines.index("matrices = termination")
+        lines = [
+            line for i, line in enumerate(lines)
+            if not (i > start and line.startswith("4,") and "=" not in line)
+        ]
+        kpath.write_text("\n".join(lines) + "\n")
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert "parse: inconsistent kernel file (r_max 4 but 3 termination matrices)" in err
+
+    def test_aux0_not_one_dim_by_dim_matrix(self, tmp_path, capsys):
+        cfg, kpath = _extracted(tmp_path)
+        text = kpath.read_text()
+        aux0 = text[text.index("matrices = aux0") :].splitlines()[1:]
+        extra = ["2" + line[1:] for line in aux0]
+        kpath.write_text(text + "\n".join(extra) + "\n")
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert "parse: aux0 block holds 2 matrices, expected 1" in err
+
+    def test_kernel_set_checks_aux0_shape(self):
+        mats = (np.eye(4, dtype=complex),)
+        with pytest.raises(ValidationError, match="dim_mismatch: aux0 shape"):
+            KernelSet("sym_env", 0.1, 1, mats, mats, "smatpi",
+                      aux_zero_convention="terminal_times_I0", aux0=np.eye(3))
+
+
 class TestCli:
     def test_dyck_count_only(self, capsys):
         assert cli_main(["dyck", "--semilength", "3", "--count-only"]) == 0
@@ -145,6 +237,22 @@ class TestCli:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.flavor": "banana"}))
         assert cli_main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("key, value", [("bath.alpha", "nan"), ("bath.omega_c", "inf")])
+    def test_non_finite_bath_fails_fast(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{key: value}))
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"{key}: non_finite value {value!r}" in capsys.readouterr().err
+
+    def test_quadrature_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        from ifkernels import bath
+
+        monkeypatch.setattr(bath, "OMEGA_NODES_MAX", 128)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config() + "\ntolerances.quadrature = 1e-15\n")
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "quadrature_failed" in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
