@@ -4,14 +4,12 @@ hierarchies for small open quantum systems coupled to harmonic baths."""
 from .bath import (
     BathSpec,
     EtaTable,
-    InfluenceFactorMatrix,
     SpectralDensity,
     bath_correlation,
     bump_correlation,
     eta_table,
     eta_table_from_correlation,
     eta_truncated,
-    influence_factor_matrix,
 )
 from .combinatorics import (
     DyckPath,
@@ -30,7 +28,6 @@ from .kernels import (
     TrajectorySeq,
     closed_form_asym,
     compare,
-    dress,
     extract_kernels,
     extract_ttm,
     gqme_kernel,
@@ -39,11 +36,9 @@ from .kernels import (
     solve_termination,
 )
 from .liouville import (
-    FBIndex,
     SystemSpec,
     TimeGrid,
     apply_map,
-    fb_pairs,
     fb_propagator,
     liou_norm,
 )

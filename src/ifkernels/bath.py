@@ -80,7 +80,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EtaMissingError, QuadratureError, ValidationError
-from .liouville import LiouvilleMatrix, SystemSpec, TimeGrid
+from .liouville import SystemSpec, TimeGrid
 
 SPLITTINGS = ("sym_env", "sym_sys", "asym")
 ROLES = ("interior", "self", "left_endpoint", "right_endpoint", "both_endpoints")
@@ -454,22 +454,6 @@ def eta_truncated(table: EtaTable, max_separation: int) -> EtaTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfluenceFactorMatrix:
-    """Pairwise (or, for separation 0, diagonal self-weight) influence factors.
-
-    matrix[alpha, alpha'] = exp(-ds_alpha * (eta * s+_alpha' - conj(eta) * s-_alpha'))
-    with ds_alpha = s+_alpha - s-_alpha.  ``diagonal`` flags the separation-0
-    representation, whose only nonzero entries are the per-pair self weights
-    on the diagonal.
-    """
-
-    separation: int
-    role: str
-    matrix: LiouvilleMatrix
-    diagonal: bool
-
-
 def _fb_coupling_values(sys: SystemSpec):
     s = np.asarray(sys.coupling_eigenvalues, dtype=float)
     s_fwd = np.repeat(s, sys.n)
@@ -485,21 +469,14 @@ def influence_self_weights(sys: SystemSpec, eta: complex) -> np.ndarray:
 
 
 def influence_pair_matrix(sys: SystemSpec, eta: complex) -> np.ndarray:
-    """(n^2, n^2) matrix of pairwise influence factors for one coefficient."""
+    """(n^2, n^2) matrix of pairwise influence factors for one coefficient.
+
+    I[a, a'] = exp(-ds_a (eta s+_a' - conj(eta) s-_a')) with ds_a = s+_a - s-_a,
+    over forward-backward pairs in the flat order a = forward * n + backward.
+    """
     s_fwd, s_bwd = _fb_coupling_values(sys)
     ds = s_fwd - s_bwd
     return np.exp(-np.outer(ds, eta * s_fwd - np.conj(eta) * s_bwd))
-
-
-def influence_factor_matrix(
-    sys: SystemSpec, table: EtaTable, separation: int, role: str
-) -> InfluenceFactorMatrix:
-    """Influence-factor matrix for a stored (separation, role) coefficient."""
-    eta = table.by_separation(separation, role)
-    if separation == 0:
-        weights = influence_self_weights(sys, eta)
-        return InfluenceFactorMatrix(separation, role, np.diag(weights), True)
-    return InfluenceFactorMatrix(separation, role, influence_pair_matrix(sys, eta), False)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Subcommands: ``oracle``, ``extract``, ``propagate``, ``compare``, ``dyck``.
 Everything is file-driven and non-interactive; identical configs produce
-byte-identical outputs.  Exit codes: 0 success, 1 validation error, 2
+byte-identical outputs.  ``propagate`` needs no influence coefficients or
+path sums: the kernel file carries the whole recurrence, and the config
+adds only the grid, the initial state and, for sym_sys, the half-step
+propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error, 2
 numerical error (quadrature failure or path-sum budget).
 
 CSV conventions: every file has one header row; floats are printed with 17
@@ -24,14 +27,7 @@ from .combinatorics import catalan, enumerate_dyck
 from .config import RunConfig, default_config_text, load_config
 from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
-from .kernels import (
-    TrajectorySeq,
-    compare,
-    extract_kernels,
-    gqme_kernel,
-    liou_norm,
-    propagate,
-)
+from .kernels import compare, extract_kernels, gqme_kernel, liou_norm, propagate
 from .liouville import TimeGrid, apply_map, fb_propagator
 from .pathsum import oracle_trajectory
 
@@ -96,7 +92,7 @@ def _extraction(cfg: RunConfig, splitting: str, flavor: str, r_max: int):
     grid = TimeGrid(cfg.grid.dt, cfg.grid.n_steps, r_max)
     table_grid = TimeGrid(grid.dt, max(r_max, 1), max(r_max, 1))
     table = eta_table(cfg.bath, table_grid, splitting, rtol=cfg.quadrature_rtol)
-    kset, seed, aux_seed = extract_kernels(
+    kset, _, _ = extract_kernels(
         cfg.system,
         grid,
         splitting,
@@ -105,7 +101,7 @@ def _extraction(cfg: RunConfig, splitting: str, flavor: str, r_max: int):
         budget=cfg.pathsum_budget,
         aux_zero_convention=cfg.aux_zero_convention,
     )
-    return kset, seed, aux_seed
+    return kset
 
 
 def _cmd_extract(args) -> int:
@@ -114,7 +110,7 @@ def _cmd_extract(args) -> int:
     splitting = args.splitting or cfg.splitting
     flavor = args.flavor or cfg.flavor
     r_max = args.rmax if args.rmax is not None else cfg.grid.r_max
-    kset, _, _ = _extraction(cfg, splitting, flavor, r_max)
+    kset = _extraction(cfg, splitting, flavor, r_max)
     os.makedirs(args.out, exist_ok=True)
 
     kpath = os.path.join(args.out, "kernels.txt")
@@ -164,16 +160,8 @@ def _cmd_propagate(args) -> int:
     if kset.dim != cfg.system.dim:
         raise ValidationError("kernel file dimension differs from configured system")
 
-    grid = TimeGrid(cfg.grid.dt, cfg.grid.n_steps, min(kset.r_max, cfg.grid.n_steps))
-    table_grid = TimeGrid(grid.dt, grid.r_max, grid.r_max)
-    table = eta_table(cfg.bath, table_grid, kset.splitting, rtol=cfg.quadrature_rtol)
-    full, _, aux = oracle_trajectory(
-        cfg.system, grid, kset.splitting, grid.r_max, eta=table, budget=cfg.pathsum_budget
-    )
-    seed = TrajectorySeq(grid.dt, tuple(full), "oracle")
-    aux_seed = TrajectorySeq(grid.dt, tuple(aux), "oracle")
-    g_half = fb_propagator(cfg.system, 0.5 * grid.dt) if kset.splitting == "sym_sys" else None
-    traj = propagate(kset, cfg.grid.n_steps, seed, aux_seed=aux_seed, g_half=g_half)
+    g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.splitting == "sym_sys" else None
+    traj = propagate(kset, cfg.grid.n_steps, g_half=g_half)
 
     os.makedirs(args.out, exist_ok=True)
     dim = cfg.system.dim
@@ -190,7 +178,7 @@ def _cmd_propagate(args) -> int:
     for step in range(0, cfg.grid.n_steps + 1):
         u = ident if step == 0 else traj.maps[step - 1]
         rho = apply_map(u, cfg.initial_state)
-        row = [str(step), _fmt(step * grid.dt)]
+        row = [str(step), _fmt(step * cfg.grid.dt)]
         for v in rho.ravel():
             row += [_fmt(v.real), _fmt(v.imag)]
         if args.with_maps:

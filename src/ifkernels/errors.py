@@ -34,10 +34,6 @@ class DimMismatchError(ValidationError):
     """Operands have incompatible dimensions ("dim_mismatch")."""
 
 
-class SeedShortError(ValidationError):
-    """Propagation seed does not cover the memory length ("seed_short")."""
-
-
 class SeqShortError(ValidationError):
     """A trajectory does not cover all requested indices ("seq_short")."""
 

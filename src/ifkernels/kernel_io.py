@@ -75,7 +75,8 @@ def load_kernels(path) -> KernelSet:
 
     Raises ParseError ("parse") for malformed files and for contents that
     KernelSet rejects: non-finite entries, an r_max header that differs from
-    a stored matrix count, or an aux0 that is not (dim, dim).
+    a stored matrix count, an aux0 that is not (dim, dim), an unknown
+    splitting, or a block that ``propagate`` needs and the file lacks.
     """
     header = {}
     blocks = {}

@@ -1,34 +1,35 @@
 """Extraction, propagation, and comparison of discrete memory-kernel
 hierarchies.
 
-Two decompositions of the step-indexed reduced-dynamics maps U_N are
-supported:
+Every hierarchy here is one truncated discrete convolution,
 
-* The small-matrix path-integral (SMatPI-style) split into translationally
-  invariant midpoint matrices M_k propagating an auxiliary sequence,
+    X_n = sum_{r=1}^{min(n-1, R)} A_r . B_{n-r}  +  [n <= R] A_n . tail,
 
-      aux_k = sum_{r=1}^{k-1} M_r . aux_{k-r}  +  M_k . aux_0,
+over stacked (k, d, d) arrays.  Extraction solves it for the kernels A from
+known maps (``_inverse``); propagation runs it forward from the kernels
+(``_forward``).  The hierarchies differ only in what A, B and the tail are:
 
-  plus distinct termination matrices T_k assembling the physical maps,
-
-      U_N = sum_{r=1}^{N-1} T_r . aux_{N-r}  +  T_N . aux_0.
-
-  The terminal aux_0 factor is the single-point influence matrix; passing
-  ``aux0=None`` to the solvers drops it (terminal M_k / T_N standalone),
-  which is the appropriate convention when aux_0 is the identity (asym
-  splitting).  With the terminal-aux_0 convention and a one-step-memory
-  bath both hierarchies vanish identically beyond k = 1.
+* The small-matrix path-integral (SMatPI-style) split: translationally
+  invariant midpoint matrices M_k propagate the auxiliary sequence
+  (A = M, B = aux, X = aux), and distinct termination matrices T_k assemble
+  the physical maps from it (A = T, B = aux, X = U).  The tail is the
+  index-0 auxiliary aux_0 under the ``terminal_times_I0`` convention and
+  the identity under ``standalone_terminal``, which is exact when aux_0 is
+  the identity (asym splitting).  With the terminal convention and a
+  one-step-memory bath both hierarchies vanish identically beyond k = 1.
+  The half-step-dressed splitting (sym_sys) needs no termination matrices:
+  U_N = G_half . aux_{N-1} . G_half.
 
 * The transfer-tensor recursion (TTM / crudely discretized GQME), a single
-  translationally invariant set
+  translationally invariant set (A = T^C, B = X = U, identity tail), whose
+  matrices stay nonzero beyond the bath memory (spurious memory) even when
+  the optimal decomposition truncates exactly.
 
-      U_N = sum_{r=1}^{N-1} T^C_r . U_{N-r} + T^C_N,
-
-  whose matrices stay nonzero beyond the bath memory (spurious memory) even
-  when the optimal decomposition truncates exactly.
-
-The discretized master-equation kernel is K_k = T_{k+1} / dt^2; whether the
-k = 1 element deserves the same formula is unresolved, so reports flag it.
+A kernel set therefore propagates on its own: within R steps the forward
+recurrence rebuilds the maps it was extracted from, and beyond R the sums
+truncate.  The discretized master-equation kernel is K_k = T_{k+1} / dt^2;
+whether the k = 1 element deserves the same formula is unresolved, so
+reports flag it.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import EtaTable, influence_pair_matrix, influence_self_weights
+from .bath import SPLITTINGS, EtaTable, influence_pair_matrix, influence_self_weights
 from .errors import (
     Aux0SingularError,
     DimMismatchError,
-    SeedShortError,
     SplittingMismatchError,
     ValidationError,
 )
@@ -81,9 +81,12 @@ class KernelSet:
     """An extracted kernel hierarchy with its splitting, step, and flavor.
 
     For flavor "ttm" the single matrix set lives in ``midpoint`` and
-    ``termination`` is None.  ``aux0`` is the terminal auxiliary matrix
-    used by the terminal_times_I0 convention (None for standalone).  Each
-    stored set holds exactly r_max finite (dim, dim) matrices.
+    ``termination`` is None.  ``aux0`` is the index-0 auxiliary matrix: the
+    tail factor of the terminal_times_I0 convention, and for smatpi sym_sys
+    (either convention) the inner factor of U_1 = G_half aux_0 G_half.
+    Each stored set holds exactly r_max finite (dim, dim) matrices, and a
+    set carries everything ``propagate`` needs: termination matrices for
+    smatpi sym_env/asym, aux0 where the convention or the dressing uses it.
     """
 
     splitting: str
@@ -96,10 +99,19 @@ class KernelSet:
     aux0: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.splitting not in SPLITTINGS:
+            raise ValidationError(f"unknown splitting {self.splitting!r}")
+        if self.r_max < 1:
+            raise ValidationError("r_max must be >= 1")
         if self.flavor not in ("smatpi", "ttm"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "ttm" and self.termination is not None:
             raise ValidationError("ttm flavor carries a single matrix set")
+        dressed = self.flavor == "smatpi" and self.splitting == "sym_sys"
+        if self.flavor == "smatpi" and not dressed and self.termination is None:
+            raise ValidationError(f"smatpi {self.splitting} kernels need termination matrices")
+        if self.aux0 is None and (dressed or self.aux_zero_convention == "terminal_times_I0"):
+            raise ValidationError("aux0 matrix missing: terminal_times_I0 and sym_sys need it")
         mids = tuple(np.asarray(m, dtype=complex) for m in self.midpoint)
         object.__setattr__(self, "midpoint", mids)
         sets = {"midpoint": mids}
@@ -132,54 +144,77 @@ def _right_solve(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a.T, b.T).T
 
 
-def solve_midpoint(aux, aux0: np.ndarray | None = None):
-    """Midpoint matrices M_1..M_L from the auxiliary sequence aux_1..aux_L.
+def _newest_first(seq, count: int) -> np.ndarray:
+    """B_count..B_1 as one contiguous (count, d, d) array.
 
-    With aux0 given, M_k solves aux_k = sum_{r<k} M_r aux_{k-r} + M_k aux0
-    (terminal_times_I0 convention); otherwise the terminal is standalone.
-    Back-substitution reproduces the inputs exactly up to roundoff.
+    Free when ``seq`` is a reversed view of a contiguous array, as
+    ``_forward`` returns.
     """
-    aux = [np.asarray(a, dtype=complex) for a in aux]
-    if not aux:
-        raise ValidationError("need at least one auxiliary matrix")
-    mids = []
-    for k in range(1, len(aux) + 1):
-        resid = aux[k - 1].copy()
-        for r in range(1, k):
-            resid -= mids[r - 1] @ aux[k - r - 1]
-        mids.append(resid if aux0 is None else _right_solve(resid, np.asarray(aux0)))
-    return [check_finite(m, "midpoint matrix") for m in mids]
+    return np.ascontiguousarray(np.asarray(seq, dtype=complex)[:count][::-1])
+
+
+def _forward(a, length: int, tail=None, b=None) -> np.ndarray:
+    """X_1..X_length of X_n = sum_{r=1}^{min(n-1,R)} A_r B_{n-r} + [n <= R] A_n tail.
+
+    ``a`` stacks A_1..A_R; B is X itself unless ``b`` (B_1.., at least
+    length - 1 of them) is given; ``tail=None`` is the identity.  Each step
+    is one (d, m d) @ (m d, d) product against a contiguous window of a
+    newest-first history.  Returns a (length, d, d) view in index order.
+    """
+    a = np.asarray(a, dtype=complex)
+    r_max, d = a.shape[0], a.shape[1]
+    wide = a.transpose(1, 0, 2).reshape(d, r_max * d)  # [A_1 | A_2 | ... | A_R]
+    head = a if tail is None else a @ tail
+    out = np.empty((length, d, d), dtype=complex)  # X_n lives in out[length - n]
+    hist = out if b is None else _newest_first(b, max(length - 1, 0))
+    top = len(hist) + 1  # B_{n-1} lives in hist[top - n]
+    for n in range(1, length + 1):
+        m = min(n - 1, r_max)
+        x = wide[:, : m * d] @ hist[top - n : top - n + m].reshape(m * d, d)
+        if n <= r_max:
+            x += head[n - 1]
+        out[length - n] = x
+    return out[::-1]
+
+
+def _inverse(y, b=None, tail=None) -> np.ndarray:
+    """X_1..X_L solving Y_n = sum_{r<n} X_r B_{n-r} + X_n tail, n = 1..L.
+
+    B is Y itself unless ``b`` (B_1.., at least L - 1 of them) is given;
+    ``tail=None`` is the identity, otherwise each X_n comes from a guarded
+    right solve against it.  Returns a (L, d, d) array.
+    """
+    y = np.asarray(y, dtype=complex)
+    if y.ndim != 3 or not len(y):
+        raise ValidationError("need a non-empty sequence of square matrices")
+    length, d = y.shape[0], y.shape[1]
+    hist = _newest_first(y if b is None else b, length - 1)
+    if len(hist) < length - 1:
+        raise ValidationError("auxiliary sequence too short for the solve")
+    wide = np.empty((d, length * d), dtype=complex)  # [X_1 | X_2 | ... | X_L]
+    for n in range(1, length + 1):
+        resid = y[n - 1] - wide[:, : (n - 1) * d] @ hist[length - n :].reshape((n - 1) * d, d)
+        wide[:, (n - 1) * d : n * d] = resid if tail is None else _right_solve(resid, tail)
+    return wide.reshape(d, length, d).transpose(1, 0, 2)
+
+
+def _maps(full):
+    return full.maps if isinstance(full, TrajectorySeq) else full
+
+
+def solve_midpoint(aux, aux0: np.ndarray | None = None):
+    """Midpoint matrices M_1..M_L from aux_k = sum_{r<k} M_r aux_{k-r} + M_k aux0."""
+    return list(check_finite(_inverse(aux, tail=aux0), "midpoint matrix"))
 
 
 def solve_termination(full, aux, aux0: np.ndarray | None = None):
-    """Termination matrices T_1..T_N from the full and auxiliary sequences.
-
-    T_N solves U_N = sum_{r<N} T_r aux_{N-r} + T_N (standalone) or
-    ... + T_N aux0 when aux0 is given.
-    """
-    maps = list(full.maps) if isinstance(full, TrajectorySeq) else [np.asarray(m) for m in full]
-    aux = [np.asarray(a, dtype=complex) for a in aux]
-    if len(aux) < max(len(maps) - 1, 0):
-        raise ValidationError("auxiliary sequence too short for termination solve")
-    terms = []
-    for n in range(1, len(maps) + 1):
-        resid = maps[n - 1].astype(complex).copy()
-        for r in range(1, n):
-            resid -= terms[r - 1] @ aux[n - r - 1]
-        terms.append(resid if aux0 is None else _right_solve(resid, np.asarray(aux0)))
-    return [check_finite(t, "termination matrix") for t in terms]
+    """Termination matrices T_1..T_N from U_N = sum_{r<N} T_r aux_{N-r} + T_N aux0."""
+    return list(check_finite(_inverse(_maps(full), b=aux, tail=aux0), "termination matrix"))
 
 
 def extract_ttm(full):
-    """Transfer-tensor matrices T^C_1..T^C_N from a map sequence."""
-    maps = list(full.maps) if isinstance(full, TrajectorySeq) else [np.asarray(m) for m in full]
-    tensors = []
-    for n in range(1, len(maps) + 1):
-        resid = maps[n - 1].astype(complex).copy()
-        for r in range(1, n):
-            resid -= tensors[r - 1] @ maps[n - r - 1]
-        tensors.append(check_finite(resid, "transfer tensor"))
-    return tensors
+    """Transfer-tensor matrices T^C_1..T^C_N from U_N = sum_{r<N} T^C_r U_{N-r} + T^C_N."""
+    return list(check_finite(_inverse(_maps(full)), "transfer tensor"))
 
 
 def gqme_kernel(ttm, dt: float):
@@ -193,15 +228,6 @@ def gqme_kernel(ttm, dt: float):
     if len(mats) < 2:
         raise ValidationError("need at least two transfer matrices for a kernel")
     return [m / dt**2 for m in mats[1:]]
-
-
-def dress(u_aux: LiouvilleMatrix, g_half: LiouvilleMatrix) -> LiouvilleMatrix:
-    """Outer half-step dressing G . aux . G."""
-    u_aux = np.asarray(u_aux)
-    g_half = np.asarray(g_half)
-    if u_aux.shape != g_half.shape:
-        raise DimMismatchError("dim_mismatch: dressing operands differ in shape")
-    return g_half @ u_aux @ g_half
 
 
 def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> LiouvilleMatrix:
@@ -228,74 +254,30 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
     return weighted @ g1
 
 
-def propagate(
-    kernels: KernelSet,
-    horizon: int,
-    seed: TrajectorySeq,
-    aux_seed: TrajectorySeq | None = None,
-    g_half: np.ndarray | None = None,
-) -> TrajectorySeq:
-    """Iterate a kernel set out to ``horizon`` steps from oracle seeds.
+def propagate(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None) -> TrajectorySeq:
+    """Maps U_1..U_horizon from a kernel set alone, by the forward recurrence.
 
-    Within the seeded horizon the output reproduces the seed verbatim.
-    Beyond it, sums truncate at r_max (terms are dropped; no renormalization).
-    The smatpi flavor iterates the auxiliary hierarchy and assembles the
-    physical maps from the termination matrices (sym_env, asym) or by
-    half-step dressing (sym_sys, which requires ``g_half``).
+    ttm runs the transfer tensors over U itself.  smatpi runs the midpoint
+    matrices over the auxiliary sequence, with the tail aux_0 under the
+    terminal_times_I0 convention, and then either the termination matrices
+    over it (sym_env, asym) or the half-step dressing
+    U_n = G_half aux_{n-1} G_half with aux_0 from the set (sym_sys, which
+    requires ``g_half``).  Within r_max steps the output rebuilds the maps
+    the set was extracted from; beyond it the sums truncate at r_max (terms
+    are dropped; no renormalization).
     """
-    r_max = kernels.r_max
-    if len(seed.maps) < min(r_max, horizon):
-        raise SeedShortError(
-            f"seed_short: need {min(r_max, horizon)} seeded maps, got {len(seed.maps)}"
-        )
-    terminal = kernels.aux_zero_convention == "terminal_times_I0"
-    if terminal and kernels.aux0 is None:
-        raise ValidationError("terminal_times_I0 propagation needs the aux0 matrix")
-
-    if kernels.flavor == "ttm":
-        mats = kernels.midpoint
-        maps = list(seed.maps[:horizon])
-        for n in range(len(maps) + 1, horizon + 1):
-            acc = np.zeros((kernels.dim, kernels.dim), dtype=complex)
-            for r in range(1, min(n - 1, r_max) + 1):
-                acc += mats[r - 1] @ maps[n - r - 1]
-            if n <= r_max:
-                acc += mats[n - 1]
-            maps.append(acc)
-        return TrajectorySeq(kernels.dt, tuple(maps), "propagated")
-
-    if aux_seed is None:
-        raise SeedShortError("seed_short: smatpi propagation needs an auxiliary seed")
-    if kernels.splitting == "sym_sys" and g_half is None:
+    dressed = kernels.flavor == "smatpi" and kernels.splitting == "sym_sys"
+    if dressed and g_half is None:
         raise ValidationError("sym_sys propagation needs the half-step propagator")
-
-    mids = kernels.midpoint
-    aux = list(aux_seed.maps)
-    aux_horizon = horizon - 1 if kernels.splitting == "sym_sys" else horizon
-    for k in range(len(aux) + 1, aux_horizon + 1):
-        acc = np.zeros((kernels.dim, kernels.dim), dtype=complex)
-        for r in range(1, min(k - 1, r_max) + 1):
-            acc += mids[r - 1] @ aux[k - r - 1]
-        if k <= r_max:
-            acc = acc + (mids[k - 1] @ kernels.aux0 if terminal else mids[k - 1])
-        aux.append(acc)
-
-    maps = list(seed.maps[:horizon])
-    if kernels.splitting == "sym_sys":
-        for n in range(len(maps) + 1, horizon + 1):
-            maps.append(dress(aux[n - 2] if n >= 2 else kernels.aux0, g_half))
-        return TrajectorySeq(kernels.dt, tuple(maps), "propagated")
-
-    terms = kernels.termination
-    if terms is None:
-        raise ValidationError("smatpi propagation for this splitting needs termination matrices")
-    for n in range(len(maps) + 1, horizon + 1):
-        acc = np.zeros((kernels.dim, kernels.dim), dtype=complex)
-        for r in range(1, min(n - 1, r_max) + 1):
-            acc += terms[r - 1] @ aux[n - r - 1]
-        if n <= r_max:
-            acc = acc + (terms[n - 1] @ kernels.aux0 if terminal else terms[n - 1])
-        maps.append(acc)
+    if kernels.flavor == "ttm":
+        maps = _forward(kernels.midpoint, horizon)
+    else:
+        tail = kernels.aux0 if kernels.aux_zero_convention == "terminal_times_I0" else None
+        aux = _forward(kernels.midpoint, horizon - 1, tail)
+        if dressed:
+            maps = g_half @ np.concatenate((kernels.aux0[None], aux)) @ g_half
+        else:
+            maps = _forward(kernels.termination, horizon, tail, b=aux)
     return TrajectorySeq(kernels.dt, tuple(maps), "propagated")
 
 
@@ -342,7 +324,12 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
 
     ``threshold`` is relative to each set's own k = 1 propagation-matrix
     norm; the report records the first index falling below it for each set.
+    The sets must share a splitting; their flavors may differ.
     """
+    if set_a.splitting != set_b.splitting:
+        raise SplittingMismatchError(
+            f"splitting_mismatch: kernel sets are {set_a.splitting!r} and {set_b.splitting!r}"
+        )
     if abs(set_a.dt - set_b.dt) > 1e-15:
         raise ValidationError("kernel sets differ in dt")
     if set_a.dim != set_b.dim:
@@ -400,10 +387,13 @@ def extract_kernels(
     budget: int | None = None,
     aux_zero_convention: str | None = None,
 ):
-    """Build seeds from the path-sum oracle and extract a kernel set.
+    """Sum the path-sum oracle for r_max steps and extract a kernel set.
 
-    Returns (kernel_set, seed, aux_seed).  ``aux_zero_convention`` overrides
-    the shipped default only for sym_sys; the other splittings are fixed.
+    Returns (kernel_set, maps, aux_maps): the set and the oracle sequences
+    U_1..U_R and aux_1..aux_R it was solved from.  ``aux_zero_convention``
+    overrides the shipped default only for sym_sys; the other splittings
+    are fixed.  sym_sys sets keep aux_0 under either convention, because
+    the dressed U_1 needs it.
     """
     from .pathsum import DEFAULT_BUDGET, oracle_trajectory
 
@@ -411,23 +401,20 @@ def extract_kernels(
     full, aux0, aux = oracle_trajectory(
         sys, grid, splitting, grid.r_max, bath=bath, eta=eta, budget=budget
     )
-    seed = TrajectorySeq(grid.dt, tuple(full), "oracle")
-    aux_seed = TrajectorySeq(grid.dt, tuple(aux), "oracle")
+    maps = TrajectorySeq(grid.dt, tuple(full), "oracle")
+    aux_maps = TrajectorySeq(grid.dt, tuple(aux), "oracle")
 
     if flavor == "ttm":
-        tensors = extract_ttm(seed)
+        tensors = extract_ttm(full)
         kset = KernelSet(splitting, grid.dt, grid.r_max, tuple(tensors), None, "ttm")
-        return kset, seed, aux_seed
+        return kset, maps, aux_maps
 
     convention = SMATPI_CONVENTION[splitting]
     if splitting == "sym_sys" and aux_zero_convention is not None:
         convention = aux_zero_convention
-    aux0_arg = aux0 if convention == "terminal_times_I0" else None
-    mids = solve_midpoint(list(aux_seed.maps), aux0_arg)
-    if splitting == "sym_sys":
-        terms = None
-    else:
-        terms = tuple(solve_termination(seed, list(aux_seed.maps), aux0_arg))
+    tail = aux0 if convention == "terminal_times_I0" else None
+    mids = solve_midpoint(aux, tail)
+    terms = None if splitting == "sym_sys" else tuple(solve_termination(full, aux, tail))
     kset = KernelSet(
         splitting,
         grid.dt,
@@ -436,34 +423,6 @@ def extract_kernels(
         terms,
         "smatpi",
         aux_zero_convention=convention,
-        aux0=aux0 if convention == "terminal_times_I0" else None,
+        aux0=aux0 if splitting == "sym_sys" else tail,
     )
-    return kset, seed, aux_seed
-
-
-def reconstruct_aux(mids, aux0, length: int):
-    """Back-substitute midpoint matrices into an auxiliary sequence."""
-    dim = np.asarray(mids[0]).shape[0]
-    out = []
-    for k in range(1, length + 1):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for r in range(1, k):
-            acc += mids[r - 1] @ out[k - r - 1]
-        if k <= len(mids):
-            acc = acc + (mids[k - 1] if aux0 is None else mids[k - 1] @ aux0)
-        out.append(acc)
-    return out
-
-
-def reconstruct_full(terms, aux, aux0, length: int):
-    """Back-substitute termination matrices into the physical map sequence."""
-    dim = np.asarray(terms[0]).shape[0]
-    out = []
-    for n in range(1, length + 1):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for r in range(1, n):
-            acc += terms[r - 1] @ aux[n - r - 1]
-        if n <= len(terms):
-            acc = acc + (terms[n - 1] if aux0 is None else terms[n - 1] @ aux0)
-        out.append(acc)
-    return out
+    return kset, maps, aux_maps

@@ -31,8 +31,9 @@ class SystemSpec:
     Parameters
     ----------
     hamiltonian : (n, n) complex array
-        System Hamiltonian, Hermitian to within 1e-12 (max elementwise).
-    coupling_eigenvalues : sequence of n floats
+        System Hamiltonian, finite and Hermitian to within 1e-12 (max
+        elementwise).
+    coupling_eigenvalues : sequence of n finite floats
         Eigenvalues s_a of the system-bath coupling operator, which is taken
         diagonal in the computational basis.
     """
@@ -47,12 +48,14 @@ class SystemSpec:
         n = h.shape[0]
         if n < 2:
             raise ValidationError("need at least 2 system states (n >= 2)")
+        check_finite(h, "hamiltonian")
         dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
         if dev > HERMITICITY_TOL:
             raise ValidationError(
                 f"hamiltonian not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.0e})"
             )
         s = tuple(float(x) for x in self.coupling_eigenvalues)
+        check_finite(np.array(s), "coupling_eigenvalues")
         if len(s) != n:
             raise ValidationError(
                 f"coupling_eigenvalues must have exactly n={n} entries, got {len(s)}"
@@ -70,32 +73,6 @@ class SystemSpec:
     def dim(self) -> int:
         """Liouville dimension n^2."""
         return self.n * self.n
-
-
-@dataclass(frozen=True)
-class FBIndex:
-    """A forward-backward pair label with its flat row-major index."""
-
-    forward: int
-    backward: int
-    n: int
-
-    def __post_init__(self):
-        if not (0 <= self.forward < self.n and 0 <= self.backward < self.n):
-            raise ValidationError("FBIndex out of range")
-
-    @property
-    def flat(self) -> int:
-        return self.forward * self.n + self.backward
-
-    @classmethod
-    def from_flat(cls, flat: int, n: int) -> "FBIndex":
-        return cls(flat // n, flat % n, n)
-
-
-def fb_pairs(n: int) -> list:
-    """All FB pairs of an n-state system in flat order."""
-    return [FBIndex(a, b, n) for a in range(n) for b in range(n)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ C(t) itself from its own frequency quadrature (or closed form at T = 0),
 instead of moving the window integrals inside the frequency integral.  The
 path-sum reference visits every forward-backward path one at a time and
 writes its weight out from the definition, instead of building weights from
-factor matrices in blocks.
+factor matrices in blocks.  The convolution reference rebuilds a sequence
+from its kernels one matrix product at a time, instead of one stacked
+product per step.
 """
 
 import cmath
@@ -144,6 +146,23 @@ def path_sum_reference(sys, dt, table, steps, measured_end=True):
                 ds = s[fwd[k]] - s[bwd[k]]
                 phase += ds * (e * s[fwd[kp]] - e.conjugate() * s[bwd[kp]])
             out[fwd[-1] * n + bwd[-1], fwd[0] * n + bwd[0]] += amp * cmath.exp(-phase)
+    return out
+
+
+def convolution_reference(a, length, tail=None, b=None):
+    """X_1..X_length of X_n = sum_{r=1}^{min(n-1,R)} A_r B_{n-r} + [n <= R] A_n tail.
+
+    One matrix product per term, in a plain double loop; B is X itself
+    unless ``b`` is given, and ``tail=None`` is the identity.
+    """
+    out = []
+    for n in range(1, length + 1):
+        acc = np.zeros_like(np.asarray(a[0], dtype=complex))
+        for r in range(1, min(n - 1, len(a)) + 1):
+            acc = acc + a[r - 1] @ (out if b is None else b)[n - r - 1]
+        if n <= len(a):
+            acc = acc + (a[n - 1] if tail is None else a[n - 1] @ tail)
+        out.append(acc)
     return out
 
 

@@ -23,7 +23,6 @@ from ifkernels.kernels import (
     TrajectorySeq,
     closed_form_asym,
     compare,
-    dress,
     extract_kernels,
     extract_ttm,
     propagate,
@@ -42,21 +41,14 @@ def _report(criterion, detail):
 
 def test_criterion_1_oracle_equivalence(sys2, bath_default):
     """Maps rebuilt from the extracted kernels alone match the exact path sum."""
-    from ifkernels.kernels import reconstruct_aux, reconstruct_full
-
     start = time.monotonic()
     worst = 0.0
     grid = TimeGrid(0.1, 6, 6)
     for splitting in ("sym_env", "sym_sys", "asym"):
         table = eta_table(bath_default, grid, splitting)
-        kset, seed, aux_seed = extract_kernels(sys2, grid, splitting, "smatpi", eta=table)
-        aux0 = kset.aux0
-        aux_rebuilt = reconstruct_aux(kset.midpoint, aux0, 6)
-        if splitting == "sym_sys":
-            g_half = fb_propagator(sys2, 0.05)
-            maps = [dress(a, g_half) for a in [aux0 if aux0 is not None else np.eye(4)] + aux_rebuilt[:5]]
-        else:
-            maps = reconstruct_full(kset.termination, aux_rebuilt, aux0, 6)
+        kset, _, _ = extract_kernels(sys2, grid, splitting, "smatpi", eta=table)
+        g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
+        maps = propagate(kset, 6, g_half=g_half).maps
         for n in range(1, 7):
             exact = rdm_exact(
                 PathSumRequest(sys2, grid, splitting, "full_U", n, bath_default), eta=table
@@ -123,7 +115,7 @@ def test_criterion_5_dressing_identity(sys2, tables):
         a = aux_rdm_exact(
             PathSumRequest(sys2, grid, "sym_sys", "aux_U", n - 1), eta=tables["sym_sys"]
         )
-        worst = max(worst, liou_norm(dress(a, g_half) - u))
+        worst = max(worst, liou_norm(g_half @ a @ g_half - u))
     assert worst < 1e-12
     _report("criterion 5 (dressing identity)", f"max dev {worst:.2e}")
 
@@ -145,9 +137,9 @@ def test_criterion_6_trotter_order(sys2):
             r = min(n, int(0.2 / dt) + 4)
             grid = TimeGrid(dt, n, r)
             tab = eta_table_from_correlation(corr, TimeGrid(dt, r, r), splitting)
-            kset, seed, aux_seed = extract_kernels(sys2, grid, splitting, "smatpi", eta=tab)
+            kset, _, _ = extract_kernels(sys2, grid, splitting, "smatpi", eta=tab)
             g_half = fb_propagator(sys2, dt / 2) if splitting == "sym_sys" else None
-            traj = propagate(kset, n, seed, aux_seed=aux_seed, g_half=g_half)
+            traj = propagate(kset, n, g_half=g_half)
             final[(splitting, dt)] = traj.maps[-1]
 
     reference = (4.0 * final[("sym_sys", 0.05)] - final[("sym_sys", 0.1)]) / 3.0
@@ -182,9 +174,9 @@ def test_criterion_7_physicality(sys2, bath_default, tables):
     for splitting, flavor in cases:
         grid = TimeGrid(0.1, 30, 6)
         tab = tables[splitting]
-        kset, seed, aux_seed = extract_kernels(sys2, grid, splitting, flavor, eta=tab)
+        kset, _, _ = extract_kernels(sys2, grid, splitting, flavor, eta=tab)
         g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        traj = propagate(kset, 30, seed, aux_seed=aux_seed, g_half=g_half)
+        traj = propagate(kset, 30, g_half=g_half)
         for u in traj.maps:
             rho = apply_map(u, RHO0)
             worst_trace = max(worst_trace, abs(np.trace(rho) - 1.0))

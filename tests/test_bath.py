@@ -15,7 +15,8 @@ from ifkernels.bath import (
     eta_table,
     eta_table_from_correlation,
     eta_truncated,
-    influence_factor_matrix,
+    influence_pair_matrix,
+    influence_self_weights,
 )
 from ifkernels.errors import EtaMissingError, QuadratureError, ValidationError
 from ifkernels.liouville import TimeGrid, liou_norm
@@ -203,40 +204,41 @@ class TestInfluenceFactors:
     def test_zero_coupling_all_ones(self, grid8, sys2):
         bath = BathSpec(SpectralDensity("ohmic_exponential", 0.0, 5.0), 5.0)
         tab = eta_table(bath, grid8, "sym_env")
-        f = influence_factor_matrix(sys2, tab, 2, "interior")
-        assert liou_norm(f.matrix - 1.0) < 1e-15
+        f = influence_pair_matrix(sys2, tab.by_separation(2, "interior"))
+        assert liou_norm(f - 1.0) < 1e-15
 
     def test_diagonal_pairs_row_is_ones(self, tables, sys2):
-        f = influence_factor_matrix(sys2, tables["sym_env"], 1, "interior")
+        f = influence_pair_matrix(sys2, tables["sym_env"].by_separation(1, "interior"))
         # FB pairs (0,0) and (1,1) have ds = 0: rows identically 1
-        assert liou_norm(f.matrix[0, :] - 1.0) < 1e-15
-        assert liou_norm(f.matrix[3, :] - 1.0) < 1e-15
+        assert liou_norm(f[0, :] - 1.0) < 1e-15
+        assert liou_norm(f[3, :] - 1.0) < 1e-15
 
     def test_scalar_hand_oracle(self, tables, sys2):
         eta = tables["sym_sys"].value(1, 0)
-        f = influence_factor_matrix(sys2, tables["sym_sys"], 1, "interior")
+        f = influence_pair_matrix(sys2, tables["sym_sys"].by_separation(1, "interior"))
         # row (0,1): ds = +2; column (0,1): s+ = +1, s- = -1
-        assert abs(f.matrix[1, 1] - np.exp(-2 * (eta + np.conj(eta)))) < 1e-15
+        assert abs(f[1, 1] - np.exp(-2 * (eta + np.conj(eta)))) < 1e-15
 
     def test_hermitian_pairing(self, tables, sys2):
         def swap(i):
             return (i % 2) * 2 + i // 2
 
         for m in (1, 2, 3):
-            f = influence_factor_matrix(sys2, tables["sym_env"], m, "interior").matrix
+            f = influence_pair_matrix(sys2, tables["sym_env"].by_separation(m, "interior"))
             for a in range(4):
                 for b in range(4):
                     assert abs(f[swap(a), swap(b)] - np.conj(f[a, b])) < 1e-12
 
     def test_self_factor_magnitude_bound(self, tables, sys2):
-        f = influence_factor_matrix(sys2, tables["sym_env"], 0, "self")
-        assert f.diagonal
-        assert np.max(np.abs(np.diag(f.matrix))) <= 1.0 + 1e-12
+        w = influence_self_weights(sys2, tables["sym_env"].by_separation(0, "self"))
+        assert w.shape == (4,)
+        assert np.max(np.abs(w)) <= 1.0 + 1e-12
+        assert w[0] == w[3] == 1.0  # ds = 0 pairs carry no self weight
 
     def test_separation_decay(self, tables, sys2):
         # non-increasing deviation from the unit matrix beyond m* = 1 (frozen)
         devs = [
-            liou_norm(influence_factor_matrix(sys2, tables["sym_env"], m, "interior").matrix - 1.0)
+            liou_norm(influence_pair_matrix(sys2, tables["sym_env"].by_separation(m, "interior")) - 1.0)
             for m in range(1, 9)
         ]
         assert all(devs[i] >= devs[i + 1] for i in range(len(devs) - 1))

@@ -15,10 +15,10 @@ def small_config(**overrides):
     for old, new in repl.items():
         text = text.replace(old, new)
     for key, value in overrides.items():
-        lines = [
-            f"{key} = {value}" if line.startswith(key + " ") else line
-            for line in text.splitlines()
-        ]
+        lines = text.splitlines()
+        if not any(line.startswith(key + " ") for line in lines):
+            lines.append(f"{key} = {value}")
+        lines = [f"{key} = {value}" if line.startswith(key + " ") else line for line in lines]
         text = "\n".join(lines)
     return text
 
@@ -128,13 +128,22 @@ class TestKernelFile:
             load_kernels(path)
 
 
-def _extracted(tmp_path):
-    """(config path, kernel file path) of a small sym_env smatpi extraction."""
+def _extracted(tmp_path, **overrides):
+    """(config path, kernel file path) of a small extraction (sym_env smatpi by default)."""
+    tmp_path.mkdir(exist_ok=True)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(small_config())
+    cfg.write_text(small_config(**overrides))
     out = tmp_path / "out"
     assert cli_main(["extract", "--config", str(cfg), "--out", str(out)]) == 0
     return cfg, out / "kernels.txt"
+
+
+def _drop_block(kpath, name):
+    """Delete one ``matrices = <name>`` block from a kernel file."""
+    lines = kpath.read_text().splitlines()
+    start = lines.index(f"matrices = {name}")
+    end = next((i for i in range(start + 1, len(lines)) if "=" in lines[i]), len(lines))
+    kpath.write_text("\n".join(lines[:start] + lines[end:]) + "\n")
 
 
 def _propagate_exit(cfg, kpath, capsys):
@@ -191,11 +200,79 @@ class TestBadKernelFiles:
         assert code == 1
         assert "parse: aux0 block holds 2 matrices, expected 1" in err
 
+    def test_unknown_splitting(self, tmp_path, capsys):
+        cfg, kpath = _extracted(tmp_path)
+        kpath.write_text(kpath.read_text().replace("splitting = sym_env", "splitting = bogus"))
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert "parse: inconsistent kernel file (unknown splitting 'bogus')" in err
+
+    @pytest.mark.parametrize("splitting", ["sym_env", "asym"])
+    def test_smatpi_without_termination(self, tmp_path, capsys, splitting):
+        cfg, kpath = _extracted(tmp_path, **{"run.splitting": splitting})
+        _drop_block(kpath, "termination")
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert f"parse: inconsistent kernel file (smatpi {splitting} kernels need termination" in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"run.splitting": "sym_sys"},
+         {"run.splitting": "sym_sys", "run.aux_zero_convention": "standalone_terminal"}],
+    )
+    def test_missing_aux0(self, tmp_path, capsys, overrides):
+        cfg, kpath = _extracted(tmp_path, **overrides)
+        _drop_block(kpath, "aux0")
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert "parse: inconsistent kernel file (aux0 matrix missing" in err
+
     def test_kernel_set_checks_aux0_shape(self):
         mats = (np.eye(4, dtype=complex),)
         with pytest.raises(ValidationError, match="dim_mismatch: aux0 shape"):
             KernelSet("sym_env", 0.1, 1, mats, mats, "smatpi",
                       aux_zero_convention="terminal_times_I0", aux0=np.eye(3))
+
+
+PROPAGATE_CASES = [
+    ("sym_env", "smatpi", None),
+    ("sym_env", "ttm", None),
+    ("sym_sys", "smatpi", None),
+    ("sym_sys", "smatpi", "standalone_terminal"),
+    ("sym_sys", "ttm", None),
+    ("asym", "smatpi", None),
+    ("asym", "ttm", None),
+]
+
+
+class TestPropagateFromKernelFile:
+    @pytest.mark.parametrize("splitting, flavor, convention", PROPAGATE_CASES)
+    def test_no_eta_table_or_oracle(self, tmp_path, capsys, monkeypatch, splitting, flavor,
+                                    convention):
+        # propagate reads everything from the kernel file; its first r_max
+        # maps are the oracle maps the kernels were extracted from
+        overrides = {"run.splitting": splitting, "run.flavor": flavor}
+        if convention is not None:
+            overrides["run.aux_zero_convention"] = convention
+        cfg, kpath = _extracted(tmp_path, **overrides)
+        oracle_dir = tmp_path / "oracle"
+        assert cli_main(["oracle", "--config", str(cfg), "--out", str(oracle_dir)]) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("propagate must not rebuild the oracle")
+
+        monkeypatch.setattr("ifkernels.cli.eta_table", forbidden)
+        monkeypatch.setattr("ifkernels.cli.oracle_trajectory", forbidden)
+        out = tmp_path / "prop"
+        argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out),
+                "--with-maps"]
+        assert cli_main(argv) == 0
+        traj = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        oracle = np.loadtxt(oracle_dir / "oracle_maps.csv", delimiter=",", skiprows=1)
+        assert traj.shape[0] == 11 and oracle.shape[0] == 5
+        assert np.max(np.abs(traj[:5, 10:] - oracle[:, 2:])) < 1e-10
+        rho = (traj[:, 2:10:2] + 1j * traj[:, 3:10:2]).reshape(-1, 2, 2)
+        assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) < 1e-12
 
 
 class TestCli:
@@ -279,6 +356,15 @@ class TestCli:
         k2 = rows[2].split(",")
         assert float(k2[1]) < 1e-12  # smatpi midpoint norm at k = 2
         assert float(k2[3]) > 1e-6  # ttm norm at k = 2
+
+    def test_compare_splitting_mismatch(self, tmp_path, capsys):
+        _, ka = _extracted(tmp_path / "a", **{"run.flavor": "ttm"})
+        _, kb = _extracted(tmp_path / "b", **{"run.splitting": "asym"})
+        out = tmp_path / "cmp"
+        argv = ["compare", "--kernels-a", str(ka), "--kernels-b", str(kb), "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert "splitting_mismatch: kernel sets are 'sym_env' and 'asym'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_propagate_headers(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

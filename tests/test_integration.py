@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ifkernels import BathSpec, SpectralDensity, SystemSpec
-from ifkernels.bath import eta_table, influence_factor_matrix
-from ifkernels.kernels import extract_kernels, propagate, reconstruct_aux, reconstruct_full
+from ifkernels.bath import eta_table, influence_pair_matrix, influence_self_weights
+from ifkernels.kernels import extract_kernels, propagate
 from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from ifkernels.pathsum import PathSumRequest, rdm_exact
 
@@ -29,9 +29,8 @@ class TestThreeState:
     def test_extraction_rebuilds_oracle(self, sys3, bath_mild):
         grid = TimeGrid(0.1, 4, 4)
         table = eta_table(bath_mild, grid, "sym_env")
-        kset, seed, aux_seed = extract_kernels(sys3, grid, "sym_env", "smatpi", eta=table)
-        aux_rebuilt = reconstruct_aux(kset.midpoint, kset.aux0, 4)
-        maps = reconstruct_full(kset.termination, aux_rebuilt, kset.aux0, 4)
+        kset, _, _ = extract_kernels(sys3, grid, "sym_env", "smatpi", eta=table)
+        maps = propagate(kset, 4).maps
         for n in range(1, 5):
             exact = rdm_exact(PathSumRequest(sys3, grid, "sym_env", "full_U", n), eta=table)
             assert liou_norm(maps[n - 1] - exact) < 1e-11
@@ -39,8 +38,8 @@ class TestThreeState:
     def test_trajectory_physicality(self, sys3, bath_mild):
         grid = TimeGrid(0.1, 12, 4)
         table = eta_table(bath_mild, TimeGrid(0.1, 4, 4), "sym_sys")
-        kset, seed, aux_seed = extract_kernels(sys3, grid, "sym_sys", "smatpi", eta=table)
-        traj = propagate(kset, 12, seed, aux_seed=aux_seed, g_half=fb_propagator(sys3, 0.05))
+        kset, _, _ = extract_kernels(sys3, grid, "sym_sys", "smatpi", eta=table)
+        traj = propagate(kset, 12, g_half=fb_propagator(sys3, 0.05))
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         for u in traj.maps:
             rho = apply_map(u, rho0)
@@ -52,9 +51,9 @@ class TestThreeState:
         # pair-factor rows stay at unity
         grid = TimeGrid(0.1, 4, 4)
         table = eta_table(bath_mild, grid, "sym_env")
-        f = influence_factor_matrix(sys3, table, 1, "interior")
+        f = influence_pair_matrix(sys3, table.by_separation(1, "interior"))
         flat_11 = 1 * 3 + 1
-        assert liou_norm(f.matrix[flat_11, :] - 1.0) < 1e-15
+        assert liou_norm(f[flat_11, :] - 1.0) < 1e-15
 
 
 class TestZeroTemperature:
@@ -64,10 +63,10 @@ class TestZeroTemperature:
         table = eta_table(bath, grid, "asym")
         # self coefficient has positive real part at T = 0
         assert table.by_separation(0, "self").real > 0
-        f0 = influence_factor_matrix(sys2, table, 0, "self")
-        assert np.max(np.abs(np.diag(f0.matrix))) <= 1.0 + 1e-12
-        kset, seed, aux_seed = extract_kernels(sys2, grid, "asym", "ttm", eta=table)
-        rebuilt = reconstruct_full(kset.midpoint, list(seed.maps), None, 4)
+        w0 = influence_self_weights(sys2, table.by_separation(0, "self"))
+        assert np.max(np.abs(w0)) <= 1.0 + 1e-12
+        kset, seed, _ = extract_kernels(sys2, grid, "asym", "ttm", eta=table)
+        rebuilt = propagate(kset, 4).maps
         assert max(liou_norm(a - b) for a, b in zip(rebuilt, seed.maps)) < 1e-12
 
     def test_correlation_decays(self):

@@ -4,29 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifkernels.bath import eta_table, eta_truncated
-from ifkernels.errors import (
-    Aux0SingularError,
-    SeedShortError,
-    SplittingMismatchError,
-    ValidationError,
-)
+from ifkernels.errors import Aux0SingularError, SplittingMismatchError, ValidationError
 from ifkernels.kernels import (
+    AUX0_CONVENTIONS,
     KernelSet,
     TrajectorySeq,
     closed_form_asym,
     compare,
-    dress,
     extract_kernels,
     extract_ttm,
     gqme_kernel,
     propagate,
-    reconstruct_aux,
-    reconstruct_full,
     solve_midpoint,
     solve_termination,
 )
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import PathSumRequest, rdm_exact
+
+from _oracles import convolution_reference
 
 
 def random_seq(rng, length, dim=4, scale=1.0):
@@ -55,7 +50,7 @@ class TestSolveMidpoint:
         aux = random_seq(rng, 5, scale=0.5)
         aux0 = np.eye(4) + 0.1 * random_seq(rng, 1)[0] if terminal else None
         mids = solve_midpoint(aux, aux0)
-        rebuilt = reconstruct_aux(mids, aux0, 5)
+        rebuilt = convolution_reference(mids, 5, tail=aux0)
         assert max(liou_norm(a - b) for a, b in zip(aux, rebuilt)) < 1e-12
 
     def test_singular_terminal_rejected(self):
@@ -86,8 +81,14 @@ class TestSolveTermination:
         aux = random_seq(rng, 5, scale=0.5)
         aux0 = np.eye(4) + 0.1 * random_seq(rng, 1)[0] if terminal else None
         terms = solve_termination(TrajectorySeq(0.1, tuple(full)), aux, aux0)
-        rebuilt = reconstruct_full(terms, aux, aux0, 5)
+        rebuilt = convolution_reference(terms, 5, tail=aux0, b=aux)
         assert max(liou_norm(a - b) for a, b in zip(full, rebuilt)) < 1e-12
+
+    def test_auxiliary_sequence_too_short(self):
+        rng = np.random.default_rng(8)
+        full = random_seq(rng, 3)
+        with pytest.raises(ValidationError, match="too short"):
+            solve_termination(full, full[:1])
 
 
 def test_sym_sys_termination_back_substitutes_oracle(sys2, tables):
@@ -98,7 +99,7 @@ def test_sym_sys_termination_back_substitutes_oracle(sys2, tables):
     grid = TimeGrid(0.1, 5, 5)
     full, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 5, eta=tables["sym_sys"])
     terms = solve_termination(TrajectorySeq(0.1, tuple(full)), aux, aux0)
-    rebuilt = reconstruct_full(terms, aux, aux0, 5)
+    rebuilt = convolution_reference(terms, 5, tail=aux0, b=aux)
     assert max(liou_norm(a - b) for a, b in zip(full, rebuilt)) < 1e-12
 
 
@@ -116,7 +117,7 @@ class TestTTM:
         rng = np.random.default_rng(5)
         maps = random_seq(rng, 6, scale=0.5)
         tensors = extract_ttm(maps)
-        rebuilt = reconstruct_full(tensors, maps, None, 6)
+        rebuilt = convolution_reference(tensors, 6)
         assert max(liou_norm(a - b) for a, b in zip(maps, rebuilt)) < 1e-12
 
 
@@ -150,20 +151,25 @@ class TestGqmeKernel:
 
 
 class TestDress:
-    def test_identity(self):
-        assert liou_norm(dress(np.eye(4), np.eye(4)) - np.eye(4)) == 0.0
+    def test_identity(self, sys2, tables):
+        # propagating with an identity half step leaves U_n = aux_{n-1}
+        grid = TimeGrid(0.1, 6, 6)
+        kset, _, aux_seed = extract_kernels(sys2, grid, "sym_sys", "smatpi", eta=tables["sym_sys"])
+        maps = propagate(kset, 6, g_half=np.eye(4)).maps
+        assert liou_norm(maps[0] - kset.aux0) == 0.0
+        assert max(liou_norm(a - b) for a, b in zip(maps[1:], aux_seed.maps)) < 1e-12
 
     def test_free_propagation(self, sys2):
         g1 = fb_propagator(sys2, 0.1)
         gh = fb_propagator(sys2, 0.05)
-        assert liou_norm(dress(np.linalg.matrix_power(g1, 3), gh) - np.linalg.matrix_power(g1, 4)) < 1e-12
+        assert liou_norm(gh @ np.linalg.matrix_power(g1, 3) @ gh - np.linalg.matrix_power(g1, 4)) < 1e-12
 
     def test_oracle_identity(self, sys2, tables):
         grid = TimeGrid(0.1, 8, 8)
         kset, seed, aux_seed = extract_kernels(sys2, TimeGrid(0.1, 8, 4), "sym_sys", "smatpi", eta=tables["sym_sys"])
         gh = fb_propagator(sys2, 0.05)
         u4 = rdm_exact(PathSumRequest(sys2, grid, "sym_sys", "full_U", 4), eta=tables["sym_sys"])
-        assert liou_norm(dress(aux_seed.maps[2], gh) - u4) < 1e-12
+        assert liou_norm(gh @ aux_seed.maps[2] @ gh - u4) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +198,7 @@ class TestOneStepMemory:
         _, _, _, _, tab1 = synthetic
         grid2 = TimeGrid(0.1, 6, 2)
         kset, seed, aux_seed = extract_kernels(sys2, grid2, "sym_env", "smatpi", eta=tab1)
-        traj = propagate(kset, 6, seed, aux_seed=aux_seed)
+        traj = propagate(kset, 6)
         big = TimeGrid(0.1, 8, 8)
         for n in range(3, 7):
             u = rdm_exact(PathSumRequest(sys2, big, "sym_env", "full_U", n), eta=tab1)
@@ -239,24 +245,59 @@ class TestPropagate:
             kset, seed, aux_seed = extract_kernels(
                 sys2, TimeGrid(0.1, 8, 1), "sym_env", flavor, eta=tab0
             )
-            traj = propagate(kset, 8, seed, aux_seed=aux_seed)
+            traj = propagate(kset, 8)
             for n in range(1, 9):
                 assert liou_norm(traj.maps[n - 1] - np.linalg.matrix_power(g1, n)) < 1e-12
 
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     @pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
     def test_full_seed_reproduces_oracle(self, splitting, flavor, sys2, tables):
-        grid = TimeGrid(0.1, 6, 6)
-        kset, seed, aux_seed = extract_kernels(sys2, grid, splitting, flavor, eta=tables[splitting])
+        # the first r_max maps, rebuilt from the kernel set alone, are the
+        # oracle maps it was extracted from (both sym_sys conventions)
+        dressed = (splitting, flavor) == ("sym_sys", "smatpi")
         gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        traj = propagate(kset, 6, seed, aux_seed=aux_seed, g_half=gh)
-        assert max(liou_norm(a - b) for a, b in zip(traj.maps, seed.maps)) < 1e-10
+        for convention in AUX0_CONVENTIONS if dressed else (None,):
+            kset, seed, _ = extract_kernels(
+                sys2, TimeGrid(0.1, 6, 6), splitting, flavor, eta=tables[splitting],
+                aux_zero_convention=convention,
+            )
+            traj = propagate(kset, 6, g_half=gh)
+            assert len(traj) == 6
+            assert max(liou_norm(a - b) for a, b in zip(traj.maps, seed.maps)) < 1e-10
 
-    def test_seed_too_short(self, sys2, tables):
-        grid = TimeGrid(0.1, 6, 6)
-        kset, seed, aux_seed = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tables["sym_env"])
-        with pytest.raises(SeedShortError, match="seed_short"):
-            propagate(kset, 8, TrajectorySeq(0.1, seed.maps[:3]))
+    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
+    @pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
+    @pytest.mark.parametrize("horizon", [1, 3, 11])
+    def test_truncated_recurrence_matches_reference(self, splitting, flavor, horizon):
+        # random kernel sets of r_max = 3, propagated past r_max, against the
+        # one-product-per-term convolution loop
+        rng = np.random.default_rng(horizon)
+        mids = random_seq(rng, 3, scale=0.4)
+        terms = random_seq(rng, 3, scale=0.4)
+        aux0 = np.eye(4) + 0.1 * random_seq(rng, 1)[0]
+        gh = np.eye(4) + 0.1 * random_seq(rng, 1)[0]
+        if flavor == "ttm":
+            kset = KernelSet(splitting, 0.1, 3, mids, None, "ttm")
+            expected = convolution_reference(mids, horizon)
+        else:
+            kset = KernelSet(
+                splitting, 0.1, 3, mids, None if splitting == "sym_sys" else terms, "smatpi",
+                aux_zero_convention="terminal_times_I0", aux0=aux0,
+            )
+            aux = convolution_reference(mids, horizon, tail=aux0)
+            if splitting == "sym_sys":
+                expected = [gh @ a @ gh for a in [aux0] + aux[: horizon - 1]]
+            else:
+                expected = convolution_reference(terms, horizon, tail=aux0, b=aux)
+        maps = propagate(kset, horizon, g_half=gh).maps
+        assert len(maps) == horizon
+        assert max(liou_norm(a - b) for a, b in zip(maps, expected)) < 1e-12
+
+    def test_sym_sys_needs_half_step(self, sys2, tables):
+        grid = TimeGrid(0.1, 6, 3)
+        kset, _, _ = extract_kernels(sys2, grid, "sym_sys", "smatpi", eta=tables["sym_sys"])
+        with pytest.raises(ValidationError, match="half-step"):
+            propagate(kset, 6)
 
     def test_convergence_with_memory_length(self, sys2, bath_default):
         # t = 3.0 population difference under growing memory truncation;
@@ -269,7 +310,7 @@ class TestPropagate:
             grid = TimeGrid(0.1, 30, r)
             tab = eta_table(bath_default, TimeGrid(0.1, r, r), "sym_env")
             kset, seed, aux_seed = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tab)
-            traj = propagate(kset, 30, seed, aux_seed=aux_seed)
+            traj = propagate(kset, 30)
             rho = apply_map(traj.maps[29], rho0)
             pops[r] = (rho[0, 0] - rho[1, 1]).real
         assert abs(pops[5] - pops[4]) > abs(pops[6] - pops[5])
@@ -312,6 +353,23 @@ class TestCompare:
         with pytest.raises(ValidationError):
             compare(kset, other)
 
+    def test_splitting_mismatch_rejected(self, sys2, tables):
+        grid = TimeGrid(0.1, 6, 4)
+        kset, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tables["sym_env"])
+        other = KernelSet("asym", 0.1, 4, kset.midpoint, None, "ttm")
+        with pytest.raises(SplittingMismatchError, match="splitting_mismatch"):
+            compare(kset, other)
+
+
+class TestKernelSet:
+    def test_rejects_empty_set(self):
+        with pytest.raises(ValidationError, match="r_max must be >= 1"):
+            KernelSet("sym_env", 0.1, 0, (), None, "ttm")
+
+    def test_rejects_unknown_splitting(self):
+        with pytest.raises(ValidationError, match="unknown splitting 'bogus'"):
+            KernelSet("bogus", 0.1, 1, (np.eye(4),), None, "ttm")
+
 
 class TestConventions:
     def test_sym_sys_convention_flag(self, sys2, tables):
@@ -324,7 +382,7 @@ class TestConventions:
             )
             assert kset.aux_zero_convention == convention
             gh = fb_propagator(sys2, 0.05)
-            traj = propagate(kset, 6, seed, aux_seed=aux_seed, g_half=gh)
+            traj = propagate(kset, 6, g_half=gh)
             assert max(liou_norm(a - b) for a, b in zip(traj.maps, seed.maps)) < 1e-10
 
     def test_shipped_default_nullifies_one_step_memory_sym_sys(self, sys2, tables):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifkernels.bath import influence_pair_matrix, influence_self_weights
 from ifkernels.errors import DimMismatchError, ValidationError
 from ifkernels.liouville import (
-    FBIndex,
     SystemSpec,
     TimeGrid,
     apply_map,
-    fb_pairs,
     fb_propagator,
     liou_norm,
 )
@@ -43,6 +42,17 @@ class TestSystemSpec:
         with pytest.raises(ValidationError):
             SystemSpec(np.zeros((1, 1), dtype=complex), (1.0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_hamiltonian(self, bad):
+        h = np.array([[bad, 0], [0, 0]], dtype=complex)
+        with pytest.raises(ValidationError, match="hamiltonian contains non-finite"):
+            SystemSpec(h, (1.0, -1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_coupling(self, bad):
+        with pytest.raises(ValidationError, match="coupling_eigenvalues contains non-finite"):
+            SystemSpec(0.5 * PAULI_X, (1.0, bad))
+
 
 class TestTimeGrid:
     def test_rejects_bad_rmax(self):
@@ -56,15 +66,30 @@ class TestTimeGrid:
 
 @given(st.integers(2, 5), st.integers(0, 24))
 def test_fb_index_round_trip(n, flat):
+    # flat = forward * n + backward: the self weight at a flat index is the
+    # one of its (forward, backward) pair, and rho flattens the same way
     flat = flat % (n * n)
-    idx = FBIndex.from_flat(flat, n)
-    assert idx.flat == flat
-    assert FBIndex(idx.forward, idx.backward, n).flat == flat
+    forward, backward = divmod(flat, n)
+    s = tuple(float(k * k - 1) for k in range(n))
+    sys_ = SystemSpec(np.diag(np.arange(n)).astype(complex), s)
+    eta = 0.3 + 0.1j
+    ds = s[forward] - s[backward]
+    expected = np.exp(-ds * (eta * s[forward] - np.conj(eta) * s[backward]))
+    assert abs(influence_self_weights(sys_, eta)[flat] - expected) < 1e-15
+    rho = np.arange(n * n, dtype=complex).reshape(n, n)
+    assert apply_map(np.eye(n * n), rho)[forward, backward] == rho.reshape(n * n)[flat]
 
 
 def test_fb_pairs_order():
-    pairs = fb_pairs(2)
-    assert [(p.forward, p.backward) for p in pairs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # n = 2 pairs in flat order (0,0), (0,1), (1,0), (1,1): with s = (1, -1)
+    # the rows have ds = 0, 2, -2, 0, so rows 0 and 3 are all ones
+    sys_ = SystemSpec(0.5 * PAULI_X, (1.0, -1.0))
+    eta = 0.2 + 0.05j
+    f = influence_pair_matrix(sys_, eta)
+    s_fwd, s_bwd = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
+    for row, ds in enumerate((0.0, 2.0, -2.0, 0.0)):
+        assert np.allclose(f[row], np.exp(-ds * (eta * s_fwd - np.conj(eta) * s_bwd)), atol=1e-15)
+    assert np.array_equal(influence_self_weights(sys_, eta), np.diag(f))
 
 
 class TestPropagator:

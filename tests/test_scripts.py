@@ -1,4 +1,4 @@
-"""Smoke runs of the experiment scripts that drive the path-sum oracle."""
+"""Smoke runs of the experiment scripts."""
 
 import math
 import os
@@ -37,3 +37,15 @@ def test_trotter_order_study():
     # last halving of dt: second order for sym_sys, first order for asym
     assert 3.5 < cols["sym_sys vs ref"][4] < 4.5
     assert 1.5 < cols["asym vs ref"][4] < 2.5
+
+
+def test_run_default_experiment(tmp_path):
+    out = run_script("run_default_experiment.py", "--out", str(tmp_path)).splitlines()
+    assert out[-1] == f"outputs under {tmp_path}/"
+    rows = (tmp_path / "smatpi_sym_env" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 32  # header + steps 0..30 of the default config
+    assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
+    for name in ("comparison.csv", "comparison_summary.csv"):
+        assert (tmp_path / "comparison" / name).exists()
+    assert (tmp_path / "ttm_sym_env" / "gqme_kernel_norms.csv").exists()
+    assert (tmp_path / "dyck" / "dyck_counts.csv").read_text().splitlines()[-1] == "8,1430"
