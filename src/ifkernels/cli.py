@@ -11,7 +11,9 @@ numerical error (quadrature failure or path-sum budget).
 CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
 separate ``re_*`` / ``im_*`` columns; density-matrix and map elements are
-ordered row-major in the flat forward-backward index.
+ordered row-major in the flat forward-backward index.  ``trajectory.csv``
+and ``oracle_maps.csv`` are formatted and written CSV_BLOCK_ROWS rows at a
+time, so the text buffer does not grow with the number of steps.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .liouville import TimeGrid, apply_map, fb_propagator
 from .pathsum import oracle_trajectory
 
 
+# Rows formatted per write of a trajectory or map table, so the text buffer
+# is one block long whatever the number of steps.
+CSV_BLOCK_ROWS = 2048
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -43,19 +50,36 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _map_columns(dim, prefix):
+def _write_steps_csv(path, dt, tables):
+    """Rows ``step, t = step * dt`` and the re/im entries of each table.
+
+    ``tables`` are (prefix, stack) pairs; a stack holds one (m, m) complex
+    matrix per step 0, 1, ... and adds the columns re_<prefix>_i_j,
+    im_<prefix>_i_j, row-major.  Each block of CSV_BLOCK_ROWS rows is
+    formatted by one ``%`` call; ``%.17g`` prints a float as
+    ``format(x, ".17g")`` does.
+    """
+    header = ["step", "t"]
     cols = []
-    for i in range(dim):
-        for j in range(dim):
-            cols += [f"re_{prefix}_{i}_{j}", f"im_{prefix}_{i}_{j}"]
-    return cols
+    for prefix, stack in tables:
+        m = stack.shape[-1]
+        header += [f"{part}_{prefix}_{i}_{j}" for i in range(m) for j in range(m)
+                   for part in ("re", "im")]
+        cols.append(np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1).view(float))
+    rows = len(cols[0])
+    row_template = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, rows)
+            step = np.arange(start, stop, dtype=float)
+            block = np.column_stack([step, step * dt] + [c[start:stop] for c in cols])
+            fh.write((row_template * (stop - start)) % tuple(block.ravel().tolist()))
 
 
-def _map_fields(mat):
-    out = []
-    for v in np.asarray(mat).ravel():
-        out += [_fmt(v.real), _fmt(v.imag)]
-    return out
+def _with_identity(maps):
+    """U_0 = identity stacked ahead of the maps U_1..U_N."""
+    return np.concatenate((np.eye(maps.shape[-1], dtype=complex)[None], maps))
 
 
 def _out_dir(args, cfg):
@@ -73,17 +97,11 @@ def _cmd_oracle(args) -> int:
     table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting,
                       rtol=cfg.quadrature_rtol)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    dim = cfg.system.dim
-    ident = np.eye(dim, dtype=complex)
-    rows.append(["0", _fmt(0.0)] + _map_fields(ident))
     full, _, _ = oracle_trajectory(
         cfg.system, grid, cfg.splitting, steps, eta=table, budget=budget
     )
-    for k, u in enumerate(full, start=1):
-        rows.append([str(k), _fmt(k * grid.dt)] + _map_fields(u))
     path = os.path.join(args.out, "oracle_maps.csv")
-    _write_csv(path, ["step", "t"] + _map_columns(dim, "u"), rows)
+    _write_steps_csv(path, grid.dt, [("u", _with_identity(full))])
     print(path)
     return 0
 
@@ -163,29 +181,13 @@ def _cmd_propagate(args) -> int:
     g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.splitting == "sym_sys" else None
     traj = propagate(kset, cfg.grid.n_steps, g_half=g_half)
 
-    os.makedirs(args.out, exist_ok=True)
-    dim = cfg.system.dim
-    n = cfg.system.n
-    header = ["step", "t"]
-    for i in range(n):
-        for j in range(n):
-            header += [f"re_rho_{i}_{j}", f"im_rho_{i}_{j}"]
+    maps = _with_identity(traj.maps)
+    tables = [("rho", apply_map(maps, cfg.initial_state))]
     if args.with_maps:
-        header += _map_columns(dim, "u")
-
-    rows = []
-    ident = np.eye(dim, dtype=complex)
-    for step in range(0, cfg.grid.n_steps + 1):
-        u = ident if step == 0 else traj.maps[step - 1]
-        rho = apply_map(u, cfg.initial_state)
-        row = [str(step), _fmt(step * cfg.grid.dt)]
-        for v in rho.ravel():
-            row += [_fmt(v.real), _fmt(v.imag)]
-        if args.with_maps:
-            row += _map_fields(u)
-        rows.append(row)
+        tables.append(("u", maps))
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
-    _write_csv(path, header, rows)
+    _write_steps_csv(path, cfg.grid.dt, tables)
     print(path)
     return 0
 

@@ -53,19 +53,27 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class TrajectorySeq:
-    """Maps U_1..U_N on a uniform grid (U_0 = identity implicit)."""
+    """Maps U_1..U_N on a uniform grid (U_0 = identity implicit).
+
+    ``maps`` is one read-only contiguous (N, d, d) complex array; a
+    sequence of equal-shape matrices is stacked into one on construction.
+    """
 
     dt: float
-    maps: tuple
+    maps: np.ndarray
     provenance: str = "oracle"
 
     def __post_init__(self):
-        maps = tuple(np.asarray(m, dtype=complex) for m in self.maps)
-        if maps:
-            d = maps[0].shape[0]
-            for m in maps:
-                if m.shape != (d, d):
-                    raise DimMismatchError("dim_mismatch: trajectory maps differ in shape")
+        try:
+            maps = np.ascontiguousarray(self.maps, dtype=complex)
+        except ValueError:
+            raise DimMismatchError("dim_mismatch: trajectory maps differ in shape") from None
+        if maps.shape == (0,):  # an empty sequence
+            maps = maps.reshape(0, 0, 0)
+        if maps.ndim != 3 or maps.shape[1] != maps.shape[2]:
+            raise DimMismatchError(f"dim_mismatch: trajectory maps have shape {maps.shape}")
+        maps = maps.view()  # read-only without freezing the caller's array
+        maps.flags.writeable = False
         object.__setattr__(self, "maps", maps)
 
     def __len__(self):
@@ -73,7 +81,7 @@ class TrajectorySeq:
 
     @property
     def dim(self):
-        return self.maps[0].shape[0] if self.maps else 0
+        return self.maps.shape[1]
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ def propagate(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None
             maps = g_half @ np.concatenate((kernels.aux0[None], aux)) @ g_half
         else:
             maps = _forward(kernels.termination, horizon, tail, b=aux)
-    return TrajectorySeq(kernels.dt, tuple(maps), "propagated")
+    return TrajectorySeq(kernels.dt, maps, "propagated")
 
 
 @dataclass(frozen=True)
@@ -401,8 +409,8 @@ def extract_kernels(
     full, aux0, aux = oracle_trajectory(
         sys, grid, splitting, grid.r_max, bath=bath, eta=eta, budget=budget
     )
-    maps = TrajectorySeq(grid.dt, tuple(full), "oracle")
-    aux_maps = TrajectorySeq(grid.dt, tuple(aux), "oracle")
+    maps = TrajectorySeq(grid.dt, full, "oracle")
+    aux_maps = TrajectorySeq(grid.dt, aux, "oracle")
 
     if flavor == "ttm":
         tensors = extract_ttm(full)

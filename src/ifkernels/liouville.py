@@ -115,20 +115,22 @@ def fb_propagator(sys: SystemSpec, tau: float) -> LiouvilleMatrix:
 
 
 def apply_map(u: LiouvilleMatrix, rho0: np.ndarray) -> np.ndarray:
-    """Apply a Liouville-space map to a density matrix.
+    """Apply a Liouville-space map, or a stack of them, to a density matrix.
 
-    Flattens rho0 row-major, multiplies by u, reshapes back to (n, n).
+    Flattens rho0 row-major, multiplies by u and reshapes back: a (d, d) map
+    gives an (n, n) matrix and a (..., d, d) stack an (..., n, n) stack,
+    each entry the same product a single map would give.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     u = np.asarray(u)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
         raise DimMismatchError("dim_mismatch: rho0 must be square")
     n = rho0.shape[0]
-    if u.shape != (n * n, n * n):
+    if u.shape[-2:] != (n * n, n * n):
         raise DimMismatchError(
-            f"dim_mismatch: map has shape {u.shape}, expected {(n * n, n * n)}"
+            f"dim_mismatch: map has shape {u.shape}, expected (..., {n * n}, {n * n})"
         )
-    return (u @ rho0.reshape(n * n)).reshape(n, n)
+    return (u @ rho0.reshape(n * n)).reshape(u.shape[:-2] + (n, n))
 
 
 def liou_norm(a: np.ndarray) -> float:

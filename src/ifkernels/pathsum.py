@@ -287,7 +287,8 @@ def oracle_trajectory(
 
     The trailing element of the auxiliary information is the index-0
     auxiliary (single-point factor matrix), needed as the terminal of the
-    midpoint hierarchy.  Each map length is summed once.
+    midpoint hierarchy.  Each map length is summed once; both sequences
+    are (steps, n^2, n^2) arrays.
     """
     req = PathSumRequest(sys, grid, splitting, "full_U", steps, bath, budget)
     table = _resolve_table(req, eta)
@@ -295,16 +296,15 @@ def oracle_trajectory(
     f = _factors(sys, grid.dt, table, steps)
     g_half = fb_propagator(sys, 0.5 * grid.dt) if splitting == "sym_sys" else None
     aux0 = _aux0(f)
-    full = []
-    aux = []
+    full = np.empty((steps, sys.dim, sys.dim), dtype=complex)
+    aux = np.empty_like(full)
     for k in range(1, steps + 1):
         if splitting == "sym_env":
-            u, a = _path_sums(k, f, [f.end, f.inner])
+            full[k - 1], aux[k - 1] = _path_sums(k, f, [f.end, f.inner])
         elif splitting == "asym":
-            u = a = _path_sums(k, f, [f.inner])[0]
+            full[k - 1] = aux[k - 1] = _path_sums(k, f, [f.inner])[0]
         else:
-            a = _path_sums(k, f, [f.inner])[0]
-            u = check_finite(g_half @ (aux[-1] if aux else aux0) @ g_half, "dressed path sum")
-        full.append(u)
-        aux.append(a)
+            aux[k - 1] = _path_sums(k, f, [f.inner])[0]
+            inner = aux[k - 2] if k > 1 else aux0
+            full[k - 1] = check_finite(g_half @ inner @ g_half, "dressed path sum")
     return full, aux0, aux

@@ -12,7 +12,8 @@ path-sum reference visits every forward-backward path one at a time and
 writes its weight out from the definition, instead of building weights from
 factor matrices in blocks.  The convolution reference rebuilds a sequence
 from its kernels one matrix product at a time, instead of one stacked
-product per step.
+product per step.  The per-cell CSV writer formats one float at a time,
+instead of one block of rows per call.
 """
 
 import cmath
@@ -164,6 +165,29 @@ def convolution_reference(a, length, tail=None, b=None):
             acc = acc + (a[n - 1] if tail is None else a[n - 1] @ tail)
         out.append(acc)
     return out
+
+
+def per_cell_csv(dt, tables):
+    """CSV text of rows ``step, step * dt, re/im of each table's matrix``.
+
+    ``tables`` are (prefix, matrices) pairs with one matrix per step 0, 1, ...;
+    each matrix adds re_<prefix>_i_j, im_<prefix>_i_j columns, row-major.
+    Every float goes through its own ``format(float(x), ".17g")`` call.
+    """
+    header = ["step", "t"]
+    for prefix, mats in tables:
+        dim = np.asarray(mats[0]).shape[0]
+        for i in range(dim):
+            for j in range(dim):
+                header += [f"re_{prefix}_{i}_{j}", f"im_{prefix}_{i}_{j}"]
+    lines = [",".join(header)]
+    for step in range(len(tables[0][1])):
+        row = [str(step), format(float(step * dt), ".17g")]
+        for _, mats in tables:
+            for v in np.asarray(mats[step]).ravel():
+                row += [format(float(v.real), ".17g"), format(float(v.imag), ".17g")]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def catalan_recurrence(m):

@@ -7,6 +7,7 @@ from ifkernels import BathSpec, SpectralDensity
 from ifkernels import bath as bath_module
 from ifkernels.bath import (
     OMEGA_NODES_START,
+    _leggauss,
     _spectral_window_integrals,
     _window_layout,
     _x_minus_sin,
@@ -198,6 +199,26 @@ class TestSpectralRoute:
         assert np.allclose(_x_minus_sin(x[2:]), direct[2:], rtol=1e-13, atol=0)
         assert _x_minus_sin(x[0]) == pytest.approx(x[0] ** 3 / 6, rel=1e-15)
         assert _x_minus_sin(x[1]) == pytest.approx(x[1] ** 3 / 6 - x[1] ** 5 / 120, rel=1e-15)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 17, 128, 129, 1024])
+    def test_matches_numpy(self, order):
+        x, w = _leggauss(order)
+        x_ref, _ = np.polynomial.legendre.leggauss(order)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+        assert abs(w.sum() - 2.0) < 1e-14
+
+    @pytest.mark.parametrize("order", [1024, 4096])
+    def test_exact_integrals(self, order):
+        # within 1e-13 of each integral's scale, the integral of |f|; numpy's
+        # eigensolver rule misses the near-pole one by 6e-12 at 1024 nodes
+        x, w = _leggauss(order)
+        pole = np.log(2001.0)  # int 1 / (1.001 - x), a positive integrand
+        assert abs(w @ (1.0 / (1.001 - x)) - pole) < 1e-13 * pole
+        wave = 2.0 * np.sin(300.0) / 300.0  # int cos(300 x); int |cos(300 x)| ~ 4 / pi
+        assert abs(w @ np.cos(300.0 * x) - wave) < 1e-13 * 4.0 / np.pi
 
 
 class TestInfluenceFactors:

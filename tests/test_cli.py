@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from ifkernels import cli
+from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
-from ifkernels.config import default_config_text, parse_config
+from ifkernels.config import default_config_text, load_config, parse_config
 from ifkernels.errors import ParseError, ValidationError, VersionError
 from ifkernels.kernel_io import load_kernels, save_kernels
-from ifkernels.kernels import KernelSet
-from ifkernels.liouville import fb_propagator, liou_norm
+from ifkernels.kernels import KernelSet, propagate
+from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
+from ifkernels.pathsum import oracle_trajectory
+
+from _oracles import per_cell_csv
 
 
 def small_config(**overrides):
@@ -273,6 +278,98 @@ class TestPropagateFromKernelFile:
         assert np.max(np.abs(traj[:5, 10:] - oracle[:, 2:])) < 1e-10
         rho = (traj[:, 2:10:2] + 1j * traj[:, 3:10:2]).reshape(-1, 2, 2)
         assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def kernel_files(tmp_path_factory):
+    """(config path, kernel file path) of every propagate case, extracted once."""
+    files = {}
+    for splitting, flavor, convention in PROPAGATE_CASES:
+        overrides = {"run.splitting": splitting, "run.flavor": flavor}
+        if convention is not None:
+            overrides["run.aux_zero_convention"] = convention
+        files[(splitting, flavor, convention)] = _extracted(tmp_path_factory.mktemp("k"),
+                                                            **overrides)
+    return files
+
+
+def _trajectory_bytes(cfg, kpath, out, with_maps):
+    argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
+    assert cli_main(argv + (["--with-maps"] if with_maps else [])) == 0
+    return (out / "trajectory.csv").read_bytes()
+
+
+def _per_cell_trajectory(cfg, kpath, with_maps):
+    """trajectory.csv from the same propagated maps, one apply_map and one format per cell."""
+    config = load_config(cfg)
+    kset = load_kernels(kpath)
+    dressed = kset.splitting == "sym_sys"
+    g_half = fb_propagator(config.system, 0.5 * config.grid.dt) if dressed else None
+    maps = [np.eye(config.system.dim, dtype=complex)]
+    maps += list(propagate(kset, config.grid.n_steps, g_half=g_half).maps)
+    tables = [("rho", [apply_map(u, config.initial_state) for u in maps])]
+    if with_maps:
+        tables.append(("u", maps))
+    return per_cell_csv(config.grid.dt, tables).encode()
+
+
+class TestBlockWriter:
+    """The block writer prints what the per-cell writer prints, byte for byte."""
+
+    @pytest.mark.parametrize("case", PROPAGATE_CASES)
+    @pytest.mark.parametrize("with_maps", [False, True])
+    def test_trajectory_matches_per_cell_writer(self, tmp_path, kernel_files, case, with_maps):
+        cfg, kpath = kernel_files[case]
+        got = _trajectory_bytes(cfg, kpath, tmp_path, with_maps)
+        assert got == _per_cell_trajectory(cfg, kpath, with_maps)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
+    def test_block_edges(self, tmp_path, monkeypatch, kernel_files, block, n_steps):
+        # with 3-row blocks, 2, 3, 4 and 11 rows fall below one block, fill
+        # it, pass it by one and span several; every write holds one block
+        _, kpath = kernel_files[("sym_sys", "smatpi", None)]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"run.splitting": "sym_sys", "grid.n_steps": n_steps,
+                                       "grid.r_max": 1}))
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        rows_per_write = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+
+            def counted(text):
+                rows_per_write.append(text.count("\n"))
+                return write(text)
+
+            fh.write = counted
+            return fh
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        got = _trajectory_bytes(cfg, kpath, tmp_path / "out", True)
+        assert got == _per_cell_trajectory(cfg, kpath, True)
+        assert rows_per_write[0] == 1  # header
+        assert sum(rows_per_write[1:]) == n_steps + 1
+        assert max(rows_per_write[1:]) <= block
+        assert len(rows_per_write) == 1 + -(-(n_steps + 1) // block)
+
+    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
+    @pytest.mark.parametrize("block", [1, 3, 2048])
+    def test_oracle_matches_per_cell_writer(self, tmp_path, monkeypatch, splitting, block):
+        # 4 rows (steps 0..3): one block plus one at 3-row blocks
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"run.splitting": splitting}))
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        argv = ["oracle", "--config", str(cfg), "--out", str(tmp_path), "--steps", "3"]
+        assert cli_main(argv) == 0
+        config = load_config(cfg)
+        table = eta_table(config.bath, TimeGrid(0.1, 3, 3), splitting,
+                          rtol=config.quadrature_rtol)
+        full, _, _ = oracle_trajectory(config.system, config.grid, splitting, 3, eta=table)
+        maps = [np.eye(4, dtype=complex)] + list(full)
+        want = per_cell_csv(config.grid.dt, [("u", maps)]).encode()
+        assert (tmp_path / "oracle_maps.csv").read_bytes() == want
 
 
 class TestCli:

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifkernels.bath import eta_table, eta_truncated
-from ifkernels.errors import Aux0SingularError, SplittingMismatchError, ValidationError
+from ifkernels.errors import (
+    Aux0SingularError,
+    DimMismatchError,
+    SplittingMismatchError,
+    ValidationError,
+)
 from ifkernels.kernels import (
     AUX0_CONVENTIONS,
     KernelSet,
@@ -232,6 +237,39 @@ class TestAsymCoincidence:
     def test_wrong_splitting_rejected(self, sys2, tables):
         with pytest.raises(SplittingMismatchError, match="splitting_mismatch"):
             closed_form_asym(sys2, tables["sym_env"], 1)
+
+
+class TestTrajectorySeq:
+    def test_one_read_only_stack(self):
+        rng = np.random.default_rng(5)
+        mats = random_seq(rng, 3)
+        seq = TrajectorySeq(0.1, mats)
+        assert seq.maps.shape == (3, 4, 4) and len(seq) == 3 and seq.dim == 4
+        assert seq.maps.flags.c_contiguous and not seq.maps.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in zip(seq.maps, mats))
+        assert np.array_equal(seq.maps[-1], mats[-1])
+
+    def test_stack_is_not_copied(self):
+        stack = np.zeros((2, 4, 4), dtype=complex)
+        seq = TrajectorySeq(0.1, stack)
+        assert np.shares_memory(seq.maps, stack)
+        assert stack.flags.writeable  # only the stored view is frozen
+
+    def test_propagate_returns_a_stack(self, sys2, tables):
+        kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 3), "sym_env", "smatpi",
+                                     eta=tables["sym_env"])
+        maps = propagate(kset, 6).maps
+        assert maps.shape == (6, 4, 4) and maps.flags.c_contiguous
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimMismatchError, match="dim_mismatch"):
+            TrajectorySeq(0.1, (np.eye(4), np.eye(9)))
+        with pytest.raises(DimMismatchError, match="dim_mismatch"):
+            TrajectorySeq(0.1, np.zeros((2, 4, 3)))
+
+    def test_empty(self):
+        seq = TrajectorySeq(0.1, ())
+        assert len(seq) == 0 and seq.dim == 0
 
 
 class TestPropagate:

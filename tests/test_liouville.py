@@ -155,6 +155,18 @@ class TestApplyMap:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError, match="dim_mismatch"):
             apply_map(np.eye(9), np.eye(2))
+        with pytest.raises(DimMismatchError, match="dim_mismatch"):
+            apply_map(np.zeros((3, 9, 9)), np.eye(2))
+
+    @pytest.mark.parametrize("lead", [(0,), (1,), (7,), (2, 3)])
+    def test_stack_equals_per_map_bit_for_bit(self, lead):
+        rng = np.random.default_rng(len(lead) + lead[0])
+        rho0 = random_density(3, rng)
+        maps = rng.normal(size=lead + (9, 9)) + 1j * rng.normal(size=lead + (9, 9))
+        got = apply_map(maps, rho0)
+        assert got.shape == lead + (3, 3)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(got[idx], apply_map(maps[idx], rho0))
 
 
 def test_liou_norm_values():

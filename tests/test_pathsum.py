@@ -216,7 +216,8 @@ class TestBlocking:
         monkeypatch.setattr(pathsum, "_BATCH", batch)
         blocked = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
         again = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
-        for a, b, c in zip(whole[0] + whole[2], blocked[0] + blocked[2], again[0] + again[2]):
+        maps = [np.concatenate((run[0], run[2])) for run in (whole, blocked, again)]
+        for a, b, c in zip(*maps):
             assert np.max(np.abs(a - b)) < 1e-14
             assert np.array_equal(b, c)
         assert np.array_equal(whole[1], blocked[1])
