@@ -32,6 +32,7 @@ from .kernels import (
     extract_ttm,
     gqme_kernel,
     propagate,
+    propagate_blocks,
     solve_midpoint,
     solve_termination,
 )

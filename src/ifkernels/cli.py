@@ -6,19 +6,22 @@ byte-identical outputs.  ``propagate`` needs no influence coefficients or
 path sums: the kernel file carries the whole recurrence, and the config
 adds only the grid, the initial state and, for sym_sys, the half-step
 propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error, 2
-numerical error (quadrature failure or path-sum budget).
+numerical error (quadrature failure, path-sum budget, a diverging
+propagation) or a failed allocation (``error: memory: ...``).
 
 CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
 separate ``re_*`` / ``im_*`` columns; density-matrix and map elements are
 ordered row-major in the flat forward-backward index.  ``trajectory.csv``
-and ``oracle_maps.csv`` are formatted and written CSV_BLOCK_ROWS rows at a
-time, so the text buffer does not grow with the number of steps.
+and ``oracle_maps.csv`` are formatted and written at most CSV_BLOCK_ROWS
+rows at a time, and ``propagate`` makes, applies and writes one chunk of
+maps at a time, so memory does not grow with the number of steps.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -29,7 +32,7 @@ from .combinatorics import catalan, enumerate_dyck
 from .config import RunConfig, default_config_text, load_config
 from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
-from .kernels import compare, extract_kernels, gqme_kernel, liou_norm, propagate
+from .kernels import compare, extract_kernels, gqme_kernel, liou_norm, propagate_blocks
 from .liouville import TimeGrid, apply_map, fb_propagator
 from .pathsum import oracle_trajectory
 
@@ -50,31 +53,43 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _write_steps_csv(path, dt, tables):
+def _write_steps_csv(path, dt, prefixes, blocks):
     """Rows ``step, t = step * dt`` and the re/im entries of each table.
 
-    ``tables`` are (prefix, stack) pairs; a stack holds one (m, m) complex
-    matrix per step 0, 1, ... and adds the columns re_<prefix>_i_j,
-    im_<prefix>_i_j, row-major.  Each block of CSV_BLOCK_ROWS rows is
-    formatted by one ``%`` call; ``%.17g`` prints a float as
-    ``format(x, ".17g")`` does.
+    ``blocks`` is an iterable of tuples with one stack per prefix; a stack
+    holds one (m, m) complex matrix per step, the blocks run over steps
+    0, 1, ... in order, and each prefix adds the columns re_<prefix>_i_j,
+    im_<prefix>_i_j, row-major.  Every write holds at most CSV_BLOCK_ROWS
+    rows, formatted by one ``%`` call; ``%.17g`` prints a float as
+    ``format(x, ".17g")`` does.  If the blocks raise, the partial file is
+    removed.
     """
+    blocks = iter(blocks)
+    first = next(blocks)
     header = ["step", "t"]
-    cols = []
-    for prefix, stack in tables:
+    for prefix, stack in zip(prefixes, first):
         m = stack.shape[-1]
         header += [f"{part}_{prefix}_{i}_{j}" for i in range(m) for j in range(m)
                    for part in ("re", "im")]
-        cols.append(np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1).view(float))
-    rows = len(cols[0])
     row_template = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, rows)
-            step = np.arange(start, stop, dtype=float)
-            block = np.column_stack([step, step * dt] + [c[start:stop] for c in cols])
-            fh.write((row_template * (stop - start)) % tuple(block.ravel().tolist()))
+    done = 0
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for block in itertools.chain([first], blocks):
+                cols = [np.ascontiguousarray(s, dtype=complex).reshape(len(s), -1).view(float)
+                        for s in block]
+                rows = len(cols[0])
+                for start in range(0, rows, CSV_BLOCK_ROWS):
+                    stop = min(start + CSV_BLOCK_ROWS, rows)
+                    step = np.arange(done + start, done + stop, dtype=float)
+                    data = np.column_stack([step, step * dt] + [c[start:stop] for c in cols])
+                    fh.write((row_template * (stop - start)) % tuple(data.ravel().tolist()))
+                done += rows
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _with_identity(maps):
@@ -101,7 +116,7 @@ def _cmd_oracle(args) -> int:
         cfg.system, grid, cfg.splitting, steps, eta=table, budget=budget
     )
     path = os.path.join(args.out, "oracle_maps.csv")
-    _write_steps_csv(path, grid.dt, [("u", _with_identity(full))])
+    _write_steps_csv(path, grid.dt, ("u",), [(_with_identity(full),)])
     print(path)
     return 0
 
@@ -179,15 +194,17 @@ def _cmd_propagate(args) -> int:
         raise ValidationError("kernel file dimension differs from configured system")
 
     g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.splitting == "sym_sys" else None
-    traj = propagate(kset, cfg.grid.n_steps, g_half=g_half)
+    blocks = propagate_blocks(kset, cfg.grid.n_steps, g_half=g_half)
 
-    maps = _with_identity(traj.maps)
-    tables = [("rho", apply_map(maps, cfg.initial_state))]
-    if args.with_maps:
-        tables.append(("u", maps))
+    def tables():
+        for i, maps in enumerate(blocks):
+            maps = _with_identity(maps) if i == 0 else maps
+            rho = apply_map(maps, cfg.initial_state)
+            yield (rho, maps) if args.with_maps else (rho,)
+
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
-    _write_steps_csv(path, cfg.grid.dt, tables)
+    _write_steps_csv(path, cfg.grid.dt, ("rho", "u") if args.with_maps else ("rho",), tables())
     print(path)
     return 0
 
@@ -321,6 +338,9 @@ def cli_main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -2,7 +2,9 @@
 
 The short lowercase codes in the messages ("dim_mismatch", "eta_missing",
 "pathsum_budget", ...) are stable identifiers; the CLI maps ValidationError
-to exit code 1 and NumericalError to exit code 2.
+to exit code 1 and NumericalError to exit code 2, and reports a MemoryError
+(an allocation the machine cannot make) as ``error: memory: ...`` with exit
+code 2.
 """
 
 
@@ -24,6 +26,10 @@ class PathSumBudgetError(NumericalError):
 
 class Aux0SingularError(NumericalError):
     """The terminal auxiliary matrix is numerically singular ("aux0_singular")."""
+
+
+class PropagationDivergedError(NumericalError):
+    """A propagated map is not finite: the kernel set grows without bound ("propagation_diverged")."""
 
 
 class EtaMissingError(ValidationError):

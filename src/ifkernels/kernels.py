@@ -7,7 +7,8 @@ Every hierarchy here is one truncated discrete convolution,
 
 over stacked (k, d, d) arrays.  Extraction solves it for the kernels A from
 known maps (``_inverse``); propagation runs it forward from the kernels
-(``_forward``).  The hierarchies differ only in what A, B and the tail are:
+(``propagate_blocks``).  The hierarchies differ only in what A, B and the
+tail are:
 
 * The small-matrix path-integral (SMatPI-style) split: translationally
   invariant midpoint matrices M_k propagate the auxiliary sequence
@@ -30,6 +31,20 @@ recurrence rebuilds the maps it was extracted from, and beyond R the sums
 truncate.  The discretized master-equation kernel is K_k = T_{k+1} / dt^2;
 whether the k = 1 element deserves the same formula is unresolved, so
 reports flag it.
+
+Propagation is one linear, time-invariant recurrence X_n = sum_r A_r X_{n-r}
+on the sequence X (aux for smatpi, U for ttm) started from X_0 = tail,
+X_{<0} = 0, which covers the n <= R head too.  Its state, the newest-first
+stack s_n = (X_n, ..., X_{n-R+1}), moves one step by the block companion
+matrix C of size (R d) x (R d) with first block row [A_1 | ... | A_R], so
+X_{n+k} = P_k s_n with P_k the first block row of C^k.  The maps are read
+off the same state: U_{n+k} = Q_k s_n with Q_k = [T_1 | ... | T_R] C^(k-1)
+(termination) or G_half [1 | 0 | ... | 0] C^(k-1), times G_half on the right
+(dressing).  The rows P_k, Q_k for k = 1..CHUNK are built once by CHUNK
+small products; each chunk of CHUNK maps is then one
+(CHUNK m d) x (R d) @ (R d) x d product (m = 1 for ttm, 2 with Q rows), and
+the next state is the newest R outputs.  Memory is O(CHUNK R d^2) whatever the horizon, and the number of
+numpy calls per chunk does not depend on CHUNK.
 """
 
 from __future__ import annotations
@@ -42,6 +57,7 @@ from .bath import SPLITTINGS, EtaTable, influence_pair_matrix, influence_self_we
 from .errors import (
     Aux0SingularError,
     DimMismatchError,
+    PropagationDivergedError,
     SplittingMismatchError,
     ValidationError,
 )
@@ -49,6 +65,9 @@ from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator,
 
 AUX0_CONVENTIONS = ("standalone_terminal", "terminal_times_I0")
 COND_LIMIT = 1e12
+# Maps per propagation chunk: each chunk is one (CHUNK d, R d) @ (R d, d)
+# product, and the chunk rows take O(CHUNK R d^2) memory.
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -152,39 +171,6 @@ def _right_solve(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a.T, b.T).T
 
 
-def _newest_first(seq, count: int) -> np.ndarray:
-    """B_count..B_1 as one contiguous (count, d, d) array.
-
-    Free when ``seq`` is a reversed view of a contiguous array, as
-    ``_forward`` returns.
-    """
-    return np.ascontiguousarray(np.asarray(seq, dtype=complex)[:count][::-1])
-
-
-def _forward(a, length: int, tail=None, b=None) -> np.ndarray:
-    """X_1..X_length of X_n = sum_{r=1}^{min(n-1,R)} A_r B_{n-r} + [n <= R] A_n tail.
-
-    ``a`` stacks A_1..A_R; B is X itself unless ``b`` (B_1.., at least
-    length - 1 of them) is given; ``tail=None`` is the identity.  Each step
-    is one (d, m d) @ (m d, d) product against a contiguous window of a
-    newest-first history.  Returns a (length, d, d) view in index order.
-    """
-    a = np.asarray(a, dtype=complex)
-    r_max, d = a.shape[0], a.shape[1]
-    wide = a.transpose(1, 0, 2).reshape(d, r_max * d)  # [A_1 | A_2 | ... | A_R]
-    head = a if tail is None else a @ tail
-    out = np.empty((length, d, d), dtype=complex)  # X_n lives in out[length - n]
-    hist = out if b is None else _newest_first(b, max(length - 1, 0))
-    top = len(hist) + 1  # B_{n-1} lives in hist[top - n]
-    for n in range(1, length + 1):
-        m = min(n - 1, r_max)
-        x = wide[:, : m * d] @ hist[top - n : top - n + m].reshape(m * d, d)
-        if n <= r_max:
-            x += head[n - 1]
-        out[length - n] = x
-    return out[::-1]
-
-
 def _inverse(y, b=None, tail=None) -> np.ndarray:
     """X_1..X_L solving Y_n = sum_{r<n} X_r B_{n-r} + X_n tail, n = 1..L.
 
@@ -196,7 +182,8 @@ def _inverse(y, b=None, tail=None) -> np.ndarray:
     if y.ndim != 3 or not len(y):
         raise ValidationError("need a non-empty sequence of square matrices")
     length, d = y.shape[0], y.shape[1]
-    hist = _newest_first(y if b is None else b, length - 1)
+    # B_{L-1}..B_1, newest first, so each residual is one contiguous product
+    hist = np.ascontiguousarray(np.asarray(y if b is None else b, dtype=complex)[: length - 1][::-1])
     if len(hist) < length - 1:
         raise ValidationError("auxiliary sequence too short for the solve")
     wide = np.empty((d, length * d), dtype=complex)  # [X_1 | X_2 | ... | X_L]
@@ -262,30 +249,97 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
     return weighted @ g1
 
 
-def propagate(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None) -> TrajectorySeq:
-    """Maps U_1..U_horizon from a kernel set alone, by the forward recurrence.
+def _wide(mats) -> np.ndarray:
+    """[A_1 | A_2 | ... | A_R] as one (d, R d) block row."""
+    a = np.asarray(mats, dtype=complex)
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
 
-    ttm runs the transfer tensors over U itself.  smatpi runs the midpoint
-    matrices over the auxiliary sequence, with the tail aux_0 under the
-    terminal_times_I0 convention, and then either the termination matrices
-    over it (sym_env, asym) or the half-step dressing
-    U_n = G_half aux_{n-1} G_half with aux_0 from the set (sym_sys, which
-    requires ``g_half``).  Within r_max steps the output rebuilds the maps
-    the set was extracted from; beyond it the sums truncate at r_max (terms
-    are dropped; no renormalization).
+
+def _companion_rows(first: np.ndarray, wide: np.ndarray, count: int) -> np.ndarray:
+    """W C^0, W C^1, ..., W C^(count-1) for each block row W stacked in ``first``.
+
+    C is the block companion matrix with first block row ``wide`` and
+    identities below its diagonal, so W C = W_1 wide + (W moved one block
+    left), where W_1 is the first block of W.  ``first`` is (m d, R d);
+    returns a (count, m d, R d) array, one small product per power.
+    """
+    d = wide.shape[0]
+    rows = np.empty((count,) + first.shape, dtype=complex)
+    rows[0] = first
+    for k in range(1, count):
+        rows[k] = rows[k - 1][:, :d] @ wide
+        rows[k][:, :-d] += rows[k - 1][:, d:]
+    return rows
+
+
+def _blocks(rows, state, horizon, g_half, u1):
+    """Yield the maps of ``propagate_blocks`` one chunk of len(rows) at a time."""
+    count, width = rows.shape[0], rows.shape[2]
+    r_max, d = state.shape[0], state.shape[1]
+    for start in range(0, horizon, count):
+        k = min(count, horizon - start)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = (rows[:k].reshape(-1, width) @ state.reshape(width, d)).reshape(k, -1, d, d)
+            state = np.concatenate((out[::-1, 0], state))[:r_max]
+            maps = out[:, -1]
+            if g_half is not None:
+                maps = (maps.reshape(k * d, d) @ g_half).reshape(k, d, d)
+        if start == 0 and u1 is not None:
+            maps[0] = u1
+        finite = np.isfinite(maps).reshape(k, -1).all(axis=1)
+        if not finite.all():
+            step = start + 1 + int(np.argmin(finite))
+            raise PropagationDivergedError(
+                f"propagation_diverged: U_{step} is not finite; the kernel set grows without bound"
+            )
+        yield maps
+
+
+def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None):
+    """U_1..U_horizon from a kernel set alone, as consecutive blocks.
+
+    Returns an iterator of (k, d, d) arrays with k = CHUNK (the last block
+    may be shorter); the arguments are checked and the chunk rows built
+    before it is returned.  ttm runs the transfer tensors over U itself.
+    smatpi runs the midpoint matrices over the auxiliary sequence, with the
+    tail aux_0 under the terminal_times_I0 convention, and reads U off it
+    through the termination matrices (sym_env, asym) or the half-step
+    dressing U_n = G_half aux_{n-1} G_half with aux_0 from the set (sym_sys,
+    which requires ``g_half``).  Within r_max steps the output rebuilds the
+    maps the set was extracted from; beyond it the sums truncate at r_max
+    (terms are dropped; no renormalization).  A block holding a non-finite
+    map raises PropagationDivergedError instead of being yielded.
     """
     dressed = kernels.flavor == "smatpi" and kernels.splitting == "sym_sys"
     if dressed and g_half is None:
         raise ValidationError("sym_sys propagation needs the half-step propagator")
-    if kernels.flavor == "ttm":
-        maps = _forward(kernels.midpoint, horizon)
-    else:
-        tail = kernels.aux0 if kernels.aux_zero_convention == "terminal_times_I0" else None
-        aux = _forward(kernels.midpoint, horizon - 1, tail)
-        if dressed:
-            maps = g_half @ np.concatenate((kernels.aux0[None], aux)) @ g_half
-        else:
-            maps = _forward(kernels.termination, horizon, tail, b=aux)
+    wide = _wide(kernels.midpoint)
+    r_max, d = kernels.r_max, kernels.dim
+    state = np.zeros((r_max, d, d), dtype=complex)  # X_0, X_{-1}, ... = tail, 0, ...
+    terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
+    state[0] = kernels.aux0 if terminal else np.eye(d)
+    first = wide  # P_1 = e_0 C: the recurrence itself
+    if dressed:  # G_half e_0 C^(k-1) picks G_half X_{n+k-1}
+        emit = np.zeros_like(wide)
+        emit[:, :d] = g_half
+        first = np.concatenate((wide, emit))
+    elif kernels.flavor == "smatpi":  # [T_1 | ... | T_R] C^(k-1) gives U_{n+k}
+        first = np.concatenate((wide, _wide(kernels.termination)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent set fails in _blocks
+        rows = _companion_rows(first, wide, max(min(CHUNK, horizon), 1))
+    if not dressed:
+        return _blocks(rows, state, horizon, None, None)
+    # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
+    return _blocks(rows, state, horizon, g_half, g_half @ kernels.aux0 @ g_half)
+
+
+def propagate(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None) -> TrajectorySeq:
+    """Maps U_1..U_horizon from a kernel set alone (see ``propagate_blocks``)."""
+    maps = np.empty((max(horizon, 0), kernels.dim, kernels.dim), dtype=complex)
+    start = 0
+    for block in propagate_blocks(kernels, horizon, g_half):
+        maps[start : start + len(block)] = block
+        start += len(block)
     return TrajectorySeq(kernels.dt, maps, "propagated")
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from ifkernels import cli
+from ifkernels import cli, kernels
 from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
 from ifkernels.config import default_config_text, load_config, parse_config
@@ -370,6 +373,61 @@ class TestBlockWriter:
         maps = [np.eye(4, dtype=complex)] + list(full)
         want = per_cell_csv(config.grid.dt, [("u", maps)]).encode()
         assert (tmp_path / "oracle_maps.csv").read_bytes() == want
+
+
+class TestPropagateFailures:
+    def test_divergent_kernels_exit_2(self, tmp_path, capsys):
+        # midpoint 2 I doubles every map until U_1024 overflows: exit 2, a
+        # coded message, no numpy warnings and no trajectory.csv with
+        # non-finite (or any) rows left behind
+        kpath = tmp_path / "kernels.txt"
+        save_kernels(KernelSet("sym_env", 0.1, 1, (2 * np.eye(4),), None, "ttm"), kpath)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"grid.n_steps": 2000, "grid.r_max": 1}))
+        out = tmp_path / "out"
+        argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: propagation_diverged: U_1024 is not finite; "
+                       "the kernel set grows without bound\n")
+        assert not (out / "trajectory.csv").exists()
+
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 238. GiB for an array")
+
+        monkeypatch.setitem(cli._COMMANDS, "propagate", exhausted)
+        argv = ["propagate", "--config", "c", "--kernels", "k", "--out", str(tmp_path)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: memory: Unable to allocate 238. GiB for an array\n"
+        assert "Traceback" not in err
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
+        # maps are propagated, applied and written one chunk at a time, so
+        # ten times the steps take no more memory.  Chunk and block sizes
+        # are cut by 8 with the steps (5000 and 50000 at the shipped sizes
+        # hold the same, but take seconds under tracemalloc).
+        monkeypatch.setattr(kernels, "CHUNK", kernels.CHUNK // 8)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", cli.CSV_BLOCK_ROWS // 8)
+        kdir = tmp_path / "k"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(kdir)]) == 0
+        peaks = {}
+        for n_steps in (5000 // 8, 50000 // 8):
+            cfg.write_text(small_config(**{"grid.n_steps": n_steps}))
+            argv = ["propagate", "--config", str(cfg), "--kernels", str(kdir / "kernels.txt"),
+                    "--out", str(tmp_path / str(n_steps))]
+            tracemalloc.start()
+            try:
+                assert cli_main(argv) == 0
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[50000 // 8] <= 1.2 * peaks[5000 // 8]
 
 
 class TestCli:
