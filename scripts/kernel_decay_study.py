@@ -36,7 +36,7 @@ def main():
     table = eta_table(bath, grid, "sym_env")
 
     full, aux0, aux = oracle_trajectory(sys_, grid, "sym_env", args.rmax, eta=table)
-    seq = TrajectorySeq(args.dt, tuple(full), "oracle")
+    seq = TrajectorySeq(args.dt, tuple(full))
     mids = solve_midpoint(aux, aux0)
     terms = solve_termination(seq, aux, aux0)
     smatpi = KernelSet(

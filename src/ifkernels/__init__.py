@@ -5,7 +5,6 @@ from .bath import (
     BathSpec,
     EtaTable,
     SpectralDensity,
-    bath_correlation,
     bump_correlation,
     eta_table,
     eta_table_from_correlation,
@@ -43,6 +42,6 @@ from .liouville import (
     fb_propagator,
     liou_norm,
 )
-from .pathsum import PathSumRequest, aux_rdm_exact, config_count, oracle_trajectory, rdm_exact
+from .pathsum import config_count, oracle_trajectory
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Harmonic-bath input: spectral density, correlation function, discretized
-influence-functional coefficients eta(k, k'), and influence-factor matrices.
+"""Harmonic-bath input: spectral density, discretized influence-functional
+coefficients eta, and influence-factor matrices.
 
 Conventions
 -----------
@@ -7,32 +7,30 @@ Spectral density (ohmic with exponential cutoff):
 
     J(w) = (pi/2) * alpha * w * exp(-w / omega_c)
 
-Bath correlation function:
+Bath correlation function (coth -> 1 at infinite beta, so
+C(0) = alpha * omega_c^2 / 2 at zero temperature):
 
     C(t) = (1/pi) * int_0^inf J(w) [coth(beta w / 2) cos(w t) - i sin(w t)] dw
 
-with coth -> 1 at infinite beta, where ``bath_correlation`` uses the closed
-form C(t) = (alpha/2) * omega_c^2 / (1 + i omega_c t)^2 instead of
-quadrature.  These choices make C(0) = alpha * omega_c^2 / 2 at zero
-temperature.
+The package never evaluates C(t) for the physical bath: ``eta_table``
+integrates in the spectral form below.
 
 Discretized coefficients are double integrals of C(t - t') over the time
 windows owned by each pair of path points.  Window assignment per splitting:
 
 * ``sym_sys`` and ``asym``: step k owns [k dt, (k+1) dt) uniformly, so all
-  coefficients depend on the separation k - k' only and every role tag is
-  "interior"/"self".
+  coefficients depend on the separation k - k' only.
 * ``sym_env``: interior step k owns the centered window
   [k dt - dt/2, k dt + dt/2]; the step at the measured end N owns the half
-  window [N dt - dt/2, N dt], which is what makes the k = N entries differ
-  from interior entries of equal separation.  The initial step keeps the
-  full centered window, so entries with k' = 0 carry interior values; only
+  window [N dt - dt/2, N dt], which is what makes the k = N coefficients
+  differ from interior ones of equal separation.  The initial step keeps the
+  full centered window, so pairs with k' = 0 carry interior values; only
   the measured end is endpoint-corrected.  This is the assignment under
   which the one-step-memory matrix hierarchies truncate exactly (see the
   kernels module).
 
-Self entries (k = k') integrate the triangular region t' < t within one
-window.
+Self coefficients (k = k') integrate the triangular region t' < t within
+one window.
 
 Spectral route
 --------------
@@ -79,11 +77,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EtaMissingError, QuadratureError, ValidationError
+from .errors import QuadratureError, ValidationError
 from .liouville import SystemSpec, TimeGrid
 
 SPLITTINGS = ("sym_env", "sym_sys", "asym")
-ROLES = ("interior", "self", "left_endpoint", "right_endpoint", "both_endpoints")
 
 # Quadrature controls (pinned so golden values are reproducible).
 OMEGA_CUTOFF_FACTOR = 40.0
@@ -175,52 +172,6 @@ def _gauss_nodes(order: int, a: float, b: float):
     return a + half * (x + 1.0), half * w
 
 
-def bath_correlation(bath: BathSpec, t, rtol: float = OMEGA_RTOL):
-    """Bath correlation function C(t); accepts a scalar or an array of times.
-
-    Zero temperature uses the closed form; finite temperature integrates over
-    frequency on [0, 40 omega_c] with a node-doubling Gauss rule until the
-    relative change drops below ``rtol``, raising QuadratureError on failure.
-    """
-    sd = bath.spectral_density
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    alpha, wc = sd.alpha, sd.omega_c
-    if alpha == 0.0:
-        out = np.zeros(t_arr.shape, dtype=complex)
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
-
-    if math.isinf(bath.beta):
-        out = 0.5 * alpha * wc**2 / (1.0 + 1j * wc * t_arr) ** 2
-    else:
-        # chunk so the node-by-time phase arrays stay bounded in memory
-        parts = [
-            _correlation_quadrature(alpha, wc, bath.beta, t_arr[i : i + 4096], rtol)
-            for i in range(0, t_arr.size, 4096)
-        ]
-        out = np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def _correlation_quadrature(alpha, wc, beta, t_arr, rtol):
-    big_w = OMEGA_CUTOFF_FACTOR * wc
-    prev = None
-    n = OMEGA_NODES_START
-    while n <= OMEGA_NODES_MAX:
-        omega, w = _gauss_nodes(n, 0.0, big_w)
-        # (alpha/2) * w * exp(-w/wc) * [coth(beta w/2) cos(wt) - i sin(wt)]
-        coth = 1.0 / np.tanh(0.5 * beta * omega)
-        base = 0.5 * alpha * omega * np.exp(-omega / wc) * w
-        phase = np.outer(t_arr, omega)
-        vals = np.cos(phase) @ (base * coth) - 1j * (np.sin(phase) @ base)
-        if prev is not None:
-            scale = max(np.max(np.abs(vals)), 1e-30)
-            if np.max(np.abs(vals - prev)) <= rtol * scale:
-                return vals
-        prev = vals
-        n *= 2
-    raise QuadratureError("quadrature_failed: correlation integral did not converge")
-
-
 # ---------------------------------------------------------------------------
 # Window integrals
 # ---------------------------------------------------------------------------
@@ -264,58 +215,40 @@ def _window_self_integral(corr, win):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaTable:
     """Discretized influence-functional coefficients for one splitting.
 
-    ``entries`` maps (k, k') with 0 <= k' <= k <= horizon to eta(k, k');
-    ``roles`` carries the positional role tag of each entry.  ``sep_values``
-    resolves (separation, role) to the coefficient, which is what path sums
-    consume; every stored entry agrees with its (separation, role) value.
+    ``interior[m]`` is eta(k, k') of two path points m = k - k' apart
+    (m = 0: the self triangle), for m = 0..horizon; ``right[m]`` is the
+    coefficient when the later point is the measured end N, which differs
+    only under sym_env.  For sym_sys and asym ``right is interior``.  Both
+    are read-only complex arrays of one length, horizon + 1 >= 2.
     """
 
     splitting: str
     dt: float
-    horizon: int
-    entries: dict = field(repr=False)
-    roles: dict = field(repr=False)
-    sep_values: dict = field(repr=False)
+    interior: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.splitting not in SPLITTINGS:
             raise ValidationError(f"unknown splitting {self.splitting!r}")
+        interior = np.array(self.interior, dtype=complex)
+        right = interior if self.right is self.interior else np.array(self.right, dtype=complex)
+        if interior.ndim != 1 or interior.shape != right.shape or len(interior) < 2:
+            raise ValidationError(
+                f"eta arrays need one length >= 2, got {interior.shape} and {right.shape}"
+            )
+        if self.splitting != "sym_env" and right is not interior:
+            raise ValidationError(f"{self.splitting} tables have no endpoint coefficients")
+        interior.flags.writeable = right.flags.writeable = False
+        object.__setattr__(self, "interior", interior)
+        object.__setattr__(self, "right", right)
 
-    def value(self, k: int, kp: int) -> complex:
-        try:
-            return self.entries[(k, kp)]
-        except KeyError:
-            raise EtaMissingError(f"eta_missing: no entry ({k}, {kp})") from None
-
-    def role(self, k: int, kp: int) -> str:
-        return self.roles[(k, kp)]
-
-    def by_separation(self, separation: int, role: str) -> complex:
-        """The coefficient for a (separation, role) combination."""
-        if role not in ROLES:
-            raise EtaMissingError(f"eta_missing: unknown role {role!r}")
-        try:
-            return self.sep_values[(separation, role)]
-        except KeyError:
-            raise EtaMissingError(
-                f"eta_missing: no ({separation}, {role!r}) entry"
-            ) from None
-
-
-def _role_sym_env(k: int, kp: int, horizon: int) -> str:
-    if k == horizon and kp == 0:
-        return "both_endpoints"
-    if k == horizon:
-        return "right_endpoint"
-    if kp == 0:
-        return "left_endpoint"
-    if k == kp:
-        return "self"
-    return "interior"
+    @property
+    def horizon(self) -> int:
+        return len(self.interior) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +278,14 @@ def _window_layout(grid: TimeGrid, splitting: str):
     return [(-h, h), (-h, 0.0)], pairs
 
 
-def _role_uniform(k: int, kp: int, horizon: int) -> str:
-    return "self" if k == kp else "interior"
-
-
 def _assemble(grid: TimeGrid, splitting: str, values) -> EtaTable:
     """An EtaTable from window integrals in ``_window_layout`` order."""
-    n = grid.n_steps
-    values = [complex(v) for v in values]
+    values = np.asarray(values, dtype=complex)
     if splitting in ("sym_sys", "asym"):
-        sep_values = {(0, "self"): values[0]}
-        for m in range(1, n + 1):
-            sep_values[(m, "interior")] = values[m]
-        role_of = _role_uniform
-    else:
-        sep_values = {
-            (0, "self"): values[0],
-            (0, "left_endpoint"): values[0],
-            (0, "right_endpoint"): values[1],
-        }
-        for m in range(1, n + 1):
-            sep_values[(m, "interior")] = sep_values[(m, "left_endpoint")] = values[m + 1]
-            right = values[n + m + 1]
-            sep_values[(m, "right_endpoint")] = sep_values[(m, "both_endpoints")] = right
-        role_of = _role_sym_env
-    roles = {(k, kp): role_of(k, kp, n) for k in range(n + 1) for kp in range(k + 1)}
-    entries = {key: sep_values[(key[0] - key[1], role)] for key, role in roles.items()}
-    return EtaTable(splitting, grid.dt, n, entries, roles, sep_values)
+        return EtaTable(splitting, grid.dt, values, values)
+    n = grid.n_steps
+    interior = np.concatenate((values[:1], values[2 : n + 2]))
+    return EtaTable(splitting, grid.dt, interior, np.concatenate((values[1:2], values[n + 2 :])))
 
 
 def eta_table_from_correlation(corr, grid: TimeGrid, splitting: str) -> EtaTable:
@@ -465,22 +379,15 @@ def eta_table(
 
 
 def eta_truncated(table: EtaTable, max_separation: int) -> EtaTable:
-    """Copy of a table with every entry beyond max_separation zeroed.
+    """Copy of a table with every coefficient beyond max_separation zeroed.
 
     Used to construct synthetic finite-memory baths ("the IF memory spans
     max_separation time steps") for the kernel nullity dichotomy.
     """
-    entries = {
-        key: (val if key[0] - key[1] <= max_separation else 0.0j)
-        for key, val in table.entries.items()
-    }
-    sep_values = {
-        key: (val if key[0] <= max_separation else 0.0j)
-        for key, val in table.sep_values.items()
-    }
-    return EtaTable(
-        table.splitting, table.dt, table.horizon, entries, dict(table.roles), sep_values
-    )
+    keep = np.arange(table.horizon + 1) <= max_separation
+    interior = np.where(keep, table.interior, 0.0j)
+    right = interior if table.right is table.interior else np.where(keep, table.right, 0.0j)
+    return EtaTable(table.splitting, table.dt, interior, right)
 
 
 # ---------------------------------------------------------------------------

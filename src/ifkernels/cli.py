@@ -123,8 +123,8 @@ def _cmd_oracle(args) -> int:
 
 def _extraction(cfg: RunConfig, splitting: str, flavor: str, r_max: int):
     grid = TimeGrid(cfg.grid.dt, cfg.grid.n_steps, r_max)
-    table_grid = TimeGrid(grid.dt, max(r_max, 1), max(r_max, 1))
-    table = eta_table(cfg.bath, table_grid, splitting, rtol=cfg.quadrature_rtol)
+    table = eta_table(cfg.bath, TimeGrid(grid.dt, r_max, r_max), splitting,
+                      rtol=cfg.quadrature_rtol)
     kset, _, _ = extract_kernels(
         cfg.system,
         grid,
@@ -160,11 +160,7 @@ def _cmd_extract(args) -> int:
     rows = []
     for k in range(1, len(kset.midpoint) + 1):
         norm_m = _fmt(liou_norm(kset.midpoint[k - 1]))
-        norm_t = (
-            _fmt(liou_norm(kset.termination[k - 1]))
-            if kset.termination is not None and k <= len(kset.termination)
-            else ""
-        )
+        norm_t = "" if kset.termination is None else _fmt(liou_norm(kset.termination[k - 1]))
         rows.append([str(k), norm_m, norm_t])
     npath = os.path.join(args.out, "kernel_norms.csv")
     _write_csv(npath, ["k", "norm_M", "norm_T"], rows)

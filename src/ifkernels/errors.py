@@ -33,7 +33,7 @@ class PropagationDivergedError(NumericalError):
 
 
 class EtaMissingError(ValidationError):
-    """No influence coefficient stored for a requested (separation, role) ("eta_missing")."""
+    """An eta table does not reach the separations a path sum needs ("eta_missing")."""
 
 
 class DimMismatchError(ValidationError):

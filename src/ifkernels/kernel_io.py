@@ -47,7 +47,7 @@ def save_kernels(kset: KernelSet, path, metadata: dict | None = None) -> None:
     """Write a KernelSet to ``path`` in the text format above.
 
     ``metadata`` entries are echoed as ``meta.<key> = <value>`` header lines
-    (provenance for reproducibility; ignored on load).
+    (a record of the run's inputs; ignored on load).
     """
     lines = [
         f"format_version = {FORMAT_VERSION}",

@@ -80,7 +80,6 @@ class TrajectorySeq:
 
     dt: float
     maps: np.ndarray
-    provenance: str = "oracle"
 
     def __post_init__(self):
         try:
@@ -231,8 +230,8 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
     order 1:  T_1[i, j] = I0_i G1[i, j]
     order 2:  T_2[i, j] = sum_k I0_i I0_k (I1[i, k] - 1) G1[i, k] G1[k, j]
 
-    where I0 are single-point factors and I1 the separation-1 pair factors of
-    the translationally invariant table.
+    where I0 are the single-point factors of ``interior[0]`` and I1 the pair
+    factors of ``interior[1]`` of the translationally invariant table.
     """
     if eta_asym.splitting != "asym":
         raise SplittingMismatchError(
@@ -241,10 +240,10 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
     g1 = fb_propagator(sys, eta_asym.dt)
-    i0 = influence_self_weights(sys, eta_asym.by_separation(0, "self"))
+    i0 = influence_self_weights(sys, eta_asym.interior[0])
     if order == 1:
         return i0[:, None] * g1
-    i1 = influence_pair_matrix(sys, eta_asym.by_separation(1, "interior"))
+    i1 = influence_pair_matrix(sys, eta_asym.interior[1])
     weighted = (i0[:, None] * i0[None, :]) * (i1 - 1.0) * g1
     return weighted @ g1
 
@@ -340,7 +339,7 @@ def propagate(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None
     for block in propagate_blocks(kernels, horizon, g_half):
         maps[start : start + len(block)] = block
         start += len(block)
-    return TrajectorySeq(kernels.dt, maps, "propagated")
+    return TrajectorySeq(kernels.dt, maps)
 
 
 @dataclass(frozen=True)
@@ -404,8 +403,8 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
 
     norms_a = norm_list(set_a.midpoint, len(ks))
     norms_b = norm_list(set_b.midpoint, len(ks))
-    term_a = norm_list(set_a.termination or (), len(ks)) if set_a.termination else (None,) * len(ks)
-    term_b = norm_list(set_b.termination or (), len(ks)) if set_b.termination else (None,) * len(ks)
+    term_a = norm_list(set_a.termination or (), len(ks))
+    term_b = norm_list(set_b.termination or (), len(ks))
     diffs = tuple(
         liou_norm(set_a.midpoint[k] - set_b.midpoint[k]) if k < min(la, lb) else None
         for k in range(len(ks))
@@ -444,8 +443,7 @@ def extract_kernels(
     splitting: str,
     flavor: str,
     *,
-    bath=None,
-    eta: EtaTable | None = None,
+    eta: EtaTable,
     budget: int | None = None,
     aux_zero_convention: str | None = None,
 ):
@@ -460,11 +458,9 @@ def extract_kernels(
     from .pathsum import DEFAULT_BUDGET, oracle_trajectory
 
     budget = DEFAULT_BUDGET if budget is None else budget
-    full, aux0, aux = oracle_trajectory(
-        sys, grid, splitting, grid.r_max, bath=bath, eta=eta, budget=budget
-    )
-    maps = TrajectorySeq(grid.dt, full, "oracle")
-    aux_maps = TrajectorySeq(grid.dt, aux, "oracle")
+    full, aux0, aux = oracle_trajectory(sys, grid, splitting, grid.r_max, eta=eta, budget=budget)
+    maps = TrajectorySeq(grid.dt, full)
+    aux_maps = TrajectorySeq(grid.dt, aux)
 
     if flavor == "ttm":
         tensors = extract_ttm(full)

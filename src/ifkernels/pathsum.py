@@ -7,9 +7,11 @@ forward-backward paths:
         prod_j G1[a_j, a_{j-1}] * prod_{k >= k'} F(k, k')[a_k, a_{k'}]
 
 where G1 is the whole-step system propagator and F(k, k') are influence
-factors built from the eta table of the requested splitting.  No path is
-filtered or approximated; the oracle pins down every other object in the
-package at desk scale.
+factors of the coefficient ``eta.interior[k - k']``, or ``eta.right[k - k']``
+where k is the measured end N.  No path is filtered or approximated; the
+oracle pins down every other object in the package at desk scale.
+``oracle_trajectory`` is the one entry point: it returns every full and
+auxiliary map up to a number of steps.
 
 Summation
 ---------
@@ -29,11 +31,11 @@ each length once.
 Structure per splitting
 -----------------------
 sym_env
-    Path points 0..N all carry influence factors; entries touching the
-    measured end N take the endpoint-flavored coefficients, everything else
-    interior.  The auxiliary map replaces the endpoint-flavored entries by
-    interior values of equal separation (fully translation invariant), so a
-    full map and its auxiliary share one pass.
+    Path points 0..N all carry influence factors; pairs touching the
+    measured end N take the endpoint-flavored ``right`` coefficients,
+    everything else ``interior``.  The auxiliary map takes ``interior`` at
+    the measured end too (fully translation invariant), so a full map and
+    its auxiliary share one pass.
 sym_sys
     U_N = G_half . (auxiliary of length N-1) . G_half, where the auxiliary
     joins k+1 points with whole-step propagators and uniform-window factors.
@@ -50,33 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, EtaTable, eta_table, influence_pair_matrix, influence_self_weights
-from .errors import PathSumBudgetError, ValidationError
+from .bath import EtaTable, influence_pair_matrix, influence_self_weights
+from .errors import EtaMissingError, PathSumBudgetError, ValidationError
 from .liouville import LiouvilleMatrix, SystemSpec, TimeGrid, check_finite, fb_propagator
 
 DEFAULT_BUDGET = 10**8
 _BATCH = 1 << 16
-
-
-@dataclass(frozen=True)
-class PathSumRequest:
-    """One oracle evaluation: which map, which splitting, how many steps."""
-
-    sys: SystemSpec
-    grid: TimeGrid
-    splitting: str
-    target: str = "full_U"
-    steps: int = 1
-    bath: BathSpec | None = None
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.target not in ("full_U", "aux_U"):
-            raise ValidationError(f"unknown target {self.target!r}")
-        if self.steps < 0:
-            raise ValidationError("steps must be >= 0")
-        if self.steps > self.grid.n_steps:
-            raise ValidationError("steps exceeds grid.n_steps")
 
 
 def config_count(n: int, steps: int) -> int:
@@ -97,29 +78,14 @@ def _check_budget(n: int, steps: int, budget: int):
         )
 
 
-def _resolve_table(req: PathSumRequest, eta: EtaTable | None) -> EtaTable:
-    if eta is not None:
-        if eta.splitting != req.splitting:
-            raise ValidationError(
-                f"eta table is for {eta.splitting!r}, request is {req.splitting!r}"
-            )
-        return eta
-    if req.bath is None:
-        raise ValidationError("need either a bath or a prebuilt eta table")
-    return eta_table(req.bath, req.grid, req.splitting)
-
-
-def _influence(sys, table, horizon, g1, self_role, pair_role):
-    """(self weights, pair factors by separation 0..horizon) of one coefficient role.
+def _influence(sys, eta, horizon, g1):
+    """(self weights, pair factors by separation 0..horizon) of one coefficient array.
 
     ``pairs[s][a_k, a_k']`` is the factor of two points s = k - k' apart; the
     whole-step propagator G1 linking neighbours is merged into ``pairs[1]``.
     """
-    self_w = influence_self_weights(sys, table.by_separation(0, self_role))
-    pairs = [None] + [
-        influence_pair_matrix(sys, table.by_separation(s, pair_role))
-        for s in range(1, horizon + 1)
-    ]
+    self_w = influence_self_weights(sys, eta[0])
+    pairs = [None] + [influence_pair_matrix(sys, eta[s]) for s in range(1, horizon + 1)]
     if horizon >= 1:
         pairs[1] = pairs[1] * g1
     return self_w, pairs
@@ -143,10 +109,8 @@ class _Factors:
 
 def _factors(sys: SystemSpec, dt: float, table: EtaTable, horizon: int) -> _Factors:
     g1 = fb_propagator(sys, dt)
-    inner = _influence(sys, table, horizon, g1, "self", "interior")
-    end = inner
-    if table.splitting == "sym_env":
-        end = _influence(sys, table, horizon, g1, "right_endpoint", "right_endpoint")
+    inner = _influence(sys, table.interior, horizon, g1)
+    end = inner if table.right is table.interior else _influence(sys, table.right, horizon, g1)
     return _Factors(g1, inner, end, table.splitting == "asym")
 
 
@@ -232,55 +196,13 @@ def _path_sums(steps: int, f: _Factors, ends) -> list:
     return out
 
 
-def rdm_exact(req: PathSumRequest, eta: EtaTable | None = None) -> LiouvilleMatrix:
-    """Exact discretized RDM map U_N by explicit path summation."""
-    if req.target != "full_U":
-        raise ValidationError("rdm_exact expects a full_U request")
-    table = _resolve_table(req, eta)
-    n_steps = req.steps
-    if n_steps == 0:
-        return np.eye(req.sys.dim, dtype=complex)
-    if req.splitting == "sym_sys":
-        g_half = fb_propagator(req.sys, 0.5 * req.grid.dt)
-        aux = aux_rdm_exact(
-            PathSumRequest(
-                req.sys, req.grid, req.splitting, "aux_U", n_steps - 1, req.bath, req.budget
-            ),
-            eta=table,
-        )
-        return check_finite(g_half @ aux @ g_half, "dressed path sum")
-    _check_budget(req.sys.n, n_steps, req.budget)
-    f = _factors(req.sys, req.grid.dt, table, n_steps)
-    return _path_sums(n_steps, f, [f.end])[0]
-
-
-def aux_rdm_exact(req: PathSumRequest, eta: EtaTable | None = None) -> LiouvilleMatrix:
-    """Exact auxiliary map by explicit path summation.
-
-    sym_sys: the inner block of the dressed map, k+1 points joined by k
-    whole-step propagators, all coefficients uniform.  sym_env: same path sum
-    as the full map but with every endpoint-flavored entry replaced by the
-    interior value of equal separation.  asym: identical to the full map.
-    """
-    if req.target != "aux_U":
-        raise ValidationError("aux_rdm_exact expects an aux_U request")
-    table = _resolve_table(req, eta)
-    k = req.steps
-    _check_budget(req.sys.n, k, req.budget)
-    f = _factors(req.sys, req.grid.dt, table, k)
-    if k == 0:
-        return _aux0(f)
-    return _path_sums(k, f, [f.inner])[0]
-
-
 def oracle_trajectory(
     sys: SystemSpec,
     grid: TimeGrid,
     splitting: str,
     steps: int,
     *,
-    bath: BathSpec | None = None,
-    eta: EtaTable | None = None,
+    eta: EtaTable,
     budget: int = DEFAULT_BUDGET,
 ):
     """Full and auxiliary map sequences U_1..U_steps, (aux0, Ũ_1..Ũ_steps).
@@ -288,12 +210,21 @@ def oracle_trajectory(
     The trailing element of the auxiliary information is the index-0
     auxiliary (single-point factor matrix), needed as the terminal of the
     midpoint hierarchy.  Each map length is summed once; both sequences
-    are (steps, n^2, n^2) arrays.
+    are (steps, n^2, n^2) arrays.  ``eta`` must be a table of this
+    splitting and step with a horizon of at least ``steps``.
     """
-    req = PathSumRequest(sys, grid, splitting, "full_U", steps, bath, budget)
-    table = _resolve_table(req, eta)
+    if not 0 <= steps <= grid.n_steps:
+        raise ValidationError(f"steps {steps} outside 0..grid.n_steps = {grid.n_steps}")
+    if eta.splitting != splitting:
+        raise ValidationError(f"eta table is for {eta.splitting!r}, request is {splitting!r}")
+    if abs(eta.dt - grid.dt) > 1e-15:
+        raise ValidationError(f"eta table dt {eta.dt} differs from grid dt {grid.dt}")
+    if steps > eta.horizon:
+        raise EtaMissingError(
+            f"eta_missing: {steps} steps need separations up to {steps}, table has {eta.horizon}"
+        )
     _check_budget(sys.n, steps, budget)
-    f = _factors(sys, grid.dt, table, steps)
+    f = _factors(sys, grid.dt, eta, steps)
     g_half = fb_propagator(sys, 0.5 * grid.dt) if splitting == "sym_sys" else None
     aux0 = _aux0(f)
     full = np.empty((steps, sys.dim, sys.dim), dtype=complex)

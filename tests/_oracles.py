@@ -1,28 +1,40 @@
 """Independent numerical oracles used only by the test suite.
 
-These deliberately take different routes from the production code: the
-correlation function comes from a Matsubara-series closed form instead of
-frequency quadrature; window coefficients come one at a time from a
-spectral-domain single integral (scipy.integrate.quad) instead of one
-vectorised fixed-rule integral over all coefficients; and the time-domain
-eta table integrates C(t - t') over the windows by nested Gauss rules, with
-C(t) itself from its own frequency quadrature (or closed form at T = 0),
-instead of moving the window integrals inside the frequency integral.  The
-path-sum reference visits every forward-backward path one at a time and
-writes its weight out from the definition, instead of building weights from
-factor matrices in blocks.  The convolution reference rebuilds a sequence
-from its kernels one matrix product at a time, instead of one stacked
-product per step.  The per-cell CSV writer formats one float at a time,
-instead of one block of rows per call.
+These deliberately take different routes from the production code.  The
+time-domain correlation function C(t) (``bath_correlation``: frequency
+quadrature, closed form at T = 0) lives only here, because production
+integrates in the spectral form and never evaluates C(t); the tests check it
+against a Matsubara-series closed form.  Window coefficients come one at a
+time from a spectral-domain single integral (scipy.integrate.quad) instead
+of one vectorised fixed-rule integral over all coefficients; and the
+time-domain eta table integrates C(t - t') over the windows by nested Gauss
+rules, with C(t) itself from its own frequency quadrature (or closed form at
+T = 0), instead of moving the window integrals inside the frequency
+integral.  The path-sum reference visits every forward-backward path one at
+a time and writes its weight out from the definition, instead of building
+weights from factor matrices in blocks.  The convolution reference rebuilds
+a sequence from its kernels one matrix product at a time, instead of one
+stacked product per step.  The per-cell CSV writer formats one float at a
+time, instead of one block of rows per call.
 """
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from ifkernels.bath import bath_correlation, eta_table_from_correlation
+from ifkernels.bath import (
+    OMEGA_CUTOFF_FACTOR,
+    OMEGA_NODES_MAX,
+    OMEGA_NODES_START,
+    OMEGA_RTOL,
+    BathSpec,
+    _gauss_nodes,
+    eta_table_from_correlation,
+)
+from ifkernels.errors import QuadratureError
 
 
 def matsubara_correlation(alpha, wc, beta, t, nsum=2000):
@@ -58,6 +70,52 @@ def _spectral_integral(alpha, wc, beta, phi):
     re = quad(f_re, 0.0, 40.0 * wc, **kw)[0]
     im = quad(f_im, 0.0, 40.0 * wc, **kw)[0]
     return complex(re, im)
+
+
+def bath_correlation(bath: BathSpec, t, rtol: float = OMEGA_RTOL):
+    """Bath correlation function C(t); accepts a scalar or an array of times.
+
+    Zero temperature uses the closed form; finite temperature integrates over
+    frequency on [0, 40 omega_c] with a node-doubling Gauss rule until the
+    relative change drops below ``rtol``, raising QuadratureError on failure.
+    """
+    sd = bath.spectral_density
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    alpha, wc = sd.alpha, sd.omega_c
+    if alpha == 0.0:
+        out = np.zeros(t_arr.shape, dtype=complex)
+        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+
+    if math.isinf(bath.beta):
+        out = 0.5 * alpha * wc**2 / (1.0 + 1j * wc * t_arr) ** 2
+    else:
+        # chunk so the node-by-time phase arrays stay bounded in memory
+        parts = [
+            _correlation_quadrature(alpha, wc, bath.beta, t_arr[i : i + 4096], rtol)
+            for i in range(0, t_arr.size, 4096)
+        ]
+        out = np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def _correlation_quadrature(alpha, wc, beta, t_arr, rtol):
+    big_w = OMEGA_CUTOFF_FACTOR * wc
+    prev = None
+    n = OMEGA_NODES_START
+    while n <= OMEGA_NODES_MAX:
+        omega, w = _gauss_nodes(n, 0.0, big_w)
+        # (alpha/2) * w * exp(-w/wc) * [coth(beta w/2) cos(wt) - i sin(wt)]
+        coth = 1.0 / np.tanh(0.5 * beta * omega)
+        base = 0.5 * alpha * omega * np.exp(-omega / wc) * w
+        phase = np.outer(t_arr, omega)
+        vals = np.cos(phase) @ (base * coth) - 1j * (np.sin(phase) @ base)
+        if prev is not None:
+            scale = max(np.max(np.abs(vals)), 1e-30)
+            if np.max(np.abs(vals - prev)) <= rtol * scale:
+                return vals
+        prev = vals
+        n *= 2
+    raise QuadratureError("quadrature_failed: correlation integral did not converge")
 
 
 def time_domain_eta_table(bath, grid, splitting):
@@ -106,10 +164,9 @@ def _path_eta(table, splitting, steps, k, kp, measured_end):
     """eta(k, k') of a ``steps``-step path; the measured end N is flavored or not."""
     if splitting == "asym" and kp == 0:
         return 0.0  # the initial point carries no influence factors
-    sep = k - kp
     if splitting == "sym_env" and measured_end and k == steps:
-        return table.by_separation(sep, "both_endpoints" if kp == 0 else "right_endpoint")
-    return table.by_separation(sep, "self" if sep == 0 else "interior")
+        return table.right[k - kp]  # the measured end owns the trailing half window
+    return table.interior[k - kp]
 
 
 def path_sum_reference(sys, dt, table, steps, measured_end=True):

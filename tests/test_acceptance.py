@@ -30,7 +30,7 @@ from ifkernels.kernels import (
     solve_termination,
 )
 from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
-from ifkernels.pathsum import PathSumRequest, aux_rdm_exact, oracle_trajectory, rdm_exact
+from ifkernels.pathsum import oracle_trajectory
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -49,11 +49,9 @@ def test_criterion_1_oracle_equivalence(sys2, bath_default):
         kset, _, _ = extract_kernels(sys2, grid, splitting, "smatpi", eta=table)
         g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
         maps = propagate(kset, 6, g_half=g_half).maps
+        full, _, _ = oracle_trajectory(sys2, grid, splitting, 6, eta=table)
         for n in range(1, 7):
-            exact = rdm_exact(
-                PathSumRequest(sys2, grid, splitting, "full_U", n, bath_default), eta=table
-            )
-            worst = max(worst, liou_norm(maps[n - 1] - exact))
+            worst = max(worst, liou_norm(maps[n - 1] - full[n - 1]))
     elapsed = time.monotonic() - start
     assert worst < 1e-10
     assert elapsed < 60.0
@@ -110,12 +108,10 @@ def test_criterion_5_dressing_identity(sys2, tables):
     grid = TimeGrid(0.1, 8, 8)
     g_half = fb_propagator(sys2, 0.05)
     worst = 0.0
+    full, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 6, eta=tables["sym_sys"])
     for n in range(1, 7):
-        u = rdm_exact(PathSumRequest(sys2, grid, "sym_sys", "full_U", n), eta=tables["sym_sys"])
-        a = aux_rdm_exact(
-            PathSumRequest(sys2, grid, "sym_sys", "aux_U", n - 1), eta=tables["sym_sys"]
-        )
-        worst = max(worst, liou_norm(g_half @ a @ g_half - u))
+        a = aux0 if n == 1 else aux[n - 2]
+        worst = max(worst, liou_norm(g_half @ a @ g_half - full[n - 1]))
     assert worst < 1e-12
     _report("criterion 5 (dressing identity)", f"max dev {worst:.2e}")
 
@@ -219,7 +215,7 @@ def test_criterion_9_kernel_decay(sys2, bath_default):
     grid = TimeGrid(0.1, r, r)
     table = eta_table(bath_default, grid, "sym_env")
     full, aux0, aux = oracle_trajectory(sys2, grid, "sym_env", r, eta=table)
-    seq = TrajectorySeq(0.1, tuple(full), "oracle")
+    seq = TrajectorySeq(0.1, tuple(full))
     mids = solve_midpoint(aux, aux0)
     terms = solve_termination(seq, aux, aux0)
     smatpi = KernelSet(

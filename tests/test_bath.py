@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifkernels import BathSpec, SpectralDensity
+from ifkernels import BathSpec, EtaTable, SpectralDensity
 from ifkernels import bath as bath_module
 from ifkernels.bath import (
     OMEGA_NODES_START,
@@ -11,7 +11,6 @@ from ifkernels.bath import (
     _spectral_window_integrals,
     _window_layout,
     _x_minus_sin,
-    bath_correlation,
     bump_correlation,
     eta_table,
     eta_table_from_correlation,
@@ -21,8 +20,10 @@ from ifkernels.bath import (
 )
 from ifkernels.errors import EtaMissingError, QuadratureError, ValidationError
 from ifkernels.liouville import TimeGrid, liou_norm
+from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import (
+    bath_correlation,
     matsubara_correlation,
     spectral_eta_pair,
     spectral_eta_self,
@@ -87,22 +88,29 @@ class TestEtaTable:
     def test_zero_coupling_all_zero(self, grid8):
         bath = BathSpec(SpectralDensity("ohmic_exponential", 0.0, 5.0), 5.0)
         tab = eta_table(bath, grid8, "sym_env")
-        assert all(v == 0 for v in tab.entries.values())
+        assert not np.any(tab.interior) and not np.any(tab.right)
 
     def test_translation_invariance_uniform(self, tables):
-        for splitting in ("sym_sys", "asym"):
-            tab = tables[splitting]
-            for (k, kp), v in tab.entries.items():
-                if k < tab.horizon and kp + 1 <= k + 1 <= tab.horizon:
-                    assert v == tab.entries[(k + 1, kp + 1)]
+        # the uniform windows [k dt, (k+1) dt) of a pair (k, k') away from the
+        # origin integrate to the coefficient of their separation
+        for k, kp in [(1, 1), (3, 1), (5, 2), (8, 8)]:
+            win, win_p = (0.1 * k, 0.1 * k + 0.1), (0.1 * kp, 0.1 * kp + 0.1)
+            if k == kp:
+                want = spectral_eta_self(0.1, 5.0, 5.0, win)
+            else:
+                want = spectral_eta_pair(0.1, 5.0, 5.0, win, win_p)
+            for splitting in ("sym_sys", "asym"):
+                assert abs(tables[splitting].interior[k - kp] - want) < 1e-12
 
     def test_uniform_roles(self, tables):
-        tab = tables["asym"]
-        assert set(tab.roles.values()) <= {"interior", "self"}
+        # no endpoint-flavored coefficients: the measured end reads interior
+        for splitting in ("sym_sys", "asym"):
+            assert tables[splitting].right is tables[splitting].interior
+        assert tables["sym_env"].right is not tables["sym_env"].interior
 
     def test_golden_interior_value(self, tables):
-        assert abs(tables["sym_sys"].value(1, 0) - GOLDEN_ETA_10) < 1e-10
-        assert abs(tables["sym_env"].by_separation(1, "interior") - GOLDEN_ETA_10) < 1e-10
+        assert abs(tables["sym_sys"].interior[1] - GOLDEN_ETA_10) < 1e-10
+        assert abs(tables["sym_env"].interior[1] - GOLDEN_ETA_10) < 1e-10
 
     def test_golden_against_spectral_oracle(self):
         got = spectral_eta_pair(0.1, 5.0, 5.0, (0.1, 0.2), (0.0, 0.1))
@@ -110,41 +118,79 @@ class TestEtaTable:
 
     def test_self_entry_against_spectral_oracle(self, tables):
         want = spectral_eta_self(0.1, 5.0, 5.0, (0.0, 0.1))
-        assert abs(tables["sym_sys"].by_separation(0, "self") - want) < 1e-12
+        assert abs(tables["sym_sys"].interior[0] - want) < 1e-12
 
     def test_measured_end_differs_from_interior(self, tables):
-        # sym_env entries touching k = N carry endpoint-flavored values
+        # sym_env pairs touching k = N carry endpoint-flavored values
         tab = tables["sym_env"]
-        n = tab.horizon
-        for m in range(1, n):
-            assert abs(tab.value(n, n - m) - tab.by_separation(m, "interior")) > 1e-6
-        assert abs(tab.value(n, n) - tab.by_separation(0, "self")) > 1e-6
+        for m in range(0, tab.horizon):
+            assert abs(tab.right[m] - tab.interior[m]) > 1e-6
 
     def test_right_entries_against_spectral_oracle(self, tables):
         tab = tables["sym_env"]
         want = spectral_eta_pair(0.1, 5.0, 5.0, (0.05, 0.1), (-0.05, 0.05))
-        assert abs(tab.by_separation(1, "right_endpoint") - want) < 1e-12
+        assert abs(tab.right[1] - want) < 1e-12
         want_self = spectral_eta_self(0.1, 5.0, 5.0, (-0.05, 0.0))
-        assert abs(tab.by_separation(0, "right_endpoint") - want_self) < 1e-12
+        assert abs(tab.right[0] - want_self) < 1e-12
 
-    def test_missing_lookup(self, tables):
-        with pytest.raises(EtaMissingError, match="eta_missing"):
-            tables["asym"].by_separation(1, "right_endpoint")
-        with pytest.raises(EtaMissingError, match="eta_missing"):
-            tables["asym"].by_separation(99, "interior")
+    def test_missing_lookup(self, tables, sys2):
+        # a path sum past the table's horizon fails before any work; sym_sys
+        # needs horizon >= steps too, for its auxiliary maps of every length
+        grid = TimeGrid(0.1, 12, 12)
+        for splitting in ("sym_env", "sym_sys", "asym"):
+            with pytest.raises(EtaMissingError, match="eta_missing"):
+                oracle_trajectory(sys2, grid, splitting, 9, eta=tables[splitting])
 
     def test_truncated_table(self, tables):
         tab = eta_truncated(tables["sym_env"], 1)
-        assert tab.value(2, 0) == 0.0
-        assert tab.by_separation(2, "interior") == 0.0
-        assert tab.value(1, 0) == tables["sym_env"].value(1, 0)
+        assert tab.interior[2] == 0.0 and tab.right[2] == 0.0
+        assert np.array_equal(tab.interior[:2], tables["sym_env"].interior[:2])
+        assert np.array_equal(tab.right[:2], tables["sym_env"].right[:2])
+        assert not np.any(tab.interior[2:]) and not np.any(tab.right[2:])
+        uniform = eta_truncated(tables["asym"], 1)
+        assert uniform.right is uniform.interior
 
 
-def _oracle_coefficient(beta, dt, splitting, separation, role):
+class TestConstruction:
+    def test_unknown_splitting(self):
+        with pytest.raises(ValidationError, match="unknown splitting"):
+            EtaTable("midpoint", 0.1, np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("interior, right", [
+        (np.zeros(3), np.zeros(4)),  # unequal lengths
+        (np.zeros(1), np.zeros(1)),  # no separation 1
+        (np.zeros((2, 2)), np.zeros((2, 2))),  # not one-dimensional
+    ])
+    def test_bad_arrays(self, interior, right):
+        with pytest.raises(ValidationError):
+            EtaTable("sym_env", 0.1, interior, right)
+
+    def test_uniform_splittings_have_no_endpoint_array(self):
+        for splitting in ("sym_sys", "asym"):
+            with pytest.raises(ValidationError, match="no endpoint"):
+                EtaTable(splitting, 0.1, np.zeros(3), np.zeros(3))
+            values = np.arange(3.0)
+            tab = EtaTable(splitting, 0.1, values, values)
+            assert tab.right is tab.interior and tab.horizon == 2
+
+    def test_arrays_are_read_only_copies(self, tables):
+        values = np.array([1.0, 2.0, 3.0])
+        tab = EtaTable("sym_env", 0.1, values, values)
+        values[0] = 9.0
+        assert tab.interior[0] == 1.0 and tab.interior.dtype == complex
+        for splitting, table in tables.items():
+            for arr in (table.interior, table.right):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+        with pytest.raises(AttributeError):
+            tables["sym_env"].interior = np.zeros(9)
+
+
+def _oracle_coefficient(beta, dt, splitting, separation, right):
     """One stored coefficient of the default bath from the scipy-quad oracles."""
     h = 0.5 * dt
     if splitting == "sym_env":
-        end = h if role in ("self", "interior", "left_endpoint") else 0.0
+        end = 0.0 if right else h
         if separation == 0:
             return spectral_eta_self(0.1, 5.0, beta, (-h, end))
         start = separation * dt - h
@@ -163,14 +209,15 @@ class TestSpectralRoute:
         grid = TimeGrid(0.1, 11, 11)
         got = eta_table(bath, grid, splitting)
         want = time_domain_eta_table(bath, grid, splitting)
-        assert got.roles == want.roles
-        assert got.sep_values.keys() == want.sep_values.keys()
-        for key, value in want.entries.items():
-            assert abs(got.entries[key] - value) < 1e-13
-        for (separation, role), value in got.sep_values.items():
-            assert abs(value - want.sep_values[(separation, role)]) < 1e-13
-            quad_value = _oracle_coefficient(beta, 0.1, splitting, separation, role)
-            assert abs(value - quad_value) < 1e-12
+        assert (got.right is got.interior) == (want.right is want.interior)
+        assert (got.right is got.interior) == (splitting != "sym_env")
+        for name in ("interior", "right"):
+            values = getattr(got, name)
+            assert values.shape == getattr(want, name).shape == (12,)
+            assert np.max(np.abs(values - getattr(want, name))) < 1e-13
+            for separation, value in enumerate(values):
+                quad_value = _oracle_coefficient(beta, 0.1, splitting, separation, name == "right")
+                assert abs(value - quad_value) < 1e-12
 
     def test_default_table_node_count(self, bath_default):
         # work-count guard: the default finite-T table converges by 1024 nodes
@@ -225,18 +272,18 @@ class TestInfluenceFactors:
     def test_zero_coupling_all_ones(self, grid8, sys2):
         bath = BathSpec(SpectralDensity("ohmic_exponential", 0.0, 5.0), 5.0)
         tab = eta_table(bath, grid8, "sym_env")
-        f = influence_pair_matrix(sys2, tab.by_separation(2, "interior"))
+        f = influence_pair_matrix(sys2, tab.interior[2])
         assert liou_norm(f - 1.0) < 1e-15
 
     def test_diagonal_pairs_row_is_ones(self, tables, sys2):
-        f = influence_pair_matrix(sys2, tables["sym_env"].by_separation(1, "interior"))
+        f = influence_pair_matrix(sys2, tables["sym_env"].interior[1])
         # FB pairs (0,0) and (1,1) have ds = 0: rows identically 1
         assert liou_norm(f[0, :] - 1.0) < 1e-15
         assert liou_norm(f[3, :] - 1.0) < 1e-15
 
     def test_scalar_hand_oracle(self, tables, sys2):
-        eta = tables["sym_sys"].value(1, 0)
-        f = influence_pair_matrix(sys2, tables["sym_sys"].by_separation(1, "interior"))
+        eta = tables["sym_sys"].interior[1]
+        f = influence_pair_matrix(sys2, tables["sym_sys"].interior[1])
         # row (0,1): ds = +2; column (0,1): s+ = +1, s- = -1
         assert abs(f[1, 1] - np.exp(-2 * (eta + np.conj(eta)))) < 1e-15
 
@@ -245,13 +292,13 @@ class TestInfluenceFactors:
             return (i % 2) * 2 + i // 2
 
         for m in (1, 2, 3):
-            f = influence_pair_matrix(sys2, tables["sym_env"].by_separation(m, "interior"))
+            f = influence_pair_matrix(sys2, tables["sym_env"].interior[m])
             for a in range(4):
                 for b in range(4):
                     assert abs(f[swap(a), swap(b)] - np.conj(f[a, b])) < 1e-12
 
     def test_self_factor_magnitude_bound(self, tables, sys2):
-        w = influence_self_weights(sys2, tables["sym_env"].by_separation(0, "self"))
+        w = influence_self_weights(sys2, tables["sym_env"].interior[0])
         assert w.shape == (4,)
         assert np.max(np.abs(w)) <= 1.0 + 1e-12
         assert w[0] == w[3] == 1.0  # ds = 0 pairs carry no self weight
@@ -259,7 +306,7 @@ class TestInfluenceFactors:
     def test_separation_decay(self, tables, sys2):
         # non-increasing deviation from the unit matrix beyond m* = 1 (frozen)
         devs = [
-            liou_norm(influence_pair_matrix(sys2, tables["sym_env"].by_separation(m, "interior")) - 1.0)
+            liou_norm(influence_pair_matrix(sys2, tables["sym_env"].interior[m]) - 1.0)
             for m in range(1, 9)
         ]
         assert all(devs[i] >= devs[i + 1] for i in range(len(devs) - 1))
@@ -273,5 +320,5 @@ def test_bump_correlation_support_and_smoothness():
     grid = TimeGrid(0.05, 6, 6)
     tab = eta_table_from_correlation(corr, grid, "sym_sys")
     # support 0.2 at dt 0.05: pairs with separation >= 5 never overlap the support
-    assert tab.value(5, 0) == 0.0
-    assert abs(tab.value(4, 0)) > 0.0
+    assert tab.interior[5] == 0.0
+    assert abs(tab.interior[4]) > 0.0

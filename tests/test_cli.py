@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import ifkernels
 from ifkernels import cli, kernels
 from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
@@ -574,21 +579,22 @@ class TestCli:
         assert len(lines) == 5  # header + steps 0..3
         assert len(lines[0].split(",")) == 2 + 32
 
-    def test_oracle_maps_match_rdm_exact(self, tmp_path, sys2, tables):
+    def test_oracle_maps_match_oracle_trajectory(self, tmp_path, sys2, tables):
+        # the CLI builds its own horizon-3 table; the fixture's reaches 8
         from ifkernels.liouville import TimeGrid
-        from ifkernels.pathsum import PathSumRequest, rdm_exact
+        from ifkernels.pathsum import oracle_trajectory
 
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.splitting": "sym_sys"}))
         out = tmp_path / "out"
         assert cli_main(["oracle", "--config", str(cfg), "--out", str(out), "--steps", "3"]) == 0
         rows = (out / "oracle_maps.csv").read_text().splitlines()[1:]
-        grid = TimeGrid(0.1, 8, 8)
-        for k, row in enumerate(rows):
+        full, _, _ = oracle_trajectory(sys2, TimeGrid(0.1, 8, 8), "sym_sys", 3, eta=tables["sym_sys"])
+        assert len(rows) == 4
+        for row, want in zip(rows, [np.eye(4), *full]):
             vals = np.array([float(x) for x in row.split(",")[2:]])
             got = (vals[0::2] + 1j * vals[1::2]).reshape(4, 4)
-            req = PathSumRequest(sys2, grid, "sym_sys", "full_U", k)
-            assert liou_norm(got - rdm_exact(req, eta=tables["sym_sys"])) < 1e-12
+            assert liou_norm(got - want) < 1e-12
 
     def test_extract_rmax_zero_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -603,6 +609,28 @@ class TestCli:
         cfg.write_text(small_config() + "output.dir = cfgout\n")
         assert cli_main(["extract", "--config", str(cfg)]) == 0
         assert (tmp_path / "cfgout" / "kernels.txt").exists()
+
+    def test_numpy_only_runtime(self, tmp_path):
+        # extract and propagate with the test-only packages made unimportable
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        code = textwrap.dedent("""
+            import sys
+            for name in ("scipy", "hypothesis", "pytest", "_oracles"):
+                sys.modules[name] = None  # any import of them raises ImportError
+            from ifkernels.cli import cli_main
+            cfg, out = sys.argv[1:]
+            assert cli_main(["extract", "--config", cfg, "--out", out]) == 0
+            kernels = out + "/kernels.txt"
+            argv = ["propagate", "--config", cfg, "--kernels", kernels, "--out", out]
+            assert cli_main(argv) == 0
+        """)
+        src = os.path.dirname(os.path.dirname(ifkernels.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+                             env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 12
 
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -9,7 +9,9 @@ from ifkernels import BathSpec, SpectralDensity, SystemSpec
 from ifkernels.bath import eta_table, influence_pair_matrix, influence_self_weights
 from ifkernels.kernels import extract_kernels, propagate
 from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
-from ifkernels.pathsum import PathSumRequest, rdm_exact
+from ifkernels.pathsum import oracle_trajectory
+
+from _oracles import bath_correlation
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +33,9 @@ class TestThreeState:
         table = eta_table(bath_mild, grid, "sym_env")
         kset, _, _ = extract_kernels(sys3, grid, "sym_env", "smatpi", eta=table)
         maps = propagate(kset, 4).maps
+        full, _, _ = oracle_trajectory(sys3, grid, "sym_env", 4, eta=table)
         for n in range(1, 5):
-            exact = rdm_exact(PathSumRequest(sys3, grid, "sym_env", "full_U", n), eta=table)
-            assert liou_norm(maps[n - 1] - exact) < 1e-11
+            assert liou_norm(maps[n - 1] - full[n - 1]) < 1e-11
 
     def test_trajectory_physicality(self, sys3, bath_mild):
         grid = TimeGrid(0.1, 12, 4)
@@ -51,7 +53,7 @@ class TestThreeState:
         # pair-factor rows stay at unity
         grid = TimeGrid(0.1, 4, 4)
         table = eta_table(bath_mild, grid, "sym_env")
-        f = influence_pair_matrix(sys3, table.by_separation(1, "interior"))
+        f = influence_pair_matrix(sys3, table.interior[1])
         flat_11 = 1 * 3 + 1
         assert liou_norm(f[flat_11, :] - 1.0) < 1e-15
 
@@ -62,8 +64,8 @@ class TestZeroTemperature:
         grid = TimeGrid(0.1, 4, 4)
         table = eta_table(bath, grid, "asym")
         # self coefficient has positive real part at T = 0
-        assert table.by_separation(0, "self").real > 0
-        w0 = influence_self_weights(sys2, table.by_separation(0, "self"))
+        assert table.interior[0].real > 0
+        w0 = influence_self_weights(sys2, table.interior[0])
         assert np.max(np.abs(w0)) <= 1.0 + 1e-12
         kset, seed, _ = extract_kernels(sys2, grid, "asym", "ttm", eta=table)
         rebuilt = propagate(kset, 4).maps
@@ -71,8 +73,6 @@ class TestZeroTemperature:
 
     def test_correlation_decays(self):
         bath = BathSpec(SpectralDensity("ohmic_exponential", 0.1, 5.0), math.inf)
-        from ifkernels.bath import bath_correlation
-
         assert abs(bath_correlation(bath, 5.0)) < abs(bath_correlation(bath, 0.5)) < abs(
             bath_correlation(bath, 0.0)
         )

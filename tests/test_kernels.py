@@ -31,7 +31,7 @@ from ifkernels.kernels import (
     solve_termination,
 )
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
-from ifkernels.pathsum import PathSumRequest, rdm_exact
+from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import convolution_reference
 
@@ -180,7 +180,7 @@ class TestDress:
         grid = TimeGrid(0.1, 8, 8)
         kset, seed, aux_seed = extract_kernels(sys2, TimeGrid(0.1, 8, 4), "sym_sys", "smatpi", eta=tables["sym_sys"])
         gh = fb_propagator(sys2, 0.05)
-        u4 = rdm_exact(PathSumRequest(sys2, grid, "sym_sys", "full_U", 4), eta=tables["sym_sys"])
+        u4 = oracle_trajectory(sys2, grid, "sym_sys", 4, eta=tables["sym_sys"])[0][3]
         assert liou_norm(gh @ aux_seed.maps[2] @ gh - u4) < 1e-12
 
 
@@ -212,9 +212,9 @@ class TestOneStepMemory:
         kset, seed, aux_seed = extract_kernels(sys2, grid2, "sym_env", "smatpi", eta=tab1)
         traj = propagate(kset, 6)
         big = TimeGrid(0.1, 8, 8)
+        full, _, _ = oracle_trajectory(sys2, big, "sym_env", 6, eta=tab1)
         for n in range(3, 7):
-            u = rdm_exact(PathSumRequest(sys2, big, "sym_env", "full_U", n), eta=tab1)
-            assert liou_norm(traj.maps[n - 1] - u) < 1e-12
+            assert liou_norm(traj.maps[n - 1] - full[n - 1]) < 1e-12
 
 
 class TestAsymCoincidence:
@@ -244,6 +244,12 @@ class TestAsymCoincidence:
     def test_wrong_splitting_rejected(self, sys2, tables):
         with pytest.raises(SplittingMismatchError, match="splitting_mismatch"):
             closed_form_asym(sys2, tables["sym_env"], 1)
+
+
+@pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
+def test_extract_rejects_table_of_another_dt(flavor, sys2, tables):
+    with pytest.raises(ValidationError, match="differs from grid dt"):
+        extract_kernels(sys2, TimeGrid(0.3, 4, 3), "sym_env", flavor, eta=tables["sym_env"])
 
 
 class TestTrajectorySeq:

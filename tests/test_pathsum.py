@@ -6,13 +6,7 @@ from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
 from ifkernels.bath import bump_correlation, eta_table, eta_table_from_correlation
 from ifkernels.errors import PathSumBudgetError, ValidationError
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
-from ifkernels.pathsum import (
-    PathSumRequest,
-    aux_rdm_exact,
-    config_count,
-    oracle_trajectory,
-    rdm_exact,
-)
+from ifkernels.pathsum import config_count, oracle_trajectory
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -25,14 +19,37 @@ class TestBudget:
 
     def test_budget_enforced_before_enumeration(self, sys2, bath_default):
         grid = TimeGrid(0.1, 20, 6)
-        req = PathSumRequest(sys2, grid, "sym_env", "full_U", 16, bath_default)
+        tab = eta_table(bath_default, grid, "sym_env")
         with pytest.raises(PathSumBudgetError, match="pathsum_budget"):
-            rdm_exact(req)
+            oracle_trajectory(sys2, grid, "sym_env", 16, eta=tab)
 
     def test_steps_bounded_by_grid(self, sys2, bath_default):
         grid = TimeGrid(0.1, 4, 4)
-        with pytest.raises(ValidationError):
-            PathSumRequest(sys2, grid, "sym_env", "full_U", 5, bath_default)
+        tab = eta_table(bath_default, TimeGrid(0.1, 8, 8), "sym_env")
+        for steps in (-1, 5):
+            with pytest.raises(ValidationError, match="outside 0..grid.n_steps"):
+                oracle_trajectory(sys2, grid, "sym_env", steps, eta=tab)
+
+
+class TestInputChecks:
+    def test_table_of_another_splitting(self, sys2, tables):
+        grid = TimeGrid(0.1, 8, 8)
+        with pytest.raises(ValidationError, match="eta table is for 'sym_sys'"):
+            oracle_trajectory(sys2, grid, "sym_env", 3, eta=tables["sym_sys"])
+
+    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
+    def test_table_of_another_dt(self, splitting, sys2, bath_default):
+        tab = eta_table(bath_default, TimeGrid(0.1, 4, 4), splitting)
+        with pytest.raises(ValidationError, match="differs from grid dt"):
+            oracle_trajectory(sys2, TimeGrid(0.3, 4, 4), splitting, 3, eta=tab)
+        near = TimeGrid(0.1 + 1e-16, 4, 4)  # within the 1e-15 dt test
+        assert near.dt != 0.1
+        oracle_trajectory(sys2, near, splitting, 1, eta=tab)
+
+    def test_zero_steps(self, sys2, tables):
+        full, aux0, aux = oracle_trajectory(sys2, TimeGrid(0.1, 8, 8), "sym_env", 0,
+                                            eta=tables["sym_env"])
+        assert full.shape == aux.shape == (0, 4, 4) and aux0.shape == (4, 4)
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +63,16 @@ class TestZeroCoupling:
         grid = TimeGrid(0.1, 4, 4)
         g1 = fb_propagator(sys2, 0.1)
         tab = eta_table(bath0, grid, splitting)
+        full, _, _ = oracle_trajectory(sys2, grid, splitting, 4, eta=tab)
         for n in range(1, 5):
-            u = rdm_exact(PathSumRequest(sys2, grid, splitting, "full_U", n, bath0), eta=tab)
-            assert liou_norm(u - np.linalg.matrix_power(g1, n)) < 1e-13
+            assert liou_norm(full[n - 1] - np.linalg.matrix_power(g1, n)) < 1e-13
 
     def test_aux_is_free_propagation(self, sys2, bath0):
         grid = TimeGrid(0.1, 4, 4)
         g1 = fb_propagator(sys2, 0.1)
         tab = eta_table(bath0, grid, "sym_sys")
-        for k in range(0, 4):
-            a = aux_rdm_exact(PathSumRequest(sys2, grid, "sym_sys", "aux_U", k, bath0), eta=tab)
+        _, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 3, eta=tab)
+        for k, a in enumerate([aux0, *aux]):
             assert liou_norm(a - np.linalg.matrix_power(g1, k)) < 1e-13
 
 
@@ -65,62 +82,50 @@ class TestStructure:
         sys0 = SystemSpec(np.zeros((2, 2), dtype=complex), (1.0, -1.0))
         grid = TimeGrid(0.1, 4, 4)
         tab = eta_table(bath_default, grid, "sym_sys")
-        u3 = rdm_exact(PathSumRequest(sys0, grid, "sym_sys", "full_U", 3, bath_default), eta=tab)
+        u3 = oracle_trajectory(sys0, grid, "sym_sys", 3, eta=tab)[0][2]
         assert liou_norm(u3 - np.diag(np.diag(u3))) < 1e-14
         assert abs(u3[0, 0] - 1.0) < 1e-14
         assert abs(u3[3, 3] - 1.0) < 1e-14
-        total = sum(tab.value(k, kp) for k in range(3) for kp in range(k + 1))
+        total = sum(tab.interior[k - kp] for k in range(3) for kp in range(k + 1))
         pred = np.exp(-2.0 * (total + np.conj(total)))
         assert abs(u3[1, 1] - pred) < 1e-13
 
     def test_first_step_sym_env(self, sys2, tables):
         # U_1 equals the standalone termination start (no interior sum at N = 1)
         grid = TimeGrid(0.1, 8, 8)
-        u1 = rdm_exact(
-            PathSumRequest(sys2, grid, "sym_env", "full_U", 1), eta=tables["sym_env"]
-        )
+        (u1,), _, (aux1,) = oracle_trajectory(sys2, grid, "sym_env", 1, eta=tables["sym_env"])
         from ifkernels.kernels import TrajectorySeq, solve_termination
 
-        aux1 = aux_rdm_exact(
-            PathSumRequest(sys2, grid, "sym_env", "aux_U", 1), eta=tables["sym_env"]
-        )
         terms = solve_termination(TrajectorySeq(0.1, (u1,)), [aux1])
         assert liou_norm(terms[0] - u1) == 0.0
 
     def test_sym_sys_dressing_identity(self, sys2, tables):
         grid = TimeGrid(0.1, 8, 8)
         g_half = fb_propagator(sys2, 0.05)
+        full, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 6, eta=tables["sym_sys"])
         for n in range(1, 7):
-            u = rdm_exact(
-                PathSumRequest(sys2, grid, "sym_sys", "full_U", n), eta=tables["sym_sys"]
-            )
-            a = aux_rdm_exact(
-                PathSumRequest(sys2, grid, "sym_sys", "aux_U", n - 1), eta=tables["sym_sys"]
-            )
-            assert liou_norm(g_half @ a @ g_half - u) < 1e-12
+            a = aux0 if n == 1 else aux[n - 2]
+            assert liou_norm(g_half @ a @ g_half - full[n - 1]) < 1e-12
 
     def test_sym_env_aux_differs_from_full(self, sys2, tables):
         # endpoint effects are present: the all-interior auxiliary is not the map
         grid = TimeGrid(0.1, 8, 8)
-        u2 = rdm_exact(PathSumRequest(sys2, grid, "sym_env", "full_U", 2), eta=tables["sym_env"])
-        a2 = aux_rdm_exact(
-            PathSumRequest(sys2, grid, "sym_env", "aux_U", 2), eta=tables["sym_env"]
-        )
-        assert liou_norm(u2 - a2) > 1e-6
+        full, _, aux = oracle_trajectory(sys2, grid, "sym_env", 2, eta=tables["sym_env"])
+        assert liou_norm(full[1] - aux[1]) > 1e-6
 
     def test_asym_aux_equals_full(self, sys2, tables):
         grid = TimeGrid(0.1, 8, 8)
+        full, aux0, aux = oracle_trajectory(sys2, grid, "asym", 4, eta=tables["asym"])
+        assert np.array_equal(aux0, np.eye(4))
         for n in range(1, 5):
-            u = rdm_exact(PathSumRequest(sys2, grid, "asym", "full_U", n), eta=tables["asym"])
-            a = aux_rdm_exact(PathSumRequest(sys2, grid, "asym", "aux_U", n), eta=tables["asym"])
-            assert liou_norm(u - a) == 0.0
+            assert liou_norm(full[n - 1] - aux[n - 1]) == 0.0
 
     def test_asym_first_step_closed_form(self, sys2, tables):
         from ifkernels.bath import influence_self_weights
 
         grid = TimeGrid(0.1, 8, 8)
-        u1 = rdm_exact(PathSumRequest(sys2, grid, "asym", "full_U", 1), eta=tables["asym"])
-        i0 = influence_self_weights(sys2, tables["asym"].by_separation(0, "self"))
+        u1 = oracle_trajectory(sys2, grid, "asym", 1, eta=tables["asym"])[0][0]
+        i0 = influence_self_weights(sys2, tables["asym"].interior[0])
         g1 = fb_propagator(sys2, 0.1)
         assert liou_norm(u1 - i0[:, None] * g1) < 1e-15
 
@@ -131,8 +136,8 @@ class TestInvariants:
         grid = TimeGrid(0.1, 8, 8)
         trace_row = np.zeros(4)
         trace_row[[0, 3]] = 1.0
-        for n in range(1, 6):
-            u = rdm_exact(PathSumRequest(sys2, grid, splitting, "full_U", n), eta=tables[splitting])
+        full, _, _ = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
+        for u in full:
             got = trace_row @ u
             assert liou_norm(got - trace_row) < 1e-8
 
@@ -142,7 +147,7 @@ class TestInvariants:
             return (i % 2) * 2 + i // 2
 
         grid = TimeGrid(0.1, 8, 8)
-        u = rdm_exact(PathSumRequest(sys2, grid, splitting, "full_U", 4), eta=tables[splitting])
+        u = oracle_trajectory(sys2, grid, splitting, 4, eta=tables[splitting])[0][3]
         for a in range(4):
             for b in range(4):
                 assert abs(u[swap(a), swap(b)] - np.conj(u[a, b])) < 1e-12
@@ -159,8 +164,8 @@ class TestInvariants:
             grid = TimeGrid(dt, n, n)
             tab_env = eta_table_from_correlation(corr, grid, "sym_env")
             tab_sys = eta_table_from_correlation(corr, grid, "sym_sys")
-            u_env = rdm_exact(PathSumRequest(sys2, grid, "sym_env", "full_U", n), eta=tab_env)
-            u_sys = rdm_exact(PathSumRequest(sys2, grid, "sym_sys", "full_U", n), eta=tab_sys)
+            u_env = oracle_trajectory(sys2, grid, "sym_env", n, eta=tab_env)[0][-1]
+            u_sys = oracle_trajectory(sys2, grid, "sym_sys", n, eta=tab_sys)[0][-1]
             diffs.append(liou_norm(u_env - u_sys))
         assert diffs[0] > diffs[1] > diffs[2]
         assert 1.5 < diffs[0] / diffs[1] < 3.0
@@ -186,7 +191,7 @@ def sys3():
 
 
 class TestPathByPathReference:
-    """rdm_exact, aux_rdm_exact and oracle_trajectory against one-path-at-a-time sums."""
+    """oracle_trajectory against one-path-at-a-time sums."""
 
     @pytest.mark.parametrize("splitting", SPLITTINGS)
     @pytest.mark.parametrize("system, horizon", [("sys2", 5), ("sys3", 3)])
@@ -199,9 +204,10 @@ class TestPathByPathReference:
         for n in range(1, horizon + 1):
             ref_u = path_sum_reference(sys_, 0.1, tab, n)
             ref_a = path_sum_reference(sys_, 0.1, tab, n, measured_end=False)
-            u = rdm_exact(PathSumRequest(sys_, grid, splitting, "full_U", n), eta=tab)
-            a = aux_rdm_exact(PathSumRequest(sys_, grid, splitting, "aux_U", n), eta=tab)
-            for got, ref in ((u, ref_u), (full[n - 1], ref_u), (a, ref_a), (aux[n - 1], ref_a)):
+            # a trajectory cut at n sums the same maps as the full one
+            short_full, _, short_aux = oracle_trajectory(sys_, grid, splitting, n, eta=tab)
+            for got, ref in ((short_full[-1], ref_u), (full[n - 1], ref_u),
+                             (short_aux[-1], ref_a), (aux[n - 1], ref_a)):
                 assert np.max(np.abs(got - ref)) < 1e-13
 
 
