@@ -13,7 +13,7 @@ import numpy as np
 
 from ifkernels import BathSpec, SpectralDensity, SystemSpec
 from ifkernels.bath import eta_table
-from ifkernels.kernels import KernelSet, TrajectorySeq, compare, extract_ttm, solve_midpoint, solve_termination
+from ifkernels.kernels import KernelSet, compare, extract_ttm, solve_midpoint, solve_termination
 from ifkernels.liouville import TimeGrid
 from ifkernels.pathsum import oracle_trajectory
 
@@ -36,14 +36,12 @@ def main():
     table = eta_table(bath, grid, "sym_env")
 
     full, aux0, aux = oracle_trajectory(sys_, grid, "sym_env", args.rmax, eta=table)
-    seq = TrajectorySeq(args.dt, tuple(full))
-    mids = solve_midpoint(aux, aux0)
-    terms = solve_termination(seq, aux, aux0)
     smatpi = KernelSet(
-        "sym_env", args.dt, args.rmax, tuple(mids), tuple(terms), "smatpi",
+        "sym_env", args.dt, args.rmax, solve_midpoint(aux, aux0),
+        solve_termination(full, aux, aux0), "smatpi",
         aux_zero_convention="terminal_times_I0", aux0=aux0,
     )
-    ttm = KernelSet("sym_env", args.dt, args.rmax, tuple(extract_ttm(seq)), None, "ttm")
+    ttm = KernelSet("sym_env", args.dt, args.rmax, extract_ttm(full), None, "ttm")
     report = compare(smatpi, ttm, threshold=args.threshold)
 
     print(f"{'k':>3} {'|M_k|/|M_1|':>14} {'|T_k|/|T_1|':>14} {'ttm rel':>14}")

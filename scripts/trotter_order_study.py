@@ -32,7 +32,7 @@ def final_map(sys_, corr, support, splitting, dt, t_total):
     table = eta_table_from_correlation(corr, TimeGrid(dt, r, r), splitting)
     kset, _, _ = extract_kernels(sys_, grid, splitting, "smatpi", eta=table)
     g_half = fb_propagator(sys_, dt / 2) if splitting == "sym_sys" else None
-    return propagate(kset, n, g_half=g_half).maps[-1]
+    return propagate(kset, n, g_half=g_half)[-1]
 
 
 def main():

@@ -24,7 +24,6 @@ from .kernel_io import load_kernels, save_kernels
 from .kernels import (
     ComparisonReport,
     KernelSet,
-    TrajectorySeq,
     closed_form_asym,
     compare,
     extract_kernels,

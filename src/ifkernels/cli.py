@@ -32,8 +32,8 @@ from .combinatorics import catalan, enumerate_dyck
 from .config import RunConfig, default_config_text, load_config
 from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
-from .kernels import compare, extract_kernels, gqme_kernel, liou_norm, propagate_blocks
-from .liouville import TimeGrid, apply_map, fb_propagator
+from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
+from .liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from .pathsum import oracle_trajectory
 
 
@@ -106,8 +106,8 @@ def _cmd_oracle(args) -> int:
     args.out = _out_dir(args, cfg)
     steps = args.steps if args.steps is not None else cfg.grid.r_max
     grid = cfg.grid
-    if steps > grid.n_steps:
-        raise ValidationError(f"--steps {steps} exceeds grid.n_steps {grid.n_steps}")
+    if not 1 <= steps <= grid.n_steps:
+        raise ValidationError(f"--steps {steps} is outside 1..grid.n_steps = {grid.n_steps}")
     budget = args.budget if args.budget is not None else cfg.pathsum_budget
     table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting,
                       rtol=cfg.quadrature_rtol)
@@ -158,18 +158,16 @@ def _cmd_extract(args) -> int:
     save_kernels(kset, kpath, metadata=metadata)
 
     rows = []
-    for k in range(1, len(kset.midpoint) + 1):
-        norm_m = _fmt(liou_norm(kset.midpoint[k - 1]))
+    for k, mat in enumerate(kset.midpoint, start=1):
         norm_t = "" if kset.termination is None else _fmt(liou_norm(kset.termination[k - 1]))
-        rows.append([str(k), norm_m, norm_t])
+        rows.append([str(k), _fmt(liou_norm(mat)), norm_t])
     npath = os.path.join(args.out, "kernel_norms.csv")
     _write_csv(npath, ["k", "norm_M", "norm_T"], rows)
 
-    if flavor == "ttm" and len(kset.midpoint) >= 2:
-        kern = gqme_kernel(list(kset.midpoint), kset.dt)
+    if flavor == "ttm" and kset.r_max >= 2:
         grows = [
-            [str(k), _fmt(liou_norm(kern[k - 1])), "same_formula_unverified" if k == 1 else ""]
-            for k in range(1, len(kern) + 1)
+            [str(k), _fmt(liou_norm(mat)), "same_formula_unverified" if k == 1 else ""]
+            for k, mat in enumerate(gqme_kernel(kset.midpoint, kset.dt), start=1)
         ]
         _write_csv(
             os.path.join(args.out, "gqme_kernel_norms.csv"), ["k", "norm_K", "note"], grows

@@ -129,10 +129,10 @@ def term_census(k: int, budget: int = EXPAND_MAX):
 def numeric_check(terms, seq) -> np.ndarray:
     """Evaluate a signed symbolic expansion on a concrete trajectory.
 
-    ``seq`` provides the maps U_1..U_N (a TrajectorySeq or plain list); every
-    index appearing in ``terms`` must be covered.
+    ``seq`` holds the maps U_1..U_N, a (N, d, d) array or a list of (d, d)
+    matrices; every index appearing in ``terms`` must be covered.
     """
-    maps = list(seq.maps) if hasattr(seq, "maps") else [np.asarray(m) for m in seq]
+    maps = [np.asarray(m) for m in seq]
     if not maps:
         raise SeqShortError("seq_short: empty trajectory")
     need = max(max(t.factors) for t in terms)

@@ -127,33 +127,31 @@ def load_kernels(path) -> KernelSet:
         dim = int(header["dim"])
     except (KeyError, ValueError):
         raise ParseError("parse: missing or bad header field") from None
+    if dim < 1:
+        raise ParseError(f"parse: dim {dim} must be >= 1")
 
     def build(block):
-        mats = []
-        for k in range(1, max(block) + 1):
+        """The block's matrices 1..K as one (K, dim, dim) array."""
+        for k in range(1, len(block) + 1):  # sized from the file before allocating
             if k not in block:
                 raise ParseError(f"parse: missing matrix index {k}")
-            entries = block[k]
-            m = np.zeros((dim, dim), dtype=complex)
-            if len(entries) != dim * dim:
-                raise ParseError(f"parse: matrix {k} has {len(entries)} of {dim * dim} entries")
+            if len(block[k]) != dim * dim:
+                raise ParseError(f"parse: matrix {k} has {len(block[k])} of {dim * dim} entries")
+        mats = np.zeros((len(block), dim, dim), dtype=complex)
+        for k, entries in block.items():
             for (row, col), v in entries.items():
                 if not (0 <= row < dim and 0 <= col < dim):
                     raise ParseError(f"parse: entry ({row},{col}) out of range for dim {dim}")
-                m[row, col] = v
-            mats.append(m)
+                mats[k - 1, row, col] = v
         return mats
 
     if "midpoint" not in blocks or not blocks["midpoint"]:
         raise ParseError("parse: no midpoint matrices")
-    midpoint = tuple(build(blocks["midpoint"]))
-    termination = tuple(build(blocks["termination"])) if "termination" in blocks else None
-    aux0 = None
-    if "aux0" in blocks:
-        aux0s = build(blocks["aux0"])
-        if len(aux0s) != 1:
-            raise ParseError(f"parse: aux0 block holds {len(aux0s)} matrices, expected 1")
-        aux0 = aux0s[0]
+    midpoint = build(blocks["midpoint"])
+    termination = build(blocks["termination"]) if "termination" in blocks else None
+    aux0 = build(blocks["aux0"]) if "aux0" in blocks else None
+    if aux0 is not None and len(aux0) != 1:
+        raise ParseError(f"parse: aux0 block holds {len(aux0)} matrices, expected 1")
 
     try:
         return KernelSet(
@@ -164,7 +162,7 @@ def load_kernels(path) -> KernelSet:
             termination,
             flavor,
             aux_zero_convention=header.get("aux_zero_convention"),
-            aux0=aux0,
+            aux0=None if aux0 is None else aux0[0],
         )
     except ValidationError as exc:
         raise ParseError(f"parse: inconsistent kernel file ({exc})") from None

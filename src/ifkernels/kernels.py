@@ -5,10 +5,12 @@ Every hierarchy here is one truncated discrete convolution,
 
     X_n = sum_{r=1}^{min(n-1, R)} A_r . B_{n-r}  +  [n <= R] A_n . tail,
 
-over stacked (k, d, d) arrays.  Extraction solves it for the kernels A from
-known maps (``_inverse``); propagation runs it forward from the kernels
-(``propagate_blocks``).  The hierarchies differ only in what A, B and the
-tail are:
+over stacked (k, d, d) arrays, the one form of every matrix sequence here:
+the solvers and ``propagate`` return them, and a KernelSet stores its sets
+as read-only stacks.  Extraction solves the convolution for the kernels A
+from known maps (``_inverse``); propagation runs it forward from the
+kernels (``propagate_blocks``).  The hierarchies differ only in what A, B
+and the tail are:
 
 * The small-matrix path-integral (SMatPI-style) split: translationally
   invariant midpoint matrices M_k propagate the auxiliary sequence
@@ -61,7 +63,7 @@ from .errors import (
     SplittingMismatchError,
     ValidationError,
 )
-from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator, liou_norm
+from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
 
 AUX0_CONVENTIONS = ("standalone_terminal", "terminal_times_I0")
 COND_LIMIT = 1e12
@@ -70,56 +72,33 @@ COND_LIMIT = 1e12
 CHUNK = 256
 
 
-@dataclass(frozen=True)
-class TrajectorySeq:
-    """Maps U_1..U_N on a uniform grid (U_0 = identity implicit).
-
-    ``maps`` is one read-only contiguous (N, d, d) complex array; a
-    sequence of equal-shape matrices is stacked into one on construction.
-    """
-
-    dt: float
-    maps: np.ndarray
-
-    def __post_init__(self):
-        try:
-            maps = np.ascontiguousarray(self.maps, dtype=complex)
-        except ValueError:
-            raise DimMismatchError("dim_mismatch: trajectory maps differ in shape") from None
-        if maps.shape == (0,):  # an empty sequence
-            maps = maps.reshape(0, 0, 0)
-        if maps.ndim != 3 or maps.shape[1] != maps.shape[2]:
-            raise DimMismatchError(f"dim_mismatch: trajectory maps have shape {maps.shape}")
-        maps = maps.view()  # read-only without freezing the caller's array
-        maps.flags.writeable = False
-        object.__setattr__(self, "maps", maps)
-
-    def __len__(self):
-        return len(self.maps)
-
-    @property
-    def dim(self):
-        return self.maps.shape[1]
+def _stack(mats, what: str) -> np.ndarray:
+    """Equal-shape matrices as one C-contiguous complex array (a copy)."""
+    try:
+        return np.array(mats, dtype=complex, order="C")
+    except ValueError:
+        raise DimMismatchError(f"dim_mismatch: {what} matrices differ in shape") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSet:
     """An extracted kernel hierarchy with its splitting, step, and flavor.
 
-    For flavor "ttm" the single matrix set lives in ``midpoint`` and
-    ``termination`` is None.  ``aux0`` is the index-0 auxiliary matrix: the
-    tail factor of the terminal_times_I0 convention, and for smatpi sym_sys
-    (either convention) the inner factor of U_1 = G_half aux_0 G_half.
-    Each stored set holds exactly r_max finite (dim, dim) matrices, and a
-    set carries everything ``propagate`` needs: termination matrices for
-    smatpi sym_env/asym, aux0 where the convention or the dressing uses it.
+    ``midpoint`` and ``termination`` are read-only (r_max, dim, dim) complex
+    stacks, copied on construction; for flavor "ttm" the single matrix set
+    lives in ``midpoint`` and ``termination`` is None.  ``aux0`` is the
+    read-only (dim, dim) index-0 auxiliary matrix: the tail factor of the
+    terminal_times_I0 convention, and for smatpi sym_sys (either
+    convention) the inner factor of U_1 = G_half aux_0 G_half.  A set
+    carries everything ``propagate`` needs: termination matrices for smatpi
+    sym_env/asym, aux0 where the convention or the dressing uses it.
     """
 
     splitting: str
     dt: float
     r_max: int
-    midpoint: tuple
-    termination: tuple | None
+    midpoint: np.ndarray
+    termination: np.ndarray | None
     flavor: str
     aux_zero_convention: str | None = None
     aux0: np.ndarray | None = None
@@ -129,6 +108,8 @@ class KernelSet:
             raise ValidationError(f"unknown splitting {self.splitting!r}")
         if self.r_max < 1:
             raise ValidationError("r_max must be >= 1")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.flavor not in ("smatpi", "ttm"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "ttm" and self.termination is not None:
@@ -138,29 +119,26 @@ class KernelSet:
             raise ValidationError(f"smatpi {self.splitting} kernels need termination matrices")
         if self.aux0 is None and (dressed or self.aux_zero_convention == "terminal_times_I0"):
             raise ValidationError("aux0 matrix missing: terminal_times_I0 and sym_sys need it")
-        mids = tuple(np.asarray(m, dtype=complex) for m in self.midpoint)
-        object.__setattr__(self, "midpoint", mids)
-        sets = {"midpoint": mids}
-        if self.termination is not None:
-            terms = tuple(np.asarray(m, dtype=complex) for m in self.termination)
-            object.__setattr__(self, "termination", terms)
-            sets["termination"] = terms
-        if self.aux0 is not None:
-            sets["aux0"] = (np.asarray(self.aux0),)
-        d = self.dim
-        for name, mats in sets.items():
-            if name != "aux0" and len(mats) != self.r_max:
-                raise ValidationError(f"r_max {self.r_max} but {len(mats)} {name} matrices")
-            for m in mats:
-                if m.shape != (d, d):
-                    raise DimMismatchError(f"dim_mismatch: {name} shape {m.shape}, expected {(d, d)}")
-                check_finite(m, f"{name} matrix")
+        d = None
+        for name in ("midpoint", "termination", "aux0"):
+            mats = getattr(self, name)
+            if mats is None:
+                continue
+            stack = _stack([mats] if name == "aux0" else mats, name)
+            if len(stack) != self.r_max and name != "aux0":
+                raise ValidationError(f"r_max {self.r_max} but {len(stack)} {name} matrices")
+            d = stack.shape[-1] if d is None else d  # midpoint comes first
+            if stack.shape[1:] != (d, d):
+                raise DimMismatchError(f"dim_mismatch: {name} shape {stack.shape[1:]}, expected {(d, d)}")
+            check_finite(stack, f"{name} matrix")
+            stack.flags.writeable = False
+            object.__setattr__(self, name, stack[0] if name == "aux0" else stack)
         if self.aux_zero_convention is not None and self.aux_zero_convention not in AUX0_CONVENTIONS:
             raise ValidationError(f"unknown aux_zero_convention {self.aux_zero_convention!r}")
 
     @property
     def dim(self):
-        return self.midpoint[0].shape[0] if self.midpoint else 0
+        return self.midpoint.shape[1]
 
 
 def _right_solve(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -177,12 +155,12 @@ def _inverse(y, b=None, tail=None) -> np.ndarray:
     ``tail=None`` is the identity, otherwise each X_n comes from a guarded
     right solve against it.  Returns a (L, d, d) array.
     """
-    y = np.asarray(y, dtype=complex)
+    y = _stack(y, "input")
     if y.ndim != 3 or not len(y):
         raise ValidationError("need a non-empty sequence of square matrices")
     length, d = y.shape[0], y.shape[1]
     # B_{L-1}..B_1, newest first, so each residual is one contiguous product
-    hist = np.ascontiguousarray(np.asarray(y if b is None else b, dtype=complex)[: length - 1][::-1])
+    hist = np.ascontiguousarray((y if b is None else _stack(b, "auxiliary"))[: length - 1][::-1])
     if len(hist) < length - 1:
         raise ValidationError("auxiliary sequence too short for the solve")
     wide = np.empty((d, length * d), dtype=complex)  # [X_1 | X_2 | ... | X_L]
@@ -192,23 +170,19 @@ def _inverse(y, b=None, tail=None) -> np.ndarray:
     return wide.reshape(d, length, d).transpose(1, 0, 2)
 
 
-def _maps(full):
-    return full.maps if isinstance(full, TrajectorySeq) else full
-
-
 def solve_midpoint(aux, aux0: np.ndarray | None = None):
     """Midpoint matrices M_1..M_L from aux_k = sum_{r<k} M_r aux_{k-r} + M_k aux0."""
-    return list(check_finite(_inverse(aux, tail=aux0), "midpoint matrix"))
+    return check_finite(_inverse(aux, tail=aux0), "midpoint matrix")
 
 
 def solve_termination(full, aux, aux0: np.ndarray | None = None):
     """Termination matrices T_1..T_N from U_N = sum_{r<N} T_r aux_{N-r} + T_N aux0."""
-    return list(check_finite(_inverse(_maps(full), b=aux, tail=aux0), "termination matrix"))
+    return check_finite(_inverse(full, b=aux, tail=aux0), "termination matrix")
 
 
 def extract_ttm(full):
     """Transfer-tensor matrices T^C_1..T^C_N from U_N = sum_{r<N} T^C_r U_{N-r} + T^C_N."""
-    return list(check_finite(_inverse(_maps(full)), "transfer tensor"))
+    return check_finite(_inverse(full), "transfer tensor")
 
 
 def gqme_kernel(ttm, dt: float):
@@ -218,10 +192,10 @@ def gqme_kernel(ttm, dt: float):
     the same formula as the rest but is conventionally less trustworthy;
     reports emitted by the CLI flag it.
     """
-    mats = [np.asarray(t, dtype=complex) for t in ttm]
+    mats = _stack(ttm, "transfer")
     if len(mats) < 2:
         raise ValidationError("need at least two transfer matrices for a kernel")
-    return [m / dt**2 for m in mats[1:]]
+    return mats[1:] / dt**2
 
 
 def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> LiouvilleMatrix:
@@ -332,14 +306,14 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     return _blocks(rows, state, horizon, g_half, g_half @ kernels.aux0 @ g_half)
 
 
-def propagate(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None) -> TrajectorySeq:
-    """Maps U_1..U_horizon from a kernel set alone (see ``propagate_blocks``)."""
+def propagate(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None) -> np.ndarray:
+    """Maps U_1..U_horizon as one (horizon, d, d) array (see ``propagate_blocks``)."""
     maps = np.empty((max(horizon, 0), kernels.dim, kernels.dim), dtype=complex)
     start = 0
     for block in propagate_blocks(kernels, horizon, g_half):
         maps[start : start + len(block)] = block
         start += len(block)
-    return TrajectorySeq(kernels.dt, maps)
+    return maps
 
 
 @dataclass(frozen=True)
@@ -369,24 +343,20 @@ class ComparisonReport:
 
 
 def _first_below(norms, threshold):
-    if not norms or norms[0] is None:
-        return None
-    ref = norms[0]
-    if ref == 0.0:
-        return None
-    for k, v in enumerate(norms, start=1):
-        if v is not None and v < threshold * ref:
-            return k
-    return None
+    """First k whose norm is below ``threshold`` times the k = 1 norm, else None."""
+    below = (k for k, v in enumerate(norms, 1) if v is not None and v < threshold * norms[0])
+    return next(below, None)
 
 
 def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> ComparisonReport:
     """Tabulate per-k norms of two kernel sets and their normwise difference.
 
-    ``threshold`` is relative to each set's own k = 1 propagation-matrix
-    norm; the report records the first index falling below it for each set.
-    The sets must share a splitting; their flavors may differ.
+    ``threshold`` (finite, > 0) is relative to each set's own k = 1
+    midpoint norm; the report records the first index below it for each
+    set.  The sets must share a splitting; their flavors may differ.
     """
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValidationError(f"threshold must be finite and > 0, got {threshold!r}")
     if set_a.splitting != set_b.splitting:
         raise SplittingMismatchError(
             f"splitting_mismatch: kernel sets are {set_a.splitting!r} and {set_b.splitting!r}"
@@ -395,28 +365,22 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
         raise ValidationError("kernel sets differ in dt")
     if set_a.dim != set_b.dim:
         raise DimMismatchError("dim_mismatch: kernel sets differ in dimension")
-    la, lb = len(set_a.midpoint), len(set_b.midpoint)
-    ks = tuple(range(1, max(la, lb) + 1))
+    ks = tuple(range(1, max(set_a.r_max, set_b.r_max) + 1))
 
-    def norm_list(mats, length):
-        return tuple(liou_norm(mats[k]) if k < len(mats) else None for k in range(length))
+    def norms(stack):  # liou_norm of each matrix, None past the end
+        vals = [] if stack is None else np.abs(stack).max(axis=(1, 2)).tolist()
+        return tuple(vals + [None] * (len(ks) - len(vals)))
 
-    norms_a = norm_list(set_a.midpoint, len(ks))
-    norms_b = norm_list(set_b.midpoint, len(ks))
-    term_a = norm_list(set_a.termination or (), len(ks))
-    term_b = norm_list(set_b.termination or (), len(ks))
-    diffs = tuple(
-        liou_norm(set_a.midpoint[k] - set_b.midpoint[k]) if k < min(la, lb) else None
-        for k in range(len(ks))
-    )
+    common = min(set_a.r_max, set_b.r_max)
+    norms_a, norms_b = norms(set_a.midpoint), norms(set_b.midpoint)
     return ComparisonReport(
         threshold,
         ks,
         norms_a,
         norms_b,
-        term_a,
-        term_b,
-        diffs,
+        norms(set_a.termination),
+        norms(set_b.termination),
+        norms(set_a.midpoint[:common] - set_b.midpoint[:common]),
         _first_below(norms_a, threshold),
         _first_below(norms_b, threshold),
     )
@@ -449,7 +413,7 @@ def extract_kernels(
 ):
     """Sum the path-sum oracle for r_max steps and extract a kernel set.
 
-    Returns (kernel_set, maps, aux_maps): the set and the oracle sequences
+    Returns (kernel_set, full, aux): the set and the (R, d, d) oracle maps
     U_1..U_R and aux_1..aux_R it was solved from.  ``aux_zero_convention``
     overrides the shipped default only for sym_sys; the other splittings
     are fixed.  sym_sys sets keep aux_0 under either convention, because
@@ -459,28 +423,22 @@ def extract_kernels(
 
     budget = DEFAULT_BUDGET if budget is None else budget
     full, aux0, aux = oracle_trajectory(sys, grid, splitting, grid.r_max, eta=eta, budget=budget)
-    maps = TrajectorySeq(grid.dt, full)
-    aux_maps = TrajectorySeq(grid.dt, aux)
-
     if flavor == "ttm":
-        tensors = extract_ttm(full)
-        kset = KernelSet(splitting, grid.dt, grid.r_max, tuple(tensors), None, "ttm")
-        return kset, maps, aux_maps
+        return KernelSet(splitting, grid.dt, grid.r_max, extract_ttm(full), None, "ttm"), full, aux
 
     convention = SMATPI_CONVENTION[splitting]
     if splitting == "sym_sys" and aux_zero_convention is not None:
         convention = aux_zero_convention
     tail = aux0 if convention == "terminal_times_I0" else None
-    mids = solve_midpoint(aux, tail)
-    terms = None if splitting == "sym_sys" else tuple(solve_termination(full, aux, tail))
+    terms = None if splitting == "sym_sys" else solve_termination(full, aux, tail)
     kset = KernelSet(
         splitting,
         grid.dt,
         grid.r_max,
-        tuple(mids),
+        solve_midpoint(aux, tail),
         terms,
         "smatpi",
         aux_zero_convention=convention,
         aux0=aux0 if splitting == "sym_sys" else tail,
     )
-    return kset, maps, aux_maps
+    return kset, full, aux

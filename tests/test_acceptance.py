@@ -20,7 +20,6 @@ from ifkernels.combinatorics import catalan, enumerate_dyck, expand_hierarchy, n
 from ifkernels.config import default_config_text
 from ifkernels.kernels import (
     KernelSet,
-    TrajectorySeq,
     closed_form_asym,
     compare,
     extract_kernels,
@@ -48,7 +47,7 @@ def test_criterion_1_oracle_equivalence(sys2, bath_default):
         table = eta_table(bath_default, grid, splitting)
         kset, _, _ = extract_kernels(sys2, grid, splitting, "smatpi", eta=table)
         g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        maps = propagate(kset, 6, g_half=g_half).maps
+        maps = propagate(kset, 6, g_half=g_half)
         full, _, _ = oracle_trajectory(sys2, grid, splitting, 6, eta=table)
         for n in range(1, 7):
             worst = max(worst, liou_norm(maps[n - 1] - full[n - 1]))
@@ -136,7 +135,7 @@ def test_criterion_6_trotter_order(sys2):
             kset, _, _ = extract_kernels(sys2, grid, splitting, "smatpi", eta=tab)
             g_half = fb_propagator(sys2, dt / 2) if splitting == "sym_sys" else None
             traj = propagate(kset, n, g_half=g_half)
-            final[(splitting, dt)] = traj.maps[-1]
+            final[(splitting, dt)] = traj[-1]
 
     reference = (4.0 * final[("sym_sys", 0.05)] - final[("sym_sys", 0.1)]) / 3.0
 
@@ -173,7 +172,7 @@ def test_criterion_7_physicality(sys2, bath_default, tables):
         kset, _, _ = extract_kernels(sys2, grid, splitting, flavor, eta=tab)
         g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
         traj = propagate(kset, 30, g_half=g_half)
-        for u in traj.maps:
+        for u in traj:
             rho = apply_map(u, RHO0)
             worst_trace = max(worst_trace, abs(np.trace(rho) - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
@@ -215,14 +214,13 @@ def test_criterion_9_kernel_decay(sys2, bath_default):
     grid = TimeGrid(0.1, r, r)
     table = eta_table(bath_default, grid, "sym_env")
     full, aux0, aux = oracle_trajectory(sys2, grid, "sym_env", r, eta=table)
-    seq = TrajectorySeq(0.1, tuple(full))
     mids = solve_midpoint(aux, aux0)
-    terms = solve_termination(seq, aux, aux0)
+    terms = solve_termination(full, aux, aux0)
     smatpi = KernelSet(
-        "sym_env", 0.1, r, tuple(mids), tuple(terms), "smatpi",
+        "sym_env", 0.1, r, mids, terms, "smatpi",
         aux_zero_convention="terminal_times_I0", aux0=aux0,
     )
-    ttm = KernelSet("sym_env", 0.1, r, tuple(extract_ttm(seq)), None, "ttm")
+    ttm = KernelSet("sym_env", 0.1, r, extract_ttm(full), None, "ttm")
     report = compare(smatpi, ttm, threshold=1e-3)
     assert report.first_below_a is not None and report.first_below_a <= r
     assert report.first_below_b is not None and report.first_below_b <= r

@@ -240,6 +240,34 @@ class TestBadKernelFiles:
         assert code == 1
         assert "parse: inconsistent kernel file (aux0 matrix missing" in err
 
+    @pytest.mark.parametrize("dt", ["nan", "-0.1", "0.0", "inf"])
+    def test_bad_dt_header(self, tmp_path, capsys, dt):
+        # |nan - 0.1| > tol is False, so the dt checks of propagate and compare pass a nan
+        cfg, kpath = _extracted(tmp_path)
+        kpath.write_text(kpath.read_text().replace("dt = 0.1\n", f"dt = {dt}\n"))
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert "parse: inconsistent kernel file (dt must be finite and > 0" in err
+        out = tmp_path / "cmp"
+        argv = ["compare", "--kernels-a", str(kpath), "--kernels-b", str(kpath), "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert not out.exists()
+
+    def test_bad_dim_header(self, tmp_path, capsys):
+        cfg, kpath = _extracted(tmp_path)
+        kpath.write_text(kpath.read_text().replace("dim = 4\n", "dim = -4\n"))
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert "parse: dim -4 must be >= 1" in err
+
+    def test_empty_block(self, tmp_path, capsys):
+        cfg, kpath = _extracted(tmp_path)
+        _drop_block(kpath, "aux0")
+        kpath.write_text(kpath.read_text() + "matrices = aux0\n")
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert "parse: aux0 block holds 0 matrices, expected 1" in err
+
     def test_kernel_set_checks_aux0_shape(self):
         mats = (np.eye(4, dtype=complex),)
         with pytest.raises(ValidationError, match="dim_mismatch: aux0 shape"):
@@ -314,7 +342,7 @@ def _per_cell_trajectory(cfg, kpath, with_maps):
     dressed = kset.splitting == "sym_sys"
     g_half = fb_propagator(config.system, 0.5 * config.grid.dt) if dressed else None
     maps = [np.eye(config.system.dim, dtype=complex)]
-    maps += list(propagate(kset, config.grid.n_steps, g_half=g_half).maps)
+    maps += list(propagate(kset, config.grid.n_steps, g_half=g_half))
     tables = [("rho", [apply_map(u, config.initial_state) for u in maps])]
     if with_maps:
         tables.append(("u", maps))
@@ -526,6 +554,17 @@ class TestCli:
         assert "splitting_mismatch: kernel sets are 'sym_env' and 'asym'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_compare_threshold_rejected(self, tmp_path, capsys, threshold):
+        _, kpath = _extracted(tmp_path)
+        out = tmp_path / "cmp"
+        argv = ["compare", "--kernels-a", str(kpath), "--kernels-b", str(kpath), "--out", str(out),
+                f"--threshold={threshold}"]
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        assert "error: threshold must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_propagate_headers(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config())
@@ -596,6 +635,16 @@ class TestCli:
             got = (vals[0::2] + 1j * vals[1::2]).reshape(4, 4)
             assert liou_norm(got - want) < 1e-12
 
+    @pytest.mark.parametrize("steps", ["0", "-2", "11"])
+    def test_oracle_steps_outside_grid(self, tmp_path, capsys, steps):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        out = tmp_path / "out"
+        argv = ["oracle", "--config", str(cfg), "--out", str(out), "--steps", steps]
+        assert cli_main(argv) == 1
+        assert f"--steps {steps} is outside 1..grid.n_steps = 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_extract_rmax_zero_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config())
@@ -611,7 +660,7 @@ class TestCli:
         assert (tmp_path / "cfgout" / "kernels.txt").exists()
 
     def test_numpy_only_runtime(self, tmp_path):
-        # extract and propagate with the test-only packages made unimportable
+        # every subcommand with the test-only packages made unimportable
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config())
         code = textwrap.dedent("""
@@ -624,6 +673,12 @@ class TestCli:
             kernels = out + "/kernels.txt"
             argv = ["propagate", "--config", cfg, "--kernels", kernels, "--out", out]
             assert cli_main(argv) == 0
+            assert cli_main(["oracle", "--config", cfg, "--out", out, "--steps", "3"]) == 0
+            ttm = out + "/ttm"
+            assert cli_main(["extract", "--config", cfg, "--out", ttm, "--flavor", "ttm"]) == 0
+            argv = ["compare", "--kernels-a", kernels, "--kernels-b", ttm + "/kernels.txt",
+                    "--out", out + "/cmp"]
+            assert cli_main(argv) == 0
         """)
         src = os.path.dirname(os.path.dirname(ifkernels.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -631,6 +686,9 @@ class TestCli:
                              env=env, cwd=tmp_path, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 12
+        for name in ("oracle_maps.csv", "ttm/gqme_kernel_norms.csv", "cmp/comparison.csv",
+                     "cmp/comparison_summary.csv"):
+            assert (tmp_path / "out" / name).stat().st_size > 0
 
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -59,4 +59,4 @@ def test_propagated_maps(bath_default, splitting, flavor):
     table = eta_table(bath_default, TimeGrid(0.1, 4, 4), splitting)
     kset, _, _ = extract_kernels(sys_, TimeGrid(0.1, 2000, 4), splitting, flavor, eta=table)
     gh = fb_propagator(sys_, 0.05) if splitting == "sym_sys" else None
-    assert symmetry_defect(propagate(kset, 2000, g_half=gh).maps) < 1e-11
+    assert symmetry_defect(propagate(kset, 2000, g_half=gh)) < 1e-11

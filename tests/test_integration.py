@@ -32,7 +32,7 @@ class TestThreeState:
         grid = TimeGrid(0.1, 4, 4)
         table = eta_table(bath_mild, grid, "sym_env")
         kset, _, _ = extract_kernels(sys3, grid, "sym_env", "smatpi", eta=table)
-        maps = propagate(kset, 4).maps
+        maps = propagate(kset, 4)
         full, _, _ = oracle_trajectory(sys3, grid, "sym_env", 4, eta=table)
         for n in range(1, 5):
             assert liou_norm(maps[n - 1] - full[n - 1]) < 1e-11
@@ -43,7 +43,7 @@ class TestThreeState:
         kset, _, _ = extract_kernels(sys3, grid, "sym_sys", "smatpi", eta=table)
         traj = propagate(kset, 12, g_half=fb_propagator(sys3, 0.05))
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        for u in traj.maps:
+        for u in traj:
             rho = apply_map(u, rho0)
             assert abs(np.trace(rho) - 1.0) < 1e-8
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
@@ -68,8 +68,8 @@ class TestZeroTemperature:
         w0 = influence_self_weights(sys2, table.interior[0])
         assert np.max(np.abs(w0)) <= 1.0 + 1e-12
         kset, seed, _ = extract_kernels(sys2, grid, "asym", "ttm", eta=table)
-        rebuilt = propagate(kset, 4).maps
-        assert max(liou_norm(a - b) for a, b in zip(rebuilt, seed.maps)) < 1e-12
+        rebuilt = propagate(kset, 4)
+        assert max(liou_norm(a - b) for a, b in zip(rebuilt, seed)) < 1e-12
 
     def test_correlation_decays(self):
         bath = BathSpec(SpectralDensity("ohmic_exponential", 0.1, 5.0), math.inf)

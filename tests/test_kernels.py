@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,6 @@ from ifkernels.kernels import (
     AUX0_CONVENTIONS,
     CHUNK,
     KernelSet,
-    TrajectorySeq,
     closed_form_asym,
     compare,
     extract_kernels,
@@ -76,13 +76,13 @@ class TestSolveTermination:
     def test_first_is_full_map(self):
         rng = np.random.default_rng(3)
         u1, a1 = random_seq(rng, 2)
-        terms = solve_termination(TrajectorySeq(0.1, (u1,)), [a1])
+        terms = solve_termination([u1], [a1])
         assert liou_norm(terms[0] - u1) == 0.0
 
     def test_second_formula(self):
         rng = np.random.default_rng(4)
         u1, u2, a1, a2 = random_seq(rng, 4)
-        terms = solve_termination(TrajectorySeq(0.1, (u1, u2)), [a1, a2])
+        terms = solve_termination([u1, u2], [a1, a2])
         assert liou_norm(terms[1] - (u2 - u1 @ a1)) < 1e-14
 
     @settings(max_examples=20, deadline=None)
@@ -92,7 +92,7 @@ class TestSolveTermination:
         full = random_seq(rng, 5, scale=0.5)
         aux = random_seq(rng, 5, scale=0.5)
         aux0 = np.eye(4) + 0.1 * random_seq(rng, 1)[0] if terminal else None
-        terms = solve_termination(TrajectorySeq(0.1, tuple(full)), aux, aux0)
+        terms = solve_termination(full, aux, aux0)
         rebuilt = convolution_reference(terms, 5, tail=aux0, b=aux)
         assert max(liou_norm(a - b) for a, b in zip(full, rebuilt)) < 1e-12
 
@@ -110,7 +110,7 @@ def test_sym_sys_termination_back_substitutes_oracle(sys2, tables):
 
     grid = TimeGrid(0.1, 5, 5)
     full, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 5, eta=tables["sym_sys"])
-    terms = solve_termination(TrajectorySeq(0.1, tuple(full)), aux, aux0)
+    terms = solve_termination(full, aux, aux0)
     rebuilt = convolution_reference(terms, 5, tail=aux0, b=aux)
     assert max(liou_norm(a - b) for a, b in zip(full, rebuilt)) < 1e-12
 
@@ -167,9 +167,9 @@ class TestDress:
         # propagating with an identity half step leaves U_n = aux_{n-1}
         grid = TimeGrid(0.1, 6, 6)
         kset, _, aux_seed = extract_kernels(sys2, grid, "sym_sys", "smatpi", eta=tables["sym_sys"])
-        maps = propagate(kset, 6, g_half=np.eye(4)).maps
+        maps = propagate(kset, 6, g_half=np.eye(4))
         assert liou_norm(maps[0] - kset.aux0) == 0.0
-        assert max(liou_norm(a - b) for a, b in zip(maps[1:], aux_seed.maps)) < 1e-12
+        assert max(liou_norm(a - b) for a, b in zip(maps[1:], aux_seed)) < 1e-12
 
     def test_free_propagation(self, sys2):
         g1 = fb_propagator(sys2, 0.1)
@@ -181,7 +181,7 @@ class TestDress:
         kset, seed, aux_seed = extract_kernels(sys2, TimeGrid(0.1, 8, 4), "sym_sys", "smatpi", eta=tables["sym_sys"])
         gh = fb_propagator(sys2, 0.05)
         u4 = oracle_trajectory(sys2, grid, "sym_sys", 4, eta=tables["sym_sys"])[0][3]
-        assert liou_norm(gh @ aux_seed.maps[2] @ gh - u4) < 1e-12
+        assert liou_norm(gh @ aux_seed[2] @ gh - u4) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +214,7 @@ class TestOneStepMemory:
         big = TimeGrid(0.1, 8, 8)
         full, _, _ = oracle_trajectory(sys2, big, "sym_env", 6, eta=tab1)
         for n in range(3, 7):
-            assert liou_norm(traj.maps[n - 1] - full[n - 1]) < 1e-12
+            assert liou_norm(traj[n - 1] - full[n - 1]) < 1e-12
 
 
 class TestAsymCoincidence:
@@ -252,37 +252,88 @@ def test_extract_rejects_table_of_another_dt(flavor, sys2, tables):
         extract_kernels(sys2, TimeGrid(0.3, 4, 3), "sym_env", flavor, eta=tables["sym_env"])
 
 
-class TestTrajectorySeq:
-    def test_one_read_only_stack(self):
-        rng = np.random.default_rng(5)
-        mats = random_seq(rng, 3)
-        seq = TrajectorySeq(0.1, mats)
-        assert seq.maps.shape == (3, 4, 4) and len(seq) == 3 and seq.dim == 4
-        assert seq.maps.flags.c_contiguous and not seq.maps.flags.writeable
-        assert all(np.array_equal(a, b) for a, b in zip(seq.maps, mats))
-        assert np.array_equal(seq.maps[-1], mats[-1])
+class TestStacks:
+    """Every matrix sequence is one plain (k, d, d) complex array."""
 
-    def test_stack_is_not_copied(self):
-        stack = np.zeros((2, 4, 4), dtype=complex)
-        seq = TrajectorySeq(0.1, stack)
-        assert np.shares_memory(seq.maps, stack)
-        assert stack.flags.writeable  # only the stored view is frozen
+    @staticmethod
+    def assert_read_only_stack(a, shape):
+        assert a.shape == shape and a.dtype == complex
+        assert a.flags.c_contiguous and not a.flags.writeable
+
+    @pytest.mark.parametrize("splitting, flavor", [("sym_env", "smatpi"), ("sym_sys", "smatpi"),
+                                                   ("asym", "smatpi"), ("sym_env", "ttm")])
+    def test_kernel_set_fields_are_read_only_stacks(self, sys2, tables, splitting, flavor):
+        kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 3), splitting, flavor,
+                                     eta=tables[splitting])
+        self.assert_read_only_stack(kset.midpoint, (3, 4, 4))
+        if kset.termination is not None:
+            self.assert_read_only_stack(kset.termination, (3, 4, 4))
+        if kset.aux0 is not None:
+            self.assert_read_only_stack(kset.aux0, (4, 4))
+        assert (kset.termination is None) == (flavor == "ttm" or splitting == "sym_sys")
+        with pytest.raises(ValueError, match="read-only"):
+            kset.midpoint[0, 0, 0] = 1.0
+
+    def test_kernel_set_copies_caller_arrays(self):
+        rng = np.random.default_rng(5)
+        mats = random_seq(rng, 3)  # a list of matrices is stacked
+        stack = np.stack(random_seq(rng, 3))
+        aux0 = np.eye(4)
+        kset = KernelSet("sym_env", 0.1, 3, mats, stack, "smatpi", "terminal_times_I0", aux0)
+        self.assert_read_only_stack(kset.midpoint, (3, 4, 4))
+        self.assert_read_only_stack(kset.termination, (3, 4, 4))
+        self.assert_read_only_stack(kset.aux0, (4, 4))
+        assert np.array_equal(kset.midpoint, mats) and np.array_equal(kset.termination, stack)
+        assert not np.shares_memory(kset.termination, stack) and stack.flags.writeable
+        stack[0] = 0.0
+        aux0[0, 0] = 2.0
+        assert kset.termination[0, 0, 0] != 0.0 and kset.aux0[0, 0] == 1.0
 
     def test_propagate_returns_a_stack(self, sys2, tables):
         kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 3), "sym_env", "smatpi",
                                      eta=tables["sym_env"])
-        maps = propagate(kset, 6).maps
+        maps = propagate(kset, 6)
+        assert isinstance(maps, np.ndarray) and maps.dtype == complex
         assert maps.shape == (6, 4, 4) and maps.flags.c_contiguous
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimMismatchError, match="dim_mismatch"):
-            TrajectorySeq(0.1, (np.eye(4), np.eye(9)))
-        with pytest.raises(DimMismatchError, match="dim_mismatch"):
-            TrajectorySeq(0.1, np.zeros((2, 4, 3)))
+    def test_propagate_zero_steps(self):
+        kset = KernelSet("asym", 0.1, 1, (np.eye(4),), None, "ttm")
+        assert propagate(kset, 0).shape == (0, 4, 4)
 
-    def test_empty(self):
-        seq = TrajectorySeq(0.1, ())
-        assert len(seq) == 0 and seq.dim == 0
+    def test_extraction_returns_oracle_stacks(self, sys2, tables):
+        _, full, aux = extract_kernels(sys2, TimeGrid(0.1, 6, 3), "sym_env", "smatpi",
+                                       eta=tables["sym_env"])
+        assert full.shape == aux.shape == (3, 4, 4)
+        assert isinstance(solve_midpoint(aux), np.ndarray)
+        assert isinstance(extract_ttm(full), np.ndarray)
+        assert gqme_kernel(extract_ttm(full), 0.1).shape == (2, 4, 4)
+
+    def test_ragged_input_is_dim_mismatch(self):
+        ragged = [np.eye(4), np.eye(9)]
+        with pytest.raises(DimMismatchError, match="dim_mismatch: midpoint"):
+            KernelSet("sym_env", 0.1, 2, ragged, None, "ttm")
+        with pytest.raises(DimMismatchError, match="dim_mismatch: termination"):
+            KernelSet("asym", 0.1, 2, [np.eye(4)] * 2, ragged, "smatpi")
+        for solve in (solve_midpoint, extract_ttm, lambda y: solve_termination(y, y),
+                      lambda y: solve_termination([np.eye(4)] * 2, y),
+                      lambda y: gqme_kernel(y, 0.1)):
+            with pytest.raises(DimMismatchError, match="dim_mismatch"):
+                solve(ragged)
+
+    @pytest.mark.parametrize("field, value, shape", [
+        ("midpoint", np.zeros((2, 4, 3)), "(4, 3)"),
+        ("midpoint", np.zeros((2, 4)), "(4,)"),
+        ("termination", np.zeros((2, 3, 3)), "(3, 3)"),
+        ("aux0", np.zeros((3, 3)), "(3, 3)"),
+        ("aux0", np.zeros((2, 4, 4)), "(2, 4, 4)"),
+    ])
+    def test_wrong_shape_is_dim_mismatch(self, field, value, shape):
+        fields = dict(midpoint=np.zeros((2, 4, 4)), termination=np.zeros((2, 4, 4)),
+                      aux0=np.eye(4))
+        fields[field] = value
+        with pytest.raises(DimMismatchError, match=f"dim_mismatch: {field} shape {re.escape(shape)}"):
+            KernelSet("sym_env", 0.1, 2, fields["midpoint"], fields["termination"], "smatpi",
+                      "terminal_times_I0", fields["aux0"])
 
 
 SPLITTINGS = ("sym_env", "sym_sys", "asym")
@@ -331,7 +382,7 @@ class TestPropagate:
             )
             traj = propagate(kset, 8)
             for n in range(1, 9):
-                assert liou_norm(traj.maps[n - 1] - np.linalg.matrix_power(g1, n)) < 1e-12
+                assert liou_norm(traj[n - 1] - np.linalg.matrix_power(g1, n)) < 1e-12
 
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     @pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
@@ -347,7 +398,7 @@ class TestPropagate:
             )
             traj = propagate(kset, 6, g_half=gh)
             assert len(traj) == 6
-            assert max(liou_norm(a - b) for a, b in zip(traj.maps, seed.maps)) < 1e-10
+            assert max(liou_norm(a - b) for a, b in zip(traj, seed)) < 1e-10
 
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     @pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
@@ -357,7 +408,7 @@ class TestPropagate:
         # one-product-per-term convolution loop
         kset, gh, expected = _random_set_and_reference(
             np.random.default_rng(horizon), splitting, flavor, "terminal_times_I0", horizon)
-        maps = propagate(kset, horizon, g_half=gh).maps
+        maps = propagate(kset, horizon, g_half=gh)
         assert len(maps) == horizon
         assert max(liou_norm(a - b) for a, b in zip(maps, expected)) < 1e-12
 
@@ -379,7 +430,7 @@ class TestPropagate:
             tab = eta_table(bath_default, TimeGrid(0.1, r, r), "sym_env")
             kset, seed, aux_seed = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tab)
             traj = propagate(kset, 30)
-            rho = apply_map(traj.maps[29], rho0)
+            rho = apply_map(traj[29], rho0)
             pops[r] = (rho[0, 0] - rho[1, 1]).real
         assert abs(pops[5] - pops[4]) > abs(pops[6] - pops[5])
         assert pops[6] == pytest.approx(-0.5695336491688535, abs=1e-9)
@@ -408,7 +459,7 @@ class TestEngine:
         blocks = list(propagate_blocks(kset, 2 * CHUNK + 5))
         assert [len(b) for b in blocks] == [CHUNK, CHUNK, 5]
         assert all(np.array_equal(b, np.broadcast_to(np.eye(4), b.shape)) for b in blocks)
-        assert list(propagate_blocks(kset, 0)) == [] and propagate(kset, 0).maps.shape == (0, 4, 4)
+        assert list(propagate_blocks(kset, 0)) == [] and propagate(kset, 0).shape == (0, 4, 4)
 
     def test_arguments_checked_on_call(self, sys2, tables):
         kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 3), "sym_sys", "smatpi",
@@ -447,7 +498,7 @@ class TestEngine:
             aux = convolution_reference(extended(kset.midpoint), 2000, tail=tail)
             exact = convolution_reference(extended(kset.termination), 2000, tail=tail, b=aux)
         gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        got = propagate(kset, 2000, g_half=gh).maps
+        got = propagate(kset, 2000, g_half=gh)
         assert float(np.max(np.abs(got - np.array(exact)))) < 1e-14
 
     @pytest.mark.parametrize("splitting, flavor, convention", EXTRACTED_CASES)
@@ -469,7 +520,7 @@ class TestEngine:
         kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 6), splitting, flavor,
                                      eta=tables[splitting], aux_zero_convention=convention)
         gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        maps = propagate(kset, 20000, g_half=gh).maps
+        maps = propagate(kset, 20000, g_half=gh)
         trace = maps[:, [0, 3], :].sum(axis=1)  # rows (0, 0) and (1, 1)
         assert np.max(np.abs(trace - [1, 0, 0, 1])) < 3e-11
         assert defect(maps) < 1.5e-11
@@ -480,7 +531,7 @@ class TestEngine:
         exact = KernelSet(splitting, 0.1, 6, symmetric(kset.midpoint),
                           symmetric(kset.termination), flavor, kset.aux_zero_convention,
                           None if kset.aux0 is None else symmetric([kset.aux0])[0])
-        assert defect(propagate(exact, 20000, g_half=gh).maps) < 1e-13
+        assert defect(propagate(exact, 20000, g_half=gh)) < 1e-13
 
 
 class TestEndpointDistinctness:
@@ -489,7 +540,7 @@ class TestEndpointDistinctness:
         # differ once the bath couples (alpha = 0.1 default set)
         grid = TimeGrid(0.1, 6, 6)
         kset, seed, _ = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tables["sym_env"])
-        m1, t1, u1 = kset.midpoint[0], kset.termination[0], seed.maps[0]
+        m1, t1, u1 = kset.midpoint[0], kset.termination[0], seed[0]
         assert liou_norm(m1 - t1) > 1e-10
         assert liou_norm(t1 - u1) > 1e-10
         assert liou_norm(m1 - u1) > 1e-10
@@ -519,6 +570,23 @@ class TestCompare:
         with pytest.raises(ValidationError):
             compare(kset, other)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        kset = KernelSet("sym_env", 0.1, 2, [np.eye(4)] * 2, None, "ttm")
+        with pytest.raises(ValidationError, match="threshold must be finite and > 0"):
+            compare(kset, kset, threshold=threshold)
+
+    def test_first_below_from_the_stacks(self):
+        # norms 1, 0.5, 1e-4 against a zero set: set a falls below 1e-3 at
+        # k = 3, an all-zero set never does, and the shorter set pads with None
+        mats = np.array([1.0, 0.5, 1e-4])[:, None, None] * np.eye(4)
+        a = KernelSet("sym_env", 0.1, 3, mats, None, "ttm")
+        b = KernelSet("sym_env", 0.1, 2, np.zeros((2, 4, 4)), None, "ttm")
+        report = compare(a, b, threshold=1e-3)
+        assert report.norms_a == (1.0, 0.5, 1e-4) and report.norms_b == (0.0, 0.0, None)
+        assert report.diffs == (1.0, 0.5, None) and report.term_norms_a == (None,) * 3
+        assert (report.first_below_a, report.first_below_b) == (3, None)
+
     def test_splitting_mismatch_rejected(self, sys2, tables):
         grid = TimeGrid(0.1, 6, 4)
         kset, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tables["sym_env"])
@@ -528,6 +596,28 @@ class TestCompare:
 
 
 class TestKernelSet:
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.1, 0.0])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValidationError, match="dt must be finite and > 0"):
+            KernelSet("sym_env", dt, 1, (np.eye(4),), None, "ttm")
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_wrong_matrix_count(self, count):
+        with pytest.raises(ValidationError, match=f"r_max 2 but {count} midpoint matrices"):
+            KernelSet("sym_env", 0.1, 2, [np.eye(4)] * count, None, "ttm")
+        with pytest.raises(ValidationError, match=f"r_max 2 but {count} termination matrices"):
+            KernelSet("asym", 0.1, 2, [np.eye(4)] * 2, [np.eye(4)] * count, "smatpi")
+
+    @pytest.mark.parametrize("field", ["midpoint", "termination", "aux0"])
+    def test_rejects_non_finite_entries(self, field):
+        fields = dict(midpoint=np.zeros((2, 4, 4)), termination=np.zeros((2, 4, 4)),
+                      aux0=np.eye(4))
+        fields[field] = fields[field].copy()
+        fields[field].flat[5] = np.nan
+        with pytest.raises(ValidationError, match=f"{field} matrix contains non-finite"):
+            KernelSet("sym_env", 0.1, 2, fields["midpoint"], fields["termination"], "smatpi",
+                      "terminal_times_I0", fields["aux0"])
+
     def test_rejects_empty_set(self):
         with pytest.raises(ValidationError, match="r_max must be >= 1"):
             KernelSet("sym_env", 0.1, 0, (), None, "ttm")
@@ -549,7 +639,7 @@ class TestConventions:
             assert kset.aux_zero_convention == convention
             gh = fb_propagator(sys2, 0.05)
             traj = propagate(kset, 6, g_half=gh)
-            assert max(liou_norm(a - b) for a, b in zip(traj.maps, seed.maps)) < 1e-10
+            assert max(liou_norm(a - b) for a, b in zip(traj, seed)) < 1e-10
 
     def test_shipped_default_nullifies_one_step_memory_sym_sys(self, sys2, tables):
         # the frozen terminal convention is the one with vanishing midpoints

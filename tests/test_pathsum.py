@@ -94,9 +94,9 @@ class TestStructure:
         # U_1 equals the standalone termination start (no interior sum at N = 1)
         grid = TimeGrid(0.1, 8, 8)
         (u1,), _, (aux1,) = oracle_trajectory(sys2, grid, "sym_env", 1, eta=tables["sym_env"])
-        from ifkernels.kernels import TrajectorySeq, solve_termination
+        from ifkernels.kernels import solve_termination
 
-        terms = solve_termination(TrajectorySeq(0.1, (u1,)), [aux1])
+        terms = solve_termination([u1], [aux1])
         assert liou_norm(terms[0] - u1) == 0.0
 
     def test_sym_sys_dressing_identity(self, sys2, tables):
