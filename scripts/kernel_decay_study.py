@@ -35,7 +35,7 @@ def main():
     grid = TimeGrid(args.dt, args.rmax, args.rmax)
     table = eta_table(bath, grid, "sym_env")
 
-    full, aux0, aux = oracle_trajectory(sys_, grid, "sym_env", args.rmax, eta=table)
+    full, aux0, aux = oracle_trajectory(sys_, table, args.rmax)
     smatpi = KernelSet(
         "sym_env", args.dt, args.rmax, solve_midpoint(aux, aux0),
         solve_termination(full, aux, aux0), "smatpi",

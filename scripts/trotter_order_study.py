@@ -28,9 +28,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 def final_map(sys_, corr, support, splitting, dt, t_total):
     n = round(t_total / dt)
     r = min(n, int(support / dt) + 4)
-    grid = TimeGrid(dt, n, r)
     table = eta_table_from_correlation(corr, TimeGrid(dt, r, r), splitting)
-    kset, _, _ = extract_kernels(sys_, grid, splitting, "smatpi", eta=table)
+    kset, _, _ = extract_kernels(sys_, table, r, "smatpi")
     g_half = fb_propagator(sys_, dt / 2) if splitting == "sym_sys" else None
     return propagate(kset, n, g_half=g_half)[-1]
 

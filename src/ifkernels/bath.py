@@ -109,11 +109,6 @@ class SpectralDensity:
         if not self.omega_c > 0:
             raise ValidationError("omega_c must be > 0")
 
-    def value(self, omega):
-        """J(omega) for omega >= 0."""
-        omega = np.asarray(omega, dtype=float)
-        return 0.5 * np.pi * self.alpha * omega * np.exp(-omega / self.omega_c)
-
 
 @dataclass(frozen=True)
 class BathSpec:

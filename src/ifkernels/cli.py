@@ -109,12 +109,12 @@ def _cmd_oracle(args) -> int:
     if not 1 <= steps <= grid.n_steps:
         raise ValidationError(f"--steps {steps} is outside 1..grid.n_steps = {grid.n_steps}")
     budget = args.budget if args.budget is not None else cfg.pathsum_budget
+    if budget < 1:
+        raise ValidationError(f"--budget: must be >= 1, got {budget}")
     table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting,
                       rtol=cfg.quadrature_rtol)
     os.makedirs(args.out, exist_ok=True)
-    full, _, _ = oracle_trajectory(
-        cfg.system, grid, cfg.splitting, steps, eta=table, budget=budget
-    )
+    full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=budget)
     path = os.path.join(args.out, "oracle_maps.csv")
     _write_steps_csv(path, grid.dt, ("u",), [(_with_identity(full),)])
     print(path)
@@ -122,15 +122,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _extraction(cfg: RunConfig, splitting: str, flavor: str, r_max: int):
-    grid = TimeGrid(cfg.grid.dt, cfg.grid.n_steps, r_max)
-    table = eta_table(cfg.bath, TimeGrid(grid.dt, r_max, r_max), splitting,
+    if not 1 <= r_max <= cfg.grid.n_steps:
+        raise ValidationError("r_max must satisfy 1 <= r_max <= n_steps")
+    table = eta_table(cfg.bath, TimeGrid(cfg.grid.dt, r_max, r_max), splitting,
                       rtol=cfg.quadrature_rtol)
     kset, _, _ = extract_kernels(
         cfg.system,
-        grid,
-        splitting,
+        table,
+        r_max,
         flavor,
-        eta=table,
         budget=cfg.pathsum_budget,
         aux_zero_convention=cfg.aux_zero_convention,
     )

@@ -234,6 +234,8 @@ def parse_config(text: str) -> RunConfig:
     convention = fields.take("run.aux_zero_convention", default=None)
     if convention is not None and convention not in AUX0_CONVENTIONS:
         raise ValidationError(f"run.aux_zero_convention: unknown value {convention!r}")
+    if convention is not None and splitting != "sym_sys":
+        raise ValidationError(f"run.aux_zero_convention: applies to sym_sys only, not {splitting}")
 
     rho_rows = [
         _complex_row(r, "initial_state") for r in fields.take_rows("initial_state")

@@ -73,7 +73,8 @@ def save_kernels(kset: KernelSet, path, metadata: dict | None = None) -> None:
 def load_kernels(path) -> KernelSet:
     """Read a KernelSet written by save_kernels; exact elementwise round trip.
 
-    Raises ParseError ("parse") for malformed files and for contents that
+    Raises ParseError ("parse") for malformed files, for a repeated header
+    key, matrices block or k,row,col entry, and for contents that
     KernelSet rejects: non-finite entries, an r_max header that differs from
     a stored matrix count, an aux0 that is not (dim, dim), an unknown
     splitting, or a block that ``propagate`` needs and the file lacks.
@@ -92,9 +93,13 @@ def load_kernels(path) -> KernelSet:
                 if key == "matrices":
                     if value not in ("midpoint", "termination", "aux0"):
                         raise ParseError(f"parse: line {lineno}: unknown block {value!r}")
+                    if value in blocks:
+                        raise ParseError(f"parse: line {lineno}: duplicate block {value!r}")
                     current = value
                     blocks[current] = {}
                 else:
+                    if key in header:
+                        raise ParseError(f"parse: line {lineno}: duplicate header key {key!r}")
                     header[key] = value
                 continue
             if current is None:
@@ -110,7 +115,10 @@ def load_kernels(path) -> KernelSet:
                 im = float(parts[4])
             except ValueError:
                 raise ParseError(f"parse: line {lineno}: bad numeric field") from None
-            blocks[current].setdefault(k, {})[(row, col)] = complex(re, im)
+            entries = blocks[current].setdefault(k, {})
+            if (row, col) in entries:
+                raise ParseError(f"parse: line {lineno}: duplicate entry {k},{row},{col}")
+            entries[(row, col)] = complex(re, im)
 
     try:
         version = int(header["format_version"])

@@ -9,8 +9,9 @@ over stacked (k, d, d) arrays, the one form of every matrix sequence here:
 the solvers and ``propagate`` return them, and a KernelSet stores its sets
 as read-only stacks.  Extraction solves the convolution for the kernels A
 from known maps (``_inverse``); propagation runs it forward from the
-kernels (``propagate_blocks``).  The hierarchies differ only in what A, B
-and the tail are:
+kernels (``propagate_blocks``).  ``extract_kernels(sys, eta, r_max, flavor)``
+solves the oracle maps of one eta table, whose splitting and dt the set
+takes over.  The hierarchies differ only in what A, B and the tail are:
 
 * The small-matrix path-integral (SMatPI-style) split: translationally
   invariant midpoint matrices M_k propagate the auxiliary sequence
@@ -403,28 +404,29 @@ SMATPI_CONVENTION = {
 
 def extract_kernels(
     sys: SystemSpec,
-    grid,
-    splitting: str,
+    eta: EtaTable,
+    r_max: int,
     flavor: str,
     *,
-    eta: EtaTable,
     budget: int | None = None,
     aux_zero_convention: str | None = None,
 ):
     """Sum the path-sum oracle for r_max steps and extract a kernel set.
 
-    Returns (kernel_set, full, aux): the set and the (R, d, d) oracle maps
-    U_1..U_R and aux_1..aux_R it was solved from.  ``aux_zero_convention``
-    overrides the shipped default only for sym_sys; the other splittings
-    are fixed.  sym_sys sets keep aux_0 under either convention, because
-    the dressed U_1 needs it.
+    The splitting and dt of the set are those of ``eta``, whose horizon
+    bounds r_max.  Returns (kernel_set, full, aux): the set and the
+    (R, d, d) oracle maps U_1..U_R and aux_1..aux_R it was solved from.
+    ``aux_zero_convention`` overrides the shipped default only for sym_sys;
+    the other splittings are fixed.  sym_sys sets keep aux_0 under either
+    convention, because the dressed U_1 needs it.
     """
     from .pathsum import DEFAULT_BUDGET, oracle_trajectory
 
     budget = DEFAULT_BUDGET if budget is None else budget
-    full, aux0, aux = oracle_trajectory(sys, grid, splitting, grid.r_max, eta=eta, budget=budget)
+    splitting = eta.splitting
+    full, aux0, aux = oracle_trajectory(sys, eta, r_max, budget=budget)
     if flavor == "ttm":
-        return KernelSet(splitting, grid.dt, grid.r_max, extract_ttm(full), None, "ttm"), full, aux
+        return KernelSet(splitting, eta.dt, r_max, extract_ttm(full), None, "ttm"), full, aux
 
     convention = SMATPI_CONVENTION[splitting]
     if splitting == "sym_sys" and aux_zero_convention is not None:
@@ -433,8 +435,8 @@ def extract_kernels(
     terms = None if splitting == "sym_sys" else solve_termination(full, aux, tail)
     kset = KernelSet(
         splitting,
-        grid.dt,
-        grid.r_max,
+        eta.dt,
+        r_max,
         solve_midpoint(aux, tail),
         terms,
         "smatpi",

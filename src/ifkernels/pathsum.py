@@ -10,8 +10,9 @@ where G1 is the whole-step system propagator and F(k, k') are influence
 factors of the coefficient ``eta.interior[k - k']``, or ``eta.right[k - k']``
 where k is the measured end N.  No path is filtered or approximated; the
 oracle pins down every other object in the package at desk scale.
-``oracle_trajectory`` is the one entry point: it returns every full and
-auxiliary map up to a number of steps.
+``oracle_trajectory(sys, eta, steps)`` is the one entry point: it returns
+every full and auxiliary map up to ``steps``.  The eta table is the only
+source of the splitting, the step dt and the horizon that bounds ``steps``.
 
 Summation
 ---------
@@ -54,7 +55,7 @@ import numpy as np
 
 from .bath import EtaTable, influence_pair_matrix, influence_self_weights
 from .errors import EtaMissingError, PathSumBudgetError, ValidationError
-from .liouville import LiouvilleMatrix, SystemSpec, TimeGrid, check_finite, fb_propagator
+from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
 
 DEFAULT_BUDGET = 10**8
 _BATCH = 1 << 16
@@ -107,8 +108,8 @@ class _Factors:
     bare_origin: bool
 
 
-def _factors(sys: SystemSpec, dt: float, table: EtaTable, horizon: int) -> _Factors:
-    g1 = fb_propagator(sys, dt)
+def _factors(sys: SystemSpec, table: EtaTable, horizon: int) -> _Factors:
+    g1 = fb_propagator(sys, table.dt)
     inner = _influence(sys, table.interior, horizon, g1)
     end = inner if table.right is table.interior else _influence(sys, table.right, horizon, g1)
     return _Factors(g1, inner, end, table.splitting == "asym")
@@ -196,36 +197,25 @@ def _path_sums(steps: int, f: _Factors, ends) -> list:
     return out
 
 
-def oracle_trajectory(
-    sys: SystemSpec,
-    grid: TimeGrid,
-    splitting: str,
-    steps: int,
-    *,
-    eta: EtaTable,
-    budget: int = DEFAULT_BUDGET,
-):
+def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int = DEFAULT_BUDGET):
     """Full and auxiliary map sequences U_1..U_steps, (aux0, Ũ_1..Ũ_steps).
 
-    The trailing element of the auxiliary information is the index-0
-    auxiliary (single-point factor matrix), needed as the terminal of the
-    midpoint hierarchy.  Each map length is summed once; both sequences
-    are (steps, n^2, n^2) arrays.  ``eta`` must be a table of this
-    splitting and step with a horizon of at least ``steps``.
+    The splitting and the step dt are those of ``eta``, whose horizon bounds
+    ``steps``.  The trailing element of the auxiliary information is the
+    index-0 auxiliary (single-point factor matrix), needed as the terminal
+    of the midpoint hierarchy.  Each map length is summed once; both
+    sequences are (steps, n^2, n^2) arrays.
     """
-    if not 0 <= steps <= grid.n_steps:
-        raise ValidationError(f"steps {steps} outside 0..grid.n_steps = {grid.n_steps}")
-    if eta.splitting != splitting:
-        raise ValidationError(f"eta table is for {eta.splitting!r}, request is {splitting!r}")
-    if abs(eta.dt - grid.dt) > 1e-15:
-        raise ValidationError(f"eta table dt {eta.dt} differs from grid dt {grid.dt}")
+    if steps < 0:
+        raise ValidationError(f"steps must be >= 0, got {steps}")
     if steps > eta.horizon:
         raise EtaMissingError(
             f"eta_missing: {steps} steps need separations up to {steps}, table has {eta.horizon}"
         )
     _check_budget(sys.n, steps, budget)
-    f = _factors(sys, grid.dt, eta, steps)
-    g_half = fb_propagator(sys, 0.5 * grid.dt) if splitting == "sym_sys" else None
+    f = _factors(sys, eta, steps)
+    splitting = eta.splitting
+    g_half = fb_propagator(sys, 0.5 * eta.dt) if splitting == "sym_sys" else None
     aux0 = _aux0(f)
     full = np.empty((steps, sys.dim, sys.dim), dtype=complex)
     aux = np.empty_like(full)

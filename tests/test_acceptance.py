@@ -45,10 +45,10 @@ def test_criterion_1_oracle_equivalence(sys2, bath_default):
     grid = TimeGrid(0.1, 6, 6)
     for splitting in ("sym_env", "sym_sys", "asym"):
         table = eta_table(bath_default, grid, splitting)
-        kset, _, _ = extract_kernels(sys2, grid, splitting, "smatpi", eta=table)
+        kset, _, _ = extract_kernels(sys2, table, 6, "smatpi")
         g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
         maps = propagate(kset, 6, g_half=g_half)
-        full, _, _ = oracle_trajectory(sys2, grid, splitting, 6, eta=table)
+        full, _, _ = oracle_trajectory(sys2, table, 6)
         for n in range(1, 7):
             worst = max(worst, liou_norm(maps[n - 1] - full[n - 1]))
     elapsed = time.monotonic() - start
@@ -73,11 +73,10 @@ def test_criterion_2_ttm_identities():
 def test_criterion_3_one_step_memory_dichotomy(sys2, tables):
     """Optimal hierarchy truncates exactly; the single-set one cannot."""
     tab1 = eta_truncated(tables["sym_env"], 1)
-    grid = TimeGrid(0.1, 6, 6)
-    kset, seed, aux_seed = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tab1)
+    kset, seed, aux_seed = extract_kernels(sys2, tab1, 6, "smatpi")
     worst_m = max(liou_norm(m) for m in kset.midpoint[1:])
     worst_t = max(liou_norm(t) for t in kset.termination[1:])
-    kttm, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tab1)
+    kttm, _, _ = extract_kernels(sys2, tab1, 6, "ttm")
     spurious = liou_norm(kttm.midpoint[1])
     assert worst_m < 1e-12 and worst_t < 1e-12
     assert spurious > 1e-6
@@ -89,8 +88,7 @@ def test_criterion_3_one_step_memory_dichotomy(sys2, tables):
 
 def test_criterion_4_asym_coincidence(sys2, tables):
     """Asymmetric-splitting termination equals the transfer tensors; closed forms match."""
-    grid = TimeGrid(0.1, 6, 6)
-    kset, seed, aux_seed = extract_kernels(sys2, grid, "asym", "smatpi", eta=tables["asym"])
+    kset, seed, aux_seed = extract_kernels(sys2, tables["asym"], 6, "smatpi")
     tensors = extract_ttm(seed)
     worst = max(liou_norm(a - b) for a, b in zip(kset.termination, tensors))
     dev1 = liou_norm(closed_form_asym(sys2, tables["asym"], 1) - tensors[0])
@@ -104,10 +102,9 @@ def test_criterion_4_asym_coincidence(sys2, tables):
 
 def test_criterion_5_dressing_identity(sys2, tables):
     """Half-step dressing of the auxiliary map gives the physical map."""
-    grid = TimeGrid(0.1, 8, 8)
     g_half = fb_propagator(sys2, 0.05)
     worst = 0.0
-    full, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 6, eta=tables["sym_sys"])
+    full, aux0, aux = oracle_trajectory(sys2, tables["sym_sys"], 6)
     for n in range(1, 7):
         a = aux0 if n == 1 else aux[n - 2]
         worst = max(worst, liou_norm(g_half @ a @ g_half - full[n - 1]))
@@ -130,9 +127,8 @@ def test_criterion_6_trotter_order(sys2):
         for dt in (0.2, 0.1, 0.05):
             n = round(t_total / dt)
             r = min(n, int(0.2 / dt) + 4)
-            grid = TimeGrid(dt, n, r)
             tab = eta_table_from_correlation(corr, TimeGrid(dt, r, r), splitting)
-            kset, _, _ = extract_kernels(sys2, grid, splitting, "smatpi", eta=tab)
+            kset, _, _ = extract_kernels(sys2, tab, r, "smatpi")
             g_half = fb_propagator(sys2, dt / 2) if splitting == "sym_sys" else None
             traj = propagate(kset, n, g_half=g_half)
             final[(splitting, dt)] = traj[-1]
@@ -167,9 +163,8 @@ def test_criterion_7_physicality(sys2, bath_default, tables):
     worst_herm = 0.0
     cases = [("sym_env", "smatpi"), ("sym_sys", "smatpi"), ("asym", "ttm")]
     for splitting, flavor in cases:
-        grid = TimeGrid(0.1, 30, 6)
         tab = tables[splitting]
-        kset, _, _ = extract_kernels(sys2, grid, splitting, flavor, eta=tab)
+        kset, _, _ = extract_kernels(sys2, tab, 6, flavor)
         g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
         traj = propagate(kset, 30, g_half=g_half)
         for u in traj:
@@ -190,8 +185,7 @@ def test_criterion_8_combinatorics(sys2, tables):
         assert len(enumerate_dyck(m)) == catalan(m)
     for k in range(1, 13):
         assert len(expand_hierarchy(k)) == 2 ** (k - 1)
-    grid = TimeGrid(0.1, 6, 6)
-    full, _, _ = oracle_trajectory(sys2, grid, "sym_env", 6, eta=tables["sym_env"])
+    full, _, _ = oracle_trajectory(sys2, tables["sym_env"], 6)
     tensors = extract_ttm(full)
     worst = 0.0
     for k in range(1, 7):
@@ -213,7 +207,7 @@ def test_criterion_9_kernel_decay(sys2, bath_default):
     r = 11
     grid = TimeGrid(0.1, r, r)
     table = eta_table(bath_default, grid, "sym_env")
-    full, aux0, aux = oracle_trajectory(sys2, grid, "sym_env", r, eta=table)
+    full, aux0, aux = oracle_trajectory(sys2, table, r)
     mids = solve_midpoint(aux, aux0)
     terms = solve_termination(full, aux, aux0)
     smatpi = KernelSet(

@@ -136,10 +136,9 @@ class TestEtaTable:
     def test_missing_lookup(self, tables, sys2):
         # a path sum past the table's horizon fails before any work; sym_sys
         # needs horizon >= steps too, for its auxiliary maps of every length
-        grid = TimeGrid(0.1, 12, 12)
         for splitting in ("sym_env", "sym_sys", "asym"):
             with pytest.raises(EtaMissingError, match="eta_missing"):
-                oracle_trajectory(sys2, grid, splitting, 9, eta=tables[splitting])
+                oracle_trajectory(sys2, tables[splitting], 9)
 
     def test_truncated_table(self, tables):
         tab = eta_truncated(tables["sym_env"], 1)

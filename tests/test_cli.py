@@ -87,6 +87,17 @@ class TestConfig:
         with pytest.raises(ValidationError, match="tolerances.quadrature: non_finite"):
             parse_config(small_config() + "\ntolerances.quadrature = nan\n")
 
+    @pytest.mark.parametrize("splitting", ["sym_env", "asym"])
+    def test_aux_zero_convention_is_sym_sys_only(self, tmp_path, capsys, splitting):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"run.splitting": splitting,
+                                       "run.aux_zero_convention": "standalone_terminal"}))
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"run.aux_zero_convention: applies to sym_sys only, not {splitting}" in err
+        assert not out.exists()
+
     def test_parse_error_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_config("system.n = 2\nnot a line\n")
@@ -268,6 +279,31 @@ class TestBadKernelFiles:
         assert code == 1
         assert "parse: aux0 block holds 0 matrices, expected 1" in err
 
+    @pytest.mark.parametrize("duplicate", ["block", "entry", "header"])
+    def test_duplicates_rejected(self, tmp_path, capsys, duplicate):
+        # each file would load, a later line silently winning over an earlier one
+        cfg, kpath = _extracted(tmp_path)
+        lines = kpath.read_text().splitlines()
+        if duplicate == "block":  # a zeroed second midpoint block
+            start = lines.index("matrices = midpoint")
+            end = lines.index("matrices = termination")
+            zeroed = [line.rsplit(",", 2)[0] + ",0.0,0.0" for line in lines[start + 1 : end]]
+            at, lines = len(lines), lines + ["matrices = midpoint"] + zeroed
+            want = "duplicate block 'midpoint'"
+        elif duplicate == "entry":
+            at = lines.index("matrices = midpoint") + 2
+            lines.insert(at, lines[at - 1].split(",", 1)[0] + ",0,0,1e20,0.0")
+            want = "duplicate entry 1,0,0"
+        else:  # the first dt line is the one that would be lost
+            at = lines.index("dt = 0.1")
+            lines.insert(at, "dt = 0.3")
+            at += 1
+            want = "duplicate header key 'dt'"
+        kpath.write_text("\n".join(lines) + "\n")
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert f"parse: line {at + 1}: {want}" in err
+
     def test_kernel_set_checks_aux0_shape(self):
         mats = (np.eye(4, dtype=complex),)
         with pytest.raises(ValidationError, match="dim_mismatch: aux0 shape"):
@@ -402,7 +438,7 @@ class TestBlockWriter:
         config = load_config(cfg)
         table = eta_table(config.bath, TimeGrid(0.1, 3, 3), splitting,
                           rtol=config.quadrature_rtol)
-        full, _, _ = oracle_trajectory(config.system, config.grid, splitting, 3, eta=table)
+        full, _, _ = oracle_trajectory(config.system, table, 3)
         maps = [np.eye(4, dtype=complex)] + list(full)
         want = per_cell_csv(config.grid.dt, [("u", maps)]).encode()
         assert (tmp_path / "oracle_maps.csv").read_bytes() == want
@@ -527,12 +563,10 @@ class TestCli:
     def test_compare_one_step_memory(self, tmp_path, sys2, tables):
         from ifkernels.bath import eta_truncated
         from ifkernels.kernels import extract_kernels
-        from ifkernels.liouville import TimeGrid
 
         tab1 = eta_truncated(tables["sym_env"], 1)
-        grid = TimeGrid(0.1, 6, 6)
-        ka, _, _ = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tab1)
-        kb, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tab1)
+        ka, _, _ = extract_kernels(sys2, tab1, 6, "smatpi")
+        kb, _, _ = extract_kernels(sys2, tab1, 6, "ttm")
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         save_kernels(ka, pa)
         save_kernels(kb, pb)
@@ -620,7 +654,6 @@ class TestCli:
 
     def test_oracle_maps_match_oracle_trajectory(self, tmp_path, sys2, tables):
         # the CLI builds its own horizon-3 table; the fixture's reaches 8
-        from ifkernels.liouville import TimeGrid
         from ifkernels.pathsum import oracle_trajectory
 
         cfg = tmp_path / "cfg.txt"
@@ -628,7 +661,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["oracle", "--config", str(cfg), "--out", str(out), "--steps", "3"]) == 0
         rows = (out / "oracle_maps.csv").read_text().splitlines()[1:]
-        full, _, _ = oracle_trajectory(sys2, TimeGrid(0.1, 8, 8), "sym_sys", 3, eta=tables["sym_sys"])
+        full, _, _ = oracle_trajectory(sys2, tables["sym_sys"], 3)
         assert len(rows) == 4
         for row, want in zip(rows, [np.eye(4), *full]):
             vals = np.array([float(x) for x in row.split(",")[2:]])
@@ -648,9 +681,24 @@ class TestCli:
     def test_extract_rmax_zero_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config())
-        argv = ["extract", "--config", str(cfg), "--out", str(tmp_path / "o"), "--rmax", "0"]
+        for rmax in ("0", "11"):
+            argv = ["extract", "--config", str(cfg), "--out", str(tmp_path / "o"), "--rmax", rmax]
+            assert cli_main(argv) == 1
+            assert "r_max must satisfy 1 <= r_max <= n_steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_oracle_budget_below_one_rejected(self, tmp_path, capsys, monkeypatch, budget):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the budget is checked before any eta table is built")
+
+        monkeypatch.setattr("ifkernels.cli.eta_table", forbidden)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        out = tmp_path / "out"
+        argv = ["oracle", "--config", str(cfg), "--out", str(out), "--budget", budget]
         assert cli_main(argv) == 1
-        assert "r_max must satisfy 1 <= r_max <= n_steps" in capsys.readouterr().err
+        assert f"--budget: must be >= 1, got {budget}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_falls_back_to_config_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -44,7 +44,7 @@ def test_oracle_maps(bath_default, splitting, n, steps):
     sys_ = biased_system(n, seed=n)
     grid = TimeGrid(0.1, steps, steps)
     table = eta_table(bath_default, grid, splitting)
-    full, aux0, aux = oracle_trajectory(sys_, grid, splitting, steps, eta=table)
+    full, aux0, aux = oracle_trajectory(sys_, table, steps)
     assert symmetry_defect(full) < 1e-14
     assert symmetry_defect(aux) < 1e-14
     assert symmetry_defect(aux0) < 1e-14
@@ -57,6 +57,6 @@ def test_oracle_maps(bath_default, splitting, n, steps):
 def test_propagated_maps(bath_default, splitting, flavor):
     sys_ = biased_system(2, seed=2)
     table = eta_table(bath_default, TimeGrid(0.1, 4, 4), splitting)
-    kset, _, _ = extract_kernels(sys_, TimeGrid(0.1, 2000, 4), splitting, flavor, eta=table)
+    kset, _, _ = extract_kernels(sys_, table, 4, flavor)
     gh = fb_propagator(sys_, 0.05) if splitting == "sym_sys" else None
     assert symmetry_defect(propagate(kset, 2000, g_half=gh)) < 1e-11

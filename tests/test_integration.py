@@ -31,16 +31,15 @@ class TestThreeState:
     def test_extraction_rebuilds_oracle(self, sys3, bath_mild):
         grid = TimeGrid(0.1, 4, 4)
         table = eta_table(bath_mild, grid, "sym_env")
-        kset, _, _ = extract_kernels(sys3, grid, "sym_env", "smatpi", eta=table)
+        kset, _, _ = extract_kernels(sys3, table, 4, "smatpi")
         maps = propagate(kset, 4)
-        full, _, _ = oracle_trajectory(sys3, grid, "sym_env", 4, eta=table)
+        full, _, _ = oracle_trajectory(sys3, table, 4)
         for n in range(1, 5):
             assert liou_norm(maps[n - 1] - full[n - 1]) < 1e-11
 
     def test_trajectory_physicality(self, sys3, bath_mild):
-        grid = TimeGrid(0.1, 12, 4)
         table = eta_table(bath_mild, TimeGrid(0.1, 4, 4), "sym_sys")
-        kset, _, _ = extract_kernels(sys3, grid, "sym_sys", "smatpi", eta=table)
+        kset, _, _ = extract_kernels(sys3, table, 4, "smatpi")
         traj = propagate(kset, 12, g_half=fb_propagator(sys3, 0.05))
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         for u in traj:
@@ -67,7 +66,7 @@ class TestZeroTemperature:
         assert table.interior[0].real > 0
         w0 = influence_self_weights(sys2, table.interior[0])
         assert np.max(np.abs(w0)) <= 1.0 + 1e-12
-        kset, seed, _ = extract_kernels(sys2, grid, "asym", "ttm", eta=table)
+        kset, seed, _ = extract_kernels(sys2, table, 4, "ttm")
         rebuilt = propagate(kset, 4)
         assert max(liou_norm(a - b) for a, b in zip(rebuilt, seed)) < 1e-12
 

@@ -108,8 +108,7 @@ def test_sym_sys_termination_back_substitutes_oracle(sys2, tables):
     # terminal-aux0 solve reproduces the oracle maps exactly
     from ifkernels.pathsum import oracle_trajectory
 
-    grid = TimeGrid(0.1, 5, 5)
-    full, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 5, eta=tables["sym_sys"])
+    full, aux0, aux = oracle_trajectory(sys2, tables["sym_sys"], 5)
     terms = solve_termination(full, aux, aux0)
     rebuilt = convolution_reference(terms, 5, tail=aux0, b=aux)
     assert max(liou_norm(a - b) for a, b in zip(full, rebuilt)) < 1e-12
@@ -155,8 +154,7 @@ class TestGqmeKernel:
             gqme_kernel([np.eye(4)], 0.1)
 
     def test_norm_profile_matches_definition(self, sys2, tables):
-        grid = TimeGrid(0.1, 6, 6)
-        kset, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tables["sym_env"])
+        kset, _, _ = extract_kernels(sys2, tables["sym_env"], 6, "ttm")
         kern = gqme_kernel(list(kset.midpoint), 0.1)
         for k, mat in enumerate(kern, start=1):
             assert liou_norm(mat) == pytest.approx(liou_norm(kset.midpoint[k]) / 0.01)
@@ -165,8 +163,7 @@ class TestGqmeKernel:
 class TestDress:
     def test_identity(self, sys2, tables):
         # propagating with an identity half step leaves U_n = aux_{n-1}
-        grid = TimeGrid(0.1, 6, 6)
-        kset, _, aux_seed = extract_kernels(sys2, grid, "sym_sys", "smatpi", eta=tables["sym_sys"])
+        kset, _, aux_seed = extract_kernels(sys2, tables["sym_sys"], 6, "smatpi")
         maps = propagate(kset, 6, g_half=np.eye(4))
         assert liou_norm(maps[0] - kset.aux0) == 0.0
         assert max(liou_norm(a - b) for a, b in zip(maps[1:], aux_seed)) < 1e-12
@@ -177,19 +174,17 @@ class TestDress:
         assert liou_norm(gh @ np.linalg.matrix_power(g1, 3) @ gh - np.linalg.matrix_power(g1, 4)) < 1e-12
 
     def test_oracle_identity(self, sys2, tables):
-        grid = TimeGrid(0.1, 8, 8)
-        kset, seed, aux_seed = extract_kernels(sys2, TimeGrid(0.1, 8, 4), "sym_sys", "smatpi", eta=tables["sym_sys"])
+        kset, seed, aux_seed = extract_kernels(sys2, tables["sym_sys"], 4, "smatpi")
         gh = fb_propagator(sys2, 0.05)
-        u4 = oracle_trajectory(sys2, grid, "sym_sys", 4, eta=tables["sym_sys"])[0][3]
+        u4 = oracle_trajectory(sys2, tables["sym_sys"], 4)[0][3]
         assert liou_norm(gh @ aux_seed[2] @ gh - u4) < 1e-12
 
 
 @pytest.fixture(scope="module")
 def synthetic(sys2, tables):
     tab1 = eta_truncated(tables["sym_env"], 1)
-    grid = TimeGrid(0.1, 6, 6)
-    kset, seed, aux_seed = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tab1)
-    kttm, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tab1)
+    kset, seed, aux_seed = extract_kernels(sys2, tab1, 6, "smatpi")
+    kttm, _, _ = extract_kernels(sys2, tab1, 6, "ttm")
     return kset, kttm, seed, aux_seed, tab1
 
 
@@ -208,27 +203,23 @@ class TestOneStepMemory:
 
     def test_propagation_exact_beyond_memory(self, sys2, synthetic, tables):
         _, _, _, _, tab1 = synthetic
-        grid2 = TimeGrid(0.1, 6, 2)
-        kset, seed, aux_seed = extract_kernels(sys2, grid2, "sym_env", "smatpi", eta=tab1)
+        kset, seed, aux_seed = extract_kernels(sys2, tab1, 2, "smatpi")
         traj = propagate(kset, 6)
-        big = TimeGrid(0.1, 8, 8)
-        full, _, _ = oracle_trajectory(sys2, big, "sym_env", 6, eta=tab1)
+        full, _, _ = oracle_trajectory(sys2, tab1, 6)
         for n in range(3, 7):
             assert liou_norm(traj[n - 1] - full[n - 1]) < 1e-12
 
 
 class TestAsymCoincidence:
     def test_termination_equals_ttm(self, sys2, tables):
-        grid = TimeGrid(0.1, 8, 6)
-        kset, seed, aux_seed = extract_kernels(sys2, grid, "asym", "smatpi", eta=tables["asym"])
+        kset, seed, aux_seed = extract_kernels(sys2, tables["asym"], 6, "smatpi")
         tensors = extract_ttm(seed)
         assert all(
             liou_norm(a - b) < 1e-12 for a, b in zip(kset.termination, tensors)
         )
 
     def test_closed_forms(self, sys2, tables):
-        grid = TimeGrid(0.1, 8, 2)
-        kset, seed, _ = extract_kernels(sys2, grid, "asym", "ttm", eta=tables["asym"])
+        kset, seed, _ = extract_kernels(sys2, tables["asym"], 2, "ttm")
         assert liou_norm(closed_form_asym(sys2, tables["asym"], 1) - kset.midpoint[0]) < 1e-12
         assert liou_norm(closed_form_asym(sys2, tables["asym"], 2) - kset.midpoint[1]) < 1e-12
 
@@ -246,12 +237,6 @@ class TestAsymCoincidence:
             closed_form_asym(sys2, tables["sym_env"], 1)
 
 
-@pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
-def test_extract_rejects_table_of_another_dt(flavor, sys2, tables):
-    with pytest.raises(ValidationError, match="differs from grid dt"):
-        extract_kernels(sys2, TimeGrid(0.3, 4, 3), "sym_env", flavor, eta=tables["sym_env"])
-
-
 class TestStacks:
     """Every matrix sequence is one plain (k, d, d) complex array."""
 
@@ -263,8 +248,7 @@ class TestStacks:
     @pytest.mark.parametrize("splitting, flavor", [("sym_env", "smatpi"), ("sym_sys", "smatpi"),
                                                    ("asym", "smatpi"), ("sym_env", "ttm")])
     def test_kernel_set_fields_are_read_only_stacks(self, sys2, tables, splitting, flavor):
-        kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 3), splitting, flavor,
-                                     eta=tables[splitting])
+        kset, _, _ = extract_kernels(sys2, tables[splitting], 3, flavor)
         self.assert_read_only_stack(kset.midpoint, (3, 4, 4))
         if kset.termination is not None:
             self.assert_read_only_stack(kset.termination, (3, 4, 4))
@@ -290,8 +274,7 @@ class TestStacks:
         assert kset.termination[0, 0, 0] != 0.0 and kset.aux0[0, 0] == 1.0
 
     def test_propagate_returns_a_stack(self, sys2, tables):
-        kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 3), "sym_env", "smatpi",
-                                     eta=tables["sym_env"])
+        kset, _, _ = extract_kernels(sys2, tables["sym_env"], 3, "smatpi")
         maps = propagate(kset, 6)
         assert isinstance(maps, np.ndarray) and maps.dtype == complex
         assert maps.shape == (6, 4, 4) and maps.flags.c_contiguous
@@ -301,8 +284,7 @@ class TestStacks:
         assert propagate(kset, 0).shape == (0, 4, 4)
 
     def test_extraction_returns_oracle_stacks(self, sys2, tables):
-        _, full, aux = extract_kernels(sys2, TimeGrid(0.1, 6, 3), "sym_env", "smatpi",
-                                       eta=tables["sym_env"])
+        _, full, aux = extract_kernels(sys2, tables["sym_env"], 3, "smatpi")
         assert full.shape == aux.shape == (3, 4, 4)
         assert isinstance(solve_midpoint(aux), np.ndarray)
         assert isinstance(extract_ttm(full), np.ndarray)
@@ -377,9 +359,7 @@ class TestPropagate:
         tab0 = eta_table(bath0, grid8, "sym_env")
         g1 = fb_propagator(sys2, 0.1)
         for flavor in ("smatpi", "ttm"):
-            kset, seed, aux_seed = extract_kernels(
-                sys2, TimeGrid(0.1, 8, 1), "sym_env", flavor, eta=tab0
-            )
+            kset, seed, aux_seed = extract_kernels(sys2, tab0, 1, flavor)
             traj = propagate(kset, 8)
             for n in range(1, 9):
                 assert liou_norm(traj[n - 1] - np.linalg.matrix_power(g1, n)) < 1e-12
@@ -393,8 +373,7 @@ class TestPropagate:
         gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
         for convention in AUX0_CONVENTIONS if dressed else (None,):
             kset, seed, _ = extract_kernels(
-                sys2, TimeGrid(0.1, 6, 6), splitting, flavor, eta=tables[splitting],
-                aux_zero_convention=convention,
+                sys2, tables[splitting], 6, flavor, aux_zero_convention=convention
             )
             traj = propagate(kset, 6, g_half=gh)
             assert len(traj) == 6
@@ -413,8 +392,7 @@ class TestPropagate:
         assert max(liou_norm(a - b) for a, b in zip(maps, expected)) < 1e-12
 
     def test_sym_sys_needs_half_step(self, sys2, tables):
-        grid = TimeGrid(0.1, 6, 3)
-        kset, _, _ = extract_kernels(sys2, grid, "sym_sys", "smatpi", eta=tables["sym_sys"])
+        kset, _, _ = extract_kernels(sys2, tables["sym_sys"], 3, "smatpi")
         with pytest.raises(ValidationError, match="half-step"):
             propagate(kset, 6)
 
@@ -426,9 +404,8 @@ class TestPropagate:
         rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
         pops = {}
         for r in (4, 5, 6):
-            grid = TimeGrid(0.1, 30, r)
             tab = eta_table(bath_default, TimeGrid(0.1, r, r), "sym_env")
-            kset, seed, aux_seed = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tab)
+            kset, seed, aux_seed = extract_kernels(sys2, tab, r, "smatpi")
             traj = propagate(kset, 30)
             rho = apply_map(traj[29], rho0)
             pops[r] = (rho[0, 0] - rho[1, 1]).real
@@ -462,8 +439,7 @@ class TestEngine:
         assert list(propagate_blocks(kset, 0)) == [] and propagate(kset, 0).shape == (0, 4, 4)
 
     def test_arguments_checked_on_call(self, sys2, tables):
-        kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 3), "sym_sys", "smatpi",
-                                     eta=tables["sym_sys"])
+        kset, _, _ = extract_kernels(sys2, tables["sym_sys"], 3, "smatpi")
         with pytest.raises(ValidationError, match="half-step"):
             propagate_blocks(kset, 6)  # before the first block is asked for
 
@@ -485,8 +461,7 @@ class TestEngine:
         # in extended precision: the engine is off by 1.3e-15 (sym_env
         # smatpi) and 2.4e-15 (sym_sys ttm), the per-step loop it replaced
         # by 3.3e-14 and 4.0e-14
-        kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 6), splitting, flavor,
-                                     eta=tables[splitting])
+        kset, _, _ = extract_kernels(sys2, tables[splitting], 6, flavor)
 
         def extended(mats):
             return np.asarray(mats).astype(np.clongdouble)
@@ -517,8 +492,8 @@ class TestEngine:
         def defect(maps):
             return np.max(np.abs(maps - swap @ maps.conj() @ swap))
 
-        kset, _, _ = extract_kernels(sys2, TimeGrid(0.1, 6, 6), splitting, flavor,
-                                     eta=tables[splitting], aux_zero_convention=convention)
+        kset, _, _ = extract_kernels(sys2, tables[splitting], 6, flavor,
+                                     aux_zero_convention=convention)
         gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
         maps = propagate(kset, 20000, g_half=gh)
         trace = maps[:, [0, 3], :].sum(axis=1)  # rows (0, 0) and (1, 1)
@@ -538,8 +513,7 @@ class TestEndpointDistinctness:
     def test_m1_t1_u1_pairwise_distinct(self, sys2, tables):
         # the extracted first midpoint, first termination, and first map all
         # differ once the bath couples (alpha = 0.1 default set)
-        grid = TimeGrid(0.1, 6, 6)
-        kset, seed, _ = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tables["sym_env"])
+        kset, seed, _ = extract_kernels(sys2, tables["sym_env"], 6, "smatpi")
         m1, t1, u1 = kset.midpoint[0], kset.termination[0], seed[0]
         assert liou_norm(m1 - t1) > 1e-10
         assert liou_norm(t1 - u1) > 1e-10
@@ -548,24 +522,21 @@ class TestEndpointDistinctness:
 
 class TestCompare:
     def test_identical_sets(self, sys2, tables):
-        grid = TimeGrid(0.1, 6, 4)
-        kset, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tables["sym_env"])
+        kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")
         report = compare(kset, kset)
         assert all(d == 0.0 for d in report.diffs)
 
     def test_one_step_memory_contrast(self, sys2, tables):
         tab1 = eta_truncated(tables["sym_env"], 1)
-        grid = TimeGrid(0.1, 6, 6)
-        kset, _, _ = extract_kernels(sys2, grid, "sym_env", "smatpi", eta=tab1)
-        kttm, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tab1)
+        kset, _, _ = extract_kernels(sys2, tab1, 6, "smatpi")
+        kttm, _, _ = extract_kernels(sys2, tab1, 6, "ttm")
         report = compare(kset, kttm, threshold=1e-3)
         assert report.norms_a[1] < 1e-12
         assert report.norms_b[1] > 1e-6
         assert report.first_below_a == 2
 
     def test_dt_mismatch_rejected(self, sys2, tables):
-        grid = TimeGrid(0.1, 6, 4)
-        kset, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tables["sym_env"])
+        kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")
         other = KernelSet("sym_env", 0.2, 4, kset.midpoint, None, "ttm")
         with pytest.raises(ValidationError):
             compare(kset, other)
@@ -588,8 +559,7 @@ class TestCompare:
         assert (report.first_below_a, report.first_below_b) == (3, None)
 
     def test_splitting_mismatch_rejected(self, sys2, tables):
-        grid = TimeGrid(0.1, 6, 4)
-        kset, _, _ = extract_kernels(sys2, grid, "sym_env", "ttm", eta=tables["sym_env"])
+        kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")
         other = KernelSet("asym", 0.1, 4, kset.midpoint, None, "ttm")
         with pytest.raises(SplittingMismatchError, match="splitting_mismatch"):
             compare(kset, other)
@@ -630,11 +600,9 @@ class TestKernelSet:
 class TestConventions:
     def test_sym_sys_convention_flag(self, sys2, tables):
         # both conventions are runtime-selectable and both back-substitute
-        grid = TimeGrid(0.1, 6, 6)
         for convention in ("terminal_times_I0", "standalone_terminal"):
             kset, seed, aux_seed = extract_kernels(
-                sys2, grid, "sym_sys", "smatpi", eta=tables["sym_sys"],
-                aux_zero_convention=convention,
+                sys2, tables["sym_sys"], 6, "smatpi", aux_zero_convention=convention
             )
             assert kset.aux_zero_convention == convention
             gh = fb_propagator(sys2, 0.05)
@@ -644,7 +612,6 @@ class TestConventions:
     def test_shipped_default_nullifies_one_step_memory_sym_sys(self, sys2, tables):
         # the frozen terminal convention is the one with vanishing midpoints
         tab1 = eta_truncated(tables["sym_sys"], 1)
-        grid = TimeGrid(0.1, 6, 6)
-        kset, _, _ = extract_kernels(sys2, grid, "sym_sys", "smatpi", eta=tab1)
+        kset, _, _ = extract_kernels(sys2, tab1, 6, "smatpi")
         assert kset.aux_zero_convention == "terminal_times_I0"
         assert all(liou_norm(m) < 1e-12 for m in kset.midpoint[1:])

@@ -21,34 +21,16 @@ class TestBudget:
         grid = TimeGrid(0.1, 20, 6)
         tab = eta_table(bath_default, grid, "sym_env")
         with pytest.raises(PathSumBudgetError, match="pathsum_budget"):
-            oracle_trajectory(sys2, grid, "sym_env", 16, eta=tab)
+            oracle_trajectory(sys2, tab, 16)
 
-    def test_steps_bounded_by_grid(self, sys2, bath_default):
-        grid = TimeGrid(0.1, 4, 4)
-        tab = eta_table(bath_default, TimeGrid(0.1, 8, 8), "sym_env")
-        for steps in (-1, 5):
-            with pytest.raises(ValidationError, match="outside 0..grid.n_steps"):
-                oracle_trajectory(sys2, grid, "sym_env", steps, eta=tab)
+    def test_steps_bounded_by_grid(self, sys2, tables):
+        with pytest.raises(ValidationError, match="steps must be >= 0, got -1"):
+            oracle_trajectory(sys2, tables["sym_env"], -1)
 
 
 class TestInputChecks:
-    def test_table_of_another_splitting(self, sys2, tables):
-        grid = TimeGrid(0.1, 8, 8)
-        with pytest.raises(ValidationError, match="eta table is for 'sym_sys'"):
-            oracle_trajectory(sys2, grid, "sym_env", 3, eta=tables["sym_sys"])
-
-    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
-    def test_table_of_another_dt(self, splitting, sys2, bath_default):
-        tab = eta_table(bath_default, TimeGrid(0.1, 4, 4), splitting)
-        with pytest.raises(ValidationError, match="differs from grid dt"):
-            oracle_trajectory(sys2, TimeGrid(0.3, 4, 4), splitting, 3, eta=tab)
-        near = TimeGrid(0.1 + 1e-16, 4, 4)  # within the 1e-15 dt test
-        assert near.dt != 0.1
-        oracle_trajectory(sys2, near, splitting, 1, eta=tab)
-
     def test_zero_steps(self, sys2, tables):
-        full, aux0, aux = oracle_trajectory(sys2, TimeGrid(0.1, 8, 8), "sym_env", 0,
-                                            eta=tables["sym_env"])
+        full, aux0, aux = oracle_trajectory(sys2, tables["sym_env"], 0)
         assert full.shape == aux.shape == (0, 4, 4) and aux0.shape == (4, 4)
 
 
@@ -63,7 +45,7 @@ class TestZeroCoupling:
         grid = TimeGrid(0.1, 4, 4)
         g1 = fb_propagator(sys2, 0.1)
         tab = eta_table(bath0, grid, splitting)
-        full, _, _ = oracle_trajectory(sys2, grid, splitting, 4, eta=tab)
+        full, _, _ = oracle_trajectory(sys2, tab, 4)
         for n in range(1, 5):
             assert liou_norm(full[n - 1] - np.linalg.matrix_power(g1, n)) < 1e-13
 
@@ -71,7 +53,7 @@ class TestZeroCoupling:
         grid = TimeGrid(0.1, 4, 4)
         g1 = fb_propagator(sys2, 0.1)
         tab = eta_table(bath0, grid, "sym_sys")
-        _, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 3, eta=tab)
+        _, aux0, aux = oracle_trajectory(sys2, tab, 3)
         for k, a in enumerate([aux0, *aux]):
             assert liou_norm(a - np.linalg.matrix_power(g1, k)) < 1e-13
 
@@ -82,7 +64,7 @@ class TestStructure:
         sys0 = SystemSpec(np.zeros((2, 2), dtype=complex), (1.0, -1.0))
         grid = TimeGrid(0.1, 4, 4)
         tab = eta_table(bath_default, grid, "sym_sys")
-        u3 = oracle_trajectory(sys0, grid, "sym_sys", 3, eta=tab)[0][2]
+        u3 = oracle_trajectory(sys0, tab, 3)[0][2]
         assert liou_norm(u3 - np.diag(np.diag(u3))) < 1e-14
         assert abs(u3[0, 0] - 1.0) < 1e-14
         assert abs(u3[3, 3] - 1.0) < 1e-14
@@ -92,30 +74,26 @@ class TestStructure:
 
     def test_first_step_sym_env(self, sys2, tables):
         # U_1 equals the standalone termination start (no interior sum at N = 1)
-        grid = TimeGrid(0.1, 8, 8)
-        (u1,), _, (aux1,) = oracle_trajectory(sys2, grid, "sym_env", 1, eta=tables["sym_env"])
+        (u1,), _, (aux1,) = oracle_trajectory(sys2, tables["sym_env"], 1)
         from ifkernels.kernels import solve_termination
 
         terms = solve_termination([u1], [aux1])
         assert liou_norm(terms[0] - u1) == 0.0
 
     def test_sym_sys_dressing_identity(self, sys2, tables):
-        grid = TimeGrid(0.1, 8, 8)
         g_half = fb_propagator(sys2, 0.05)
-        full, aux0, aux = oracle_trajectory(sys2, grid, "sym_sys", 6, eta=tables["sym_sys"])
+        full, aux0, aux = oracle_trajectory(sys2, tables["sym_sys"], 6)
         for n in range(1, 7):
             a = aux0 if n == 1 else aux[n - 2]
             assert liou_norm(g_half @ a @ g_half - full[n - 1]) < 1e-12
 
     def test_sym_env_aux_differs_from_full(self, sys2, tables):
         # endpoint effects are present: the all-interior auxiliary is not the map
-        grid = TimeGrid(0.1, 8, 8)
-        full, _, aux = oracle_trajectory(sys2, grid, "sym_env", 2, eta=tables["sym_env"])
+        full, _, aux = oracle_trajectory(sys2, tables["sym_env"], 2)
         assert liou_norm(full[1] - aux[1]) > 1e-6
 
     def test_asym_aux_equals_full(self, sys2, tables):
-        grid = TimeGrid(0.1, 8, 8)
-        full, aux0, aux = oracle_trajectory(sys2, grid, "asym", 4, eta=tables["asym"])
+        full, aux0, aux = oracle_trajectory(sys2, tables["asym"], 4)
         assert np.array_equal(aux0, np.eye(4))
         for n in range(1, 5):
             assert liou_norm(full[n - 1] - aux[n - 1]) == 0.0
@@ -123,8 +101,7 @@ class TestStructure:
     def test_asym_first_step_closed_form(self, sys2, tables):
         from ifkernels.bath import influence_self_weights
 
-        grid = TimeGrid(0.1, 8, 8)
-        u1 = oracle_trajectory(sys2, grid, "asym", 1, eta=tables["asym"])[0][0]
+        u1 = oracle_trajectory(sys2, tables["asym"], 1)[0][0]
         i0 = influence_self_weights(sys2, tables["asym"].interior[0])
         g1 = fb_propagator(sys2, 0.1)
         assert liou_norm(u1 - i0[:, None] * g1) < 1e-15
@@ -133,10 +110,9 @@ class TestStructure:
 class TestInvariants:
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     def test_trace_preservation(self, splitting, sys2, tables):
-        grid = TimeGrid(0.1, 8, 8)
         trace_row = np.zeros(4)
         trace_row[[0, 3]] = 1.0
-        full, _, _ = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
+        full, _, _ = oracle_trajectory(sys2, tables[splitting], 5)
         for u in full:
             got = trace_row @ u
             assert liou_norm(got - trace_row) < 1e-8
@@ -146,8 +122,7 @@ class TestInvariants:
         def swap(i):
             return (i % 2) * 2 + i // 2
 
-        grid = TimeGrid(0.1, 8, 8)
-        u = oracle_trajectory(sys2, grid, splitting, 4, eta=tables[splitting])[0][3]
+        u = oracle_trajectory(sys2, tables[splitting], 4)[0][3]
         for a in range(4):
             for b in range(4):
                 assert abs(u[swap(a), swap(b)] - np.conj(u[a, b])) < 1e-12
@@ -164,8 +139,8 @@ class TestInvariants:
             grid = TimeGrid(dt, n, n)
             tab_env = eta_table_from_correlation(corr, grid, "sym_env")
             tab_sys = eta_table_from_correlation(corr, grid, "sym_sys")
-            u_env = oracle_trajectory(sys2, grid, "sym_env", n, eta=tab_env)[0][-1]
-            u_sys = oracle_trajectory(sys2, grid, "sym_sys", n, eta=tab_sys)[0][-1]
+            u_env = oracle_trajectory(sys2, tab_env, n)[0][-1]
+            u_sys = oracle_trajectory(sys2, tab_sys, n)[0][-1]
             diffs.append(liou_norm(u_env - u_sys))
         assert diffs[0] > diffs[1] > diffs[2]
         assert 1.5 < diffs[0] / diffs[1] < 3.0
@@ -173,8 +148,7 @@ class TestInvariants:
 
 
 def test_oracle_trajectory_shapes(sys2, tables):
-    grid = TimeGrid(0.1, 8, 8)
-    full, aux0, aux = oracle_trajectory(sys2, grid, "sym_env", 3, eta=tables["sym_env"])
+    full, aux0, aux = oracle_trajectory(sys2, tables["sym_env"], 3)
     assert len(full) == 3 and len(aux) == 3
     assert aux0.shape == (4, 4)
     # index-0 auxiliary is the diagonal single-point factor matrix
@@ -199,13 +173,13 @@ class TestPathByPathReference:
         sys_ = request.getfixturevalue(system)
         grid = TimeGrid(0.1, horizon, horizon)
         tab = eta_table(bath_default, grid, splitting)
-        full, aux0, aux = oracle_trajectory(sys_, grid, splitting, horizon, eta=tab)
+        full, aux0, aux = oracle_trajectory(sys_, tab, horizon)
         assert np.max(np.abs(aux0 - path_sum_reference(sys_, 0.1, tab, 0, False))) < 1e-13
         for n in range(1, horizon + 1):
             ref_u = path_sum_reference(sys_, 0.1, tab, n)
             ref_a = path_sum_reference(sys_, 0.1, tab, n, measured_end=False)
             # a trajectory cut at n sums the same maps as the full one
-            short_full, _, short_aux = oracle_trajectory(sys_, grid, splitting, n, eta=tab)
+            short_full, _, short_aux = oracle_trajectory(sys_, tab, n)
             for got, ref in ((short_full[-1], ref_u), (full[n - 1], ref_u),
                              (short_aux[-1], ref_a), (aux[n - 1], ref_a)):
                 assert np.max(np.abs(got - ref)) < 1e-13
@@ -217,11 +191,10 @@ class TestBlocking:
     def test_odometer_blocks_match_single_block(self, splitting, batch, sys2, tables, monkeypatch):
         # N = 5 has 4 interior points: one block of 4^4 paths unpatched; with
         # _BATCH = 64 two points (_BATCH = 1: all four) run on the odometer
-        grid = TimeGrid(0.1, 8, 8)
-        whole = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
+        whole = oracle_trajectory(sys2, tables[splitting], 5)
         monkeypatch.setattr(pathsum, "_BATCH", batch)
-        blocked = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
-        again = oracle_trajectory(sys2, grid, splitting, 5, eta=tables[splitting])
+        blocked = oracle_trajectory(sys2, tables[splitting], 5)
+        again = oracle_trajectory(sys2, tables[splitting], 5)
         maps = [np.concatenate((run[0], run[2])) for run in (whole, blocked, again)]
         for a, b, c in zip(*maps):
             assert np.max(np.abs(a - b)) < 1e-14
