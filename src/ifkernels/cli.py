@@ -124,6 +124,8 @@ def _cmd_oracle(args) -> int:
 def _extraction(cfg: RunConfig, splitting: str, flavor: str, r_max: int):
     if not 1 <= r_max <= cfg.grid.n_steps:
         raise ValidationError("r_max must satisfy 1 <= r_max <= n_steps")
+    if cfg.aux_zero_convention is not None and splitting != "sym_sys":
+        raise ValidationError(f"run.aux_zero_convention: applies to sym_sys only, not {splitting}")
     table = eta_table(cfg.bath, TimeGrid(cfg.grid.dt, r_max, r_max), splitting,
                       rtol=cfg.quadrature_rtol)
     kset, _, _ = extract_kernels(
@@ -242,13 +244,13 @@ def _cmd_dyck(args) -> int:
     if args.count_only:
         print(f"{m},{count}")
         return 0
+    paths = enumerate_dyck(m) if args.list_paths else None
     os.makedirs(args.out, exist_ok=True)
     rows = [[str(mm), str(catalan(mm))] for mm in range(0, m + 1)]
     cpath = os.path.join(args.out, "dyck_counts.csv")
     _write_csv(cpath, ["semilength", "count"], rows)
     print(cpath)
-    if args.list_paths:
-        paths = enumerate_dyck(m)
+    if paths is not None:
         prow = [
             [str(i), " ".join(f"{s:+d}" for s in p.steps)] for i, p in enumerate(paths)
         ]

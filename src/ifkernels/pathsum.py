@@ -19,15 +19,33 @@ Summation
 A path weight is a product of per-pair factor matrices (the QuAPI
 construction), so weights are built by broadcasting, not per path.  Each
 whole-step propagator is merged into the pair factor of its two neighbours.
-The trailing interior points are the axes of a block tensor of
-n^(2 (m+1)) <= _BATCH entries per end; their mutual factors and their
-factors with both ends are built once per map length, axis by axis.  The
-leading interior points run on an odometer: each block folds their factors
-into one scalar, one vector per tensor axis and one vector per end, and is
-contracted with one matmul.  Blocks are added in odometer order, so results
-are reproducible bit for bit.  Maps of one length that differ only at the
-measured end are summed in the same pass, and ``oracle_trajectory`` sums
-each length once.
+With d = n^2 values per point, the interior points 1..N-1 fall into three
+runs (``_split``):
+
+* the trailing m *column* points index the d^m rows of the column matrix
+  Z[x, (e, a_N, a_0)]: their self weights, mutual factors and factors with
+  both ends, for every measured-end factor set e, times the factors of the
+  two ends alone;
+* the q *row* points before them index the d^q rows of the cross-factor
+  matrix W[row, x] of their factors with the column points, and of a row
+  table of their own self weights, mutual factors and end factors;
+* the leading p points run on an odometer.
+
+Z, W and the row table are built once per map length, one axis at a time.
+Each odometer prefix scales the rows of Z by its factors with the column
+points, takes one GEMM Y = W Z, and sums Y over the rows, weighted by the
+row table and by its factors with the row points; its own weight and end
+factors scale the result.  Every one of these matrices stays within _BATCH
+entries, or within d x width entries (width = the columns of Z) where that
+is larger: one point's end-factor table has that size anyway, and the floor
+keeps at least one row and one column point, so large n never falls back to
+one Python call per path.  Columns are filled first, then rows: for n = 2
+under sym_env the length N = 11 takes 16 GEMMs of (256 x 256) @ (256 x 32),
+and for n = 6 the length N = 4 takes 36 GEMMs of (36 x 36) @ (36 x 2592).
+The odometer sums the d subtrees of each level in order, so results are
+reproducible bit for bit and the rounding grows with p, not with the d^p
+prefixes.  Maps of one length that differ only at the measured end are
+summed in the same pass, and ``oracle_trajectory`` sums each length once.
 
 Structure per splitting
 -----------------------
@@ -48,7 +66,6 @@ asym
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +140,34 @@ def _aux0(f: _Factors) -> LiouvilleMatrix:
     return np.diag(self_w.astype(complex))
 
 
-def _on_axes(mat: np.ndarray, i: int, j: int, ndim: int) -> np.ndarray:
-    """View of ``mat[x_i, x_j]`` (i < j) that broadcasts over ``ndim`` tensor axes."""
-    shape = [1] * ndim
-    shape[i] = shape[j] = mat.shape[0]
-    return mat.reshape(shape)
+def _split(n_int: int, d: int, width: int):
+    """(odometer, row, column) point counts for ``n_int`` interior points.
+
+    Every chunk matrix stays within max(_BATCH, d x ``width``) entries: the
+    column matrix (d^m x ``width``), the cross-factor matrix (d^q x d^m),
+    the row table and the GEMM output (d^q x ``width``).  Columns are filled
+    first, while Z and a square cross-factor matrix fit; rows next.  The
+    rest run on the odometer.
+    """
+    cap = max(_BATCH, d * width)
+    m = 0
+    while m < n_int and d ** (m + 1) * max(width, d ** (m + 1)) <= cap:
+        m += 1
+    q = 0
+    while m + q < n_int and d ** (q + 1) * max(width, d ** m) <= cap:
+        q += 1
+    return n_int - m - q, q, m
+
+
+def _face(mats, width: int) -> np.ndarray:
+    """Row-wise Kronecker product ``out[(y_0, .., y_g-1), z] = prod_i mats[i][y_i, z]``.
+
+    One axis is added at a time, y_0 slowest; no matrices give one row of ones.
+    """
+    out = np.ones((1, width), dtype=complex)
+    for mat in mats:
+        out = (out[:, None, :] * mat).reshape(-1, width)
+    return out
 
 
 def _path_sums(steps: int, f: _Factors, ends) -> list:
@@ -138,63 +178,65 @@ def _path_sums(steps: int, f: _Factors, ends) -> list:
     if f.bare_origin:
         self0 = np.ones(d, dtype=complex)
         origin = [None, f.g1] + [ones] * (steps - 1)
+        corners = [f.g1 if steps == 1 else ones] * len(ends)
     else:
         self0 = self_w
         origin = pairs
+        corners = [end_pairs[steps] for _, end_pairs in ends]
+    width = len(ends) * d * d
+    # the two ends alone, and link[k][a_k, (e, a_N, a_0)]: the self weight of
+    # interior point k and its factors with both ends
+    base = np.stack([end_self[:, None] * c * self0 for (end_self, _), c in zip(ends, corners)])
+    link = [None] + [
+        (np.stack([end_pairs[steps - k].T for _, end_pairs in ends], axis=1)[..., None]
+         * origin[k][:, None, None, :]).reshape(d, width) * self_w[:, None]
+        for k in range(1, steps)
+    ]
+    sep = np.stack([ones] + pairs[1:steps])  # sep[s]: factor of two points s apart
 
-    n_int = steps - 1
-    m = 0
-    while m < n_int and d ** (m + 2) <= _BATCH:
-        m += 1
-    p = n_int - m
-    # Interior points 1..p run on the odometer; points p+1..N-1 are the block
-    # tensor axes 0..m-1.  Factors among block axes and between block axes
-    # and the ends are the same in every block, so they are built once here.
-    inner_t = np.ones((), dtype=complex)
-    left_t = self0
-    right_t = [end_self for end_self, _ in ends]
-    for i in range(m):
-        k = p + 1 + i
-        inner_t = inner_t[..., None] * self_w
-        for i2 in range(i):
-            inner_t *= _on_axes(pairs[i - i2].T, i2, i, i + 1)
-        left_t = left_t[..., None] * _on_axes(origin[k].T, 0, i + 1, i + 2)
-        right_t = [
-            r[..., None] * _on_axes(end_pairs[steps - k], 0, i + 1, i + 2)
-            for r, (_, end_pairs) in zip(right_t, ends)
-        ]
-    size = d**m
-    right_block = np.concatenate([(r * inner_t).reshape(d, size) for r in right_t])
-    left_block = left_t.reshape(d, size).T
+    def mutual(ks):
+        """Pair factors among the points ``ks``, flat over their values."""
+        w = np.ones(1, dtype=complex)
+        for i, k in enumerate(ks):
+            w = (w[:, None] * _face([sep[k - k2].T for k2 in ks[:i]], d)).ravel()
+        return w
 
-    acc = np.zeros((len(ends) * d, d), dtype=complex)
-    for prefix in itertools.product(range(d), repeat=p):
-        a = (None,) + prefix  # a[k] is a_k for the odometer points k = 1..p
-        weight = np.ones((), dtype=complex)
-        left_v = np.ones(d, dtype=complex)
-        right_v = np.ones((len(ends), d), dtype=complex)
-        for k in range(1, p + 1):
-            weight = weight * self_w[a[k]]
-            for k2 in range(1, k):
-                weight = weight * pairs[k - k2][a[k], a[k2]]
-            left_v = left_v * origin[k][a[k]]
-            right_v = right_v * [end_pairs[steps - k][:, a[k]] for _, end_pairs in ends]
-        for j in range(p + 1, steps):
-            axis_v = np.ones(d, dtype=complex)
-            for k in range(1, p + 1):
-                axis_v = axis_v * pairs[j - k][:, a[k]]
-            weight = weight[..., None] * axis_v
-        block = right_block @ (weight.reshape(size, 1) * left_block)
-        acc += right_v.reshape(-1, 1) * block * left_v
+    def cross(k, ks):
+        """``[a_k, (a_j for j in ks)]``: the pair factors of point k with the later points ``ks``."""
+        return np.ascontiguousarray(_face(sep[ks - k], d).T)
 
-    out = []
-    for e, (_, end_pairs) in enumerate(ends):
-        if f.bare_origin:
-            corner = f.g1 if steps == 1 else ones
-        else:
-            corner = end_pairs[steps]
-        out.append(check_finite(acc[e * d : (e + 1) * d] * corner, "path sum"))
-    return out
+    p, q, m = _split(steps - 1, d, width)
+    rows = np.arange(p + 1, p + q + 1)
+    cols = np.arange(p + q + 1, steps)
+    # Z, the row table and W of the module docstring
+    col_mat = _face([link[k] for k in cols], width) * mutual(cols)[:, None] * base.reshape(width)
+    row_ends = _face([link[k] for k in rows], width) * mutual(rows)[:, None]
+    row_col = _face([cross(k, cols) for k in rows], d**m)
+    to_rows = [None] + [cross(k, rows) for k in range(1, p + 1)]
+    to_cols = [None] + [cross(k, cols) for k in range(1, p + 1)]
+    tables = (link, sep, to_rows, to_cols, row_ends, row_col, col_mat)
+    acc = _odometer_sum(tables, 1, np.ones(width, dtype=complex), np.ones(d**q, dtype=complex),
+                        np.ones(d**m, dtype=complex), np.ones((p, d), dtype=complex))
+    return [check_finite(u, "path sum") for u in acc.reshape(len(ends), d, d)]
+
+
+def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
+    """Sum over the paths with the odometer points 1..k-1 fixed.
+
+    Their factors are folded into ``ends_v`` (with the ends), ``row_v`` (with
+    the row points), ``col_v`` (with the column points) and ``prior[j - k]``
+    (with odometer point j >= k).  Each fixed prefix of all p odometer points
+    takes one GEMM.  Every level adds its d subtrees in order, so the
+    rounding grows with p, not with the d^p prefixes.
+    """
+    link, sep, to_rows, to_cols, row_ends, row_col, col_mat = tables
+    if not len(prior):
+        return ends_v * (row_v @ (row_ends * (row_col @ (col_v[:, None] * col_mat))))
+    return sum(
+        _odometer_sum(tables, k + 1, ends_v * prior[0, v] * link[k][v], row_v * to_rows[k][v],
+                      col_v * to_cols[k][v], prior[1:] * sep[1 : len(prior), :, v])
+        for v in range(prior.shape[1])
+    )
 
 
 def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int = DEFAULT_BUDGET):

@@ -700,6 +700,29 @@ class TestCli:
         assert f"--budget: must be >= 1, got {budget}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("splitting", ["sym_env", "asym"])
+    def test_aux_zero_convention_follows_splitting_flag(self, tmp_path, capsys, splitting):
+        # the config is valid (sym_sys); the flag moves the run off sym_sys
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"run.splitting": "sym_sys",
+                                       "run.aux_zero_convention": "standalone_terminal"}))
+        out = tmp_path / "out"
+        argv = ["extract", "--config", str(cfg), "--out", str(out), "--splitting", splitting]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"run.aux_zero_convention: applies to sym_sys only, not {splitting}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("semilength", ["15", "20"])
+    def test_dyck_list_out_of_range_writes_nothing(self, tmp_path, capsys, semilength):
+        out = tmp_path / "out"
+        argv = ["dyck", "--semilength", semilength, "--list", "--out", str(out)]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert "range: enumerate_dyck supports 0 <= m <= 14" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_out_falls_back_to_config_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.txt"

@@ -39,7 +39,7 @@ def symmetry_defect(maps):
 
 
 @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
-@pytest.mark.parametrize("n, steps", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("n, steps", [(2, 6), (3, 4), (2, 8), (2, 10)])
 def test_oracle_maps(bath_default, splitting, n, steps):
     sys_ = biased_system(n, seed=n)
     grid = TimeGrid(0.1, steps, steps)

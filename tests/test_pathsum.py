@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,18 +187,69 @@ class TestPathByPathReference:
                 assert np.max(np.abs(got - ref)) < 1e-13
 
 
+def _split_names(steps, width):
+    p, q, m = pathsum._split(steps - 1, 4, width)
+    return "+".join(name for name, count in zip(("odometer", "rows", "columns"), (p, q, m)) if count)
+
+
 class TestBlocking:
     @pytest.mark.parametrize("splitting", SPLITTINGS)
-    @pytest.mark.parametrize("batch", [1, 64])
-    def test_odometer_blocks_match_single_block(self, splitting, batch, sys2, tables, monkeypatch):
-        # N = 5 has 4 interior points: one block of 4^4 paths unpatched; with
-        # _BATCH = 64 two points (_BATCH = 1: all four) run on the odometer
-        whole = oracle_trajectory(sys2, tables[splitting], 5)
+    @pytest.mark.parametrize("steps, batch, split", [
+        # below d x width entries (4 x 32 or 4 x 16) _BATCH shrinks nothing
+        # more: one row and one column point stay
+        pytest.param(5, 1, "odometer+rows+columns", id="1"),
+        pytest.param(5, 64, "odometer+rows+columns", id="64"),
+        pytest.param(5, 1 << 10, "rows+columns", id="N5-1024"),
+        pytest.param(8, 1, "odometer+rows+columns", id="N8-1"),
+        pytest.param(8, 1 << 12, "odometer+rows+columns", id="N8-4096"),
+        pytest.param(8, 1 << 16, "rows+columns", id="N8-65536"),
+        pytest.param(8, 1 << 28, "columns", id="N8-2^28"),
+    ])
+    def test_odometer_blocks_match_single_block(self, splitting, steps, batch, split, sys2, tables,
+                                                monkeypatch):
+        width = 32 if splitting == "sym_env" else 16  # (measured ends) x 4 x 4
+        # the default _BATCH sums N = 5 on columns alone
+        assert steps == 8 or _split_names(steps, width) == "columns"
+        whole = oracle_trajectory(sys2, tables[splitting], steps)
         monkeypatch.setattr(pathsum, "_BATCH", batch)
-        blocked = oracle_trajectory(sys2, tables[splitting], 5)
-        again = oracle_trajectory(sys2, tables[splitting], 5)
+        assert _split_names(steps, width) == split
+        blocked = oracle_trajectory(sys2, tables[splitting], steps)
+        again = oracle_trajectory(sys2, tables[splitting], steps)
         maps = [np.concatenate((run[0], run[2])) for run in (whole, blocked, again)]
         for a, b, c in zip(*maps):
             assert np.max(np.abs(a - b)) < 1e-14
             assert np.array_equal(b, c)
         assert np.array_equal(whole[1], blocked[1])
+
+    @pytest.mark.parametrize("batch", [1, 1 << 10, pathsum._BATCH])
+    def test_chunks_within_bound(self, batch, monkeypatch):
+        # every chunk matrix fits max(_BATCH, d x width); at least one point
+        # is a column, and one a row unless the columns take them all
+        monkeypatch.setattr(pathsum, "_BATCH", batch)
+        for n in range(2, 9):
+            d = n * n
+            for width in (d * d, 2 * d * d):
+                cap = max(batch, d * width)
+                for n_int in range(12):
+                    p, q, m = pathsum._split(n_int, d, width)
+                    assert min(p, q, m) >= 0 and p + q + m == n_int
+                    assert d**m * max(width, d**m) <= cap
+                    assert d**q * max(width, d**m) <= cap
+                    assert n_int == 0 or (m >= 1 and (q >= 1 or p == 0))
+
+
+class TestMemory:
+    @pytest.mark.parametrize("n, steps, mib", [(2, 11, 4), (4, 5, 4), (6, 4, 16)])
+    def test_trajectory_peak_is_bounded(self, n, steps, mib, bath_default):
+        # traced peaks: about 1.9 MiB at (2, 11), where whole-block tensors
+        # of 4^6 paths took 7.3 MiB; 1.2 MiB at (4, 5) and 11 MiB at (6, 4),
+        # where a row table bounded by d^q alone took 66 MiB and 1.9 GB
+        sys_ = SystemSpec(np.diag(np.linspace(0.4, -0.3, n)) + 0.2, tuple(np.linspace(1.0, -0.6, n)))
+        tab = eta_table(bath_default, TimeGrid(0.1, steps, steps), "sym_env")
+        tracemalloc.start()
+        try:
+            oracle_trajectory(sys_, tab, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
