@@ -11,8 +11,6 @@ from .bath import (
     eta_truncated,
 )
 from .combinatorics import (
-    DyckPath,
-    SymbolicTerm,
     catalan,
     enumerate_dyck,
     expand_hierarchy,

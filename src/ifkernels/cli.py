@@ -13,9 +13,10 @@ CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
 separate ``re_*`` / ``im_*`` columns; density-matrix and map elements are
 ordered row-major in the flat forward-backward index.  ``trajectory.csv``
-and ``oracle_maps.csv`` are formatted and written at most CSV_BLOCK_ROWS
-rows at a time, and ``propagate`` makes, applies and writes one chunk of
-maps at a time, so memory does not grow with the number of steps.
+and ``oracle_maps.csv`` are written one engine block at a time, each block
+formatted by one call: ``propagate`` makes, applies and writes one chunk of
+``kernels.CHUNK`` maps at a time, so memory does not grow with the number
+of steps, and ``oracle`` writes its few path-sum maps as one block.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ from .liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from .pathsum import oracle_trajectory
 
 
-# Rows formatted per write of a trajectory or map table, so the text buffer
-# is one block long whatever the number of steps.
-CSV_BLOCK_ROWS = 2048
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -59,10 +55,10 @@ def _write_steps_csv(path, dt, prefixes, blocks):
     ``blocks`` is an iterable of tuples with one stack per prefix; a stack
     holds one (m, m) complex matrix per step, the blocks run over steps
     0, 1, ... in order, and each prefix adds the columns re_<prefix>_i_j,
-    im_<prefix>_i_j, row-major.  Every write holds at most CSV_BLOCK_ROWS
-    rows, formatted by one ``%`` call; ``%.17g`` prints a float as
-    ``format(x, ".17g")`` does.  If the blocks raise, the partial file is
-    removed.
+    im_<prefix>_i_j, row-major.  Each block is formatted by one ``%`` call
+    and written at once, so the text buffer is one block long; ``%.17g``
+    prints a float as ``format(x, ".17g")`` does.  If the blocks raise, the
+    partial file is removed.
     """
     blocks = iter(blocks)
     first = next(blocks)
@@ -80,13 +76,10 @@ def _write_steps_csv(path, dt, prefixes, blocks):
             for block in itertools.chain([first], blocks):
                 cols = [np.ascontiguousarray(s, dtype=complex).reshape(len(s), -1).view(float)
                         for s in block]
-                rows = len(cols[0])
-                for start in range(0, rows, CSV_BLOCK_ROWS):
-                    stop = min(start + CSV_BLOCK_ROWS, rows)
-                    step = np.arange(done + start, done + stop, dtype=float)
-                    data = np.column_stack([step, step * dt] + [c[start:stop] for c in cols])
-                    fh.write((row_template * (stop - start)) % tuple(data.ravel().tolist()))
-                done += rows
+                step = np.arange(done, done + len(cols[0]), dtype=float)
+                data = np.column_stack([step, step * dt] + cols)
+                fh.write((row_template * len(step)) % tuple(data.ravel().tolist()))
+                done += len(step)
     except BaseException:
         os.remove(path)
         raise
@@ -113,8 +106,8 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(f"--budget: must be >= 1, got {budget}")
     table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting,
                       rtol=cfg.quadrature_rtol)
-    os.makedirs(args.out, exist_ok=True)
     full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=budget)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle_maps.csv")
     _write_steps_csv(path, grid.dt, ("u",), [(_with_identity(full),)])
     print(path)
@@ -251,9 +244,7 @@ def _cmd_dyck(args) -> int:
     _write_csv(cpath, ["semilength", "count"], rows)
     print(cpath)
     if paths is not None:
-        prow = [
-            [str(i), " ".join(f"{s:+d}" for s in p.steps)] for i, p in enumerate(paths)
-        ]
+        prow = [[str(i), " ".join(f"{s:+d}" for s in p)] for i, p in enumerate(paths)]
         ppath = os.path.join(args.out, "dyck_paths.csv")
         _write_csv(ppath, ["index", "steps"], prow)
         print(ppath)

@@ -197,8 +197,6 @@ def parse_config(text: str) -> RunConfig:
         system = SystemSpec(np.array(ham_rows, dtype=complex), tuple(coupling))
     except ValidationError as exc:
         raise ValidationError(f"system: {exc}") from None
-    if system.n != n:
-        raise ValidationError("system.n: inconsistent with hamiltonian shape")
 
     kind = fields.take("bath.kind", default="ohmic_exponential")
     alpha = _float(fields, "bath.alpha", required=True)

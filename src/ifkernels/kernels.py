@@ -142,19 +142,13 @@ class KernelSet:
         return self.midpoint.shape[1]
 
 
-def _right_solve(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Solve X a = b for X with a condition-number guard on a."""
-    if np.linalg.cond(a) > COND_LIMIT:
-        raise Aux0SingularError("aux0_singular: terminal auxiliary matrix is ill conditioned")
-    return np.linalg.solve(a.T, b.T).T
-
-
 def _inverse(y, b=None, tail=None) -> np.ndarray:
     """X_1..X_L solving Y_n = sum_{r<n} X_r B_{n-r} + X_n tail, n = 1..L.
 
     B is Y itself unless ``b`` (B_1.., at least L - 1 of them) is given;
-    ``tail=None`` is the identity, otherwise each X_n comes from a guarded
-    right solve against it.  Returns a (L, d, d) array.
+    ``tail=None`` is the identity, otherwise each X_n comes from a right
+    solve against it, whose condition number is checked once.  Returns a
+    (L, d, d) array.
     """
     y = _stack(y, "input")
     if y.ndim != 3 or not len(y):
@@ -164,10 +158,14 @@ def _inverse(y, b=None, tail=None) -> np.ndarray:
     hist = np.ascontiguousarray((y if b is None else _stack(b, "auxiliary"))[: length - 1][::-1])
     if len(hist) < length - 1:
         raise ValidationError("auxiliary sequence too short for the solve")
+    if tail is not None and np.linalg.cond(tail) > COND_LIMIT:
+        raise Aux0SingularError("aux0_singular: terminal auxiliary matrix is ill conditioned")
     wide = np.empty((d, length * d), dtype=complex)  # [X_1 | X_2 | ... | X_L]
     for n in range(1, length + 1):
         resid = y[n - 1] - wide[:, : (n - 1) * d] @ hist[length - n :].reshape((n - 1) * d, d)
-        wide[:, (n - 1) * d : n * d] = resid if tail is None else _right_solve(resid, tail)
+        if tail is not None:
+            resid = np.linalg.solve(tail.T, resid.T).T
+        wide[:, (n - 1) * d : n * d] = resid
     return wide.reshape(d, length, d).transpose(1, 0, 2)
 
 
@@ -422,6 +420,10 @@ def extract_kernels(
     """
     from .pathsum import DEFAULT_BUDGET, oracle_trajectory
 
+    if flavor not in ("smatpi", "ttm"):
+        raise ValidationError(f"unknown flavor {flavor!r}")
+    if aux_zero_convention is not None and aux_zero_convention not in AUX0_CONVENTIONS:
+        raise ValidationError(f"unknown aux_zero_convention {aux_zero_convention!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
     splitting = eta.splitting
     full, aux0, aux = oracle_trajectory(sys, eta, r_max, budget=budget)

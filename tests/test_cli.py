@@ -395,16 +395,17 @@ class TestBlockWriter:
         got = _trajectory_bytes(cfg, kpath, tmp_path, with_maps)
         assert got == _per_cell_trajectory(cfg, kpath, with_maps)
 
-    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
-    def test_block_edges(self, tmp_path, monkeypatch, kernel_files, block, n_steps):
-        # with 3-row blocks, 2, 3, 4 and 11 rows fall below one block, fill
-        # it, pass it by one and span several; every write holds one block
+    def test_block_edges(self, tmp_path, monkeypatch, kernel_files, chunk, n_steps):
+        # with 3-map chunks, 1, 2, 3 and 10 maps fall below one chunk, fill
+        # it and span several; every write holds one engine block, the first
+        # with U_0 ahead of its maps
         _, kpath = kernel_files[("sym_sys", "smatpi", None)]
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.splitting": "sym_sys", "grid.n_steps": n_steps,
                                        "grid.r_max": 1}))
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
         rows_per_write = []
 
         def recording_open(*args, **kwargs):
@@ -423,16 +424,15 @@ class TestBlockWriter:
         assert got == _per_cell_trajectory(cfg, kpath, True)
         assert rows_per_write[0] == 1  # header
         assert sum(rows_per_write[1:]) == n_steps + 1
-        assert max(rows_per_write[1:]) <= block
-        assert len(rows_per_write) == 1 + -(-(n_steps + 1) // block)
+        assert rows_per_write[1] <= chunk + 1
+        assert all(rows <= chunk for rows in rows_per_write[2:])
+        engine = [min(chunk, n_steps - start) for start in range(0, n_steps, chunk)]
+        assert rows_per_write[1:] == [engine[0] + 1] + engine[1:]
 
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
-    @pytest.mark.parametrize("block", [1, 3, 2048])
-    def test_oracle_matches_per_cell_writer(self, tmp_path, monkeypatch, splitting, block):
-        # 4 rows (steps 0..3): one block plus one at 3-row blocks
+    def test_oracle_matches_per_cell_writer(self, tmp_path, splitting):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.splitting": splitting}))
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
         argv = ["oracle", "--config", str(cfg), "--out", str(tmp_path), "--steps", "3"]
         assert cli_main(argv) == 0
         config = load_config(cfg)
@@ -476,11 +476,10 @@ class TestPropagateFailures:
 
     def test_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
         # maps are propagated, applied and written one chunk at a time, so
-        # ten times the steps take no more memory.  Chunk and block sizes
-        # are cut by 8 with the steps (5000 and 50000 at the shipped sizes
-        # hold the same, but take seconds under tracemalloc).
+        # ten times the steps take no more memory.  The chunk size is cut
+        # by 8 with the steps (5000 and 50000 at the shipped size hold the
+        # same, but take seconds under tracemalloc).
         monkeypatch.setattr(kernels, "CHUNK", kernels.CHUNK // 8)
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", cli.CSV_BLOCK_ROWS // 8)
         kdir = tmp_path / "k"
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config())
@@ -559,6 +558,15 @@ class TestCli:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.pathsum_budget": "4"}))
         assert cli_main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_oracle_budget_exceeded_writes_nothing(self, tmp_path, capsys):
+        # the path sum checks the budget; no output directory comes before it
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"run.pathsum_budget": "4"}))
+        out = tmp_path / "out"
+        assert cli_main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: pathsum_budget:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_one_step_memory(self, tmp_path, sys2, tables):
         from ifkernels.bath import eta_truncated

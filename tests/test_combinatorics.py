@@ -4,15 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifkernels.combinatorics import (
-    DyckPath,
-    SymbolicTerm,
     catalan,
     enumerate_dyck,
     expand_hierarchy,
     numeric_check,
     term_census,
 )
-from ifkernels.errors import RangeError, SeqShortError, ValidationError
+from ifkernels.errors import RangeError, SeqShortError
 from ifkernels.kernels import extract_ttm
 from ifkernels.liouville import liou_norm
 
@@ -38,10 +36,10 @@ class TestCatalan:
 
 class TestDyck:
     def test_semilength_one(self):
-        assert [p.steps for p in enumerate_dyck(1)] == [(1, -1)]
+        assert enumerate_dyck(1) == [(1, -1)]
 
     def test_semilength_two(self):
-        assert [p.steps for p in enumerate_dyck(2)] == [(1, -1, 1, -1), (1, 1, -1, -1)]
+        assert enumerate_dyck(2) == [(1, -1, 1, -1), (1, 1, -1, -1)]
 
     def test_semilength_four_count(self):
         assert len(enumerate_dyck(4)) == catalan(4) == 14
@@ -51,16 +49,12 @@ class TestDyck:
     def test_counts_and_invariants(self, m):
         paths = enumerate_dyck(m)
         assert len(paths) == catalan(m)
-        assert len({p.steps for p in paths}) == len(paths)
-        assert sorted(p.steps for p in paths) == [p.steps for p in paths]
-
-    def test_invalid_paths_rejected(self):
-        with pytest.raises(ValidationError):
-            DyckPath((1, 1, -1))
-        with pytest.raises(ValidationError):
-            DyckPath((-1, 1))
-        with pytest.raises(ValidationError):
-            DyckPath((1, 1, -1, 1))
+        assert len(set(paths)) == len(paths)
+        assert sorted(paths) == paths
+        for path in paths:  # each a Dyck path: 2m steps of +-1, never below zero, balanced
+            assert type(path) is tuple and len(path) == 2 * m
+            assert set(path) <= {1, -1}
+            assert min(np.cumsum((0,) + path)) == 0 and sum(path) == 0
 
     def test_range_guard(self):
         with pytest.raises(RangeError, match="range"):
@@ -69,12 +63,12 @@ class TestDyck:
 
 class TestExpansion:
     def test_first_orders(self):
-        assert [(t.sign, t.factors) for t in expand_hierarchy(1)] == [(1, (1,))]
-        k2 = {(t.sign, t.factors) for t in expand_hierarchy(2)}
+        assert expand_hierarchy(1) == [(1, (1,))]
+        k2 = set(expand_hierarchy(2))
         assert k2 == {(1, (2,)), (-1, (1, 1))}
 
     def test_order_four_terms(self):
-        got = {(t.sign, t.factors) for t in expand_hierarchy(4)}
+        got = set(expand_hierarchy(4))
         want = {
             (1, (4,)),
             (-1, (1, 3)),
@@ -92,9 +86,9 @@ class TestExpansion:
     def test_census_and_signs(self, k):
         terms = expand_hierarchy(k)
         assert len(terms) == 2 ** (k - 1)
-        for t in terms:
-            assert sum(t.factors) == k
-            assert t.sign == (-1) ** (len(t.factors) - 1)
+        for sign, factors in terms:
+            assert sum(factors) == k and min(factors) >= 1
+            assert sign == (-1) ** (len(factors) - 1)
         # census matches the binomial distribution over part counts
         census = term_census(k)
         import math
@@ -104,7 +98,7 @@ class TestExpansion:
     @given(st.integers(1, 10))
     @settings(max_examples=10, deadline=None)
     def test_matches_bruteforce_oracle(self, k):
-        got = {t.factors: t.sign for t in expand_hierarchy(k)}
+        got = {factors: sign for sign, factors in expand_hierarchy(k)}
         assert got == ttm_terms_bruteforce(k)
 
     def test_range_guard(self):
@@ -130,10 +124,3 @@ class TestNumericCheck:
     def test_seq_short(self):
         with pytest.raises(SeqShortError, match="seq_short"):
             numeric_check(expand_hierarchy(3), [np.eye(4)])
-
-
-def test_symbolic_term_sign_invariant():
-    with pytest.raises(ValidationError):
-        SymbolicTerm(1, (1, 1))
-    with pytest.raises(ValidationError):
-        SymbolicTerm(-1, (2,))

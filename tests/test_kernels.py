@@ -71,6 +71,18 @@ class TestSolveMidpoint:
         with pytest.raises(Aux0SingularError, match="aux0_singular"):
             solve_midpoint(aux, np.zeros((4, 4)))
 
+    def test_terminal_guarded_once_per_solve(self, monkeypatch):
+        # one condition number per solve, not one per row
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or cond(a))
+        rng = np.random.default_rng(3)
+        aux = random_seq(rng, 11, scale=0.5)
+        mids = solve_midpoint(aux, np.eye(4) + 0.1 * random_seq(rng, 1)[0])
+        assert len(mids) == 11 and len(calls) == 1
+        solve_midpoint(aux)
+        assert len(calls) == 1  # the identity tail needs no guard
+
 
 class TestSolveTermination:
     def test_first_is_full_map(self):
@@ -235,6 +247,27 @@ class TestAsymCoincidence:
     def test_wrong_splitting_rejected(self, sys2, tables):
         with pytest.raises(SplittingMismatchError, match="splitting_mismatch"):
             closed_form_asym(sys2, tables["sym_env"], 1)
+
+
+class TestExtractArguments:
+    """Bad extraction arguments fail before the path sum is run."""
+
+    @pytest.fixture(autouse=True)
+    def no_path_sum(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the arguments are checked before the path sum")
+
+        monkeypatch.setattr("ifkernels.pathsum.oracle_trajectory", forbidden)
+
+    @pytest.mark.parametrize("flavor", ["bogus", "SMATPI", None])
+    def test_unknown_flavor(self, sys2, tables, flavor):
+        with pytest.raises(ValidationError, match=f"unknown flavor {flavor!r}"):
+            extract_kernels(sys2, tables["sym_env"], 3, flavor)
+
+    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
+    def test_unknown_aux_zero_convention(self, sys2, tables, splitting):
+        with pytest.raises(ValidationError, match="unknown aux_zero_convention 'bogus'"):
+            extract_kernels(sys2, tables[splitting], 3, "smatpi", aux_zero_convention="bogus")
 
 
 class TestStacks:
