@@ -22,6 +22,7 @@ of steps, and ``oracle`` writes its few path-sum maps as one block.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -191,9 +192,22 @@ def _cmd_propagate(args) -> int:
             rho = apply_map(maps, cfg.initial_state)
             yield (rho, maps) if args.with_maps else (rho,)
 
+    # a failed run leaves no directory it made itself (the CSV writer
+    # removes its partial file), and a directory that was there stays
+    made = []
+    new_dir = os.path.abspath(args.out)
+    while not os.path.exists(new_dir):
+        made.append(new_dir)
+        new_dir = os.path.dirname(new_dir)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
-    _write_steps_csv(path, cfg.grid.dt, ("rho", "u") if args.with_maps else ("rho",), tables())
+    try:
+        _write_steps_csv(path, cfg.grid.dt, ("rho", "u") if args.with_maps else ("rho",), tables())
+    except BaseException:
+        with contextlib.suppress(OSError):
+            for new_dir in made:  # deepest first
+                os.rmdir(new_dir)
+        raise
     print(path)
     return 0
 

@@ -19,8 +19,17 @@ Summation
 A path weight is a product of per-pair factor matrices (the QuAPI
 construction), so weights are built by broadcasting, not per path.  Each
 whole-step propagator is merged into the pair factor of its two neighbours.
-With d = n^2 values per point, the interior points 1..N-1 fall into three
-runs (``_split``):
+
+Only half of the (a_N, a_0) columns are summed.  Swapping the forward and
+backward value of every point maps a path to one with the conjugate weight
+(H is Hermitian, G1 = kron(u, conj(u)) and the coupling eigenvalues are
+real), so U[(f,b),(f',b')] = conj(U[(b,f),(b',f')]).  The sums run over the
+canonical columns, the smaller flat index of each mirror pair: (d^2 + n^2)/2
+of the d^2, with d = n^2 values per point.  The mirror columns are filled
+by conjugation and the n^2 self-mirror entries (both values diagonal) keep
+their real part, so every path-sum map has the symmetry exactly.
+
+The interior points 1..N-1 fall into three runs (``_split``):
 
 * the trailing m *column* points index the d^m rows of the column matrix
   Z[x, (e, a_N, a_0)]: their self weights, mutual factors and factors with
@@ -31,21 +40,35 @@ runs (``_split``):
   table of their own self weights, mutual factors and end factors;
 * the leading p points run on an odometer.
 
-Z, W and the row table are built once per map length, one axis at a time.
+Z and the row table hold end factors, so each map length builds its own,
+one axis at a time.  The tables that depend on separations alone are built
+once per ``oracle_trajectory`` call and shared by its map lengths: the stack
+of pair factors by separation, the mutual factors of a run of consecutive
+points (by run length), the factors of one point with a later run (by
+offset and run length) and W (by q and m).  Each length keeps the shared
+tables it used and drops the rest.  The split only grows with N, so a
+dropped table is seldom needed again, and one that is gets rebuilt with the
+same bits.
+
 Each odometer prefix scales the rows of Z by its factors with the column
-points, takes one GEMM Y = W Z, and sums Y over the rows, weighted by the
-row table and by its factors with the row points; its own weight and end
-factors scale the result.  Every one of these matrices stays within _BATCH
-entries, or within d x width entries (width = the columns of Z) where that
-is larger: one point's end-factor table has that size anyway, and the floor
-keeps at least one row and one column point, so large n never falls back to
-one Python call per path.  Columns are filled first, then rows: for n = 2
-under sym_env the length N = 11 takes 16 GEMMs of (256 x 256) @ (256 x 32),
-and for n = 6 the length N = 4 takes 36 GEMMs of (36 x 36) @ (36 x 2592).
-The odometer sums the d subtrees of each level in order, so results are
-reproducible bit for bit and the rounding grows with p, not with the d^p
-prefixes.  Maps of one length that differ only at the measured end are
-summed in the same pass, and ``oracle_trajectory`` sums each length once.
+points, and the d values of the last odometer point are stacked side by
+side, so one GEMM (d^q x d^m) @ (d^m x d width) serves d prefixes (width =
+the columns of Z).  Y is summed over the rows, weighted by the row table
+and by each prefix's factors with the row points; each prefix's own weight
+and end factors scale its result.  Every one of these matrices, stacked
+ones included, stays within _BATCH entries, or within d x width entries
+where that is larger: one point's end-factor table has that size anyway,
+and the floor keeps at least one row and one column point, so large n never
+falls back to one Python call per path.  Where d stacked copies would not
+fit, the last point's values go in near-equal groups, one GEMM each.
+Columns are filled first, then rows: for n = 2 under sym_env (width 2 x 10)
+the length N = 11 takes 4 GEMMs of (256 x 256) @ (256 x 80), and for n = 6
+the length N = 4 takes 36 GEMMs of (36 x 36) @ (36 x 1332).  The odometer
+sums the d subtrees of each level in order, so results are reproducible bit
+for bit, a length's maps do not depend on the other lengths of the call,
+and the rounding grows with p, not with the d^p prefixes.  Maps of one
+length that differ only at the measured end are summed in the same pass,
+and ``oracle_trajectory`` sums each length once.
 
 Structure per splitting
 -----------------------
@@ -99,13 +122,15 @@ def _check_budget(n: int, steps: int, budget: int):
 def _influence(sys, eta, horizon, g1):
     """(self weights, pair factors by separation 0..horizon) of one coefficient array.
 
-    ``pairs[s][a_k, a_k']`` is the factor of two points s = k - k' apart; the
-    whole-step propagator G1 linking neighbours is merged into ``pairs[1]``.
+    ``pairs[s][a_k, a_k']`` is the factor of two points s = k - k' apart, a
+    (horizon + 1, d, d) stack with ones at s = 0; the whole-step propagator
+    G1 linking neighbours is merged into ``pairs[1]``.
     """
     self_w = influence_self_weights(sys, eta[0])
-    pairs = [None] + [influence_pair_matrix(sys, eta[s]) for s in range(1, horizon + 1)]
+    pairs = np.stack([np.ones((self_w.size,) * 2, dtype=complex)]
+                     + [influence_pair_matrix(sys, eta[s]) for s in range(1, horizon + 1)])
     if horizon >= 1:
-        pairs[1] = pairs[1] * g1
+        pairs[1] *= g1
     return self_w, pairs
 
 
@@ -141,13 +166,16 @@ def _aux0(f: _Factors) -> LiouvilleMatrix:
 
 
 def _split(n_int: int, d: int, width: int):
-    """(odometer, row, column) point counts for ``n_int`` interior points.
+    """(odometer, row, column, stacked) counts for ``n_int`` interior points.
 
     Every chunk matrix stays within max(_BATCH, d x ``width``) entries: the
     column matrix (d^m x ``width``), the cross-factor matrix (d^q x d^m),
-    the row table and the GEMM output (d^q x ``width``).  Columns are filled
-    first, while Z and a square cross-factor matrix fit; rows next.  The
-    rest run on the odometer.
+    the row table and the GEMM output (d^q x ``width``), and the same two
+    matrices with ``stacked`` values of the last odometer point side by
+    side in their columns.  Columns are filled first, while Z and a square
+    cross-factor matrix fit; rows next.  The rest run on the odometer.  The
+    d values of the last odometer point go in groups of ``stacked``, as
+    even as the bound allows.
     """
     cap = max(_BATCH, d * width)
     m = 0
@@ -156,7 +184,8 @@ def _split(n_int: int, d: int, width: int):
     q = 0
     while m + q < n_int and d ** (q + 1) * max(width, d ** m) <= cap:
         q += 1
-    return n_int - m - q, q, m
+    groups = -(-d // (cap // (width * d ** max(q, m))))
+    return n_int - m - q, q, m, -(-d // groups)
 
 
 def _face(mats, width: int) -> np.ndarray:
@@ -170,54 +199,99 @@ def _face(mats, width: int) -> np.ndarray:
     return out
 
 
-def _path_sums(steps: int, f: _Factors, ends) -> list:
-    """Maps of ``steps`` >= 1 steps, one per measured-end factor set, in one pass."""
-    self_w, pairs = f.inner
-    d = self_w.size
-    ones = np.ones((d, d), dtype=complex)
-    if f.bare_origin:
-        self0 = np.ones(d, dtype=complex)
-        origin = [None, f.g1] + [ones] * (steps - 1)
-        corners = [f.g1 if steps == 1 else ones] * len(ends)
-    else:
-        self0 = self_w
-        origin = pairs
-        corners = [end_pairs[steps] for _, end_pairs in ends]
-    width = len(ends) * d * d
-    # the two ends alone, and link[k][a_k, (e, a_N, a_0)]: the self weight of
-    # interior point k and its factors with both ends
-    base = np.stack([end_self[:, None] * c * self0 for (end_self, _), c in zip(ends, corners)])
-    link = [None] + [
-        (np.stack([end_pairs[steps - k].T for _, end_pairs in ends], axis=1)[..., None]
-         * origin[k][:, None, None, :]).reshape(d, width) * self_w[:, None]
-        for k in range(1, steps)
-    ]
-    sep = np.stack([ones] + pairs[1:steps])  # sep[s]: factor of two points s apart
+class _PathSums:
+    """The path sums of one ``oracle_trajectory`` call, one map length at a time.
 
-    def mutual(ks):
-        """Pair factors among the points ``ks``, flat over their values."""
-        w = np.ones(1, dtype=complex)
-        for i, k in enumerate(ks):
-            w = (w[:, None] * _face([sep[k - k2].T for k2 in ks[:i]], d)).ravel()
-        return w
+    ``ends`` lists the measured-end factor sets summed side by side.  Only
+    the canonical (a_N, a_0) columns ``a_end``, ``a_0`` are summed; the
+    others are their mirrors, with both point values swapped (f, b) -> (b, f).
+    The pair-factor tables of runs of consecutive points depend on
+    separations alone, so the map lengths share them: each length keeps the
+    ones it used and drops the rest, and a table lives as long as the
+    lengths that share it.
+    """
 
-    def cross(k, ks):
-        """``[a_k, (a_j for j in ks)]``: the pair factors of point k with the later points ``ks``."""
-        return np.ascontiguousarray(_face(sep[ks - k], d).T)
+    def __init__(self, n: int, f: _Factors, ends):
+        d = n * n
+        self.self_w, self.sep = f.inner
+        self.ends = ends
+        swap = np.arange(d).reshape(n, n).T.ravel()
+        a_end, a_0 = np.divmod(np.arange(d * d), d)
+        canonical = a_end * d + a_0 <= swap[a_end] * d + swap[a_0]
+        self.a_end, self.a_0 = a_end[canonical], a_0[canonical]
+        self.mirror = swap[self.a_end], swap[self.a_0]
+        self.self_mirror = (self.mirror[0] == self.a_end) & (self.mirror[1] == self.a_0)
+        self.width = len(ends) * self.a_end.size
+        # the origin's self weight and its factors with the later points
+        if f.bare_origin:
+            self.self0 = np.ones(d, dtype=complex)
+            self.origin = np.ones_like(self.sep)
+            self.origin[1:2] = f.g1  # G1 alone links a bare origin to point 1
+        else:
+            self.self0, self.origin = self.self_w, self.sep
+        # the factors of the measured end with the origin, by separation
+        self.corners = [self.origin if f.bare_origin else pairs for _, pairs in ends]
+        self._kept, self._used = {}, {}
 
-    p, q, m = _split(steps - 1, d, width)
-    rows = np.arange(p + 1, p + q + 1)
-    cols = np.arange(p + q + 1, steps)
-    # Z, the row table and W of the module docstring
-    col_mat = _face([link[k] for k in cols], width) * mutual(cols)[:, None] * base.reshape(width)
-    row_ends = _face([link[k] for k in rows], width) * mutual(rows)[:, None]
-    row_col = _face([cross(k, cols) for k in rows], d**m)
-    to_rows = [None] + [cross(k, rows) for k in range(1, p + 1)]
-    to_cols = [None] + [cross(k, cols) for k in range(1, p + 1)]
-    tables = (link, sep, to_rows, to_cols, row_ends, row_col, col_mat)
-    acc = _odometer_sum(tables, 1, np.ones(width, dtype=complex), np.ones(d**q, dtype=complex),
-                        np.ones(d**m, dtype=complex), np.ones((p, d), dtype=complex))
-    return [check_finite(u, "path sum") for u in acc.reshape(len(ends), d, d)]
+    def _table(self, key, build):
+        """The shared table ``key``: kept from the previous length, or ``build()``."""
+        if key not in self._used:
+            self._used[key] = self._kept.pop(key) if key in self._kept else build()
+        return self._used[key]
+
+    def mutual(self, run: int) -> np.ndarray:
+        """Pair factors among ``run`` consecutive points, flat over their values."""
+
+        def build():
+            w = np.ones(1, dtype=complex)
+            for i in range(run):
+                w = (w[:, None] * _face(self.sep[i:0:-1].transpose(0, 2, 1), self.self_w.size)).ravel()
+            return w
+
+        return self._table(("mutual", run), build)
+
+    def cross(self, offset: int, run: int) -> np.ndarray:
+        """``[a_k, (a_j for j = k+offset .. k+offset+run-1)]``: point k's factors with a later run."""
+        return self._table(("cross", offset, run), lambda: np.ascontiguousarray(
+            _face(self.sep[offset : offset + run], self.self_w.size).T))
+
+    def row_col(self, q: int, m: int) -> np.ndarray:
+        """W[row, x]: the cross factors of q row points with the m column points right after them."""
+        return self._table(("row_col", q, m), lambda: _face(
+            [self.cross(q - i, m) for i in range(q)], self.self_w.size**m))
+
+    def maps(self, steps: int) -> list:
+        """Maps of ``steps`` >= 1 steps, one per measured-end factor set, in one pass."""
+        self_w, width, a_end, a_0 = self.self_w, self.width, self.a_end, self.a_0
+        d = self_w.size
+        # the two ends alone, and link[k][a_k, (e, a_N, a_0)]: the self weight of
+        # interior point k and its factors with both ends, on canonical columns
+        base = np.stack([end_self[a_end] * corner[steps][a_end, a_0] * self.self0[a_0]
+                         for (end_self, _), corner in zip(self.ends, self.corners)])
+        link = [None, *(np.stack([end_pairs[steps - 1 : 0 : -1][:, a_end].transpose(0, 2, 1)
+                                  for _, end_pairs in self.ends], axis=2)
+                        * (self.origin[1:steps, :, None, a_0] * self_w[:, None, None])
+                        ).reshape(steps - 1, d, width)]
+        p, q, m, stacked = _split(steps - 1, d, width)
+        rows = range(p + 1, p + q + 1)
+        cols = range(p + q + 1, steps)
+        # Z, the row table and W of the module docstring
+        col_mat = _face([link[k] for k in cols], width) * self.mutual(m)[:, None] * base.reshape(width)
+        row_ends = _face([link[k] for k in rows], width) * self.mutual(q)[:, None]
+        to_rows = [None] + [self.cross(p + 1 - k, q) for k in range(1, p + 1)]
+        to_cols = [None] + [self.cross(p + q + 1 - k, m) for k in range(1, p + 1)]
+        tables = (link, self.sep, to_rows, to_cols, row_ends, self.row_col(q, m), col_mat, stacked)
+        # drop every shared table this length did not use
+        self._kept, self._used = self._used, {}
+        acc = _odometer_sum(tables, 1, np.ones(width, dtype=complex), np.ones(d**q, dtype=complex),
+                            np.ones(d**m, dtype=complex), np.ones((p, d), dtype=complex))
+        # the mirror columns by conjugation; a self-mirror entry is its own conjugate
+        acc = acc.reshape(len(self.ends), -1)
+        acc[:, self.self_mirror] = acc[:, self.self_mirror].real
+        out = np.empty((len(self.ends), d, d), dtype=complex)
+        out[:, self.mirror[0], self.mirror[1]] = acc.conj()
+        out[:, a_end, a_0] = acc
+        return list(check_finite(out, "path sum"))
 
 
 def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
@@ -225,18 +299,40 @@ def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
 
     Their factors are folded into ``ends_v`` (with the ends), ``row_v`` (with
     the row points), ``col_v`` (with the column points) and ``prior[j - k]``
-    (with odometer point j >= k).  Each fixed prefix of all p odometer points
-    takes one GEMM.  Every level adds its d subtrees in order, so the
-    rounding grows with p, not with the d^p prefixes.
+    (with odometer point j >= k).  The values of the last odometer point are
+    stacked, so each group of them takes one GEMM.  Every level adds its d
+    subtrees in order, so the rounding grows with p, not with the d^p
+    prefixes.
     """
-    link, sep, to_rows, to_cols, row_ends, row_col, col_mat = tables
+    link, sep, to_rows, to_cols, *_, stacked = tables
     if not len(prior):
-        return ends_v * (row_v @ (row_ends * (row_col @ (col_v[:, None] * col_mat))))
+        return _leaf(tables, ends_v[None], row_v[None], col_v[None])
+    if len(prior) == 1:
+        groups = (slice(lo, lo + stacked) for lo in range(0, prior.shape[1], stacked))
+        return sum(_leaf(tables, ends_v * prior[0, g, None] * link[k][g], row_v * to_rows[k][g],
+                         col_v * to_cols[k][g])
+                   for g in groups)
     return sum(
         _odometer_sum(tables, k + 1, ends_v * prior[0, v] * link[k][v], row_v * to_rows[k][v],
                       col_v * to_cols[k][v], prior[1:] * sep[1 : len(prior), :, v])
         for v in range(prior.shape[1])
     )
+
+
+def _leaf(tables, ends_v, row_v, col_v):
+    """Sum over the row and column points for s fixed odometer prefixes.
+
+    ``ends_v`` (s, width), ``row_v`` (s, d^q) and ``col_v`` (s, d^m) hold
+    the prefixes' factors.  Their scaled copies of Z sit side by side, so
+    one GEMM (d^q x d^m) @ (d^m x s width) serves all s; the prefixes are
+    then added in order.
+    """
+    *_, row_ends, row_col, col_mat, _ = tables
+    s, width = ends_v.shape
+    z = (col_v.T[:, :, None] * col_mat[:, None, :]).reshape(-1, s * width)
+    y = (row_col @ z).reshape(-1, s, width)
+    y *= row_ends[:, None, :]
+    return (ends_v * np.matmul(row_v[:, None, :], y.transpose(1, 0, 2))[:, 0]).sum(axis=0)
 
 
 def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int = DEFAULT_BUDGET):
@@ -257,17 +353,18 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
     _check_budget(sys.n, steps, budget)
     f = _factors(sys, eta, steps)
     splitting = eta.splitting
+    sums = _PathSums(sys.n, f, [f.end, f.inner] if splitting == "sym_env" else [f.inner])
     g_half = fb_propagator(sys, 0.5 * eta.dt) if splitting == "sym_sys" else None
     aux0 = _aux0(f)
     full = np.empty((steps, sys.dim, sys.dim), dtype=complex)
     aux = np.empty_like(full)
     for k in range(1, steps + 1):
         if splitting == "sym_env":
-            full[k - 1], aux[k - 1] = _path_sums(k, f, [f.end, f.inner])
+            full[k - 1], aux[k - 1] = sums.maps(k)
         elif splitting == "asym":
-            full[k - 1] = aux[k - 1] = _path_sums(k, f, [f.inner])[0]
+            full[k - 1] = aux[k - 1] = sums.maps(k)[0]
         else:
-            aux[k - 1] = _path_sums(k, f, [f.inner])[0]
+            aux[k - 1] = sums.maps(k)[0]
             inner = aux[k - 2] if k > 1 else aux0
             full[k - 1] = check_finite(g_half @ inner @ g_half, "dressed path sum")
     return full, aux0, aux

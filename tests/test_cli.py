@@ -444,24 +444,39 @@ class TestBlockWriter:
         assert (tmp_path / "oracle_maps.csv").read_bytes() == want
 
 
+def _propagate_diverging(tmp_path, out):
+    """Exit code of propagating a ttm set with midpoint 2 I for 2000 steps into ``out``."""
+    kpath = tmp_path / "kernels.txt"
+    save_kernels(KernelSet("sym_env", 0.1, 1, (2 * np.eye(4),), None, "ttm"), kpath)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(small_config(**{"grid.n_steps": 2000, "grid.r_max": 1}))
+    argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli_main(argv)
+
+
 class TestPropagateFailures:
     def test_divergent_kernels_exit_2(self, tmp_path, capsys):
         # midpoint 2 I doubles every map until U_1024 overflows: exit 2, a
         # coded message, no numpy warnings and no trajectory.csv with
-        # non-finite (or any) rows left behind
-        kpath = tmp_path / "kernels.txt"
-        save_kernels(KernelSet("sym_env", 0.1, 1, (2 * np.eye(4),), None, "ttm"), kpath)
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_config(**{"grid.n_steps": 2000, "grid.r_max": 1}))
+        # non-finite (or any) rows left behind, nor the directories made for it
         out = tmp_path / "out"
-        argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli_main(argv) == 2
+        assert _propagate_diverging(tmp_path, out) == 2
         err = capsys.readouterr().err
         assert err == ("error: propagation_diverged: U_1024 is not finite; "
                        "the kernel set grows without bound\n")
-        assert not (out / "trajectory.csv").exists()
+        assert not out.exists()
+        assert _propagate_diverging(tmp_path, out / "a" / "b") == 2
+        assert not out.exists()
+
+    def test_divergent_kernels_keep_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert _propagate_diverging(tmp_path, out) == 2
+        assert "propagation_diverged:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
     def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(args):

@@ -188,14 +188,14 @@ class TestPathByPathReference:
 
 
 def _split_names(steps, width):
-    p, q, m = pathsum._split(steps - 1, 4, width)
+    p, q, m, _ = pathsum._split(steps - 1, 4, width)
     return "+".join(name for name, count in zip(("odometer", "rows", "columns"), (p, q, m)) if count)
 
 
 class TestBlocking:
     @pytest.mark.parametrize("splitting", SPLITTINGS)
     @pytest.mark.parametrize("steps, batch, split", [
-        # below d x width entries (4 x 32 or 4 x 16) _BATCH shrinks nothing
+        # below d x width entries (4 x 20 or 4 x 10) _BATCH shrinks nothing
         # more: one row and one column point stay
         pytest.param(5, 1, "odometer+rows+columns", id="1"),
         pytest.param(5, 64, "odometer+rows+columns", id="64"),
@@ -207,7 +207,7 @@ class TestBlocking:
     ])
     def test_odometer_blocks_match_single_block(self, splitting, steps, batch, split, sys2, tables,
                                                 monkeypatch):
-        width = 32 if splitting == "sym_env" else 16  # (measured ends) x 4 x 4
+        width = 20 if splitting == "sym_env" else 10  # (measured ends) x (4 x 4 + 2 x 2) / 2
         # the default _BATCH sums N = 5 on columns alone
         assert steps == 8 or _split_names(steps, width) == "columns"
         whole = oracle_trajectory(sys2, tables[splitting], steps)
@@ -223,27 +223,48 @@ class TestBlocking:
 
     @pytest.mark.parametrize("batch", [1, 1 << 10, pathsum._BATCH])
     def test_chunks_within_bound(self, batch, monkeypatch):
-        # every chunk matrix fits max(_BATCH, d x width); at least one point
-        # is a column, and one a row unless the columns take them all
+        # every chunk matrix fits max(_BATCH, d x width), stacked ones too; at
+        # least one point is a column, and one a row unless the columns take
+        # them all
         monkeypatch.setattr(pathsum, "_BATCH", batch)
         for n in range(2, 9):
             d = n * n
-            for width in (d * d, 2 * d * d):
+            half = (d * d + n * n) // 2  # canonical columns of one end set
+            for width in (half, 2 * half):
                 cap = max(batch, d * width)
                 for n_int in range(12):
-                    p, q, m = pathsum._split(n_int, d, width)
+                    p, q, m, stacked = pathsum._split(n_int, d, width)
                     assert min(p, q, m) >= 0 and p + q + m == n_int
                     assert d**m * max(width, d**m) <= cap
                     assert d**q * max(width, d**m) <= cap
+                    assert 1 <= stacked <= d and d**max(q, m) * stacked * width <= cap
                     assert n_int == 0 or (m >= 1 and (q >= 1 or p == 0))
 
 
+class TestPrefixConsistency:
+    """The map lengths of one call share their separation tables."""
+
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("system, steps", [("sys2", 11), ("sys3", 4)])
+    def test_lengths_match_shorter_calls(self, splitting, system, steps, request, bath_default):
+        # n = 2 up to N = 11 crosses every change of the row and column counts
+        sys_ = request.getfixturevalue(system)
+        tab = eta_table(bath_default, TimeGrid(0.1, steps, steps), splitting)
+        full, aux0, aux = oracle_trajectory(sys_, tab, steps)
+        for k in range(1, steps):
+            short_full, short_aux0, short_aux = oracle_trajectory(sys_, tab, k)
+            assert np.array_equal(short_full, full[:k])
+            assert np.array_equal(short_aux, aux[:k])
+            assert np.array_equal(short_aux0, aux0)
+
+
 class TestMemory:
-    @pytest.mark.parametrize("n, steps, mib", [(2, 11, 4), (4, 5, 4), (6, 4, 16)])
+    @pytest.mark.parametrize("n, steps, mib", [(2, 11, 4), (4, 5, 4), (6, 4, 16), (8, 3, 32)])
     def test_trajectory_peak_is_bounded(self, n, steps, mib, bath_default):
-        # traced peaks: about 1.9 MiB at (2, 11), where whole-block tensors
-        # of 4^6 paths took 7.3 MiB; 1.2 MiB at (4, 5) and 11 MiB at (6, 4),
-        # where a row table bounded by d^q alone took 66 MiB and 1.9 GB
+        # traced peaks: about 2.1 MiB at (2, 11), where whole-block tensors
+        # of 4^6 paths took 7.3 MiB; 1.7 MiB at (4, 5) and 6.1 MiB at (6, 4),
+        # where a row table bounded by d^q alone took 66 MiB and 1.9 GB;
+        # 26 MiB at (8, 3), where summing every (a_N, a_0) column took 49 MiB
         sys_ = SystemSpec(np.diag(np.linspace(0.4, -0.3, n)) + 0.2, tuple(np.linspace(1.0, -0.6, n)))
         tab = eta_table(bath_default, TimeGrid(0.1, steps, steps), "sym_env")
         tracemalloc.start()
