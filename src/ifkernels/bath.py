@@ -404,15 +404,18 @@ def influence_self_weights(sys: SystemSpec, eta: complex) -> np.ndarray:
     return np.exp(-ds * (eta * s_fwd - np.conj(eta) * s_bwd))
 
 
-def influence_pair_matrix(sys: SystemSpec, eta: complex) -> np.ndarray:
-    """(n^2, n^2) matrix of pairwise influence factors for one coefficient.
+def influence_pair_matrix(sys: SystemSpec, eta) -> np.ndarray:
+    """(n^2, n^2) matrix of pairwise influence factors for each coefficient.
 
     I[a, a'] = exp(-ds_a (eta s+_a' - conj(eta) s-_a')) with ds_a = s+_a - s-_a,
     over forward-backward pairs in the flat order a = forward * n + backward.
+    An array of coefficients gives one matrix per entry, in one broadcast:
+    shape ``eta.shape + (n^2, n^2)``.
     """
     s_fwd, s_bwd = _fb_coupling_values(sys)
     ds = s_fwd - s_bwd
-    return np.exp(-np.outer(ds, eta * s_fwd - np.conj(eta) * s_bwd))
+    eta = np.asarray(eta)[..., None, None]
+    return np.exp(-(ds[:, None] * (eta * s_fwd - np.conj(eta) * s_bwd)))
 
 
 # ---------------------------------------------------------------------------

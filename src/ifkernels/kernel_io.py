@@ -24,6 +24,8 @@ load(save(x)) reproduces the in-memory values bit for bit.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ParseError, ValidationError, VersionError
@@ -36,10 +38,9 @@ def _format_block(name: str, mats) -> list:
     lines = [f"matrices = {name}"]
     for k, mat in enumerate(mats, start=1):
         m = np.asarray(mat)
-        for row in range(m.shape[0]):
-            for col in range(m.shape[1]):
-                v = m[row, col]
-                lines.append(f"{k},{row},{col},{float(v.real)!r},{float(v.imag)!r}")
+        cells = itertools.product(range(m.shape[0]), range(m.shape[1]))
+        lines += [f"{k},{row},{col},{re!r},{im!r}" for (row, col), re, im
+                  in zip(cells, m.real.ravel().tolist(), m.imag.ravel().tolist())]
     return lines
 
 

@@ -50,10 +50,24 @@ tables it used and drops the rest.  The split only grows with N, so a
 dropped table is seldom needed again, and one that is gets rebuilt with the
 same bits.
 
+The column points are summed by class.  The later point of a pair enters
+its factor through Δs = s+ - s- alone (see ``bath.influence_pair_matrix``),
+and every column point is the later point of its pairs with the row and
+odometer points.  The one exception is G1, merged into the factor of
+neighbours: it ties the last row point to the first column point by both
+values.  So W, and the odometer points' factors with the column points,
+have the same columns, bit for bit, for all column tuples that agree in the
+value of the first column point and in the Δs class of every later one
+(classes compare Δs by exact float equality).  Where rows exist (q >= 1),
+the rows of Z that share such a key are summed first, by one index sum, and
+W and those factors are built on one value per class: the GEMMs contract
+over K = d c^(m-1) keys, not d^m tuples, with c the number of Δs classes
+(c = 3 at n = 2, where Δs is 0 or ±2, so K = 108 where d^4 = 256).
+
 Each odometer prefix scales the rows of Z by its factors with the column
 points, and the d values of the last odometer point are stacked side by
-side, so one GEMM (d^q x d^m) @ (d^m x d width) serves d prefixes (width =
-the columns of Z).  Y is summed over the rows, weighted by the row table
+side, so one GEMM (d^q x K) @ (K x d width) serves d prefixes (width = the
+columns of Z).  Y is summed over the rows, weighted by the row table
 and by each prefix's factors with the row points; each prefix's own weight
 and end factors scale its result.  Every one of these matrices, stacked
 ones included, stays within _BATCH entries, or within d x width entries
@@ -62,7 +76,7 @@ and the floor keeps at least one row and one column point, so large n never
 falls back to one Python call per path.  Where d stacked copies would not
 fit, the last point's values go in near-equal groups, one GEMM each.
 Columns are filled first, then rows: for n = 2 under sym_env (width 2 x 10)
-the length N = 11 takes 4 GEMMs of (256 x 256) @ (256 x 80), and for n = 6
+the length N = 11 takes 4 GEMMs of (256 x 108) @ (108 x 80), and for n = 6
 the length N = 4 takes 36 GEMMs of (36 x 36) @ (36 x 1332).  The odometer
 sums the d subtrees of each level in order, so results are reproducible bit
 for bit, a length's maps do not depend on the other lengths of the call,
@@ -98,6 +112,7 @@ from .errors import EtaMissingError, PathSumBudgetError, ValidationError
 from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
 
 DEFAULT_BUDGET = 10**8
+SIZE_LIMIT = 1 << 29  # bytes of the largest dense array one path sum may ask for
 _BATCH = 1 << 16
 
 
@@ -127,11 +142,28 @@ def _influence(sys, eta, horizon, g1):
     G1 linking neighbours is merged into ``pairs[1]``.
     """
     self_w = influence_self_weights(sys, eta[0])
-    pairs = np.stack([np.ones((self_w.size,) * 2, dtype=complex)]
-                     + [influence_pair_matrix(sys, eta[s]) for s in range(1, horizon + 1)])
+    pairs = np.ones((horizon + 1, self_w.size, self_w.size), dtype=complex)
+    pairs[1:] = influence_pair_matrix(sys, eta[1 : horizon + 1])
     if horizon >= 1:
         pairs[1] *= g1
     return self_w, pairs
+
+
+def _check_size(n: int, steps: int, ends: int):
+    """Refuse a path sum whose largest dense array would exceed SIZE_LIMIT, before any allocation.
+
+    That is a (d, d) Liouville matrix, d = n^2, or the end-factor table of the
+    steps - 1 interior points, d x width entries each, with width = ``ends``
+    x (d^2 + n^2)/2 canonical columns.  The chunk matrices stay within one
+    point's share of that table or _BATCH entries (1 MiB).
+    """
+    d = n * n
+    size = 16 * d * max(d, (steps - 1) * ends * (d * d + d) // 2)
+    if size > SIZE_LIMIT:
+        raise ValidationError(
+            f"size_limit: n = {n} at {steps} steps needs a {size / 2**30:.1f} GiB array,"
+            f" over the {SIZE_LIMIT / 2**30:.1f} GiB limit"
+        )
 
 
 @dataclass(frozen=True)
@@ -169,7 +201,7 @@ def _split(n_int: int, d: int, width: int):
     """(odometer, row, column, stacked) counts for ``n_int`` interior points.
 
     Every chunk matrix stays within max(_BATCH, d x ``width``) entries: the
-    column matrix (d^m x ``width``), the cross-factor matrix (d^q x d^m),
+    column matrix (d^m x ``width``), the cross-factor matrix (d^q x d^m at most),
     the row table and the GEMM output (d^q x ``width``), and the same two
     matrices with ``stacked`` values of the last odometer point side by
     side in their columns.  Columns are filled first, while Z and a square
@@ -211,9 +243,13 @@ class _PathSums:
     lengths that share it.
     """
 
-    def __init__(self, n: int, f: _Factors, ends):
-        d = n * n
+    def __init__(self, sys: SystemSpec, f: _Factors, ends):
+        n, d = sys.n, sys.dim
         self.self_w, self.sep = f.inner
+        # the Δs class of each value of a point, and ``reps``: one value per class
+        s = np.asarray(sys.coupling_eigenvalues)
+        _, self.reps, self.classes = np.unique(np.subtract.outer(s, s).ravel(), return_index=True,
+                                               return_inverse=True)
         self.ends = ends
         swap = np.arange(d).reshape(n, n).T.ravel()
         a_end, a_0 = np.divmod(np.arange(d * d), d)
@@ -250,15 +286,42 @@ class _PathSums:
 
         return self._table(("mutual", run), build)
 
-    def cross(self, offset: int, run: int) -> np.ndarray:
-        """``[a_k, (a_j for j = k+offset .. k+offset+run-1)]``: point k's factors with a later run."""
-        return self._table(("cross", offset, run), lambda: np.ascontiguousarray(
-            _face(self.sep[offset : offset + run], self.self_w.size).T))
+    def cross(self, offset: int, run: int, grouped: bool = False) -> np.ndarray:
+        """``[a_k, (a_j for j = k+offset .. k+offset+run-1)]``: point k's factors with a later run.
 
-    def row_col(self, q: int, m: int) -> np.ndarray:
-        """W[row, x]: the cross factors of q row points with the m column points right after them."""
+        ``grouped`` keeps one value per class for every point of the run but
+        the first: the column keys of the grouped Z.
+        """
+
+        def build():
+            mats = list(self.sep[offset : offset + run])
+            if grouped:
+                mats[1:] = [mat[self.reps] for mat in mats[1:]]
+            return np.ascontiguousarray(_face(mats, self.self_w.size).T)
+
+        return self._table(("cross", offset, run, grouped), build)
+
+    def row_col(self, q: int, m: int, keys: int) -> np.ndarray:
+        """W[row, key]: the cross factors of q row points with the column keys after them."""
         return self._table(("row_col", q, m), lambda: _face(
-            [self.cross(q - i, m) for i in range(q)], self.self_w.size**m))
+            [self.cross(q - i, m, grouped=True) for i in range(q)], keys))
+
+    def group(self, z: np.ndarray, m: int) -> np.ndarray:
+        """Z summed over the column tuples that share a key, in one index sum.
+
+        The key of a tuple of m column points is the first point's value and
+        the classes of the others, in the order of the grouped ``cross``.
+        """
+
+        def build():
+            key = np.arange(self.self_w.size)
+            for _ in range(1, m):
+                key = (key[:, None] * self.reps.size + self.classes).ravel()
+            order = np.argsort(key, kind="stable")
+            return order, np.searchsorted(key[order], np.arange(key.max() + 1))
+
+        order, starts = self._table(("group", m), build)
+        return np.add.reduceat(z[order], starts)
 
     def maps(self, steps: int) -> list:
         """Maps of ``steps`` >= 1 steps, one per measured-end factor set, in one pass."""
@@ -277,14 +340,18 @@ class _PathSums:
         cols = range(p + q + 1, steps)
         # Z, the row table and W of the module docstring
         col_mat = _face([link[k] for k in cols], width) * self.mutual(m)[:, None] * base.reshape(width)
+        if q:  # without rows (so without an odometer too) W is one row of ones
+            col_mat = self.group(col_mat, m)
+        keys = len(col_mat)
         row_ends = _face([link[k] for k in rows], width) * self.mutual(q)[:, None]
         to_rows = [None] + [self.cross(p + 1 - k, q) for k in range(1, p + 1)]
-        to_cols = [None] + [self.cross(p + q + 1 - k, m) for k in range(1, p + 1)]
-        tables = (link, self.sep, to_rows, to_cols, row_ends, self.row_col(q, m), col_mat, stacked)
+        to_cols = [None] + [self.cross(p + q + 1 - k, m, grouped=True) for k in range(1, p + 1)]
+        tables = (link, self.sep, to_rows, to_cols, row_ends, self.row_col(q, m, keys), col_mat,
+                  stacked)
         # drop every shared table this length did not use
         self._kept, self._used = self._used, {}
         acc = _odometer_sum(tables, 1, np.ones(width, dtype=complex), np.ones(d**q, dtype=complex),
-                            np.ones(d**m, dtype=complex), np.ones((p, d), dtype=complex))
+                            np.ones(keys, dtype=complex), np.ones((p, d), dtype=complex))
         # the mirror columns by conjugation; a self-mirror entry is its own conjugate
         acc = acc.reshape(len(self.ends), -1)
         acc[:, self.self_mirror] = acc[:, self.self_mirror].real
@@ -322,10 +389,10 @@ def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
 def _leaf(tables, ends_v, row_v, col_v):
     """Sum over the row and column points for s fixed odometer prefixes.
 
-    ``ends_v`` (s, width), ``row_v`` (s, d^q) and ``col_v`` (s, d^m) hold
-    the prefixes' factors.  Their scaled copies of Z sit side by side, so
-    one GEMM (d^q x d^m) @ (d^m x s width) serves all s; the prefixes are
-    then added in order.
+    ``ends_v`` (s, width), ``row_v`` (s, d^q) and ``col_v`` (s, K) hold
+    the prefixes' factors, K the rows of Z.  Their scaled copies of Z sit
+    side by side, so one GEMM (d^q x K) @ (K x s width) serves all s; the
+    prefixes are then added in order.
     """
     *_, row_ends, row_col, col_mat, _ = tables
     s, width = ends_v.shape
@@ -350,10 +417,11 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
         raise EtaMissingError(
             f"eta_missing: {steps} steps need separations up to {steps}, table has {eta.horizon}"
         )
+    splitting = eta.splitting
+    _check_size(sys.n, steps, 2 if splitting == "sym_env" else 1)
     _check_budget(sys.n, steps, budget)
     f = _factors(sys, eta, steps)
-    splitting = eta.splitting
-    sums = _PathSums(sys.n, f, [f.end, f.inner] if splitting == "sym_env" else [f.inner])
+    sums = _PathSums(sys, f, [f.end, f.inner] if splitting == "sym_env" else [f.inner])
     g_half = fb_propagator(sys, 0.5 * eta.dt) if splitting == "sym_sys" else None
     aux0 = _aux0(f)
     full = np.empty((steps, sys.dim, sys.dim), dtype=complex)

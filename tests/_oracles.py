@@ -247,6 +247,18 @@ def per_cell_csv(dt, tables):
     return "\n".join(lines) + "\n"
 
 
+def per_element_kernel_block(name, mats):
+    """Lines of one kernel-file block, one numpy scalar and ``repr`` at a time."""
+    lines = [f"matrices = {name}"]
+    for k, mat in enumerate(mats, start=1):
+        m = np.asarray(mat)
+        for row in range(m.shape[0]):
+            for col in range(m.shape[1]):
+                v = m[row, col]
+                lines.append(f"{k},{row},{col},{float(v.real)!r},{float(v.imag)!r}")
+    return lines
+
+
 def catalan_recurrence(m):
     """Catalan numbers by the convolution recurrence C_{m+1} = sum C_i C_{m-i}."""
     cs = [1]

@@ -19,7 +19,7 @@ from ifkernels.kernels import KernelSet, propagate
 from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
-from _oracles import per_cell_csv
+from _oracles import per_cell_csv, per_element_kernel_block
 
 
 def small_config(**overrides):
@@ -122,6 +122,26 @@ class TestKernelFile:
         for a, b in zip(loaded.termination, kset.termination):
             assert np.array_equal(a, b)
         assert np.array_equal(loaded.aux0, kset.aux0)
+
+    def test_matches_per_element_repr(self, tmp_path):
+        # the block formatter prints each entry as repr of its float, signed zeros too
+        rng = np.random.default_rng(1)
+        mats = [rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-300, 300, size=(4, 4))
+                + 1j * rng.normal(size=(4, 4)) for _ in range(2)]
+        mats[0][0, :] = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
+        aux0 = np.diag([1.0, -0.0, 0.5, complex(0.0, -0.0)])
+        kset = KernelSet("sym_env", 0.1, 2, tuple(mats), tuple(m.conj() for m in mats), "smatpi",
+                         aux_zero_convention="terminal_times_I0", aux0=aux0)
+        path = tmp_path / "k.txt"
+        save_kernels(kset, path)
+        text = path.read_text()
+        header = text[: text.index("matrices = ")].splitlines()
+        blocks = [("midpoint", kset.midpoint), ("termination", kset.termination),
+                  ("aux0", [kset.aux0])]
+        expected = header + [line for name, block in blocks
+                             for line in per_element_kernel_block(name, block)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert "1,0,1,-0.0,0.0" in text and "1,0,3,0.0,-0.0" in text
 
     def test_version_error(self, tmp_path):
         kset = KernelSet("sym_env", 0.1, 1, (np.eye(4, dtype=complex),), None, "ttm")
@@ -581,6 +601,37 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
         assert "error: pathsum_budget:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract --rmax 1", "oracle --steps 1"])
+    def test_size_limit_before_any_allocation(self, tmp_path, command):
+        # n = 200: the (n^2, n^2) propagator alone is 23.8 GiB.  The run is
+        # capped at 1 GiB of address space, so a guard that let the
+        # allocation through would fail at once with exit 2, not page the host
+        n = 200
+        rows = [" ".join(["0j"] * n)] * n
+        rho = [" ".join(["1" if i == j == 0 else "0" for j in range(n)]) for i in range(n)]
+        text = small_config(**{"system.n": n, "system.coupling_eigenvalues": " ".join(["1"] * n)})
+        text = "\n".join(line for line in text.splitlines()
+                         if not line.startswith(("system.hamiltonian", "initial_state")))
+        text += "".join(f"\nsystem.hamiltonian.row.{i} = {r}" for i, r in enumerate(rows))
+        text += "".join(f"\ninitial_state.row.{i} = {r}" for i, r in enumerate(rho)) + "\n"
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        code = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from ifkernels.cli import cli_main
+            sys.exit(cli_main(sys.argv[1:]))
+        """)
+        src = os.path.dirname(os.path.dirname(ifkernels.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = tmp_path / "out"
+        argv = command.split() + ["--config", str(cfg), "--out", str(out)]
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: size_limit: n = 200 at 1 steps needs a 23.8 GiB")
         assert not out.exists()
 
     def test_compare_one_step_memory(self, tmp_path, sys2, tables):

@@ -5,7 +5,8 @@ import pytest
 
 from _oracles import path_sum_reference
 from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
-from ifkernels.bath import bump_correlation, eta_table, eta_table_from_correlation
+from ifkernels.bath import (bump_correlation, eta_table, eta_table_from_correlation,
+                            influence_pair_matrix)
 from ifkernels.errors import PathSumBudgetError, ValidationError
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import config_count, oracle_trajectory
@@ -34,6 +35,18 @@ class TestInputChecks:
     def test_zero_steps(self, sys2, tables):
         full, aux0, aux = oracle_trajectory(sys2, tables["sym_env"], 0)
         assert full.shape == aux.shape == (0, 4, 4) and aux0.shape == (4, 4)
+
+    def test_size_limit(self):
+        # n = 2 passes at every length the default budget allows (the default
+        # config and the benchmark configs); 512 MiB admits n = 17 at two
+        # steps with two measured-end sets (388 MB) and not n = 18 (546 MB)
+        for steps in range(15):
+            pathsum._check_size(2, steps, 2)
+        pathsum._check_size(17, 2, 2)
+        for n, steps, ends in [(18, 2, 2), (17, 3, 2), (77, 1, 1), (200, 1, 1)]:
+            with pytest.raises(ValidationError, match=f"size_limit: n = {n} at {steps} steps"):
+                pathsum._check_size(n, steps, ends)
+        pathsum._check_size(76, 1, 1)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +203,69 @@ class TestPathByPathReference:
 def _split_names(steps, width):
     p, q, m, _ = pathsum._split(steps - 1, 4, width)
     return "+".join(name for name, count in zip(("odometer", "rows", "columns"), (p, q, m)) if count)
+
+
+def _last_contraction(sys_, tab, steps, monkeypatch):
+    """(inner dimension of the last GEMM, rows of Z) in ``oracle_trajectory(sys_, tab, steps)``."""
+    seen = []
+    leaf = pathsum._leaf
+
+    def spy(tables, *args):
+        *_, row_col, col_mat, _ = tables
+        seen.append((row_col.shape[1], col_mat.shape[0]))
+        return leaf(tables, *args)
+
+    monkeypatch.setattr(pathsum, "_leaf", spy)
+    result = oracle_trajectory(sys_, tab, steps)
+    monkeypatch.undo()
+    return seen[-1], result
+
+
+class TestGrouping:
+    """Column tuples summed by Δs class before the GEMM."""
+
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("coupling, classes", [
+        pytest.param((1.0, 0.0, -1.0), 5, id="coinciding"),
+        pytest.param((0.3, -1.1, 0.7), 7, id="generic"),
+        pytest.param((1.0, 1.0, -1.0), 3, id="repeated"),
+    ])
+    def test_three_levels_match_reference(self, splitting, coupling, classes, bath_default,
+                                          monkeypatch):
+        # at horizon 4 the split is (p, q, m) = (0, 1, 2): one row point, so
+        # Z is grouped, from 9 x 9 column tuples to 9 x c keys
+        h = np.array([[0.1, 0.4, 0.2j], [0.4, 0.2, 0.3], [-0.2j, 0.3, -0.2]])
+        sys_ = SystemSpec(h, coupling)
+        tab = eta_table(bath_default, TimeGrid(0.1, 4, 4), splitting)
+        width = (2 if splitting == "sym_env" else 1) * (81 + 9) // 2
+        assert pathsum._split(3, 9, width)[:3] == (0, 1, 2)
+        (inner, keys), (full, _, aux) = _last_contraction(sys_, tab, 4, monkeypatch)
+        assert inner == keys == 9 * classes
+        checks = [(aux[3], path_sum_reference(sys_, 0.1, tab, 4, measured_end=False))]
+        if splitting == "sym_env":  # the full maps of the others are the auxiliary or dress it
+            checks.append((full[3], path_sum_reference(sys_, 0.1, tab, 4)))
+        for got, ref in checks:
+            assert np.max(np.abs(got - ref)) < 1e-13
+
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    def test_two_levels_contract_over_108(self, splitting, sys2, bath_default, monkeypatch):
+        # n = 2: Δs in {0, ±2}, so the 4^4 column tuples of N = 11 fall in 4 x 3^3 keys
+        tab = eta_table(bath_default, TimeGrid(0.1, 11, 11), splitting)
+        assert _last_contraction(sys2, tab, 11, monkeypatch)[0] == (108, 108)
+
+    @pytest.mark.parametrize("system", ["sys2", "sys3"])
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    def test_pair_factors_match_per_separation_calls(self, splitting, system, request,
+                                                     bath_default):
+        # one broadcast over all separations gives the bits of one call each
+        sys_ = request.getfixturevalue(system)
+        tab = eta_table(bath_default, TimeGrid(0.1, 11, 11), splitting)
+        f = pathsum._factors(sys_, tab, 11)
+        for coeffs, (_, pairs) in ((tab.interior, f.inner), (tab.right, f.end)):
+            expected = np.stack([np.ones((sys_.dim,) * 2, dtype=complex)]
+                                + [influence_pair_matrix(sys_, coeffs[s]) for s in range(1, 12)])
+            expected[1] *= fb_propagator(sys_, 0.1)
+            assert pairs.tobytes() == expected.tobytes()
 
 
 class TestBlocking:
