@@ -7,7 +7,8 @@ path sums: the kernel file carries the whole recurrence, and the config
 adds only the grid, the initial state and, for sym_sys, the half-step
 propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error, 2
 numerical error (quadrature failure, path-sum budget, a diverging
-propagation) or a failed allocation (``error: memory: ...``).
+propagation), a failed allocation (``error: memory: ...``) or a CSV
+formatter process that died (``worker_failed``).
 
 CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
@@ -16,7 +17,12 @@ ordered row-major in the flat forward-backward index.  ``trajectory.csv``
 and ``oracle_maps.csv`` are written one engine block at a time, each block
 formatted by one call: ``propagate`` makes, applies and writes one chunk of
 ``kernels.CHUNK`` maps at a time, so memory does not grow with the number
-of steps, and ``oracle`` writes its few path-sum maps as one block.
+of steps, and ``oracle`` writes its few path-sum maps as one block.  When
+more than one CPU is usable (``FORMAT_WORKERS``, the process's CPU
+affinity; there is no option) and there is more than one block, the blocks
+are formatted in forked worker processes and written in order by the
+parent, with at most 2 x FORMAT_WORKERS blocks in flight.  The workers only
+turn floats into text (no BLAS work), so the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -32,11 +38,15 @@ import numpy as np
 from .bath import eta_table
 from .combinatorics import catalan, enumerate_dyck
 from .config import RunConfig, default_config_text, load_config
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, WorkerFailedError
 from .kernel_io import load_kernels, save_kernels
 from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
 from .liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from .pathsum import oracle_trajectory
+
+# Processes that format trajectory CSV blocks: the CPUs this process may use.
+FORMAT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
 
 
 def _fmt(x: float) -> str:
@@ -50,6 +60,22 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
+def _format_block(row_template, data):
+    """CSV text of the rows of ``data`` by one ``%`` call (inline or in a worker process)."""
+    return (row_template * len(data)) % tuple(data.ravel().tolist())
+
+
+def _block_rows(dt, blocks):
+    """One (rows, columns) float array per block: step, t, then re/im of each stack."""
+    done = 0
+    for block in blocks:
+        cols = [np.ascontiguousarray(s, dtype=complex).reshape(len(s), -1).view(float)
+                for s in block]
+        step = np.arange(done, done + len(cols[0]), dtype=float)
+        yield np.column_stack([step, step * dt] + cols)
+        done += len(step)
+
+
 def _write_steps_csv(path, dt, prefixes, blocks):
     """Rows ``step, t = step * dt`` and the re/im entries of each table.
 
@@ -57,30 +83,34 @@ def _write_steps_csv(path, dt, prefixes, blocks):
     holds one (m, m) complex matrix per step, the blocks run over steps
     0, 1, ... in order, and each prefix adds the columns re_<prefix>_i_j,
     im_<prefix>_i_j, row-major.  Each block is formatted by one ``%`` call
-    and written at once, so the text buffer is one block long; ``%.17g``
-    prints a float as ``format(x, ".17g")`` does.  If the blocks raise, the
-    partial file is removed.
+    and written at once; ``%.17g`` prints a float as ``format(x, ".17g")``
+    does.  With more than one block and more than one worker the blocks are
+    formatted in worker processes (``forkmap.ordered_map``, at most
+    2 x FORMAT_WORKERS blocks in flight), otherwise inline (one block of
+    text at a time).  If the blocks raise, the partial file is removed.
     """
     blocks = iter(blocks)
     first = next(blocks)
+    second = next(blocks, None)
     header = ["step", "t"]
     for prefix, stack in zip(prefixes, first):
         m = stack.shape[-1]
         header += [f"{part}_{prefix}_{i}_{j}" for i in range(m) for j in range(m)
                    for part in ("re", "im")]
     row_template = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\n"
-    done = 0
+    rows = _block_rows(dt, itertools.chain([first] if second is None else [first, second], blocks))
+    if second is not None and FORMAT_WORKERS > 1 and hasattr(os, "fork"):
+        from .forkmap import ordered_map
+
+        texts = ordered_map(_format_block, row_template, rows, FORMAT_WORKERS)
+    else:
+        texts = (_format_block(row_template, data) for data in rows)
     fh = open(path, "w", encoding="utf-8", newline="\n")
     try:
-        with fh:
+        with fh, contextlib.closing(texts):
             fh.write(",".join(header) + "\n")
-            for block in itertools.chain([first], blocks):
-                cols = [np.ascontiguousarray(s, dtype=complex).reshape(len(s), -1).view(float)
-                        for s in block]
-                step = np.arange(done, done + len(cols[0]), dtype=float)
-                data = np.column_stack([step, step * dt] + cols)
-                fh.write((row_template * len(step)) % tuple(data.ravel().tolist()))
-                done += len(step)
+            for text in texts:
+                fh.write(text)
     except BaseException:
         os.remove(path)
         raise
@@ -333,7 +363,7 @@ def cli_main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, WorkerFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

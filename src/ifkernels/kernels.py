@@ -280,13 +280,25 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     which requires ``g_half``).  Within r_max steps the output rebuilds the
     maps the set was extracted from; beyond it the sums truncate at r_max
     (terms are dropped; no renormalization).  A block holding a non-finite
-    map raises PropagationDivergedError instead of being yielded.
+    map raises PropagationDivergedError instead of being yielded.  A set whose
+    chunk rows, (CHUNK, m d, R d) complex entries with m = 2 for smatpi and 1
+    for ttm, would exceed ``pathsum.SIZE_LIMIT`` bytes is refused with
+    ``size_limit`` before anything is allocated.
     """
+    from .pathsum import SIZE_LIMIT
+
     dressed = kernels.flavor == "smatpi" and kernels.splitting == "sym_sys"
     if dressed and g_half is None:
         raise ValidationError("sym_sys propagation needs the half-step propagator")
-    wide = _wide(kernels.midpoint)
     r_max, d = kernels.r_max, kernels.dim
+    count = max(min(CHUNK, horizon), 1)
+    size = 16 * count * (2 if kernels.flavor == "smatpi" else 1) * d * r_max * d
+    if size > SIZE_LIMIT:
+        raise ValidationError(
+            f"size_limit: r_max = {r_max} at dim {d} needs {size / 2**30:.1f} GiB of"
+            f" companion rows, over the {SIZE_LIMIT / 2**30:.1f} GiB limit"
+        )
+    wide = _wide(kernels.midpoint)
     state = np.zeros((r_max, d, d), dtype=complex)  # X_0, X_{-1}, ... = tail, 0, ...
     terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
     state[0] = kernels.aux0 if terminal else np.eye(d)
@@ -298,7 +310,7 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     elif kernels.flavor == "smatpi":  # [T_1 | ... | T_R] C^(k-1) gives U_{n+k}
         first = np.concatenate((wide, _wide(kernels.termination)))
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent set fails in _blocks
-        rows = _companion_rows(first, wide, max(min(CHUNK, horizon), 1))
+        rows = _companion_rows(first, wide, count)
     if not dressed:
         return _blocks(rows, state, horizon, None, None)
     # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1

@@ -1,7 +1,10 @@
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 import warnings
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import ifkernels
-from ifkernels import cli, kernels
+from ifkernels import cli, forkmap, kernels, pathsum
 from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
 from ifkernels.config import default_config_text, load_config, parse_config
@@ -449,6 +452,31 @@ class TestBlockWriter:
         engine = [min(chunk, n_steps - start) for start in range(0, n_steps, chunk)]
         assert rows_per_write[1:] == [engine[0] + 1] + engine[1:]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", PROPAGATE_CASES)
+    @pytest.mark.parametrize("with_maps", [False, True])
+    def test_formatter_processes_match_per_cell_writer(self, tmp_path, monkeypatch, kernel_files,
+                                                       workers, case, with_maps):
+        # 100 steps in 16-map chunks are 7 blocks, more than the 2 x 2 in
+        # flight: one worker formats them inline, two in a process pool
+        cfg, kpath = kernel_files[case]
+        long_cfg = tmp_path / "cfg.txt"
+        long_cfg.write_text(cfg.read_text().replace("grid.n_steps = 10", "grid.n_steps = 100"))
+        monkeypatch.setattr(kernels, "CHUNK", 16)
+        monkeypatch.setattr(cli, "FORMAT_WORKERS", workers)
+        pools = []
+
+        def recording_pool(*args):
+            pools.append(args)
+            return pooled(*args)
+
+        pooled = forkmap.ordered_map
+        monkeypatch.setattr(forkmap, "ordered_map", recording_pool)
+        got = _trajectory_bytes(long_cfg, kpath, tmp_path / "out", with_maps)
+        assert got == _per_cell_trajectory(long_cfg, kpath, with_maps)
+        assert len(pools) == (workers > 1)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     def test_oracle_matches_per_cell_writer(self, tmp_path, splitting):
         cfg = tmp_path / "cfg.txt"
@@ -476,7 +504,63 @@ def _propagate_diverging(tmp_path, out):
         return cli_main(argv)
 
 
+def _exiting_formatter(row_template, data):
+    os._exit(1)  # a formatter process killed mid-block, as by the OOM killer
+
+
+def _exhausted_formatter(row_template, data):
+    raise MemoryError("formatter out of memory")
+
+
+def _interrupted_after(calls, function):
+    """``function`` that raises KeyboardInterrupt at its ``calls``-th call."""
+    count = []
+
+    def wrapped(*args):
+        count.append(1)
+        if len(count) == calls:
+            raise KeyboardInterrupt
+        return function(*args)
+
+    return wrapped
+
+
 class TestPropagateFailures:
+    @pytest.mark.parametrize("failure", ["diverged", "worker_exit", "worker_memory", "interrupt"])
+    def test_failures_with_formatter_pool_leave_nothing(self, tmp_path, capsys, monkeypatch,
+                                                         failure):
+        # a failure while the pool runs (blocks 0-3 are in flight when U_1024
+        # overflows; a dying formatter takes its first block down; Ctrl-C
+        # reaches the parent at block 2) leaves no partial file, none of the
+        # directories made for it and no formatter process; all but Ctrl-C
+        # exit 2 with a coded message and no traceback
+        monkeypatch.setattr(cli, "FORMAT_WORKERS", 2)
+        out = tmp_path / "out" / "a"
+        if failure == "diverged":
+            assert _propagate_diverging(tmp_path, out) == 2
+            assert capsys.readouterr().err.startswith("error: propagation_diverged: U_1024")
+        else:
+            kpath = tmp_path / "kernels.txt"  # identity maps: 1000 steps are 4 blocks
+            save_kernels(KernelSet("sym_env", 0.1, 1, (np.eye(4),), None, "ttm"), kpath)
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(small_config(**{"grid.n_steps": 1000, "grid.r_max": 1}))
+            argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
+            if failure == "interrupt":
+                monkeypatch.setattr(cli, "apply_map", _interrupted_after(3, cli.apply_map))
+                with pytest.raises(KeyboardInterrupt):
+                    cli_main(argv)
+            else:
+                formatter = {"worker_exit": _exiting_formatter,
+                             "worker_memory": _exhausted_formatter}[failure]
+                monkeypatch.setattr(cli, "_format_block", formatter)
+                assert cli_main(argv) == 2
+                err = capsys.readouterr().err
+                assert err == {"worker_exit": "error: worker_failed: a CSV formatter process ended"
+                                              " abruptly (killed, or out of memory)\n",
+                               "worker_memory": "error: memory: formatter out of memory\n"}[failure]
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
     def test_divergent_kernels_exit_2(self, tmp_path, capsys):
         # midpoint 2 I doubles every map until U_1024 overflows: exit 2, a
         # coded message, no numpy warnings and no trajectory.csv with
@@ -508,6 +592,71 @@ class TestPropagateFailures:
         err = capsys.readouterr().err
         assert err == "error: memory: Unable to allocate 238. GiB for an array\n"
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+    def test_formatters_exit_when_the_parent_is_killed(self):
+        # a parent killed outright (SIGKILL, SIGTERM, the OOM killer) cannot
+        # shut its pool down; its formatter processes must not wait forever
+        code = textwrap.dedent("""
+            import multiprocessing, time
+            import numpy as np
+            from ifkernels import cli
+            from ifkernels.forkmap import ordered_map
+
+            def rows():
+                yield np.zeros((1, 1))
+                print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+                time.sleep(60)
+
+            next(ordered_map(cli._format_block, "%.17g\\n", rows(), 2))
+        """)
+        src = os.path.dirname(os.path.dirname(ifkernels.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                              text=True) as proc:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            proc.kill()
+            proc.wait(timeout=10)
+        assert workers
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert not left
+
+    @pytest.mark.parametrize("flavor, excess", [("ttm", 0), ("ttm", 1), ("smatpi", 1)])
+    def test_size_limit_before_chunk_rows(self, tmp_path, capsys, monkeypatch, flavor, excess):
+        # the chunk rows of R = 4, d = 4 over 10 steps are 16 x 10 x m d x R d
+        # bytes (m = 1 for ttm, 2 with the termination rows of smatpi)
+        cfg, kpath = _extracted(tmp_path, **{"run.flavor": flavor})
+        rows = 16 * 10 * (2 if flavor == "smatpi" else 1) * 4 * 4 * 4
+        monkeypatch.setattr(pathsum, "SIZE_LIMIT", rows - excess)
+
+        out = tmp_path / "prop" / "a"
+        argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
+        if not excess:
+            assert cli_main(argv) == 0
+            return
+
+        def forbidden(*args):
+            raise AssertionError("size_limit must be checked before the chunk rows are built")
+
+        monkeypatch.setattr(kernels, "_companion_rows", forbidden)
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: size_limit: r_max = 4 at dim 4 needs ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "prop").exists()
 
     def test_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
         # maps are propagated, applied and written one chunk at a time, so
