@@ -5,24 +5,22 @@ Everything is file-driven and non-interactive; identical configs produce
 byte-identical outputs.  ``propagate`` needs no influence coefficients or
 path sums: the kernel file carries the whole recurrence, and the config
 adds only the grid, the initial state and, for sym_sys, the half-step
-propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error, 2
-numerical error (quadrature failure, path-sum budget, a diverging
-propagation), a failed allocation (``error: memory: ...``) or a CSV
-formatter process that died (``worker_failed``).
+propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error
+or a file that cannot be read or written (``error: io: ...``), 2 numerical
+error (quadrature failure, path-sum budget, a diverging propagation) or a
+failed allocation (``error: memory: ...``).
 
 CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
 separate ``re_*`` / ``im_*`` columns; density-matrix and map elements are
 ordered row-major in the flat forward-backward index.  ``trajectory.csv``
-and ``oracle_maps.csv`` are written one engine block at a time, each block
-formatted by one call: ``propagate`` makes, applies and writes one chunk of
-``kernels.CHUNK`` maps at a time, so memory does not grow with the number
-of steps, and ``oracle`` writes its few path-sum maps as one block.  When
-more than one CPU is usable (``FORMAT_WORKERS``, the process's CPU
-affinity; there is no option) and there is more than one block, the blocks
-are formatted in forked worker processes and written in order by the
-parent, with at most 2 x FORMAT_WORKERS blocks in flight.  The workers only
-turn floats into text (no BLAS work), so the bytes are the same either way.
+and ``oracle_maps.csv`` are written one engine block at a time:
+``propagate`` makes, applies and writes one chunk of ``kernels.CHUNK`` maps
+at a time, so memory does not grow with the number of steps, and ``oracle``
+writes its few path-sum maps as one block.  Each block's text comes from
+``csvtext.format_rows``, an exact vectorised ``%.17g`` that prints an
+element by its own ``%`` call wherever it cannot prove the rounding; it is
+imported only by the commands that write these files.
 """
 
 from __future__ import annotations
@@ -38,15 +36,11 @@ import numpy as np
 from .bath import eta_table
 from .combinatorics import catalan, enumerate_dyck
 from .config import RunConfig, default_config_text, load_config
-from .errors import NumericalError, ValidationError, WorkerFailedError
+from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
 from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
 from .liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from .pathsum import oracle_trajectory
-
-# Processes that format trajectory CSV blocks: the CPUs this process may use.
-FORMAT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
 
 
 def _fmt(x: float) -> str:
@@ -58,11 +52,6 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-
-
-def _format_block(row_template, data):
-    """CSV text of the rows of ``data`` by one ``%`` call (inline or in a worker process)."""
-    return (row_template * len(data)) % tuple(data.ravel().tolist())
 
 
 def _block_rows(dt, blocks):
@@ -82,35 +71,26 @@ def _write_steps_csv(path, dt, prefixes, blocks):
     ``blocks`` is an iterable of tuples with one stack per prefix; a stack
     holds one (m, m) complex matrix per step, the blocks run over steps
     0, 1, ... in order, and each prefix adds the columns re_<prefix>_i_j,
-    im_<prefix>_i_j, row-major.  Each block is formatted by one ``%`` call
-    and written at once; ``%.17g`` prints a float as ``format(x, ".17g")``
-    does.  With more than one block and more than one worker the blocks are
-    formatted in worker processes (``forkmap.ordered_map``, at most
-    2 x FORMAT_WORKERS blocks in flight), otherwise inline (one block of
-    text at a time).  If the blocks raise, the partial file is removed.
+    im_<prefix>_i_j, row-major.  Each block is formatted by one
+    ``csvtext.format_rows`` call (every float as ``format(x, ".17g")``, so
+    the integer steps print as ``%d``) and written at once.  If the blocks
+    raise, the partial file is removed.
     """
+    from .csvtext import format_rows
+
     blocks = iter(blocks)
     first = next(blocks)
-    second = next(blocks, None)
     header = ["step", "t"]
     for prefix, stack in zip(prefixes, first):
         m = stack.shape[-1]
         header += [f"{part}_{prefix}_{i}_{j}" for i in range(m) for j in range(m)
                    for part in ("re", "im")]
-    row_template = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\n"
-    rows = _block_rows(dt, itertools.chain([first] if second is None else [first, second], blocks))
-    if second is not None and FORMAT_WORKERS > 1 and hasattr(os, "fork"):
-        from .forkmap import ordered_map
-
-        texts = ordered_map(_format_block, row_template, rows, FORMAT_WORKERS)
-    else:
-        texts = (_format_block(row_template, data) for data in rows)
-    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh = open(path, "wb")
     try:
-        with fh, contextlib.closing(texts):
-            fh.write(",".join(header) + "\n")
-            for text in texts:
-                fh.write(text)
+        with fh:
+            fh.write((",".join(header) + "\n").encode())
+            for data in _block_rows(dt, itertools.chain([first], blocks)):
+                fh.write(format_rows(data))
     except BaseException:
         os.remove(path)
         raise
@@ -363,11 +343,11 @@ def cli_main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, WorkerFailedError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: memory: {str(exc) or 'allocation failed'}", file=sys.stderr)

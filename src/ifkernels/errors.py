@@ -2,8 +2,9 @@
 
 The short lowercase codes in the messages ("dim_mismatch", "eta_missing",
 "pathsum_budget", ...) are stable identifiers; the CLI maps ValidationError
-to exit code 1 and NumericalError and WorkerFailedError to exit code 2, and
-reports a MemoryError (an allocation the machine cannot make) as
+to exit code 1 and NumericalError to exit code 2, reports an OSError (a
+file that cannot be read or written) as ``error: io: ...`` with exit code 1,
+and a MemoryError (an allocation the machine cannot make) as
 ``error: memory: ...`` with exit code 2.
 """
 
@@ -58,7 +59,3 @@ class ParseError(ValidationError):
 
 class VersionError(ValidationError):
     """A persisted file declares an unsupported format version ("version")."""
-
-
-class WorkerFailedError(RuntimeError):
-    """A CSV formatter process ended abruptly, e.g. killed for memory ("worker_failed")."""

@@ -1,10 +1,7 @@
-import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import textwrap
-import time
 import tracemalloc
 import warnings
 
@@ -12,7 +9,7 @@ import numpy as np
 import pytest
 
 import ifkernels
-from ifkernels import cli, forkmap, kernels, pathsum
+from ifkernels import cli, csvtext, kernels, pathsum
 from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
 from ifkernels.config import default_config_text, load_config, parse_config
@@ -436,7 +433,7 @@ class TestBlockWriter:
             write = fh.write
 
             def counted(text):
-                rows_per_write.append(text.count("\n"))
+                rows_per_write.append(text.count(b"\n"))
                 return write(text)
 
             fh.write = counted
@@ -452,30 +449,32 @@ class TestBlockWriter:
         engine = [min(chunk, n_steps - start) for start in range(0, n_steps, chunk)]
         assert rows_per_write[1:] == [engine[0] + 1] + engine[1:]
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("passes", [1, 2])
     @pytest.mark.parametrize("case", PROPAGATE_CASES)
     @pytest.mark.parametrize("with_maps", [False, True])
     def test_formatter_processes_match_per_cell_writer(self, tmp_path, monkeypatch, kernel_files,
-                                                       workers, case, with_maps):
-        # 100 steps in 16-map chunks are 7 blocks, more than the 2 x 2 in
-        # flight: one worker formats them inline, two in a process pool
+                                                       passes, case, with_maps):
+        # 100 steps in 16-map chunks are 7 blocks of 17, 16 x 5 and 4 rows; the
+        # formatter processes each in slices of 16 // passes rows, so that with
+        # two passes a block is cut at 8-row boundaries
         cfg, kpath = kernel_files[case]
         long_cfg = tmp_path / "cfg.txt"
         long_cfg.write_text(cfg.read_text().replace("grid.n_steps = 10", "grid.n_steps = 100"))
         monkeypatch.setattr(kernels, "CHUNK", 16)
-        monkeypatch.setattr(cli, "FORMAT_WORKERS", workers)
-        pools = []
+        want = _per_cell_trajectory(long_cfg, kpath, with_maps)
+        cols = want.split(b"\n", 1)[0].count(b",") + 1
+        monkeypatch.setattr(csvtext, "SLICE", 16 // passes * cols)
+        rows = []
 
-        def recording_pool(*args):
-            pools.append(args)
-            return pooled(*args)
+        def recording_slice(x, last):
+            rows.append(len(x))
+            return formatted(x, last)
 
-        pooled = forkmap.ordered_map
-        monkeypatch.setattr(forkmap, "ordered_map", recording_pool)
+        formatted = csvtext._format_slice
+        monkeypatch.setattr(csvtext, "_format_slice", recording_slice)
         got = _trajectory_bytes(long_cfg, kpath, tmp_path / "out", with_maps)
-        assert got == _per_cell_trajectory(long_cfg, kpath, with_maps)
-        assert len(pools) == (workers > 1)
-        assert multiprocessing.active_children() == []
+        assert got == want
+        assert sum(rows) == 101 and max(rows) == 16 // passes
 
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     def test_oracle_matches_per_cell_writer(self, tmp_path, splitting):
@@ -504,11 +503,7 @@ def _propagate_diverging(tmp_path, out):
         return cli_main(argv)
 
 
-def _exiting_formatter(row_template, data):
-    os._exit(1)  # a formatter process killed mid-block, as by the OOM killer
-
-
-def _exhausted_formatter(row_template, data):
+def _exhausted_formatter(data):
     raise MemoryError("formatter out of memory")
 
 
@@ -526,15 +521,14 @@ def _interrupted_after(calls, function):
 
 
 class TestPropagateFailures:
-    @pytest.mark.parametrize("failure", ["diverged", "worker_exit", "worker_memory", "interrupt"])
+    @pytest.mark.parametrize("failure", ["diverged", "worker_memory", "interrupt"])
     def test_failures_with_formatter_pool_leave_nothing(self, tmp_path, capsys, monkeypatch,
                                                          failure):
-        # a failure while the pool runs (blocks 0-3 are in flight when U_1024
-        # overflows; a dying formatter takes its first block down; Ctrl-C
-        # reaches the parent at block 2) leaves no partial file, none of the
-        # directories made for it and no formatter process; all but Ctrl-C
-        # exit 2 with a coded message and no traceback
-        monkeypatch.setattr(cli, "FORMAT_WORKERS", 2)
+        # a failure after blocks were written (U_1024 overflows in the fourth
+        # block; the formatter, which runs in this process, cannot allocate;
+        # Ctrl-C arrives at block 2) leaves no partial file and none of the
+        # directories made for it; all but Ctrl-C exit 2 with a coded message
+        # and no traceback
         out = tmp_path / "out" / "a"
         if failure == "diverged":
             assert _propagate_diverging(tmp_path, out) == 2
@@ -550,16 +544,10 @@ class TestPropagateFailures:
                 with pytest.raises(KeyboardInterrupt):
                     cli_main(argv)
             else:
-                formatter = {"worker_exit": _exiting_formatter,
-                             "worker_memory": _exhausted_formatter}[failure]
-                monkeypatch.setattr(cli, "_format_block", formatter)
+                monkeypatch.setattr(csvtext, "format_rows", _exhausted_formatter)
                 assert cli_main(argv) == 2
-                err = capsys.readouterr().err
-                assert err == {"worker_exit": "error: worker_failed: a CSV formatter process ended"
-                                              " abruptly (killed, or out of memory)\n",
-                               "worker_memory": "error: memory: formatter out of memory\n"}[failure]
+                assert capsys.readouterr().err == "error: memory: formatter out of memory\n"
         assert not (tmp_path / "out").exists()
-        assert multiprocessing.active_children() == []
 
     def test_divergent_kernels_exit_2(self, tmp_path, capsys):
         # midpoint 2 I doubles every map until U_1024 overflows: exit 2, a
@@ -592,47 +580,6 @@ class TestPropagateFailures:
         err = capsys.readouterr().err
         assert err == "error: memory: Unable to allocate 238. GiB for an array\n"
         assert "Traceback" not in err
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
-    def test_formatters_exit_when_the_parent_is_killed(self):
-        # a parent killed outright (SIGKILL, SIGTERM, the OOM killer) cannot
-        # shut its pool down; its formatter processes must not wait forever
-        code = textwrap.dedent("""
-            import multiprocessing, time
-            import numpy as np
-            from ifkernels import cli
-            from ifkernels.forkmap import ordered_map
-
-            def rows():
-                yield np.zeros((1, 1))
-                print(*[p.pid for p in multiprocessing.active_children()], flush=True)
-                time.sleep(60)
-
-            next(ordered_map(cli._format_block, "%.17g\\n", rows(), 2))
-        """)
-        src = os.path.dirname(os.path.dirname(ifkernels.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
-                              text=True) as proc:
-            workers = [int(pid) for pid in proc.stdout.readline().split()]
-            proc.kill()
-            proc.wait(timeout=10)
-        assert workers
-
-        def running(pid):
-            try:
-                with open(f"/proc/{pid}/stat") as fh:
-                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-            except FileNotFoundError:
-                return False
-
-        deadline = time.monotonic() + 10
-        while any(map(running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        left = [pid for pid in workers if running(pid)]
-        for pid in left:
-            os.kill(pid, signal.SIGKILL)
-        assert not left
 
     @pytest.mark.parametrize("flavor, excess", [("ttm", 0), ("ttm", 1), ("smatpi", 1)])
     def test_size_limit_before_chunk_rows(self, tmp_path, capsys, monkeypatch, flavor, excess):
@@ -716,6 +663,42 @@ class TestCli:
         assert lines[0] == "k,norm_K,note"
         assert lines[1].endswith("same_formula_unverified")
         assert lines[2].endswith(",")
+
+    @pytest.mark.parametrize("case", ["kernels_a_is_dir", "config_is_dir", "out_under_file",
+                                      "out_is_file", "kernels_missing", "permission"])
+    def test_os_errors_exit_1_with_io_code(self, tmp_path, capsys, monkeypatch, case):
+        # any OSError (a directory where a file belongs, a path under a file,
+        # a missing or unreadable file) is one io: line and exit 1
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        kdir = tmp_path / "k"
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(kdir), "--rmax", "1"]) == 0
+        capsys.readouterr()
+        kernels = str(kdir / "kernels.txt")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        propagate = ["propagate", "--config", str(cfg), "--kernels", kernels]
+        argv, path = {
+            "kernels_a_is_dir": (["compare", "--kernels-a", str(kdir), "--kernels-b", kernels,
+                                  "--out", str(tmp_path / "cmp")], kdir),
+            "config_is_dir": (["propagate", "--config", str(kdir), "--kernels", kernels], kdir),
+            "out_under_file": (propagate + ["--out", str(blocker / "sub")], blocker / "sub"),
+            "out_is_file": (["extract", "--config", str(cfg), "--out", str(blocker), "--rmax", "1"],
+                            blocker),
+            "kernels_missing": (["propagate", "--config", str(cfg), "--kernels",
+                                 str(tmp_path / "none.txt")], tmp_path / "none.txt"),
+            "permission": (propagate, cfg),
+        }[case]
+        if case == "permission":
+            def unreadable(path):
+                raise PermissionError(13, "Permission denied", path)
+
+            monkeypatch.setattr(cli, "load_config", unreadable)
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io: [Errno ")
+        assert err.endswith(f": '{path}'\n") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "file", "k"]
 
     def test_validation_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
