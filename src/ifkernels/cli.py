@@ -8,7 +8,9 @@ adds only the grid, the initial state and, for sym_sys, the half-step
 propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error
 or a file that cannot be read or written (``error: io: ...``), 2 numerical
 error (quadrature failure, path-sum budget, a diverging propagation) or a
-failed allocation (``error: memory: ...``).
+failed allocation (``error: memory: ...``).  The argument parser is built
+once per process, on the first ``cli_main`` call, not at import; every
+call parses into a fresh namespace, so one process can run many commands.
 
 CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import os
 import sys
@@ -275,7 +278,9 @@ def _cmd_dyck(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first ``cli_main`` call of a process."""
     parser = argparse.ArgumentParser(
         prog="ifkernels",
         description="Discretized influence-functional path integrals and memory kernels.",

@@ -33,22 +33,30 @@ The interior points 1..N-1 fall into three runs (``_split``):
 
 * the trailing m *column* points index the d^m rows of the column matrix
   Z[x, (e, a_N, a_0)]: their self weights, mutual factors and factors with
-  both ends, for every measured-end factor set e, times the factors of the
-  two ends alone;
+  both ends, for every measured-end factor set e;
 * the q *row* points before them index the d^q rows of the cross-factor
   matrix W[row, x] of their factors with the column points, and of a row
   table of their own self weights, mutual factors and end factors;
 * the leading p points run on an odometer.
 
 Z and the row table hold end factors, so each map length builds its own,
-one axis at a time.  The tables that depend on separations alone are built
-once per ``oracle_trajectory`` call and shared by its map lengths: the stack
-of pair factors by separation, the mutual factors of a run of consecutive
-points (by run length), the factors of one point with a later run (by
-offset and run length) and W (by q and m).  Each length keeps the shared
-tables it used and drops the rest.  The split only grows with N, so a
-dropped table is seldom needed again, and one that is gets rebuilt with the
-same bits.
+one axis at a time, from the factors of a point with either end, which are
+tabulated by separation once per call.  The factors of the two ends alone
+scale a length's whole sum, so they are applied after it.  The tables that
+depend on separations alone are built once per ``oracle_trajectory`` call
+and shared by its map lengths: the stack of pair factors by separation,
+the mutual factors of a run of consecutive points (by run length, each
+extending the run one point shorter), the factors of one point with a later
+run (by offset and run length) and W (by q and m).  Each length keeps the
+shared tables it used and drops the rest.  The split only grows with N, so
+a dropped table is seldom needed again, and one that is gets rebuilt with
+the same bits.
+
+The short lengths, where the columns take every point (q = 0, N <= 5 at
+n = 2), need no odometer, W or GEMM: their sum is the mutual factors of the
+points times Z's rows, one product per length.  Every length's result goes
+into one array, so the end factors, the mirror fill and the finiteness
+check run once per call, over all lengths.
 
 The column points are summed by class.  The later point of a pair enters
 its factor through Δs = s+ - s- alone (see ``bath.influence_pair_matrix``),
@@ -67,14 +75,15 @@ over K = d c^(m-1) keys, not d^m tuples, with c the number of Δs classes
 Each odometer prefix scales the rows of Z by its factors with the column
 points, and the d values of the last odometer point are stacked side by
 side, so one GEMM (d^q x K) @ (K x d width) serves d prefixes (width = the
-columns of Z).  Y is summed over the rows, weighted by the row table
-and by each prefix's factors with the row points; each prefix's own weight
-and end factors scale its result.  Every one of these matrices, stacked
-ones included, stays within _BATCH entries, or within d x width entries
-where that is larger: one point's end-factor table has that size anyway,
-and the floor keeps at least one row and one column point, so large n never
-falls back to one Python call per path.  Where d stacked copies would not
-fit, the last point's values go in near-equal groups, one GEMM each.
+columns of Z).  The GEMM output Y is weighted in place by the row table,
+and each prefix's factors with the row points sum its own strided slice of
+Y, so no copy of Y is made; each prefix's own weight and end factors scale
+its result.  Every one of these matrices, stacked ones included, stays
+within _BATCH entries, or within d x width entries where that is larger:
+one point's end-factor table has that size anyway, and the floor keeps at
+least one row and one column point, so large n never falls back to one
+Python call per path.  Where d stacked copies would not fit, the last
+point's values go in near-equal groups, one GEMM each.
 Columns are filled first, then rows: for n = 2 under sym_env (width 2 x 10)
 the length N = 11 takes 4 GEMMs of (256 x 108) @ (108 x 80), and for n = 6
 the length N = 4 takes 36 GEMMs of (36 x 36) @ (36 x 1332).  The odometer
@@ -232,15 +241,16 @@ def _face(mats, width: int) -> np.ndarray:
 
 
 class _PathSums:
-    """The path sums of one ``oracle_trajectory`` call, one map length at a time.
+    """The path sums of one ``oracle_trajectory`` call: every map length in one pass.
 
     ``ends`` lists the measured-end factor sets summed side by side.  Only
     the canonical (a_N, a_0) columns ``a_end``, ``a_0`` are summed; the
     others are their mirrors, with both point values swapped (f, b) -> (b, f).
-    The pair-factor tables of runs of consecutive points depend on
-    separations alone, so the map lengths share them: each length keeps the
-    ones it used and drops the rest, and a table lives as long as the
-    lengths that share it.
+    Its lengths run up to the horizon of the factors.  The factors of a point
+    with either end are tabulated once, by separation.  The pair-factor
+    tables of runs of consecutive points depend on separations alone, so the
+    map lengths share them: each length keeps the ones it used and drops the
+    rest, and a table lives as long as the lengths that share it.
     """
 
     def __init__(self, sys: SystemSpec, f: _Factors, ends):
@@ -250,23 +260,31 @@ class _PathSums:
         s = np.asarray(sys.coupling_eigenvalues)
         _, self.reps, self.classes = np.unique(np.subtract.outer(s, s).ravel(), return_index=True,
                                                return_inverse=True)
-        self.ends = ends
+        self.n_ends = len(ends)
         swap = np.arange(d).reshape(n, n).T.ravel()
         a_end, a_0 = np.divmod(np.arange(d * d), d)
         canonical = a_end * d + a_0 <= swap[a_end] * d + swap[a_0]
-        self.a_end, self.a_0 = a_end[canonical], a_0[canonical]
-        self.mirror = swap[self.a_end], swap[self.a_0]
-        self.self_mirror = (self.mirror[0] == self.a_end) & (self.mirror[1] == self.a_0)
-        self.width = len(ends) * self.a_end.size
+        self.a_end, self.a_0 = a_end, a_0 = a_end[canonical], a_0[canonical]
+        self.mirror = swap[a_end], swap[a_0]
+        self.self_mirror = (self.mirror[0] == a_end) & (self.mirror[1] == a_0)
+        self.width = self.n_ends * a_end.size
         # the origin's self weight and its factors with the later points
         if f.bare_origin:
-            self.self0 = np.ones(d, dtype=complex)
-            self.origin = np.ones_like(self.sep)
-            self.origin[1:2] = f.g1  # G1 alone links a bare origin to point 1
+            self0 = np.ones(d, dtype=complex)
+            origin = np.ones_like(self.sep)
+            origin[1:2] = f.g1  # G1 alone links a bare origin to point 1
         else:
-            self.self0, self.origin = self.self_w, self.sep
-        # the factors of the measured end with the origin, by separation
-        self.corners = [self.origin if f.bare_origin else pairs for _, pairs in ends]
+            self0, origin = self.self_w, self.sep
+        # by separation s = 1..horizon (interior points sit at 1..horizon-1 from
+        # both ends): base[s - 1] on the canonical columns, the two ends of a path
+        # of s steps alone; to_end[s - 1][a, e, a_N], the factors of a point s steps
+        # before the measured end with it; to_origin[s - 1][a, a_0], the self
+        # weight of interior point s and its factor with the origin
+        self.base = np.concatenate([end_self[a_end] * (origin if f.bare_origin else pairs)
+                                    [1:, a_end, a_0] * self0[a_0]
+                                    for end_self, pairs in ends], axis=1)
+        self.to_end = np.stack([pairs[1:-1].transpose(0, 2, 1) for _, pairs in ends], axis=2)
+        self.to_origin = origin[1:-1] * self.self_w[:, None]
         self._kept, self._used = {}, {}
 
     def _table(self, key, build):
@@ -276,13 +294,17 @@ class _PathSums:
         return self._used[key]
 
     def mutual(self, run: int) -> np.ndarray:
-        """Pair factors among ``run`` consecutive points, flat over their values."""
+        """Pair factors among ``run`` consecutive points, flat over their values.
+
+        The last point's factors with the earlier ones extend the table of
+        ``run - 1`` points.
+        """
 
         def build():
-            w = np.ones(1, dtype=complex)
-            for i in range(run):
-                w = (w[:, None] * _face(self.sep[i:0:-1].transpose(0, 2, 1), self.self_w.size)).ravel()
-            return w
+            if not run:
+                return np.ones(1, dtype=complex)
+            later = _face(self.sep[run - 1 : 0 : -1].transpose(0, 2, 1), self.self_w.size)
+            return (self.mutual(run - 1)[:, None] * later).ravel()
 
         return self._table(("mutual", run), build)
 
@@ -323,42 +345,52 @@ class _PathSums:
         order, starts = self._table(("group", m), build)
         return np.add.reduceat(z[order], starts)
 
-    def maps(self, steps: int) -> list:
-        """Maps of ``steps`` >= 1 steps, one per measured-end factor set, in one pass."""
-        self_w, width, a_end, a_0 = self.self_w, self.width, self.a_end, self.a_0
-        d = self_w.size
-        # the two ends alone, and link[k][a_k, (e, a_N, a_0)]: the self weight of
-        # interior point k and its factors with both ends, on canonical columns
-        base = np.stack([end_self[a_end] * corner[steps][a_end, a_0] * self.self0[a_0]
-                         for (end_self, _), corner in zip(self.ends, self.corners)])
-        link = [None, *(np.stack([end_pairs[steps - 1 : 0 : -1][:, a_end].transpose(0, 2, 1)
-                                  for _, end_pairs in self.ends], axis=2)
-                        * (self.origin[1:steps, :, None, a_0] * self_w[:, None, None])
-                        ).reshape(steps - 1, d, width)]
+    def _sum(self, steps: int) -> np.ndarray:
+        """The sum over the interior points of one length, without the two ends alone.
+
+        Where the columns take every point the sum is one product with their
+        mutual factors; otherwise Z, the row table and W of the module
+        docstring go to the odometer.
+        """
+        d, width = self.self_w.size, self.width
+        # link[k - 1][a_k, (e, a_N, a_0)]: interior point k's self weight and its
+        # factors with both ends, on the canonical columns
+        link = self.to_end[: steps - 1][::-1][..., self.a_end]
+        link *= self.to_origin[: steps - 1][:, :, None, self.a_0]
+        link = link.reshape(steps - 1, d, width)
         p, q, m, stacked = _split(steps - 1, d, width)
-        rows = range(p + 1, p + q + 1)
-        cols = range(p + q + 1, steps)
-        # Z, the row table and W of the module docstring
-        col_mat = _face([link[k] for k in cols], width) * self.mutual(m)[:, None] * base.reshape(width)
-        if q:  # without rows (so without an odometer too) W is one row of ones
+        if not q:
+            return self.mutual(m) @ _face(link, width)
+        col_mat = _face(link[p + q :], width)
+        col_mat *= self.mutual(m)[:, None]
+        if m > 1:  # a single column point is its own key
             col_mat = self.group(col_mat, m)
         keys = len(col_mat)
-        row_ends = _face([link[k] for k in rows], width) * self.mutual(q)[:, None]
+        row_ends = _face(link[p : p + q], width)
+        row_ends *= self.mutual(q)[:, None]
         to_rows = [None] + [self.cross(p + 1 - k, q) for k in range(1, p + 1)]
         to_cols = [None] + [self.cross(p + q + 1 - k, m, grouped=True) for k in range(1, p + 1)]
-        tables = (link, self.sep, to_rows, to_cols, row_ends, self.row_col(q, m, keys), col_mat,
-                  stacked)
-        # drop every shared table this length did not use
-        self._kept, self._used = self._used, {}
-        acc = _odometer_sum(tables, 1, np.ones(width, dtype=complex), np.ones(d**q, dtype=complex),
-                            np.ones(keys, dtype=complex), np.ones((p, d), dtype=complex))
+        tables = (link, self.sep, to_rows, to_cols, row_ends, self.row_col(q, m, keys),
+                  col_mat, stacked)
+        return _odometer_sum(tables, 1, np.ones(width, dtype=complex), np.ones(d**q, dtype=complex),
+                             np.ones(keys, dtype=complex), np.ones((p, d), dtype=complex))
+
+    def maps(self) -> np.ndarray:
+        """(ends, horizon, d, d): the maps of every length, one per measured-end factor set."""
+        d, steps = self.self_w.size, len(self.base)
+        acc = np.empty((steps, self.width), dtype=complex)
+        for k in range(1, steps + 1):
+            acc[k - 1] = self._sum(k)
+            # drop every shared table this length did not use
+            self._kept, self._used = self._used, {}
+        acc *= self.base
         # the mirror columns by conjugation; a self-mirror entry is its own conjugate
-        acc = acc.reshape(len(self.ends), -1)
-        acc[:, self.self_mirror] = acc[:, self.self_mirror].real
-        out = np.empty((len(self.ends), d, d), dtype=complex)
-        out[:, self.mirror[0], self.mirror[1]] = acc.conj()
-        out[:, a_end, a_0] = acc
-        return list(check_finite(out, "path sum"))
+        acc = acc.reshape(steps, self.n_ends, self.a_end.size).transpose(1, 0, 2)
+        acc[..., self.self_mirror] = acc[..., self.self_mirror].real
+        out = np.empty((self.n_ends, steps, d, d), dtype=complex)
+        out[:, :, self.mirror[0], self.mirror[1]] = acc.conj()
+        out[:, :, self.a_end, self.a_0] = acc
+        return check_finite(out, "path sum")
 
 
 def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
@@ -376,11 +408,11 @@ def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
         return _leaf(tables, ends_v[None], row_v[None], col_v[None])
     if len(prior) == 1:
         groups = (slice(lo, lo + stacked) for lo in range(0, prior.shape[1], stacked))
-        return sum(_leaf(tables, ends_v * prior[0, g, None] * link[k][g], row_v * to_rows[k][g],
+        return sum(_leaf(tables, ends_v * prior[0, g, None] * link[k - 1][g], row_v * to_rows[k][g],
                          col_v * to_cols[k][g])
                    for g in groups)
     return sum(
-        _odometer_sum(tables, k + 1, ends_v * prior[0, v] * link[k][v], row_v * to_rows[k][v],
+        _odometer_sum(tables, k + 1, ends_v * prior[0, v] * link[k - 1][v], row_v * to_rows[k][v],
                       col_v * to_cols[k][v], prior[1:] * sep[1 : len(prior), :, v])
         for v in range(prior.shape[1])
     )
@@ -399,7 +431,8 @@ def _leaf(tables, ends_v, row_v, col_v):
     z = (col_v.T[:, :, None] * col_mat[:, None, :]).reshape(-1, s * width)
     y = (row_col @ z).reshape(-1, s, width)
     y *= row_ends[:, None, :]
-    return (ends_v * np.matmul(row_v[:, None, :], y.transpose(1, 0, 2))[:, 0]).sum(axis=0)
+    # one product per prefix on its strided slice of Y, which BLAS reads in place
+    return sum(ends_v[i] * (row_v[i] @ y[:, i]) for i in range(s))
 
 
 def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int = DEFAULT_BUDGET):
@@ -421,18 +454,15 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
     _check_size(sys.n, steps, 2 if splitting == "sym_env" else 1)
     _check_budget(sys.n, steps, budget)
     f = _factors(sys, eta, steps)
-    sums = _PathSums(sys, f, [f.end, f.inner] if splitting == "sym_env" else [f.inner])
-    g_half = fb_propagator(sys, 0.5 * eta.dt) if splitting == "sym_sys" else None
+    maps = _PathSums(sys, f, [f.end, f.inner] if splitting == "sym_env" else [f.inner]).maps()
     aux0 = _aux0(f)
-    full = np.empty((steps, sys.dim, sys.dim), dtype=complex)
-    aux = np.empty_like(full)
-    for k in range(1, steps + 1):
-        if splitting == "sym_env":
-            full[k - 1], aux[k - 1] = sums.maps(k)
-        elif splitting == "asym":
-            full[k - 1] = aux[k - 1] = sums.maps(k)[0]
-        else:
-            aux[k - 1] = sums.maps(k)[0]
-            inner = aux[k - 2] if k > 1 else aux0
-            full[k - 1] = check_finite(g_half @ inner @ g_half, "dressed path sum")
+    if splitting == "sym_env":
+        full, aux = maps
+    elif splitting == "asym":
+        full, aux = maps[0], maps[0].copy()
+    else:
+        aux = maps[0]
+        g_half = fb_propagator(sys, 0.5 * eta.dt)
+        inner = np.concatenate((aux0[None], aux))[:steps]
+        full = check_finite(g_half @ inner @ g_half, "dressed path sum")
     return full, aux0, aux

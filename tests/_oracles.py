@@ -10,15 +10,14 @@ of one vectorised fixed-rule integral over all coefficients; and the
 time-domain eta table integrates C(t - t') over the windows by nested Gauss
 rules, with C(t) itself from its own frequency quadrature (or closed form at
 T = 0), instead of moving the window integrals inside the frequency
-integral.  The path-sum reference visits every forward-backward path one at
-a time and writes its weight out from the definition, instead of building
-weights from factor matrices in blocks.  The convolution reference rebuilds
-a sequence from its kernels one matrix product at a time, instead of one
-stacked product per step.  The per-cell CSV writer formats one float at a
+integral.  The path-sum reference gives every forward-backward path its own
+weight, written out from the definition, instead of building weights from
+factor matrices in blocks.  The convolution reference rebuilds a sequence
+from its kernels one matrix product at a time, instead of one stacked
+product per step.  The per-cell CSV writer formats one float at a
 time, instead of one block of rows per call.
 """
 
-import cmath
 import itertools
 import math
 
@@ -170,14 +169,16 @@ def _path_eta(table, splitting, steps, k, kp, measured_end):
 
 
 def path_sum_reference(sys, dt, table, steps, measured_end=True):
-    """Map of ``steps`` steps by visiting every forward-backward path one at a time.
+    """Map of ``steps`` steps by visiting every forward-backward path.
 
     The weight of the path (f_0, b_0), ..., (f_N, b_N) is
     prod_j U[f_j, f_{j-1}] conj(U[b_j, b_{j-1}]) times
     exp(-sum_{k >= k'} (s_{f_k} - s_{b_k}) (eta(k, k') s_{f_k'} - eta(k, k')* s_{b_k'})),
     with U = exp(-i H dt) by Taylor series.  ``measured_end=False`` gives the
     auxiliary map (interior coefficients at N).  sym_sys full maps are the
-    half-step-dressed auxiliary of one step fewer.
+    half-step-dressed auxiliary of one step fewer.  Every (forward, backward)
+    pair gets its own weight; numpy evaluates them for a chunk of forward
+    paths against all backward paths at a time, so memory stays at a few MiB.
     """
     splitting = table.splitting
     if splitting == "sym_sys" and measured_end:
@@ -186,25 +187,33 @@ def path_sum_reference(sys, dt, table, steps, measured_end=True):
         inner = path_sum_reference(sys, dt, table, steps - 1, measured_end=False)
         return h @ inner @ h
     n = sys.n
-    s = sys.coupling_eigenvalues
+    s = np.asarray(sys.coupling_eigenvalues, dtype=float)
     u = expm_series(sys.hamiltonian, dt)
-    eta = {
-        (k, kp): complex(_path_eta(table, splitting, steps, k, kp, measured_end))
-        for k in range(steps + 1)
-        for kp in range(k + 1)
-    }
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for fwd in itertools.product(range(n), repeat=steps + 1):
-        for bwd in itertools.product(range(n), repeat=steps + 1):
-            amp = 1.0 + 0.0j
-            for j in range(1, steps + 1):
-                amp *= u[fwd[j], fwd[j - 1]] * u[bwd[j], bwd[j - 1]].conjugate()
-            phase = 0.0j
-            for (k, kp), e in eta.items():
-                ds = s[fwd[k]] - s[bwd[k]]
-                phase += ds * (e * s[fwd[kp]] - e.conjugate() * s[bwd[kp]])
-            out[fwd[-1] * n + bwd[-1], fwd[0] * n + bwd[0]] += amp * cmath.exp(-phase)
-    return out
+    eta = np.zeros((steps + 1, steps + 1), dtype=complex)  # eta[k, k'], zero for k' > k
+    for k in range(steps + 1):
+        for kp in range(k + 1):
+            eta[k, kp] = _path_eta(table, splitting, steps, k, kp, measured_end)
+    paths = np.array(list(itertools.product(range(n), repeat=steps + 1)))  # one row per path
+    hops = u[paths[:, 1:], paths[:, :-1]]  # U[a_j, a_{j-1}] along each path
+    bwd_hops = hops.conj()
+    vals = s[paths]
+    bwd_sums = vals @ eta.conj().T  # sum_k' eta(k, k')* s_{b_k'}, one column per k
+    out = np.zeros(n**4, dtype=complex)
+    chunk = max(1, (1 << 16) // (len(paths) * (steps + 1)))
+    for lo in range(0, len(paths), chunk):
+        f = slice(lo, lo + chunk)
+        amp = np.ones((len(paths[f]), len(paths)), dtype=complex)
+        for j in range(steps):
+            amp *= hops[f, None, j] * bwd_hops[None, :, j]
+        ds = vals[f, None, :] - vals[None, :, :]
+        phase = np.einsum("fbk,fbk->fb", ds, (vals[f] @ eta.T)[:, None, :] - bwd_sums[None])
+        weight = amp * np.exp(-phase)
+        row = paths[f, None, -1] * n + paths[None, :, -1]
+        col = paths[f, None, 0] * n + paths[None, :, 0]
+        flat = (row * n * n + col).ravel()
+        out += np.bincount(flat, weight.real.ravel(), n**4)
+        out += 1j * np.bincount(flat, weight.imag.ravel(), n**4)
+    return out.reshape(n * n, n * n)
 
 
 def convolution_reference(a, length, tail=None, b=None):

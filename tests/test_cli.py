@@ -630,6 +630,43 @@ class TestPropagateFailures:
 
 
 class TestCli:
+    def test_one_process_many_calls_match_fresh_processes(self, tmp_path, capsys):
+        # the parser is built once per process and every path-sum buffer
+        # belongs to one call, so no call leaves state that changes the next
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        commands = {
+            "ttm": ["extract", "--config", str(cfg), "--flavor", "ttm", "--rmax", "3"],
+            "default": ["extract", "--config", str(cfg)],
+            "maps": ["propagate", "--config", str(cfg), "--with-maps"],
+            "plain": ["propagate", "--config", str(cfg)],
+        }
+
+        def argv(name, side):
+            extra = ["--kernels", str(tmp_path / side / "default" / "kernels.txt")] \
+                if commands[name][0] == "propagate" else []
+            return commands[name] + extra + ["--out", str(tmp_path / side / name)]
+
+        assert cli_main(["extract", "--config", str(cfg), "--rmax", "x"]) == 1
+        for _ in range(2):
+            assert cli_main(["--help"]) == 0
+            assert capsys.readouterr().out.startswith("usage: ifkernels")
+        for name in commands:
+            assert cli_main(argv(name, "one")) == 0
+        src = os.path.dirname(os.path.dirname(ifkernels.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        for name in commands:
+            run = subprocess.run([sys.executable, "-m", "ifkernels.cli", *argv(name, "fresh")],
+                                 env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            files = sorted(p.name for p in (tmp_path / "fresh" / name).iterdir())
+            assert files == sorted(p.name for p in (tmp_path / "one" / name).iterdir())
+            for file in files:
+                one, fresh = (tmp_path / side / name / file for side in ("one", "fresh"))
+                assert one.read_bytes() == fresh.read_bytes(), (name, file)
+        header = (tmp_path / "one" / "plain" / "trajectory.csv").read_text().split("\n", 1)[0]
+        assert "_rho_" in header and "_u_" not in header
+
     def test_dyck_count_only(self, capsys):
         assert cli_main(["dyck", "--semilength", "3", "--count-only"]) == 0
         assert capsys.readouterr().out.strip() == "3,5"

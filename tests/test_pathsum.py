@@ -334,11 +334,24 @@ class TestPrefixConsistency:
             assert np.array_equal(short_aux0, aux0)
 
 
+class TestRepeatedCalls:
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("system, steps", [("sys2", 11), ("sys3", 4)])
+    def test_consecutive_calls_are_bit_identical(self, splitting, system, steps, request,
+                                                 bath_default):
+        # every table and buffer belongs to one call, so the next call starts clean
+        sys_ = request.getfixturevalue(system)
+        tab = eta_table(bath_default, TimeGrid(0.1, steps, steps), splitting)
+        first, second = (oracle_trajectory(sys_, tab, steps) for _ in range(2))
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestMemory:
     @pytest.mark.parametrize("n, steps, mib", [(2, 11, 4), (4, 5, 4), (6, 4, 16), (8, 3, 32)])
     def test_trajectory_peak_is_bounded(self, n, steps, mib, bath_default):
-        # traced peaks: about 2.1 MiB at (2, 11), where whole-block tensors
-        # of 4^6 paths took 7.3 MiB; 1.7 MiB at (4, 5) and 6.1 MiB at (6, 4),
+        # traced peaks: about 1.2 MiB at (2, 11), where whole-block tensors
+        # of 4^6 paths took 7.3 MiB; 1.8 MiB at (4, 5) and 5.9 MiB at (6, 4),
         # where a row table bounded by d^q alone took 66 MiB and 1.9 GB;
         # 26 MiB at (8, 3), where summing every (a_N, a_0) column took 49 MiB
         sys_ = SystemSpec(np.diag(np.linspace(0.4, -0.3, n)) + 0.2, tuple(np.linspace(1.0, -0.6, n)))
