@@ -19,7 +19,7 @@ import numpy as np
 
 from ifkernels import SystemSpec
 from ifkernels.bath import bump_correlation, eta_table_from_correlation
-from ifkernels.kernels import extract_kernels, propagate
+from ifkernels.kernels import extract_kernels, propagate_blocks
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,7 +31,8 @@ def final_map(sys_, corr, support, splitting, dt, t_total):
     table = eta_table_from_correlation(corr, TimeGrid(dt, r, r), splitting)
     kset, _, _ = extract_kernels(sys_, table, r, "smatpi")
     g_half = fb_propagator(sys_, dt / 2) if splitting == "sym_sys" else None
-    return propagate(kset, n, g_half=g_half)[-1]
+    *_, last = propagate_blocks(kset, n, g_half=g_half)  # blocks of U_k, the last ending at U_n
+    return last[-1]
 
 
 def main():

@@ -8,14 +8,12 @@ from .bath import (
     bump_correlation,
     eta_table,
     eta_table_from_correlation,
-    eta_truncated,
 )
 from .combinatorics import (
     catalan,
     enumerate_dyck,
     expand_hierarchy,
     numeric_check,
-    term_census,
 )
 from .config import RunConfig, default_config_text, load_config, parse_config
 from .kernel_io import load_kernels, save_kernels
@@ -27,7 +25,6 @@ from .kernels import (
     extract_kernels,
     extract_ttm,
     gqme_kernel,
-    propagate,
     propagate_blocks,
     solve_midpoint,
     solve_termination,

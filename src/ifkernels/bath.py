@@ -373,18 +373,6 @@ def eta_table(
     return _assemble(grid, splitting, values)
 
 
-def eta_truncated(table: EtaTable, max_separation: int) -> EtaTable:
-    """Copy of a table with every coefficient beyond max_separation zeroed.
-
-    Used to construct synthetic finite-memory baths ("the IF memory spans
-    max_separation time steps") for the kernel nullity dichotomy.
-    """
-    keep = np.arange(table.horizon + 1) <= max_separation
-    interior = np.where(keep, table.interior, 0.0j)
-    right = interior if table.right is table.interior else np.where(keep, table.right, 0.0j)
-    return EtaTable(table.splitting, table.dt, interior, right)
-
-
 # ---------------------------------------------------------------------------
 # Influence-factor matrices
 # ---------------------------------------------------------------------------

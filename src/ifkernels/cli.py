@@ -16,10 +16,13 @@ CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
 separate ``re_*`` / ``im_*`` columns; density-matrix and map elements are
 ordered row-major in the flat forward-backward index.  ``trajectory.csv``
-and ``oracle_maps.csv`` are written one engine block at a time:
-``propagate`` makes, applies and writes one chunk of ``kernels.CHUNK`` maps
-at a time, so memory does not grow with the number of steps, and ``oracle``
-writes its few path-sum maps as one block.  Each block's text comes from
+and ``oracle_maps.csv`` are written in groups of rows: ``propagate`` runs the
+kernel recurrence on vec(rho_0) itself, one chunk of ``kernels.CHUNK`` steps
+at a time (and, with ``--with-maps``, a second recurrence on the identity
+for the map columns, so rho is the same with or without them); the writer
+regroups the chunks' rows into arrays of ``csvtext.SLICE`` floats, so
+memory does not grow with the number of steps.  ``oracle`` writes its few
+path-sum maps the same way.  Each group's text comes from
 ``csvtext.format_rows``, an exact vectorised ``%.17g`` that prints an
 element by its own ``%`` call wherever it cannot prove the rounding; it is
 imported only by the commands that write these files.
@@ -42,7 +45,7 @@ from .config import RunConfig, default_config_text, load_config
 from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
 from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
-from .liouville import TimeGrid, apply_map, fb_propagator, liou_norm
+from .liouville import TimeGrid, fb_propagator, liou_norm
 from .pathsum import oracle_trajectory
 
 
@@ -68,18 +71,39 @@ def _block_rows(dt, blocks):
         done += len(step)
 
 
+def _regrouped(arrays, rows):
+    """The rows of consecutive 2-D arrays, regrouped into arrays of ``rows`` rows.
+
+    Only the last array may be shorter; the arrays hold at most ``rows`` rows
+    plus one input array at a time.
+    """
+    held, count = [], 0
+    for array in arrays:
+        held.append(array)
+        count += len(array)
+        if count >= rows:
+            joined = np.concatenate(held)
+            cut = count - count % rows
+            for start in range(0, cut, rows):
+                yield joined[start:start + rows]
+            held, count = [joined[cut:]], count - cut
+    if count:
+        yield np.concatenate(held)
+
+
 def _write_steps_csv(path, dt, prefixes, blocks):
     """Rows ``step, t = step * dt`` and the re/im entries of each table.
 
     ``blocks`` is an iterable of tuples with one stack per prefix; a stack
     holds one (m, m) complex matrix per step, the blocks run over steps
     0, 1, ... in order, and each prefix adds the columns re_<prefix>_i_j,
-    im_<prefix>_i_j, row-major.  Each block is formatted by one
+    im_<prefix>_i_j, row-major.  The rows are regrouped into arrays of
+    ``csvtext.SLICE`` floats (at least one row), each formatted by one
     ``csvtext.format_rows`` call (every float as ``format(x, ".17g")``, so
     the integer steps print as ``%d``) and written at once.  If the blocks
     raise, the partial file is removed.
     """
-    from .csvtext import format_rows
+    from .csvtext import SLICE, format_rows
 
     blocks = iter(blocks)
     first = next(blocks)
@@ -88,20 +112,16 @@ def _write_steps_csv(path, dt, prefixes, blocks):
         m = stack.shape[-1]
         header += [f"{part}_{prefix}_{i}_{j}" for i in range(m) for j in range(m)
                    for part in ("re", "im")]
+    rows = max(1, SLICE // len(header))
     fh = open(path, "wb")
     try:
         with fh:
             fh.write((",".join(header) + "\n").encode())
-            for data in _block_rows(dt, itertools.chain([first], blocks)):
+            for data in _regrouped(_block_rows(dt, itertools.chain([first], blocks)), rows):
                 fh.write(format_rows(data))
     except BaseException:
         os.remove(path)
         raise
-
-
-def _with_identity(maps):
-    """U_0 = identity stacked ahead of the maps U_1..U_N."""
-    return np.concatenate((np.eye(maps.shape[-1], dtype=complex)[None], maps))
 
 
 def _out_dir(args, cfg):
@@ -123,7 +143,7 @@ def _cmd_oracle(args) -> int:
     full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=budget)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle_maps.csv")
-    _write_steps_csv(path, grid.dt, ("u",), [(_with_identity(full),)])
+    _write_steps_csv(path, grid.dt, ("u",), [(np.eye(len(full[0]), dtype=complex)[None],), (full,)])
     print(path)
     return 0
 
@@ -197,13 +217,16 @@ def _cmd_propagate(args) -> int:
         raise ValidationError("kernel file dimension differs from configured system")
 
     g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.splitting == "sym_sys" else None
-    blocks = propagate_blocks(kset, cfg.grid.n_steps, g_half=g_half)
+    rho0 = cfg.initial_state
+    # rho_n from its own recurrence on vec(rho_0), so its bytes do not depend on
+    # --with-maps; the maps run on the identity, on the same chunk rows
+    rights = [rho0.reshape(-1, 1)] + [None] * args.with_maps
+    blocks = propagate_blocks(kset, cfg.grid.n_steps, g_half, right=rights)
 
     def tables():
-        for i, maps in enumerate(blocks):
-            maps = _with_identity(maps) if i == 0 else maps
-            rho = apply_map(maps, cfg.initial_state)
-            yield (rho, maps) if args.with_maps else (rho,)
+        yield (rho0[None], np.eye(kset.dim, dtype=complex)[None])[: len(rights)]  # step 0
+        for rho, *maps in blocks:
+            yield (rho.reshape((-1,) + rho0.shape), *maps)
 
     # a failed run leaves no directory it made itself (the CSV writer
     # removes its partial file), and a directory that was there stays

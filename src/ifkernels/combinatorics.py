@@ -71,14 +71,6 @@ def expand_hierarchy(k: int):
     return expansions[k]
 
 
-def term_census(k: int):
-    """Term counts of expand_hierarchy(k) grouped by number of factors."""
-    census = {}
-    for _, factors in expand_hierarchy(k):
-        census[len(factors)] = census.get(len(factors), 0) + 1
-    return dict(sorted(census.items()))
-
-
 def numeric_check(terms, seq) -> np.ndarray:
     """Evaluate a signed symbolic expansion on a concrete trajectory.
 

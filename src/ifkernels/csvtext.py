@@ -20,25 +20,25 @@ two-product would leave the double range), a value that is not finite, or
 a rounded N outside [10^16, 10^17).  A value in [1e-283, 1e17) falls back
 only when its fraction is that close to 1/2, about once in 5 million.
 
-Text.  Each field is a 32-byte record, built one position at a time for
-all fields of a slice: bytes 0-5 hold the prefix (the sign, and the
-``0.00`` of a value in [1e-4, 1)) right-aligned, bytes 6-23 the 18 slots of
-the 17 digits and the decimal point, and bytes 24-31 the exponent of a
-scientific value (``e-05`` .. ``e-283``) and the separator; prefix and
-exponent are each gathered as one uint64.  The digits come from a 4-digit
-lookup table.  Digits after the last nonzero one of the fraction, and a
-point with no digit after it, are 0 bytes, and one boolean compress drops
-every 0 byte; the text of a field is mostly one run of bytes, which the
-compress copies at once.  The work runs in slices of at most ``SLICE``
-floats, so its temporaries (about 250 bytes a float) do not grow with the
-rows.
+Text.  Each field is a 32-byte record of four uint64 words, each gathered
+from a table: bytes 0-7 hold the prefix (the sign, and the ``0.00`` of a
+value in [1e-4, 1)) right-aligned against the lead digit and the point,
+bytes 8-23 the other 16 digits, four at a time, cut after the last one
+kept, and bytes 24-31 the exponent of a scientific value (``e-05`` ..
+``e-283``) and the separator.  A value of 10 or more then moves its
+integer digits one byte left over the point.  Unused bytes are 0, and one
+boolean compress drops them; the text of a field is mostly one run of
+bytes, which the compress copies at once.  The work runs in slices of at
+most ``SLICE`` floats, so its temporaries (about 120 bytes a float, in
+small integer types where they fit, and freed as soon as they are used) do
+not grow with the rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-SLICE = 1 << 12  # floats formatted per pass
+SLICE = 1 << 13  # floats formatted per pass
 _P_MAX = 299  # largest scale 10^p: its Veltkamp split stays finite
 _SPLIT = 134217729.0  # 2^27 + 1
 
@@ -62,16 +62,41 @@ def _words(strings, end=None):
     return buf.view(np.uint64).ravel()
 
 
+def _head(sign, kind, lead, point):
+    """Bytes 0-7 of a record: the prefix right-aligned in bytes 0-5, then the
+    lead digit and the point (kind 0), or, for a value of magnitude 10^-kind
+    times [1, 10) (kind 1..4), a ``.`` or ``0`` and the lead digit."""
+    if kind == 0:
+        return sign.rjust(6, "\0") + str(lead) + ("." if point else "\0")
+    return (sign + "0.00"[:kind]).rjust(6, "\0") + ("." if kind == 1 else "0") + str(lead)
+
+
 _POW = _powers()
-_DIGITS4 = (np.arange(10000) // 10 ** np.arange(3, -1, -1)[:, None] % 10 + 48).astype(np.uint8)
-# how many of the 17 digits run up to the last nonzero one of g as 4-digit
-# group i (digits 4i+1..4i+4): _KEPT[i][g], or 0 if g is 0
-_KEPT = ((np.arange(1, 5)[:, None] * (_DIGITS4 != 48)).max(axis=0)
-         + np.arange(1, 17, 4)[:, None]) * np.any(_DIGITS4 != 48, axis=0)
-_KEPT = _KEPT.astype(np.int8)
-_PREFIX = _words([sign + lead for sign in ("", "-") for lead in ("", "0", "0.", "0.0", "0.00")], 6)
+# the 4 ASCII digits of g as bytes 0-3 and as bytes 4-7 of a word
+_DIGITS4 = np.array([b"%04d" % g for g in range(10000)]).view(np.uint32).astype(np.uint64)
+_DIGITS4_HIGH = _DIGITS4 << np.uint64(32)
+# how many of the 16 digits after the lead run up to the last nonzero one of
+# g as 4-digit group i: _LAST[i][g], or 0 if g is 0
+_LAST = np.array([[4 * i + len(f"{g:04d}".rstrip("0")) if g else 0 for g in range(10000)]
+                  for i in range(4)], np.int8)
+# (kind, lead, point, sign) -> bytes 0-7, sign the fastest index
+_HEAD = _words([_head(sign, kind, lead, point) for kind in range(5) for lead in range(10)
+                for point in (0, 1) for sign in ("", "-")])
 _SUFFIX = _words([("" if e < 5 else f"e-{e:02d}") + sep for e in range(_P_MAX - 15) for sep in ",\n"])
-_SLOT17 = np.arange(17, dtype=np.int8)[:, None]
+# bytes 8-15 and 16-23 with the first k of the 16 digits after the lead kept: _TAIL[:, k]
+_TAIL = np.ascontiguousarray(
+    ((np.arange(16) < np.arange(17)[:, None]) * np.uint8(0xFF)).view(np.uint64).T)
+# for q integer digits after the lead, word j of bytes 0-23 becomes
+# moved_j & _SHIFT[0, j, q] | word_j & _SHIFT[1, j, q] | _SHIFT[2 + point, j, q],
+# where moved holds the bytes one place lower: bytes 7..6+q take the digits
+# and byte 7+q the point, if one follows
+_SHIFT = np.zeros((4, 17, 24), np.uint8)
+for _q in range(17):
+    _SHIFT[0, _q, 7:7 + _q] = 0xFF
+    _SHIFT[1, _q] = 0xFF
+    _SHIFT[1, _q, 7:8 + _q] = 0
+    _SHIFT[3, _q, 7 + _q] = ord(".")
+_SHIFT = np.ascontiguousarray(_SHIFT.view(np.uint64).transpose(0, 2, 1))
 
 
 def _divide(v, unit):
@@ -81,16 +106,55 @@ def _divide(v, unit):
 
 
 def _scaled(a, p):
-    """floor(a 10^p) as int64 and the fraction, from a double-double product."""
-    hi, head, tail, lo = (t[p] for t in _POW)
+    """floor(a 10^p) as int64 and the fraction, from a double-double product.
+
+    The error terms are summed in place, in the order
+    ((a_head head - prod) + a_head tail + a_tail head) + a_tail tail + a lo.
+    """
+    hi, head, tail, lo = (t.take(p, mode="clip") for t in _POW)
     prod = a * hi
-    c = a * _SPLIT
-    a_head = c - (c - a)
+    del hi
+    a_head = a * _SPLIT
+    a_head -= a_head - a
     a_tail = a - a_head
-    err = ((a_head * head - prod) + a_head * tail + a_tail * head) + a_tail * tail
-    err += a * lo
+    err = a_head * head
+    err -= prod
+    term = a_head * tail
+    err += term
+    for x, y in ((a_tail, head), (a_tail, tail), (a, lo)):
+        np.multiply(x, y, out=term)
+        err += term
     whole = np.floor(err)
-    return prod.astype(np.int64) + whole.astype(np.int64), err - whole
+    err -= whole
+    prod = prod.astype(np.int64)
+    prod += whole.astype(np.int64)
+    return prod, err
+
+
+def _decimal(flat):
+    """(17 significant digits as int64, decimal exponent as int16, proven) of each value.
+
+    A value whose digits are not proven (zeros included) has digits 0 and
+    exponent 0.
+    """
+    a = np.abs(flat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 16 - np.floor(np.log10(a))  # +inf at 0, nan past the double range
+        fast = (p >= 0) & (p <= _P_MAX)
+        p = p.astype(np.intp)  # out of range where not fast: the gathers clip
+    a = np.where(fast, a, 0.0)
+    whole, frac = _scaled(a, p)
+    off = np.flatnonzero(((whole - 10**16).view(np.uint64) >= 9 * 10**16) & fast)
+    if off.size:  # log10 was off by one
+        q = p[off] + np.where(whole[off] < 10**16, 1, -1)
+        inside = (q >= 0) & (q <= _P_MAX)
+        fast[off[~inside]] = False
+        whole[off], frac[off] = _scaled(np.where(inside, a[off], 0.0), q)
+        p[off] = q
+    digits = whole + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) >= 1e-7) & ((digits - 10**16).view(np.uint64) < 9 * 10**16)
+    digits *= fast
+    return digits, (16 - p.astype(np.int16)) * fast, fast
 
 
 def _per_element(values):
@@ -100,64 +164,61 @@ def _per_element(values):
 
 
 def _format_slice(x, last):
-    """Text of the rows of ``x``: one 32-byte record per field, 0 bytes dropped."""
+    """Text of the rows of ``x`` as a uint8 array: 32-byte records, 0 bytes dropped."""
     flat = x.ravel()
-    n = flat.size
-    a = np.abs(flat)
-    usable = np.isfinite(a) & (a != 0)
-    p = 16 - np.floor(np.log10(np.where(usable, a, 1.0))).astype(np.int64)
-    fast = usable & (p >= 0) & (p <= _P_MAX)
-    a = np.where(fast, a, 1.0)
-    p = np.where(fast, p, 16)
-    whole, frac = _scaled(a, p)
-    off = np.flatnonzero((whole < 10**16) | (whole >= 10**17))
-    if off.size:  # log10 was off by one
-        q = p[off] + np.where(whole[off] < 10**16, 1, -1)
-        inside = (q >= 0) & (q <= _P_MAX)
-        fast[off[~inside]] = False
-        q = np.where(inside, q, 16)
-        whole[off], frac[off] = _scaled(np.where(inside, a[off], 1.0), q)
-        p[off] = q
-    digits = whole + (frac > 0.5)
-    fast &= (np.abs(frac - 0.5) >= 1e-7) & (digits >= 10**16) & (digits < 10**17)
-    digits = np.where(fast, digits, 0)  # a zero prints as the digit 0
-    exp = np.where(fast, 16 - p, 0).astype(np.int16)
+    digits, exp, fast = _decimal(flat)
+    top, low = _divide(digits, 10**8)
+    del digits
+    lead, high = _divide(top.astype(np.int32), 10**8)
+    groups = _divide(high, 10**4) + _divide(low.astype(np.int32), 10**4)
+    del top, high, low
 
-    # the 17 digits, one row per position
-    d = np.empty((17, n), np.uint8)
-    lead, rest = _divide(digits, 10**16)
-    d[0] = lead + 48
-    high, low = _divide(rest, 10**8)
-    groups = _divide(high.astype(np.int32), 10**4) + _divide(low.astype(np.int32), 10**4)
+    # the 16 digits after the lead, cut after the last nonzero one and after
+    # the integer digits
+    kept = _LAST[0].take(groups[0])
+    for i in (1, 2, 3):
+        np.maximum(kept, _LAST[i].take(groups[i]), out=kept)
+    whole_digits = np.maximum(exp, 0)
+    point = kept > whole_digits
+    np.maximum(kept, whole_digits, out=whole_digits)
+    words = [None, None, None, None]
+    for j in (1, 2):
+        words[j] = _DIGITS4.take(groups[2 * j - 2]) | _DIGITS4_HIGH.take(groups[2 * j - 1])
+        words[j] &= _TAIL[j - 1].take(whole_digits)
+    del groups, whole_digits
 
-    # the point goes in slot ``point`` and the digits from there on move one
-    # slot right; a value in [1e-4, 0.1) has its point in the prefix, and
-    # slot 0 holds the last zero before its digits.  The digits kept are the
-    # integer digits and all up to the last nonzero one.
-    small = (exp < 0) & (exp >= -4)
-    point = np.where(exp >= 0, exp + 1, 1).astype(np.int8)
-    point[small] = 0
-    kept = np.maximum(np.where(small, 0, point), lead != 0)
-    for i, group in enumerate(groups):
-        np.take(_DIGITS4, group, axis=1, out=d[1 + 4 * i:5 + 4 * i], mode="clip")
-        np.maximum(kept, _KEPT[i].take(group), out=kept)
-    d *= _SLOT17 < kept
-    slots = np.empty((18, n), np.uint8)
-    np.multiply(d, _SLOT17 < point, out=slots[:17])
-    slots[17] = 0
-    slots[1:] += d - slots[:17]
-    at = point.astype(np.intp) * n + np.arange(n)
-    slots.reshape(-1)[at] = np.where(small & (exp < -1), 48, 46) * (kept > point)
+    # prefix, lead digit and point; a value in [1e-4, 1) has its point in
+    # the prefix (kind 1..4)
+    index = -exp * ((exp < 0) & (exp >= -4))
+    index *= 10
+    index += lead
+    index *= 2
+    index += point
+    index *= 2
+    index += np.signbit(flat)
+    words[0] = _HEAD.take(index)
+    shift = np.flatnonzero(exp > 0)
+    if shift.size:  # the integer digits after the lead move one byte left, over the point
+        q = exp[shift]
+        old = [w[shift] for w in words[:3]]
+        dot = 2 + point[shift]
+        for j in range(3):
+            moved = old[j] >> np.uint64(8)
+            if j < 2:
+                moved |= old[j + 1] << np.uint64(56)
+            moved &= _SHIFT[0, j].take(q)
+            moved |= old[j] & _SHIFT[1, j].take(q)
+            moved |= _SHIFT[dot, j, q]
+            words[j][shift] = moved
+    scientific = -exp * (exp < -4)
+    words[3] = _SUFFIX.take((2 * scientific).reshape(x.shape) + last).ravel()
 
-    rec = np.empty((n, 32), np.uint8)
-    words = rec.view(np.uint64)
-    words[:, 0] = _PREFIX[5 * np.signbit(flat) + np.where(small, -exp, 0)]
-    rec[:, 6:24] = slots.T
-    words[:, 3] = _SUFFIX[(2 * np.where(exp < -4, -exp, 0)).reshape(x.shape) + last].ravel()
+    rec = np.stack(words, axis=1).view(np.uint8)
+    del words
     fallback = np.flatnonzero(~fast & (flat != 0))
     if fallback.size:
         rec[fallback, :24] = _per_element(flat[fallback])
-    return rec[rec != 0].tobytes()
+    return rec[rec != 0]
 
 
 def format_rows(data):
@@ -166,4 +227,4 @@ def format_rows(data):
     rows, cols = data.shape
     last = np.arange(cols) == cols - 1
     step = max(1, SLICE // cols)
-    return b"".join(_format_slice(data[i:i + step], last) for i in range(0, rows, step))
+    return b"".join([_format_slice(data[i:i + step], last) for i in range(0, rows, step)])

@@ -6,8 +6,8 @@ Every hierarchy here is one truncated discrete convolution,
     X_n = sum_{r=1}^{min(n-1, R)} A_r . B_{n-r}  +  [n <= R] A_n . tail,
 
 over stacked (k, d, d) arrays, the one form of every matrix sequence here:
-the solvers and ``propagate`` return them, and a KernelSet stores its sets
-as read-only stacks.  Extraction solves the convolution for the kernels A
+the solvers and ``propagate_blocks`` return them, and a KernelSet stores its
+sets as read-only stacks.  Extraction solves the convolution for the kernels A
 from known maps (``_inverse``); propagation runs it forward from the
 kernels (``propagate_blocks``).  ``extract_kernels(sys, eta, r_max, flavor)``
 solves the oracle maps of one eta table, whose splitting and dt the set
@@ -37,17 +37,21 @@ reports flag it.
 
 Propagation is one linear, time-invariant recurrence X_n = sum_r A_r X_{n-r}
 on the sequence X (aux for smatpi, U for ttm) started from X_0 = tail,
-X_{<0} = 0, which covers the n <= R head too.  Its state, the newest-first
-stack s_n = (X_n, ..., X_{n-R+1}), moves one step by the block companion
+X_{<0} = 0, which covers the n <= R head too.  Being linear, it runs on
+X_n V for a right-hand block V (d x c) as well as on X_n itself: V = identity
+gives the maps, and V = vec(rho_0) (c = 1) gives the density matrices
+rho_n = U_n rho_0 without forming any map.  Its state, the newest-first stack
+s_n = (X_n V, ..., X_{n-R+1} V), moves one step by the block companion
 matrix C of size (R d) x (R d) with first block row [A_1 | ... | A_R], so
-X_{n+k} = P_k s_n with P_k the first block row of C^k.  The maps are read
-off the same state: U_{n+k} = Q_k s_n with Q_k = [T_1 | ... | T_R] C^(k-1)
-(termination) or G_half [1 | 0 | ... | 0] C^(k-1), times G_half on the right
-(dressing).  The rows P_k, Q_k for k = 1..CHUNK are built once by CHUNK
-small products; each chunk of CHUNK maps is then one
-(CHUNK m d) x (R d) @ (R d) x d product (m = 1 for ttm, 2 with Q rows), and
-the next state is the newest R outputs.  Memory is O(CHUNK R d^2) whatever the horizon, and the number of
-numpy calls per chunk does not depend on CHUNK.
+X_{n+k} V = P_k s_n with P_k the first block row of C^k.  The maps are read
+off the same state: U_{n+k} V = Q_k s_n with Q_k = [T_1 | ... | T_R] C^(k-1)
+(termination) or G_half [1 | 0 | ... | 0] C^(k-1) (dressing; its right
+factor G_half is folded into V, so the state holds aux_n G_half V).  The
+rows P_k, Q_k for k = 1..CHUNK are built once by CHUNK small products; each
+chunk of CHUNK steps is then one (CHUNK m d) x (R d) @ (R d) x c product
+(m = 1 for ttm, 2 with Q rows), and the next state is the newest R outputs.
+Memory is O(CHUNK R d (d + c)) whatever the horizon, and the number of numpy
+calls per chunk does not depend on CHUNK.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
 
 AUX0_CONVENTIONS = ("standalone_terminal", "terminal_times_I0")
 COND_LIMIT = 1e12
-# Maps per propagation chunk: each chunk is one (CHUNK d, R d) @ (R d, d)
+# Steps per propagation chunk: each chunk is one (CHUNK m d, R d) @ (R d, c)
 # product, and the chunk rows take O(CHUNK R d^2) memory.
 CHUNK = 256
 
@@ -91,7 +95,7 @@ class KernelSet:
     read-only (dim, dim) index-0 auxiliary matrix: the tail factor of the
     terminal_times_I0 convention, and for smatpi sym_sys (either
     convention) the inner factor of U_1 = G_half aux_0 G_half.  A set
-    carries everything ``propagate`` needs: termination matrices for smatpi
+    carries everything propagation needs: termination matrices for smatpi
     sym_env/asym, aux0 where the convention or the dressing uses it.
     """
 
@@ -244,45 +248,52 @@ def _companion_rows(first: np.ndarray, wide: np.ndarray, count: int) -> np.ndarr
     return rows
 
 
-def _blocks(rows, state, horizon, g_half, u1):
-    """Yield the maps of ``propagate_blocks`` one chunk of len(rows) at a time."""
+def _blocks(rows, states, horizon, firsts):
+    """Yield the outputs of ``propagate_blocks``: per chunk of len(rows) steps,
+    a list with one block per state, each from its own product."""
     count, width = rows.shape[0], rows.shape[2]
-    r_max, d = state.shape[0], state.shape[1]
     for start in range(0, horizon, count):
         k = min(count, horizon - start)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            out = (rows[:k].reshape(-1, width) @ state.reshape(width, d)).reshape(k, -1, d, d)
-            state = np.concatenate((out[::-1, 0], state))[:r_max]
-            maps = out[:, -1]
-            if g_half is not None:
-                maps = (maps.reshape(k * d, d) @ g_half).reshape(k, d, d)
-        if start == 0 and u1 is not None:
-            maps[0] = u1
-        finite = np.isfinite(maps).reshape(k, -1).all(axis=1)
-        if not finite.all():
-            step = start + 1 + int(np.argmin(finite))
-            raise PropagationDivergedError(
-                f"propagation_diverged: U_{step} is not finite; the kernel set grows without bound"
-            )
-        yield maps
+        blocks = []
+        for i, state in enumerate(states):
+            r_max, d, c = state.shape
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                out = (rows[:k].reshape(-1, width) @ state.reshape(width, c)).reshape(k, -1, d, c)
+            states[i] = np.concatenate((out[::-1, 0], state))[:r_max]
+            block = out[:, -1]
+            if start == 0 and firsts[i] is not None:
+                block[0] = firsts[i]
+            if not np.isfinite(block).all():
+                step = start + 1 + int(np.argmin(np.isfinite(block).reshape(k, -1).all(axis=1)))
+                raise PropagationDivergedError(
+                    f"propagation_diverged: U_{step} is not finite; the kernel set grows without bound"
+                )
+            blocks.append(block)
+        yield blocks
 
 
-def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None):
-    """U_1..U_horizon from a kernel set alone, as consecutive blocks.
+def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None,
+                     right=None):
+    """U_1 V..U_horizon V from a kernel set alone, as consecutive blocks.
 
-    Returns an iterator of (k, d, d) arrays with k = CHUNK (the last block
-    may be shorter); the arguments are checked and the chunk rows built
-    before it is returned.  ttm runs the transfer tensors over U itself.
-    smatpi runs the midpoint matrices over the auxiliary sequence, with the
-    tail aux_0 under the terminal_times_I0 convention, and reads U off it
-    through the termination matrices (sym_env, asym) or the half-step
-    dressing U_n = G_half aux_{n-1} G_half with aux_0 from the set (sym_sys,
-    which requires ``g_half``).  Within r_max steps the output rebuilds the
-    maps the set was extracted from; beyond it the sums truncate at r_max
-    (terms are dropped; no renormalization).  A block holding a non-finite
-    map raises PropagationDivergedError instead of being yielded.  A set whose
-    chunk rows, (CHUNK, m d, R d) complex entries with m = 2 for smatpi and 1
-    for ttm, would exceed ``pathsum.SIZE_LIMIT`` bytes is refused with
+    ``right`` is the right-hand block V, a (d, c) array; None is the
+    identity, which gives the maps themselves, and a (d, 1) column
+    vec(rho_0) gives the density matrices.  Returns an iterator of (k, d, c)
+    arrays with k = CHUNK (the last block may be shorter).  A list of such
+    blocks runs each on the same chunk rows, by its own product, and yields
+    a list of blocks per chunk.  The arguments are checked and the chunk
+    rows built before the iterator is returned.  ttm runs the transfer
+    tensors over U itself.  smatpi runs the midpoint matrices over the
+    auxiliary sequence, with the tail aux_0 under the terminal_times_I0
+    convention, and reads U off it through the termination matrices
+    (sym_env, asym) or the half-step dressing U_n = G_half aux_{n-1} G_half
+    with aux_0 from the set (sym_sys, which requires ``g_half``).  Within
+    r_max steps the output rebuilds the maps the set was extracted from;
+    beyond it the sums truncate at r_max (terms are dropped; no
+    renormalization).  A block holding a non-finite entry raises
+    PropagationDivergedError instead of being yielded.  A set whose chunk
+    rows, (CHUNK, m d, R d) complex entries with m = 2 for smatpi and 1 for
+    ttm, would exceed ``pathsum.SIZE_LIMIT`` bytes is refused with
     ``size_limit`` before anything is allocated.
     """
     from .pathsum import SIZE_LIMIT
@@ -291,6 +302,13 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     if dressed and g_half is None:
         raise ValidationError("sym_sys propagation needs the half-step propagator")
     r_max, d = kernels.r_max, kernels.dim
+    rights = []
+    for block in right if isinstance(right, list) else [right]:
+        block = np.eye(d, dtype=complex) if block is None else np.asarray(block, dtype=complex)
+        if block.ndim != 2 or block.shape[0] != d:
+            raise DimMismatchError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
+        # the dressing's right factor G_half goes into the state: aux_n G_half V
+        rights.append(g_half @ block if dressed else block)
     count = max(min(CHUNK, horizon), 1)
     size = 16 * count * (2 if kernels.flavor == "smatpi" else 1) * d * r_max * d
     if size > SIZE_LIMIT:
@@ -299,9 +317,6 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
             f" companion rows, over the {SIZE_LIMIT / 2**30:.1f} GiB limit"
         )
     wide = _wide(kernels.midpoint)
-    state = np.zeros((r_max, d, d), dtype=complex)  # X_0, X_{-1}, ... = tail, 0, ...
-    terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
-    state[0] = kernels.aux0 if terminal else np.eye(d)
     first = wide  # P_1 = e_0 C: the recurrence itself
     if dressed:  # G_half e_0 C^(k-1) picks G_half X_{n+k-1}
         emit = np.zeros_like(wide)
@@ -309,22 +324,18 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
         first = np.concatenate((wide, emit))
     elif kernels.flavor == "smatpi":  # [T_1 | ... | T_R] C^(k-1) gives U_{n+k}
         first = np.concatenate((wide, _wide(kernels.termination)))
+    terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
+    states = []
+    for block in rights:
+        state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V, X_{-1} V, ... = tail V, 0, ...
+        state[0] = kernels.aux0 @ block if terminal else block
+        states.append(state)
+    # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
+    firsts = [g_half @ kernels.aux0 @ block if dressed else None for block in rights]
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent set fails in _blocks
         rows = _companion_rows(first, wide, count)
-    if not dressed:
-        return _blocks(rows, state, horizon, None, None)
-    # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
-    return _blocks(rows, state, horizon, g_half, g_half @ kernels.aux0 @ g_half)
-
-
-def propagate(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None) -> np.ndarray:
-    """Maps U_1..U_horizon as one (horizon, d, d) array (see ``propagate_blocks``)."""
-    maps = np.empty((max(horizon, 0), kernels.dim, kernels.dim), dtype=complex)
-    start = 0
-    for block in propagate_blocks(kernels, horizon, g_half):
-        maps[start : start + len(block)] = block
-        start += len(block)
-    return maps
+    blocks = _blocks(rows, states, horizon, firsts)
+    return blocks if isinstance(right, list) else (block for block, in blocks)
 
 
 @dataclass(frozen=True)

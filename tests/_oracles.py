@@ -14,7 +14,8 @@ integral.  The path-sum reference gives every forward-backward path its own
 weight, written out from the definition, instead of building weights from
 factor matrices in blocks.  The convolution reference rebuilds a sequence
 from its kernels one matrix product at a time, instead of one stacked
-product per step.  The per-cell CSV writer formats one float at a
+product per step, and the density-matrix recurrence runs the kernels on
+vectors one step at a time, instead of by chunks of companion-matrix rows.  The per-cell CSV writer formats one float at a
 time, instead of one block of rows per call.
 """
 
@@ -31,9 +32,12 @@ from ifkernels.bath import (
     OMEGA_RTOL,
     BathSpec,
     _gauss_nodes,
+    EtaTable,
     eta_table_from_correlation,
 )
+from ifkernels.combinatorics import expand_hierarchy
 from ifkernels.errors import QuadratureError
+from ifkernels.kernels import propagate_blocks
 
 
 def matsubara_correlation(alpha, wc, beta, t, nsum=2000):
@@ -231,6 +235,68 @@ def convolution_reference(a, length, tail=None, b=None):
             acc = acc + (a[n - 1] if tail is None else a[n - 1] @ tail)
         out.append(acc)
     return out
+
+
+def propagate(kernels, horizon, g_half=None):
+    """Maps U_1..U_horizon as one (horizon, d, d) array: the engine's blocks on the identity."""
+    d = kernels.dim
+    return np.concatenate([np.empty((0, d, d), complex), *propagate_blocks(kernels, horizon, g_half)])
+
+
+def rho_recurrence(kset, n_steps, rho0, g_half=None):
+    """rho_1..rho_{n_steps} as a (n_steps, n, n) array, one step at a time on vectors.
+
+    x_n = sum_{r=1}^{min(n-1, R)} A_r x_{n-r} + [n <= R] A_n tail v runs the
+    kernel set's sequence X (aux for smatpi, U for ttm) on the vector
+    v = vec(rho_0), with tail aux_0 under terminal_times_I0 and the identity
+    otherwise; rho_n is x_n itself (ttm), sum_r T_r x_{n-r} + [n <= R] T_n tail v
+    (termination), or G_half x_{n-1} with v = G_half vec(rho_0) and
+    x_0 = aux_0 v (dressing, sym_sys).  One matrix-vector product per term.
+    """
+    n = np.asarray(rho0).shape[0]
+    v = np.asarray(rho0, dtype=complex).reshape(-1)
+    dressed = kset.flavor == "smatpi" and kset.splitting == "sym_sys"
+    terminal = kset.flavor == "smatpi" and kset.aux_zero_convention == "terminal_times_I0"
+    if dressed:
+        v = g_half @ v
+    tail = kset.aux0 @ v if terminal else v
+
+    def convolve(mats, xs, step):
+        acc = np.zeros_like(v)
+        for r in range(1, min(step - 1, len(mats)) + 1):
+            acc = acc + mats[r - 1] @ xs[step - r - 1]
+        return acc + mats[step - 1] @ tail if step <= len(mats) else acc
+
+    xs, rhos = [], []
+    for step in range(1, n_steps + 1):
+        xs.append(convolve(kset.midpoint, xs, step))
+        if kset.flavor == "ttm":
+            rhos.append(xs[-1])
+        elif dressed:
+            rhos.append(g_half @ (kset.aux0 @ v if step == 1 else xs[-2]))
+        else:
+            rhos.append(convolve(kset.termination, xs, step))
+    return np.array(rhos).reshape(n_steps, n, n)
+
+
+def eta_truncated(table, max_separation):
+    """Copy of a table with every coefficient beyond ``max_separation`` zeroed.
+
+    A synthetic finite-memory bath ("the IF memory spans max_separation time
+    steps") for the kernel nullity dichotomy.
+    """
+    keep = np.arange(table.horizon + 1) <= max_separation
+    interior = np.where(keep, table.interior, 0.0j)
+    right = interior if table.right is table.interior else np.where(keep, table.right, 0.0j)
+    return EtaTable(table.splitting, table.dt, interior, right)
+
+
+def term_census(k):
+    """Term counts of expand_hierarchy(k) grouped by number of factors."""
+    census = {}
+    for _, factors in expand_hierarchy(k):
+        census[len(factors)] = census.get(len(factors), 0) + 1
+    return dict(sorted(census.items()))
 
 
 def per_cell_csv(dt, tables):

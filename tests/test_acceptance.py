@@ -13,7 +13,6 @@ from ifkernels.bath import (
     bump_correlation,
     eta_table,
     eta_table_from_correlation,
-    eta_truncated,
 )
 from ifkernels.cli import cli_main
 from ifkernels.combinatorics import catalan, enumerate_dyck, expand_hierarchy, numeric_check
@@ -24,12 +23,13 @@ from ifkernels.kernels import (
     compare,
     extract_kernels,
     extract_ttm,
-    propagate,
     solve_midpoint,
     solve_termination,
 )
 from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
+
+from _oracles import eta_truncated, propagate
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 

@@ -14,7 +14,6 @@ from ifkernels.bath import (
     bump_correlation,
     eta_table,
     eta_table_from_correlation,
-    eta_truncated,
     influence_pair_matrix,
     influence_self_weights,
 )
@@ -24,6 +23,7 @@ from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import (
     bath_correlation,
+    eta_truncated,
     matsubara_correlation,
     spectral_eta_pair,
     spectral_eta_self,

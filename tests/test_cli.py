@@ -15,11 +15,11 @@ from ifkernels.cli import cli_main
 from ifkernels.config import default_config_text, load_config, parse_config
 from ifkernels.errors import ParseError, ValidationError, VersionError
 from ifkernels.kernel_io import load_kernels, save_kernels
-from ifkernels.kernels import KernelSet, propagate
+from ifkernels.kernels import KernelSet, propagate_blocks
 from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
-from _oracles import per_cell_csv, per_element_kernel_block
+from _oracles import per_cell_csv, per_element_kernel_block, propagate, rho_recurrence
 
 
 def small_config(**overrides):
@@ -391,18 +391,71 @@ def _trajectory_bytes(cfg, kpath, out, with_maps):
     return (out / "trajectory.csv").read_bytes()
 
 
-def _per_cell_trajectory(cfg, kpath, with_maps):
-    """trajectory.csv from the same propagated maps, one apply_map and one format per cell."""
+def _engine_run(cfg, kpath):
+    """(config, kernel set, half step or None) of a propagate run."""
     config = load_config(cfg)
     kset = load_kernels(kpath)
     dressed = kset.splitting == "sym_sys"
-    g_half = fb_propagator(config.system, 0.5 * config.grid.dt) if dressed else None
-    maps = [np.eye(config.system.dim, dtype=complex)]
-    maps += list(propagate(kset, config.grid.n_steps, g_half=g_half))
-    tables = [("rho", [apply_map(u, config.initial_state) for u in maps])]
+    return kset, config, fb_propagator(config.system, 0.5 * config.grid.dt) if dressed else None
+
+
+def _engine_rho(kset, config, g_half):
+    """rho_1..rho_N from the engine run on vec(rho_0), as a (N, n, n) array."""
+    rho0 = config.initial_state
+    blocks = propagate_blocks(kset, config.grid.n_steps, g_half, right=rho0.reshape(-1, 1))
+    return np.concatenate(list(blocks)).reshape((-1,) + rho0.shape)
+
+
+def _per_cell_trajectory(cfg, kpath, with_maps):
+    """trajectory.csv from the same engine outputs, one format call per cell."""
+    kset, config, g_half = _engine_run(cfg, kpath)
+    tables = [("rho", [config.initial_state] + list(_engine_rho(kset, config, g_half)))]
     if with_maps:
-        tables.append(("u", maps))
+        maps = propagate(kset, config.grid.n_steps, g_half=g_half)
+        tables.append(("u", [np.eye(config.system.dim, dtype=complex)] + list(maps)))
     return per_cell_csv(config.grid.dt, tables).encode()
+
+
+class TestRhoRecurrence:
+    """rho comes from the recurrence on vec(rho_0), not from the maps."""
+
+    @pytest.fixture
+    def long_run(self, tmp_path, kernel_files):
+        def run(case, n_steps=600):
+            cfg, kpath = kernel_files[case]
+            long_cfg = tmp_path / f"cfg{n_steps}.txt"
+            long_cfg.write_text(cfg.read_text().replace("grid.n_steps = 10",
+                                                        f"grid.n_steps = {n_steps}"))
+            return long_cfg, kpath
+        return run
+
+    @pytest.mark.parametrize("case", PROPAGATE_CASES)
+    def test_engine_matches_per_step_oracle(self, long_run, case):
+        # 600 steps cross several 256-step chunks
+        kset, config, g_half = _engine_run(*long_run(case))
+        want = rho_recurrence(kset, 600, config.initial_state, g_half)
+        assert np.max(np.abs(_engine_rho(kset, config, g_half) - want)) < 1e-13
+
+    @pytest.mark.parametrize("case", PROPAGATE_CASES)
+    def test_identity_block_gives_the_maps(self, long_run, case):
+        # the maps (V = identity) applied to rho_0 and to a random V agree with
+        # the runs on those blocks themselves
+        kset, config, g_half = _engine_run(*long_run(case))
+        maps = propagate(kset, 600, g_half=g_half)
+        rho0 = config.initial_state
+        assert np.max(np.abs(maps @ rho0.reshape(-1) - _engine_rho(kset, config, g_half)
+                             .reshape(600, -1))) < 1e-13
+        v = np.random.default_rng(len(case)).standard_normal((kset.dim, 3))
+        got = np.concatenate(list(propagate_blocks(kset, 600, g_half, right=v)))
+        assert np.max(np.abs(got - maps @ v)) < 1e-13 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("case", PROPAGATE_CASES)
+    def test_rho_columns_do_not_depend_on_maps(self, tmp_path, long_run, case):
+        cfg, kpath = long_run(case)
+        plain = _trajectory_bytes(cfg, kpath, tmp_path / "plain", False).splitlines()
+        maps = _trajectory_bytes(cfg, kpath, tmp_path / "maps", True).splitlines()
+        assert len(plain) == len(maps) == 602
+        assert [b",".join(row.split(b",")[:10]) for row in maps] == plain
 
 
 class TestBlockWriter:
@@ -418,14 +471,15 @@ class TestBlockWriter:
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
     def test_block_edges(self, tmp_path, monkeypatch, kernel_files, chunk, n_steps):
-        # with 3-map chunks, 1, 2, 3 and 10 maps fall below one chunk, fill
-        # it and span several; every write holds one engine block, the first
-        # with U_0 ahead of its maps
+        # with 3-step chunks, 1, 2, 3 and 10 steps fall below one chunk, fill
+        # it and span several; the writer regroups the rows (step 0 and the
+        # chunks) into writes of two rows, the last shorter
         _, kpath = kernel_files[("sym_sys", "smatpi", None)]
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.splitting": "sym_sys", "grid.n_steps": n_steps,
                                        "grid.r_max": 1}))
         monkeypatch.setattr(kernels, "CHUNK", chunk)
+        monkeypatch.setattr(csvtext, "SLICE", 2 * 42)
         rows_per_write = []
 
         def recording_open(*args, **kwargs):
@@ -443,20 +497,16 @@ class TestBlockWriter:
         got = _trajectory_bytes(cfg, kpath, tmp_path / "out", True)
         assert got == _per_cell_trajectory(cfg, kpath, True)
         assert rows_per_write[0] == 1  # header
-        assert sum(rows_per_write[1:]) == n_steps + 1
-        assert rows_per_write[1] <= chunk + 1
-        assert all(rows <= chunk for rows in rows_per_write[2:])
-        engine = [min(chunk, n_steps - start) for start in range(0, n_steps, chunk)]
-        assert rows_per_write[1:] == [engine[0] + 1] + engine[1:]
+        assert rows_per_write[1:] == [2] * ((n_steps + 1) // 2) + [1] * (n_steps % 2 == 0)
 
     @pytest.mark.parametrize("passes", [1, 2])
     @pytest.mark.parametrize("case", PROPAGATE_CASES)
     @pytest.mark.parametrize("with_maps", [False, True])
     def test_formatter_processes_match_per_cell_writer(self, tmp_path, monkeypatch, kernel_files,
                                                        passes, case, with_maps):
-        # 100 steps in 16-map chunks are 7 blocks of 17, 16 x 5 and 4 rows; the
-        # formatter processes each in slices of 16 // passes rows, so that with
-        # two passes a block is cut at 8-row boundaries
+        # 100 steps in 16-step chunks are step 0 and blocks of 16 x 6 and 4
+        # rows; the writer regroups them into slices of 16 // passes rows, so
+        # that the slices cut across the blocks, and only the last is shorter
         cfg, kpath = kernel_files[case]
         long_cfg = tmp_path / "cfg.txt"
         long_cfg.write_text(cfg.read_text().replace("grid.n_steps = 10", "grid.n_steps = 100"))
@@ -474,7 +524,8 @@ class TestBlockWriter:
         monkeypatch.setattr(csvtext, "_format_slice", recording_slice)
         got = _trajectory_bytes(long_cfg, kpath, tmp_path / "out", with_maps)
         assert got == want
-        assert sum(rows) == 101 and max(rows) == 16 // passes
+        size = 16 // passes
+        assert rows == [size] * (101 // size) + [101 % size]
 
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     def test_oracle_matches_per_cell_writer(self, tmp_path, splitting):
@@ -507,15 +558,24 @@ def _exhausted_formatter(data):
     raise MemoryError("formatter out of memory")
 
 
-def _interrupted_after(calls, function):
-    """``function`` that raises KeyboardInterrupt at its ``calls``-th call."""
-    count = []
+def _recorded(calls, function):
+    """``function`` that appends its first argument to ``calls``."""
 
-    def wrapped(*args):
-        count.append(1)
-        if len(count) == calls:
-            raise KeyboardInterrupt
-        return function(*args)
+    def wrapped(data):
+        calls.append(data)
+        return function(data)
+
+    return wrapped
+
+
+def _interrupted_after(blocks, engine):
+    """``engine`` whose block iterators raise KeyboardInterrupt at block ``blocks``."""
+
+    def wrapped(*args, **kwargs):
+        for i, block in enumerate(engine(*args, **kwargs), start=1):
+            if i == blocks:
+                raise KeyboardInterrupt
+            yield block
 
     return wrapped
 
@@ -524,11 +584,15 @@ class TestPropagateFailures:
     @pytest.mark.parametrize("failure", ["diverged", "worker_memory", "interrupt"])
     def test_failures_with_formatter_pool_leave_nothing(self, tmp_path, capsys, monkeypatch,
                                                          failure):
-        # a failure after blocks were written (U_1024 overflows in the fourth
+        # a failure after rows were written (U_1024 overflows in the fourth
         # block; the formatter, which runs in this process, cannot allocate;
-        # Ctrl-C arrives at block 2) leaves no partial file and none of the
-        # directories made for it; all but Ctrl-C exit 2 with a coded message
-        # and no traceback
+        # Ctrl-C arrives at engine block 3) leaves no partial file and none of
+        # the directories made for it; all but Ctrl-C exit 2 with a coded
+        # message and no traceback.  Writes of 100 rows put rows on disk
+        # before the failing block.
+        monkeypatch.setattr(csvtext, "SLICE", 100 * 10)
+        written = []
+        monkeypatch.setattr(csvtext, "format_rows", _recorded(written, csvtext.format_rows))
         out = tmp_path / "out" / "a"
         if failure == "diverged":
             assert _propagate_diverging(tmp_path, out) == 2
@@ -540,7 +604,8 @@ class TestPropagateFailures:
             cfg.write_text(small_config(**{"grid.n_steps": 1000, "grid.r_max": 1}))
             argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
             if failure == "interrupt":
-                monkeypatch.setattr(cli, "apply_map", _interrupted_after(3, cli.apply_map))
+                monkeypatch.setattr(cli, "propagate_blocks",
+                                    _interrupted_after(3, cli.propagate_blocks))
                 with pytest.raises(KeyboardInterrupt):
                     cli_main(argv)
             else:
@@ -548,6 +613,8 @@ class TestPropagateFailures:
                 assert cli_main(argv) == 2
                 assert capsys.readouterr().err == "error: memory: formatter out of memory\n"
         assert not (tmp_path / "out").exists()
+        # 769 and 513 rows came before the failing block
+        assert len(written) == {"diverged": 7, "worker_memory": 0, "interrupt": 5}[failure]
 
     def test_divergent_kernels_exit_2(self, tmp_path, capsys):
         # midpoint 2 I doubles every map until U_1024 overflows: exit 2, a
@@ -606,11 +673,12 @@ class TestPropagateFailures:
         assert not (tmp_path / "prop").exists()
 
     def test_memory_does_not_grow_with_steps(self, tmp_path, monkeypatch):
-        # maps are propagated, applied and written one chunk at a time, so
-        # ten times the steps take no more memory.  The chunk size is cut
-        # by 8 with the steps (5000 and 50000 at the shipped size hold the
-        # same, but take seconds under tracemalloc).
+        # rho is propagated one chunk and written one slice at a time, so
+        # ten times the steps take no more memory.  The chunk and slice sizes
+        # are cut by 8 with the steps (5000 and 50000 at the shipped sizes
+        # hold the same, but take seconds under tracemalloc).
         monkeypatch.setattr(kernels, "CHUNK", kernels.CHUNK // 8)
+        monkeypatch.setattr(csvtext, "SLICE", csvtext.SLICE // 8)
         kdir = tmp_path / "k"
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config())
@@ -804,7 +872,7 @@ class TestCli:
         assert not out.exists()
 
     def test_compare_one_step_memory(self, tmp_path, sys2, tables):
-        from ifkernels.bath import eta_truncated
+        from _oracles import eta_truncated
         from ifkernels.kernels import extract_kernels
 
         tab1 = eta_truncated(tables["sym_env"], 1)

@@ -8,13 +8,12 @@ from ifkernels.combinatorics import (
     enumerate_dyck,
     expand_hierarchy,
     numeric_check,
-    term_census,
 )
 from ifkernels.errors import RangeError, SeqShortError
 from ifkernels.kernels import extract_ttm
 from ifkernels.liouville import liou_norm
 
-from _oracles import catalan_recurrence, ttm_terms_bruteforce
+from _oracles import catalan_recurrence, term_census, ttm_terms_bruteforce
 
 
 class TestCatalan:

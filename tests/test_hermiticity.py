@@ -14,9 +14,11 @@ import pytest
 
 from ifkernels import SystemSpec
 from ifkernels.bath import eta_table
-from ifkernels.kernels import extract_kernels, propagate
+from ifkernels.kernels import extract_kernels
 from ifkernels.liouville import TimeGrid, fb_propagator
 from ifkernels.pathsum import oracle_trajectory
+
+from _oracles import propagate
 
 
 def biased_system(n, seed):

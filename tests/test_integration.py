@@ -7,11 +7,11 @@ import pytest
 
 from ifkernels import BathSpec, SpectralDensity, SystemSpec
 from ifkernels.bath import eta_table, influence_pair_matrix, influence_self_weights
-from ifkernels.kernels import extract_kernels, propagate
+from ifkernels.kernels import extract_kernels
 from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
-from _oracles import bath_correlation
+from _oracles import bath_correlation, propagate
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifkernels import kernels
-from ifkernels.bath import eta_table, eta_truncated
+from ifkernels.bath import eta_table
 from ifkernels.errors import (
     Aux0SingularError,
     DimMismatchError,
@@ -25,7 +25,6 @@ from ifkernels.kernels import (
     extract_kernels,
     extract_ttm,
     gqme_kernel,
-    propagate,
     propagate_blocks,
     solve_midpoint,
     solve_termination,
@@ -33,7 +32,7 @@ from ifkernels.kernels import (
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
-from _oracles import convolution_reference
+from _oracles import convolution_reference, eta_truncated, propagate
 
 
 def random_seq(rng, length, dim=4, scale=1.0):
