@@ -16,13 +16,13 @@ CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
 separate ``re_*`` / ``im_*`` columns; density-matrix and map elements are
 ordered row-major in the flat forward-backward index.  ``trajectory.csv``
-and ``oracle_maps.csv`` are written in groups of rows: ``propagate`` runs the
-kernel recurrence on vec(rho_0) itself, one chunk of ``kernels.CHUNK`` steps
-at a time (and, with ``--with-maps``, a second recurrence on the identity
-for the map columns, so rho is the same with or without them); the writer
-regroups the chunks' rows into arrays of ``csvtext.SLICE`` floats, so
-memory does not grow with the number of steps.  ``oracle`` writes its few
-path-sum maps the same way.  Each group's text comes from
+and ``oracle_maps.csv`` are written in groups of rows: ``propagate`` runs
+the kernel recurrence on vec(rho_0) itself, one chunk of ``kernels.CHUNK``
+steps at a time (with ``--with-maps``, a second product per chunk on the
+identity gives the map columns, and rho is the same with or without them);
+the writer regroups the chunks' rows into arrays of ``csvtext.SLICE``
+floats, so memory does not grow with the number of steps.  ``oracle``
+writes its few path-sum maps the same way.  Each group's text comes from
 ``csvtext.format_rows``, an exact vectorised ``%.17g`` that prints an
 element by its own ``%`` call wherever it cannot prove the rounding; it is
 imported only by the commands that write these files.
@@ -74,8 +74,8 @@ def _block_rows(dt, blocks):
 def _regrouped(arrays, rows):
     """The rows of consecutive 2-D arrays, regrouped into arrays of ``rows`` rows.
 
-    Only the last array may be shorter; the arrays hold at most ``rows`` rows
-    plus one input array at a time.
+    Only the last array may be shorter.  At most ``rows`` rows plus one input
+    array are held at a time.
     """
     held, count = [], 0
     for array in arrays:
@@ -143,7 +143,8 @@ def _cmd_oracle(args) -> int:
     full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=budget)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle_maps.csv")
-    _write_steps_csv(path, grid.dt, ("u",), [(np.eye(len(full[0]), dtype=complex)[None],), (full,)])
+    identity = np.eye(full.shape[-1], dtype=complex)[None]  # U_0
+    _write_steps_csv(path, grid.dt, ("u",), [(identity,), (full,)])
     print(path)
     return 0
 

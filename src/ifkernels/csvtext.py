@@ -29,7 +29,7 @@ kept, and bytes 24-31 the exponent of a scientific value (``e-05`` ..
 integer digits one byte left over the point.  Unused bytes are 0, and one
 boolean compress drops them; the text of a field is mostly one run of
 bytes, which the compress copies at once.  The work runs in slices of at
-most ``SLICE`` floats, so its temporaries (about 120 bytes a float, in
+most ``SLICE`` floats, so its temporaries (about 110 bytes a float, in
 small integer types where they fit, and freed as soon as they are used) do
 not grow with the rows.
 """
@@ -53,12 +53,11 @@ def _powers():
     return hi, head, hi - head, lo
 
 
-def _words(strings, end=None):
-    """Each ASCII string as the bytes of one uint64, from byte 0 or up to byte ``end``."""
+def _words(strings):
+    """Each string of at most 8 ASCII characters as the bytes of one uint64, from byte 0."""
     buf = np.zeros((len(strings), 8), np.uint8)
     for i, s in enumerate(strings):
-        start = 0 if end is None else end - len(s)
-        buf[i, start:start + len(s)] = np.frombuffer(s.encode(), np.uint8)
+        buf[i, :len(s)] = np.frombuffer(s.encode(), np.uint8)
     return buf.view(np.uint64).ravel()
 
 
@@ -72,13 +71,14 @@ def _head(sign, kind, lead, point):
 
 
 _POW = _powers()
+_CHARS4 = (np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(np.uint8)
 # the 4 ASCII digits of g as bytes 0-3 and as bytes 4-7 of a word
-_DIGITS4 = np.array([b"%04d" % g for g in range(10000)]).view(np.uint32).astype(np.uint64)
+_DIGITS4 = _CHARS4.view(np.uint32).ravel().astype(np.uint64)
 _DIGITS4_HIGH = _DIGITS4 << np.uint64(32)
 # how many of the 16 digits after the lead run up to the last nonzero one of
 # g as 4-digit group i: _LAST[i][g], or 0 if g is 0
-_LAST = np.array([[4 * i + len(f"{g:04d}".rstrip("0")) if g else 0 for g in range(10000)]
-                  for i in range(4)], np.int8)
+_LAST = (np.arange(1, 5) * (_CHARS4 != 48)).max(axis=1)
+_LAST = ((np.arange(0, 16, 4)[:, None] + _LAST) * (_LAST > 0)).astype(np.int8)
 # (kind, lead, point, sign) -> bytes 0-7, sign the fastest index
 _HEAD = _words([_head(sign, kind, lead, point) for kind in range(5) for lead in range(10)
                 for point in (0, 1) for sign in ("", "-")])
@@ -86,17 +86,6 @@ _SUFFIX = _words([("" if e < 5 else f"e-{e:02d}") + sep for e in range(_P_MAX - 
 # bytes 8-15 and 16-23 with the first k of the 16 digits after the lead kept: _TAIL[:, k]
 _TAIL = np.ascontiguousarray(
     ((np.arange(16) < np.arange(17)[:, None]) * np.uint8(0xFF)).view(np.uint64).T)
-# for q integer digits after the lead, word j of bytes 0-23 becomes
-# moved_j & _SHIFT[0, j, q] | word_j & _SHIFT[1, j, q] | _SHIFT[2 + point, j, q],
-# where moved holds the bytes one place lower: bytes 7..6+q take the digits
-# and byte 7+q the point, if one follows
-_SHIFT = np.zeros((4, 17, 24), np.uint8)
-for _q in range(17):
-    _SHIFT[0, _q, 7:7 + _q] = 0xFF
-    _SHIFT[1, _q] = 0xFF
-    _SHIFT[1, _q, 7:8 + _q] = 0
-    _SHIFT[3, _q, 7 + _q] = ord(".")
-_SHIFT = np.ascontiguousarray(_SHIFT.view(np.uint64).transpose(0, 2, 1))
 
 
 def _divide(v, unit):
@@ -180,12 +169,11 @@ def _format_slice(x, last):
         np.maximum(kept, _LAST[i].take(groups[i]), out=kept)
     whole_digits = np.maximum(exp, 0)
     point = kept > whole_digits
-    np.maximum(kept, whole_digits, out=whole_digits)
-    words = [None, None, None, None]
-    for j in (1, 2):
-        words[j] = _DIGITS4.take(groups[2 * j - 2]) | _DIGITS4_HIGH.take(groups[2 * j - 1])
-        words[j] &= _TAIL[j - 1].take(whole_digits)
-    del groups, whole_digits
+    cut = np.maximum(kept, whole_digits)
+    tail = [_DIGITS4.take(groups[i]) | _DIGITS4_HIGH.take(groups[i + 1]) for i in (0, 2)]
+    for word, mask in zip(tail, _TAIL):
+        word &= mask.take(cut)
+    del groups, kept, whole_digits, cut
 
     # prefix, lead digit and point; a value in [1e-4, 1) has its point in
     # the prefix (kind 1..4)
@@ -196,25 +184,21 @@ def _format_slice(x, last):
     index += point
     index *= 2
     index += np.signbit(flat)
-    words[0] = _HEAD.take(index)
-    shift = np.flatnonzero(exp > 0)
-    if shift.size:  # the integer digits after the lead move one byte left, over the point
-        q = exp[shift]
-        old = [w[shift] for w in words[:3]]
-        dot = 2 + point[shift]
-        for j in range(3):
-            moved = old[j] >> np.uint64(8)
-            if j < 2:
-                moved |= old[j + 1] << np.uint64(56)
-            moved &= _SHIFT[0, j].take(q)
-            moved |= old[j] & _SHIFT[1, j].take(q)
-            moved |= _SHIFT[dot, j, q]
-            words[j][shift] = moved
     scientific = -exp * (exp < -4)
-    words[3] = _SUFFIX.take((2 * scientific).reshape(x.shape) + last).ravel()
+    suffix = _SUFFIX.take((2 * scientific).reshape(x.shape) + last).ravel()
+    rec = np.stack([_HEAD.take(index)] + tail + [suffix], axis=1).view(np.uint8)
+    del tail, suffix
 
-    rec = np.stack(words, axis=1).view(np.uint8)
-    del words
+    # a value of 10 or more moves the q integer digits after its lead one
+    # byte left, over the point, and puts the point (if any) after them
+    large = np.flatnonzero(exp > 0)
+    qs = exp[large]
+    for q in np.unique(qs):
+        rows = large[qs == q]
+        text = rec[rows, :24]
+        text[:, 7:7 + q] = text[:, 8:8 + q]
+        text[:, 7 + q] = point[rows] * np.uint8(ord("."))
+        rec[rows, :24] = text
     fallback = np.flatnonzero(~fast & (flat != 0))
     if fallback.size:
         rec[fallback, :24] = _per_element(flat[fallback])

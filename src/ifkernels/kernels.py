@@ -6,12 +6,13 @@ Every hierarchy here is one truncated discrete convolution,
     X_n = sum_{r=1}^{min(n-1, R)} A_r . B_{n-r}  +  [n <= R] A_n . tail,
 
 over stacked (k, d, d) arrays, the one form of every matrix sequence here:
-the solvers and ``propagate_blocks`` return them, and a KernelSet stores its
-sets as read-only stacks.  Extraction solves the convolution for the kernels A
-from known maps (``_inverse``); propagation runs it forward from the
-kernels (``propagate_blocks``).  ``extract_kernels(sys, eta, r_max, flavor)``
-solves the oracle maps of one eta table, whose splitting and dt the set
-takes over.  The hierarchies differ only in what A, B and the tail are:
+the solvers and ``propagate_blocks`` return them, and a KernelSet stores
+its sets as read-only stacks.  Extraction solves the convolution for the
+kernels A from known maps (``_inverse``); propagation runs it forward from
+the kernels (``propagate_blocks``).
+``extract_kernels(sys, eta, r_max, flavor)`` solves the oracle maps of one
+eta table, whose splitting and dt the set takes over.  The hierarchies
+differ only in what A, B and the tail are:
 
 * The small-matrix path-integral (SMatPI-style) split: translationally
   invariant midpoint matrices M_k propagate the auxiliary sequence
@@ -50,6 +51,7 @@ factor G_half is folded into V, so the state holds aux_n G_half V).  The
 rows P_k, Q_k for k = 1..CHUNK are built once by CHUNK small products; each
 chunk of CHUNK steps is then one (CHUNK m d) x (R d) @ (R d) x c product
 (m = 1 for ttm, 2 with Q rows), and the next state is the newest R outputs.
+Several right-hand blocks share the rows, each with its own product.
 Memory is O(CHUNK R d (d + c)) whatever the horizon, and the number of numpy
 calls per chunk does not depend on CHUNK.
 """
@@ -265,9 +267,8 @@ def _blocks(rows, states, horizon, firsts):
                 block[0] = firsts[i]
             if not np.isfinite(block).all():
                 step = start + 1 + int(np.argmin(np.isfinite(block).reshape(k, -1).all(axis=1)))
-                raise PropagationDivergedError(
-                    f"propagation_diverged: U_{step} is not finite; the kernel set grows without bound"
-                )
+                raise PropagationDivergedError(f"propagation_diverged: U_{step} is not finite;"
+                                               " the kernel set grows without bound")
             blocks.append(block)
         yield blocks
 
@@ -306,7 +307,8 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     for block in right if isinstance(right, list) else [right]:
         block = np.eye(d, dtype=complex) if block is None else np.asarray(block, dtype=complex)
         if block.ndim != 2 or block.shape[0] != d:
-            raise DimMismatchError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
+            raise DimMismatchError(
+                f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
         # the dressing's right factor G_half goes into the state: aux_n G_half V
         rights.append(g_half @ block if dressed else block)
     count = max(min(CHUNK, horizon), 1)
@@ -327,7 +329,7 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
     states = []
     for block in rights:
-        state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V, X_{-1} V, ... = tail V, 0, ...
+        state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
         state[0] = kernels.aux0 @ block if terminal else block
         states.append(state)
     # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1

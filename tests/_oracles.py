@@ -15,8 +15,9 @@ weight, written out from the definition, instead of building weights from
 factor matrices in blocks.  The convolution reference rebuilds a sequence
 from its kernels one matrix product at a time, instead of one stacked
 product per step, and the density-matrix recurrence runs the kernels on
-vectors one step at a time, instead of by chunks of companion-matrix rows.  The per-cell CSV writer formats one float at a
-time, instead of one block of rows per call.
+vectors one step at a time, instead of by chunks of companion-matrix rows.
+The per-cell CSV writer formats one float at a time, instead of one block
+of rows per call.
 """
 
 import itertools
@@ -239,8 +240,8 @@ def convolution_reference(a, length, tail=None, b=None):
 
 def propagate(kernels, horizon, g_half=None):
     """Maps U_1..U_horizon as one (horizon, d, d) array: the engine's blocks on the identity."""
-    d = kernels.dim
-    return np.concatenate([np.empty((0, d, d), complex), *propagate_blocks(kernels, horizon, g_half)])
+    empty = np.empty((0, kernels.dim, kernels.dim), complex)
+    return np.concatenate([empty, *propagate_blocks(kernels, horizon, g_half)])
 
 
 def rho_recurrence(kset, n_steps, rho0, g_half=None):

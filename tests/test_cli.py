@@ -527,6 +527,23 @@ class TestBlockWriter:
         size = 16 // passes
         assert rows == [size] * (101 // size) + [101 % size]
 
+    def test_formatter_memory_of_a_with_maps_block(self):
+        # one chunk of a with-maps trajectory, 257 rows of 42 floats, at the
+        # shipped slice size: 0.79 MiB traced, where 4096-float slices with
+        # the former temporaries took 0.95 MiB
+        rng = np.random.default_rng(0)
+        block = rng.standard_normal((257, 42)) * 10.0 ** rng.integers(-3, 1, (257, 42))
+        block[:, 0] = np.arange(257)
+        block[:, 1] = block[:, 0] * 0.1
+        csvtext.format_rows(block)
+        tracemalloc.start()
+        try:
+            csvtext.format_rows(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (0.95 + 0.5) * 2**20
+
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     def test_oracle_matches_per_cell_writer(self, tmp_path, splitting):
         cfg = tmp_path / "cfg.txt"

@@ -463,6 +463,29 @@ class TestEngine:
         assert got.shape == (horizon, 4, 4)
         assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("case", ENGINE_CASES)
+    def test_list_of_blocks_matches_single_runs(self, monkeypatch, case):
+        # each block of a list runs by its own product on the shared chunk
+        # rows: bit for bit what a run on that block alone gives
+        monkeypatch.setattr(kernels, "CHUNK", 7)
+        kset, gh, expected = _random_set_and_reference(np.random.default_rng(5), *case, 20)
+        v = np.random.default_rng(6).standard_normal((4, 1)) + 0j
+        chunks = list(propagate_blocks(kset, 20, gh, right=[v, None]))
+        assert [len(c) for c in chunks] == [2, 2, 2]
+        for i, right in enumerate([v, None]):
+            alone = list(propagate_blocks(kset, 20, gh, right=right))
+            assert all(np.array_equal(c[i], a) for c, a in zip(chunks, alone))
+        maps = np.concatenate([c[1] for c in chunks])
+        assert np.max(np.abs(maps - expected)) <= 1e-11 * np.max(np.abs(expected))
+        vs = np.concatenate([c[0] for c in chunks])
+        assert np.max(np.abs(vs - maps @ v)) <= 1e-12 * np.max(np.abs(vs))
+
+    def test_right_block_shape_checked(self):
+        kset = KernelSet("asym", 0.1, 1, (np.eye(4),), None, "ttm")
+        for bad in (np.ones(4), np.ones((3, 1)), [np.ones((4, 2)), np.ones((2, 2))]):
+            with pytest.raises(DimMismatchError, match="right-hand block"):
+                propagate_blocks(kset, 6, right=bad)
+
     def test_blocks_of_chunk_maps(self):
         kset = KernelSet("asym", 0.1, 1, (np.eye(4),), None, "ttm")
         blocks = list(propagate_blocks(kset, 2 * CHUNK + 5))
