@@ -16,7 +16,7 @@ from ifkernels.config import default_config_text, load_config, parse_config
 from ifkernels.errors import ParseError, ValidationError, VersionError
 from ifkernels.kernel_io import load_kernels, save_kernels
 from ifkernels.kernels import KernelSet, propagate_blocks
-from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
+from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import per_cell_csv, per_element_kernel_block, propagate, rho_recurrence

@@ -510,24 +510,31 @@ class TestEngine:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than double here")
-    @pytest.mark.parametrize("splitting, flavor", [("sym_sys", "ttm"), ("sym_env", "smatpi")])
+    @pytest.mark.parametrize("splitting, flavor",
+                             [("sym_sys", "ttm"), ("sym_env", "smatpi"), ("sym_sys", "smatpi")])
     def test_rounding_below_the_loop(self, sys2, tables, splitting, flavor):
         # 2000 steps from r_max = 6 kernels against the reference loop run
-        # in extended precision: the engine is off by 1.3e-15 (sym_env
-        # smatpi) and 2.4e-15 (sym_sys ttm), the per-step loop it replaced
-        # by 3.3e-14 and 4.0e-14
+        # in extended precision: the engine is off by 3.5e-15 (sym_env
+        # smatpi), 4.4e-15 (sym_sys ttm) and 3.0e-15 (sym_sys smatpi, whose
+        # half step sits in the engine's state; 3.2e-15 when it multiplied
+        # each map afterwards); the per-step loop it replaced was off by
+        # 3.3e-14 and 4.0e-14 on the first two
         kset, _, _ = extract_kernels(sys2, tables[splitting], 6, flavor)
+        gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
 
         def extended(mats):
             return np.asarray(mats).astype(np.clongdouble)
 
         if flavor == "ttm":
             exact = convolution_reference(extended(kset.midpoint), 2000)
+        elif splitting == "sym_sys":
+            g, aux0 = extended(gh), extended(kset.aux0)
+            aux = convolution_reference(extended(kset.midpoint), 1999, tail=aux0)
+            exact = [g @ a @ g for a in [aux0] + aux]
         else:
             tail = extended(kset.aux0)
             aux = convolution_reference(extended(kset.midpoint), 2000, tail=tail)
             exact = convolution_reference(extended(kset.termination), 2000, tail=tail, b=aux)
-        gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
         got = propagate(kset, 2000, g_half=gh)
         assert float(np.max(np.abs(got - np.array(exact)))) < 1e-14
 
