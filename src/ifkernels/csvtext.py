@@ -27,11 +27,10 @@ bytes 8-23 the other 16 digits, four at a time, cut after the last one
 kept, and bytes 24-31 the exponent of a scientific value (``e-05`` ..
 ``e-283``) and the separator.  A value of 10 or more then moves its
 integer digits one byte left over the point.  Unused bytes are 0, and one
-boolean compress drops them; the text of a field is mostly one run of
-bytes, which the compress copies at once.  The work runs in slices of at
-most ``SLICE`` floats, so its temporaries (about 110 bytes a float, in
-small integer types where they fit, and freed as soon as they are used) do
-not grow with the rows.
+boolean compress drops them.  The work runs in slices of at most ``SLICE``
+floats, so its temporaries (about 90 bytes a float, in small integer types
+where they fit, and freed as soon as they are used) do not grow with the
+rows.
 """
 
 from __future__ import annotations
@@ -70,15 +69,19 @@ def _head(sign, kind, lead, point):
     return (sign + "0.00"[:kind]).rjust(6, "\0") + ("." if kind == 1 else "0") + str(lead)
 
 
+def _digit_tables():
+    """The 4 ASCII digits of each g < 10^4 as the low bytes of a uint64, and
+    how many of the 16 digits after the lead run up to the last nonzero one
+    of g as 4-digit group i: last[i, g], or 0 if g is 0."""
+    chars = (np.arange(10000, dtype=np.int16)[:, None]
+             // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
+    last = (np.arange(1, 5, dtype=np.int8) * (chars != 48)).max(axis=1)
+    last = (np.arange(0, 16, 4, dtype=np.int8)[:, None] + last) * (last > 0)
+    return chars.view(np.uint32).ravel().astype(np.uint64), last
+
+
 _POW = _powers()
-_CHARS4 = (np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(np.uint8)
-# the 4 ASCII digits of g as bytes 0-3 and as bytes 4-7 of a word
-_DIGITS4 = _CHARS4.view(np.uint32).ravel().astype(np.uint64)
-_DIGITS4_HIGH = _DIGITS4 << np.uint64(32)
-# how many of the 16 digits after the lead run up to the last nonzero one of
-# g as 4-digit group i: _LAST[i][g], or 0 if g is 0
-_LAST = (np.arange(1, 5) * (_CHARS4 != 48)).max(axis=1)
-_LAST = ((np.arange(0, 16, 4)[:, None] + _LAST) * (_LAST > 0)).astype(np.int8)
+_DIGITS4, _LAST = _digit_tables()
 # (kind, lead, point, sign) -> bytes 0-7, sign the fastest index
 _HEAD = _words([_head(sign, kind, lead, point) for kind in range(5) for lead in range(10)
                 for point in (0, 1) for sign in ("", "-")])
@@ -100,19 +103,23 @@ def _scaled(a, p):
     The error terms are summed in place, in the order
     ((a_head head - prod) + a_head tail + a_tail head) + a_tail tail + a lo.
     """
-    hi, head, tail, lo = (t.take(p, mode="clip") for t in _POW)
-    prod = a * hi
-    del hi
+    hi, head, tail, lo = _POW
+    prod = a * hi.take(p, mode="clip")
     a_head = a * _SPLIT
     a_head -= a_head - a
     a_tail = a - a_head
+    head, tail = head.take(p, mode="clip"), tail.take(p, mode="clip")
     err = a_head * head
     err -= prod
-    term = a_head * tail
-    err += term
-    for x, y in ((a_tail, head), (a_tail, tail), (a, lo)):
-        np.multiply(x, y, out=term)
-        err += term
+    a_head *= tail
+    err += a_head
+    del a_head
+    head *= a_tail
+    err += head
+    tail *= a_tail
+    err += tail
+    del head, tail, a_tail
+    err += a * lo.take(p, mode="clip")
     whole = np.floor(err)
     err -= whole
     prod = prod.astype(np.int64)
@@ -152,8 +159,8 @@ def _per_element(values):
     return np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
 
 
-def _format_slice(x, last):
-    """Text of the rows of ``x`` as a uint8 array: 32-byte records, 0 bytes dropped."""
+def _records(x, last):
+    """The 32-byte record of each field of the rows of ``x``, as an (n, 32) uint8 array."""
     flat = x.ravel()
     digits, exp, fast = _decimal(flat)
     top, low = _divide(digits, 10**8)
@@ -161,6 +168,7 @@ def _format_slice(x, last):
     lead, high = _divide(top.astype(np.int32), 10**8)
     groups = _divide(high, 10**4) + _divide(low.astype(np.int32), 10**4)
     del top, high, low
+    words = np.empty((flat.size, 4), np.uint64)
 
     # the 16 digits after the lead, cut after the last nonzero one and after
     # the integer digits
@@ -170,9 +178,9 @@ def _format_slice(x, last):
     whole_digits = np.maximum(exp, 0)
     point = kept > whole_digits
     cut = np.maximum(kept, whole_digits)
-    tail = [_DIGITS4.take(groups[i]) | _DIGITS4_HIGH.take(groups[i + 1]) for i in (0, 2)]
-    for word, mask in zip(tail, _TAIL):
-        word &= mask.take(cut)
+    for j, mask in zip((1, 2), _TAIL):
+        words[:, j] = (_DIGITS4.take(groups[2 * j - 2])
+                       | _DIGITS4.take(groups[2 * j - 1]) << np.uint64(32)) & mask.take(cut)
     del groups, kept, whole_digits, cut
 
     # prefix, lead digit and point; a value in [1e-4, 1) has its point in
@@ -184,16 +192,16 @@ def _format_slice(x, last):
     index += point
     index *= 2
     index += np.signbit(flat)
+    words[:, 0] = _HEAD.take(index)
     scientific = -exp * (exp < -4)
-    suffix = _SUFFIX.take((2 * scientific).reshape(x.shape) + last).ravel()
-    rec = np.stack([_HEAD.take(index)] + tail + [suffix], axis=1).view(np.uint8)
-    del tail, suffix
+    words[:, 3] = _SUFFIX.take((2 * scientific).reshape(x.shape) + last).ravel()
+    rec = words.view(np.uint8)
 
     # a value of 10 or more moves the q integer digits after its lead one
     # byte left, over the point, and puts the point (if any) after them
     large = np.flatnonzero(exp > 0)
     qs = exp[large]
-    for q in np.unique(qs):
+    for q in np.flatnonzero(np.bincount(qs)):  # np.unique would import numpy.ma
         rows = large[qs == q]
         text = rec[rows, :24]
         text[:, 7:7 + q] = text[:, 8:8 + q]
@@ -202,6 +210,12 @@ def _format_slice(x, last):
     fallback = np.flatnonzero(~fast & (flat != 0))
     if fallback.size:
         rec[fallback, :24] = _per_element(flat[fallback])
+    return rec
+
+
+def _format_slice(x, last):
+    """Text of the rows of ``x`` as a uint8 array: their records with the 0 bytes dropped."""
+    rec = _records(x, last)
     return rec[rec != 0]
 
 

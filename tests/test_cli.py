@@ -529,7 +529,7 @@ class TestBlockWriter:
 
     def test_formatter_memory_of_a_with_maps_block(self):
         # one chunk of a with-maps trajectory, 257 rows of 42 floats, at the
-        # shipped slice size: 0.79 MiB traced, where 4096-float slices with
+        # shipped slice size: 0.67 MiB traced, where 4096-float slices with
         # the former temporaries took 0.95 MiB
         rng = np.random.default_rng(0)
         block = rng.standard_normal((257, 42)) * 10.0 ** rng.integers(-3, 1, (257, 42))
