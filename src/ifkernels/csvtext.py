@@ -135,7 +135,7 @@ def _decimal(flat):
     """
     a = np.abs(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = 16 - np.floor(np.log10(a))  # +inf at 0, nan past the double range
+        p = 16 - np.floor(np.log10(a))  # inf at 0, -inf at inf, nan at nan
         fast = (p >= 0) & (p <= _P_MAX)
         p = p.astype(np.intp)  # out of range where not fast: the gathers clip
     a = np.where(fast, a, 0.0)

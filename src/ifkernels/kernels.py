@@ -303,14 +303,6 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     if dressed and g_half is None:
         raise ValidationError("sym_sys propagation needs the half-step propagator")
     r_max, d = kernels.r_max, kernels.dim
-    rights = []
-    for block in right if isinstance(right, list) else [right]:
-        block = np.eye(d, dtype=complex) if block is None else np.asarray(block, dtype=complex)
-        if block.ndim != 2 or block.shape[0] != d:
-            raise DimMismatchError(
-                f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
-        # the dressing's right factor G_half goes into the state: aux_n G_half V
-        rights.append(g_half @ block if dressed else block)
     count = max(min(CHUNK, horizon), 1)
     size = 16 * count * (2 if kernels.flavor == "smatpi" else 1) * d * r_max * d
     if size > SIZE_LIMIT:
@@ -318,6 +310,20 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
             f"size_limit: r_max = {r_max} at dim {d} needs {size / 2**30:.1f} GiB of"
             f" companion rows, over the {SIZE_LIMIT / 2**30:.1f} GiB limit"
         )
+    terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
+    states, firsts = [], []
+    for block in right if isinstance(right, list) else [right]:
+        block = np.eye(d, dtype=complex) if block is None else np.asarray(block, dtype=complex)
+        if block.ndim != 2 or block.shape[0] != d:
+            raise DimMismatchError(
+                f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
+        if dressed:  # the dressing's right factor G_half goes into the state: aux_n G_half V
+            block = g_half @ block
+        state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
+        state[0] = kernels.aux0 @ block if terminal else block
+        states.append(state)
+        # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
+        firsts.append(g_half @ kernels.aux0 @ block if dressed else None)
     wide = _wide(kernels.midpoint)
     first = wide  # P_1 = e_0 C: the recurrence itself
     if dressed:  # G_half e_0 C^(k-1) picks G_half X_{n+k-1}
@@ -326,14 +332,6 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
         first = np.concatenate((wide, emit))
     elif kernels.flavor == "smatpi":  # [T_1 | ... | T_R] C^(k-1) gives U_{n+k}
         first = np.concatenate((wide, _wide(kernels.termination)))
-    terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
-    states = []
-    for block in rights:
-        state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
-        state[0] = kernels.aux0 @ block if terminal else block
-        states.append(state)
-    # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
-    firsts = [g_half @ kernels.aux0 @ block if dressed else None for block in rights]
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent set fails in _blocks
         rows = _companion_rows(first, wide, count)
     blocks = _blocks(rows, states, horizon, firsts)

@@ -32,8 +32,8 @@ from ifkernels.bath import (
     OMEGA_NODES_START,
     OMEGA_RTOL,
     BathSpec,
-    _gauss_nodes,
     EtaTable,
+    _gauss_nodes,
     eta_table_from_correlation,
 )
 from ifkernels.combinatorics import expand_hierarchy
