@@ -32,7 +32,6 @@ from .kernels import (
 from .liouville import (
     SystemSpec,
     TimeGrid,
-    apply_map,
     fb_propagator,
     liou_norm,
 )

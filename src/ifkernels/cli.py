@@ -6,25 +6,27 @@ byte-identical outputs.  ``propagate`` needs no influence coefficients or
 path sums: the kernel file carries the whole recurrence, and the config
 adds only the grid, the initial state and, for sym_sys, the half-step
 propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error
-or a file that cannot be read or written (``error: io: ...``), 2 numerical
-error (quadrature failure, path-sum budget, a diverging propagation) or a
-failed allocation (``error: memory: ...``).  The argument parser is built
-once per process, on the first ``cli_main`` call, not at import; every
-call parses into a fresh namespace, so one process can run many commands.
+(a non-UTF-8 config or kernel file is ``error: parse: ...``) or a file
+that cannot be read or written (``error: io: ...``), 2 numerical error
+(quadrature failure, path-sum budget, a non-finite computed result as
+``error: non_finite: ...``, a diverging propagation) or a failed
+allocation (``error: memory: ...``).  The argument parser is built once
+per process, on the first ``cli_main`` call, not at import; every call
+parses into a fresh namespace, so one process can run many commands.
 
 CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
 separate ``re_*`` / ``im_*`` columns; density-matrix and map elements are
-ordered row-major in the flat forward-backward index.  ``trajectory.csv``
-and ``oracle_maps.csv`` are written in groups of rows: ``propagate`` runs
-the kernel recurrence on vec(rho_0) itself, one chunk of ``kernels.CHUNK``
-steps at a time (with ``--with-maps``, a second product per chunk on the
-identity gives the map columns, and rho is the same with or without them);
-the writer regroups the chunks' rows into arrays of ``csvtext.SLICE``
-floats, so memory does not grow with the number of steps.  ``oracle``
-writes its few path-sum maps the same way.  Each group's text comes from
-``csvtext.format_rows``, an exact vectorised ``%.17g`` that prints an
-element by its own ``%`` call wherever it cannot prove the rounding; it is
+ordered row-major in the flat forward-backward index.  One function writes
+every file and removes it if anything fails on the way.  ``propagate``
+runs the kernel recurrence on vec(rho_0) itself, one chunk of
+``kernels.CHUNK`` steps at a time (with ``--with-maps``, a second engine
+pass on the identity gives the map columns, and rho is the same with or
+without them).  ``csvtext.format_rows`` regroups the rows of these chunks
+(or of ``oracle``'s few path-sum maps) into slices and yields the text of
+one slice at a time, so memory does not grow with the number of steps.
+The text is an exact vectorised ``%.17g`` that prints an element by its
+own ``%`` call wherever it cannot prove the rounding; ``csvtext`` is
 imported only by the commands that write these files.
 """
 
@@ -53,11 +55,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_csv(path, header, chunks):
+    """Write the header row and then each chunk of bytes to ``path``.
+
+    If anything fails on the way (the chunks' producer included), the
+    partial file is removed.
+    """
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write((",".join(header) + "\n").encode())
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _lines(rows):
+    """Rows of string cells as one chunk of CSV text."""
+    return ["".join(",".join(row) + "\n" for row in rows).encode()]
 
 
 def _block_rows(dt, blocks):
@@ -71,39 +88,18 @@ def _block_rows(dt, blocks):
         done += len(step)
 
 
-def _regrouped(arrays, rows):
-    """The rows of consecutive 2-D arrays, regrouped into arrays of ``rows`` rows.
-
-    Only the last array may be shorter.  At most ``rows`` rows plus one input
-    array are held at a time.
-    """
-    held, count = [], 0
-    for array in arrays:
-        held.append(array)
-        count += len(array)
-        if count >= rows:
-            joined = np.concatenate(held)
-            cut = count - count % rows
-            for start in range(0, cut, rows):
-                yield joined[start:start + rows]
-            held, count = [joined[cut:]], count - cut
-    if count:
-        yield np.concatenate(held)
-
-
 def _write_steps_csv(path, dt, prefixes, blocks):
     """Rows ``step, t = step * dt`` and the re/im entries of each table.
 
     ``blocks`` is an iterable of tuples with one stack per prefix; a stack
     holds one (m, m) complex matrix per step, the blocks run over steps
     0, 1, ... in order, and each prefix adds the columns re_<prefix>_i_j,
-    im_<prefix>_i_j, row-major.  The rows are regrouped into arrays of
-    ``csvtext.SLICE`` floats (at least one row), each formatted by one
-    ``csvtext.format_rows`` call (every float as ``format(x, ".17g")``, so
-    the integer steps print as ``%d``) and written at once.  If the blocks
-    raise, the partial file is removed.
+    im_<prefix>_i_j, row-major.  ``csvtext.format_rows`` turns the rows
+    into text one slice at a time (every float as ``format(x, ".17g")``,
+    so the integer steps print as ``%d``), and each slice is written at
+    once.
     """
-    from .csvtext import SLICE, format_rows
+    from .csvtext import format_rows
 
     blocks = iter(blocks)
     first = next(blocks)
@@ -112,16 +108,7 @@ def _write_steps_csv(path, dt, prefixes, blocks):
         m = stack.shape[-1]
         header += [f"{part}_{prefix}_{i}_{j}" for i in range(m) for j in range(m)
                    for part in ("re", "im")]
-    rows = max(1, SLICE // len(header))
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write((",".join(header) + "\n").encode())
-            for data in _regrouped(_block_rows(dt, itertools.chain([first], blocks)), rows):
-                fh.write(format_rows(data))
-    except BaseException:
-        os.remove(path)
-        raise
+    _write_csv(path, header, format_rows(_block_rows(dt, itertools.chain([first], blocks))))
 
 
 def _out_dir(args, cfg):
@@ -192,7 +179,7 @@ def _cmd_extract(args) -> int:
         norm_t = "" if kset.termination is None else _fmt(liou_norm(kset.termination[k - 1]))
         rows.append([str(k), _fmt(liou_norm(mat)), norm_t])
     npath = os.path.join(args.out, "kernel_norms.csv")
-    _write_csv(npath, ["k", "norm_M", "norm_T"], rows)
+    _write_csv(npath, ["k", "norm_M", "norm_T"], _lines(rows))
 
     if flavor == "ttm" and kset.r_max >= 2:
         grows = [
@@ -200,7 +187,7 @@ def _cmd_extract(args) -> int:
             for k, mat in enumerate(gqme_kernel(kset.midpoint, kset.dt), start=1)
         ]
         _write_csv(
-            os.path.join(args.out, "gqme_kernel_norms.csv"), ["k", "norm_K", "note"], grows
+            os.path.join(args.out, "gqme_kernel_norms.csv"), ["k", "norm_K", "note"], _lines(grows)
         )
 
     print(kpath)
@@ -219,14 +206,17 @@ def _cmd_propagate(args) -> int:
 
     g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.splitting == "sym_sys" else None
     rho0 = cfg.initial_state
-    # rho_n from its own recurrence on vec(rho_0), so its bytes do not depend on
-    # --with-maps; the maps run on the identity, on the same chunk rows
-    rights = [rho0.reshape(-1, 1)] + [None] * args.with_maps
-    blocks = propagate_blocks(kset, cfg.grid.n_steps, g_half, right=rights)
+    # rho_n from its own pass on vec(rho_0), so its bytes do not depend on
+    # --with-maps; the maps are a second pass, on the identity
+    starts = [rho0[None]]  # step 0
+    passes = [propagate_blocks(kset, cfg.grid.n_steps, g_half, right=rho0.reshape(-1, 1))]
+    if args.with_maps:
+        starts.append(np.eye(kset.dim, dtype=complex)[None])
+        passes.append(propagate_blocks(kset, cfg.grid.n_steps, g_half))
 
     def tables():
-        yield (rho0[None], np.eye(kset.dim, dtype=complex)[None])[: len(rights)]  # step 0
-        for rho, *maps in blocks:
+        yield starts
+        for rho, *maps in zip(*passes):
             yield (rho.reshape((-1,) + rho0.shape), *maps)
 
     # a failed run leaves no directory it made itself (the CSV writer
@@ -266,16 +256,16 @@ def _cmd_compare(args) -> int:
     _write_csv(
         path,
         ["k", "norm_a_mid", "norm_a_term", "norm_b_mid", "norm_b_term", "diff_mid"],
-        rows,
+        _lines(rows),
     )
     spath = os.path.join(args.out, "comparison_summary.csv")
     _write_csv(
         spath,
         ["set", "first_k_below_threshold", "threshold"],
-        [
+        _lines([
             ["a", "" if report.first_below_a is None else str(report.first_below_a), _fmt(report.threshold)],
             ["b", "" if report.first_below_b is None else str(report.first_below_b), _fmt(report.threshold)],
-        ],
+        ]),
     )
     print(path)
     print(spath)
@@ -292,12 +282,12 @@ def _cmd_dyck(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows = [[str(mm), str(catalan(mm))] for mm in range(0, m + 1)]
     cpath = os.path.join(args.out, "dyck_counts.csv")
-    _write_csv(cpath, ["semilength", "count"], rows)
+    _write_csv(cpath, ["semilength", "count"], _lines(rows))
     print(cpath)
     if paths is not None:
         prow = [[str(i), " ".join(f"{s:+d}" for s in p)] for i, p in enumerate(paths)]
         ppath = os.path.join(args.out, "dyck_paths.csv")
-        _write_csv(ppath, ["index", "steps"], prow)
+        _write_csv(ppath, ["index", "steps"], _lines(prow))
         print(ppath)
     return 0
 

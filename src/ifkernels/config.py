@@ -275,4 +275,8 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ParseError(f"parse: {path}: not UTF-8 text") from None
+    return parse_config(text)

@@ -1,8 +1,9 @@
 """Exact vectorised ``%.17g`` text of float64 CSV rows.
 
-``format_rows(data)`` returns, for each row of a 2-D float64 array, the
-line ``",".join("%.17g" % x for x in row) + "\\n"``, byte for byte, for
-every float64 (subnormals, -0.0, infinities and NaNs included).  An
+``format_rows(arrays)`` takes an iterable of 2-D float64 row arrays and
+yields, slice by slice, for each of their rows the line
+``",".join("%.17g" % x for x in row) + "\\n"``, byte for byte, for every
+float64 (subnormals, -0.0, infinities and NaNs included).  An
 integer-valued float below 1e16 prints as ``%d`` prints it.
 
 Digits.  For a finite nonzero x, k = floor(log10|x|) and p = 16 - k, the 17
@@ -27,8 +28,9 @@ bytes 8-23 the other 16 digits, four at a time, cut after the last one
 kept, and bytes 24-31 the exponent of a scientific value (``e-05`` ..
 ``e-283``) and the separator.  A value of 10 or more then moves its
 integer digits one byte left over the point.  Unused bytes are 0, and one
-boolean compress drops them.  The work runs in slices of at most ``SLICE``
-floats, so its temporaries (about 90 bytes a float, in small integer types
+boolean compress drops them.  ``format_rows`` regroups the rows of its
+arrays into slices of at most ``SLICE`` floats and formats one slice at a
+time, so its temporaries (about 90 bytes a float, in small integer types
 where they fit, and freed as soon as they are used) do not grow with the
 rows.
 """
@@ -213,16 +215,32 @@ def _records(x, last):
     return rec
 
 
-def _format_slice(x, last):
-    """Text of the rows of ``x`` as a uint8 array: their records with the 0 bytes dropped."""
-    rec = _records(x, last)
-    return rec[rec != 0]
+def _format_slice(x):
+    """Text of the rows of ``x`` as bytes: their records with the 0 bytes dropped."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    rec = _records(x, np.arange(x.shape[1]) == x.shape[1] - 1)
+    return rec[rec != 0].tobytes()
 
 
-def format_rows(data):
-    """CSV lines of a 2-D float64 array: each field ``"%.17g" % x``, comma-separated."""
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    rows, cols = data.shape
-    last = np.arange(cols) == cols - 1
-    step = max(1, SLICE // cols)
-    return b"".join([_format_slice(data[i:i + step], last) for i in range(0, rows, step)])
+def format_rows(arrays):
+    """CSV lines of the rows of consecutive 2-D arrays, one slice at a time.
+
+    The arrays share one column count.  Their rows are regrouped into
+    slices of ``SLICE`` floats (at least one row), only the last shorter,
+    and the lines of each slice are yielded as one bytes object, each field
+    ``"%.17g" % x``, comma-separated.  At most one slice plus one input
+    array are held at a time.
+    """
+    held, count = [], 0
+    for array in arrays:
+        held.append(array)
+        count += len(array)
+        rows = max(1, SLICE // array.shape[1])
+        if count >= rows:
+            joined = np.concatenate(held)
+            cut = count - count % rows
+            for start in range(0, cut, rows):
+                yield _format_slice(joined[start:start + rows])
+            held, count = [joined[cut:]], count - cut
+    if count:
+        yield _format_slice(np.concatenate(held))

@@ -74,52 +74,56 @@ def save_kernels(kset: KernelSet, path, metadata: dict | None = None) -> None:
 def load_kernels(path) -> KernelSet:
     """Read a KernelSet written by save_kernels; exact elementwise round trip.
 
-    Raises ParseError ("parse") for malformed files, for a repeated header
-    key, matrices block or k,row,col entry, and for contents that
-    KernelSet rejects: non-finite entries, an r_max header that differs from
-    a stored matrix count, an aux0 that is not (dim, dim), an unknown
-    splitting, or a block that ``propagate`` needs and the file lacks.
+    Raises ParseError ("parse") for malformed files (text that is not UTF-8
+    included), for a repeated header key, matrices block or k,row,col
+    entry, and for contents that KernelSet rejects: non-finite entries, an
+    r_max header that differs from a stored matrix count, an aux0 that is
+    not (dim, dim), an unknown splitting, or a block that ``propagate``
+    needs and the file lacks.
     """
     header = {}
     blocks = {}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "=" in line and "," not in line:
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key == "matrices":
-                    if value not in ("midpoint", "termination", "aux0"):
-                        raise ParseError(f"parse: line {lineno}: unknown block {value!r}")
-                    if value in blocks:
-                        raise ParseError(f"parse: line {lineno}: duplicate block {value!r}")
-                    current = value
-                    blocks[current] = {}
-                else:
-                    if key in header:
-                        raise ParseError(f"parse: line {lineno}: duplicate header key {key!r}")
-                    header[key] = value
-                continue
-            if current is None:
-                raise ParseError(f"parse: line {lineno}: entry before any matrices block")
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError(f"parse: line {lineno}: expected k,row,col,re,im")
-            try:
-                k = int(parts[0])
-                row = int(parts[1])
-                col = int(parts[2])
-                re = float(parts[3])
-                im = float(parts[4])
-            except ValueError:
-                raise ParseError(f"parse: line {lineno}: bad numeric field") from None
-            entries = blocks[current].setdefault(k, {})
-            if (row, col) in entries:
-                raise ParseError(f"parse: line {lineno}: duplicate entry {k},{row},{col}")
-            entries[(row, col)] = complex(re, im)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ParseError(f"parse: {path}: not UTF-8 text") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        if "=" in line and "," not in line:
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key == "matrices":
+                if value not in ("midpoint", "termination", "aux0"):
+                    raise ParseError(f"parse: line {lineno}: unknown block {value!r}")
+                if value in blocks:
+                    raise ParseError(f"parse: line {lineno}: duplicate block {value!r}")
+                current = value
+                blocks[current] = {}
+            else:
+                if key in header:
+                    raise ParseError(f"parse: line {lineno}: duplicate header key {key!r}")
+                header[key] = value
+            continue
+        if current is None:
+            raise ParseError(f"parse: line {lineno}: entry before any matrices block")
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ParseError(f"parse: line {lineno}: expected k,row,col,re,im")
+        try:
+            k = int(parts[0])
+            row = int(parts[1])
+            col = int(parts[2])
+            re = float(parts[3])
+            im = float(parts[4])
+        except ValueError:
+            raise ParseError(f"parse: line {lineno}: bad numeric field") from None
+        entries = blocks[current].setdefault(k, {})
+        if (row, col) in entries:
+            raise ParseError(f"parse: line {lineno}: duplicate entry {k},{row},{col}")
+        entries[(row, col)] = complex(re, im)
 
     try:
         version = int(header["format_version"])

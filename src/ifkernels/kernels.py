@@ -48,10 +48,10 @@ X_{n+k} V = P_k s_n with P_k the first block row of C^k.  The maps are read
 off the same state: U_{n+k} V = Q_k s_n with Q_k = [T_1 | ... | T_R] C^(k-1)
 (termination) or G_half [1 | 0 | ... | 0] C^(k-1) (dressing; its right
 factor G_half is folded into V, so the state holds aux_n G_half V).  The
-rows P_k, Q_k for k = 1..CHUNK are built once by CHUNK small products; each
-chunk of CHUNK steps is then one (CHUNK m d) x (R d) @ (R d) x c product
-(m = 1 for ttm, 2 with Q rows), and the next state is the newest R outputs.
-Several right-hand blocks share the rows, each with its own product.
+rows P_k, Q_k for k = 1..CHUNK are built once per run by CHUNK small
+products; each chunk of CHUNK steps is then one (CHUNK m d) x (R d) @ (R d) x c
+product (m = 1 for ttm, 2 with Q rows), and the next state is the newest R
+outputs.  A run takes one right-hand block; the maps and rho are two runs.
 Memory is O(CHUNK R d (d + c)) whatever the horizon, and the number of numpy
 calls per chunk does not depend on CHUNK.
 """
@@ -66,6 +66,7 @@ from .bath import SPLITTINGS, EtaTable, influence_pair_matrix, influence_self_we
 from .errors import (
     Aux0SingularError,
     DimMismatchError,
+    NumericalError,
     PropagationDivergedError,
     SplittingMismatchError,
     ValidationError,
@@ -177,17 +178,17 @@ def _inverse(y, b=None, tail=None) -> np.ndarray:
 
 def solve_midpoint(aux, aux0: np.ndarray | None = None):
     """Midpoint matrices M_1..M_L from aux_k = sum_{r<k} M_r aux_{k-r} + M_k aux0."""
-    return check_finite(_inverse(aux, tail=aux0), "midpoint matrix")
+    return check_finite(_inverse(aux, tail=aux0), "midpoint matrix", NumericalError)
 
 
 def solve_termination(full, aux, aux0: np.ndarray | None = None):
     """Termination matrices T_1..T_N from U_N = sum_{r<N} T_r aux_{N-r} + T_N aux0."""
-    return check_finite(_inverse(full, b=aux, tail=aux0), "termination matrix")
+    return check_finite(_inverse(full, b=aux, tail=aux0), "termination matrix", NumericalError)
 
 
 def extract_ttm(full):
     """Transfer-tensor matrices T^C_1..T^C_N from U_N = sum_{r<N} T^C_r U_{N-r} + T^C_N."""
-    return check_finite(_inverse(full), "transfer tensor")
+    return check_finite(_inverse(full), "transfer tensor", NumericalError)
 
 
 def gqme_kernel(ttm, dt: float):
@@ -250,40 +251,35 @@ def _companion_rows(first: np.ndarray, wide: np.ndarray, count: int) -> np.ndarr
     return rows
 
 
-def _blocks(rows, states, horizon, firsts):
-    """Yield the outputs of ``propagate_blocks``: per chunk of len(rows) steps,
-    a list with one block per state, each from its own product."""
+def _blocks(rows, state, horizon, first):
+    """Yield the outputs of ``propagate_blocks``, one block per chunk of len(rows) steps."""
     count, width = rows.shape[0], rows.shape[2]
+    r_max, d, c = state.shape
     for start in range(0, horizon, count):
         k = min(count, horizon - start)
-        blocks = []
-        for i, state in enumerate(states):
-            r_max, d, c = state.shape
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                out = (rows[:k].reshape(-1, width) @ state.reshape(width, c)).reshape(k, -1, d, c)
-            states[i] = np.concatenate((out[::-1, 0], state))[:r_max]
-            block = out[:, -1]
-            if start == 0 and firsts[i] is not None:
-                block[0] = firsts[i]
-            if not np.isfinite(block).all():
-                step = start + 1 + int(np.argmin(np.isfinite(block).reshape(k, -1).all(axis=1)))
-                raise PropagationDivergedError(f"propagation_diverged: U_{step} is not finite;"
-                                               " the kernel set grows without bound")
-            blocks.append(block)
-        yield blocks
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = (rows[:k].reshape(-1, width) @ state.reshape(width, c)).reshape(k, -1, d, c)
+        state = np.concatenate((out[::-1, 0], state))[:r_max]
+        block = out[:, -1]
+        if start == 0 and first is not None:
+            block[0] = first
+        if not np.isfinite(block).all():
+            step = start + 1 + int(np.argmin(np.isfinite(block).reshape(k, -1).all(axis=1)))
+            raise PropagationDivergedError(f"propagation_diverged: U_{step} is not finite;"
+                                           " the kernel set grows without bound")
+        yield block
 
 
 def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None,
-                     right=None):
+                     right: np.ndarray | None = None):
     """U_1 V..U_horizon V from a kernel set alone, as consecutive blocks.
 
     ``right`` is the right-hand block V, a (d, c) array; None is the
     identity, which gives the maps themselves, and a (d, 1) column
     vec(rho_0) gives the density matrices.  Returns an iterator of (k, d, c)
-    arrays with k = CHUNK (the last block may be shorter).  A list of such
-    blocks runs each on the same chunk rows, by its own product, and yields
-    a list of blocks per chunk.  The arguments are checked and the chunk
-    rows built before the iterator is returned.  ttm runs the transfer
+    arrays with k = CHUNK (the last block may be shorter).  The arguments
+    are checked and the chunk rows built before the iterator is returned,
+    so each call builds its own rows.  ttm runs the transfer
     tensors over U itself.  smatpi runs the midpoint matrices over the
     auxiliary sequence, with the tail aux_0 under the terminal_times_I0
     convention, and reads U off it through the termination matrices
@@ -310,20 +306,16 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
             f"size_limit: r_max = {r_max} at dim {d} needs {size / 2**30:.1f} GiB of"
             f" companion rows, over the {SIZE_LIMIT / 2**30:.1f} GiB limit"
         )
+    block = np.eye(d, dtype=complex) if right is None else np.asarray(right, dtype=complex)
+    if block.ndim != 2 or block.shape[0] != d:
+        raise DimMismatchError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
+    if dressed:  # the dressing's right factor G_half goes into the state: aux_n G_half V
+        block = g_half @ block
     terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
-    states, firsts = [], []
-    for block in right if isinstance(right, list) else [right]:
-        block = np.eye(d, dtype=complex) if block is None else np.asarray(block, dtype=complex)
-        if block.ndim != 2 or block.shape[0] != d:
-            raise DimMismatchError(
-                f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
-        if dressed:  # the dressing's right factor G_half goes into the state: aux_n G_half V
-            block = g_half @ block
-        state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
-        state[0] = kernels.aux0 @ block if terminal else block
-        states.append(state)
-        # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
-        firsts.append(g_half @ kernels.aux0 @ block if dressed else None)
+    state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
+    state[0] = kernels.aux0 @ block if terminal else block
+    # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
+    first_out = g_half @ kernels.aux0 @ block if dressed else None
     wide = _wide(kernels.midpoint)
     first = wide  # P_1 = e_0 C: the recurrence itself
     if dressed:  # G_half e_0 C^(k-1) picks G_half X_{n+k-1}
@@ -334,8 +326,7 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
         first = np.concatenate((wide, _wide(kernels.termination)))
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent set fails in _blocks
         rows = _companion_rows(first, wide, count)
-    blocks = _blocks(rows, states, horizon, firsts)
-    return blocks if isinstance(right, list) else (block for block, in blocks)
+    return _blocks(rows, state, horizon, first_out)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, ValidationError
+from .errors import ValidationError
 
 HERMITICITY_TOL = 1e-12
 
@@ -114,25 +114,6 @@ def fb_propagator(sys: SystemSpec, tau: float) -> LiouvilleMatrix:
     return g
 
 
-def apply_map(u: LiouvilleMatrix, rho0: np.ndarray) -> np.ndarray:
-    """Apply a Liouville-space map, or a stack of them, to a density matrix.
-
-    Flattens rho0 row-major, multiplies by u and reshapes back: a (d, d) map
-    gives an (n, n) matrix and a (..., d, d) stack an (..., n, n) stack,
-    each entry the same product a single map would give.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    u = np.asarray(u)
-    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
-        raise DimMismatchError("dim_mismatch: rho0 must be square")
-    n = rho0.shape[0]
-    if u.shape[-2:] != (n * n, n * n):
-        raise DimMismatchError(
-            f"dim_mismatch: map has shape {u.shape}, expected (..., {n * n}, {n * n})"
-        )
-    return (u @ rho0.reshape(n * n)).reshape(u.shape[:-2] + (n, n))
-
-
 def liou_norm(a: np.ndarray) -> float:
     """Max elementwise absolute value; the decay metric used throughout."""
     a = np.asarray(a)
@@ -141,8 +122,8 @@ def liou_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Raise if a contains NaN/Inf; returns a unchanged."""
+def check_finite(a: np.ndarray, what: str, error=ValidationError) -> np.ndarray:
+    """Raise ``error`` ("non_finite") if a contains NaN/Inf; returns a unchanged."""
     if not np.all(np.isfinite(np.asarray(a))):
-        raise ValidationError(f"{what} contains non-finite entries")
+        raise error(f"non_finite: {what} contains non-finite entries")
     return a

@@ -117,7 +117,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import EtaTable, influence_pair_matrix, influence_self_weights
-from .errors import EtaMissingError, PathSumBudgetError, ValidationError
+from .errors import EtaMissingError, NumericalError, PathSumBudgetError, ValidationError
 from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
 
 DEFAULT_BUDGET = 10**8
@@ -390,7 +390,7 @@ class _PathSums:
         out = np.empty((self.n_ends, steps, d, d), dtype=complex)
         out[:, :, self.mirror[0], self.mirror[1]] = acc.conj()
         out[:, :, self.a_end, self.a_0] = acc
-        return check_finite(out, "path sum")
+        return check_finite(out, "path sum", NumericalError)
 
 
 def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
@@ -464,5 +464,5 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
         aux = maps[0]
         g_half = fb_propagator(sys, 0.5 * eta.dt)
         inner = np.concatenate((aux0[None], aux))[:steps]
-        full = check_finite(g_half @ inner @ g_half, "dressed path sum")
+        full = check_finite(g_half @ inner @ g_half, "dressed path sum", NumericalError)
     return full, aux0, aux

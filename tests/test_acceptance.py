@@ -26,7 +26,7 @@ from ifkernels.kernels import (
     solve_midpoint,
     solve_termination,
 )
-from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
+from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import eta_truncated, propagate
@@ -168,7 +168,7 @@ def test_criterion_7_physicality(sys2, bath_default, tables):
         g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
         traj = propagate(kset, 30, g_half=g_half)
         for u in traj:
-            rho = apply_map(u, RHO0)
+            rho = (u @ RHO0.reshape(-1)).reshape(2, 2)
             worst_trace = max(worst_trace, abs(np.trace(rho) - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
     assert worst_trace < 1e-8

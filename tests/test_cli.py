@@ -516,9 +516,9 @@ class TestBlockWriter:
         monkeypatch.setattr(csvtext, "SLICE", 16 // passes * cols)
         rows = []
 
-        def recording_slice(x, last):
+        def recording_slice(x):
             rows.append(len(x))
-            return formatted(x, last)
+            return formatted(x)
 
         formatted = csvtext._format_slice
         monkeypatch.setattr(csvtext, "_format_slice", recording_slice)
@@ -535,10 +535,10 @@ class TestBlockWriter:
         block = rng.standard_normal((257, 42)) * 10.0 ** rng.integers(-3, 1, (257, 42))
         block[:, 0] = np.arange(257)
         block[:, 1] = block[:, 0] * 0.1
-        csvtext.format_rows(block)
+        b"".join(csvtext.format_rows([block]))
         tracemalloc.start()
         try:
-            csvtext.format_rows(block)
+            b"".join(csvtext.format_rows([block]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -576,7 +576,7 @@ def _exhausted_formatter(data):
 
 
 def _recorded(calls, function):
-    """``function`` that appends its first argument to ``calls``."""
+    """``function`` that appends its argument to ``calls``."""
 
     def wrapped(data):
         calls.append(data)
@@ -605,11 +605,11 @@ class TestPropagateFailures:
         # block; the formatter, which runs in this process, cannot allocate;
         # Ctrl-C arrives at engine block 3) leaves no partial file and none of
         # the directories made for it; all but Ctrl-C exit 2 with a coded
-        # message and no traceback.  Writes of 100 rows put rows on disk
+        # message and no traceback.  Slices of 100 rows put rows on disk
         # before the failing block.
         monkeypatch.setattr(csvtext, "SLICE", 100 * 10)
         written = []
-        monkeypatch.setattr(csvtext, "format_rows", _recorded(written, csvtext.format_rows))
+        monkeypatch.setattr(csvtext, "_format_slice", _recorded(written, csvtext._format_slice))
         out = tmp_path / "out" / "a"
         if failure == "diverged":
             assert _propagate_diverging(tmp_path, out) == 2
@@ -626,7 +626,7 @@ class TestPropagateFailures:
                 with pytest.raises(KeyboardInterrupt):
                     cli_main(argv)
             else:
-                monkeypatch.setattr(csvtext, "format_rows", _exhausted_formatter)
+                monkeypatch.setattr(csvtext, "_format_slice", _exhausted_formatter)
                 assert cli_main(argv) == 2
                 assert capsys.readouterr().err == "error: memory: formatter out of memory\n"
         assert not (tmp_path / "out").exists()
@@ -821,6 +821,79 @@ class TestCli:
         assert err.startswith("error: io: [Errno ")
         assert err.endswith(f": '{path}'\n") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "file", "k"]
+
+    @pytest.mark.parametrize("table", ["kernel_norms.csv", "comparison.csv"])
+    def test_small_csv_failure_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch,
+                                                     table):
+        # the disk fills after the header of a small table: exit 1 with an
+        # io: line, and the header alone is not left behind
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        kdir = tmp_path / "k"
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(kdir), "--rmax", "2"]) == 0
+        kernels = str(kdir / "kernels.txt")
+        out = tmp_path / "out"
+        argv = {"kernel_norms.csv": ["extract", "--config", str(cfg), "--out", str(out),
+                                     "--rmax", "2"],
+                "comparison.csv": ["compare", "--kernels-a", kernels, "--kernels-b", kernels,
+                                   "--out", str(out)]}[table]
+
+        def full_after_header(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if os.path.basename(path) == table:
+                writes = []
+
+                def write(data):
+                    if writes:
+                        raise OSError(28, "No space left on device")
+                    writes.append(data)
+                    return type(fh).write(fh, data)
+
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", full_after_header, raising=False)
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: io: [Errno 28] No space left on device\n"
+        assert not (out / table).exists()
+
+    @pytest.mark.parametrize("loader", ["config", "kernels"])
+    def test_non_utf8_input_is_a_parse_error(self, tmp_path, capsys, loader):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        kdir = tmp_path / "k"
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(kdir), "--rmax", "1"]) == 0
+        kernels = kdir / "kernels.txt"
+        out = tmp_path / "out"
+        if loader == "config":
+            bad = tmp_path / "bad.cfg"
+            bad.write_bytes(b"system.n = 2\n\xff\xfe bad\n")
+            argv = ["extract", "--config", str(bad), "--out", str(out)]
+        else:
+            bad = tmp_path / "bad.txt"
+            bad.write_bytes(kernels.read_bytes() + b"\xff\n")
+            argv = ["compare", "--kernels-a", str(kernels), "--kernels-b", str(bad),
+                    "--out", str(out)]
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: parse: {bad}: not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "oracle"])
+    def test_non_finite_path_sum_exit_2(self, tmp_path, capsys, command):
+        # beta = 1e-308 overflows the influence factors: the path sum is not
+        # finite, a numerical error with the non_finite code, and no output
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"bath.beta": "1e-308"}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: non_finite: path sum contains non-finite entries\n"
+        assert not out.exists()
 
     def test_validation_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import ifkernels
 from ifkernels import csvtext
-from ifkernels.csvtext import format_rows
+def formatted(data):
+    """The text ``csvtext.format_rows`` gives the rows of one array, joined."""
+    return b"".join(csvtext.format_rows([data]))
 
 
 def per_field(data):
@@ -54,20 +56,20 @@ class TestExactness:
                     min_size=1, max_size=30))
     def test_every_float64_as_percent_17g(self, values):
         data = np.array(values, dtype=float)
-        assert format_rows(data[None]) == per_field(data[None])
-        assert format_rows(data[:, None]) == per_field(data[:, None])
+        assert formatted(data[None]) == per_field(data[None])
+        assert formatted(data[:, None]) == per_field(data[:, None])
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(20241)
         data = rng.integers(0, 2**64, size=(10**4, 10), dtype=np.uint64, endpoint=False)
         data = data.view(np.float64)
-        assert format_rows(data) == per_field(data)
+        assert formatted(data) == per_field(data)
 
     def test_crafted_values(self):
         # powers of ten and their neighbours (14 doubles below a power of ten
         # round up into the next decade), exact ties, three-digit exponents
         values = _crafted()
-        assert format_rows(values[:, None]) == per_field(values[:, None])
+        assert formatted(values[:, None]) == per_field(values[:, None])
 
     def test_trajectory_like_values_take_no_fallback(self, monkeypatch):
         # the fast path proves every rounding of values in [1e-12, 1e3)
@@ -80,13 +82,13 @@ class TestExactness:
         data[:, 1] = np.arange(500) * 0.1
         want = per_field(data)
         monkeypatch.setattr(csvtext, "_per_element", forbidden)
-        assert format_rows(data) == want
+        assert formatted(data) == want
 
 
 class TestLayout:
     def test_integer_steps_print_as_percent_d(self):
         steps = np.concatenate([np.arange(20001), [2**40, 10**15, 9 * 10**15 + 7, 2**53]])
-        assert format_rows(steps[:, None].astype(float)) == "".join(
+        assert formatted(steps[:, None].astype(float)) == "".join(
             "%d\n" % s for s in steps).encode()
 
     @pytest.mark.parametrize("cols", [1, 3, 8])
@@ -94,7 +96,16 @@ class TestLayout:
         # 7-float slices: several rows per slice, or one row wider than a slice
         monkeypatch.setattr(csvtext, "SLICE", 7)
         data = np.random.default_rng(cols).standard_normal((11, cols))
-        assert format_rows(data) == per_field(data)
+        assert formatted(data) == per_field(data)
+
+    def test_arrays_regrouped_into_slices(self, monkeypatch):
+        # 3-row slices cut across arrays of 2, 4, 0 and 5 rows; only the last
+        # slice is shorter
+        monkeypatch.setattr(csvtext, "SLICE", 3 * 4)
+        data = np.random.default_rng(3).standard_normal((11, 4))
+        slices = list(csvtext.format_rows([data[:2], data[2:6], data[6:6], data[6:]]))
+        assert [text.count(b"\n") for text in slices] == [3, 3, 3, 2]
+        assert b"".join(slices) == per_field(data)
 
     def test_not_imported_by_extract(self, tmp_path):
         # extract and compare write no trajectory CSV; propagate loads the formatter

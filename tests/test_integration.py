@@ -8,7 +8,7 @@ import pytest
 from ifkernels import BathSpec, SpectralDensity, SystemSpec
 from ifkernels.bath import eta_table, influence_pair_matrix, influence_self_weights
 from ifkernels.kernels import extract_kernels
-from ifkernels.liouville import TimeGrid, apply_map, fb_propagator, liou_norm
+from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import bath_correlation, propagate
@@ -43,7 +43,7 @@ class TestThreeState:
         traj = propagate(kset, 12, g_half=fb_propagator(sys3, 0.05))
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         for u in traj:
-            rho = apply_map(u, rho0)
+            rho = (u @ rho0.reshape(-1)).reshape(3, 3)
             assert abs(np.trace(rho) - 1.0) < 1e-8
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
