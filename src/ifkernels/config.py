@@ -57,7 +57,6 @@ class RunConfig:
     initial_state: np.ndarray
     aux_zero_convention: str | None = None
     pathsum_budget: int = DEFAULT_BUDGET
-    quadrature_rtol: float = 1e-11
     output_dir: str = "out"
 
 
@@ -155,10 +154,8 @@ def _complex_row(text, path):
     return out
 
 
-def _float(fields, key, default=None, required=False):
-    raw = fields.take(key, default=None, required=required)
-    if raw is None:
-        return default
+def _float(fields, key):
+    raw = fields.take(key, required=True)
     try:
         value = float(raw)
     except ValueError:
@@ -199,8 +196,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(f"system: {exc}") from None
 
     kind = fields.take("bath.kind", default="ohmic_exponential")
-    alpha = _float(fields, "bath.alpha", required=True)
-    omega_c = _float(fields, "bath.omega_c", required=True)
+    alpha = _float(fields, "bath.alpha")
+    omega_c = _float(fields, "bath.omega_c")
     beta_raw = fields.take("bath.beta", required=True)
     beta = math.inf if beta_raw in ("inf", "infinite") else None
     if beta is None:
@@ -216,7 +213,7 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         grid = TimeGrid(
-            _float(fields, "grid.dt", required=True),
+            _float(fields, "grid.dt"),
             _int(fields, "grid.n_steps", required=True),
             _int(fields, "grid.r_max", required=True),
         )
@@ -249,9 +246,6 @@ def parse_config(text: str) -> RunConfig:
     budget = _int(fields, "run.pathsum_budget", default=DEFAULT_BUDGET)
     if budget < 1:
         raise ValidationError("run.pathsum_budget: must be positive")
-    quad_rtol = _float(fields, "tolerances.quadrature", default=1e-11)
-    if not 0 < quad_rtol < 1e-3:
-        raise ValidationError("tolerances.quadrature: must be in (0, 1e-3)")
     outdir = fields.take("output.dir", default="out")
 
     if fields.pairs:
@@ -268,7 +262,6 @@ def parse_config(text: str) -> RunConfig:
         initial_state=rho0,
         aux_zero_convention=convention,
         pathsum_budget=budget,
-        quadrature_rtol=quad_rtol,
         output_dir=outdir,
     )
 

@@ -3,14 +3,13 @@
 These deliberately take different routes from the production code.  The
 time-domain correlation function C(t) (``bath_correlation``: frequency
 quadrature, closed form at T = 0) lives only here, because production
-integrates in the spectral form and never evaluates C(t); the tests check it
-against a Matsubara-series closed form.  Window coefficients come one at a
-time from a spectral-domain single integral (scipy.integrate.quad) instead
-of one vectorised fixed-rule integral over all coefficients; and the
+takes every coefficient from the closed-form second integral Q of C and
+never evaluates C(t); the tests check it against a Matsubara-series closed
+form.  Window coefficients come one at a time from a spectral-domain single
+integral (scipy.integrate.quad) instead of second differences of Q; and the
 time-domain eta table integrates C(t - t') over the windows by nested Gauss
 rules, with C(t) itself from its own frequency quadrature (or closed form at
-T = 0), instead of moving the window integrals inside the frequency
-integral.  The path-sum reference gives every forward-backward path its own
+T = 0).  The path-sum reference gives every forward-backward path its own
 weight, written out from the definition, instead of building weights from
 factor matrices in blocks.  The convolution reference rebuilds a sequence
 from its kernels one matrix product at a time, instead of one stacked
@@ -26,19 +25,16 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from ifkernels.bath import (
-    OMEGA_CUTOFF_FACTOR,
-    OMEGA_NODES_MAX,
-    OMEGA_NODES_START,
-    OMEGA_RTOL,
-    BathSpec,
-    EtaTable,
-    _gauss_nodes,
-    eta_table_from_correlation,
-)
+from ifkernels.bath import BathSpec, EtaTable, _gauss_nodes, eta_table_from_correlation
 from ifkernels.combinatorics import expand_hierarchy
 from ifkernels.errors import QuadratureError
 from ifkernels.kernels import propagate_blocks
+
+# Frequency quadrature of C(t): node-doubling Gauss rule on [0, 40 omega_c].
+OMEGA_CUTOFF_FACTOR = 40.0
+OMEGA_NODES_START = 128
+OMEGA_NODES_MAX = 32768
+OMEGA_RTOL = 1e-11
 
 
 def matsubara_correlation(alpha, wc, beta, t, nsum=2000):

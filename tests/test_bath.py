@@ -3,21 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import loggamma
+
 from ifkernels import BathSpec, EtaTable, SpectralDensity
-from ifkernels import bath as bath_module
 from ifkernels.bath import (
-    OMEGA_NODES_START,
     _leggauss,
-    _spectral_window_integrals,
-    _window_layout,
-    _x_minus_sin,
+    _re_loggamma_shift,
     bump_correlation,
     eta_table,
     eta_table_from_correlation,
     influence_pair_matrix,
     influence_self_weights,
 )
-from ifkernels.errors import EtaMissingError, QuadratureError, ValidationError
+from ifkernels.errors import EtaMissingError, ValidationError
 from ifkernels.liouville import TimeGrid, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
@@ -30,8 +28,9 @@ from _oracles import (
     time_domain_eta_table,
 )
 
-# Frozen from the quadrature route and confirmed against the independent
-# spectral-form oracle to ~1e-16 (default set: alpha=0.1, omega_c=5, beta=5,
+# Frozen from an earlier frequency-quadrature route, which the closed form
+# matches to 9e-17, and confirmed against the independent spectral-form
+# oracle to ~1e-16 (default set: alpha=0.1, omega_c=5, beta=5,
 # dt=0.1, interior separation 1).
 GOLDEN_ETA_10 = 0.006233598303998054 - 0.007094852730208117j
 
@@ -218,33 +217,28 @@ class TestSpectralRoute:
                 quad_value = _oracle_coefficient(beta, 0.1, splitting, separation, name == "right")
                 assert abs(value - quad_value) < 1e-12
 
-    def test_default_table_node_count(self, bath_default):
-        # work-count guard: the default finite-T table converges by 1024 nodes
-        triangles, pairs = _window_layout(TimeGrid(0.1, 11, 11), "sym_env")
-        values, nodes = _spectral_window_integrals(bath_default, triangles, pairs, 1e-11)
-        assert len(values) == len(triangles) + len(pairs) == 24
-        assert OMEGA_NODES_START < nodes <= 1024
+    @pytest.mark.parametrize("x", [1.0, 1.001, 3.0, 1001.0])
+    def test_loggamma_difference(self, x):
+        # scipy subtracts two lnGamma values, each good to about 10 ulps
+        # (2.8e-15 off a 40-digit value at 1 + i): allow 1e-14 of each
+        y = np.array([0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e4])
+        got = _re_loggamma_shift(x, y)
+        big, small = loggamma(x + 1j * y), loggamma(x)
+        tol = 1e-14 * (np.abs(big) + abs(small) + 1.0)
+        assert np.all(np.abs(got - (big.real - small)) <= tol)
+        assert got[0] == 0.0
 
-    def test_zero_coupling_skips_quadrature(self):
-        bath = BathSpec(SpectralDensity("ohmic_exponential", 0.0, 5.0), 5.0)
-        triangles, pairs = _window_layout(TimeGrid(0.1, 4, 4), "asym")
-        values, nodes = _spectral_window_integrals(bath, triangles, pairs, 1e-11)
-        assert nodes == 0 and not np.any(values)
-
-    def test_forced_non_convergence(self, bath_default, monkeypatch):
-        monkeypatch.setattr(bath_module, "OMEGA_NODES_MAX", 128)
-        with pytest.raises(QuadratureError, match="quadrature_failed"):
-            eta_table(bath_default, TimeGrid(0.1, 4, 4), "sym_env", rtol=1e-15)
-
-    def test_small_frequency_forms(self):
-        # stable forms against direct evaluation where it is still accurate,
-        # and against the leading Taylor term where it is not
-        x = np.array([1e-8, 1e-3, 0.5, 0.999, 1.0, 3.0])
-        direct = x - np.sin(x)
-        assert abs(_x_minus_sin(x[-1]) - direct[-1]) < 1e-15
-        assert np.allclose(_x_minus_sin(x[2:]), direct[2:], rtol=1e-13, atol=0)
-        assert _x_minus_sin(x[0]) == pytest.approx(x[0] ** 3 / 6, rel=1e-15)
-        assert _x_minus_sin(x[1]) == pytest.approx(x[1] ** 3 / 6 - x[1] ** 5 / 120, rel=1e-15)
+    # quad meets its subdivision limit at separation 40 (about 1300 periods of
+    # the window phase on [0, 40 omega_c]); its values still agree to ~2e-15
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("beta", [0.5, np.inf])
+    def test_long_horizon_against_quad(self, beta):
+        bath = BathSpec(SpectralDensity("ohmic_exponential", 0.1, 5.0), beta)
+        tab = eta_table(bath, TimeGrid(0.1, 400, 400), "sym_env")
+        for m in (100, 400):
+            for name in ("interior", "right"):
+                want = _oracle_coefficient(beta, 0.1, "sym_env", m, name == "right")
+                assert abs(getattr(tab, name)[m] - want) < 1e-12
 
 
 class TestGaussLegendre:

@@ -83,9 +83,14 @@ class TestConfig:
         with pytest.raises(ValidationError, match=rf"{key.split('.row')[0]}: non_finite"):
             parse_config(small_config(**{key: value}))
 
-    def test_non_finite_tolerance_rejected(self):
-        with pytest.raises(ValidationError, match="tolerances.quadrature: non_finite"):
-            parse_config(small_config() + "\ntolerances.quadrature = nan\n")
+    def test_quadrature_tolerance_key_rejected(self, tmp_path, capsys):
+        # the eta table is closed-form: the former quadrature tolerance is gone
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config() + "\ntolerances.quadrature = 1e-11\n")
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: tolerances.quadrature: unknown field" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("splitting", ["sym_env", "asym"])
     def test_aux_zero_convention_is_sym_sys_only(self, tmp_path, capsys, splitting):
@@ -551,8 +556,7 @@ class TestBlockWriter:
         argv = ["oracle", "--config", str(cfg), "--out", str(tmp_path), "--steps", "3"]
         assert cli_main(argv) == 0
         config = load_config(cfg)
-        table = eta_table(config.bath, TimeGrid(0.1, 3, 3), splitting,
-                          rtol=config.quadrature_rtol)
+        table = eta_table(config.bath, TimeGrid(0.1, 3, 3), splitting)
         full, _, _ = oracle_trajectory(config.system, table, 3)
         maps = [np.eye(4, dtype=complex)] + list(full)
         want = per_cell_csv(config.grid.dt, [("u", maps)]).encode()
@@ -907,14 +911,16 @@ class TestCli:
         assert cli_main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"{key}: non_finite value {value!r}" in capsys.readouterr().err
 
-    def test_quadrature_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        from ifkernels import bath
-
-        monkeypatch.setattr(bath, "OMEGA_NODES_MAX", 128)
+    def test_non_finite_eta_exit_2(self, tmp_path, capsys):
+        # beta = 5e-324 makes the closed-form coefficients NaN: caught where
+        # they are built, with no numpy warning, and no output directory
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_config() + "\ntolerances.quadrature = 1e-15\n")
-        assert cli_main(["extract", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "quadrature_failed" in capsys.readouterr().err
+        cfg.write_text(small_config(**{"bath.beta": "5e-324"}))
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: non_finite: eta coefficients are not finite (beta = 5e-324)\n"
+        assert not out.exists()
 
     def test_budget_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
