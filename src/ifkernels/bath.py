@@ -108,43 +108,18 @@ class BathSpec:
             raise ValidationError("beta must be positive (use math.inf for T = 0)")
 
 
-def _legendre(order: int, x: np.ndarray):
-    """P_order(x) and its derivative by the three-term recurrence (|x| < 1)."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(1, order):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p, order * (x * p - p_prev) / (x * x - 1.0)
-
-
 @lru_cache(maxsize=64)
 def _leggauss(order: int):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    Newton's method on P_order from x_k = cos(pi (4k - 1) / (4 order + 2)),
-    for the nonnegative half of the nodes, mirrored; the weights are
-    2 / ((1 - x^2) P'(x)^2).  O(order) memory and O(order^2) work, where
-    the companion-matrix eigensolve takes an order x order matrix and
-    O(order^3) work.
+    numpy's rule, which at the ``WINDOW_GAUSS_ORDERS`` agrees with a Newton
+    iteration on P_order to 1e-16 in the nodes and 1e-14 in the weights.
+    ``numpy.polynomial`` is imported here: nothing else in the package
+    needs it, and a module-level import would slow every process's start.
     """
-    k = np.arange(1, (order + 1) // 2 + 1)
-    x = np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
-    for _ in range(20):  # 3 to 5 steps from these guesses up to 32768 nodes
-        p, dp = _legendre(order, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:  # rounding level: steps settle near 1e-16
-            break
-    else:
-        raise QuadratureError(f"quadrature_failed: Gauss-Legendre nodes of order {order}")
-    _, dp = _legendre(order, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    mid = order % 2  # odd orders: the last node of the half is the origin
-    if mid:
-        x[-1] = 0.0
-    return (
-        np.concatenate((-x, x[::-1][mid:])),
-        np.concatenate((w, w[::-1][mid:])),
-    )
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(order)
 
 
 def _gauss_nodes(order: int, a: float, b: float):
@@ -158,37 +133,30 @@ def _gauss_nodes(order: int, a: float, b: float):
 # ---------------------------------------------------------------------------
 
 
-def _window_pair_integral(corr, win_a, win_b):
-    """Integral of C(t - t') over t in win_a, t' in win_b (disjoint windows)."""
-    (a0, a1), (b0, b1) = win_a, win_b
+def _window_integral(corr, win_a, win_b=None):
+    """Integral of C(t - t') over t in win_a and t' in win_b (disjoint windows),
+    or over the triangle t' < t within win_a if there is no win_b.
+
+    The Gauss-Legendre order grows through ``WINDOW_GAUSS_ORDERS`` until two
+    values agree to ``WINDOW_RTOL``.
+    """
+    a0, a1 = win_a
     prev = None
     for order in WINDOW_GAUSS_ORDERS:
-        x, wx = _gauss_nodes(order, a0, a1)
-        y, wy = _gauss_nodes(order, b0, b1)
-        c = corr(np.subtract.outer(x, y).ravel()).reshape(order, order)
-        val = wx @ c @ wy
+        if win_b is None:
+            # t - t' = u (1 - s) for u in [0, a1 - a0] and s in [0, 1], Jacobian u
+            u, wu = _gauss_nodes(order, 0.0, a1 - a0)
+            s, wy = _gauss_nodes(order, 0.0, 1.0)
+            args, wx = np.multiply.outer(u, 1.0 - s), wu * u
+        else:
+            x, wx = _gauss_nodes(order, a0, a1)
+            y, wy = _gauss_nodes(order, *win_b)
+            args = np.subtract.outer(x, y)
+        val = wx @ corr(args.ravel()).reshape(order, order) @ wy
         if prev is not None and abs(val - prev) <= WINDOW_RTOL * max(1.0, abs(val)):
             return complex(val)
         prev = val
     raise QuadratureError("quadrature_failed: window integral did not converge")
-
-
-def _window_self_integral(corr, win):
-    """Integral of C(t - t') over the triangle t' < t within one window."""
-    a0, a1 = win
-    width = a1 - a0
-    prev = None
-    for order in WINDOW_GAUSS_ORDERS:
-        u, wu = _gauss_nodes(order, 0.0, width)
-        s, ws = _gauss_nodes(order, 0.0, 1.0)
-        # t - t' = u * (1 - s), Jacobian u
-        args = np.multiply.outer(u, 1.0 - s).ravel()
-        c = corr(args).reshape(order, order)
-        val = (wu * u) @ c @ ws
-        if prev is not None and abs(val - prev) <= WINDOW_RTOL * max(1.0, abs(val)):
-            return complex(val)
-        prev = val
-    raise QuadratureError("quadrature_failed: self-window integral did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +246,8 @@ def eta_table_from_correlation(corr, grid: TimeGrid, splitting: str) -> EtaTable
     memory, controlled smoothness) can drive the same table layout.
     """
     triangles, pairs = _window_layout(grid, splitting)
-    values = [_window_self_integral(corr, win) for win in triangles]
-    values += [_window_pair_integral(corr, win_a, win_b) for win_a, win_b in pairs]
+    values = [_window_integral(corr, win) for win in triangles]
+    values += [_window_integral(corr, win_a, win_b) for win_a, win_b in pairs]
     return _assemble(grid, splitting, values)
 
 

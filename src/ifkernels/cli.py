@@ -8,24 +8,32 @@ adds only the grid, the initial state and, for sym_sys, the half-step
 propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error
 (a non-UTF-8 config or kernel file is ``error: parse: ...``) or a file
 that cannot be read or written (``error: io: ...``), 2 numerical error
-(path-sum budget, a non-finite computed result such as eta coefficients
-or a path sum as ``error: non_finite: ...``, a diverging propagation) or
-a failed allocation (``error: memory: ...``).  The argument parser is
-built once per process, on the first ``cli_main`` call, not at import;
-every call parses into a fresh namespace, so one process can run many
-commands.
+(path-sum budget, a non-finite computed result such as eta coefficients,
+influence factors or a path sum as ``error: non_finite: ...``, a diverging
+propagation) or a failed allocation (``error: memory: ...``).  The
+argument parser is built once per process, on the first ``cli_main``
+call, not at import; every call parses into a fresh namespace, so one
+process can run many commands.
 
 CSV conventions: every file has one header row; floats are printed with 17
 significant digits (lossless double round trip); complex-valued tables carry
 separate ``re_*`` / ``im_*`` columns; density-matrix and map elements are
-ordered row-major in the flat forward-backward index.  One function writes
-every file and removes it if anything fails on the way.  ``propagate``
-runs the kernel recurrence on vec(rho_0) itself, one chunk of
-``kernels.CHUNK`` steps at a time (with ``--with-maps``, a second engine
-pass on the identity gives the map columns, and rho is the same with or
-without them).  ``csvtext.format_rows`` regroups the rows of these chunks
-(or of ``oracle``'s few path-sum maps) into slices and yields the text of
-one slice at a time, so memory does not grow with the number of steps.
+ordered row-major in the flat forward-backward index.
+
+Every command runs its checks before it makes a directory; then one
+function, ``_write_outputs``, makes ``--out``, writes the command's files
+and prints their paths once all are written.  If anything fails on the way,
+it removes every file it started and every directory it made (a directory
+that was there stays), so a non-zero exit leaves no partial output and
+prints no path.
+
+``propagate`` runs the kernel recurrence on vec(rho_0) itself, one chunk
+of ``kernels.CHUNK`` steps at a time, while it writes (with
+``--with-maps``, a second engine pass on the identity gives the map
+columns, and rho is the same with or without them).
+``csvtext.format_rows`` regroups the rows of these chunks (or of
+``oracle``'s few path-sum maps) into slices and yields the text of one
+slice at a time, so memory does not grow with the number of steps.
 The text is an exact vectorised ``%.17g`` that prints an element by its
 own ``%`` call wherever it cannot prove the rounding; ``csvtext`` is
 imported only by the commands that write these files.
@@ -44,7 +52,7 @@ import numpy as np
 
 from .bath import eta_table
 from .combinatorics import catalan, enumerate_dyck
-from .config import RunConfig, default_config_text, load_config
+from .config import default_config_text, load_config
 from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
 from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
@@ -56,26 +64,54 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, chunks):
-    """Write the header row and then each chunk of bytes to ``path``.
+def _write_outputs(out, files) -> int:
+    """Write every output file of a command under ``out``, then print their paths.
 
-    If anything fails on the way (the chunks' producer included), the
-    partial file is removed.
+    ``files`` is a list of ``(name, write)`` pairs; ``write(path)`` writes
+    one file.  The directories of ``out`` that do not exist yet are made
+    first.  If anything fails on the way (a writer, the producer of its
+    rows, printing the paths, Ctrl-C), every file started and every
+    directory made is removed; a directory that was there stays.
     """
-    fh = open(path, "wb")
+    made = []
+    new_dir = os.path.abspath(out)
+    while not os.path.exists(new_dir):
+        made.append(new_dir)
+        new_dir = os.path.dirname(new_dir)
+    paths = []
     try:
-        with fh:
-            fh.write((",".join(header) + "\n").encode())
-            for chunk in chunks:
-                fh.write(chunk)
-    except BaseException:
-        os.remove(path)
+        os.makedirs(out, exist_ok=True)
+        for name, write in files:
+            paths.append(os.path.join(out, name))
+            write(paths[-1])
+        for path in paths:
+            print(path)
+    except BaseException as exc:
+        for path in paths:
+            # an error that names the path comes from opening it: a file that
+            # could not be opened (say, someone's read-only file) is not ours
+            if getattr(exc, "filename", None) != path:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        for new_dir in made:  # deepest first
+            with contextlib.suppress(OSError):
+                os.rmdir(new_dir)
         raise
+    return 0
 
 
-def _lines(rows):
-    """Rows of string cells as one chunk of CSV text."""
-    return ["".join(",".join(row) + "\n" for row in rows).encode()]
+def _write_csv(path, header, chunks):
+    """Write the header row and then each chunk of bytes to ``path``."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _table(header, rows):
+    """``write(path)`` of a small CSV: the header row, then rows of string cells."""
+    text = "".join(",".join(row) + "\n" for row in rows).encode()
+    return lambda path: _write_csv(path, header, [text])
 
 
 def _block_rows(dt, blocks):
@@ -118,7 +154,6 @@ def _out_dir(args, cfg):
 
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    args.out = _out_dir(args, cfg)
     steps = args.steps if args.steps is not None else cfg.grid.r_max
     grid = cfg.grid
     if not 1 <= steps <= grid.n_steps:
@@ -128,41 +163,24 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(f"--budget: must be >= 1, got {budget}")
     table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting)
     full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=budget)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "oracle_maps.csv")
-    identity = np.eye(full.shape[-1], dtype=complex)[None]  # U_0
-    _write_steps_csv(path, grid.dt, ("u",), [(identity,), (full,)])
-    print(path)
-    return 0
+    maps = [(np.eye(full.shape[-1], dtype=complex)[None],), (full,)]  # U_0, then U_1..
+    return _write_outputs(_out_dir(args, cfg), [
+        ("oracle_maps.csv", lambda path: _write_steps_csv(path, grid.dt, ("u",), maps)),
+    ])
 
 
-def _extraction(cfg: RunConfig, splitting: str, flavor: str, r_max: int):
+def _cmd_extract(args) -> int:
+    cfg = load_config(args.config)
+    splitting = args.splitting or cfg.splitting
+    flavor = args.flavor or cfg.flavor
+    r_max = args.rmax if args.rmax is not None else cfg.grid.r_max
     if not 1 <= r_max <= cfg.grid.n_steps:
         raise ValidationError("r_max must satisfy 1 <= r_max <= n_steps")
     if cfg.aux_zero_convention is not None and splitting != "sym_sys":
         raise ValidationError(f"run.aux_zero_convention: applies to sym_sys only, not {splitting}")
     table = eta_table(cfg.bath, TimeGrid(cfg.grid.dt, r_max, r_max), splitting)
-    kset, _, _ = extract_kernels(
-        cfg.system,
-        table,
-        r_max,
-        flavor,
-        budget=cfg.pathsum_budget,
-        aux_zero_convention=cfg.aux_zero_convention,
-    )
-    return kset
-
-
-def _cmd_extract(args) -> int:
-    cfg = load_config(args.config)
-    args.out = _out_dir(args, cfg)
-    splitting = args.splitting or cfg.splitting
-    flavor = args.flavor or cfg.flavor
-    r_max = args.rmax if args.rmax is not None else cfg.grid.r_max
-    kset = _extraction(cfg, splitting, flavor, r_max)
-    os.makedirs(args.out, exist_ok=True)
-
-    kpath = os.path.join(args.out, "kernels.txt")
+    kset, _, _ = extract_kernels(cfg.system, table, r_max, flavor, budget=cfg.pathsum_budget,
+                                 aux_zero_convention=cfg.aux_zero_convention)
     metadata = {
         "system.n": str(cfg.system.n),
         "bath.kind": cfg.bath.spectral_density.kind,
@@ -171,32 +189,25 @@ def _cmd_extract(args) -> int:
         "bath.beta": "inf" if np.isinf(cfg.bath.beta) else _fmt(cfg.bath.beta),
         "pathsum_budget": str(cfg.pathsum_budget),
     }
-    save_kernels(kset, kpath, metadata=metadata)
-
     rows = []
     for k, mat in enumerate(kset.midpoint, start=1):
         norm_t = "" if kset.termination is None else _fmt(liou_norm(kset.termination[k - 1]))
         rows.append([str(k), _fmt(liou_norm(mat)), norm_t])
-    npath = os.path.join(args.out, "kernel_norms.csv")
-    _write_csv(npath, ["k", "norm_M", "norm_T"], _lines(rows))
-
+    files = [
+        ("kernels.txt", lambda path: save_kernels(kset, path, metadata=metadata)),
+        ("kernel_norms.csv", _table(["k", "norm_M", "norm_T"], rows)),
+    ]
     if flavor == "ttm" and kset.r_max >= 2:
         grows = [
             [str(k), _fmt(liou_norm(mat)), "same_formula_unverified" if k == 1 else ""]
             for k, mat in enumerate(gqme_kernel(kset.midpoint, kset.dt), start=1)
         ]
-        _write_csv(
-            os.path.join(args.out, "gqme_kernel_norms.csv"), ["k", "norm_K", "note"], _lines(grows)
-        )
-
-    print(kpath)
-    print(npath)
-    return 0
+        files.append(("gqme_kernel_norms.csv", _table(["k", "norm_K", "note"], grows)))
+    return _write_outputs(_out_dir(args, cfg), files)
 
 
 def _cmd_propagate(args) -> int:
     cfg = load_config(args.config)
-    args.out = _out_dir(args, cfg)
     kset = load_kernels(args.kernels)
     if abs(kset.dt - cfg.grid.dt) > 1e-15:
         raise ValidationError(f"kernel file dt {kset.dt} differs from config dt {cfg.grid.dt}")
@@ -218,31 +229,16 @@ def _cmd_propagate(args) -> int:
         for rho, *maps in zip(*passes):
             yield (rho.reshape((-1,) + rho0.shape), *maps)
 
-    # a failed run leaves no directory it made itself (the CSV writer
-    # removes its partial file), and a directory that was there stays
-    made = []
-    new_dir = os.path.abspath(args.out)
-    while not os.path.exists(new_dir):
-        made.append(new_dir)
-        new_dir = os.path.dirname(new_dir)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "trajectory.csv")
-    try:
-        _write_steps_csv(path, cfg.grid.dt, ("rho", "u") if args.with_maps else ("rho",), tables())
-    except BaseException:
-        with contextlib.suppress(OSError):
-            for new_dir in made:  # deepest first
-                os.rmdir(new_dir)
-        raise
-    print(path)
-    return 0
+    prefixes = ("rho", "u") if args.with_maps else ("rho",)
+    return _write_outputs(_out_dir(args, cfg), [
+        ("trajectory.csv", lambda path: _write_steps_csv(path, cfg.grid.dt, prefixes, tables())),
+    ])
 
 
 def _cmd_compare(args) -> int:
     set_a = load_kernels(args.kernels_a)
     set_b = load_kernels(args.kernels_b)
     report = compare(set_a, set_b, threshold=args.threshold)
-    os.makedirs(args.out, exist_ok=True)
 
     def cell(v):
         return "" if v is None else _fmt(v)
@@ -251,44 +247,29 @@ def _cmd_compare(args) -> int:
         [str(k), cell(na), cell(ta), cell(nb), cell(tb), cell(d)]
         for (k, na, ta, nb, tb, d) in report.rows()
     ]
-    path = os.path.join(args.out, "comparison.csv")
-    _write_csv(
-        path,
-        ["k", "norm_a_mid", "norm_a_term", "norm_b_mid", "norm_b_term", "diff_mid"],
-        _lines(rows),
-    )
-    spath = os.path.join(args.out, "comparison_summary.csv")
-    _write_csv(
-        spath,
-        ["set", "first_k_below_threshold", "threshold"],
-        _lines([
-            ["a", "" if report.first_below_a is None else str(report.first_below_a), _fmt(report.threshold)],
-            ["b", "" if report.first_below_b is None else str(report.first_below_b), _fmt(report.threshold)],
-        ]),
-    )
-    print(path)
-    print(spath)
-    return 0
+    summary = [
+        [name, "" if first is None else str(first), _fmt(report.threshold)]
+        for name, first in (("a", report.first_below_a), ("b", report.first_below_b))
+    ]
+    return _write_outputs(args.out, [
+        ("comparison.csv", _table(
+            ["k", "norm_a_mid", "norm_a_term", "norm_b_mid", "norm_b_term", "diff_mid"], rows)),
+        ("comparison_summary.csv", _table(
+            ["set", "first_k_below_threshold", "threshold"], summary)),
+    ])
 
 
 def _cmd_dyck(args) -> int:
     m = args.semilength
-    count = catalan(m)
     if args.count_only:
-        print(f"{m},{count}")
+        print(f"{m},{catalan(m)}")
         return 0
-    paths = enumerate_dyck(m) if args.list_paths else None
-    os.makedirs(args.out, exist_ok=True)
-    rows = [[str(mm), str(catalan(mm))] for mm in range(0, m + 1)]
-    cpath = os.path.join(args.out, "dyck_counts.csv")
-    _write_csv(cpath, ["semilength", "count"], _lines(rows))
-    print(cpath)
-    if paths is not None:
-        prow = [[str(i), " ".join(f"{s:+d}" for s in p)] for i, p in enumerate(paths)]
-        ppath = os.path.join(args.out, "dyck_paths.csv")
-        _write_csv(ppath, ["index", "steps"], _lines(prow))
-        print(ppath)
-    return 0
+    counts = [[str(mm), str(catalan(mm))] for mm in range(m + 1)]
+    files = [("dyck_counts.csv", _table(["semilength", "count"], counts))]
+    if args.list_paths:
+        rows = [[str(i), " ".join(f"{s:+d}" for s in p)] for i, p in enumerate(enumerate_dyck(m))]
+        files.append(("dyck_paths.csv", _table(["index", "steps"], rows)))
+    return _write_outputs(args.out, files)
 
 
 @functools.cache

@@ -7,8 +7,8 @@ file that cannot be read or written) as ``error: io: ...`` with exit code 1,
 and a MemoryError (an allocation the machine cannot make) as
 ``error: memory: ...`` with exit code 2.  "non_finite" is raised as a
 ValidationError for inputs (exit 1: a system, a kernel file) and as a
-NumericalError for computed results (exit 2: eta coefficients, a path
-sum, solved kernels); a config or kernel file that is not UTF-8 text is
+NumericalError for computed results (exit 2: eta coefficients, influence
+factors, a path sum, solved kernels); a config or kernel file that is not UTF-8 text is
 a ParseError (exit 1).
 """
 

@@ -148,11 +148,15 @@ def _influence(sys, eta, horizon, g1):
 
     ``pairs[s][a_k, a_k']`` is the factor of two points s = k - k' apart, a
     (horizon + 1, d, d) stack with ones at s = 0; the whole-step propagator
-    G1 linking neighbours is merged into ``pairs[1]``.
+    G1 linking neighbours is merged into ``pairs[1]``.  Raises NumericalError
+    ("non_finite") if a factor overflows, before any path is summed.
     """
-    self_w = influence_self_weights(sys, eta[0])
-    pairs = np.ones((horizon + 1, self_w.size, self_w.size), dtype=complex)
-    pairs[1:] = influence_pair_matrix(sys, eta[1 : horizon + 1])
+    with np.errstate(all="ignore"):
+        self_w = influence_self_weights(sys, eta[0])
+        pairs = np.ones((horizon + 1, self_w.size, self_w.size), dtype=complex)
+        pairs[1:] = influence_pair_matrix(sys, eta[1 : horizon + 1])
+    if not (np.isfinite(self_w).all() and np.isfinite(pairs).all()):
+        raise NumericalError("non_finite: influence factors are not finite")
     if horizon >= 1:
         pairs[1] *= g1
     return self_w, pairs

@@ -9,7 +9,9 @@ form.  Window coefficients come one at a time from a spectral-domain single
 integral (scipy.integrate.quad) instead of second differences of Q; and the
 time-domain eta table integrates C(t - t') over the windows by nested Gauss
 rules, with C(t) itself from its own frequency quadrature (or closed form at
-T = 0).  The path-sum reference gives every forward-backward path its own
+T = 0).  That frequency quadrature takes its Gauss-Legendre rule, up to
+32768 nodes, from Newton's method on P_order, where production's window
+rules of at most 192 nodes come from numpy.  The path-sum reference gives every forward-backward path its own
 weight, written out from the definition, instead of building weights from
 factor matrices in blocks.  The convolution reference rebuilds a sequence
 from its kernels one matrix product at a time, instead of one stacked
@@ -21,14 +23,61 @@ of rows per call.
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from ifkernels.bath import BathSpec, EtaTable, _gauss_nodes, eta_table_from_correlation
+from ifkernels.bath import BathSpec, EtaTable, eta_table_from_correlation
 from ifkernels.combinatorics import expand_hierarchy
 from ifkernels.errors import QuadratureError
 from ifkernels.kernels import propagate_blocks
+
+
+def _legendre(order: int, x: np.ndarray):
+    """P_order(x) and its derivative by the three-term recurrence (|x| < 1)."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, order):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+
+@lru_cache(maxsize=64)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_order from x_k = cos(pi (4k - 1) / (4 order + 2)),
+    for the nonnegative half of the nodes, mirrored; the weights are
+    2 / ((1 - x^2) P'(x)^2).  O(order) memory and O(order^2) work, where
+    the companion-matrix eigensolve takes an order x order matrix and
+    O(order^3) work.
+    """
+    k = np.arange(1, (order + 1) // 2 + 1)
+    x = np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
+    for _ in range(20):  # 3 to 5 steps from these guesses up to 32768 nodes
+        p, dp = _legendre(order, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:  # rounding level: steps settle near 1e-16
+            break
+    else:
+        raise QuadratureError(f"quadrature_failed: Gauss-Legendre nodes of order {order}")
+    _, dp = _legendre(order, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    mid = order % 2  # odd orders: the last node of the half is the origin
+    if mid:
+        x[-1] = 0.0
+    return (
+        np.concatenate((-x, x[::-1][mid:])),
+        np.concatenate((w, w[::-1][mid:])),
+    )
+
+
+def _gauss_nodes(order: int, a: float, b: float):
+    x, w = _leggauss(order)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
+
 
 # Frequency quadrature of C(t): node-doubling Gauss rule on [0, 40 omega_c].
 OMEGA_CUTOFF_FACTOR = 40.0

@@ -7,7 +7,6 @@ from scipy.special import loggamma
 
 from ifkernels import BathSpec, EtaTable, SpectralDensity
 from ifkernels.bath import (
-    _leggauss,
     _re_loggamma_shift,
     bump_correlation,
     eta_table,
@@ -20,6 +19,7 @@ from ifkernels.liouville import TimeGrid, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import (
+    _leggauss,
     bath_correlation,
     eta_truncated,
     matsubara_correlation,

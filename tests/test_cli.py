@@ -507,8 +507,8 @@ class TestBlockWriter:
     @pytest.mark.parametrize("passes", [1, 2])
     @pytest.mark.parametrize("case", PROPAGATE_CASES)
     @pytest.mark.parametrize("with_maps", [False, True])
-    def test_formatter_processes_match_per_cell_writer(self, tmp_path, monkeypatch, kernel_files,
-                                                       passes, case, with_maps):
+    def test_slices_match_per_cell_writer(self, tmp_path, monkeypatch, kernel_files, passes,
+                                          case, with_maps):
         # 100 steps in 16-step chunks are step 0 and blocks of 16 x 6 and 4
         # rows; the writer regroups them into slices of 16 // passes rows, so
         # that the slices cut across the blocks, and only the last is shorter
@@ -603,8 +603,7 @@ def _interrupted_after(blocks, engine):
 
 class TestPropagateFailures:
     @pytest.mark.parametrize("failure", ["diverged", "worker_memory", "interrupt"])
-    def test_failures_with_formatter_pool_leave_nothing(self, tmp_path, capsys, monkeypatch,
-                                                         failure):
+    def test_failures_after_rows_leave_nothing(self, tmp_path, capsys, monkeypatch, failure):
         # a failure after rows were written (U_1024 overflows in the fourth
         # block; the formatter, which runs in this process, cannot allocate;
         # Ctrl-C arrives at engine block 3) leaves no partial file and none of
@@ -780,7 +779,7 @@ class TestCli:
         assert len(norms) == 5
         assert all(float(line.split(",")[1]) < 1e-12 for line in norms[2:])
 
-    def test_ttm_extract_flags_first_kernel_element(self, tmp_path):
+    def test_ttm_extract_flags_first_kernel_element(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.flavor": "ttm"}))
         out = tmp_path / "out"
@@ -789,6 +788,74 @@ class TestCli:
         assert lines[0] == "k,norm_K,note"
         assert lines[1].endswith("same_formula_unverified")
         assert lines[2].endswith(",")
+        names = ["kernels.txt", "kernel_norms.csv", "gqme_kernel_norms.csv"]
+        assert capsys.readouterr().out == "".join(f"{out / name}\n" for name in names)
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("extract", "kernel_norms.csv"),
+        ("extract --flavor ttm", "gqme_kernel_norms.csv"),
+        ("compare", "comparison_summary.csv"),
+        ("dyck --list", "dyck_paths.csv"),
+    ])
+    def test_failed_later_file_removes_earlier_files(self, tmp_path, capsys, command, blocked):
+        # a later output path is a directory, so opening it fails after the
+        # command wrote its earlier files: exit 1 with one io: line, no path
+        # printed, and every file the command wrote removed; the directories
+        # that were there stay
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        kdir = tmp_path / "k"
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(kdir), "--rmax", "2"]) == 0
+        kernels = str(kdir / "kernels.txt")
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = command.split() + {
+            "extract": ["--config", str(cfg), "--rmax", "2"],
+            "compare": ["--kernels-a", kernels, "--kernels-b", kernels],
+            "dyck": ["--semilength", "3"],
+        }[command.split()[0]] + ["--out", str(out)]
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: io: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert not any((out / blocked).iterdir())
+
+    def test_closed_stdout_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        # the paths are printed once every file is written; a reader that has
+        # gone (a broken pipe) fails the command, which then leaves nothing
+        class Gone:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Gone())
+        out = tmp_path / "out" / "a"
+        assert cli_main(["dyck", "--semilength", "3", "--list", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: io: [Errno 32] Broken pipe\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_open_keeps_that_file(self, tmp_path, capsys, monkeypatch):
+        # a file the command cannot open (someone's read-only file) was never
+        # the command's: the failure removes the file written before it, not
+        # that one
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config())
+        out = tmp_path / "out"
+        out.mkdir()
+        kept = out / "kernel_norms.csv"
+        kept.write_text("kept\n")
+
+        def read_only(path, *args, **kwargs):
+            if os.path.basename(path) == kept.name:
+                raise PermissionError(13, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", read_only, raising=False)
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(out), "--rmax", "2"]) == 1
+        assert capsys.readouterr().err == f"error: io: [Errno 13] Permission denied: '{kept}'\n"
+        assert [p.name for p in out.iterdir()] == [kept.name]
+        assert kept.read_text() == "kept\n"
 
     @pytest.mark.parametrize("case", ["kernels_a_is_dir", "config_is_dir", "out_under_file",
                                       "out_is_file", "kernels_missing", "permission"])
@@ -886,17 +953,21 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["extract", "oracle"])
-    def test_non_finite_path_sum_exit_2(self, tmp_path, capsys, command):
-        # beta = 1e-308 overflows the influence factors: the path sum is not
-        # finite, a numerical error with the non_finite code, and no output
+    def test_non_finite_path_sum_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # beta = 1e-308 overflows the influence factors: caught where they are
+        # built, before any path is summed, with no numpy warning (the suite's
+        # error::RuntimeWarning filter fails on one), and no output
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"bath.beta": "1e-308"}))
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+
+        def forbidden(*args):
+            raise AssertionError("no path may be summed on non-finite factors")
+
+        monkeypatch.setattr(pathsum, "_PathSums", forbidden)
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: non_finite: path sum contains non-finite entries\n"
+        assert err == "error: non_finite: influence factors are not finite\n"
         assert not out.exists()
 
     def test_validation_exit_code(self, tmp_path):
