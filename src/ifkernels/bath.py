@@ -325,32 +325,20 @@ def eta_table(bath: BathSpec, grid: TimeGrid, splitting: str) -> EtaTable:
 # ---------------------------------------------------------------------------
 
 
-def _fb_coupling_values(sys: SystemSpec):
-    s = np.asarray(sys.coupling_eigenvalues, dtype=float)
-    s_fwd = np.repeat(s, sys.n)
-    s_bwd = np.tile(s, sys.n)
-    return s_fwd, s_bwd
-
-
-def influence_self_weights(sys: SystemSpec, eta: complex) -> np.ndarray:
-    """Length-n^2 vector of single-point influence weights exp(-ds(eta s+ - eta* s-))."""
-    s_fwd, s_bwd = _fb_coupling_values(sys)
-    ds = s_fwd - s_bwd
-    return np.exp(-ds * (eta * s_fwd - np.conj(eta) * s_bwd))
-
-
 def influence_pair_matrix(sys: SystemSpec, eta) -> np.ndarray:
     """(n^2, n^2) matrix of pairwise influence factors for each coefficient.
 
     I[a, a'] = exp(-ds_a (eta s+_a' - conj(eta) s-_a')) with ds_a = s+_a - s-_a,
     over forward-backward pairs in the flat order a = forward * n + backward.
-    An array of coefficients gives one matrix per entry, in one broadcast:
-    shape ``eta.shape + (n^2, n^2)``.
+    The diagonal of the matrix of ``interior[0]`` holds the single-point
+    weights.  An array of coefficients gives one matrix per entry, in one
+    broadcast: shape ``eta.shape + (n^2, n^2)``.
     """
-    s_fwd, s_bwd = _fb_coupling_values(sys)
+    s = np.asarray(sys.coupling_eigenvalues, dtype=float)
+    s_fwd, s_bwd = np.repeat(s, sys.n), np.tile(s, sys.n)
     ds = s_fwd - s_bwd
     eta = np.asarray(eta)[..., None, None]
-    return np.exp(-(ds[:, None] * (eta * s_fwd - np.conj(eta) * s_bwd)))
+    return np.exp(-ds[:, None] * (eta * s_fwd - np.conj(eta) * s_bwd))
 
 
 # ---------------------------------------------------------------------------

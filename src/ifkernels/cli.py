@@ -214,7 +214,7 @@ def _cmd_propagate(args) -> int:
     if kset.dim != cfg.system.dim:
         raise ValidationError("kernel file dimension differs from configured system")
 
-    g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.splitting == "sym_sys" else None
+    g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.dressed else None
     rho0 = cfg.initial_state
     # rho_n from its own pass on vec(rho_0), so its bytes do not depend on
     # --with-maps; the maps are a second pass, on the identity

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import SPLITTINGS, EtaTable, influence_pair_matrix, influence_self_weights
+from .bath import SPLITTINGS, EtaTable, influence_pair_matrix
 from .errors import (
     Aux0SingularError,
     DimMismatchError,
@@ -122,10 +122,9 @@ class KernelSet:
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "ttm" and self.termination is not None:
             raise ValidationError("ttm flavor carries a single matrix set")
-        dressed = self.flavor == "smatpi" and self.splitting == "sym_sys"
-        if self.flavor == "smatpi" and not dressed and self.termination is None:
+        if self.flavor == "smatpi" and not self.dressed and self.termination is None:
             raise ValidationError(f"smatpi {self.splitting} kernels need termination matrices")
-        if self.aux0 is None and (dressed or self.aux_zero_convention == "terminal_times_I0"):
+        if self.aux0 is None and (self.dressed or self.aux_zero_convention == "terminal_times_I0"):
             raise ValidationError("aux0 matrix missing: terminal_times_I0 and sym_sys need it")
         d = None
         for name in ("midpoint", "termination", "aux0"):
@@ -147,6 +146,11 @@ class KernelSet:
     @property
     def dim(self):
         return self.midpoint.shape[1]
+
+    @property
+    def dressed(self) -> bool:
+        """smatpi sym_sys: the only sets whose propagation reads the half-step propagator."""
+        return self.flavor == "smatpi" and self.splitting == "sym_sys"
 
 
 def _inverse(y, b=None, tail=None) -> np.ndarray:
@@ -210,8 +214,8 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
     order 1:  T_1[i, j] = I0_i G1[i, j]
     order 2:  T_2[i, j] = sum_k I0_i I0_k (I1[i, k] - 1) G1[i, k] G1[k, j]
 
-    where I0 are the single-point factors of ``interior[0]`` and I1 the pair
-    factors of ``interior[1]`` of the translationally invariant table.
+    where I0 is the diagonal of the pair factors of ``interior[0]`` and I1
+    the pair factors of ``interior[1]`` of the translationally invariant table.
     """
     if eta_asym.splitting != "asym":
         raise SplittingMismatchError(
@@ -220,7 +224,7 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
     g1 = fb_propagator(sys, eta_asym.dt)
-    i0 = influence_self_weights(sys, eta_asym.interior[0])
+    i0 = influence_pair_matrix(sys, eta_asym.interior[0]).diagonal()
     if order == 1:
         return i0[:, None] * g1
     i1 = influence_pair_matrix(sys, eta_asym.interior[1])
@@ -246,7 +250,7 @@ def _companion_rows(first: np.ndarray, wide: np.ndarray, count: int) -> np.ndarr
     rows = np.empty((count,) + first.shape, dtype=complex)
     rows[0] = first
     for k in range(1, count):
-        rows[k] = rows[k - 1][:, :d] @ wide
+        np.matmul(rows[k - 1][:, :d], wide, out=rows[k])
         rows[k][:, :-d] += rows[k - 1][:, d:]
     return rows
 
@@ -295,8 +299,7 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     """
     from .pathsum import SIZE_LIMIT
 
-    dressed = kernels.flavor == "smatpi" and kernels.splitting == "sym_sys"
-    if dressed and g_half is None:
+    if kernels.dressed and g_half is None:
         raise ValidationError("sym_sys propagation needs the half-step propagator")
     r_max, d = kernels.r_max, kernels.dim
     count = max(min(CHUNK, horizon), 1)
@@ -309,16 +312,16 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     block = np.eye(d, dtype=complex) if right is None else np.asarray(right, dtype=complex)
     if block.ndim != 2 or block.shape[0] != d:
         raise DimMismatchError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
-    if dressed:  # the dressing's right factor G_half goes into the state: aux_n G_half V
+    if kernels.dressed:  # the dressing's right factor G_half goes into the state: aux_n G_half V
         block = g_half @ block
     terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
     state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
     state[0] = kernels.aux0 @ block if terminal else block
     # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
-    first_out = g_half @ kernels.aux0 @ block if dressed else None
+    first_out = g_half @ kernels.aux0 @ block if kernels.dressed else None
     wide = _wide(kernels.midpoint)
     first = wide  # P_1 = e_0 C: the recurrence itself
-    if dressed:  # G_half e_0 C^(k-1) picks G_half X_{n+k-1}
+    if kernels.dressed:  # G_half e_0 C^(k-1) picks G_half X_{n+k-1}
         emit = np.zeros_like(wide)
         emit[:, :d] = g_half
         first = np.concatenate((wide, emit))

@@ -116,7 +116,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import EtaTable, influence_pair_matrix, influence_self_weights
+from .bath import EtaTable, influence_pair_matrix
 from .errors import EtaMissingError, NumericalError, PathSumBudgetError, ValidationError
 from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
 
@@ -144,22 +144,21 @@ def _check_budget(n: int, steps: int, budget: int):
 
 
 def _influence(sys, eta, horizon, g1):
-    """(self weights, pair factors by separation 0..horizon) of one coefficient array.
+    """Pair factors by separation 0..horizon of one coefficient array.
 
     ``pairs[s][a_k, a_k']`` is the factor of two points s = k - k' apart, a
-    (horizon + 1, d, d) stack with ones at s = 0; the whole-step propagator
-    G1 linking neighbours is merged into ``pairs[1]``.  Raises NumericalError
-    ("non_finite") if a factor overflows, before any path is summed.
+    (horizon + 1, d, d) stack; the diagonal of ``pairs[0]`` holds the self
+    weights, and the whole-step propagator G1 linking neighbours is merged
+    into ``pairs[1]``.  Raises NumericalError ("non_finite") if a factor
+    that is read overflows, before any path is summed.
     """
     with np.errstate(all="ignore"):
-        self_w = influence_self_weights(sys, eta[0])
-        pairs = np.ones((horizon + 1, self_w.size, self_w.size), dtype=complex)
-        pairs[1:] = influence_pair_matrix(sys, eta[1 : horizon + 1])
-    if not (np.isfinite(self_w).all() and np.isfinite(pairs).all()):
+        pairs = influence_pair_matrix(sys, eta[: horizon + 1])
+    if not (np.isfinite(pairs[0].diagonal()).all() and np.isfinite(pairs[1:]).all()):
         raise NumericalError("non_finite: influence factors are not finite")
     if horizon >= 1:
         pairs[1] *= g1
-    return self_w, pairs
+    return pairs
 
 
 def _check_size(n: int, steps: int, ends: int):
@@ -190,8 +189,8 @@ class _Factors:
     """
 
     g1: np.ndarray
-    inner: tuple
-    end: tuple
+    inner: np.ndarray
+    end: np.ndarray
     bare_origin: bool
 
 
@@ -204,10 +203,9 @@ def _factors(sys: SystemSpec, table: EtaTable, horizon: int) -> _Factors:
 
 def _aux0(f: _Factors) -> LiouvilleMatrix:
     """Index-0 auxiliary: the single-point factor matrix (identity on a bare origin)."""
-    self_w = f.inner[0]
     if f.bare_origin:
-        return np.eye(self_w.size, dtype=complex)
-    return np.diag(self_w.astype(complex))
+        return np.eye(len(f.inner[0]), dtype=complex)
+    return np.diag(f.inner[0].diagonal())
 
 
 def _split(n_int: int, d: int, width: int):
@@ -259,7 +257,7 @@ class _PathSums:
 
     def __init__(self, sys: SystemSpec, f: _Factors, ends):
         n, d = sys.n, sys.dim
-        self.self_w, self.sep = f.inner
+        self.sep, self.self_w = f.inner, f.inner[0].diagonal()
         # the Δs class of each value of a point, and ``reps``: one value per class
         s = np.asarray(sys.coupling_eigenvalues)
         _, self.reps, self.classes = np.unique(np.subtract.outer(s, s).ravel(), return_index=True,
@@ -284,10 +282,10 @@ class _PathSums:
         # of s steps alone; to_end[s - 1][a, e, a_N], the factors of a point s steps
         # before the measured end with it; to_origin[s - 1][a, a_0], the self
         # weight of interior point s and its factor with the origin
-        self.base = np.concatenate([end_self[a_end] * (origin if f.bare_origin else pairs)
-                                    [1:, a_end, a_0] * self0[a_0]
-                                    for end_self, pairs in ends], axis=1)
-        self.to_end = np.stack([pairs[1:-1].transpose(0, 2, 1) for _, pairs in ends], axis=2)
+        self.base = np.concatenate([
+            pairs[0].diagonal()[a_end] * (origin if f.bare_origin else pairs)[1:, a_end, a_0]
+            * self0[a_0] for pairs in ends], axis=1)
+        self.to_end = np.stack([pairs[1:-1].transpose(0, 2, 1) for pairs in ends], axis=2)
         self.to_origin = origin[1:-1] * self.self_w[:, None]
         self._kept, self._used = {}, {}
 

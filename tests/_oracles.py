@@ -115,9 +115,13 @@ def _spectral_integral(alpha, wc, beta, phi):
     def f_im(w):
         return -(1.0 / np.pi) * j(w) * phi(w).imag
 
-    kw = dict(limit=400, epsabs=1e-14, epsrel=1e-13)
-    re = quad(f_re, 0.0, 40.0 * wc, **kw)[0]
-    im = quad(f_im, 0.0, 40.0 * wc, **kw)[0]
+    # 32 equal pieces, one quad each: at separations of about 40 the window
+    # phase has some 1300 periods on [0, 40 omega_c], more than one call's
+    # subdivision limit resolves
+    edges = np.linspace(0.0, 40.0 * wc, 33)
+    kw = dict(limit=400, epsabs=1e-14 / 32, epsrel=1e-13)
+    re = sum(quad(f_re, a, b, **kw)[0] for a, b in zip(edges[:-1], edges[1:]))
+    im = sum(quad(f_im, a, b, **kw)[0] for a, b in zip(edges[:-1], edges[1:]))
     return complex(re, im)
 
 

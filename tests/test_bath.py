@@ -12,7 +12,6 @@ from ifkernels.bath import (
     eta_table,
     eta_table_from_correlation,
     influence_pair_matrix,
-    influence_self_weights,
 )
 from ifkernels.errors import EtaMissingError, ValidationError
 from ifkernels.liouville import TimeGrid, liou_norm
@@ -228,9 +227,6 @@ class TestSpectralRoute:
         assert np.all(np.abs(got - (big.real - small)) <= tol)
         assert got[0] == 0.0
 
-    # quad meets its subdivision limit at separation 40 (about 1300 periods of
-    # the window phase on [0, 40 omega_c]); its values still agree to ~2e-15
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("beta", [0.5, np.inf])
     def test_long_horizon_against_quad(self, beta):
         bath = BathSpec(SpectralDensity("ohmic_exponential", 0.1, 5.0), beta)
@@ -291,7 +287,7 @@ class TestInfluenceFactors:
                     assert abs(f[swap(a), swap(b)] - np.conj(f[a, b])) < 1e-12
 
     def test_self_factor_magnitude_bound(self, tables, sys2):
-        w = influence_self_weights(sys2, tables["sym_env"].interior[0])
+        w = influence_pair_matrix(sys2, tables["sym_env"].interior[0]).diagonal()
         assert w.shape == (4,)
         assert np.max(np.abs(w)) <= 1.0 + 1e-12
         assert w[0] == w[3] == 1.0  # ds = 0 pairs carry no self weight

@@ -473,6 +473,20 @@ class TestBlockWriter:
         got = _trajectory_bytes(cfg, kpath, tmp_path, with_maps)
         assert got == _per_cell_trajectory(cfg, kpath, with_maps)
 
+    @pytest.mark.parametrize("with_maps", [False, True])
+    def test_sym_sys_ttm_builds_no_half_step(self, tmp_path, monkeypatch, kernel_files,
+                                             with_maps):
+        # only dressed (smatpi sym_sys) sets read G_half; a sym_sys ttm set
+        # propagates the same bytes without one
+        cfg, kpath = kernel_files[("sym_sys", "ttm", None)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ttm set needs no half-step propagator")
+
+        monkeypatch.setattr(cli, "fb_propagator", forbidden)
+        got = _trajectory_bytes(cfg, kpath, tmp_path, with_maps)
+        assert got == _per_cell_trajectory(cfg, kpath, with_maps)
+
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
     def test_block_edges(self, tmp_path, monkeypatch, kernel_files, chunk, n_steps):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ifkernels import BathSpec, SpectralDensity, SystemSpec
-from ifkernels.bath import eta_table, influence_pair_matrix, influence_self_weights
+from ifkernels.bath import eta_table, influence_pair_matrix
 from ifkernels.kernels import extract_kernels
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
@@ -64,7 +64,7 @@ class TestZeroTemperature:
         table = eta_table(bath, grid, "asym")
         # self coefficient has positive real part at T = 0
         assert table.interior[0].real > 0
-        w0 = influence_self_weights(sys2, table.interior[0])
+        w0 = influence_pair_matrix(sys2, table.interior[0]).diagonal()
         assert np.max(np.abs(w0)) <= 1.0 + 1e-12
         kset, seed, _ = extract_kernels(sys2, table, 4, "ttm")
         rebuilt = propagate(kset, 4)

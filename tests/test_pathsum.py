@@ -114,10 +114,8 @@ class TestStructure:
             assert liou_norm(full[n - 1] - aux[n - 1]) == 0.0
 
     def test_asym_first_step_closed_form(self, sys2, tables):
-        from ifkernels.bath import influence_self_weights
-
         u1 = oracle_trajectory(sys2, tables["asym"], 1)[0][0]
-        i0 = influence_self_weights(sys2, tables["asym"].interior[0])
+        i0 = influence_pair_matrix(sys2, tables["asym"].interior[0]).diagonal()
         g1 = fb_propagator(sys2, 0.1)
         assert liou_norm(u1 - i0[:, None] * g1) < 1e-15
 
@@ -257,13 +255,13 @@ class TestGrouping:
     @pytest.mark.parametrize("splitting", SPLITTINGS)
     def test_pair_factors_match_per_separation_calls(self, splitting, system, request,
                                                      bath_default):
-        # one broadcast over all separations gives the bits of one call each
+        # one broadcast over all separations, the self weights' separation 0
+        # included, gives the bits of one call each
         sys_ = request.getfixturevalue(system)
         tab = eta_table(bath_default, TimeGrid(0.1, 11, 11), splitting)
         f = pathsum._factors(sys_, tab, 11)
-        for coeffs, (_, pairs) in ((tab.interior, f.inner), (tab.right, f.end)):
-            expected = np.stack([np.ones((sys_.dim,) * 2, dtype=complex)]
-                                + [influence_pair_matrix(sys_, coeffs[s]) for s in range(1, 12)])
+        for coeffs, pairs in ((tab.interior, f.inner), (tab.right, f.end)):
+            expected = np.stack([influence_pair_matrix(sys_, coeffs[s]) for s in range(12)])
             expected[1] *= fb_propagator(sys_, 0.1)
             assert pairs.tobytes() == expected.tobytes()
 
