@@ -209,7 +209,7 @@ def _cmd_extract(args) -> int:
 def _cmd_propagate(args) -> int:
     cfg = load_config(args.config)
     kset = load_kernels(args.kernels)
-    if abs(kset.dt - cfg.grid.dt) > 1e-15:
+    if kset.dt != cfg.grid.dt:
         raise ValidationError(f"kernel file dt {kset.dt} differs from config dt {cfg.grid.dt}")
     if kset.dim != cfg.system.dim:
         raise ValidationError("kernel file dimension differs from configured system")

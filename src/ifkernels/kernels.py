@@ -98,8 +98,9 @@ class KernelSet:
     read-only (dim, dim) index-0 auxiliary matrix: the tail factor of the
     terminal_times_I0 convention, and for smatpi sym_sys (either
     convention) the inner factor of U_1 = G_half aux_0 G_half.  A set
-    carries everything propagation needs: termination matrices for smatpi
-    sym_env/asym, aux0 where the convention or the dressing uses it.
+    carries everything propagation needs: the aux_zero_convention of a
+    smatpi set, termination matrices for smatpi sym_env/asym, aux0 where the
+    convention or the dressing uses it.
     """
 
     splitting: str
@@ -142,6 +143,8 @@ class KernelSet:
             object.__setattr__(self, name, stack[0] if name == "aux0" else stack)
         if self.aux_zero_convention is not None and self.aux_zero_convention not in AUX0_CONVENTIONS:
             raise ValidationError(f"unknown aux_zero_convention {self.aux_zero_convention!r}")
+        if self.flavor == "smatpi" and self.aux_zero_convention is None:
+            raise ValidationError("smatpi kernels need an aux_zero_convention")
 
     @property
     def dim(self):
@@ -369,7 +372,8 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
 
     ``threshold`` (finite, > 0) is relative to each set's own k = 1
     midpoint norm; the report records the first index below it for each
-    set.  The sets must share a splitting; their flavors may differ.
+    set.  The sets must share a splitting and exactly the same dt; their
+    flavors may differ.
     """
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValidationError(f"threshold must be finite and > 0, got {threshold!r}")
@@ -377,7 +381,7 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
         raise SplittingMismatchError(
             f"splitting_mismatch: kernel sets are {set_a.splitting!r} and {set_b.splitting!r}"
         )
-    if abs(set_a.dt - set_b.dt) > 1e-15:
+    if set_a.dt != set_b.dt:
         raise ValidationError("kernel sets differ in dt")
     if set_a.dim != set_b.dim:
         raise DimMismatchError("dim_mismatch: kernel sets differ in dimension")

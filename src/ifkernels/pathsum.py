@@ -112,13 +112,11 @@ asym
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bath import EtaTable, influence_pair_matrix
 from .errors import EtaMissingError, NumericalError, PathSumBudgetError, ValidationError
-from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
+from .liouville import SystemSpec, check_finite, fb_propagator
 
 DEFAULT_BUDGET = 10**8
 SIZE_LIMIT = 1 << 29  # bytes of the largest dense array one path sum may ask for
@@ -178,36 +176,6 @@ def _check_size(n: int, steps: int, ends: int):
         )
 
 
-@dataclass(frozen=True)
-class _Factors:
-    """Everything the path sums of one splitting need, up to a horizon.
-
-    ``inner`` covers points 0..N-1 and their mutual pairs; ``end`` covers the
-    measured end N of the full map and its pairs with 0..N-1 (endpoint
-    flavored under sym_env, ``inner`` otherwise).  A bare origin (asym)
-    carries no influence factors, only its link G1 to point 1.
-    """
-
-    g1: np.ndarray
-    inner: np.ndarray
-    end: np.ndarray
-    bare_origin: bool
-
-
-def _factors(sys: SystemSpec, table: EtaTable, horizon: int) -> _Factors:
-    g1 = fb_propagator(sys, table.dt)
-    inner = _influence(sys, table.interior, horizon, g1)
-    end = inner if table.right is table.interior else _influence(sys, table.right, horizon, g1)
-    return _Factors(g1, inner, end, table.splitting == "asym")
-
-
-def _aux0(f: _Factors) -> LiouvilleMatrix:
-    """Index-0 auxiliary: the single-point factor matrix (identity on a bare origin)."""
-    if f.bare_origin:
-        return np.eye(len(f.inner[0]), dtype=complex)
-    return np.diag(f.inner[0].diagonal())
-
-
 def _split(n_int: int, d: int, width: int):
     """(odometer, row, column, stacked) counts for ``n_int`` interior points.
 
@@ -245,19 +213,29 @@ def _face(mats, width: int) -> np.ndarray:
 class _PathSums:
     """The path sums of one ``oracle_trajectory`` call: every map length in one pass.
 
-    ``ends`` lists the measured-end factor sets summed side by side.  Only
-    the canonical (a_N, a_0) columns ``a_end``, ``a_0`` are summed; the
-    others are their mirrors, with both point values swapped (f, b) -> (b, f).
-    Its lengths run up to the horizon of the factors.  The factors of a point
-    with either end are tabulated once, by separation.  The pair-factor
-    tables of runs of consecutive points depend on separations alone, so the
-    map lengths share them: each length keeps the ones it used and drops the
-    rest, and a table lives as long as the lengths that share it.
+    The sums build their own factors from ``table`` up to ``horizon``: G1,
+    the interior pair factors and, where ``table.right is not
+    table.interior``, the endpoint-flavored set, summed side by side with
+    the interior set and placed before it.  A bare origin (asym)
+    carries no influence factors, only its link G1 to point 1; ``aux0`` is the
+    index-0 auxiliary, the single-point factor matrix (the identity on a bare
+    origin).  Only the canonical (a_N, a_0) columns ``a_end``, ``a_0`` are
+    summed; the others are their mirrors, with both point values swapped
+    (f, b) -> (b, f).  The factors of a point with either end are tabulated
+    once, by separation.  The pair-factor tables of runs of consecutive points
+    depend on separations alone, so the map lengths share them: each length
+    keeps the ones it used and drops the rest, and a table lives as long as
+    the lengths that share it.
     """
 
-    def __init__(self, sys: SystemSpec, f: _Factors, ends):
+    def __init__(self, sys: SystemSpec, table: EtaTable, horizon: int):
         n, d = sys.n, sys.dim
-        self.sep, self.self_w = f.inner, f.inner[0].diagonal()
+        g1 = fb_propagator(sys, table.dt)
+        self.sep = _influence(sys, table.interior, horizon, g1)
+        self.self_w = self.sep[0].diagonal()
+        ends = [self.sep]
+        if table.right is not table.interior:
+            ends.insert(0, _influence(sys, table.right, horizon, g1))
         # the Δs class of each value of a point, and ``reps``: one value per class
         s = np.asarray(sys.coupling_eigenvalues)
         _, self.reps, self.classes = np.unique(np.subtract.outer(s, s).ravel(), return_index=True,
@@ -271,19 +249,21 @@ class _PathSums:
         self.self_mirror = (self.mirror[0] == a_end) & (self.mirror[1] == a_0)
         self.width = self.n_ends * a_end.size
         # the origin's self weight and its factors with the later points
-        if f.bare_origin:
+        bare_origin = table.splitting == "asym"
+        if bare_origin:
             self0 = np.ones(d, dtype=complex)
             origin = np.ones_like(self.sep)
-            origin[1:2] = f.g1  # G1 alone links a bare origin to point 1
+            origin[1:2] = g1  # G1 alone links a bare origin to point 1
         else:
             self0, origin = self.self_w, self.sep
+        self.aux0 = np.diag(self0)
         # by separation s = 1..horizon (interior points sit at 1..horizon-1 from
         # both ends): base[s - 1] on the canonical columns, the two ends of a path
         # of s steps alone; to_end[s - 1][a, e, a_N], the factors of a point s steps
         # before the measured end with it; to_origin[s - 1][a, a_0], the self
         # weight of interior point s and its factor with the origin
         self.base = np.concatenate([
-            pairs[0].diagonal()[a_end] * (origin if f.bare_origin else pairs)[1:, a_end, a_0]
+            pairs[0].diagonal()[a_end] * (origin if bare_origin else pairs)[1:, a_end, a_0]
             * self0[a_0] for pairs in ends], axis=1)
         self.to_end = np.stack([pairs[1:-1].transpose(0, 2, 1) for pairs in ends], axis=2)
         self.to_origin = origin[1:-1] * self.self_w[:, None]
@@ -455,16 +435,11 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
     splitting = eta.splitting
     _check_size(sys.n, steps, 2 if splitting == "sym_env" else 1)
     _check_budget(sys.n, steps, budget)
-    f = _factors(sys, eta, steps)
-    maps = _PathSums(sys, f, [f.end, f.inner] if splitting == "sym_env" else [f.inner]).maps()
-    aux0 = _aux0(f)
-    if splitting == "sym_env":
-        full, aux = maps
-    elif splitting == "asym":
-        full, aux = maps[0], maps[0].copy()
-    else:
-        aux = maps[0]
-        g_half = fb_propagator(sys, 0.5 * eta.dt)
-        inner = np.concatenate((aux0[None], aux))[:steps]
-        full = check_finite(g_half @ inner @ g_half, "dressed path sum", NumericalError)
-    return full, aux0, aux
+    sums = _PathSums(sys, eta, steps)
+    maps = sums.maps()
+    if splitting != "sym_sys":  # the measured-end set first; asym sums one set
+        return maps[0], sums.aux0, maps[-1].copy()
+    g_half = fb_propagator(sys, 0.5 * eta.dt)
+    inner = np.concatenate((sums.aux0[None], maps[0]))[:steps]
+    full = check_finite(g_half @ inner @ g_half, "dressed path sum", NumericalError)
+    return full, sums.aux0, maps[0]

@@ -276,6 +276,19 @@ class TestBadKernelFiles:
         assert code == 1
         assert "parse: inconsistent kernel file (aux0 matrix missing" in err
 
+    @pytest.mark.parametrize("line", ["", "aux_zero_conventon = terminal_times_I0"])
+    def test_smatpi_without_convention(self, tmp_path, capsys, line):
+        # a missing or misspelt convention would propagate against the identity,
+        # not the stored aux0 block
+        cfg, kpath = _extracted(tmp_path)
+        text = kpath.read_text()
+        kpath.write_text(text.replace("aux_zero_convention = terminal_times_I0\n", line + "\n"))
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert err == ("error: parse: inconsistent kernel file"
+                       " (smatpi kernels need an aux_zero_convention)\n")
+        assert not (kpath.parent / "prop").exists()
+
     @pytest.mark.parametrize("dt", ["nan", "-0.1", "0.0", "inf"])
     def test_bad_dt_header(self, tmp_path, capsys, dt):
         # |nan - 0.1| > tol is False, so the dt checks of propagate and compare pass a nan
@@ -400,8 +413,8 @@ def _engine_run(cfg, kpath):
     """(config, kernel set, half step or None) of a propagate run."""
     config = load_config(cfg)
     kset = load_kernels(kpath)
-    dressed = kset.splitting == "sym_sys"
-    return kset, config, fb_propagator(config.system, 0.5 * config.grid.dt) if dressed else None
+    g_half = fb_propagator(config.system, 0.5 * config.grid.dt) if kset.dressed else None
+    return kset, config, g_half
 
 
 def _engine_rho(kset, config, g_half):
@@ -978,7 +991,7 @@ class TestCli:
         def forbidden(*args):
             raise AssertionError("no path may be summed on non-finite factors")
 
-        monkeypatch.setattr(pathsum, "_PathSums", forbidden)
+        monkeypatch.setattr(pathsum._PathSums, "maps", forbidden)
         assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: non_finite: influence factors are not finite\n"
@@ -1070,6 +1083,16 @@ class TestCli:
         k2 = rows[2].split(",")
         assert float(k2[1]) < 1e-12  # smatpi midpoint norm at k = 2
         assert float(k2[3]) > 1e-6  # ttm norm at k = 2
+
+    def test_propagate_needs_the_kernel_dt_exactly(self, tmp_path, capsys):
+        # 1e-16 and 9e-16 differ by less than the old absolute tolerance, 1e-15
+        _, kpath = _extracted(tmp_path, **{"grid.dt": "1e-16"})
+        cfg = tmp_path / "other.txt"
+        cfg.write_text(small_config(**{"grid.dt": "9e-16"}))
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert err == "error: kernel file dt 1e-16 differs from config dt 9e-16\n"
+        assert not (kpath.parent / "prop").exists()
 
     def test_compare_splitting_mismatch(self, tmp_path, capsys):
         _, ka = _extracted(tmp_path / "a", **{"run.flavor": "ttm"})

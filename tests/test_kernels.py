@@ -584,6 +584,13 @@ class TestCompare:
         with pytest.raises(ValidationError):
             compare(kset, other)
 
+    def test_dt_compared_exactly(self, sys2, bath_default):
+        # steps of 1e-16 and 9e-16 differ by less than the old absolute tolerance, 1e-15
+        a, b = (extract_kernels(sys2, eta_table(bath_default, TimeGrid(dt, 4, 4), "sym_env"), 4,
+                                "ttm")[0] for dt in (1e-16, 9e-16))
+        with pytest.raises(ValidationError, match="kernel sets differ in dt"):
+            compare(a, b)
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
         kset = KernelSet("sym_env", 0.1, 2, [np.eye(4)] * 2, None, "ttm")
@@ -630,6 +637,11 @@ class TestKernelSet:
         with pytest.raises(ValidationError, match=f"non_finite: {field} matrix contains non-finite"):
             KernelSet("sym_env", 0.1, 2, fields["midpoint"], fields["termination"], "smatpi",
                       "terminal_times_I0", fields["aux0"])
+
+    def test_smatpi_needs_a_convention(self):
+        mats = (np.eye(4),)
+        with pytest.raises(ValidationError, match="smatpi kernels need an aux_zero_convention"):
+            KernelSet("sym_env", 0.1, 1, mats, mats, "smatpi", aux0=np.eye(4))
 
     def test_rejects_empty_set(self):
         with pytest.raises(ValidationError, match="r_max must be >= 1"):

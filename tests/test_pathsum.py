@@ -259,8 +259,8 @@ class TestGrouping:
         # included, gives the bits of one call each
         sys_ = request.getfixturevalue(system)
         tab = eta_table(bath_default, TimeGrid(0.1, 11, 11), splitting)
-        f = pathsum._factors(sys_, tab, 11)
-        for coeffs, pairs in ((tab.interior, f.inner), (tab.right, f.end)):
+        for coeffs in (tab.interior, tab.right):
+            pairs = pathsum._influence(sys_, coeffs, 11, fb_propagator(sys_, 0.1))
             expected = np.stack([influence_pair_matrix(sys_, coeffs[s]) for s in range(12)])
             expected[1] *= fb_propagator(sys_, 0.1)
             assert pairs.tobytes() == expected.tobytes()
