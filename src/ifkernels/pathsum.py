@@ -106,8 +106,10 @@ sym_sys
     joins k+1 points with whole-step propagators and uniform-window factors.
     The length-0 auxiliary is the diagonal matrix of single-point factors.
 asym
-    The initial point carries no influence factors at all (I_{k,0} = 1); the
-    auxiliary coincides with the full map.
+    The initial point carries no influence factors (I_{k,0} = 1) and enters
+    through G1 alone: U_N = W_{N-1} . G1, with W the sum sym_sys sums (W_0
+    the single-point factor matrix), refilled from its canonical columns.
+    The auxiliary coincides with the full map, and aux_0 is the identity.
 """
 
 from __future__ import annotations
@@ -125,13 +127,15 @@ _BATCH = 1 << 16
 
 def config_count(n: int, steps: int) -> int:
     """Number of summed interior configurations, n^(2 (steps-1)), exactly."""
-    if steps <= 1:
-        return 1
-    return (n * n) ** (steps - 1)
+    return (n * n) ** max(steps - 1, 0)
 
 
 def _check_budget(n: int, steps: int, budget: int):
-    """Refuse a path sum of ``steps`` >= 1 steps before any enumeration."""
+    """Refuse a path sum of ``steps`` >= 1 steps before any enumeration.
+
+    Every splitting counts n^(2 (steps-1)) configurations per map, so one
+    budget refuses the same runs under each; asym sums n^2 times fewer.
+    """
     if steps < 1:
         return
     count = config_count(n, steps)
@@ -154,8 +158,7 @@ def _influence(sys, eta, horizon, g1):
         pairs = influence_pair_matrix(sys, eta[: horizon + 1])
     if not (np.isfinite(pairs[0].diagonal()).all() and np.isfinite(pairs[1:]).all()):
         raise NumericalError("non_finite: influence factors are not finite")
-    if horizon >= 1:
-        pairs[1] *= g1
+    pairs[1:2] *= g1  # empty at horizon 0
     return pairs
 
 
@@ -213,29 +216,25 @@ def _face(mats, width: int) -> np.ndarray:
 class _PathSums:
     """The path sums of one ``oracle_trajectory`` call: every map length in one pass.
 
-    The sums build their own factors from ``table`` up to ``horizon``: G1,
-    the interior pair factors and, where ``table.right is not
-    table.interior``, the endpoint-flavored set, summed side by side with
-    the interior set and placed before it.  A bare origin (asym)
-    carries no influence factors, only its link G1 to point 1; ``aux0`` is the
-    index-0 auxiliary, the single-point factor matrix (the identity on a bare
-    origin).  Only the canonical (a_N, a_0) columns ``a_end``, ``a_0`` are
-    summed; the others are their mirrors, with both point values swapped
-    (f, b) -> (b, f).  The factors of a point with either end are tabulated
-    once, by separation.  The pair-factor tables of runs of consecutive points
-    depend on separations alone, so the map lengths share them: each length
-    keeps the ones it used and drops the rest, and a table lives as long as
-    the lengths that share it.
+    The sums build their own factors up to ``horizon``: G1 of the step ``dt``
+    and one pair-factor set per measured-end coefficient array in ``coeffs``,
+    summed side by side; the last is the interior set.  ``aux0`` is the
+    single-point factor matrix.  Only the canonical (a_N, a_0) columns
+    ``a_end``, ``a_0`` are summed; ``fill`` makes the others, their mirrors
+    with both point values swapped (f, b) -> (b, f).  The factors of a point
+    with either end are tabulated once, by separation.  The pair-factor
+    tables of runs of consecutive points depend on separations alone, so the
+    map lengths share them: each length keeps the ones it used and drops the
+    rest, and a table lives as long as the lengths that share it.
     """
 
-    def __init__(self, sys: SystemSpec, table: EtaTable, horizon: int):
+    def __init__(self, sys: SystemSpec, dt: float, coeffs, horizon: int):
         n, d = sys.n, sys.dim
-        g1 = fb_propagator(sys, table.dt)
-        self.sep = _influence(sys, table.interior, horizon, g1)
+        g1 = fb_propagator(sys, dt)
+        ends = [_influence(sys, eta, horizon, g1) for eta in coeffs]
+        self.sep = ends[-1]
         self.self_w = self.sep[0].diagonal()
-        ends = [self.sep]
-        if table.right is not table.interior:
-            ends.insert(0, _influence(sys, table.right, horizon, g1))
+        self.aux0 = np.diag(self.self_w)
         # the Δs class of each value of a point, and ``reps``: one value per class
         s = np.asarray(sys.coupling_eigenvalues)
         _, self.reps, self.classes = np.unique(np.subtract.outer(s, s).ravel(), return_index=True,
@@ -248,25 +247,15 @@ class _PathSums:
         self.mirror = swap[a_end], swap[a_0]
         self.self_mirror = (self.mirror[0] == a_end) & (self.mirror[1] == a_0)
         self.width = self.n_ends * a_end.size
-        # the origin's self weight and its factors with the later points
-        bare_origin = table.splitting == "asym"
-        if bare_origin:
-            self0 = np.ones(d, dtype=complex)
-            origin = np.ones_like(self.sep)
-            origin[1:2] = g1  # G1 alone links a bare origin to point 1
-        else:
-            self0, origin = self.self_w, self.sep
-        self.aux0 = np.diag(self0)
         # by separation s = 1..horizon (interior points sit at 1..horizon-1 from
         # both ends): base[s - 1] on the canonical columns, the two ends of a path
         # of s steps alone; to_end[s - 1][a, e, a_N], the factors of a point s steps
         # before the measured end with it; to_origin[s - 1][a, a_0], the self
         # weight of interior point s and its factor with the origin
-        self.base = np.concatenate([
-            pairs[0].diagonal()[a_end] * (origin if bare_origin else pairs)[1:, a_end, a_0]
-            * self0[a_0] for pairs in ends], axis=1)
+        self.base = np.concatenate([pairs[0].diagonal()[a_end] * pairs[1:, a_end, a_0]
+                                    * self.self_w[a_0] for pairs in ends], axis=1)
         self.to_end = np.stack([pairs[1:-1].transpose(0, 2, 1) for pairs in ends], axis=2)
-        self.to_origin = origin[1:-1] * self.self_w[:, None]
+        self.to_origin = self.sep[1:-1] * self.self_w[:, None]
         self._kept, self._used = {}, {}
 
     def _table(self, key, build):
@@ -359,20 +348,24 @@ class _PathSums:
 
     def maps(self) -> np.ndarray:
         """(ends, horizon, d, d): the maps of every length, one per measured-end factor set."""
-        d, steps = self.self_w.size, len(self.base)
+        steps = len(self.base)
         acc = np.empty((steps, self.width), dtype=complex)
         for k in range(1, steps + 1):
             acc[k - 1] = self._sum(k)
             # drop every shared table this length did not use
             self._kept, self._used = self._used, {}
         acc *= self.base
-        # the mirror columns by conjugation; a self-mirror entry is its own conjugate
         acc = acc.reshape(steps, self.n_ends, self.a_end.size).transpose(1, 0, 2)
+        return check_finite(self.fill(acc), "path sum", NumericalError)
+
+    def fill(self, acc: np.ndarray) -> np.ndarray:
+        """(..., d, d) maps from their canonical columns ``acc[..., c]``, which it changes."""
+        d = self.self_w.size
         acc[..., self.self_mirror] = acc[..., self.self_mirror].real
-        out = np.empty((self.n_ends, steps, d, d), dtype=complex)
-        out[:, :, self.mirror[0], self.mirror[1]] = acc.conj()
-        out[:, :, self.a_end, self.a_0] = acc
-        return check_finite(out, "path sum", NumericalError)
+        out = np.empty(acc.shape[:-1] + (d, d), dtype=complex)
+        out[..., self.mirror[0], self.mirror[1]] = acc.conj()
+        out[..., self.a_end, self.a_0] = acc
+        return out
 
 
 def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
@@ -433,13 +426,19 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
             f"eta_missing: {steps} steps need separations up to {steps}, table has {eta.horizon}"
         )
     splitting = eta.splitting
-    _check_size(sys.n, steps, 2 if splitting == "sym_env" else 1)
+    coeffs = (eta.interior,) if eta.right is eta.interior else (eta.right, eta.interior)
+    horizon = max(steps - (splitting == "asym"), 0)  # asym dresses one length shorter
+    _check_size(sys.n, horizon, len(coeffs))
     _check_budget(sys.n, steps, budget)
-    sums = _PathSums(sys, eta, steps)
+    sums = _PathSums(sys, eta.dt, coeffs, horizon)
     maps = sums.maps()
-    if splitting != "sym_sys":  # the measured-end set first; asym sums one set
+    if splitting == "sym_env":
         return maps[0], sums.aux0, maps[-1].copy()
-    g_half = fb_propagator(sys, 0.5 * eta.dt)
     inner = np.concatenate((sums.aux0[None], maps[0]))[:steps]
+    if splitting == "asym":  # U_N = W_{N-1} . G1, the bare origin's one link
+        full = sums.fill((inner @ fb_propagator(sys, eta.dt))[:, sums.a_end, sums.a_0])
+        full = check_finite(full, "dressed path sum", NumericalError)
+        return full, np.eye(sys.dim, dtype=complex), full.copy()
+    g_half = fb_propagator(sys, 0.5 * eta.dt)
     full = check_finite(g_half @ inner @ g_half, "dressed path sum", NumericalError)
     return full, sums.aux0, maps[0]

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import path_sum_reference
 from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
-from ifkernels.bath import (bump_correlation, eta_table, eta_table_from_correlation,
+from ifkernels.bath import (EtaTable, bump_correlation, eta_table, eta_table_from_correlation,
                             influence_pair_matrix)
 from ifkernels.errors import PathSumBudgetError, ValidationError
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
@@ -47,6 +47,23 @@ class TestInputChecks:
             with pytest.raises(ValidationError, match=f"size_limit: n = {n} at {steps} steps"):
                 pathsum._check_size(n, steps, ends)
         pathsum._check_size(76, 1, 1)
+
+    def test_size_guard_counts_what_is_summed(self, sys2, tables, monkeypatch):
+        # at n = 2 one end set has (16 + 4)/2 = 10 canonical columns, so the end
+        # factors of N - 1 interior points take 16 x 4 x 10 (N - 1) bytes; a
+        # sym_env table built with one array for both ends sums one set, and
+        # asym sums one length short of its horizon
+        env = tables["sym_env"]
+        one_set = EtaTable("sym_env", env.dt, env.interior, env.interior)
+        monkeypatch.setattr(pathsum, "SIZE_LIMIT", 16 * 4 * 10 * 4)
+        full, _, aux = oracle_trajectory(sys2, one_set, 5)
+        assert np.array_equal(full, aux)
+        with pytest.raises(ValidationError, match="size_limit: n = 2 at 5 steps"):
+            oracle_trajectory(sys2, env, 5)
+        monkeypatch.setattr(pathsum, "SIZE_LIMIT", 16 * 4 * 10 * 3)
+        oracle_trajectory(sys2, tables["asym"], 5)
+        with pytest.raises(ValidationError, match="size_limit: n = 2 at 5 steps"):
+            oracle_trajectory(sys2, tables["sym_sys"], 5)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +129,17 @@ class TestStructure:
         assert np.array_equal(aux0, np.eye(4))
         for n in range(1, 5):
             assert liou_norm(full[n - 1] - aux[n - 1]) == 0.0
+
+    @pytest.mark.parametrize("system, steps", [("sys2", 11), ("sys3", 4)])
+    def test_asym_is_the_invariant_sum_dressed_by_g1(self, system, steps, request, bath_default):
+        # the bare origin enters through G1 alone: U^asym_N = W_{N-1} G1, where
+        # W_k is the uniform-window sum of the sym_sys auxiliaries (W_0 = aux0)
+        sys_ = request.getfixturevalue(system)
+        grid = TimeGrid(0.1, steps, steps)
+        full = oracle_trajectory(sys_, eta_table(bath_default, grid, "asym"), steps)[0]
+        _, w0, w = oracle_trajectory(sys_, eta_table(bath_default, grid, "sym_sys"), steps)
+        dressed = np.concatenate((w0[None], w[:-1])) @ fb_propagator(sys_, 0.1)
+        assert np.max(np.abs(full - dressed)) < 1e-14
 
     def test_asym_first_step_closed_form(self, sys2, tables):
         u1 = oracle_trajectory(sys2, tables["asym"], 1)[0][0]
@@ -230,16 +258,18 @@ class TestGrouping:
     ])
     def test_three_levels_match_reference(self, splitting, coupling, classes, bath_default,
                                           monkeypatch):
-        # at horizon 4 the split is (p, q, m) = (0, 1, 2): one row point, so
-        # Z is grouped, from 9 x 9 column tuples to 9 x c keys
+        # a last summed length of 4 steps splits as (p, q, m) = (0, 1, 2): one
+        # row point, so Z is grouped, from 9 x 9 column tuples to 9 x c keys.
+        # asym sums one length short of its horizon, so it runs to 5
+        steps = 5 if splitting == "asym" else 4
         h = np.array([[0.1, 0.4, 0.2j], [0.4, 0.2, 0.3], [-0.2j, 0.3, -0.2]])
         sys_ = SystemSpec(h, coupling)
-        tab = eta_table(bath_default, TimeGrid(0.1, 4, 4), splitting)
+        tab = eta_table(bath_default, TimeGrid(0.1, steps, steps), splitting)
         width = (2 if splitting == "sym_env" else 1) * (81 + 9) // 2
         assert pathsum._split(3, 9, width)[:3] == (0, 1, 2)
-        (inner, keys), (full, _, aux) = _last_contraction(sys_, tab, 4, monkeypatch)
+        (inner, keys), (full, _, aux) = _last_contraction(sys_, tab, steps, monkeypatch)
         assert inner == keys == 9 * classes
-        checks = [(aux[3], path_sum_reference(sys_, 0.1, tab, 4, measured_end=False))]
+        checks = [(aux[steps - 1], path_sum_reference(sys_, 0.1, tab, steps, measured_end=False))]
         if splitting == "sym_env":  # the full maps of the others are the auxiliary or dress it
             checks.append((full[3], path_sum_reference(sys_, 0.1, tab, 4)))
         for got, ref in checks:
@@ -279,16 +309,19 @@ class TestBlocking:
         pytest.param(8, 1 << 16, "rows+columns", id="N8-65536"),
         pytest.param(8, 1 << 28, "columns", id="N8-2^28"),
     ])
-    def test_odometer_blocks_match_single_block(self, splitting, steps, batch, split, sys2, tables,
-                                                monkeypatch):
+    def test_odometer_blocks_match_single_block(self, splitting, steps, batch, split, sys2,
+                                                bath_default, monkeypatch):
         width = 20 if splitting == "sym_env" else 10  # (measured ends) x (4 x 4 + 2 x 2) / 2
         # the default _BATCH sums N = 5 on columns alone
         assert steps == 8 or _split_names(steps, width) == "columns"
-        whole = oracle_trajectory(sys2, tables[splitting], steps)
+        # asym sums one length short of its map count, so it asks for one more map
+        count = steps + (splitting == "asym")
+        tab = eta_table(bath_default, TimeGrid(0.1, count, count), splitting)
+        whole = oracle_trajectory(sys2, tab, count)
         monkeypatch.setattr(pathsum, "_BATCH", batch)
         assert _split_names(steps, width) == split
-        blocked = oracle_trajectory(sys2, tables[splitting], steps)
-        again = oracle_trajectory(sys2, tables[splitting], steps)
+        blocked = oracle_trajectory(sys2, tab, count)
+        again = oracle_trajectory(sys2, tab, count)
         maps = [np.concatenate((run[0], run[2])) for run in (whole, blocked, again)]
         for a, b, c in zip(*maps):
             assert np.max(np.abs(a - b)) < 1e-14
