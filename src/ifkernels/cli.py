@@ -261,8 +261,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_dyck(args) -> int:
     m = args.semilength
+    count = catalan(m)  # the range check, before any output
     if args.count_only:
-        print(f"{m},{catalan(m)}")
+        print(f"{m},{count}")
         return 0
     counts = [[str(mm), str(catalan(mm))] for mm in range(m + 1)]
     files = [("dyck_counts.csv", _table(["semilength", "count"], counts))]

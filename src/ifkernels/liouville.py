@@ -92,26 +92,28 @@ class TimeGrid:
             raise ValidationError("r_max must satisfy 1 <= r_max <= n_steps")
 
 
-def _expm_hermitian(h: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i h tau) for Hermitian h via eigendecomposition (exact at these sizes)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * tau)) @ v.conj().T
-
-
-def fb_propagator(sys: SystemSpec, tau: float) -> LiouvilleMatrix:
-    """Forward-backward system propagator G(tau) on Liouville space.
+def fb_propagators(sys: SystemSpec, *taus: float) -> list:
+    """Forward-backward system propagators G(tau), one per ``tau``, from one eigendecomposition of H.
 
     G[(a,b),(c,d)] = <a|exp(-i H tau)|c> <d|exp(+i H tau)|b>, i.e. the
     superoperator of rho -> exp(-i H tau) rho exp(+i H tau).  Unitary in
     Liouville space.  tau = dt gives the whole-step propagator, tau = dt/2
     the half-step one.
     """
-    if tau < 0:
+    if min(taus) < 0:
         raise ValidationError("tau must be >= 0")
-    u = _expm_hermitian(np.asarray(sys.hamiltonian), tau)
-    g = np.kron(u, u.conj())
-    g.setflags(write=False)
-    return g
+    w, v = np.linalg.eigh(np.asarray(sys.hamiltonian))
+    out = []
+    for tau in taus:
+        u = (v * np.exp(-1j * w * tau)) @ v.conj().T
+        out.append((u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(sys.dim, sys.dim))
+        out[-1].setflags(write=False)
+    return out
+
+
+def fb_propagator(sys: SystemSpec, tau: float) -> LiouvilleMatrix:
+    """The forward-backward propagator G(tau) of ``fb_propagators``."""
+    return fb_propagators(sys, tau)[0]
 
 
 def liou_norm(a: np.ndarray) -> float:

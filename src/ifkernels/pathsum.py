@@ -29,69 +29,60 @@ of the d^2, with d = n^2 values per point.  The mirror columns are filled
 by conjugation and the n^2 self-mirror entries (both values diagonal) keep
 their real part, so every path-sum map has the symmetry exactly.
 
-The interior points 1..N-1 fall into three runs (``_split``):
+The interior points 1..N-1 fall into three runs (``_split``): the
+trailing m *column* points, the q *row* points before them, and the
+leading p points, which run on an odometer.  A point's factors with the
+measured end (by e, the measured-end factor set, and a_N) and with the
+origin (by a_0) stay separable, d-wide tables by separation (``to_end``,
+with the point's self weight, and ``sep``).  They meet on the canonical
+columns (e, a_N, a_0) only where a table needs both: the column matrix
+Z^T[column, key], the row table and each odometer point's end factors, so
+memory grows as n^4 per point.
 
-* the trailing m *column* points index the d^m rows of the column matrix
-  Z[x, (e, a_N, a_0)]: their self weights, mutual factors and factors with
-  both ends, for every measured-end factor set e;
-* the q *row* points before them index the d^q rows of the cross-factor
-  matrix W[row, x] of their factors with the column points, and of a row
-  table of their own self weights, mutual factors and end factors;
-* the leading p points run on an odometer.
-
-Z and the row table hold end factors, so each map length builds its own,
-one axis at a time, from the factors of a point with either end, which are
-tabulated by separation once per call.  The factors of the two ends alone
-scale a length's whole sum, so they are applied after it.  The tables that
-depend on separations alone are built once per ``oracle_trajectory`` call
-and shared by its map lengths: the stack of pair factors by separation,
-the mutual factors of a run of consecutive points (by run length, each
-extending the run one point shorter), the factors of one point with a later
-run (by offset and run length) and W (by q and m).  Each length keeps the
-shared tables it used and drops the rest.  The split only grows with N, so
-a dropped table is seldom needed again, and one that is gets rebuilt with
-the same bits.
-
-The short lengths, where the columns take every point (q = 0, N <= 5 at
-n = 2), need no odometer, W or GEMM: their sum is the mutual factors of the
-points times Z's rows, one product per length.  Every length's result goes
-into one array, so the end factors, the mirror fill and the finiteness
-check run once per call, over all lengths.
+The column points sit 1..m steps and the row points m+1..m+q steps before
+the measured end whatever N is, so their end tables (``col_ends``,
+``ends``), the cross factors W[row, key] of the rows with the columns
+(``row_col``) and a point's factors with the points after it (``after``,
+``to_columns``) are built once per call, each the previous length's table
+extended by one point.  The origin is one more point before the others,
+its factors taken from the same tables.  Where the columns take every point
+(q = 0, N <= 5 at n = 2) a length is one product (d x K) @ (K x ends d).
+The factors of the two ends alone scale a length's whole sum; they, the
+mirror fill and the finiteness check run once per call, over all lengths.
 
 The column points are summed by class.  The later point of a pair enters
 its factor through Δs = s+ - s- alone (see ``bath.influence_pair_matrix``),
 and every column point is the later point of its pairs with the row and
-odometer points.  The one exception is G1, merged into the factor of
-neighbours: it ties the last row point to the first column point by both
-values.  So W, and the odometer points' factors with the column points,
-have the same columns, bit for bit, for all column tuples that agree in the
-value of the first column point and in the Δs class of every later one
-(classes compare Δs by exact float equality).  Where rows exist (q >= 1),
-the rows of Z that share such a key are summed first, by one index sum, and
-W and those factors are built on one value per class: the GEMMs contract
-over K = d c^(m-1) keys, not d^m tuples, with c the number of Δs classes
-(c = 3 at n = 2, where Δs is 0 or ±2, so K = 108 where d^4 = 256).
+odometer points and the origin.  The one exception is G1, merged into the
+factor of neighbours: it ties the point before the columns to the first
+column point by both values.  So W and the factors of the origin and the
+odometer points with the column points have the same columns, bit for bit,
+for all column tuples that agree in the value of the first column point
+and in the Δs class of every later one (classes compare Δs by exact float
+equality).  The column end table sums the tuples of each key as it grows,
+and the other factors are built on one value per class: the products
+contract over K = d c^(m-1) keys, not d^m tuples, with c the number of Δs
+classes (c = 3 at n = 2, where Δs is 0 or ±2, so K = 108 where d^4 = 256).
 
-Each odometer prefix scales the rows of Z by its factors with the column
-points, and the d values of the last odometer point are stacked side by
-side, so one GEMM (d^q x K) @ (K x d width) serves d prefixes (width = the
-columns of Z).  The GEMM output Y is weighted in place by the row table,
-and each prefix's factors with the row points sum its own strided slice of
-Y, so no copy of Y is made; each prefix's own weight and end factors scale
-its result.  Every one of these matrices, stacked ones included, stays
-within _BATCH entries, or within d x width entries where that is larger:
-one point's end-factor table has that size anyway, and the floor keeps at
-least one row and one column point, so large n never falls back to one
-Python call per path.  Where d stacked copies would not fit, the last
-point's values go in near-equal groups, one GEMM each.
-Columns are filled first, then rows: for n = 2 under sym_env (width 2 x 10)
-the length N = 11 takes 4 GEMMs of (256 x 108) @ (108 x 80), and for n = 6
-the length N = 4 takes 36 GEMMs of (36 x 36) @ (36 x 1332).  The odometer
-sums the d subtrees of each level in order, so results are reproducible bit
-for bit, a length's maps do not depend on the other lengths of the call,
-and the rounding grows with p, not with the d^p prefixes.  Maps of one
-length that differ only at the measured end are summed in the same pass,
-and ``oracle_trajectory`` sums each length once.
+Each odometer prefix scales Z^T by its factors with the column points, and
+the d values of the last odometer point are stacked, so one GEMM (d^q x K)
+@ (K x d width) serves d prefixes (width = the canonical columns of every
+end set).  Its output is weighted in place by the row table, and each
+prefix's row and end factors contract and scale its own block.  Every one
+of these matrices, stacked ones included, stays within _BATCH entries, or
+within d x width entries where that is larger: one point's end factors on
+the canonical columns have that size anyway, and the floor keeps at least
+one row and one column point, so large n never falls back to one Python
+call per path.  Where d stacked copies would not fit, the last point's
+values go in near-equal groups, one GEMM each.  Columns are filled first,
+then rows: for n = 2 under sym_env (width 2 x 10) the length N = 11 takes 4
+GEMMs of (256 x 108) @ (108 x 80), and for n = 6 the length N = 4 takes 36
+GEMMs of (36 x 36) @ (36 x 1332).  The odometer sums the d subtrees of each
+level in order, so results are reproducible bit for bit, a length's maps do
+not depend on the other lengths of the call, and the rounding grows with p,
+not with the d^p prefixes.  Maps of one length that differ only at the
+measured end are summed in the same pass, and ``oracle_trajectory`` sums
+each length once.
 
 Structure per splitting
 -----------------------
@@ -118,7 +109,7 @@ import numpy as np
 
 from .bath import EtaTable, influence_pair_matrix
 from .errors import EtaMissingError, NumericalError, PathSumBudgetError, ValidationError
-from .liouville import SystemSpec, check_finite, fb_propagator
+from .liouville import SystemSpec, check_finite, fb_propagators
 
 DEFAULT_BUDGET = 10**8
 SIZE_LIMIT = 1 << 29  # bytes of the largest dense array one path sum may ask for
@@ -146,29 +137,31 @@ def _check_budget(n: int, steps: int, budget: int):
 
 
 def _influence(sys, eta, horizon, g1):
-    """Pair factors by separation 0..horizon of one coefficient array.
+    """Pair factors by separation 0..horizon of coefficient arrays ``eta`` (..., L).
 
-    ``pairs[s][a_k, a_k']`` is the factor of two points s = k - k' apart, a
-    (horizon + 1, d, d) stack; the diagonal of ``pairs[0]`` holds the self
-    weights, and the whole-step propagator G1 linking neighbours is merged
-    into ``pairs[1]``.  Raises NumericalError ("non_finite") if a factor
-    that is read overflows, before any path is summed.
+    ``pairs[..., s, a_k, a_k']`` is the factor of two points s = k - k' apart,
+    a (..., horizon + 1, d, d) stack; the diagonal of separation 0 holds the
+    self weights, and the whole-step propagator G1 linking neighbours is
+    merged into separation 1.  Raises NumericalError ("non_finite") if a
+    factor that is read overflows, before any path is summed.
     """
     with np.errstate(all="ignore"):
-        pairs = influence_pair_matrix(sys, eta[: horizon + 1])
-    if not (np.isfinite(pairs[0].diagonal()).all() and np.isfinite(pairs[1:]).all()):
+        pairs = influence_pair_matrix(sys, eta[..., : horizon + 1])
+    if not (np.isfinite(pairs[..., 0, :, :].diagonal(0, -2, -1)).all()
+            and np.isfinite(pairs[..., 1:, :, :]).all()):
         raise NumericalError("non_finite: influence factors are not finite")
-    pairs[1:2] *= g1  # empty at horizon 0
+    pairs[..., 1:2, :, :] *= g1  # empty at horizon 0
     return pairs
 
 
 def _check_size(n: int, steps: int, ends: int):
     """Refuse a path sum whose largest dense array would exceed SIZE_LIMIT, before any allocation.
 
-    That is a (d, d) Liouville matrix, d = n^2, or the end-factor table of the
-    steps - 1 interior points, d x width entries each, with width = ``ends``
-    x (d^2 + n^2)/2 canonical columns.  The chunk matrices stay within one
-    point's share of that table or _BATCH entries (1 MiB).
+    That is a (d, d) Liouville matrix, d = n^2, or d x width entries for
+    each of the steps - 1 interior points, with width = ``ends`` x
+    (d^2 + n^2)/2 canonical columns: the size of the odometer points' end
+    and origin factors on the canonical columns.  Every other table that
+    combines them holds at most one point's share or _BATCH entries (1 MiB).
     """
     d = n * n
     size = 16 * d * max(d, (steps - 1) * ends * (d * d + d) // 2)
@@ -192,222 +185,225 @@ def _split(n_int: int, d: int, width: int):
     even as the bound allows.
     """
     cap = max(_BATCH, d * width)
-    m = 0
-    while m < n_int and d ** (m + 1) * max(width, d ** (m + 1)) <= cap:
-        m += 1
-    q = 0
-    while m + q < n_int and d ** (q + 1) * max(width, d ** m) <= cap:
-        q += 1
-    groups = -(-d // (cap // (width * d ** max(q, m))))
+    m, cols = 0, 1  # cols = d^m
+    while m < n_int and d * cols * max(width, d * cols) <= cap:
+        m, cols = m + 1, cols * d
+    q, rows = 0, 1  # rows = d^q
+    while m + q < n_int and d * rows * max(width, cols) <= cap:
+        q, rows = q + 1, rows * d
+    groups = -(-d // (cap // (width * max(rows, cols))))
     return n_int - m - q, q, m, -(-d // groups)
 
 
-def _face(mats, width: int) -> np.ndarray:
-    """Row-wise Kronecker product ``out[(y_0, .., y_g-1), z] = prod_i mats[i][y_i, z]``.
+def _cross(table, sep_t, r: int, reps=None) -> np.ndarray:
+    """A point's factors with the run o, o+1, .. steps after it: ``table`` one point longer.
 
-    One axis is added at a time, y_0 slowest; no matrices give one row of ones.
+    ``[o - 1][a, (y_0, ..)]`` for every offset o the separations allow, y_0
+    slowest; ``reps`` keeps one value per class of the new point (column keys).
     """
-    out = np.ones((1, width), dtype=complex)
-    for mat in mats:
-        out = (out[:, None, :] * mat).reshape(-1, width)
-    return out
+    mat = sep_t[r : r + len(table)]
+    if reps is not None:
+        mat = mat[:, :, reps]
+    return (table[: len(mat), :, :, None] * mat[:, :, None, :]).reshape(len(mat), table.shape[1], -1)
 
 
 class _PathSums:
     """The path sums of one ``oracle_trajectory`` call: every map length in one pass.
 
-    The sums build their own factors up to ``horizon``: G1 of the step ``dt``
-    and one pair-factor set per measured-end coefficient array in ``coeffs``,
-    summed side by side; the last is the interior set.  ``aux0`` is the
-    single-point factor matrix.  Only the canonical (a_N, a_0) columns
-    ``a_end``, ``a_0`` are summed; ``fill`` makes the others, their mirrors
-    with both point values swapped (f, b) -> (b, f).  The factors of a point
-    with either end are tabulated once, by separation.  The pair-factor
-    tables of runs of consecutive points depend on separations alone, so the
-    map lengths share them: each length keeps the ones it used and drops the
-    rest, and a table lives as long as the lengths that share it.
+    The sums build their own factors up to ``horizon``: one pair-factor set
+    per measured-end coefficient array in ``coeffs``, summed side by side
+    (the last is the interior set), with ``g1`` merged into separation 1.
+    ``aux0`` is the single-point factor matrix.  Only the ``canonical``
+    flat (a_N, a_0) columns are summed; ``fill`` adds their ``mirror``.
     """
 
-    def __init__(self, sys: SystemSpec, dt: float, coeffs, horizon: int):
-        n, d = sys.n, sys.dim
-        g1 = fb_propagator(sys, dt)
-        ends = [_influence(sys, eta, horizon, g1) for eta in coeffs]
-        self.sep = ends[-1]
-        self.self_w = self.sep[0].diagonal()
-        self.aux0 = np.diag(self.self_w)
-        # the Δs class of each value of a point, and ``reps``: one value per class
+    def __init__(self, sys: SystemSpec, g1: np.ndarray, coeffs, horizon: int):
+        n, d, ends = sys.n, sys.dim, len(coeffs)
+        pairs = _influence(sys, np.stack(coeffs), horizon, g1)
+        self.sep, self.sep_t = pairs[-1], pairs[-1].transpose(0, 2, 1)
+        w = self.sep[0].diagonal()
+        self.aux0 = np.diag(w)
+        # ``reps``: the first value of each Δs class; class_of[c, a] = 1 where a is in class c
         s = np.asarray(sys.coupling_eigenvalues)
-        _, self.reps, self.classes = np.unique(np.subtract.outer(s, s).ravel(), return_index=True,
-                                               return_inverse=True)
-        self.n_ends = len(ends)
-        swap = np.arange(d).reshape(n, n).T.ravel()
-        a_end, a_0 = np.divmod(np.arange(d * d), d)
-        canonical = a_end * d + a_0 <= swap[a_end] * d + swap[a_0]
-        self.a_end, self.a_0 = a_end, a_0 = a_end[canonical], a_0[canonical]
-        self.mirror = swap[a_end], swap[a_0]
-        self.self_mirror = (self.mirror[0] == a_end) & (self.mirror[1] == a_0)
-        self.width = self.n_ends * a_end.size
-        # by separation s = 1..horizon (interior points sit at 1..horizon-1 from
-        # both ends): base[s - 1] on the canonical columns, the two ends of a path
-        # of s steps alone; to_end[s - 1][a, e, a_N], the factors of a point s steps
-        # before the measured end with it; to_origin[s - 1][a, a_0], the self
-        # weight of interior point s and its factor with the origin
-        self.base = np.concatenate([pairs[0].diagonal()[a_end] * pairs[1:, a_end, a_0]
-                                    * self.self_w[a_0] for pairs in ends], axis=1)
-        self.to_end = np.stack([pairs[1:-1].transpose(0, 2, 1) for pairs in ends], axis=2)
-        self.to_origin = self.sep[1:-1] * self.self_w[:, None]
-        self._kept, self._used = {}, {}
+        ds = np.subtract.outer(s, s).ravel()
+        first = (ds[:, None] == ds).argmax(axis=1)
+        self.reps = np.flatnonzero(first == np.arange(d))
+        self.class_of = (np.searchsorted(self.reps, first) == np.arange(len(self.reps))[:, None]) + 0j
+        flat = np.arange(d * d)
+        mirror = flat.reshape(n, n, n, n).transpose(1, 0, 3, 2).ravel()
+        self.canonical = np.flatnonzero(flat <= mirror)
+        self.mirror = mirror[self.canonical]
+        self.self_mirror = np.flatnonzero(self.mirror == self.canonical)
+        # a canonical column (e, a_N, a_0): its row in the (e, a_N) tables and in the a_0 ones
+        columns = (np.arange(ends)[:, None] * d * d + self.canonical).ravel()
+        self.col_end, self.col_0 = np.divmod(columns, d)
+        # by separation s: base[s - 1], the two ends of a path of s steps alone;
+        # to_end[s - 1][a, (e, a_N)], the self weight of a point s steps before
+        # the measured end and its factors with it
+        ends_w = (pairs[:, 0].diagonal(0, -2, -1)[:, :, None] * w).ravel()[columns]
+        self.base = pairs[:, 1:].transpose(1, 0, 2, 3).reshape(horizon, ends * d * d)[:, columns]
+        self.base *= ends_w
+        self.to_end = (pairs[:, 1:-1].transpose(1, 3, 0, 2) * w[:, None, None]).reshape(
+            -1, d, ends * d)
+        self._tables = {}
 
-    def _table(self, key, build):
-        """The shared table ``key``: kept from the previous length, or ``build()``."""
-        if key not in self._used:
-            self._used[key] = self._kept.pop(key) if key in self._kept else build()
-        return self._used[key]
+    def _grown(self, key, size: int, start, extend):
+        """The shared table ``key`` of ``size`` points: the kept one, extended a point at a time."""
+        have, table = self._tables.get(key, (size + 1, None))
+        if have > size:
+            have, table = 0, start()
+        for point in range(have + 1, size + 1):
+            table = extend(table, point)
+        self._tables[key] = size, table
+        return table
 
-    def mutual(self, run: int) -> np.ndarray:
-        """Pair factors among ``run`` consecutive points, flat over their values.
+    def _runs(self, key, run: int, first, extend):
+        """The shared table ``key`` of ``run`` points, from the run a point shorter; all are kept."""
+        tables = self._tables.setdefault(key, [])
+        for r in range(len(tables), run + 1):
+            tables.append(extend(tables[-1], r) if r else first())
+        return tables[run]
 
-        The last point's factors with the earlier ones extend the table of
-        ``run - 1`` points.
+    def after(self, run: int) -> np.ndarray:
+        """``[a, (y_1, .., y_run)]``: a point's factors with the ``run`` points after it."""
+        return self._runs("after", run, lambda: np.ones((self.class_of.shape[1], 1), dtype=complex),
+                          lambda t, r: (t[:, :, None] * self.sep_t[r][:, None, :]).reshape(len(t), -1))
+
+    def ends(self, offset: int, run: int) -> np.ndarray:
+        """``[(y_0, ..), (e, a_N)]``: a run's self weights, mutual factors and end factors.
+
+        Its last point is ``offset`` + 1 steps before the end; a new first point extends it.
         """
 
-        def build():
-            if not run:
-                return np.ones(1, dtype=complex)
-            later = _face(self.sep[run - 1 : 0 : -1].transpose(0, 2, 1), self.self_w.size)
-            return (self.mutual(run - 1)[:, None] * later).ravel()
+        def extend(table, r):
+            mutual = self.after(r - 1)[:, :, None] * table
+            return (self.to_end[offset + r - 1][:, None, :] * mutual).reshape(-1, table.shape[1])
 
-        return self._table(("mutual", run), build)
+        return self._grown(("ends", offset), run,
+                           lambda: np.ones((1, self.to_end.shape[2]), dtype=complex), extend)
 
-    def cross(self, offset: int, run: int, grouped: bool = False) -> np.ndarray:
-        """``[a_k, (a_j for j = k+offset .. k+offset+run-1)]``: point k's factors with a later run.
+    def to_columns(self, run: int) -> np.ndarray:
+        """``_cross`` on the keys of ``run`` column points: a new last point extends the run."""
+        return self._runs("to_columns", run,
+                          lambda: np.ones((len(self.sep), self.class_of.shape[1], 1), dtype=complex),
+                          lambda t, r: _cross(t, self.sep_t, r, self.reps if r > 1 else None))
 
-        ``grouped`` keeps one value per class for every point of the run but
-        the first: the column keys of the grouped Z.
+    def row_col(self, q: int, m: int) -> np.ndarray:
+        """W[row, key]: the factors of q row points with the column keys; a new first row extends it."""
+        cols = self.to_columns(m)
+        return self._grown(("row_col", m), q, lambda: np.ones((1, cols.shape[2]), dtype=complex),
+                           lambda table, r: (cols[r - 1][:, None, :] * table).reshape(
+                               -1, table.shape[1]))
+
+    def col_ends(self, run: int) -> np.ndarray:
+        """[key, (e, a_N)]: ``ends(0, run)`` summed over the tuples of each ``to_columns`` key.
+
+        A new first point extends the run; the point after it is then summed by class.
         """
+        d, width = self.class_of.shape[1], self.to_end.shape[2]
 
-        def build():
-            mats = list(self.sep[offset : offset + run])
-            if grouped:
-                mats[1:] = [mat[self.reps] for mat in mats[1:]]
-            return np.ascontiguousarray(_face(mats, self.self_w.size).T)
+        def extend(table, r):
+            table = self.to_columns(r - 1)[0][:, :, None] * table
+            if r > 1:  # the old first point, no longer next to the rows, joins the key by class
+                table = self.class_of @ table.reshape(d, d, -1)
+            return (self.to_end[r - 1][:, None, :] * table.reshape(d, -1, width)).reshape(-1, width)
 
-        return self._table(("cross", offset, run, grouped), build)
-
-    def row_col(self, q: int, m: int, keys: int) -> np.ndarray:
-        """W[row, key]: the cross factors of q row points with the column keys after them."""
-        return self._table(("row_col", q, m), lambda: _face(
-            [self.cross(q - i, m, grouped=True) for i in range(q)], keys))
-
-    def group(self, z: np.ndarray, m: int) -> np.ndarray:
-        """Z summed over the column tuples that share a key, in one index sum.
-
-        The key of a tuple of m column points is the first point's value and
-        the classes of the others, in the order of the grouped ``cross``.
-        """
-
-        def build():
-            key = np.arange(self.self_w.size)
-            for _ in range(1, m):
-                key = (key[:, None] * self.reps.size + self.classes).ravel()
-            order = np.argsort(key, kind="stable")
-            return order, np.searchsorted(key[order], np.arange(key.max() + 1))
-
-        order, starts = self._table(("group", m), build)
-        return np.add.reduceat(z[order], starts)
+        return self._grown("col_ends", run, lambda: np.ones((1, width), dtype=complex), extend)
 
     def _sum(self, steps: int) -> np.ndarray:
-        """The sum over the interior points of one length, without the two ends alone.
-
-        Where the columns take every point the sum is one product with their
-        mutual factors; otherwise Z, the row table and W of the module
-        docstring go to the odometer.
-        """
-        d, width = self.self_w.size, self.width
-        # link[k - 1][a_k, (e, a_N, a_0)]: interior point k's self weight and its
-        # factors with both ends, on the canonical columns
-        link = self.to_end[: steps - 1][::-1][..., self.a_end]
-        link *= self.to_origin[: steps - 1][:, :, None, self.a_0]
-        link = link.reshape(steps - 1, d, width)
+        """The sum over the interior points of one length, without the two ends alone."""
+        d, width = self.class_of.shape[1], len(self.col_0)
         p, q, m, stacked = _split(steps - 1, d, width)
         if not q:
-            return self.mutual(m) @ _face(link, width)
-        col_mat = _face(link[p + q :], width)
-        col_mat *= self.mutual(m)[:, None]
-        if m > 1:  # a single column point is its own key
-            col_mat = self.group(col_mat, m)
-        keys = len(col_mat)
-        row_ends = _face(link[p : p + q], width)
-        row_ends *= self.mutual(q)[:, None]
-        to_rows = [None] + [self.cross(p + 1 - k, q) for k in range(1, p + 1)]
-        to_cols = [None] + [self.cross(p + q + 1 - k, m, grouped=True) for k in range(1, p + 1)]
-        tables = (link, self.sep, to_rows, to_cols, row_ends, self.row_col(q, m, keys),
-                  col_mat, stacked)
+            return (self.to_columns(m)[0] @ self.col_ends(m))[self.col_0, self.col_end]
+        # to_rows[k], to_cols[k]: point k's factors with the rows and with the
+        # column keys, k = 0 the origin
+        if p:
+            to_rows = np.ones((p + 1, d, 1), dtype=complex)
+            for r in range(1, q + 1):
+                to_rows = _cross(to_rows, self.sep_t, r)
+        else:
+            to_rows = self.after(q)[None]
+        to_rows, to_cols = to_rows[::-1], self.to_columns(m)[p + q :: -1]
+        col_mat = self.col_ends(m).T[self.col_end]
+        col_mat *= to_cols[0][self.col_0]
+        row_ends = self.ends(m, q)[:, self.col_end]
+        row_ends *= to_rows[0].T[:, self.col_0]
+        if not p:
+            return _leaf((row_ends, self.row_col(q, m), col_mat.T, stacked))
+        # odometer point k = 1..p: its end and origin factors on the canonical columns
+        ends = (self.to_end[steps - 1 - p : steps - 1][::-1][:, :, self.col_end]
+                * self.sep[1 : p + 1][:, :, self.col_0])
+        tables = (ends, self.sep, to_rows[1:], to_cols[1:], row_ends,
+                  self.row_col(q, m), col_mat.T, stacked)
         return _odometer_sum(tables, 1, np.ones(width, dtype=complex), np.ones(d**q, dtype=complex),
-                             np.ones(keys, dtype=complex), np.ones((p, d), dtype=complex))
+                             np.ones(col_mat.shape[1], dtype=complex), np.ones((p, d), dtype=complex))
 
     def maps(self) -> np.ndarray:
         """(ends, horizon, d, d): the maps of every length, one per measured-end factor set."""
-        steps = len(self.base)
-        acc = np.empty((steps, self.width), dtype=complex)
-        for k in range(1, steps + 1):
-            acc[k - 1] = self._sum(k)
-            # drop every shared table this length did not use
-            self._kept, self._used = self._used, {}
-        acc *= self.base
-        acc = acc.reshape(steps, self.n_ends, self.a_end.size).transpose(1, 0, 2)
+        acc = np.array([self._sum(k) for k in range(1, len(self.base) + 1)], dtype=complex)
+        acc = acc.reshape(self.base.shape) * self.base
+        ends, columns = len(self.col_0) // len(self.canonical), len(self.canonical)
+        acc = acc.reshape(len(acc), ends, columns).transpose(1, 0, 2)
         return check_finite(self.fill(acc), "path sum", NumericalError)
 
     def fill(self, acc: np.ndarray) -> np.ndarray:
-        """(..., d, d) maps from their canonical columns ``acc[..., c]``, which it changes."""
-        d = self.self_w.size
-        acc[..., self.self_mirror] = acc[..., self.self_mirror].real
-        out = np.empty(acc.shape[:-1] + (d, d), dtype=complex)
-        out[..., self.mirror[0], self.mirror[1]] = acc.conj()
-        out[..., self.a_end, self.a_0] = acc
-        return out
+        """(..., d, d) maps from their canonical columns ``acc[..., c]``."""
+        d = self.class_of.shape[1]
+        out = np.empty(acc.shape[:-1] + (d * d,), dtype=complex)
+        out[..., self.mirror] = acc.conj()
+        out[..., self.canonical] = acc
+        # the self-mirror entries (both values diagonal) keep their real part
+        out[..., self.canonical[self.self_mirror]] = acc[..., self.self_mirror].real
+        return out.reshape(acc.shape[:-1] + (d, d))
 
 
 def _odometer_sum(tables, k, ends_v, row_v, col_v, prior):
     """Sum over the paths with the odometer points 1..k-1 fixed.
 
-    Their factors are folded into ``ends_v`` (with the ends), ``row_v`` (with
-    the row points), ``col_v`` (with the column points) and ``prior[j - k]``
-    (with odometer point j >= k).  The values of the last odometer point are
-    stacked, so each group of them takes one GEMM.  Every level adds its d
-    subtrees in order, so the rounding grows with p, not with the d^p
-    prefixes.
+    Their factors are folded into ``ends_v`` (with both ends, on the
+    canonical columns), ``row_v`` (with the row points), ``col_v`` (with
+    the column keys) and ``prior[j - k]`` (with odometer point j >= k).  The
+    values of the last odometer point are stacked, so each group of them
+    takes one GEMM.  Every level adds its d subtrees in order, so the
+    rounding grows with p, not with the d^p prefixes.
     """
-    link, sep, to_rows, to_cols, *_, stacked = tables
-    if not len(prior):
-        return _leaf(tables, ends_v[None], row_v[None], col_v[None])
+    ends, sep, to_rows, to_cols, *_, stacked = tables
     if len(prior) == 1:
         groups = (slice(lo, lo + stacked) for lo in range(0, prior.shape[1], stacked))
-        return sum(_leaf(tables, ends_v * prior[0, g, None] * link[k - 1][g], row_v * to_rows[k][g],
-                         col_v * to_cols[k][g])
+        return sum(_leaf(tables, (ends_v * ends[k - 1][g] * prior[0, g, None],
+                                  row_v * to_rows[k - 1][g], col_v * to_cols[k - 1][g]))
                    for g in groups)
     return sum(
-        _odometer_sum(tables, k + 1, ends_v * prior[0, v] * link[k - 1][v], row_v * to_rows[k][v],
-                      col_v * to_cols[k][v], prior[1:] * sep[1 : len(prior), :, v])
+        _odometer_sum(tables, k + 1, ends_v * ends[k - 1][v] * prior[0, v], row_v * to_rows[k - 1][v],
+                      col_v * to_cols[k - 1][v], prior[1:] * sep[1 : len(prior), :, v])
         for v in range(prior.shape[1])
     )
 
 
-def _leaf(tables, ends_v, row_v, col_v):
+def _leaf(tables, prefixes=None):
     """Sum over the row and column points for s fixed odometer prefixes.
 
-    ``ends_v`` (s, width), ``row_v`` (s, d^q) and ``col_v`` (s, K) hold
-    the prefixes' factors, K the rows of Z.  Their scaled copies of Z sit
-    side by side, so one GEMM (d^q x K) @ (K x s width) serves all s; the
-    prefixes are then added in order.
+    ``prefixes`` holds the prefixes' factors (``_odometer_sum``): (s, width),
+    (s, d^q) and (s, K), K the keys of Z; none where there is no odometer.
+    Their scaled copies of Z^T are stacked, so one GEMM
+    (d^q x K) @ (K x s width) serves all s; each prefix's row factors then
+    contract its own block of the output, and the prefixes are added in order.
     """
-    *_, row_ends, row_col, col_mat, _ = tables
-    s, width = ends_v.shape
-    z = (col_v.T[:, :, None] * col_mat[:, None, :]).reshape(-1, s * width)
-    y = (row_col @ z).reshape(-1, s, width)
+    row_ends, row_col, col_mat, _ = tables[-4:]
+    keys, width = col_mat.shape
+    if prefixes is None:
+        z = col_mat.T
+    else:
+        ends_v, row_v, col_v = prefixes
+        z = (col_v[:, None, :] * col_mat.T).reshape(-1, keys)
+    y = (row_col @ z.T).reshape(len(row_col), -1, width)
     y *= row_ends[:, None, :]
-    # one product per prefix on its strided slice of Y, which BLAS reads in place
-    return sum(ends_v[i] * (row_v[i] @ y[:, i]) for i in range(s))
+    if prefixes is None:
+        return y[:, 0].sum(axis=0)
+    sums = (row_v[:, None, :] @ y.transpose(1, 0, 2))[:, 0]
+    sums *= ends_v
+    return sums.sum(axis=0)
 
 
 def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int = DEFAULT_BUDGET):
@@ -430,15 +426,16 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
     horizon = max(steps - (splitting == "asym"), 0)  # asym dresses one length shorter
     _check_size(sys.n, horizon, len(coeffs))
     _check_budget(sys.n, steps, budget)
-    sums = _PathSums(sys, eta.dt, coeffs, horizon)
+    taus = (eta.dt, 0.5 * eta.dt) if splitting == "sym_sys" else (eta.dt,)
+    g1, *g_half = fb_propagators(sys, *taus)  # one eigendecomposition of H
+    sums = _PathSums(sys, g1, coeffs, horizon)
     maps = sums.maps()
     if splitting == "sym_env":
         return maps[0], sums.aux0, maps[-1].copy()
     inner = np.concatenate((sums.aux0[None], maps[0]))[:steps]
     if splitting == "asym":  # U_N = W_{N-1} . G1, the bare origin's one link
-        full = sums.fill((inner @ fb_propagator(sys, eta.dt))[:, sums.a_end, sums.a_0])
+        full = sums.fill((inner @ g1).reshape(-1, sys.dim**2)[:, sums.canonical])
         full = check_finite(full, "dressed path sum", NumericalError)
         return full, np.eye(sys.dim, dtype=complex), full.copy()
-    g_half = fb_propagator(sys, 0.5 * eta.dt)
-    full = check_finite(g_half @ inner @ g_half, "dressed path sum", NumericalError)
+    full = check_finite(g_half[0] @ inner @ g_half[0], "dressed path sum", NumericalError)
     return full, sums.aux0, maps[0]

@@ -1238,6 +1238,16 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("semilength", ["-1", "31"])
+    def test_dyck_counts_out_of_range_writes_nothing(self, tmp_path, capsys, semilength):
+        # the counts file is checked like --count-only, before its directory is made
+        out = tmp_path / "out"
+        assert cli_main(["dyck", "--semilength", semilength, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "range: catalan supports 0 <= m <= 30" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_out_falls_back_to_config_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.txt"

@@ -225,6 +225,18 @@ class TestPathByPathReference:
                              (short_aux[-1], ref_a), (aux[n - 1], ref_a)):
                 assert np.max(np.abs(got - ref)) < 1e-13
 
+    @pytest.mark.parametrize("splitting, measured_end", [("sym_env", True), ("sym_sys", False)])
+    def test_odometer_split_matches_reference(self, splitting, measured_end, sys2, bath_default):
+        # N = 10 at n = 2 splits as (p, q, m) = (1, 4, 4), the last odometer
+        # point's 4 values stacked: the odometer, the row table and the GEMM
+        # against one-path-at-a-time sums.  The sym_sys auxiliary W_10 is also
+        # the sum that asym dresses
+        assert pathsum._split(9, 4, 20 if measured_end else 10) == (1, 4, 4, 4)
+        tab = eta_table(bath_default, TimeGrid(0.1, 10, 10), splitting)
+        full, _, aux = oracle_trajectory(sys2, tab, 10)
+        ref = path_sum_reference(sys2, 0.1, tab, 10, measured_end=measured_end)
+        assert np.max(np.abs((full if measured_end else aux)[9] - ref)) < 1e-13
+
 
 def _split_names(steps, width):
     p, q, m, _ = pathsum._split(steps - 1, 4, width)
@@ -379,12 +391,13 @@ class TestRepeatedCalls:
 
 
 class TestMemory:
-    @pytest.mark.parametrize("n, steps, mib", [(2, 11, 4), (4, 5, 4), (6, 4, 16), (8, 3, 32)])
+    @pytest.mark.parametrize("n, steps, mib", [(2, 11, 2), (4, 5, 2.5), (6, 4, 7), (8, 3, 20)])
     def test_trajectory_peak_is_bounded(self, n, steps, mib, bath_default):
-        # traced peaks: about 1.2 MiB at (2, 11), where whole-block tensors
-        # of 4^6 paths took 7.3 MiB; 1.8 MiB at (4, 5) and 5.9 MiB at (6, 4),
-        # where a row table bounded by d^q alone took 66 MiB and 1.9 GB;
-        # 26 MiB at (8, 3), where summing every (a_N, a_0) column took 49 MiB
+        # each bound is at least 1.4 times the traced peak: 1.25 MiB at
+        # (2, 11), where whole-block tensors of 4^6 paths took 7.3 MiB; 1.65
+        # MiB at (4, 5) and 4.55 MiB at (6, 4), where a row table bounded by
+        # d^q alone took 66 MiB and 1.9 GB; 14.15 MiB at (8, 3), where end
+        # factors folded per point on the canonical columns took 26 MiB
         sys_ = SystemSpec(np.diag(np.linspace(0.4, -0.3, n)) + 0.2, tuple(np.linspace(1.0, -0.6, n)))
         tab = eta_table(bath_default, TimeGrid(0.1, steps, steps), "sym_env")
         tracemalloc.start()
