@@ -1,14 +1,7 @@
 """Discretized influence-functional path integrals and memory-kernel
 hierarchies for small open quantum systems coupled to harmonic baths."""
 
-from .bath import (
-    BathSpec,
-    EtaTable,
-    SpectralDensity,
-    bump_correlation,
-    eta_table,
-    eta_table_from_correlation,
-)
+from .bath import BathSpec, EtaTable, SpectralDensity, eta_table
 from .combinatorics import (
     catalan,
     enumerate_dyck,

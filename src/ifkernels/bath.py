@@ -12,8 +12,8 @@ C(0) = alpha * omega_c^2 / 2 at zero temperature):
 
     C(t) = (1/pi) * int_0^inf J(w) [coth(beta w / 2) cos(w t) - i sin(w t)] dw
 
-The package never evaluates C(t) for the physical bath: ``eta_table``
-uses the closed form below.
+The package never evaluates C(t): ``eta_table`` uses the closed form
+below.
 
 Discretized coefficients are double integrals of C(t - t') over the time
 windows owned by each pair of path points.  Window assignment per splitting:
@@ -52,29 +52,19 @@ all arguments >= 0 in the window layout below.  The linear term
 -i (alpha/2) omega_c tau has a second difference of exactly 0, so only the
 triangles carry it; the lnGamma difference is computed as one difference,
 not as two lnGamma values that cancel.
-
-``eta_table_from_correlation`` integrates an arbitrary C(t) over the same
-windows in the time domain (nested Gauss-Legendre rules) for synthetic
-correlation functions.  Both routes share one window layout and one table
-assembly step and differ only in how they integrate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError, QuadratureError, ValidationError
+from .errors import NumericalError, ValidationError
 from .liouville import SystemSpec, TimeGrid
 
 SPLITTINGS = ("sym_env", "sym_sys", "asym")
-
-# Window quadrature controls (pinned so golden values are reproducible).
-WINDOW_GAUSS_ORDERS = (24, 32, 48, 64, 96, 128, 192)
-WINDOW_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,57 +96,6 @@ class BathSpec:
     def __post_init__(self):
         if not (self.beta > 0):
             raise ValidationError("beta must be positive (use math.inf for T = 0)")
-
-
-@lru_cache(maxsize=64)
-def _leggauss(order: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    numpy's rule, which at the ``WINDOW_GAUSS_ORDERS`` agrees with a Newton
-    iteration on P_order to 1e-16 in the nodes and 1e-14 in the weights.
-    ``numpy.polynomial`` is imported here: nothing else in the package
-    needs it, and a module-level import would slow every process's start.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(order)
-
-
-def _gauss_nodes(order: int, a: float, b: float):
-    x, w = _leggauss(order)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
-# ---------------------------------------------------------------------------
-# Window integrals
-# ---------------------------------------------------------------------------
-
-
-def _window_integral(corr, win_a, win_b=None):
-    """Integral of C(t - t') over t in win_a and t' in win_b (disjoint windows),
-    or over the triangle t' < t within win_a if there is no win_b.
-
-    The Gauss-Legendre order grows through ``WINDOW_GAUSS_ORDERS`` until two
-    values agree to ``WINDOW_RTOL``.
-    """
-    a0, a1 = win_a
-    prev = None
-    for order in WINDOW_GAUSS_ORDERS:
-        if win_b is None:
-            # t - t' = u (1 - s) for u in [0, a1 - a0] and s in [0, 1], Jacobian u
-            u, wu = _gauss_nodes(order, 0.0, a1 - a0)
-            s, wy = _gauss_nodes(order, 0.0, 1.0)
-            args, wx = np.multiply.outer(u, 1.0 - s), wu * u
-        else:
-            x, wx = _gauss_nodes(order, a0, a1)
-            y, wy = _gauss_nodes(order, *win_b)
-            args = np.subtract.outer(x, y)
-        val = wx @ corr(args.ravel()).reshape(order, order) @ wy
-        if prev is not None and abs(val - prev) <= WINDOW_RTOL * max(1.0, abs(val)):
-            return complex(val)
-        prev = val
-    raise QuadratureError("quadrature_failed: window integral did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +174,6 @@ def _assemble(grid: TimeGrid, splitting: str, values) -> EtaTable:
     n = grid.n_steps
     interior = np.concatenate((values[:1], values[2 : n + 2]))
     return EtaTable(splitting, grid.dt, interior, np.concatenate((values[1:2], values[n + 2 :])))
-
-
-def eta_table_from_correlation(corr, grid: TimeGrid, splitting: str) -> EtaTable:
-    """Build an EtaTable by integrating an arbitrary correlation function.
-
-    ``corr`` must accept an ndarray of time differences >= 0 and return the
-    complex correlation values.  ``eta_table`` wires in the physical bath;
-    this entry point exists so synthetic correlation functions (finite
-    memory, controlled smoothness) can drive the same table layout.
-    """
-    triangles, pairs = _window_layout(grid, splitting)
-    values = [_window_integral(corr, win) for win in triangles]
-    values += [_window_integral(corr, win_a, win_b) for win_a, win_b in pairs]
-    return _assemble(grid, splitting, values)
 
 
 # ---------------------------------------------------------------------------
@@ -339,33 +264,3 @@ def influence_pair_matrix(sys: SystemSpec, eta) -> np.ndarray:
     ds = s_fwd - s_bwd
     eta = np.asarray(eta)[..., None, None]
     return np.exp(-ds[:, None] * (eta * s_fwd - np.conj(eta) * s_bwd))
-
-
-# ---------------------------------------------------------------------------
-# Synthetic correlation functions
-# ---------------------------------------------------------------------------
-
-
-def bump_correlation(re_amp: float, im_amp: float, support: float):
-    """An infinitely smooth correlation function supported on [0, support].
-
-    C(u) = (re_amp - i im_amp u / support) * exp(1 - 1 / (1 - (u/support)^2))
-    for 0 <= u < support and 0 beyond; every derivative vanishes at the
-    support edge and Im C(0) = 0.  Influence coefficients built from it
-    vanish identically beyond a known separation, which makes truncated
-    kernel propagation exact; used for discretization-order studies.
-    """
-    if not support > 0:
-        raise ValidationError("support must be positive")
-
-    def corr(tau):
-        tau = np.asarray(tau, dtype=float)
-        x = tau / support
-        inside = (x >= 0.0) & (x < 1.0)
-        xc = np.where(inside, x, 0.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            profile = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - xc * xc, 1e-300)), 0.0)
-        out = (re_amp - 1j * im_amp * xc) * profile
-        return out.astype(complex)
-
-    return corr

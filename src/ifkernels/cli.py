@@ -53,7 +53,7 @@ import numpy as np
 from .bath import eta_table
 from .combinatorics import catalan, enumerate_dyck
 from .config import default_config_text, load_config
-from .errors import NumericalError, ValidationError
+from .errors import DimMismatchError, NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
 from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
 from .liouville import TimeGrid, fb_propagator, liou_norm
@@ -210,9 +210,11 @@ def _cmd_propagate(args) -> int:
     cfg = load_config(args.config)
     kset = load_kernels(args.kernels)
     if kset.dt != cfg.grid.dt:
-        raise ValidationError(f"kernel file dt {kset.dt} differs from config dt {cfg.grid.dt}")
+        raise ValidationError(
+            f"dt_mismatch: kernel file dt {kset.dt} differs from config dt {cfg.grid.dt}")
     if kset.dim != cfg.system.dim:
-        raise ValidationError("kernel file dimension differs from configured system")
+        raise DimMismatchError(
+            "dim_mismatch: kernel file dimension differs from configured system")
 
     g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.dressed else None
     rho0 = cfg.initial_state
@@ -339,6 +341,8 @@ def cli_main(argv=None) -> int:
         sys.stdout.write(default_config_text())
         return 0
     try:
+        if args.out == "":  # before any work, not as an io: error after it
+            raise ValidationError("--out: must not be empty")
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -247,6 +247,8 @@ def parse_config(text: str) -> RunConfig:
     if budget < 1:
         raise ValidationError("run.pathsum_budget: must be positive")
     outdir = fields.take("output.dir", default="out")
+    if not outdir:
+        raise ValidationError("output.dir: must not be empty")
 
     if fields.pairs:
         stray = sorted(fields.pairs)[0]

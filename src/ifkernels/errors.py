@@ -1,15 +1,15 @@
 """Exception types shared across the package.
 
-The short lowercase codes in the messages ("dim_mismatch", "eta_missing",
-"pathsum_budget", ...) are stable identifiers; the CLI maps ValidationError
-to exit code 1 and NumericalError to exit code 2, reports an OSError (a
-file that cannot be read or written) as ``error: io: ...`` with exit code 1,
-and a MemoryError (an allocation the machine cannot make) as
-``error: memory: ...`` with exit code 2.  "non_finite" is raised as a
-ValidationError for inputs (exit 1: a system, a kernel file) and as a
+The short lowercase codes in the messages ("dim_mismatch", "dt_mismatch",
+"eta_missing", "pathsum_budget", ...) are stable identifiers; the CLI maps
+ValidationError to exit code 1 and NumericalError to exit code 2, reports
+an OSError (a file that cannot be read or written) as ``error: io: ...``
+with exit code 1, and a MemoryError (an allocation the machine cannot
+make) as ``error: memory: ...`` with exit code 2.  "non_finite" is raised
+as a ValidationError for inputs (exit 1: a system, a kernel file) and as a
 NumericalError for computed results (exit 2: eta coefficients, influence
-factors, a path sum, solved kernels); a config or kernel file that is not UTF-8 text is
-a ParseError (exit 1).
+factors, a path sum, solved kernels); a config or kernel file that is not
+UTF-8 text is a ParseError (exit 1).
 """
 
 
@@ -19,10 +19,6 @@ class ValidationError(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation could not be carried out at the requested accuracy/scale."""
-
-
-class QuadratureError(NumericalError):
-    """Quadrature failed to converge ("quadrature_failed")."""
 
 
 class PathSumBudgetError(NumericalError):

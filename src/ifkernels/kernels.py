@@ -382,7 +382,7 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
             f"splitting_mismatch: kernel sets are {set_a.splitting!r} and {set_b.splitting!r}"
         )
     if set_a.dt != set_b.dt:
-        raise ValidationError("kernel sets differ in dt")
+        raise ValidationError("dt_mismatch: kernel sets differ in dt")
     if set_a.dim != set_b.dim:
         raise DimMismatchError("dim_mismatch: kernel sets differ in dimension")
     ks = tuple(range(1, max(set_a.r_max, set_b.r_max) + 1))

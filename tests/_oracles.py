@@ -7,16 +7,20 @@ takes every coefficient from the closed-form second integral Q of C and
 never evaluates C(t); the tests check it against a Matsubara-series closed
 form.  Window coefficients come one at a time from a spectral-domain single
 integral (scipy.integrate.quad) instead of second differences of Q; and the
-time-domain eta table integrates C(t - t') over the windows by nested Gauss
-rules, with C(t) itself from its own frequency quadrature (or closed form at
-T = 0).  That frequency quadrature takes its Gauss-Legendre rule, up to
-32768 nodes, from Newton's method on P_order, where production's window
-rules of at most 192 nodes come from numpy.  The path-sum reference gives every forward-backward path its own
-weight, written out from the definition, instead of building weights from
-factor matrices in blocks.  The convolution reference rebuilds a sequence
-from its kernels one matrix product at a time, instead of one stacked
-product per step, and the density-matrix recurrence runs the kernels on
-vectors one step at a time, instead of by chunks of companion-matrix rows.
+time-domain eta table integrates C(t - t') over the same windows by nested
+Gauss rules, with C(t) itself from its own frequency quadrature (or closed
+form at T = 0).  The package has no quadrature: every Gauss-Legendre rule,
+from the at most 192 nodes of the window rules to the 32768 of the
+frequency quadrature, comes from Newton's method on P_order here.  The
+time-domain route also takes synthetic correlation functions: the compact
+support of ``bump_correlation`` makes truncated kernel propagation exact,
+which isolates the discretization orders.  The path-sum reference gives
+every forward-backward path its own weight, written out from the
+definition, instead of building weights from factor matrices in blocks.
+The convolution reference rebuilds a sequence from its kernels one matrix
+product at a time, instead of one stacked product per step, and the
+density-matrix recurrence runs the kernels on vectors one step at a time,
+instead of by chunks of companion-matrix rows.
 The per-cell CSV writer formats one float at a time, instead of one block
 of rows per call.
 """
@@ -28,10 +32,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from ifkernels.bath import BathSpec, EtaTable, eta_table_from_correlation
+from ifkernels.bath import BathSpec, EtaTable, _assemble, _window_layout
 from ifkernels.combinatorics import expand_hierarchy
-from ifkernels.errors import QuadratureError
 from ifkernels.kernels import propagate_blocks
+
+
+class QuadratureError(RuntimeError):
+    """An oracle quadrature did not converge ("quadrature_failed")."""
 
 
 def _legendre(order: int, x: np.ndarray):
@@ -171,6 +178,45 @@ def _correlation_quadrature(alpha, wc, beta, t_arr, rtol):
     raise QuadratureError("quadrature_failed: correlation integral did not converge")
 
 
+# Window quadrature: the Gauss order grows until two values agree to WINDOW_RTOL.
+WINDOW_GAUSS_ORDERS = (24, 32, 48, 64, 96, 128, 192)
+WINDOW_RTOL = 1e-12
+
+
+def _window_integral(corr, win_a, win_b=None):
+    """Integral of C(t - t') over t in win_a and t' in win_b (disjoint windows),
+    or over the triangle t' < t within win_a if there is no win_b."""
+    a0, a1 = win_a
+    prev = None
+    for order in WINDOW_GAUSS_ORDERS:
+        if win_b is None:
+            # t - t' = u (1 - s) for u in [0, a1 - a0] and s in [0, 1], Jacobian u
+            u, wu = _gauss_nodes(order, 0.0, a1 - a0)
+            s, wy = _gauss_nodes(order, 0.0, 1.0)
+            args, wx = np.multiply.outer(u, 1.0 - s), wu * u
+        else:
+            x, wx = _gauss_nodes(order, a0, a1)
+            y, wy = _gauss_nodes(order, *win_b)
+            args = np.subtract.outer(x, y)
+        val = wx @ corr(args.ravel()).reshape(order, order) @ wy
+        if prev is not None and abs(val - prev) <= WINDOW_RTOL * max(1.0, abs(val)):
+            return complex(val)
+        prev = val
+    raise QuadratureError("quadrature_failed: window integral did not converge")
+
+
+def eta_table_from_correlation(corr, grid, splitting):
+    """An EtaTable by time-domain window quadrature of any correlation function.
+
+    ``corr`` takes an array of time differences >= 0 and returns the complex
+    C values; the windows are those of ``bath.eta_table``.
+    """
+    triangles, pairs = _window_layout(grid, splitting)
+    values = [_window_integral(corr, win) for win in triangles]
+    values += [_window_integral(corr, win_a, win_b) for win_a, win_b in pairs]
+    return _assemble(grid, splitting, values)
+
+
 def time_domain_eta_table(bath, grid, splitting):
     """The physical-bath eta table by time-domain window quadrature of C(t)."""
 
@@ -178,6 +224,27 @@ def time_domain_eta_table(bath, grid, splitting):
         return np.asarray(bath_correlation(bath, tau), dtype=complex)
 
     return eta_table_from_correlation(corr, grid, splitting)
+
+
+def bump_correlation(re_amp, im_amp, support):
+    """An infinitely smooth correlation function supported on [0, support].
+
+    C(u) = (re_amp - i im_amp u / support) * exp(1 - 1 / (1 - (u/support)^2))
+    for 0 <= u < support and 0 beyond; every derivative vanishes at the
+    support edge and Im C(0) = 0.  Influence coefficients built from it
+    vanish identically beyond a known separation, which makes truncated
+    kernel propagation exact: the discretization-order studies use it.
+    """
+
+    def corr(tau):
+        x = np.asarray(tau, dtype=float) / support
+        inside = (x >= 0.0) & (x < 1.0)
+        xc = np.where(inside, x, 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            profile = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - xc * xc, 1e-300)), 0.0)
+        return ((re_amp - 1j * im_amp * xc) * profile).astype(complex)
+
+    return corr
 
 
 def spectral_eta_pair(alpha, wc, beta, win_a, win_b):

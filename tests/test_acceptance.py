@@ -9,11 +9,7 @@ import time
 
 import numpy as np
 
-from ifkernels.bath import (
-    bump_correlation,
-    eta_table,
-    eta_table_from_correlation,
-)
+from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
 from ifkernels.combinatorics import catalan, enumerate_dyck, expand_hierarchy, numeric_check
 from ifkernels.config import default_config_text
@@ -29,7 +25,7 @@ from ifkernels.kernels import (
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
-from _oracles import eta_truncated, propagate
+from _oracles import bump_correlation, eta_table_from_correlation, eta_truncated, propagate
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -138,21 +134,23 @@ def test_criterion_6_trotter_order(sys2):
     def ratios(errors):
         return errors[0] / errors[1], errors[1] / errors[2]
 
-    sym_err = [liou_norm(final[("sym_sys", dt)] - reference) for dt in (0.2, 0.1, 0.05)]
-    asym_err = [liou_norm(final[("asym", dt)] - reference) for dt in (0.2, 0.1, 0.05)]
+    def vs_ref(splitting):
+        return [liou_norm(final[(splitting, dt)] - reference) for dt in (0.2, 0.1, 0.05)]
+
+    sym_r, asym_r, env_ref_r = (ratios(vs_ref(s)) for s in ("sym_sys", "asym", "sym_env"))
     env_sys = [
         liou_norm(final[("sym_env", dt)] - final[("sym_sys", dt)]) for dt in (0.2, 0.1, 0.05)
     ]
-    sym_r = ratios(sym_err)
-    asym_r = ratios(asym_err)
     env_r = ratios(env_sys)
     assert all(3.0 <= r <= 5.0 for r in sym_r)
     assert all(1.7 <= r <= 2.5 for r in asym_r)
     assert all(1.7 <= r <= 2.5 for r in env_r)
+    assert all(1.7 <= r <= 2.5 for r in env_ref_r)
     _report(
         "criterion 6 (discretization orders)",
         f"symmetric-vs-ref ratios {sym_r[0]:.2f},{sym_r[1]:.2f}; "
         f"asym-vs-ref {asym_r[0]:.2f},{asym_r[1]:.2f}; "
+        f"env-vs-ref {env_ref_r[0]:.2f},{env_ref_r[1]:.2f}; "
         f"env-vs-sys {env_r[0]:.2f},{env_r[1]:.2f}",
     )
 

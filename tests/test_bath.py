@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 from scipy.special import loggamma
 
 from ifkernels import BathSpec, EtaTable, SpectralDensity
-from ifkernels.bath import (
-    _re_loggamma_shift,
-    bump_correlation,
-    eta_table,
-    eta_table_from_correlation,
-    influence_pair_matrix,
-)
+from ifkernels.bath import _re_loggamma_shift, eta_table, influence_pair_matrix
 from ifkernels.errors import EtaMissingError, ValidationError
 from ifkernels.liouville import TimeGrid, liou_norm
 from ifkernels.pathsum import oracle_trajectory
@@ -20,6 +14,8 @@ from ifkernels.pathsum import oracle_trajectory
 from _oracles import (
     _leggauss,
     bath_correlation,
+    bump_correlation,
+    eta_table_from_correlation,
     eta_truncated,
     matsubara_correlation,
     spectral_eta_pair,

@@ -1,12 +1,20 @@
+import contextlib
+import csv
+import io
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifkernels
 from ifkernels import cli, csvtext, kernels, pathsum
@@ -744,6 +752,76 @@ class TestPropagateFailures:
         assert peaks[50000 // 8] <= 1.2 * peaks[5000 // 8]
 
 
+# A field replaced in a mutated kernel file takes one of these values.
+_KERNEL_TOKENS = (b"0", b"-1", b"2", b"4", b"-99999999999999999999", b"99999999999999999999",
+                  b"1e999", b"nan", b"-inf", b"", b"\xff\xfe", b"aux0")
+
+
+@st.composite
+def _mutated_kernel_file(draw, lines):
+    """The lines of a kernel file with one to three lines dropped, duplicated,
+    header values swapped, or fields replaced by ``_KERNEL_TOKENS``."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        heads = [j for j, line in enumerate(lines) if b" = " in line]
+        # header lines are few but carry most of the structure: draw them half the time
+        i = draw(st.one_of(st.sampled_from(heads), st.integers(0, len(lines) - 1)))
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap", "field")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            i, j = draw(st.sampled_from(heads)), draw(st.sampled_from(heads))
+            (key_i, value_i), (key_j, value_j) = (lines[k].split(b" = ", 1) for k in (i, j))
+            lines[i], lines[j] = key_i + b" = " + value_j, key_j + b" = " + value_i
+        else:
+            token = draw(st.sampled_from(_KERNEL_TOKENS))
+            if b" = " in lines[i]:
+                lines[i] = lines[i].split(b" = ", 1)[0] + b" = " + token
+            else:
+                fields = lines[i].split(b",")
+                fields[draw(st.integers(0, len(fields) - 1))] = token
+                lines[i] = b",".join(fields)
+    return b"\n".join(lines) + b"\n"
+
+
+class TestMutatedKernelFiles:
+    @pytest.fixture(scope="class")
+    def r2_extract(self, tmp_path_factory):
+        return _extracted(tmp_path_factory.mktemp("r2"), **{"grid.r_max": "2", "grid.n_steps": "3"})
+
+    @pytest.mark.parametrize("command", ["compare", "propagate"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_clean_exit(self, r2_extract, command, data):
+        # exit 0 with finite CSV numbers, or one coded error line and no --out
+        cfg, kpath = r2_extract
+        text = data.draw(_mutated_kernel_file(kpath.read_bytes().splitlines()))
+        with tempfile.TemporaryDirectory() as tmp:
+            mutated, out = os.path.join(tmp, "kernels.txt"), os.path.join(tmp, "out")
+            with open(mutated, "wb") as fh:
+                fh.write(text)
+            if command == "compare":
+                argv = ["compare", "--kernels-a", mutated, "--kernels-b", str(kpath)]
+            else:
+                argv = ["propagate", "--config", str(cfg), "--kernels", mutated]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv + ["--out", out])
+            assert code in (0, 1, 2)
+            if code:
+                assert re.fullmatch(r"error: [a-z_]+: [^\n]*\n", err.getvalue()), err.getvalue()
+                assert not os.path.exists(out)
+                return
+            for name in os.listdir(out):
+                with open(os.path.join(out, name), newline="") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                # every cell but the set names of comparison_summary.csv is a number
+                assert all(math.isfinite(float(cell)) for row in rows for cell in row
+                           if cell not in ("", "a", "b"))
+
+
 class TestCli:
     def test_one_process_many_calls_match_fresh_processes(self, tmp_path, capsys):
         # the parser is built once per process and every path-sum buffer
@@ -1091,8 +1169,17 @@ class TestCli:
         cfg.write_text(small_config(**{"grid.dt": "9e-16"}))
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
-        assert err == "error: kernel file dt 1e-16 differs from config dt 9e-16\n"
+        assert err == "error: dt_mismatch: kernel file dt 1e-16 differs from config dt 9e-16\n"
         assert not (kpath.parent / "prop").exists()
+
+    def test_compare_dt_mismatch(self, tmp_path, capsys):
+        _, ka = _extracted(tmp_path / "a")
+        _, kb = _extracted(tmp_path / "b", **{"grid.dt": "0.2"})
+        out = tmp_path / "cmp"
+        argv = ["compare", "--kernels-a", str(ka), "--kernels-b", str(kb), "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: dt_mismatch: kernel sets differ in dt\n"
+        assert not out.exists()
 
     def test_compare_splitting_mismatch(self, tmp_path, capsys):
         _, ka = _extracted(tmp_path / "a", **{"run.flavor": "ttm"})
@@ -1247,6 +1334,41 @@ class TestCli:
         assert "range: catalan supports 0 <= m <= 30" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--config", "cfg.txt"],
+        ["extract", "--config", "cfg.txt"],
+        ["propagate", "--config", "cfg.txt", "--kernels", "k/kernels.txt"],
+        ["compare", "--kernels-a", "k/kernels.txt", "--kernels-b", "k/kernels.txt"],
+        ["dyck", "--semilength", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text(small_config())
+        assert cli_main(["extract", "--config", "cfg.txt", "--out", "k"]) == 0
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        capsys.readouterr()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work before the --out check")
+
+        for name in ("eta_table", "propagate_blocks", "compare", "catalan"):
+            monkeypatch.setattr(cli, name, forbidden)
+        assert cli_main(argv + ["--out", ""]) == 1
+        assert capsys.readouterr().err == "error: --out: must not be empty\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+    def test_empty_output_dir_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text(small_config() + "output.dir =\n")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work before the output.dir check")
+
+        monkeypatch.setattr(cli, "eta_table", forbidden)
+        assert cli_main(["extract", "--config", "cfg.txt"]) == 1
+        assert capsys.readouterr().err == "error: output.dir: must not be empty\n"
+        assert os.listdir(tmp_path) == ["cfg.txt"]
 
     def test_out_falls_back_to_config_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

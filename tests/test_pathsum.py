@@ -3,10 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import path_sum_reference
+from _oracles import bump_correlation, eta_table_from_correlation, path_sum_reference
 from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
-from ifkernels.bath import (EtaTable, bump_correlation, eta_table, eta_table_from_correlation,
-                            influence_pair_matrix)
+from ifkernels.bath import EtaTable, eta_table, influence_pair_matrix
 from ifkernels.errors import PathSumBudgetError, ValidationError
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import config_count, oracle_trajectory

@@ -27,18 +27,6 @@ def test_kernel_decay_study():
     assert out[5].startswith("first below 0.001 x k=1 norm:")
 
 
-def test_trotter_order_study():
-    out = run_script("trotter_order_study.py", "--t-total", "0.4").splitlines()
-    assert out[0] == "total time 0.4, dt in (0.2, 0.1, 0.05)"
-    labels = [line[:22].strip() for line in out[2:]]
-    assert labels == ["sym_env vs ref", "sym_sys vs ref", "asym vs ref", "sym_env vs sym_sys"]
-    cols = {label: [float(x) for x in line[22:].split()] for label, line in zip(labels, out[2:])}
-    assert all(math.isfinite(x) for row in cols.values() for x in row)
-    # last halving of dt: second order for sym_sys, first order for asym
-    assert 3.5 < cols["sym_sys vs ref"][4] < 4.5
-    assert 1.5 < cols["asym vs ref"][4] < 2.5
-
-
 def test_run_default_experiment(tmp_path):
     out = run_script("run_default_experiment.py", "--out", str(tmp_path)).splitlines()
     assert out[-1] == f"outputs under {tmp_path}/"
