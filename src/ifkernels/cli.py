@@ -3,15 +3,15 @@
 Subcommands: ``oracle``, ``extract``, ``propagate``, ``compare``, ``dyck``.
 Everything is file-driven and non-interactive; identical configs produce
 byte-identical outputs.  ``propagate`` needs no influence coefficients or
-path sums: the kernel file carries the whole recurrence, and the config
-adds only the grid, the initial state and, for sym_sys, the half-step
-propagator of its Hamiltonian.  Exit codes: 0 success, 1 validation error
-(a non-UTF-8 config or kernel file is ``error: parse: ...``) or a file
-that cannot be read or written (``error: io: ...``), 2 numerical error
-(path-sum budget, a non-finite computed result such as eta coefficients,
-influence factors or a path sum as ``error: non_finite: ...``, a diverging
-propagation) or a failed allocation (``error: memory: ...``).  The
-argument parser is built once per process, on the first ``cli_main``
+path sums: the kernel file carries the whole recurrence (a sym_sys smatpi
+file its half step too), and the config adds only the grid and the initial
+state.  Exit codes: 0 success, 1 validation error (a non-UTF-8 config or
+kernel file is ``error: parse: ...``) or a file that cannot be read or
+written (``error: io: ...``), 2 numerical error (path-sum budget, checked
+before the eta table is built; a non-finite computed result such as eta
+coefficients, influence factors or a path sum as ``error: non_finite:
+...``; a diverging propagation) or a failed allocation (``error: memory:
+...``).  The argument parser is built once per process, on the first ``cli_main``
 call, not at import; every call parses into a fresh namespace, so one
 process can run many commands.
 
@@ -56,8 +56,8 @@ from .config import default_config_text, load_config
 from .errors import DimMismatchError, NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
 from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
-from .liouville import TimeGrid, fb_propagator, liou_norm
-from .pathsum import oracle_trajectory
+from .liouville import TimeGrid, liou_norm
+from .pathsum import check_budget, oracle_trajectory
 
 
 def _fmt(x: float) -> str:
@@ -161,6 +161,7 @@ def _cmd_oracle(args) -> int:
     budget = args.budget if args.budget is not None else cfg.pathsum_budget
     if budget < 1:
         raise ValidationError(f"--budget: must be >= 1, got {budget}")
+    check_budget(cfg.system.n, steps, budget)  # before the O(steps) table
     table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting)
     full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=budget)
     maps = [(np.eye(full.shape[-1], dtype=complex)[None],), (full,)]  # U_0, then U_1..
@@ -176,11 +177,9 @@ def _cmd_extract(args) -> int:
     r_max = args.rmax if args.rmax is not None else cfg.grid.r_max
     if not 1 <= r_max <= cfg.grid.n_steps:
         raise ValidationError("r_max must satisfy 1 <= r_max <= n_steps")
-    if cfg.aux_zero_convention is not None and splitting != "sym_sys":
-        raise ValidationError(f"run.aux_zero_convention: applies to sym_sys only, not {splitting}")
+    check_budget(cfg.system.n, r_max, cfg.pathsum_budget)  # before the O(r_max) table
     table = eta_table(cfg.bath, TimeGrid(cfg.grid.dt, r_max, r_max), splitting)
-    kset, _, _ = extract_kernels(cfg.system, table, r_max, flavor, budget=cfg.pathsum_budget,
-                                 aux_zero_convention=cfg.aux_zero_convention)
+    kset, _, _ = extract_kernels(cfg.system, table, r_max, flavor, budget=cfg.pathsum_budget)
     metadata = {
         "system.n": str(cfg.system.n),
         "bath.kind": cfg.bath.spectral_density.kind,
@@ -216,15 +215,14 @@ def _cmd_propagate(args) -> int:
         raise DimMismatchError(
             "dim_mismatch: kernel file dimension differs from configured system")
 
-    g_half = fb_propagator(cfg.system, 0.5 * cfg.grid.dt) if kset.dressed else None
     rho0 = cfg.initial_state
     # rho_n from its own pass on vec(rho_0), so its bytes do not depend on
     # --with-maps; the maps are a second pass, on the identity
     starts = [rho0[None]]  # step 0
-    passes = [propagate_blocks(kset, cfg.grid.n_steps, g_half, right=rho0.reshape(-1, 1))]
+    passes = [propagate_blocks(kset, cfg.grid.n_steps, right=rho0.reshape(-1, 1))]
     if args.with_maps:
         starts.append(np.eye(kset.dim, dtype=complex)[None])
-        passes.append(propagate_blocks(kset, cfg.grid.n_steps, g_half))
+        passes.append(propagate_blocks(kset, cfg.grid.n_steps))
 
     def tables():
         yield starts

@@ -38,7 +38,6 @@ import numpy as np
 
 from .bath import SPLITTINGS, BathSpec, SpectralDensity
 from .errors import ParseError, ValidationError
-from .kernels import AUX0_CONVENTIONS
 from .liouville import SystemSpec, TimeGrid
 from .pathsum import DEFAULT_BUDGET
 
@@ -55,7 +54,6 @@ class RunConfig:
     splitting: str
     flavor: str
     initial_state: np.ndarray
-    aux_zero_convention: str | None = None
     pathsum_budget: int = DEFAULT_BUDGET
     output_dir: str = "out"
 
@@ -226,18 +224,13 @@ def parse_config(text: str) -> RunConfig:
     flavor = fields.take("run.flavor", required=True)
     if flavor not in ("smatpi", "ttm"):
         raise ValidationError(f"run.flavor: unknown flavor {flavor!r}")
-    convention = fields.take("run.aux_zero_convention", default=None)
-    if convention is not None and convention not in AUX0_CONVENTIONS:
-        raise ValidationError(f"run.aux_zero_convention: unknown value {convention!r}")
-    if convention is not None and splitting != "sym_sys":
-        raise ValidationError(f"run.aux_zero_convention: applies to sym_sys only, not {splitting}")
 
     rho_rows = [
         _complex_row(r, "initial_state") for r in fields.take_rows("initial_state")
     ]
-    rho0 = np.array(rho_rows, dtype=complex)
-    if rho0.shape != (n, n):
+    if len(rho_rows) != n or any(len(r) != n for r in rho_rows):
         raise ValidationError(f"initial_state: expected a {n}x{n} matrix")
+    rho0 = np.array(rho_rows, dtype=complex)
     if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-12:
         raise ValidationError("initial_state: not Hermitian")
     if abs(np.trace(rho0) - 1.0) > _TRACE_TOL:
@@ -262,7 +255,6 @@ def parse_config(text: str) -> RunConfig:
         splitting=splitting,
         flavor=flavor,
         initial_state=rho0,
-        aux_zero_convention=convention,
         pathsum_budget=budget,
         output_dir=outdir,
     )

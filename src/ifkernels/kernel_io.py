@@ -17,6 +17,10 @@ Layout::
     matrices = aux0
     0,0,0,1.0,0.0
 
+A smatpi file has a termination block under every splitting (for sym_sys,
+the half step G_half and exact zeros) and an aux0 block, its tail, under
+terminal_times_I0; a ttm file holds the midpoint block alone.
+
 Entry lines are ``k,row,col,re,im`` with re/im printed as the shortest
 decimal that round-trips the binary double (Python ``repr``), so
 load(save(x)) reproduces the in-memory values bit for bit.

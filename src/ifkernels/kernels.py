@@ -22,8 +22,10 @@ differ only in what A, B and the tail are:
   the identity under ``standalone_terminal``, which is exact when aux_0 is
   the identity (asym splitting).  With the terminal convention and a
   one-step-memory bath both hierarchies vanish identically beyond k = 1.
-  The half-step-dressed splitting (sym_sys) needs no termination matrices:
-  U_N = G_half . aux_{N-1} . G_half.
+  The half-step-dressed splitting (sym_sys), U_N = G_half . aux_{N-1} .
+  G_half, is stored as the same split over X_n = aux_n G_half: the same
+  midpoint matrices, the tail aux_0 G_half, and the termination
+  T_1 = G_half, T_k = 0 for k >= 2 exactly.
 
 * The transfer-tensor recursion (TTM / crudely discretized GQME), a single
   translationally invariant set (A = T^C, B = X = U, identity tail), whose
@@ -37,23 +39,22 @@ whether the k = 1 element deserves the same formula is unresolved, so
 reports flag it.
 
 Propagation is one linear, time-invariant recurrence X_n = sum_r A_r X_{n-r}
-on the sequence X (aux for smatpi, U for ttm) started from X_0 = tail,
-X_{<0} = 0, which covers the n <= R head too.  Being linear, it runs on
-X_n V for a right-hand block V (d x c) as well as on X_n itself: V = identity
-gives the maps, and V = vec(rho_0) (c = 1) gives the density matrices
-rho_n = U_n rho_0 without forming any map.  Its state, the newest-first stack
-s_n = (X_n V, ..., X_{n-R+1} V), moves one step by the block companion
-matrix C of size (R d) x (R d) with first block row [A_1 | ... | A_R], so
-X_{n+k} V = P_k s_n with P_k the first block row of C^k.  The maps are read
-off the same state: U_{n+k} V = Q_k s_n with Q_k = [T_1 | ... | T_R] C^(k-1)
-(termination) or G_half [1 | 0 | ... | 0] C^(k-1) (dressing; its right
-factor G_half is folded into V, so the state holds aux_n G_half V).  The
-rows P_k, Q_k for k = 1..CHUNK are built once per run by CHUNK small
-products; each chunk of CHUNK steps is then one (CHUNK m d) x (R d) @ (R d) x c
-product (m = 1 for ttm, 2 with Q rows), and the next state is the newest R
-outputs.  A run takes one right-hand block; the maps and rho are two runs.
-Memory is O(CHUNK R d (d + c)) whatever the horizon, and the number of numpy
-calls per chunk does not depend on CHUNK.
+on the sequence X (aux_n, times G_half for sym_sys, for smatpi; U for ttm)
+started from X_0 = tail, X_{<0} = 0, which covers the n <= R head too.
+Being linear, it runs on X_n V for a right-hand block V (d x c) as well as
+on X_n itself: V = identity gives the maps, and V = vec(rho_0) (c = 1)
+gives the density matrices rho_n = U_n rho_0 without forming any map.  Its
+state, the newest-first stack s_n = (X_n V, ..., X_{n-R+1} V), moves one
+step by the block companion matrix C of size (R d) x (R d) with first block
+row [A_1 | ... | A_R], so X_{n+k} V = P_k s_n with P_k the first block row
+of C^k.  The smatpi maps are read off the same state: U_{n+k} V = Q_k s_n
+with Q_k = [T_1 | ... | T_R] C^(k-1).  The rows P_k, Q_k for k = 1..CHUNK
+are built once per run by CHUNK small products; each chunk of CHUNK steps
+is then one (CHUNK m d) x (R d) @ (R d) x c product (m = 1 for ttm, 2 with
+Q rows), and the next state is the newest R outputs.  A run takes one
+right-hand block; the maps and rho are two runs.  Memory is
+O(CHUNK R d (d + c)) whatever the horizon, and the number of numpy calls
+per chunk does not depend on CHUNK.
 """
 
 from __future__ import annotations
@@ -95,12 +96,10 @@ class KernelSet:
     ``midpoint`` and ``termination`` are read-only (r_max, dim, dim) complex
     stacks, copied on construction; for flavor "ttm" the single matrix set
     lives in ``midpoint`` and ``termination`` is None.  ``aux0`` is the
-    read-only (dim, dim) index-0 auxiliary matrix: the tail factor of the
-    terminal_times_I0 convention, and for smatpi sym_sys (either
-    convention) the inner factor of U_1 = G_half aux_0 G_half.  A set
-    carries everything propagation needs: the aux_zero_convention of a
-    smatpi set, termination matrices for smatpi sym_env/asym, aux0 where the
-    convention or the dressing uses it.
+    read-only (dim, dim) tail factor of the terminal_times_I0 convention:
+    the index-0 auxiliary matrix, times G_half for sym_sys.  A set carries
+    everything propagation needs: the aux_zero_convention and termination
+    matrices of a smatpi set, and aux0 where the convention uses it.
     """
 
     splitting: str
@@ -123,10 +122,10 @@ class KernelSet:
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.flavor == "ttm" and self.termination is not None:
             raise ValidationError("ttm flavor carries a single matrix set")
-        if self.flavor == "smatpi" and not self.dressed and self.termination is None:
+        if self.flavor == "smatpi" and self.termination is None:
             raise ValidationError(f"smatpi {self.splitting} kernels need termination matrices")
-        if self.aux0 is None and (self.dressed or self.aux_zero_convention == "terminal_times_I0"):
-            raise ValidationError("aux0 matrix missing: terminal_times_I0 and sym_sys need it")
+        if self.aux0 is None and self.aux_zero_convention == "terminal_times_I0":
+            raise ValidationError("aux0 matrix missing: terminal_times_I0 needs it")
         d = None
         for name in ("midpoint", "termination", "aux0"):
             mats = getattr(self, name)
@@ -149,11 +148,6 @@ class KernelSet:
     @property
     def dim(self):
         return self.midpoint.shape[1]
-
-    @property
-    def dressed(self) -> bool:
-        """smatpi sym_sys: the only sets whose propagation reads the half-step propagator."""
-        return self.flavor == "smatpi" and self.splitting == "sym_sys"
 
 
 def _inverse(y, b=None, tail=None) -> np.ndarray:
@@ -258,7 +252,7 @@ def _companion_rows(first: np.ndarray, wide: np.ndarray, count: int) -> np.ndarr
     return rows
 
 
-def _blocks(rows, state, horizon, first):
+def _blocks(rows, state, horizon):
     """Yield the outputs of ``propagate_blocks``, one block per chunk of len(rows) steps."""
     count, width = rows.shape[0], rows.shape[2]
     r_max, d, c = state.shape
@@ -268,8 +262,6 @@ def _blocks(rows, state, horizon, first):
             out = (rows[:k].reshape(-1, width) @ state.reshape(width, c)).reshape(k, -1, d, c)
         state = np.concatenate((out[::-1, 0], state))[:r_max]
         block = out[:, -1]
-        if start == 0 and first is not None:
-            block[0] = first
         if not np.isfinite(block).all():
             step = start + 1 + int(np.argmin(np.isfinite(block).reshape(k, -1).all(axis=1)))
             raise PropagationDivergedError(f"propagation_diverged: U_{step} is not finite;"
@@ -277,8 +269,7 @@ def _blocks(rows, state, horizon, first):
         yield block
 
 
-def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None = None,
-                     right: np.ndarray | None = None):
+def propagate_blocks(kernels: KernelSet, horizon: int, right: np.ndarray | None = None):
     """U_1 V..U_horizon V from a kernel set alone, as consecutive blocks.
 
     ``right`` is the right-hand block V, a (d, c) array; None is the
@@ -288,10 +279,8 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     are checked and the chunk rows built before the iterator is returned,
     so each call builds its own rows.  ttm runs the transfer
     tensors over U itself.  smatpi runs the midpoint matrices over the
-    auxiliary sequence, with the tail aux_0 under the terminal_times_I0
-    convention, and reads U off it through the termination matrices
-    (sym_env, asym) or the half-step dressing U_n = G_half aux_{n-1} G_half
-    with aux_0 from the set (sym_sys, which requires ``g_half``).  Within
+    auxiliary sequence, with the set's tail aux0 under the terminal_times_I0
+    convention, and reads U off it through the termination matrices.  Within
     r_max steps the output rebuilds the maps the set was extracted from;
     beyond it the sums truncate at r_max (terms are dropped; no
     renormalization).  A block holding a non-finite entry raises
@@ -302,8 +291,6 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     """
     from .pathsum import SIZE_LIMIT
 
-    if kernels.dressed and g_half is None:
-        raise ValidationError("sym_sys propagation needs the half-step propagator")
     r_max, d = kernels.r_max, kernels.dim
     count = max(min(CHUNK, horizon), 1)
     size = 16 * count * (2 if kernels.flavor == "smatpi" else 1) * d * r_max * d
@@ -315,24 +302,16 @@ def propagate_blocks(kernels: KernelSet, horizon: int, g_half: np.ndarray | None
     block = np.eye(d, dtype=complex) if right is None else np.asarray(right, dtype=complex)
     if block.ndim != 2 or block.shape[0] != d:
         raise DimMismatchError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
-    if kernels.dressed:  # the dressing's right factor G_half goes into the state: aux_n G_half V
-        block = g_half @ block
     terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
     state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
     state[0] = kernels.aux0 @ block if terminal else block
-    # U_1 is dressed from the stored aux_0 even where the recurrence starts from X_0 = 1
-    first_out = g_half @ kernels.aux0 @ block if kernels.dressed else None
     wide = _wide(kernels.midpoint)
     first = wide  # P_1 = e_0 C: the recurrence itself
-    if kernels.dressed:  # G_half e_0 C^(k-1) picks G_half X_{n+k-1}
-        emit = np.zeros_like(wide)
-        emit[:, :d] = g_half
-        first = np.concatenate((wide, emit))
-    elif kernels.flavor == "smatpi":  # [T_1 | ... | T_R] C^(k-1) gives U_{n+k}
+    if kernels.flavor == "smatpi":  # [T_1 | ... | T_R] C^(k-1) gives U_{n+k}
         first = np.concatenate((wide, _wide(kernels.termination)))
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent set fails in _blocks
         rows = _companion_rows(first, wide, count)
-    return _blocks(rows, state, horizon, first_out)
+    return _blocks(rows, state, horizon)
 
 
 @dataclass(frozen=True)
@@ -428,23 +407,19 @@ def extract_kernels(
     flavor: str,
     *,
     budget: int | None = None,
-    aux_zero_convention: str | None = None,
 ):
     """Sum the path-sum oracle for r_max steps and extract a kernel set.
 
     The splitting and dt of the set are those of ``eta``, whose horizon
     bounds r_max.  Returns (kernel_set, full, aux): the set and the
     (R, d, d) oracle maps U_1..U_R and aux_1..aux_R it was solved from.
-    ``aux_zero_convention`` overrides the shipped default only for sym_sys;
-    the other splittings are fixed.  sym_sys sets keep aux_0 under either
-    convention, because the dressed U_1 needs it.
+    A smatpi sym_sys set is written over X_n = aux_n G_half: its tail is
+    aux_0 G_half and its termination G_half, 0, ..., 0.
     """
     from .pathsum import DEFAULT_BUDGET, oracle_trajectory
 
     if flavor not in ("smatpi", "ttm"):
         raise ValidationError(f"unknown flavor {flavor!r}")
-    if aux_zero_convention is not None and aux_zero_convention not in AUX0_CONVENTIONS:
-        raise ValidationError(f"unknown aux_zero_convention {aux_zero_convention!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
     splitting = eta.splitting
     full, aux0, aux = oracle_trajectory(sys, eta, r_max, budget=budget)
@@ -452,18 +427,15 @@ def extract_kernels(
         return KernelSet(splitting, eta.dt, r_max, extract_ttm(full), None, "ttm"), full, aux
 
     convention = SMATPI_CONVENTION[splitting]
-    if splitting == "sym_sys" and aux_zero_convention is not None:
-        convention = aux_zero_convention
     tail = aux0 if convention == "terminal_times_I0" else None
-    terms = None if splitting == "sym_sys" else solve_termination(full, aux, tail)
-    kset = KernelSet(
-        splitting,
-        eta.dt,
-        r_max,
-        solve_midpoint(aux, tail),
-        terms,
-        "smatpi",
-        aux_zero_convention=convention,
-        aux0=aux0 if splitting == "sym_sys" else tail,
-    )
+    mids = solve_midpoint(aux, tail)
+    if splitting == "sym_sys":  # U_N = G_half (aux_{N-1} G_half): T_1 = G_half, T_k = 0
+        g_half = fb_propagator(sys, 0.5 * eta.dt)
+        terms = np.zeros_like(mids)
+        terms[0] = g_half
+        tail = aux0 @ g_half
+    else:
+        terms = solve_termination(full, aux, tail)
+    kset = KernelSet(splitting, eta.dt, r_max, mids, terms, "smatpi",
+                     aux_zero_convention=convention, aux0=tail)
     return kset, full, aux

@@ -121,18 +121,17 @@ def config_count(n: int, steps: int) -> int:
     return (n * n) ** max(steps - 1, 0)
 
 
-def _check_budget(n: int, steps: int, budget: int):
-    """Refuse a path sum of ``steps`` >= 1 steps before any enumeration.
+def check_budget(n: int, steps: int, budget: int):
+    """Refuse a path sum of ``steps`` >= 1 steps before any table or enumeration.
 
     Every splitting counts n^(2 (steps-1)) configurations per map, so one
     budget refuses the same runs under each; asym sums n^2 times fewer.
+    Since n^2 >= 4, a count of 2 (steps-1) bits or more exceeds the budget
+    without being formed, so a huge ``steps`` costs nothing.
     """
-    if steps < 1:
-        return
-    count = config_count(n, steps)
-    if count > budget:
+    if steps >= 1 and (2 * (steps - 1) >= budget.bit_length() or config_count(n, steps) > budget):
         raise PathSumBudgetError(
-            f"pathsum_budget: {count} configurations exceed budget {budget}"
+            f"pathsum_budget: {n * n}^{steps - 1} configurations exceed budget {budget}"
         )
 
 
@@ -425,7 +424,7 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
     coeffs = (eta.interior,) if eta.right is eta.interior else (eta.right, eta.interior)
     horizon = max(steps - (splitting == "asym"), 0)  # asym dresses one length shorter
     _check_size(sys.n, horizon, len(coeffs))
-    _check_budget(sys.n, steps, budget)
+    check_budget(sys.n, steps, budget)
     taus = (eta.dt, 0.5 * eta.dt) if splitting == "sym_sys" else (eta.dt,)
     g1, *g_half = fb_propagators(sys, *taus)  # one eigendecomposition of H
     sums = _PathSums(sys, g1, coeffs, horizon)

@@ -354,28 +354,25 @@ def convolution_reference(a, length, tail=None, b=None):
     return out
 
 
-def propagate(kernels, horizon, g_half=None):
+def propagate(kernels, horizon):
     """Maps U_1..U_horizon as one (horizon, d, d) array: the engine's blocks on the identity."""
     empty = np.empty((0, kernels.dim, kernels.dim), complex)
-    return np.concatenate([empty, *propagate_blocks(kernels, horizon, g_half)])
+    return np.concatenate([empty, *propagate_blocks(kernels, horizon)])
 
 
-def rho_recurrence(kset, n_steps, rho0, g_half=None):
+def rho_recurrence(kset, n_steps, rho0):
     """rho_1..rho_{n_steps} as a (n_steps, n, n) array, one step at a time on vectors.
 
     x_n = sum_{r=1}^{min(n-1, R)} A_r x_{n-r} + [n <= R] A_n tail v runs the
-    kernel set's sequence X (aux for smatpi, U for ttm) on the vector
-    v = vec(rho_0), with tail aux_0 under terminal_times_I0 and the identity
-    otherwise; rho_n is x_n itself (ttm), sum_r T_r x_{n-r} + [n <= R] T_n tail v
-    (termination), or G_half x_{n-1} with v = G_half vec(rho_0) and
-    x_0 = aux_0 v (dressing, sym_sys).  One matrix-vector product per term.
+    kernel set's sequence X (aux, or aux G_half for sym_sys, for smatpi; U
+    for ttm) on the vector v = vec(rho_0), with the stored tail aux0 under
+    terminal_times_I0 and the identity otherwise; rho_n is x_n itself (ttm)
+    or sum_r T_r x_{n-r} + [n <= R] T_n tail v (smatpi).  One matrix-vector
+    product per term.
     """
     n = np.asarray(rho0).shape[0]
     v = np.asarray(rho0, dtype=complex).reshape(-1)
-    dressed = kset.flavor == "smatpi" and kset.splitting == "sym_sys"
     terminal = kset.flavor == "smatpi" and kset.aux_zero_convention == "terminal_times_I0"
-    if dressed:
-        v = g_half @ v
     tail = kset.aux0 @ v if terminal else v
 
     def convolve(mats, xs, step):
@@ -389,8 +386,6 @@ def rho_recurrence(kset, n_steps, rho0, g_half=None):
         xs.append(convolve(kset.midpoint, xs, step))
         if kset.flavor == "ttm":
             rhos.append(xs[-1])
-        elif dressed:
-            rhos.append(g_half @ (kset.aux0 @ v if step == 1 else xs[-2]))
         else:
             rhos.append(convolve(kset.termination, xs, step))
     return np.array(rhos).reshape(n_steps, n, n)

@@ -42,8 +42,7 @@ def test_criterion_1_oracle_equivalence(sys2, bath_default):
     for splitting in ("sym_env", "sym_sys", "asym"):
         table = eta_table(bath_default, grid, splitting)
         kset, _, _ = extract_kernels(sys2, table, 6, "smatpi")
-        g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        maps = propagate(kset, 6, g_half=g_half)
+        maps = propagate(kset, 6)
         full, _, _ = oracle_trajectory(sys2, table, 6)
         for n in range(1, 7):
             worst = max(worst, liou_norm(maps[n - 1] - full[n - 1]))
@@ -97,15 +96,25 @@ def test_criterion_4_asym_coincidence(sys2, tables):
 
 
 def test_criterion_5_dressing_identity(sys2, tables):
-    """Half-step dressing of the auxiliary map gives the physical map."""
+    """Half-step dressing of the auxiliary map gives the physical map.
+
+    So the termination matrices solved over X_n = aux_n G_half, with tail
+    aux_0 G_half, are G_half and zeros, and the extracted sym_sys set
+    stores exactly that: T_k = 0 for k >= 2.
+    """
     g_half = fb_propagator(sys2, 0.05)
     worst = 0.0
     full, aux0, aux = oracle_trajectory(sys2, tables["sym_sys"], 6)
     for n in range(1, 7):
         a = aux0 if n == 1 else aux[n - 2]
         worst = max(worst, liou_norm(g_half @ a @ g_half - full[n - 1]))
-    assert worst < 1e-12
-    _report("criterion 5 (dressing identity)", f"max dev {worst:.2e}")
+    solved = solve_termination(full, aux @ g_half, aux0 @ g_half)
+    dev_t = max(liou_norm(solved[0] - g_half), liou_norm(solved[1:]))
+    kset, _, _ = extract_kernels(sys2, tables["sym_sys"], 6, "smatpi")
+    assert worst < 1e-12 and dev_t < 1e-12
+    assert np.array_equal(kset.termination[0], g_half) and not kset.termination[1:].any()
+    _report("criterion 5 (dressing identity)",
+            f"max dev {worst:.2e}; solved termination vs (G_half, 0, ...) {dev_t:.2e}")
 
 
 def test_criterion_6_trotter_order(sys2):
@@ -125,8 +134,7 @@ def test_criterion_6_trotter_order(sys2):
             r = min(n, int(0.2 / dt) + 4)
             tab = eta_table_from_correlation(corr, TimeGrid(dt, r, r), splitting)
             kset, _, _ = extract_kernels(sys2, tab, r, "smatpi")
-            g_half = fb_propagator(sys2, dt / 2) if splitting == "sym_sys" else None
-            traj = propagate(kset, n, g_half=g_half)
+            traj = propagate(kset, n)
             final[(splitting, dt)] = traj[-1]
 
     reference = (4.0 * final[("sym_sys", 0.05)] - final[("sym_sys", 0.1)]) / 3.0
@@ -163,8 +171,7 @@ def test_criterion_7_physicality(sys2, bath_default, tables):
     for splitting, flavor in cases:
         tab = tables[splitting]
         kset, _, _ = extract_kernels(sys2, tab, 6, flavor)
-        g_half = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        traj = propagate(kset, 30, g_half=g_half)
+        traj = propagate(kset, 30)
         for u in traj:
             rho = (u @ RHO0.reshape(-1)).reshape(2, 2)
             worst_trace = max(worst_trace, abs(np.trace(rho) - 1.0))

@@ -100,15 +100,25 @@ class TestConfig:
         assert "error: tolerances.quadrature: unknown field" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_aux_zero_convention_key_rejected(self, tmp_path, capsys):
+        # no config key selects an aux_0 convention: every splitting's is fixed
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"run.splitting": "sym_sys",
+                                       "run.aux_zero_convention": "terminal_times_I0"}))
+        out = tmp_path / "out"
+        assert cli_main(["extract", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: run.aux_zero_convention: unknown field\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("splitting", ["sym_env", "asym"])
     def test_aux_zero_convention_is_sym_sys_only(self, tmp_path, capsys, splitting):
+        # the key once applied to sym_sys only; it is now unknown under every splitting
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.splitting": splitting,
                                        "run.aux_zero_convention": "standalone_terminal"}))
         out = tmp_path / "out"
         assert cli_main(["extract", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"run.aux_zero_convention: applies to sym_sys only, not {splitting}" in err
+        assert capsys.readouterr().err == "error: run.aux_zero_convention: unknown field\n"
         assert not out.exists()
 
     def test_parse_error_line_number(self):
@@ -264,7 +274,7 @@ class TestBadKernelFiles:
         assert code == 1
         assert "parse: inconsistent kernel file (unknown splitting 'bogus')" in err
 
-    @pytest.mark.parametrize("splitting", ["sym_env", "asym"])
+    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     def test_smatpi_without_termination(self, tmp_path, capsys, splitting):
         cfg, kpath = _extracted(tmp_path, **{"run.splitting": splitting})
         _drop_block(kpath, "termination")
@@ -272,11 +282,7 @@ class TestBadKernelFiles:
         assert code == 1
         assert f"parse: inconsistent kernel file (smatpi {splitting} kernels need termination" in err
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [{}, {"run.splitting": "sym_sys"},
-         {"run.splitting": "sym_sys", "run.aux_zero_convention": "standalone_terminal"}],
-    )
+    @pytest.mark.parametrize("overrides", [{}, {"run.splitting": "sym_sys"}])
     def test_missing_aux0(self, tmp_path, capsys, overrides):
         cfg, kpath = _extracted(tmp_path, **overrides)
         _drop_block(kpath, "aux0")
@@ -357,27 +363,31 @@ class TestBadKernelFiles:
                       aux_zero_convention="terminal_times_I0", aux0=np.eye(3))
 
 
+# (splitting, flavor, initial state): every set extraction makes, from the
+# default initial state, and a sym_sys smatpi set from one with coherences
 PROPAGATE_CASES = [
     ("sym_env", "smatpi", None),
     ("sym_env", "ttm", None),
     ("sym_sys", "smatpi", None),
-    ("sym_sys", "smatpi", "standalone_terminal"),
+    ("sym_sys", "smatpi", "coherent"),
     ("sym_sys", "ttm", None),
     ("asym", "smatpi", None),
     ("asym", "ttm", None),
 ]
+COHERENT = {"initial_state.row.0": "0.6+0j 0.3-0.2j", "initial_state.row.1": "0.3+0.2j 0.4+0j"}
+
+
+def _case_overrides(splitting, flavor, rho0):
+    return {"run.splitting": splitting, "run.flavor": flavor, **(COHERENT if rho0 else {})}
 
 
 class TestPropagateFromKernelFile:
-    @pytest.mark.parametrize("splitting, flavor, convention", PROPAGATE_CASES)
+    @pytest.mark.parametrize("splitting, flavor, rho0", PROPAGATE_CASES)
     def test_no_eta_table_or_oracle(self, tmp_path, capsys, monkeypatch, splitting, flavor,
-                                    convention):
+                                    rho0):
         # propagate reads everything from the kernel file; its first r_max
         # maps are the oracle maps the kernels were extracted from
-        overrides = {"run.splitting": splitting, "run.flavor": flavor}
-        if convention is not None:
-            overrides["run.aux_zero_convention"] = convention
-        cfg, kpath = _extracted(tmp_path, **overrides)
+        cfg, kpath = _extracted(tmp_path, **_case_overrides(splitting, flavor, rho0))
         oracle_dir = tmp_path / "oracle"
         assert cli_main(["oracle", "--config", str(cfg), "--out", str(oracle_dir)]) == 0
 
@@ -398,17 +408,27 @@ class TestPropagateFromKernelFile:
         assert np.max(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)) < 1e-12
 
 
+    def test_trajectory_does_not_read_the_config_hamiltonian(self, tmp_path, capsys):
+        # a sym_sys smatpi file carries its half step: under a config with
+        # another Hamiltonian it propagates the extraction config's bytes
+        text = default_config_text().replace("run.splitting = sym_env", "run.splitting = sym_sys")
+        other = text.replace("0+0j 0.5+0j", "0+0j 2.0+0j").replace("0.5+0j 0+0j", "2.0+0j 0+0j")
+        assert other.count("2.0+0j") == 2
+        (tmp_path / "cfg.txt").write_text(text)
+        (tmp_path / "other.txt").write_text(other)
+        kpath = tmp_path / "k" / "kernels.txt"
+        assert cli_main(["extract", "--config", str(tmp_path / "cfg.txt"),
+                         "--out", str(kpath.parent)]) == 0
+        got = {name: _trajectory_bytes(tmp_path / f"{name}.txt", kpath, tmp_path / name, False)
+               for name in ("cfg", "other")}
+        assert got["other"] == got["cfg"]
+
+
 @pytest.fixture(scope="module")
 def kernel_files(tmp_path_factory):
     """(config path, kernel file path) of every propagate case, extracted once."""
-    files = {}
-    for splitting, flavor, convention in PROPAGATE_CASES:
-        overrides = {"run.splitting": splitting, "run.flavor": flavor}
-        if convention is not None:
-            overrides["run.aux_zero_convention"] = convention
-        files[(splitting, flavor, convention)] = _extracted(tmp_path_factory.mktemp("k"),
-                                                            **overrides)
-    return files
+    return {case: _extracted(tmp_path_factory.mktemp("k"), **_case_overrides(*case))
+            for case in PROPAGATE_CASES}
 
 
 def _trajectory_bytes(cfg, kpath, out, with_maps):
@@ -418,26 +438,23 @@ def _trajectory_bytes(cfg, kpath, out, with_maps):
 
 
 def _engine_run(cfg, kpath):
-    """(config, kernel set, half step or None) of a propagate run."""
-    config = load_config(cfg)
-    kset = load_kernels(kpath)
-    g_half = fb_propagator(config.system, 0.5 * config.grid.dt) if kset.dressed else None
-    return kset, config, g_half
+    """(kernel set, config) of a propagate run."""
+    return load_kernels(kpath), load_config(cfg)
 
 
-def _engine_rho(kset, config, g_half):
+def _engine_rho(kset, config):
     """rho_1..rho_N from the engine run on vec(rho_0), as a (N, n, n) array."""
     rho0 = config.initial_state
-    blocks = propagate_blocks(kset, config.grid.n_steps, g_half, right=rho0.reshape(-1, 1))
+    blocks = propagate_blocks(kset, config.grid.n_steps, right=rho0.reshape(-1, 1))
     return np.concatenate(list(blocks)).reshape((-1,) + rho0.shape)
 
 
 def _per_cell_trajectory(cfg, kpath, with_maps):
     """trajectory.csv from the same engine outputs, one format call per cell."""
-    kset, config, g_half = _engine_run(cfg, kpath)
-    tables = [("rho", [config.initial_state] + list(_engine_rho(kset, config, g_half)))]
+    kset, config = _engine_run(cfg, kpath)
+    tables = [("rho", [config.initial_state] + list(_engine_rho(kset, config)))]
     if with_maps:
-        maps = propagate(kset, config.grid.n_steps, g_half=g_half)
+        maps = propagate(kset, config.grid.n_steps)
         tables.append(("u", [np.eye(config.system.dim, dtype=complex)] + list(maps)))
     return per_cell_csv(config.grid.dt, tables).encode()
 
@@ -458,21 +475,21 @@ class TestRhoRecurrence:
     @pytest.mark.parametrize("case", PROPAGATE_CASES)
     def test_engine_matches_per_step_oracle(self, long_run, case):
         # 600 steps cross several 256-step chunks
-        kset, config, g_half = _engine_run(*long_run(case))
-        want = rho_recurrence(kset, 600, config.initial_state, g_half)
-        assert np.max(np.abs(_engine_rho(kset, config, g_half) - want)) < 1e-13
+        kset, config = _engine_run(*long_run(case))
+        want = rho_recurrence(kset, 600, config.initial_state)
+        assert np.max(np.abs(_engine_rho(kset, config) - want)) < 1e-13
 
     @pytest.mark.parametrize("case", PROPAGATE_CASES)
     def test_identity_block_gives_the_maps(self, long_run, case):
         # the maps (V = identity) applied to rho_0 and to a random V agree with
         # the runs on those blocks themselves
-        kset, config, g_half = _engine_run(*long_run(case))
-        maps = propagate(kset, 600, g_half=g_half)
+        kset, config = _engine_run(*long_run(case))
+        maps = propagate(kset, 600)
         rho0 = config.initial_state
-        assert np.max(np.abs(maps @ rho0.reshape(-1) - _engine_rho(kset, config, g_half)
+        assert np.max(np.abs(maps @ rho0.reshape(-1) - _engine_rho(kset, config)
                              .reshape(600, -1))) < 1e-13
         v = np.random.default_rng(len(case)).standard_normal((kset.dim, 3))
-        got = np.concatenate(list(propagate_blocks(kset, 600, g_half, right=v)))
+        got = np.concatenate(list(propagate_blocks(kset, 600, right=v)))
         assert np.max(np.abs(got - maps @ v)) < 1e-13 * np.max(np.abs(v))
 
     @pytest.mark.parametrize("case", PROPAGATE_CASES)
@@ -491,20 +508,6 @@ class TestBlockWriter:
     @pytest.mark.parametrize("with_maps", [False, True])
     def test_trajectory_matches_per_cell_writer(self, tmp_path, kernel_files, case, with_maps):
         cfg, kpath = kernel_files[case]
-        got = _trajectory_bytes(cfg, kpath, tmp_path, with_maps)
-        assert got == _per_cell_trajectory(cfg, kpath, with_maps)
-
-    @pytest.mark.parametrize("with_maps", [False, True])
-    def test_sym_sys_ttm_builds_no_half_step(self, tmp_path, monkeypatch, kernel_files,
-                                             with_maps):
-        # only dressed (smatpi sym_sys) sets read G_half; a sym_sys ttm set
-        # propagates the same bytes without one
-        cfg, kpath = kernel_files[("sym_sys", "ttm", None)]
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a ttm set needs no half-step propagator")
-
-        monkeypatch.setattr(cli, "fb_propagator", forbidden)
         got = _trajectory_bytes(cfg, kpath, tmp_path, with_maps)
         assert got == _per_cell_trajectory(cfg, kpath, with_maps)
 
@@ -789,14 +792,17 @@ def _mutated_kernel_file(draw, lines):
 class TestMutatedKernelFiles:
     @pytest.fixture(scope="class")
     def r2_extract(self, tmp_path_factory):
-        return _extracted(tmp_path_factory.mktemp("r2"), **{"grid.r_max": "2", "grid.n_steps": "3"})
+        """(config, kernel file) of an r_max = 2 sym_env and sym_sys smatpi extract."""
+        return {sp: _extracted(tmp_path_factory.mktemp("r2"), **{
+            "grid.r_max": "2", "grid.n_steps": "3", "run.splitting": sp})
+            for sp in ("sym_env", "sym_sys")}
 
     @pytest.mark.parametrize("command", ["compare", "propagate"])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_clean_exit(self, r2_extract, command, data):
         # exit 0 with finite CSV numbers, or one coded error line and no --out
-        cfg, kpath = r2_extract
+        cfg, kpath = r2_extract[data.draw(st.sampled_from(sorted(r2_extract)))]
         text = data.draw(_mutated_kernel_file(kpath.read_bytes().splitlines()))
         with tempfile.TemporaryDirectory() as tmp:
             mutated, out = os.path.join(tmp, "kernels.txt"), os.path.join(tmp, "out")
@@ -820,6 +826,73 @@ class TestMutatedKernelFiles:
                 # every cell but the set names of comparison_summary.csv is a number
                 assert all(math.isfinite(float(cell)) for row in rows for cell in row
                            if cell not in ("", "a", "b"))
+
+
+# A value (or one entry of a matrix row) in a mutated config takes one of these.
+_CONFIG_TOKENS = (b"0", b"-1", b"4", b"-99999999999999999999", b"99999999999999999999",
+                  b"9007199254740993", b"1e999", b"nan", b"-inf", b"infj", b"1e-308",
+                  b"5e-324", b"", b"\xff\xfe", b"sym_sys")
+
+
+@st.composite
+def _mutated_config(draw, lines):
+    """The lines of a config with one to three lines dropped or duplicated
+    (a duplicate key), matrix rows made non-square, or values or row entries
+    replaced by ``_CONFIG_TOKENS``."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "ragged", "value")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif b" = " in lines[i]:
+            key, value = lines[i].split(b" = ", 1)
+            cells = value.split()
+            if kind == "ragged":  # one entry more or fewer
+                cells = cells[:-1] if draw(st.booleans()) else cells + cells[-1:]
+            elif cells and b".row." in key:
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CONFIG_TOKENS))
+            else:
+                cells = [draw(st.sampled_from(_CONFIG_TOKENS))]
+            lines[i] = key + b" = " + b" ".join(cells)
+    return b"\n".join(lines) + b"\n"
+
+
+class TestMutatedConfigs:
+    @pytest.mark.parametrize("command", ["extract", "oracle"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_clean_exit(self, command, data):
+        # exit 0 with no warning and finite numbers in every file, or one
+        # error line (no traceback) and no --out
+        base = small_config(**{"grid.r_max": "2", "grid.n_steps": "3"}).encode()
+        text = data.draw(_mutated_config(base.splitlines()))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "cfg.txt"), os.path.join(tmp, "out")
+            with open(cfg, "wb") as fh:
+                fh.write(text)
+            argv = [command, "--config", cfg, "--out", out]
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = cli_main(argv + (["--steps", "2"] if command == "oracle" else []))
+            assert code in (0, 1, 2)
+            if code:
+                assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), err.getvalue()
+                assert not os.path.exists(out)
+                return
+            assert err.getvalue() == ""
+            for name in os.listdir(out):
+                with open(os.path.join(out, name)) as fh:
+                    if name.endswith(".csv"):  # every cell but the header row and notes
+                        cells = [c for row in list(csv.reader(fh))[1:] for c in row]
+                    else:  # the k,row,col,re,im entry lines of kernels.txt
+                        cells = [c for line in fh if "," in line for c in line.split(",")]
+                assert all(math.isfinite(float(c)) for c in cells
+                           if c not in ("", "same_formula_unverified"))
 
 
 class TestCli:
@@ -1302,17 +1375,32 @@ class TestCli:
         assert f"--budget: must be >= 1, got {budget}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["extract", "oracle"])
+    def test_budget_before_the_eta_table(self, tmp_path, capsys, monkeypatch, command):
+        # 4^99999 configurations: refused before an eta table of 10^5 steps
+        # is built, and without printing a number of 60206 digits
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the budget is checked before any eta table is built")
+
+        monkeypatch.setattr("ifkernels.cli.eta_table", forbidden)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"grid.n_steps": "100000", "grid.r_max": "100000"}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: pathsum_budget: 4^99999 configurations exceed budget 100000000\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("splitting", ["sym_env", "asym"])
     def test_aux_zero_convention_follows_splitting_flag(self, tmp_path, capsys, splitting):
-        # the config is valid (sym_sys); the flag moves the run off sym_sys
+        # the key is rejected when the config is parsed, before the flag moves the run
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_config(**{"run.splitting": "sym_sys",
                                        "run.aux_zero_convention": "standalone_terminal"}))
         out = tmp_path / "out"
         argv = ["extract", "--config", str(cfg), "--out", str(out), "--splitting", splitting]
         assert cli_main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"run.aux_zero_convention: applies to sym_sys only, not {splitting}" in err
+        assert capsys.readouterr().err == "error: run.aux_zero_convention: unknown field\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("semilength", ["15", "20"])

@@ -15,7 +15,7 @@ import pytest
 from ifkernels import SystemSpec
 from ifkernels.bath import eta_table
 from ifkernels.kernels import extract_kernels
-from ifkernels.liouville import TimeGrid, fb_propagator
+from ifkernels.liouville import TimeGrid
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import propagate
@@ -67,5 +67,4 @@ def test_propagated_maps(bath_default, splitting, flavor):
     sys_ = biased_system(2, seed=2)
     table = eta_table(bath_default, TimeGrid(0.1, 4, 4), splitting)
     kset, _, _ = extract_kernels(sys_, table, 4, flavor)
-    gh = fb_propagator(sys_, 0.05) if splitting == "sym_sys" else None
-    assert symmetry_defect(propagate(kset, 2000, g_half=gh)) < 1e-11
+    assert symmetry_defect(propagate(kset, 2000)) < 1e-11

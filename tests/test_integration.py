@@ -8,7 +8,7 @@ import pytest
 from ifkernels import BathSpec, SpectralDensity, SystemSpec
 from ifkernels.bath import eta_table, influence_pair_matrix
 from ifkernels.kernels import extract_kernels
-from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
+from ifkernels.liouville import TimeGrid, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import bath_correlation, propagate
@@ -40,7 +40,7 @@ class TestThreeState:
     def test_trajectory_physicality(self, sys3, bath_mild):
         table = eta_table(bath_mild, TimeGrid(0.1, 4, 4), "sym_sys")
         kset, _, _ = extract_kernels(sys3, table, 4, "smatpi")
-        traj = propagate(kset, 12, g_half=fb_propagator(sys3, 0.05))
+        traj = propagate(kset, 12)
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         for u in traj:
             rho = (u @ rho0.reshape(-1)).reshape(3, 3)

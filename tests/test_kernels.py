@@ -172,13 +172,6 @@ class TestGqmeKernel:
 
 
 class TestDress:
-    def test_identity(self, sys2, tables):
-        # propagating with an identity half step leaves U_n = aux_{n-1}
-        kset, _, aux_seed = extract_kernels(sys2, tables["sym_sys"], 6, "smatpi")
-        maps = propagate(kset, 6, g_half=np.eye(4))
-        assert liou_norm(maps[0] - kset.aux0) == 0.0
-        assert max(liou_norm(a - b) for a, b in zip(maps[1:], aux_seed)) < 1e-12
-
     def test_free_propagation(self, sys2):
         g1 = fb_propagator(sys2, 0.1)
         gh = fb_propagator(sys2, 0.05)
@@ -263,11 +256,6 @@ class TestExtractArguments:
         with pytest.raises(ValidationError, match=f"unknown flavor {flavor!r}"):
             extract_kernels(sys2, tables["sym_env"], 3, flavor)
 
-    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
-    def test_unknown_aux_zero_convention(self, sys2, tables, splitting):
-        with pytest.raises(ValidationError, match="unknown aux_zero_convention 'bogus'"):
-            extract_kernels(sys2, tables[splitting], 3, "smatpi", aux_zero_convention="bogus")
-
 
 class TestStacks:
     """Every matrix sequence is one plain (k, d, d) complex array."""
@@ -286,7 +274,7 @@ class TestStacks:
             self.assert_read_only_stack(kset.termination, (3, 4, 4))
         if kset.aux0 is not None:
             self.assert_read_only_stack(kset.aux0, (4, 4))
-        assert (kset.termination is None) == (flavor == "ttm" or splitting == "sym_sys")
+        assert (kset.termination is None) == (flavor == "ttm")
         with pytest.raises(ValueError, match="read-only"):
             kset.midpoint[0, 0, 0] = 1.0
 
@@ -357,30 +345,26 @@ ENGINE_CASES = [(sp, "ttm", None) for sp in SPLITTINGS] + [
     (sp, "smatpi", c) for sp in SPLITTINGS for c in AUX0_CONVENTIONS
 ]
 
-# the seven sets extraction makes: smatpi conventions are fixed except for sym_sys
+# the six sets extraction makes; the sym_sys smatpi set is checked for its convention
 EXTRACTED_CASES = [(sp, "ttm", None) for sp in SPLITTINGS] + [
     ("sym_env", "smatpi", None), ("asym", "smatpi", None),
-    ("sym_sys", "smatpi", "terminal_times_I0"), ("sym_sys", "smatpi", "standalone_terminal"),
+    ("sym_sys", "smatpi", "terminal_times_I0"),
 ]
 
 
 def _random_set_and_reference(rng, splitting, flavor, convention, horizon, r_max=3):
-    """A random kernel set, its half step, and U_1..U_horizon by the reference loop."""
+    """A random kernel set and U_1..U_horizon by the reference loop."""
     mids = random_seq(rng, r_max, scale=0.4)
     terms = random_seq(rng, r_max, scale=0.4)
     aux0 = np.eye(4) + 0.1 * random_seq(rng, 1)[0]
-    gh = np.eye(4) + 0.1 * random_seq(rng, 1)[0]
     if flavor == "ttm":
         kset = KernelSet(splitting, 0.1, r_max, mids, None, "ttm")
-        return kset, gh, convolution_reference(mids, horizon)
-    dressed = splitting == "sym_sys"
+        return kset, convolution_reference(mids, horizon)
     tail = aux0 if convention == "terminal_times_I0" else None
-    kset = KernelSet(splitting, 0.1, r_max, mids, None if dressed else terms, "smatpi",
+    kset = KernelSet(splitting, 0.1, r_max, mids, terms, "smatpi",
                      aux_zero_convention=convention, aux0=aux0)
     aux = convolution_reference(mids, horizon, tail=tail)
-    if dressed:  # U_1 is dressed from the stored aux_0 under either convention
-        return kset, gh, [gh @ a @ gh for a in [aux0] + aux[: horizon - 1]]
-    return kset, gh, convolution_reference(terms, horizon, tail=tail, b=aux)
+    return kset, convolution_reference(terms, horizon, tail=tail, b=aux)
 
 
 class TestPropagate:
@@ -400,16 +384,11 @@ class TestPropagate:
     @pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
     def test_full_seed_reproduces_oracle(self, splitting, flavor, sys2, tables):
         # the first r_max maps, rebuilt from the kernel set alone, are the
-        # oracle maps it was extracted from (both sym_sys conventions)
-        dressed = (splitting, flavor) == ("sym_sys", "smatpi")
-        gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        for convention in AUX0_CONVENTIONS if dressed else (None,):
-            kset, seed, _ = extract_kernels(
-                sys2, tables[splitting], 6, flavor, aux_zero_convention=convention
-            )
-            traj = propagate(kset, 6, g_half=gh)
-            assert len(traj) == 6
-            assert max(liou_norm(a - b) for a, b in zip(traj, seed)) < 1e-10
+        # oracle maps it was extracted from
+        kset, seed, _ = extract_kernels(sys2, tables[splitting], 6, flavor)
+        traj = propagate(kset, 6)
+        assert len(traj) == 6
+        assert max(liou_norm(a - b) for a, b in zip(traj, seed)) < 1e-10
 
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     @pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
@@ -417,16 +396,11 @@ class TestPropagate:
     def test_truncated_recurrence_matches_reference(self, splitting, flavor, horizon):
         # random kernel sets of r_max = 3, propagated past r_max, against the
         # one-product-per-term convolution loop
-        kset, gh, expected = _random_set_and_reference(
+        kset, expected = _random_set_and_reference(
             np.random.default_rng(horizon), splitting, flavor, "terminal_times_I0", horizon)
-        maps = propagate(kset, horizon, g_half=gh)
+        maps = propagate(kset, horizon)
         assert len(maps) == horizon
         assert max(liou_norm(a - b) for a, b in zip(maps, expected)) < 1e-12
-
-    def test_sym_sys_needs_half_step(self, sys2, tables):
-        kset, _, _ = extract_kernels(sys2, tables["sym_sys"], 3, "smatpi")
-        with pytest.raises(ValidationError, match="half-step"):
-            propagate(kset, 6)
 
     def test_convergence_with_memory_length(self, sys2, bath_default):
         # t = 3.0 population difference under growing memory truncation;
@@ -453,9 +427,9 @@ class TestEngine:
         size = {"one": 1, "three": 3, "horizon - r_max": horizon - r_max,
                 "past horizon": horizon + 5}[chunk]
         monkeypatch.setattr(kernels, "CHUNK", size)
-        kset, gh, expected = _random_set_and_reference(
+        kset, expected = _random_set_and_reference(
             np.random.default_rng(len(chunk)), *case, horizon, r_max)
-        blocks = list(propagate_blocks(kset, horizon, g_half=gh))
+        blocks = list(propagate_blocks(kset, horizon))
         assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
         got = np.concatenate(blocks)
         assert got.shape == (horizon, 4, 4)
@@ -474,9 +448,12 @@ class TestEngine:
         assert all(np.array_equal(b, np.broadcast_to(np.eye(4), b.shape)) for b in blocks)
         assert list(propagate_blocks(kset, 0)) == [] and propagate(kset, 0).shape == (0, 4, 4)
 
-    def test_arguments_checked_on_call(self, sys2, tables):
+    def test_arguments_checked_on_call(self, monkeypatch, sys2, tables):
+        from ifkernels import pathsum
+
         kset, _, _ = extract_kernels(sys2, tables["sym_sys"], 3, "smatpi")
-        with pytest.raises(ValidationError, match="half-step"):
+        monkeypatch.setattr(pathsum, "SIZE_LIMIT", 1)
+        with pytest.raises(ValidationError, match="size_limit"):
             propagate_blocks(kset, 6)  # before the first block is asked for
 
     def test_divergent_set_fails(self):
@@ -495,13 +472,13 @@ class TestEngine:
                              [("sym_sys", "ttm"), ("sym_env", "smatpi"), ("sym_sys", "smatpi")])
     def test_rounding_below_the_loop(self, sys2, tables, splitting, flavor):
         # 2000 steps from r_max = 6 kernels against the reference loop run
-        # in extended precision: the engine is off by 3.5e-15 (sym_env
-        # smatpi), 4.4e-15 (sym_sys ttm) and 3.0e-15 (sym_sys smatpi, whose
-        # half step sits in the engine's state; 3.2e-15 when it multiplied
-        # each map afterwards); the per-step loop it replaced was off by
-        # 3.3e-14 and 4.0e-14 on the first two
+        # in extended precision: the engine is off by 1.1e-15 (sym_env
+        # smatpi), 5.6e-15 (sym_sys ttm) and 4.0e-15 (sym_sys smatpi) on an
+        # x86-64 host with numpy's OpenBLAS; the per-step loop it replaced
+        # was off by 3.3e-14 and 4.0e-14 on the first two.  The sym_sys reference dresses U_n = G aux_{n-1} G
+        # itself, from the oracle's aux_0, not from the set's termination
+        # or tail.
         kset, _, _ = extract_kernels(sys2, tables[splitting], 6, flavor)
-        gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
 
         def extended(mats):
             return np.asarray(mats).astype(np.clongdouble)
@@ -509,14 +486,15 @@ class TestEngine:
         if flavor == "ttm":
             exact = convolution_reference(extended(kset.midpoint), 2000)
         elif splitting == "sym_sys":
-            g, aux0 = extended(gh), extended(kset.aux0)
+            g = extended(fb_propagator(sys2, 0.05))
+            aux0 = extended(oracle_trajectory(sys2, tables[splitting], 6)[1])
             aux = convolution_reference(extended(kset.midpoint), 1999, tail=aux0)
             exact = [g @ a @ g for a in [aux0] + aux]
         else:
             tail = extended(kset.aux0)
             aux = convolution_reference(extended(kset.midpoint), 2000, tail=tail)
             exact = convolution_reference(extended(kset.termination), 2000, tail=tail, b=aux)
-        got = propagate(kset, 2000, g_half=gh)
+        got = propagate(kset, 2000)
         assert float(np.max(np.abs(got - np.array(exact)))) < 1e-14
 
     @pytest.mark.parametrize("splitting, flavor, convention", EXTRACTED_CASES)
@@ -535,10 +513,9 @@ class TestEngine:
         def defect(maps):
             return np.max(np.abs(maps - swap @ maps.conj() @ swap))
 
-        kset, _, _ = extract_kernels(sys2, tables[splitting], 6, flavor,
-                                     aux_zero_convention=convention)
-        gh = fb_propagator(sys2, 0.05) if splitting == "sym_sys" else None
-        maps = propagate(kset, 20000, g_half=gh)
+        kset, _, _ = extract_kernels(sys2, tables[splitting], 6, flavor)
+        assert convention in (None, kset.aux_zero_convention)
+        maps = propagate(kset, 20000)
         trace = maps[:, [0, 3], :].sum(axis=1)  # rows (0, 0) and (1, 1)
         assert np.max(np.abs(trace - [1, 0, 0, 1])) < 3e-11
         assert defect(maps) < 1.5e-11
@@ -549,7 +526,7 @@ class TestEngine:
         exact = KernelSet(splitting, 0.1, 6, symmetric(kset.midpoint),
                           symmetric(kset.termination), flavor, kset.aux_zero_convention,
                           None if kset.aux0 is None else symmetric([kset.aux0])[0])
-        assert defect(propagate(exact, 20000, g_half=gh)) < 1e-13
+        assert defect(propagate(exact, 20000)) < 1e-13
 
 
 class TestEndpointDistinctness:
@@ -638,6 +615,11 @@ class TestKernelSet:
             KernelSet("sym_env", 0.1, 2, fields["midpoint"], fields["termination"], "smatpi",
                       "terminal_times_I0", fields["aux0"])
 
+    def test_rejects_unknown_aux_zero_convention(self):
+        mats = (np.eye(4),)
+        with pytest.raises(ValidationError, match="unknown aux_zero_convention 'bogus'"):
+            KernelSet("sym_sys", 0.1, 1, mats, mats, "smatpi", "bogus", np.eye(4))
+
     def test_smatpi_needs_a_convention(self):
         mats = (np.eye(4),)
         with pytest.raises(ValidationError, match="smatpi kernels need an aux_zero_convention"):
@@ -653,17 +635,6 @@ class TestKernelSet:
 
 
 class TestConventions:
-    def test_sym_sys_convention_flag(self, sys2, tables):
-        # both conventions are runtime-selectable and both back-substitute
-        for convention in ("terminal_times_I0", "standalone_terminal"):
-            kset, seed, aux_seed = extract_kernels(
-                sys2, tables["sym_sys"], 6, "smatpi", aux_zero_convention=convention
-            )
-            assert kset.aux_zero_convention == convention
-            gh = fb_propagator(sys2, 0.05)
-            traj = propagate(kset, 6, g_half=gh)
-            assert max(liou_norm(a - b) for a, b in zip(traj, seed)) < 1e-10
-
     def test_shipped_default_nullifies_one_step_memory_sym_sys(self, sys2, tables):
         # the frozen terminal convention is the one with vanishing midpoints
         tab1 = eta_truncated(tables["sym_sys"], 1)
