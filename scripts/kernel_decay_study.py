@@ -36,12 +36,9 @@ def main():
     table = eta_table(bath, grid, "sym_env")
 
     full, aux0, aux = oracle_trajectory(sys_, table, args.rmax)
-    smatpi = KernelSet(
-        "sym_env", args.dt, args.rmax, solve_midpoint(aux, aux0),
-        solve_termination(full, aux, aux0), "smatpi",
-        aux_zero_convention="terminal_times_I0", aux0=aux0,
-    )
-    ttm = KernelSet("sym_env", args.dt, args.rmax, extract_ttm(full), None, "ttm")
+    smatpi = KernelSet("sym_env", args.dt, solve_midpoint(aux, aux0),
+                       solve_termination(full, aux, aux0), aux0)
+    ttm = KernelSet("sym_env", args.dt, extract_ttm(full))
     report = compare(smatpi, ttm, threshold=args.threshold)
 
     print(f"{'k':>3} {'|M_k|/|M_1|':>14} {'|T_k|/|T_1|':>14} {'ttm rel':>14}")

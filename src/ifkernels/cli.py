@@ -25,7 +25,8 @@ function, ``_write_outputs``, makes ``--out``, writes the command's files
 and prints their paths once all are written.  If anything fails on the way,
 it removes every file it started and every directory it made (a directory
 that was there stays), so a non-zero exit leaves no partial output and
-prints no path.
+prints no path.  The console script (``main``) turns SIGTERM into the same
+unwind and exits 143; ``cli_main`` leaves signal handling to its caller.
 
 ``propagate`` runs the kernel recurrence on vec(rho_0) itself, one chunk
 of ``kernels.CHUNK`` steps at a time, while it writes (with
@@ -46,6 +47,7 @@ import contextlib
 import functools
 import itertools
 import os
+import signal
 import sys
 
 import numpy as np
@@ -196,7 +198,7 @@ def _cmd_extract(args) -> int:
         ("kernels.txt", lambda path: save_kernels(kset, path, metadata=metadata)),
         ("kernel_norms.csv", _table(["k", "norm_M", "norm_T"], rows)),
     ]
-    if flavor == "ttm" and kset.r_max >= 2:
+    if kset.flavor == "ttm" and kset.r_max >= 2:
         grows = [
             [str(k), _fmt(liou_norm(mat)), "same_formula_unverified" if k == 1 else ""]
             for k, mat in enumerate(gqme_kernel(kset.midpoint, kset.dt), start=1)
@@ -356,7 +358,13 @@ def cli_main(argv=None) -> int:
         return 2
 
 
+def _terminate(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # one unwind, not a second mid-cleanup
+    raise SystemExit(128 + signum)
+
+
 def main() -> None:
+    signal.signal(signal.SIGTERM, _terminate)  # ``timeout``, a job scheduler: exit 143
     sys.exit(cli_main(sys.argv[1:]))
 
 

@@ -8,7 +8,6 @@ Layout::
     dt = 0.1
     r_max = 6
     dim = 4
-    aux_zero_convention = terminal_times_I0
     matrices = midpoint
     1,0,0,0.99875026039496628,-0.0
     ...
@@ -18,8 +17,11 @@ Layout::
     0,0,0,1.0,0.0
 
 A smatpi file has a termination block under every splitting (for sym_sys,
-the half step G_half and exact zeros) and an aux0 block, its tail, under
-terminal_times_I0; a ttm file holds the midpoint block alone.
+the half step G_half and exact zeros) and, under sym_env and sym_sys, an
+aux0 block, its tail; a ttm file holds the midpoint block alone.  The
+``flavor`` and ``r_max`` headers restate the blocks, and a file whose
+headers disagree with its blocks is refused.  Header keys the loader does
+not read are ignored.
 
 Entry lines are ``k,row,col,re,im`` with re/im printed as the shortest
 decimal that round-trips the binary double (Python ``repr``), so
@@ -62,8 +64,6 @@ def save_kernels(kset: KernelSet, path, metadata: dict | None = None) -> None:
         f"r_max = {kset.r_max}",
         f"dim = {kset.dim}",
     ]
-    if kset.aux_zero_convention is not None:
-        lines.append(f"aux_zero_convention = {kset.aux_zero_convention}")
     for key, value in (metadata or {}).items():
         lines.append(f"meta.{key} = {value}")
     lines += _format_block("midpoint", kset.midpoint)
@@ -80,10 +80,11 @@ def load_kernels(path) -> KernelSet:
 
     Raises ParseError ("parse") for malformed files (text that is not UTF-8
     included), for a repeated header key, matrices block or k,row,col
-    entry, and for contents that KernelSet rejects: non-finite entries, an
-    r_max header that differs from a stored matrix count, an aux0 that is
-    not (dim, dim), an unknown splitting, or a block that ``propagate``
-    needs and the file lacks.
+    entry, for r_max or flavor headers that disagree with the blocks, and
+    for contents that KernelSet rejects: non-finite entries, termination
+    and midpoint counts that differ, an aux0 that is not (dim, dim), an
+    unknown splitting, or an aux0 block that the splitting and flavor rule
+    out or need and the file lacks.
     """
     header = {}
     blocks = {}
@@ -171,15 +172,13 @@ def load_kernels(path) -> KernelSet:
         raise ParseError(f"parse: aux0 block holds {len(aux0)} matrices, expected 1")
 
     try:
-        return KernelSet(
-            splitting,
-            dt,
-            r_max,
-            midpoint,
-            termination,
-            flavor,
-            aux_zero_convention=header.get("aux_zero_convention"),
-            aux0=None if aux0 is None else aux0[0],
-        )
+        if r_max != len(midpoint):
+            raise ValidationError(f"r_max {r_max} but {len(midpoint)} midpoint matrices")
+        if flavor not in ("smatpi", "ttm"):
+            raise ValidationError(f"unknown flavor {flavor!r}")
+        if (flavor == "smatpi") != (termination is not None):
+            held = "with" if termination is not None else "without"
+            raise ValidationError(f"{flavor} {splitting} kernels {held} termination matrices")
+        return KernelSet(splitting, dt, midpoint, termination, None if aux0 is None else aux0[0])
     except ValidationError as exc:
         raise ParseError(f"parse: inconsistent kernel file ({exc})") from None

@@ -18,14 +18,13 @@ differ only in what A, B and the tail are:
   invariant midpoint matrices M_k propagate the auxiliary sequence
   (A = M, B = aux, X = aux), and distinct termination matrices T_k assemble
   the physical maps from it (A = T, B = aux, X = U).  The tail is the
-  index-0 auxiliary aux_0 under the ``terminal_times_I0`` convention and
-  the identity under ``standalone_terminal``, which is exact when aux_0 is
-  the identity (asym splitting).  With the terminal convention and a
-  one-step-memory bath both hierarchies vanish identically beyond k = 1.
-  The half-step-dressed splitting (sym_sys), U_N = G_half . aux_{N-1} .
-  G_half, is stored as the same split over X_n = aux_n G_half: the same
-  midpoint matrices, the tail aux_0 G_half, and the termination
-  T_1 = G_half, T_k = 0 for k >= 2 exactly.
+  index-0 auxiliary aux_0: the single-point factor matrix under the
+  uniform-window splittings (sym_env, sym_sys), where a one-step-memory
+  bath makes both hierarchies vanish identically beyond k = 1, and exactly
+  the identity under asym.  The half-step-dressed splitting (sym_sys),
+  U_N = G_half . aux_{N-1} . G_half, is stored as the same split over
+  X_n = aux_n G_half: the same midpoint matrices, the tail aux_0 G_half,
+  and the termination T_1 = G_half, T_k = 0 for k >= 2 exactly.
 
 * The transfer-tensor recursion (TTM / crudely discretized GQME), a single
   translationally invariant set (A = T^C, B = X = U, identity tail), whose
@@ -74,7 +73,6 @@ from .errors import (
 )
 from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
 
-AUX0_CONVENTIONS = ("standalone_terminal", "terminal_times_I0")
 COND_LIMIT = 1e12
 # Steps per propagation chunk: each chunk is one (CHUNK m d, R d) @ (R d, c)
 # product, and the chunk rows take O(CHUNK R d^2) memory.
@@ -91,59 +89,57 @@ def _stack(mats, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelSet:
-    """An extracted kernel hierarchy with its splitting, step, and flavor.
+    """An extracted kernel hierarchy: its splitting, step and matrices.
 
     ``midpoint`` and ``termination`` are read-only (r_max, dim, dim) complex
-    stacks, copied on construction; for flavor "ttm" the single matrix set
-    lives in ``midpoint`` and ``termination`` is None.  ``aux0`` is the
-    read-only (dim, dim) tail factor of the terminal_times_I0 convention:
-    the index-0 auxiliary matrix, times G_half for sym_sys.  A set carries
-    everything propagation needs: the aux_zero_convention and termination
-    matrices of a smatpi set, and aux0 where the convention uses it.
+    stacks, copied on construction.  A set with a termination stack is
+    smatpi; without one it is ttm, its single matrix set in ``midpoint``.
+    ``aux0`` is the read-only (dim, dim) tail, given exactly for sym_env
+    and sym_sys smatpi sets: the index-0 auxiliary matrix, times G_half for
+    sym_sys.  None is the identity tail of asym smatpi and of every ttm
+    set.  ``r_max``, ``flavor`` and ``dim`` are read off the stacks.
     """
 
     splitting: str
     dt: float
-    r_max: int
     midpoint: np.ndarray
-    termination: np.ndarray | None
-    flavor: str
-    aux_zero_convention: str | None = None
+    termination: np.ndarray | None = None
     aux0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.splitting not in SPLITTINGS:
             raise ValidationError(f"unknown splitting {self.splitting!r}")
-        if self.r_max < 1:
-            raise ValidationError("r_max must be >= 1")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be finite and > 0, got {self.dt!r}")
-        if self.flavor not in ("smatpi", "ttm"):
-            raise ValidationError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "ttm" and self.termination is not None:
-            raise ValidationError("ttm flavor carries a single matrix set")
-        if self.flavor == "smatpi" and self.termination is None:
-            raise ValidationError(f"smatpi {self.splitting} kernels need termination matrices")
-        if self.aux0 is None and self.aux_zero_convention == "terminal_times_I0":
-            raise ValidationError("aux0 matrix missing: terminal_times_I0 needs it")
+        kind = f"{self.flavor} {self.splitting} kernels"
+        if self.aux0 is None and self.flavor == "smatpi" and self.splitting != "asym":
+            raise ValidationError(f"aux0 matrix missing: {kind} need it")
+        if self.aux0 is not None and (self.flavor == "ttm" or self.splitting == "asym"):
+            raise ValidationError(f"aux0 matrix given: {kind} have the identity tail")
         d = None
         for name in ("midpoint", "termination", "aux0"):
             mats = getattr(self, name)
             if mats is None:
                 continue
             stack = _stack([mats] if name == "aux0" else mats, name)
-            if len(stack) != self.r_max and name != "aux0":
-                raise ValidationError(f"r_max {self.r_max} but {len(stack)} {name} matrices")
+            if name == "midpoint" and not len(stack):
+                raise ValidationError("r_max must be >= 1: no midpoint matrices")
+            if name == "termination" and len(stack) != self.r_max:
+                raise ValidationError(f"r_max {self.r_max} but {len(stack)} termination matrices")
             d = stack.shape[-1] if d is None else d  # midpoint comes first
             if stack.shape[1:] != (d, d):
                 raise DimMismatchError(f"dim_mismatch: {name} shape {stack.shape[1:]}, expected {(d, d)}")
             check_finite(stack, f"{name} matrix")
             stack.flags.writeable = False
             object.__setattr__(self, name, stack[0] if name == "aux0" else stack)
-        if self.aux_zero_convention is not None and self.aux_zero_convention not in AUX0_CONVENTIONS:
-            raise ValidationError(f"unknown aux_zero_convention {self.aux_zero_convention!r}")
-        if self.flavor == "smatpi" and self.aux_zero_convention is None:
-            raise ValidationError("smatpi kernels need an aux_zero_convention")
+
+    @property
+    def r_max(self):
+        return len(self.midpoint)
+
+    @property
+    def flavor(self):
+        return "ttm" if self.termination is None else "smatpi"
 
     @property
     def dim(self):
@@ -279,9 +275,9 @@ def propagate_blocks(kernels: KernelSet, horizon: int, right: np.ndarray | None 
     are checked and the chunk rows built before the iterator is returned,
     so each call builds its own rows.  ttm runs the transfer
     tensors over U itself.  smatpi runs the midpoint matrices over the
-    auxiliary sequence, with the set's tail aux0 under the terminal_times_I0
-    convention, and reads U off it through the termination matrices.  Within
-    r_max steps the output rebuilds the maps the set was extracted from;
+    auxiliary sequence from the set's tail, and reads U off it through the
+    termination matrices.  Within r_max steps the output rebuilds the maps
+    the set was extracted from;
     beyond it the sums truncate at r_max (terms are dropped; no
     renormalization).  A block holding a non-finite entry raises
     PropagationDivergedError instead of being yielded.  A set whose chunk
@@ -302,9 +298,8 @@ def propagate_blocks(kernels: KernelSet, horizon: int, right: np.ndarray | None 
     block = np.eye(d, dtype=complex) if right is None else np.asarray(right, dtype=complex)
     if block.ndim != 2 or block.shape[0] != d:
         raise DimMismatchError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
-    terminal = kernels.flavor == "smatpi" and kernels.aux_zero_convention == "terminal_times_I0"
     state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
-    state[0] = kernels.aux0 @ block if terminal else block
+    state[0] = block if kernels.aux0 is None else kernels.aux0 @ block
     wide = _wide(kernels.midpoint)
     first = wide  # P_1 = e_0 C: the recurrence itself
     if kernels.flavor == "smatpi":  # [T_1 | ... | T_R] C^(k-1) gives U_{n+k}
@@ -389,17 +384,6 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
 # Extraction pipeline
 # ---------------------------------------------------------------------------
 
-# Frozen conventions per splitting for smatpi extraction: the uniform-window
-# splittings have a nontrivial single-point factor matrix as their index-0
-# auxiliary, so their hierarchies terminate against it; the asym auxiliary
-# starts at the identity, making the standalone terminal exact.
-SMATPI_CONVENTION = {
-    "sym_env": "terminal_times_I0",
-    "sym_sys": "terminal_times_I0",
-    "asym": "standalone_terminal",
-}
-
-
 def extract_kernels(
     sys: SystemSpec,
     eta: EtaTable,
@@ -413,8 +397,10 @@ def extract_kernels(
     The splitting and dt of the set are those of ``eta``, whose horizon
     bounds r_max.  Returns (kernel_set, full, aux): the set and the
     (R, d, d) oracle maps U_1..U_R and aux_1..aux_R it was solved from.
-    A smatpi sym_sys set is written over X_n = aux_n G_half: its tail is
-    aux_0 G_half and its termination G_half, 0, ..., 0.
+    A smatpi set is solved against its tail aux_0 (none under asym, whose
+    aux_0 is exactly the identity).  A smatpi sym_sys set is written over
+    X_n = aux_n G_half: its tail is aux_0 G_half and its termination
+    G_half, 0, ..., 0.
     """
     from .pathsum import DEFAULT_BUDGET, oracle_trajectory
 
@@ -424,10 +410,9 @@ def extract_kernels(
     splitting = eta.splitting
     full, aux0, aux = oracle_trajectory(sys, eta, r_max, budget=budget)
     if flavor == "ttm":
-        return KernelSet(splitting, eta.dt, r_max, extract_ttm(full), None, "ttm"), full, aux
+        return KernelSet(splitting, eta.dt, extract_ttm(full)), full, aux
 
-    convention = SMATPI_CONVENTION[splitting]
-    tail = aux0 if convention == "terminal_times_I0" else None
+    tail = None if splitting == "asym" else aux0
     mids = solve_midpoint(aux, tail)
     if splitting == "sym_sys":  # U_N = G_half (aux_{N-1} G_half): T_1 = G_half, T_k = 0
         g_half = fb_propagator(sys, 0.5 * eta.dt)
@@ -436,6 +421,4 @@ def extract_kernels(
         tail = aux0 @ g_half
     else:
         terms = solve_termination(full, aux, tail)
-    kset = KernelSet(splitting, eta.dt, r_max, mids, terms, "smatpi",
-                     aux_zero_convention=convention, aux0=tail)
-    return kset, full, aux
+    return KernelSet(splitting, eta.dt, mids, terms, tail), full, aux

@@ -365,15 +365,14 @@ def rho_recurrence(kset, n_steps, rho0):
 
     x_n = sum_{r=1}^{min(n-1, R)} A_r x_{n-r} + [n <= R] A_n tail v runs the
     kernel set's sequence X (aux, or aux G_half for sym_sys, for smatpi; U
-    for ttm) on the vector v = vec(rho_0), with the stored tail aux0 under
-    terminal_times_I0 and the identity otherwise; rho_n is x_n itself (ttm)
+    for ttm) on the vector v = vec(rho_0), with the stored tail aux0 where
+    the set has one and the identity otherwise; rho_n is x_n itself (ttm)
     or sum_r T_r x_{n-r} + [n <= R] T_n tail v (smatpi).  One matrix-vector
     product per term.
     """
     n = np.asarray(rho0).shape[0]
     v = np.asarray(rho0, dtype=complex).reshape(-1)
-    terminal = kset.flavor == "smatpi" and kset.aux_zero_convention == "terminal_times_I0"
-    tail = kset.aux0 @ v if terminal else v
+    tail = v if kset.aux0 is None else kset.aux0 @ v
 
     def convolve(mats, xs, step):
         acc = np.zeros_like(v)

@@ -215,11 +215,8 @@ def test_criterion_9_kernel_decay(sys2, bath_default):
     full, aux0, aux = oracle_trajectory(sys2, table, r)
     mids = solve_midpoint(aux, aux0)
     terms = solve_termination(full, aux, aux0)
-    smatpi = KernelSet(
-        "sym_env", 0.1, r, mids, terms, "smatpi",
-        aux_zero_convention="terminal_times_I0", aux0=aux0,
-    )
-    ttm = KernelSet("sym_env", 0.1, r, extract_ttm(full), None, "ttm")
+    smatpi = KernelSet("sym_env", 0.1, mids, terms, aux0)
+    ttm = KernelSet("sym_env", 0.1, extract_ttm(full))
     report = compare(smatpi, ttm, threshold=1e-3)
     assert report.first_below_a is not None and report.first_below_a <= r
     assert report.first_below_b is not None and report.first_below_b <= r

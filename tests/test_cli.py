@@ -4,10 +4,12 @@ import io
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import tracemalloc
 import warnings
 
@@ -130,16 +132,13 @@ class TestKernelFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         mats = tuple(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
-        kset = KernelSet(
-            "sym_env", 0.1, 3, mats, mats, "smatpi",
-            aux_zero_convention="terminal_times_I0", aux0=np.eye(4, dtype=complex),
-        )
+        kset = KernelSet("sym_env", 0.1, mats, mats, np.eye(4, dtype=complex))
         path = tmp_path / "k.txt"
         save_kernels(kset, path)
         loaded = load_kernels(path)
         assert loaded.splitting == kset.splitting
         assert loaded.r_max == kset.r_max
-        assert loaded.aux_zero_convention == kset.aux_zero_convention
+        assert loaded.flavor == kset.flavor
         for a, b in zip(loaded.midpoint, kset.midpoint):
             assert np.array_equal(a, b)
         for a, b in zip(loaded.termination, kset.termination):
@@ -153,8 +152,7 @@ class TestKernelFile:
                 + 1j * rng.normal(size=(4, 4)) for _ in range(2)]
         mats[0][0, :] = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
         aux0 = np.diag([1.0, -0.0, 0.5, complex(0.0, -0.0)])
-        kset = KernelSet("sym_env", 0.1, 2, tuple(mats), tuple(m.conj() for m in mats), "smatpi",
-                         aux_zero_convention="terminal_times_I0", aux0=aux0)
+        kset = KernelSet("sym_env", 0.1, tuple(mats), tuple(m.conj() for m in mats), aux0)
         path = tmp_path / "k.txt"
         save_kernels(kset, path)
         text = path.read_text()
@@ -167,7 +165,7 @@ class TestKernelFile:
         assert "1,0,1,-0.0,0.0" in text and "1,0,3,0.0,-0.0" in text
 
     def test_version_error(self, tmp_path):
-        kset = KernelSet("sym_env", 0.1, 1, (np.eye(4, dtype=complex),), None, "ttm")
+        kset = KernelSet("sym_env", 0.1, (np.eye(4, dtype=complex),))
         path = tmp_path / "k.txt"
         save_kernels(kset, path)
         text = path.read_text().replace("format_version = 1", "format_version = 999")
@@ -176,7 +174,7 @@ class TestKernelFile:
             load_kernels(path)
 
     def test_truncated_file_parse_error(self, tmp_path):
-        kset = KernelSet("sym_env", 0.1, 1, (np.eye(4, dtype=complex),), None, "ttm")
+        kset = KernelSet("sym_env", 0.1, (np.eye(4, dtype=complex),))
         path = tmp_path / "k.txt"
         save_kernels(kset, path)
         lines = path.read_text().splitlines()
@@ -185,7 +183,7 @@ class TestKernelFile:
             load_kernels(path)
 
     def test_malformed_line_reports_number(self, tmp_path):
-        kset = KernelSet("sym_env", 0.1, 1, (np.eye(4, dtype=complex),), None, "ttm")
+        kset = KernelSet("sym_env", 0.1, (np.eye(4, dtype=complex),))
         path = tmp_path / "k.txt"
         save_kernels(kset, path)
         lines = path.read_text().splitlines()
@@ -280,7 +278,21 @@ class TestBadKernelFiles:
         _drop_block(kpath, "termination")
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
-        assert f"parse: inconsistent kernel file (smatpi {splitting} kernels need termination" in err
+        assert (f"parse: inconsistent kernel file (smatpi {splitting} kernels without"
+                " termination matrices)") in err
+
+    @pytest.mark.parametrize("flavor, want", [
+        ("ttm", "ttm sym_env kernels with termination matrices"),
+        ("bogus", "unknown flavor 'bogus'"),
+    ])
+    def test_flavor_header_disagrees_with_blocks(self, tmp_path, capsys, flavor, want):
+        # the flavor header restates whether a termination block is present
+        cfg, kpath = _extracted(tmp_path)
+        kpath.write_text(kpath.read_text().replace("flavor = smatpi", f"flavor = {flavor}"))
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert err == f"error: parse: inconsistent kernel file ({want})\n"
+        assert not (kpath.parent / "prop").exists()
 
     @pytest.mark.parametrize("overrides", [{}, {"run.splitting": "sym_sys"}])
     def test_missing_aux0(self, tmp_path, capsys, overrides):
@@ -290,18 +302,40 @@ class TestBadKernelFiles:
         assert code == 1
         assert "parse: inconsistent kernel file (aux0 matrix missing" in err
 
-    @pytest.mark.parametrize("line", ["", "aux_zero_conventon = terminal_times_I0"])
-    def test_smatpi_without_convention(self, tmp_path, capsys, line):
-        # a missing or misspelt convention would propagate against the identity,
-        # not the stored aux0 block
-        cfg, kpath = _extracted(tmp_path)
-        text = kpath.read_text()
-        kpath.write_text(text.replace("aux_zero_convention = terminal_times_I0\n", line + "\n"))
+    @pytest.mark.parametrize("overrides, kind", [({"run.flavor": "ttm"}, "ttm sym_env"),
+                                                 ({"run.splitting": "asym"}, "smatpi asym")])
+    def test_aux0_beside_an_identity_tail(self, tmp_path, capsys, overrides, kind):
+        # a ttm or asym smatpi set starts from the identity: an aux0 block
+        # (here 2 I) would be ignored by propagate, so the file is refused
+        cfg, kpath = _extracted(tmp_path, **overrides)
+        aux0 = [f"1,{i},{j},{2.0 if i == j else 0.0},0.0" for i in range(4) for j in range(4)]
+        kpath.write_text(kpath.read_text() + "\n".join(["matrices = aux0"] + aux0) + "\n")
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
-        assert err == ("error: parse: inconsistent kernel file"
-                       " (smatpi kernels need an aux_zero_convention)\n")
+        assert err == ("error: parse: inconsistent kernel file (aux0 matrix given:"
+                       f" {kind} kernels have the identity tail)\n")
         assert not (kpath.parent / "prop").exists()
+
+    @pytest.mark.parametrize("line", ["", "aux_zero_conventon = terminal_times_I0"])
+    def test_smatpi_without_convention(self, tmp_path, line):
+        # a kernel file has no aux_0 convention: older files carry an
+        # ``aux_zero_convention`` line after ``dim``, which is ignored like
+        # any header key the loader does not read (a misspelt one too), so
+        # with it, without it or misspelt the file loads to the same set
+        # and propagates the same bytes
+        cfg, kpath = _extracted(tmp_path)
+        text = kpath.read_text()
+        assert "aux_zero_convention" not in text
+        runs = {}
+        for name, header in (("old", "aux_zero_convention = terminal_times_I0"), ("new", line)):
+            path = tmp_path / name / "kernels.txt"
+            path.parent.mkdir()
+            path.write_text(text.replace("dim = 4\n", f"dim = 4\n{header}\n"))
+            kset = load_kernels(path)
+            runs[name] = (kset.splitting, kset.dt, kset.midpoint.tobytes(),
+                          kset.termination.tobytes(), kset.aux0.tobytes(),
+                          _trajectory_bytes(cfg, path, path.parent / "prop", False))
+        assert runs["old"] == runs["new"]
 
     @pytest.mark.parametrize("dt", ["nan", "-0.1", "0.0", "inf"])
     def test_bad_dt_header(self, tmp_path, capsys, dt):
@@ -359,8 +393,7 @@ class TestBadKernelFiles:
     def test_kernel_set_checks_aux0_shape(self):
         mats = (np.eye(4, dtype=complex),)
         with pytest.raises(ValidationError, match="dim_mismatch: aux0 shape"):
-            KernelSet("sym_env", 0.1, 1, mats, mats, "smatpi",
-                      aux_zero_convention="terminal_times_I0", aux0=np.eye(3))
+            KernelSet("sym_env", 0.1, mats, mats, np.eye(3))
 
 
 # (splitting, flavor, initial state): every set extraction makes, from the
@@ -604,7 +637,7 @@ class TestBlockWriter:
 def _propagate_diverging(tmp_path, out):
     """Exit code of propagating a ttm set with midpoint 2 I for 2000 steps into ``out``."""
     kpath = tmp_path / "kernels.txt"
-    save_kernels(KernelSet("sym_env", 0.1, 1, (2 * np.eye(4),), None, "ttm"), kpath)
+    save_kernels(KernelSet("sym_env", 0.1, (2 * np.eye(4),)), kpath)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(small_config(**{"grid.n_steps": 2000, "grid.r_max": 1}))
     argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
@@ -657,7 +690,7 @@ class TestPropagateFailures:
             assert capsys.readouterr().err.startswith("error: propagation_diverged: U_1024")
         else:
             kpath = tmp_path / "kernels.txt"  # identity maps: 1000 steps are 4 blocks
-            save_kernels(KernelSet("sym_env", 0.1, 1, (np.eye(4),), None, "ttm"), kpath)
+            save_kernels(KernelSet("sym_env", 0.1, (np.eye(4),)), kpath)
             cfg = tmp_path / "cfg.txt"
             cfg.write_text(small_config(**{"grid.n_steps": 1000, "grid.r_max": 1}))
             argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
@@ -673,6 +706,32 @@ class TestPropagateFailures:
         assert not (tmp_path / "out").exists()
         # 769 and 513 rows came before the failing block
         assert len(written) == {"diverged": 7, "worker_memory": 0, "interrupt": 5}[failure]
+
+    def test_sigterm_leaves_nothing(self, tmp_path):
+        # the console script unwinds on SIGTERM as on Ctrl-C: a propagate of
+        # 10^11 steps, stopped once its trajectory.csv is open, exits 143 and
+        # leaves neither the file nor the --out directory made for it
+        kpath = tmp_path / "kernels.txt"
+        save_kernels(KernelSet("sym_env", 0.1, (np.eye(4),)), kpath)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_config(**{"grid.n_steps": 10**11, "grid.r_max": 1}))
+        out = tmp_path / "out" / "a"
+        argv = ["propagate", "--config", str(cfg), "--kernels", str(kpath), "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ifkernels.__file__)))
+        proc = subprocess.Popen([sys.executable, "-m", "ifkernels.cli", *argv], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "trajectory.csv").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 143
+        finally:
+            proc.kill()
+            stderr = proc.communicate()[1]
+        assert b"Traceback" not in stderr
+        assert not (tmp_path / "out").exists()
 
     def test_divergent_kernels_exit_2(self, tmp_path, capsys):
         # midpoint 2 I doubles every map until U_1024 overflows: exit 2, a
@@ -757,7 +816,7 @@ class TestPropagateFailures:
 
 # A field replaced in a mutated kernel file takes one of these values.
 _KERNEL_TOKENS = (b"0", b"-1", b"2", b"4", b"-99999999999999999999", b"99999999999999999999",
-                  b"1e999", b"nan", b"-inf", b"", b"\xff\xfe", b"aux0")
+                  b"1e999", b"nan", b"-inf", b"", b"\xff\xfe", b"aux0", b"ttm", b"smatpi")
 
 
 @st.composite
@@ -792,10 +851,12 @@ def _mutated_kernel_file(draw, lines):
 class TestMutatedKernelFiles:
     @pytest.fixture(scope="class")
     def r2_extract(self, tmp_path_factory):
-        """(config, kernel file) of an r_max = 2 sym_env and sym_sys smatpi extract."""
-        return {sp: _extracted(tmp_path_factory.mktemp("r2"), **{
-            "grid.r_max": "2", "grid.n_steps": "3", "run.splitting": sp})
-            for sp in ("sym_env", "sym_sys")}
+        """(config, kernel file) of an r_max = 2 extract of every kind of file:
+        smatpi with an aux0 block (sym_env, sym_sys) or without (asym), and ttm."""
+        return {case: _extracted(tmp_path_factory.mktemp("r2"), **{
+            "grid.r_max": "2", "grid.n_steps": "3", "run.splitting": case[0], "run.flavor": case[1]})
+            for case in [("sym_env", "smatpi"), ("sym_sys", "smatpi"), ("asym", "smatpi"),
+                         ("sym_env", "ttm")]}
 
     @pytest.mark.parametrize("command", ["compare", "propagate"])
     @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -17,7 +18,6 @@ from ifkernels.errors import (
     ValidationError,
 )
 from ifkernels.kernels import (
-    AUX0_CONVENTIONS,
     CHUNK,
     KernelSet,
     closed_form_asym,
@@ -283,7 +283,7 @@ class TestStacks:
         mats = random_seq(rng, 3)  # a list of matrices is stacked
         stack = np.stack(random_seq(rng, 3))
         aux0 = np.eye(4)
-        kset = KernelSet("sym_env", 0.1, 3, mats, stack, "smatpi", "terminal_times_I0", aux0)
+        kset = KernelSet("sym_env", 0.1, mats, stack, aux0)
         self.assert_read_only_stack(kset.midpoint, (3, 4, 4))
         self.assert_read_only_stack(kset.termination, (3, 4, 4))
         self.assert_read_only_stack(kset.aux0, (4, 4))
@@ -300,7 +300,7 @@ class TestStacks:
         assert maps.shape == (6, 4, 4) and maps.flags.c_contiguous
 
     def test_propagate_zero_steps(self):
-        kset = KernelSet("asym", 0.1, 1, (np.eye(4),), None, "ttm")
+        kset = KernelSet("asym", 0.1, (np.eye(4),))
         assert propagate(kset, 0).shape == (0, 4, 4)
 
     def test_extraction_returns_oracle_stacks(self, sys2, tables):
@@ -313,9 +313,9 @@ class TestStacks:
     def test_ragged_input_is_dim_mismatch(self):
         ragged = [np.eye(4), np.eye(9)]
         with pytest.raises(DimMismatchError, match="dim_mismatch: midpoint"):
-            KernelSet("sym_env", 0.1, 2, ragged, None, "ttm")
+            KernelSet("sym_env", 0.1, ragged)
         with pytest.raises(DimMismatchError, match="dim_mismatch: termination"):
-            KernelSet("asym", 0.1, 2, [np.eye(4)] * 2, ragged, "smatpi")
+            KernelSet("asym", 0.1, [np.eye(4)] * 2, ragged)
         for solve in (solve_midpoint, extract_ttm, lambda y: solve_termination(y, y),
                       lambda y: solve_termination([np.eye(4)] * 2, y),
                       lambda y: gqme_kernel(y, 0.1)):
@@ -334,35 +334,25 @@ class TestStacks:
                       aux0=np.eye(4))
         fields[field] = value
         with pytest.raises(DimMismatchError, match=f"dim_mismatch: {field} shape {re.escape(shape)}"):
-            KernelSet("sym_env", 0.1, 2, fields["midpoint"], fields["termination"], "smatpi",
-                      "terminal_times_I0", fields["aux0"])
+            KernelSet("sym_env", 0.1, fields["midpoint"], fields["termination"], fields["aux0"])
 
 
 SPLITTINGS = ("sym_env", "sym_sys", "asym")
-# every way a kernel set can be propagated: one ttm set per splitting, and
-# smatpi under both aux_0 conventions
-ENGINE_CASES = [(sp, "ttm", None) for sp in SPLITTINGS] + [
-    (sp, "smatpi", c) for sp in SPLITTINGS for c in AUX0_CONVENTIONS
-]
-
-# the six sets extraction makes; the sym_sys smatpi set is checked for its convention
-EXTRACTED_CASES = [(sp, "ttm", None) for sp in SPLITTINGS] + [
-    ("sym_env", "smatpi", None), ("asym", "smatpi", None),
-    ("sym_sys", "smatpi", "terminal_times_I0"),
-]
+# every kind of kernel set, the six that extraction makes: one ttm set per
+# splitting (identity tail), and one smatpi set per splitting, with an aux0
+# tail under sym_env and sym_sys and the identity tail under asym
+ENGINE_CASES = [(sp, flavor) for flavor in ("ttm", "smatpi") for sp in SPLITTINGS]
 
 
-def _random_set_and_reference(rng, splitting, flavor, convention, horizon, r_max=3):
-    """A random kernel set and U_1..U_horizon by the reference loop."""
+def _random_set_and_reference(rng, splitting, flavor, horizon, r_max=3):
+    """A random kernel set of the splitting and flavor, and U_1..U_horizon by the reference loop."""
     mids = random_seq(rng, r_max, scale=0.4)
     terms = random_seq(rng, r_max, scale=0.4)
     aux0 = np.eye(4) + 0.1 * random_seq(rng, 1)[0]
     if flavor == "ttm":
-        kset = KernelSet(splitting, 0.1, r_max, mids, None, "ttm")
-        return kset, convolution_reference(mids, horizon)
-    tail = aux0 if convention == "terminal_times_I0" else None
-    kset = KernelSet(splitting, 0.1, r_max, mids, terms, "smatpi",
-                     aux_zero_convention=convention, aux0=aux0)
+        return KernelSet(splitting, 0.1, mids), convolution_reference(mids, horizon)
+    tail = None if splitting == "asym" else aux0
+    kset = KernelSet(splitting, 0.1, mids, terms, tail)
     aux = convolution_reference(mids, horizon, tail=tail)
     return kset, convolution_reference(terms, horizon, tail=tail, b=aux)
 
@@ -397,7 +387,7 @@ class TestPropagate:
         # random kernel sets of r_max = 3, propagated past r_max, against the
         # one-product-per-term convolution loop
         kset, expected = _random_set_and_reference(
-            np.random.default_rng(horizon), splitting, flavor, "terminal_times_I0", horizon)
+            np.random.default_rng(horizon), splitting, flavor, horizon)
         maps = propagate(kset, horizon)
         assert len(maps) == horizon
         assert max(liou_norm(a - b) for a, b in zip(maps, expected)) < 1e-12
@@ -436,13 +426,13 @@ class TestEngine:
         assert np.max(np.abs(got - expected)) <= 1e-11 * np.max(np.abs(expected))
 
     def test_right_block_shape_checked(self):
-        kset = KernelSet("asym", 0.1, 1, (np.eye(4),), None, "ttm")
+        kset = KernelSet("asym", 0.1, (np.eye(4),))
         for bad in (np.ones(4), np.ones((3, 1))):
             with pytest.raises(DimMismatchError, match="right-hand block"):
                 propagate_blocks(kset, 6, right=bad)
 
     def test_blocks_of_chunk_maps(self):
-        kset = KernelSet("asym", 0.1, 1, (np.eye(4),), None, "ttm")
+        kset = KernelSet("asym", 0.1, (np.eye(4),))
         blocks = list(propagate_blocks(kset, 2 * CHUNK + 5))
         assert [len(b) for b in blocks] == [CHUNK, CHUNK, 5]
         assert all(np.array_equal(b, np.broadcast_to(np.eye(4), b.shape)) for b in blocks)
@@ -458,7 +448,7 @@ class TestEngine:
 
     def test_divergent_set_fails(self):
         # midpoint 2 I doubles every map: U_1024 = 2^1024 I overflows
-        kset = KernelSet("sym_env", 0.1, 1, (2 * np.eye(4),), None, "ttm")
+        kset = KernelSet("sym_env", 0.1, (2 * np.eye(4),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warnings either
             with pytest.raises(PropagationDivergedError,
@@ -497,8 +487,8 @@ class TestEngine:
         got = propagate(kset, 2000)
         assert float(np.max(np.abs(got - np.array(exact)))) < 1e-14
 
-    @pytest.mark.parametrize("splitting, flavor, convention", EXTRACTED_CASES)
-    def test_long_run_drift(self, sys2, tables, splitting, flavor, convention):
+    @pytest.mark.parametrize("splitting, flavor", ENGINE_CASES)
+    def test_long_run_drift(self, sys2, tables, splitting, flavor):
         # 20000 steps from the default set at r_max = 6.  Over these seven
         # sets the per-step loop this engine replaced drifted from trace
         # preservation by up to 1.29e-11 and from the Hermiticity symmetry
@@ -514,7 +504,6 @@ class TestEngine:
             return np.max(np.abs(maps - swap @ maps.conj() @ swap))
 
         kset, _, _ = extract_kernels(sys2, tables[splitting], 6, flavor)
-        assert convention in (None, kset.aux_zero_convention)
         maps = propagate(kset, 20000)
         trace = maps[:, [0, 3], :].sum(axis=1)  # rows (0, 0) and (1, 1)
         assert np.max(np.abs(trace - [1, 0, 0, 1])) < 3e-11
@@ -523,8 +512,7 @@ class TestEngine:
         def symmetric(mats):  # a + mirror(a) and mirror(a) + a round alike
             return None if mats is None else [(m + swap @ m.conj() @ swap) / 2 for m in mats]
 
-        exact = KernelSet(splitting, 0.1, 6, symmetric(kset.midpoint),
-                          symmetric(kset.termination), flavor, kset.aux_zero_convention,
+        exact = KernelSet(splitting, 0.1, symmetric(kset.midpoint), symmetric(kset.termination),
                           None if kset.aux0 is None else symmetric([kset.aux0])[0])
         assert defect(propagate(exact, 20000)) < 1e-13
 
@@ -557,7 +545,7 @@ class TestCompare:
 
     def test_dt_mismatch_rejected(self, sys2, tables):
         kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")
-        other = KernelSet("sym_env", 0.2, 4, kset.midpoint, None, "ttm")
+        other = KernelSet("sym_env", 0.2, kset.midpoint)
         with pytest.raises(ValidationError):
             compare(kset, other)
 
@@ -570,7 +558,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
-        kset = KernelSet("sym_env", 0.1, 2, [np.eye(4)] * 2, None, "ttm")
+        kset = KernelSet("sym_env", 0.1, [np.eye(4)] * 2)
         with pytest.raises(ValidationError, match="threshold must be finite and > 0"):
             compare(kset, kset, threshold=threshold)
 
@@ -578,8 +566,8 @@ class TestCompare:
         # norms 1, 0.5, 1e-4 against a zero set: set a falls below 1e-3 at
         # k = 3, an all-zero set never does, and the shorter set pads with None
         mats = np.array([1.0, 0.5, 1e-4])[:, None, None] * np.eye(4)
-        a = KernelSet("sym_env", 0.1, 3, mats, None, "ttm")
-        b = KernelSet("sym_env", 0.1, 2, np.zeros((2, 4, 4)), None, "ttm")
+        a = KernelSet("sym_env", 0.1, mats)
+        b = KernelSet("sym_env", 0.1, np.zeros((2, 4, 4)))
         report = compare(a, b, threshold=1e-3)
         assert report.norms_a == (1.0, 0.5, 1e-4) and report.norms_b == (0.0, 0.0, None)
         assert report.diffs == (1.0, 0.5, None) and report.term_norms_a == (None,) * 3
@@ -587,7 +575,7 @@ class TestCompare:
 
     def test_splitting_mismatch_rejected(self, sys2, tables):
         kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")
-        other = KernelSet("asym", 0.1, 4, kset.midpoint, None, "ttm")
+        other = KernelSet("asym", 0.1, kset.midpoint)
         with pytest.raises(SplittingMismatchError, match="splitting_mismatch"):
             compare(kset, other)
 
@@ -596,14 +584,13 @@ class TestKernelSet:
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.1, 0.0])
     def test_rejects_bad_dt(self, dt):
         with pytest.raises(ValidationError, match="dt must be finite and > 0"):
-            KernelSet("sym_env", dt, 1, (np.eye(4),), None, "ttm")
+            KernelSet("sym_env", dt, (np.eye(4),))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_rejects_wrong_matrix_count(self, count):
-        with pytest.raises(ValidationError, match=f"r_max 2 but {count} midpoint matrices"):
-            KernelSet("sym_env", 0.1, 2, [np.eye(4)] * count, None, "ttm")
+        # r_max is the midpoint count, and the termination stack must match it
         with pytest.raises(ValidationError, match=f"r_max 2 but {count} termination matrices"):
-            KernelSet("asym", 0.1, 2, [np.eye(4)] * 2, [np.eye(4)] * count, "smatpi")
+            KernelSet("asym", 0.1, [np.eye(4)] * 2, [np.eye(4)] * count)
 
     @pytest.mark.parametrize("field", ["midpoint", "termination", "aux0"])
     def test_rejects_non_finite_entries(self, field):
@@ -612,32 +599,51 @@ class TestKernelSet:
         fields[field] = fields[field].copy()
         fields[field].flat[5] = np.nan
         with pytest.raises(ValidationError, match=f"non_finite: {field} matrix contains non-finite"):
-            KernelSet("sym_env", 0.1, 2, fields["midpoint"], fields["termination"], "smatpi",
-                      "terminal_times_I0", fields["aux0"])
+            KernelSet("sym_env", 0.1, fields["midpoint"], fields["termination"], fields["aux0"])
 
-    def test_rejects_unknown_aux_zero_convention(self):
+    def test_rejects_aux0_beside_an_identity_tail(self):
+        # ttm sets and asym smatpi sets start from the identity: an aux0
+        # matrix beside them would be ignored by propagation
         mats = (np.eye(4),)
-        with pytest.raises(ValidationError, match="unknown aux_zero_convention 'bogus'"):
-            KernelSet("sym_sys", 0.1, 1, mats, mats, "smatpi", "bogus", np.eye(4))
+        for splitting, termination in [("sym_env", None), ("sym_sys", None), ("asym", None),
+                                       ("asym", mats)]:
+            kind = f"{'ttm' if termination is None else 'smatpi'} {splitting} kernels"
+            with pytest.raises(ValidationError,
+                               match=f"aux0 matrix given: {kind} have the identity tail"):
+                KernelSet(splitting, 0.1, mats, termination, 2 * np.eye(4))
 
-    def test_smatpi_needs_a_convention(self):
+    def test_uniform_window_smatpi_needs_aux0(self):
+        # without its aux0 a sym_env or sym_sys smatpi set would run against the identity
         mats = (np.eye(4),)
-        with pytest.raises(ValidationError, match="smatpi kernels need an aux_zero_convention"):
-            KernelSet("sym_env", 0.1, 1, mats, mats, "smatpi", aux0=np.eye(4))
+        for splitting in ("sym_env", "sym_sys"):
+            with pytest.raises(ValidationError,
+                               match=f"aux0 matrix missing: smatpi {splitting} kernels need it"):
+                KernelSet(splitting, 0.1, mats, mats)
 
     def test_rejects_empty_set(self):
-        with pytest.raises(ValidationError, match="r_max must be >= 1"):
-            KernelSet("sym_env", 0.1, 0, (), None, "ttm")
+        for empty in ((), np.zeros((0, 4, 4))):
+            with pytest.raises(ValidationError, match="r_max must be >= 1: no midpoint matrices"):
+                KernelSet("sym_env", 0.1, empty)
+
+    def test_fields_are_the_matrices(self, sys2, tables):
+        # r_max, flavor and dim are read off the stacks; the set stores nothing else
+        names = [f.name for f in dataclasses.fields(KernelSet)]
+        assert names == ["splitting", "dt", "midpoint", "termination", "aux0"]
+        for flavor, r_max in (("smatpi", 3), ("ttm", 2)):
+            kset, _, _ = extract_kernels(sys2, tables["sym_env"], r_max, flavor)
+            assert (kset.flavor, kset.r_max, kset.dim) == (flavor, r_max, 4)
+            with pytest.raises(AttributeError):
+                kset.r_max = 5
 
     def test_rejects_unknown_splitting(self):
         with pytest.raises(ValidationError, match="unknown splitting 'bogus'"):
-            KernelSet("bogus", 0.1, 1, (np.eye(4),), None, "ttm")
+            KernelSet("bogus", 0.1, (np.eye(4),))
 
 
 class TestConventions:
     def test_shipped_default_nullifies_one_step_memory_sym_sys(self, sys2, tables):
-        # the frozen terminal convention is the one with vanishing midpoints
+        # solved against its aux_0 tail, the hierarchy has vanishing midpoints
         tab1 = eta_truncated(tables["sym_sys"], 1)
         kset, _, _ = extract_kernels(sys2, tab1, 6, "smatpi")
-        assert kset.aux_zero_convention == "terminal_times_I0"
+        assert kset.aux0 is not None
         assert all(liou_norm(m) < 1e-12 for m in kset.midpoint[1:])
