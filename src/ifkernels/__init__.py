@@ -2,12 +2,7 @@
 hierarchies for small open quantum systems coupled to harmonic baths."""
 
 from .bath import BathSpec, EtaTable, SpectralDensity, eta_table
-from .combinatorics import (
-    catalan,
-    enumerate_dyck,
-    expand_hierarchy,
-    numeric_check,
-)
+from .combinatorics import catalan, enumerate_dyck
 from .config import RunConfig, default_config_text, load_config, parse_config
 from .kernel_io import load_kernels, save_kernels
 from .kernels import (
@@ -28,6 +23,6 @@ from .liouville import (
     fb_propagator,
     liou_norm,
 )
-from .pathsum import config_count, oracle_trajectory
+from .pathsum import oracle_trajectory
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ import numpy as np
 from .bath import eta_table
 from .combinatorics import catalan, enumerate_dyck
 from .config import default_config_text, load_config
-from .errors import DimMismatchError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
 from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
 from .liouville import TimeGrid, liou_norm
@@ -159,7 +159,7 @@ def _cmd_oracle(args) -> int:
     steps = args.steps if args.steps is not None else cfg.grid.r_max
     grid = cfg.grid
     if not 1 <= steps <= grid.n_steps:
-        raise ValidationError(f"--steps {steps} is outside 1..grid.n_steps = {grid.n_steps}")
+        raise ValidationError(f"--steps: {steps} is outside 1..grid.n_steps = {grid.n_steps}")
     budget = args.budget if args.budget is not None else cfg.pathsum_budget
     if budget < 1:
         raise ValidationError(f"--budget: must be >= 1, got {budget}")
@@ -178,7 +178,7 @@ def _cmd_extract(args) -> int:
     flavor = args.flavor or cfg.flavor
     r_max = args.rmax if args.rmax is not None else cfg.grid.r_max
     if not 1 <= r_max <= cfg.grid.n_steps:
-        raise ValidationError("r_max must satisfy 1 <= r_max <= n_steps")
+        raise ValidationError(f"--rmax: {r_max} is outside 1..grid.n_steps = {cfg.grid.n_steps}")
     check_budget(cfg.system.n, r_max, cfg.pathsum_budget)  # before the O(r_max) table
     table = eta_table(cfg.bath, TimeGrid(cfg.grid.dt, r_max, r_max), splitting)
     kset, _, _ = extract_kernels(cfg.system, table, r_max, flavor, budget=cfg.pathsum_budget)
@@ -214,7 +214,7 @@ def _cmd_propagate(args) -> int:
         raise ValidationError(
             f"dt_mismatch: kernel file dt {kset.dt} differs from config dt {cfg.grid.dt}")
     if kset.dim != cfg.system.dim:
-        raise DimMismatchError(
+        raise ValidationError(
             "dim_mismatch: kernel file dimension differs from configured system")
 
     rho0 = cfg.initial_state

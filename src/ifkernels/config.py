@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import SPLITTINGS, BathSpec, SpectralDensity
-from .errors import ParseError, ValidationError
-from .liouville import SystemSpec, TimeGrid
+from .errors import ValidationError
+from .liouville import HERMITICITY_TOL, SystemSpec, TimeGrid
 from .pathsum import DEFAULT_BUDGET
 
 _TRACE_TOL = 1e-10
@@ -94,14 +94,14 @@ def _parse_lines(text: str):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"parse: line {lineno}: expected 'key = value'")
+            raise ValidationError(f"parse: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ParseError(f"parse: line {lineno}: empty key")
+            raise ValidationError(f"parse: line {lineno}: empty key")
         if key in pairs:
-            raise ParseError(f"parse: line {lineno}: duplicate key {key!r}")
+            raise ValidationError(f"parse: line {lineno}: duplicate key {key!r}")
         pairs[key] = (value, lineno)
     return pairs
 
@@ -231,7 +231,7 @@ def parse_config(text: str) -> RunConfig:
     if len(rho_rows) != n or any(len(r) != n for r in rho_rows):
         raise ValidationError(f"initial_state: expected a {n}x{n} matrix")
     rho0 = np.array(rho_rows, dtype=complex)
-    if np.max(np.abs(rho0 - rho0.conj().T)) > 1e-12:
+    if np.max(np.abs(rho0 - rho0.conj().T)) > HERMITICITY_TOL:
         raise ValidationError("initial_state: not Hermitian")
     if abs(np.trace(rho0) - 1.0) > _TRACE_TOL:
         raise ValidationError("initial_state: trace must be 1")
@@ -265,5 +265,5 @@ def load_config(path) -> RunConfig:
         try:
             text = fh.read()
         except UnicodeDecodeError:
-            raise ParseError(f"parse: {path}: not UTF-8 text") from None
+            raise ValidationError(f"parse: {path}: not UTF-8 text") from None
     return parse_config(text)

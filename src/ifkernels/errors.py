@@ -1,61 +1,44 @@
 """Exception types shared across the package.
 
-The short lowercase codes in the messages ("dim_mismatch", "dt_mismatch",
-"eta_missing", "pathsum_budget", ...) are stable identifiers; the CLI maps
-ValidationError to exit code 1 and NumericalError to exit code 2, reports
-an OSError (a file that cannot be read or written) as ``error: io: ...``
-with exit code 1, and a MemoryError (an allocation the machine cannot
-make) as ``error: memory: ...`` with exit code 2.  "non_finite" is raised
-as a ValidationError for inputs (exit 1: a system, a kernel file) and as a
-NumericalError for computed results (exit 2: eta coefficients, influence
-factors, a path sum, solved kernels); a config or kernel file that is not
-UTF-8 text is a ParseError (exit 1).
+An error is named by the code that begins its message; the class decides
+only the CLI's exit status.  The codes and their exit statuses:
+
+=========================  ====  =============================================
+code                       exit  raised for
+=========================  ====  =============================================
+``parse``                  1     a malformed or inconsistent config or kernel
+                                 file, or one that is not UTF-8 text
+``version``                1     an unsupported kernel-file ``format_version``
+``range``                  1     a Catalan or Dyck semilength out of range
+``dim_mismatch``           1     operands of incompatible dimensions
+``dt_mismatch``            1     kernel sets or a kernel file and a config
+                                 that differ in dt
+``splitting_mismatch``     1     a table or kernel set of another splitting
+``eta_missing``            1     an eta table shorter than a path sum needs
+``size_limit``             1     a dense array above ``pathsum.SIZE_LIMIT``
+``non_finite``             1     an input that is not finite (a config value,
+                                 a system, a kernel file)
+``<key>``, ``--<option>``  1     a bad config field or CLI argument, named by
+                                 its key (``grid``, ``output.dir``,
+                                 ``threshold``) or option (``--out``,
+                                 ``--rmax``, ``--steps``, ``--budget``)
+``io``                     1     a file that cannot be read or written (an
+                                 OSError, coded by the CLI)
+``pathsum_budget``         2     a path sum over the configured budget
+``aux0_singular``          2     an ill-conditioned terminal auxiliary matrix
+``propagation_diverged``   2     a propagated map that is not finite
+``non_finite``             2     a computed result that is not finite (eta
+                                 coefficients, influence factors, a path sum,
+                                 solved kernels)
+``memory``                 2     an allocation the machine cannot make (a
+                                 MemoryError, coded by the CLI)
+=========================  ====  =============================================
 """
 
 
 class ValidationError(ValueError):
-    """Malformed or inconsistent input data."""
+    """Malformed or inconsistent input data (exit 1)."""
 
 
 class NumericalError(RuntimeError):
-    """A computation could not be carried out at the requested accuracy/scale."""
-
-
-class PathSumBudgetError(NumericalError):
-    """Path enumeration would exceed the configured budget ("pathsum_budget")."""
-
-
-class Aux0SingularError(NumericalError):
-    """The terminal auxiliary matrix is numerically singular ("aux0_singular")."""
-
-
-class PropagationDivergedError(NumericalError):
-    """A propagated map is not finite: the kernel set grows without bound ("propagation_diverged")."""
-
-
-class EtaMissingError(ValidationError):
-    """An eta table does not reach the separations a path sum needs ("eta_missing")."""
-
-
-class DimMismatchError(ValidationError):
-    """Operands have incompatible dimensions ("dim_mismatch")."""
-
-
-class SeqShortError(ValidationError):
-    """A trajectory does not cover all requested indices ("seq_short")."""
-
-
-class SplittingMismatchError(ValidationError):
-    """An operation received a table built for a different splitting ("splitting_mismatch")."""
-
-
-class RangeError(ValidationError):
-    """Argument outside the supported exact-arithmetic/enumeration range ("range")."""
-
-
-class ParseError(ValidationError):
-    """A persisted file is malformed ("parse")."""
-
-
-class VersionError(ValidationError):
-    """A persisted file declares an unsupported format version ("version")."""
+    """A computation could not be carried out at the requested accuracy/scale (exit 2)."""

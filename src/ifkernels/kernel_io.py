@@ -34,7 +34,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, VersionError
+from .errors import ValidationError
 from .kernels import KernelSet
 
 FORMAT_VERSION = 1
@@ -78,7 +78,7 @@ def save_kernels(kset: KernelSet, path, metadata: dict | None = None) -> None:
 def load_kernels(path) -> KernelSet:
     """Read a KernelSet written by save_kernels; exact elementwise round trip.
 
-    Raises ParseError ("parse") for malformed files (text that is not UTF-8
+    Raises ``parse:`` for malformed files (text that is not UTF-8
     included), for a repeated header key, matrices block or k,row,col
     entry, for r_max or flavor headers that disagree with the blocks, and
     for contents that KernelSet rejects: non-finite entries, termination
@@ -93,7 +93,7 @@ def load_kernels(path) -> KernelSet:
         try:
             text = fh.read()
         except UnicodeDecodeError:
-            raise ParseError(f"parse: {path}: not UTF-8 text") from None
+            raise ValidationError(f"parse: {path}: not UTF-8 text") from None
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -102,21 +102,21 @@ def load_kernels(path) -> KernelSet:
             key, value = key.strip(), value.strip()
             if key == "matrices":
                 if value not in ("midpoint", "termination", "aux0"):
-                    raise ParseError(f"parse: line {lineno}: unknown block {value!r}")
+                    raise ValidationError(f"parse: line {lineno}: unknown block {value!r}")
                 if value in blocks:
-                    raise ParseError(f"parse: line {lineno}: duplicate block {value!r}")
+                    raise ValidationError(f"parse: line {lineno}: duplicate block {value!r}")
                 current = value
                 blocks[current] = {}
             else:
                 if key in header:
-                    raise ParseError(f"parse: line {lineno}: duplicate header key {key!r}")
+                    raise ValidationError(f"parse: line {lineno}: duplicate header key {key!r}")
                 header[key] = value
             continue
         if current is None:
-            raise ParseError(f"parse: line {lineno}: entry before any matrices block")
+            raise ValidationError(f"parse: line {lineno}: entry before any matrices block")
         parts = line.split(",")
         if len(parts) != 5:
-            raise ParseError(f"parse: line {lineno}: expected k,row,col,re,im")
+            raise ValidationError(f"parse: line {lineno}: expected k,row,col,re,im")
         try:
             k = int(parts[0])
             row = int(parts[1])
@@ -124,18 +124,18 @@ def load_kernels(path) -> KernelSet:
             re = float(parts[3])
             im = float(parts[4])
         except ValueError:
-            raise ParseError(f"parse: line {lineno}: bad numeric field") from None
+            raise ValidationError(f"parse: line {lineno}: bad numeric field") from None
         entries = blocks[current].setdefault(k, {})
         if (row, col) in entries:
-            raise ParseError(f"parse: line {lineno}: duplicate entry {k},{row},{col}")
+            raise ValidationError(f"parse: line {lineno}: duplicate entry {k},{row},{col}")
         entries[(row, col)] = complex(re, im)
 
     try:
         version = int(header["format_version"])
     except (KeyError, ValueError):
-        raise ParseError("parse: missing or bad format_version header") from None
+        raise ValidationError("parse: missing or bad format_version header") from None
     if version != FORMAT_VERSION:
-        raise VersionError(f"version: unsupported format_version {version}")
+        raise ValidationError(f"version: unsupported format_version {version}")
 
     try:
         flavor = header["flavor"]
@@ -144,32 +144,32 @@ def load_kernels(path) -> KernelSet:
         r_max = int(header["r_max"])
         dim = int(header["dim"])
     except (KeyError, ValueError):
-        raise ParseError("parse: missing or bad header field") from None
+        raise ValidationError("parse: missing or bad header field") from None
     if dim < 1:
-        raise ParseError(f"parse: dim {dim} must be >= 1")
+        raise ValidationError(f"parse: dim {dim} must be >= 1")
 
     def build(block):
         """The block's matrices 1..K as one (K, dim, dim) array."""
         for k in range(1, len(block) + 1):  # sized from the file before allocating
             if k not in block:
-                raise ParseError(f"parse: missing matrix index {k}")
+                raise ValidationError(f"parse: missing matrix index {k}")
             if len(block[k]) != dim * dim:
-                raise ParseError(f"parse: matrix {k} has {len(block[k])} of {dim * dim} entries")
+                raise ValidationError(f"parse: matrix {k} has {len(block[k])} of {dim * dim} entries")
         mats = np.zeros((len(block), dim, dim), dtype=complex)
         for k, entries in block.items():
             for (row, col), v in entries.items():
                 if not (0 <= row < dim and 0 <= col < dim):
-                    raise ParseError(f"parse: entry ({row},{col}) out of range for dim {dim}")
+                    raise ValidationError(f"parse: entry ({row},{col}) out of range for dim {dim}")
                 mats[k - 1, row, col] = v
         return mats
 
     if "midpoint" not in blocks or not blocks["midpoint"]:
-        raise ParseError("parse: no midpoint matrices")
+        raise ValidationError("parse: no midpoint matrices")
     midpoint = build(blocks["midpoint"])
     termination = build(blocks["termination"]) if "termination" in blocks else None
     aux0 = build(blocks["aux0"]) if "aux0" in blocks else None
     if aux0 is not None and len(aux0) != 1:
-        raise ParseError(f"parse: aux0 block holds {len(aux0)} matrices, expected 1")
+        raise ValidationError(f"parse: aux0 block holds {len(aux0)} matrices, expected 1")
 
     try:
         if r_max != len(midpoint):
@@ -181,4 +181,4 @@ def load_kernels(path) -> KernelSet:
             raise ValidationError(f"{flavor} {splitting} kernels {held} termination matrices")
         return KernelSet(splitting, dt, midpoint, termination, None if aux0 is None else aux0[0])
     except ValidationError as exc:
-        raise ParseError(f"parse: inconsistent kernel file ({exc})") from None
+        raise ValidationError(f"parse: inconsistent kernel file ({exc})") from None

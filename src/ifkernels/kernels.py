@@ -63,14 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import SPLITTINGS, EtaTable, influence_pair_matrix
-from .errors import (
-    Aux0SingularError,
-    DimMismatchError,
-    NumericalError,
-    PropagationDivergedError,
-    SplittingMismatchError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
 
 COND_LIMIT = 1e12
@@ -84,7 +77,7 @@ def _stack(mats, what: str) -> np.ndarray:
     try:
         return np.array(mats, dtype=complex, order="C")
     except ValueError:
-        raise DimMismatchError(f"dim_mismatch: {what} matrices differ in shape") from None
+        raise ValidationError(f"dim_mismatch: {what} matrices differ in shape") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +121,7 @@ class KernelSet:
                 raise ValidationError(f"r_max {self.r_max} but {len(stack)} termination matrices")
             d = stack.shape[-1] if d is None else d  # midpoint comes first
             if stack.shape[1:] != (d, d):
-                raise DimMismatchError(f"dim_mismatch: {name} shape {stack.shape[1:]}, expected {(d, d)}")
+                raise ValidationError(f"dim_mismatch: {name} shape {stack.shape[1:]}, expected {(d, d)}")
             check_finite(stack, f"{name} matrix")
             stack.flags.writeable = False
             object.__setattr__(self, name, stack[0] if name == "aux0" else stack)
@@ -163,7 +156,7 @@ def _inverse(y, b=None, tail=None) -> np.ndarray:
     if len(hist) < length - 1:
         raise ValidationError("auxiliary sequence too short for the solve")
     if tail is not None and np.linalg.cond(tail) > COND_LIMIT:
-        raise Aux0SingularError("aux0_singular: terminal auxiliary matrix is ill conditioned")
+        raise NumericalError("aux0_singular: terminal auxiliary matrix is ill conditioned")
     wide = np.empty((d, length * d), dtype=complex)  # [X_1 | X_2 | ... | X_L]
     for n in range(1, length + 1):
         resid = y[n - 1] - wide[:, : (n - 1) * d] @ hist[length - n :].reshape((n - 1) * d, d)
@@ -211,7 +204,7 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
     the pair factors of ``interior[1]`` of the translationally invariant table.
     """
     if eta_asym.splitting != "asym":
-        raise SplittingMismatchError(
+        raise ValidationError(
             f"splitting_mismatch: expected asym table, got {eta_asym.splitting!r}"
         )
     if order not in (1, 2):
@@ -260,8 +253,8 @@ def _blocks(rows, state, horizon):
         block = out[:, -1]
         if not np.isfinite(block).all():
             step = start + 1 + int(np.argmin(np.isfinite(block).reshape(k, -1).all(axis=1)))
-            raise PropagationDivergedError(f"propagation_diverged: U_{step} is not finite;"
-                                           " the kernel set grows without bound")
+            raise NumericalError(f"propagation_diverged: U_{step} is not finite;"
+                                 " the kernel set grows without bound")
         yield block
 
 
@@ -280,7 +273,7 @@ def propagate_blocks(kernels: KernelSet, horizon: int, right: np.ndarray | None 
     the set was extracted from;
     beyond it the sums truncate at r_max (terms are dropped; no
     renormalization).  A block holding a non-finite entry raises
-    PropagationDivergedError instead of being yielded.  A set whose chunk
+    ``propagation_diverged`` instead of being yielded.  A set whose chunk
     rows, (CHUNK, m d, R d) complex entries with m = 2 for smatpi and 1 for
     ttm, would exceed ``pathsum.SIZE_LIMIT`` bytes is refused with
     ``size_limit`` before anything is allocated.
@@ -297,7 +290,7 @@ def propagate_blocks(kernels: KernelSet, horizon: int, right: np.ndarray | None 
         )
     block = np.eye(d, dtype=complex) if right is None else np.asarray(right, dtype=complex)
     if block.ndim != 2 or block.shape[0] != d:
-        raise DimMismatchError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
+        raise ValidationError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
     state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
     state[0] = block if kernels.aux0 is None else kernels.aux0 @ block
     wide = _wide(kernels.midpoint)
@@ -350,15 +343,15 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
     flavors may differ.
     """
     if not (np.isfinite(threshold) and threshold > 0):
-        raise ValidationError(f"threshold must be finite and > 0, got {threshold!r}")
+        raise ValidationError(f"threshold: must be finite and > 0, got {threshold!r}")
     if set_a.splitting != set_b.splitting:
-        raise SplittingMismatchError(
+        raise ValidationError(
             f"splitting_mismatch: kernel sets are {set_a.splitting!r} and {set_b.splitting!r}"
         )
     if set_a.dt != set_b.dt:
         raise ValidationError("dt_mismatch: kernel sets differ in dt")
     if set_a.dim != set_b.dim:
-        raise DimMismatchError("dim_mismatch: kernel sets differ in dimension")
+        raise ValidationError("dim_mismatch: kernel sets differ in dimension")
     ks = tuple(range(1, max(set_a.r_max, set_b.r_max) + 1))
 
     def norms(stack):  # liou_norm of each matrix, None past the end

@@ -108,17 +108,12 @@ from __future__ import annotations
 import numpy as np
 
 from .bath import EtaTable, influence_pair_matrix
-from .errors import EtaMissingError, NumericalError, PathSumBudgetError, ValidationError
+from .errors import NumericalError, ValidationError
 from .liouville import SystemSpec, check_finite, fb_propagators
 
 DEFAULT_BUDGET = 10**8
 SIZE_LIMIT = 1 << 29  # bytes of the largest dense array one path sum may ask for
 _BATCH = 1 << 16
-
-
-def config_count(n: int, steps: int) -> int:
-    """Number of summed interior configurations, n^(2 (steps-1)), exactly."""
-    return (n * n) ** max(steps - 1, 0)
 
 
 def check_budget(n: int, steps: int, budget: int):
@@ -129,8 +124,8 @@ def check_budget(n: int, steps: int, budget: int):
     Since n^2 >= 4, a count of 2 (steps-1) bits or more exceeds the budget
     without being formed, so a huge ``steps`` costs nothing.
     """
-    if steps >= 1 and (2 * (steps - 1) >= budget.bit_length() or config_count(n, steps) > budget):
-        raise PathSumBudgetError(
+    if steps >= 1 and (2 * (steps - 1) >= budget.bit_length() or (n * n) ** (steps - 1) > budget):
+        raise NumericalError(
             f"pathsum_budget: {n * n}^{steps - 1} configurations exceed budget {budget}"
         )
 
@@ -417,7 +412,7 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
     if steps > eta.horizon:
-        raise EtaMissingError(
+        raise ValidationError(
             f"eta_missing: {steps} steps need separations up to {steps}, table has {eta.horizon}"
         )
     splitting = eta.splitting

@@ -22,7 +22,9 @@ product at a time, instead of one stacked product per step, and the
 density-matrix recurrence runs the kernels on vectors one step at a time,
 instead of by chunks of companion-matrix rows.
 The per-cell CSV writer formats one float at a time, instead of one block
-of rows per call.
+of rows per call.  The transfer tensors are also written out as their
+expansion into 2^(k-1) signed products of maps, from the recursion run on
+symbolic polynomials, instead of solved by back-substitution.
 """
 
 import itertools
@@ -33,7 +35,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from ifkernels.bath import BathSpec, EtaTable, _assemble, _window_layout
-from ifkernels.combinatorics import expand_hierarchy
 from ifkernels.kernels import propagate_blocks
 
 
@@ -403,9 +404,9 @@ def eta_truncated(table, max_separation):
 
 
 def term_census(k):
-    """Term counts of expand_hierarchy(k) grouped by number of factors."""
+    """Term counts of ttm_terms_bruteforce(k) grouped by number of factors."""
     census = {}
-    for _, factors in expand_hierarchy(k):
+    for factors in ttm_terms_bruteforce(k):
         census[len(factors)] = census.get(len(factors), 0) + 1
     return dict(sorted(census.items()))
 
@@ -468,3 +469,18 @@ def ttm_terms_bruteforce(k):
                 poly[key] = poly.get(key, 0) - coeff
         expansions[kk] = poly
     return expansions[k]
+
+
+def expansion_value(k, maps):
+    """T_k as the signed sum over ttm_terms_bruteforce(k) of map products.
+
+    A composition (c_1, ..., c_p) contributes U_{c_1} ... U_{c_p}, in the
+    product order of the recursion; ``maps`` holds U_1..U_k.
+    """
+    out = 0
+    for factors, coeff in ttm_terms_bruteforce(k).items():
+        prod = maps[factors[0] - 1]
+        for j in factors[1:]:
+            prod = prod @ maps[j - 1]
+        out = out + coeff * prod
+    return out

@@ -11,7 +11,7 @@ import numpy as np
 
 from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
-from ifkernels.combinatorics import catalan, enumerate_dyck, expand_hierarchy, numeric_check
+from ifkernels.combinatorics import catalan, enumerate_dyck
 from ifkernels.config import default_config_text
 from ifkernels.kernels import (
     KernelSet,
@@ -25,7 +25,14 @@ from ifkernels.kernels import (
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
-from _oracles import bump_correlation, eta_table_from_correlation, eta_truncated, propagate
+from _oracles import (
+    bump_correlation,
+    eta_table_from_correlation,
+    eta_truncated,
+    expansion_value,
+    propagate,
+    ttm_terms_bruteforce,
+)
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 
@@ -185,16 +192,16 @@ def test_criterion_7_physicality(sys2, bath_default, tables):
 
 
 def test_criterion_8_combinatorics(sys2, tables):
-    """Dyck counts, expansion census, and symbolic/numeric agreement."""
+    """Dyck counts, expansion census, and the expansion oracle against ``extract_ttm``."""
     for m in range(0, 13):
         assert len(enumerate_dyck(m)) == catalan(m)
     for k in range(1, 13):
-        assert len(expand_hierarchy(k)) == 2 ** (k - 1)
+        assert len(ttm_terms_bruteforce(k)) == 2 ** (k - 1)
     full, _, _ = oracle_trajectory(sys2, tables["sym_env"], 6)
     tensors = extract_ttm(full)
     worst = 0.0
     for k in range(1, 7):
-        got = numeric_check(expand_hierarchy(k), full)
+        got = expansion_value(k, full)
         worst = max(worst, liou_norm(got - tensors[k - 1]))
     assert worst < 1e-12
     _report(

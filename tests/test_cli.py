@@ -23,7 +23,7 @@ from ifkernels import cli, csvtext, kernels, pathsum
 from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
 from ifkernels.config import default_config_text, load_config, parse_config
-from ifkernels.errors import ParseError, ValidationError, VersionError
+from ifkernels.errors import ValidationError
 from ifkernels.kernel_io import load_kernels, save_kernels
 from ifkernels.kernels import KernelSet, propagate_blocks
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
@@ -124,7 +124,7 @@ class TestConfig:
         assert not out.exists()
 
     def test_parse_error_line_number(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ValidationError, match=r"^parse: line 2"):
             parse_config("system.n = 2\nnot a line\n")
 
 
@@ -170,7 +170,7 @@ class TestKernelFile:
         save_kernels(kset, path)
         text = path.read_text().replace("format_version = 1", "format_version = 999")
         path.write_text(text)
-        with pytest.raises(VersionError, match="version"):
+        with pytest.raises(ValidationError, match=r"^version:"):
             load_kernels(path)
 
     def test_truncated_file_parse_error(self, tmp_path):
@@ -179,7 +179,7 @@ class TestKernelFile:
         save_kernels(kset, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ParseError, match="parse"):
+        with pytest.raises(ValidationError, match=r"^parse:"):
             load_kernels(path)
 
     def test_malformed_line_reports_number(self, tmp_path):
@@ -189,7 +189,7 @@ class TestKernelFile:
         lines = path.read_text().splitlines()
         lines[8] = "1,0,0,zap,0.0"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="line 9"):
+        with pytest.raises(ValidationError, match=r"^parse: line 9"):
             load_kernels(path)
 
 
@@ -927,7 +927,7 @@ class TestMutatedConfigs:
     @given(data=st.data())
     def test_clean_exit(self, command, data):
         # exit 0 with no warning and finite numbers in every file, or one
-        # error line (no traceback) and no --out
+        # coded error line (no traceback) and no --out
         base = small_config(**{"grid.r_max": "2", "grid.n_steps": "3"}).encode()
         text = data.draw(_mutated_config(base.splitlines()))
         with tempfile.TemporaryDirectory() as tmp:
@@ -942,7 +942,7 @@ class TestMutatedConfigs:
                 code = cli_main(argv + (["--steps", "2"] if command == "oracle" else []))
             assert code in (0, 1, 2)
             if code:
-                assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), err.getvalue()
+                assert re.fullmatch(r"error: [a-z_][a-z0-9_.]*: [^\n]*\n", err.getvalue()), err.getvalue()
                 assert not os.path.exists(out)
                 return
             assert err.getvalue() == ""
@@ -1332,7 +1332,7 @@ class TestCli:
                 f"--threshold={threshold}"]
         capsys.readouterr()
         assert cli_main(argv) == 1
-        assert "error: threshold must be finite and > 0" in capsys.readouterr().err
+        assert "error: threshold: must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_propagate_headers(self, tmp_path):
@@ -1411,7 +1411,7 @@ class TestCli:
         out = tmp_path / "out"
         argv = ["oracle", "--config", str(cfg), "--out", str(out), "--steps", steps]
         assert cli_main(argv) == 1
-        assert f"--steps {steps} is outside 1..grid.n_steps = 10" in capsys.readouterr().err
+        assert f"--steps: {steps} is outside 1..grid.n_steps = 10" in capsys.readouterr().err
         assert not out.exists()
 
     def test_extract_rmax_zero_rejected(self, tmp_path, capsys):
@@ -1420,7 +1420,27 @@ class TestCli:
         for rmax in ("0", "11"):
             argv = ["extract", "--config", str(cfg), "--out", str(tmp_path / "o"), "--rmax", rmax]
             assert cli_main(argv) == 1
-            assert "r_max must satisfy 1 <= r_max <= n_steps" in capsys.readouterr().err
+            assert f"--rmax: {rmax} is outside 1..grid.n_steps = 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, value, code", [
+        ("extract", "0", "--rmax"), ("oracle", "0", "--steps"),
+        ("compare", "0", "threshold"), ("compare", "nan", "threshold"),
+    ])
+    def test_argument_errors_are_coded(self, tmp_path, capsys, command, value, code):
+        # exit 1, one error line that begins with the argument's code, no --out
+        cfg, kpath = _extracted(tmp_path / "k")
+        out = tmp_path / "out"
+        argv = {
+            "extract": ["extract", "--config", str(cfg), "--rmax", value],
+            "oracle": ["oracle", "--config", str(cfg), "--steps", value],
+            "compare": ["compare", "--kernels-a", str(kpath), "--kernels-b", str(kpath),
+                        f"--threshold={value}"],
+        }[command]
+        capsys.readouterr()
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {code}: [^\\n]*\\n", err), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_oracle_budget_below_one_rejected(self, tmp_path, capsys, monkeypatch, budget):

@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from ifkernels import kernels
 from ifkernels.bath import eta_table
-from ifkernels.errors import (
-    Aux0SingularError,
-    DimMismatchError,
-    NumericalError,
-    PropagationDivergedError,
-    SplittingMismatchError,
-    ValidationError,
-)
+from ifkernels.errors import NumericalError, ValidationError
 from ifkernels.kernels import (
     CHUNK,
     KernelSet,
@@ -67,7 +60,7 @@ class TestSolveMidpoint:
     def test_singular_terminal_rejected(self):
         rng = np.random.default_rng(2)
         aux = random_seq(rng, 2)
-        with pytest.raises(Aux0SingularError, match="aux0_singular"):
+        with pytest.raises(NumericalError, match=r"^aux0_singular:"):
             solve_midpoint(aux, np.zeros((4, 4)))
 
     def test_terminal_guarded_once_per_solve(self, monkeypatch):
@@ -237,7 +230,7 @@ class TestAsymCoincidence:
         assert liou_norm(closed_form_asym(sys2, tab0, 2)) < 1e-14
 
     def test_wrong_splitting_rejected(self, sys2, tables):
-        with pytest.raises(SplittingMismatchError, match="splitting_mismatch"):
+        with pytest.raises(ValidationError, match=r"^splitting_mismatch:"):
             closed_form_asym(sys2, tables["sym_env"], 1)
 
 
@@ -312,14 +305,14 @@ class TestStacks:
 
     def test_ragged_input_is_dim_mismatch(self):
         ragged = [np.eye(4), np.eye(9)]
-        with pytest.raises(DimMismatchError, match="dim_mismatch: midpoint"):
+        with pytest.raises(ValidationError, match=r"^dim_mismatch: midpoint"):
             KernelSet("sym_env", 0.1, ragged)
-        with pytest.raises(DimMismatchError, match="dim_mismatch: termination"):
+        with pytest.raises(ValidationError, match=r"^dim_mismatch: termination"):
             KernelSet("asym", 0.1, [np.eye(4)] * 2, ragged)
         for solve in (solve_midpoint, extract_ttm, lambda y: solve_termination(y, y),
                       lambda y: solve_termination([np.eye(4)] * 2, y),
                       lambda y: gqme_kernel(y, 0.1)):
-            with pytest.raises(DimMismatchError, match="dim_mismatch"):
+            with pytest.raises(ValidationError, match=r"^dim_mismatch:"):
                 solve(ragged)
 
     @pytest.mark.parametrize("field, value, shape", [
@@ -333,7 +326,7 @@ class TestStacks:
         fields = dict(midpoint=np.zeros((2, 4, 4)), termination=np.zeros((2, 4, 4)),
                       aux0=np.eye(4))
         fields[field] = value
-        with pytest.raises(DimMismatchError, match=f"dim_mismatch: {field} shape {re.escape(shape)}"):
+        with pytest.raises(ValidationError, match=f"^dim_mismatch: {field} shape {re.escape(shape)}"):
             KernelSet("sym_env", 0.1, fields["midpoint"], fields["termination"], fields["aux0"])
 
 
@@ -428,7 +421,7 @@ class TestEngine:
     def test_right_block_shape_checked(self):
         kset = KernelSet("asym", 0.1, (np.eye(4),))
         for bad in (np.ones(4), np.ones((3, 1))):
-            with pytest.raises(DimMismatchError, match="right-hand block"):
+            with pytest.raises(ValidationError, match=r"^dim_mismatch: right-hand block"):
                 propagate_blocks(kset, 6, right=bad)
 
     def test_blocks_of_chunk_maps(self):
@@ -451,10 +444,8 @@ class TestEngine:
         kset = KernelSet("sym_env", 0.1, (2 * np.eye(4),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warnings either
-            with pytest.raises(PropagationDivergedError,
-                               match="propagation_diverged: U_1024 is not finite"):
+            with pytest.raises(NumericalError, match=r"^propagation_diverged: U_1024 is not finite"):
                 propagate(kset, 2000)
-        assert issubclass(PropagationDivergedError, NumericalError)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="long double is no wider than double here")
@@ -559,7 +550,7 @@ class TestCompare:
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
         kset = KernelSet("sym_env", 0.1, [np.eye(4)] * 2)
-        with pytest.raises(ValidationError, match="threshold must be finite and > 0"):
+        with pytest.raises(ValidationError, match=r"^threshold: must be finite and > 0"):
             compare(kset, kset, threshold=threshold)
 
     def test_first_below_from_the_stacks(self):
@@ -576,7 +567,7 @@ class TestCompare:
     def test_splitting_mismatch_rejected(self, sys2, tables):
         kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")
         other = KernelSet("asym", 0.1, kset.midpoint)
-        with pytest.raises(SplittingMismatchError, match="splitting_mismatch"):
+        with pytest.raises(ValidationError, match=r"^splitting_mismatch:"):
             compare(kset, other)
 
 

@@ -6,23 +6,27 @@ import pytest
 from _oracles import bump_correlation, eta_table_from_correlation, path_sum_reference
 from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
 from ifkernels.bath import EtaTable, eta_table, influence_pair_matrix
-from ifkernels.errors import PathSumBudgetError, ValidationError
+from ifkernels.errors import NumericalError, ValidationError
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
-from ifkernels.pathsum import config_count, oracle_trajectory
+from ifkernels.pathsum import check_budget, oracle_trajectory
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestBudget:
-    def test_config_count_exact(self):
-        assert config_count(2, 1) == 1
-        assert config_count(2, 5) == 4**4
-        assert config_count(3, 4) == 9**3
+    def test_budget_boundary_exact(self):
+        # (n^2)^(steps - 1) configurations per map: a budget of exactly that
+        # passes, one less is refused
+        check_budget(2, 1, 1)
+        for n, steps, budget in [(2, 5, 4**4), (3, 4, 9**3)]:
+            check_budget(n, steps, budget)
+            with pytest.raises(NumericalError, match=r"^pathsum_budget:"):
+                check_budget(n, steps, budget - 1)
 
     def test_budget_enforced_before_enumeration(self, sys2, bath_default):
         grid = TimeGrid(0.1, 20, 6)
         tab = eta_table(bath_default, grid, "sym_env")
-        with pytest.raises(PathSumBudgetError, match="pathsum_budget"):
+        with pytest.raises(NumericalError, match=r"^pathsum_budget:"):
             oracle_trajectory(sys2, tab, 16)
 
     def test_steps_bounded_by_grid(self, sys2, tables):
