@@ -39,19 +39,13 @@ def main():
     smatpi = KernelSet("sym_env", args.dt, solve_midpoint(aux, aux0),
                        solve_termination(full, aux, aux0), aux0)
     ttm = KernelSet("sym_env", args.dt, extract_ttm(full))
-    report = compare(smatpi, ttm, threshold=args.threshold)
+    rows, first_a, first_b = compare(smatpi, ttm, threshold=args.threshold)
 
     print(f"{'k':>3} {'|M_k|/|M_1|':>14} {'|T_k|/|T_1|':>14} {'ttm rel':>14}")
-    m1 = report.norms_a[0]
-    t1 = report.term_norms_a[0]
-    c1 = report.norms_b[0]
-    for i, k in enumerate(report.ks):
-        print(
-            f"{k:>3} {report.norms_a[i] / m1:14.4e} "
-            f"{report.term_norms_a[i] / t1:14.4e} {report.norms_b[i] / c1:14.4e}"
-        )
-    print(f"first below {args.threshold:g} x k=1 norm: smatpi {report.first_below_a}, "
-          f"ttm {report.first_below_b}")
+    _, m1, t1, c1, _, _ = rows[0]
+    for k, m, t, c, _, _ in rows:
+        print(f"{k:>3} {m / m1:14.4e} {t / t1:14.4e} {c / c1:14.4e}")
+    print(f"first below {args.threshold:g} x k=1 norm: smatpi {first_a}, ttm {first_b}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ from .combinatorics import catalan, enumerate_dyck
 from .config import RunConfig, default_config_text, load_config, parse_config
 from .kernel_io import load_kernels, save_kernels
 from .kernels import (
-    ComparisonReport,
     KernelSet,
     closed_form_asym,
     compare,

@@ -58,12 +58,13 @@ from .config import default_config_text, load_config
 from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
 from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
-from .liouville import TimeGrid, liou_norm
+from .liouville import TimeGrid, liou_norms
 from .pathsum import check_budget, oracle_trajectory
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(x) -> str:
+    """A number as text: 17 significant digits (an integer prints as %d), empty for None."""
+    return "" if x is None else format(float(x), ".17g")
 
 
 def _write_outputs(out, files) -> int:
@@ -111,9 +112,18 @@ def _write_csv(path, header, chunks):
 
 
 def _table(header, rows):
-    """``write(path)`` of a small CSV: the header row, then rows of string cells."""
-    text = "".join(",".join(row) + "\n" for row in rows).encode()
-    return lambda path: _write_csv(path, header, [text])
+    """``write(path)`` of a small CSV: the header row, then rows of string cells.
+
+    ``rows`` is any iterable, read while the file is written and encoded
+    4096 rows at a time, so a long table is never held whole.
+    """
+
+    def chunks():
+        pending = iter(rows)
+        while batch := list(itertools.islice(pending, 4096)):
+            yield "".join(",".join(row) + "\n" for row in batch).encode()
+
+    return lambda path: _write_csv(path, header, chunks())
 
 
 def _block_rows(dt, blocks):
@@ -185,25 +195,23 @@ def _cmd_extract(args) -> int:
     metadata = {
         "system.n": str(cfg.system.n),
         "bath.kind": cfg.bath.spectral_density.kind,
-        "bath.alpha": _fmt(cfg.bath.spectral_density.alpha),
-        "bath.omega_c": _fmt(cfg.bath.spectral_density.omega_c),
-        "bath.beta": "inf" if np.isinf(cfg.bath.beta) else _fmt(cfg.bath.beta),
+        "bath.alpha": _cell(cfg.bath.spectral_density.alpha),
+        "bath.omega_c": _cell(cfg.bath.spectral_density.omega_c),
+        "bath.beta": _cell(cfg.bath.beta),
         "pathsum_budget": str(cfg.pathsum_budget),
     }
-    rows = []
-    for k, mat in enumerate(kset.midpoint, start=1):
-        norm_t = "" if kset.termination is None else _fmt(liou_norm(kset.termination[k - 1]))
-        rows.append([str(k), _fmt(liou_norm(mat)), norm_t])
+    norms = itertools.zip_longest(range(1, kset.r_max + 1), liou_norms(kset.midpoint),
+                                  liou_norms(kset.termination))
     files = [
         ("kernels.txt", lambda path: save_kernels(kset, path, metadata=metadata)),
-        ("kernel_norms.csv", _table(["k", "norm_M", "norm_T"], rows)),
+        ("kernel_norms.csv", _table(["k", "norm_M", "norm_T"], ([_cell(x) for x in row]
+                                                                 for row in norms))),
     ]
     if kset.flavor == "ttm" and kset.r_max >= 2:
-        grows = [
-            [str(k), _fmt(liou_norm(mat)), "same_formula_unverified" if k == 1 else ""]
-            for k, mat in enumerate(gqme_kernel(kset.midpoint, kset.dt), start=1)
-        ]
-        files.append(("gqme_kernel_norms.csv", _table(["k", "norm_K", "note"], grows)))
+        gqme = liou_norms(gqme_kernel(kset.midpoint, kset.dt))
+        rows = ([str(k), _cell(v), "same_formula_unverified" if k == 1 else ""]
+                for k, v in enumerate(gqme, start=1))
+        files.append(("gqme_kernel_norms.csv", _table(["k", "norm_K", "note"], rows)))
     return _write_outputs(_out_dir(args, cfg), files)
 
 
@@ -240,22 +248,13 @@ def _cmd_propagate(args) -> int:
 def _cmd_compare(args) -> int:
     set_a = load_kernels(args.kernels_a)
     set_b = load_kernels(args.kernels_b)
-    report = compare(set_a, set_b, threshold=args.threshold)
-
-    def cell(v):
-        return "" if v is None else _fmt(v)
-
-    rows = [
-        [str(k), cell(na), cell(ta), cell(nb), cell(tb), cell(d)]
-        for (k, na, ta, nb, tb, d) in report.rows()
-    ]
-    summary = [
-        [name, "" if first is None else str(first), _fmt(report.threshold)]
-        for name, first in (("a", report.first_below_a), ("b", report.first_below_b))
-    ]
+    rows, first_a, first_b = compare(set_a, set_b, threshold=args.threshold)
+    summary = [["a", _cell(first_a), _cell(args.threshold)],
+               ["b", _cell(first_b), _cell(args.threshold)]]
     return _write_outputs(args.out, [
         ("comparison.csv", _table(
-            ["k", "norm_a_mid", "norm_a_term", "norm_b_mid", "norm_b_term", "diff_mid"], rows)),
+            ["k", "norm_a_mid", "norm_a_term", "norm_b_mid", "norm_b_term", "diff_mid"],
+            ([_cell(x) for x in row] for row in rows))),
         ("comparison_summary.csv", _table(
             ["set", "first_k_below_threshold", "threshold"], summary)),
     ])
@@ -270,7 +269,8 @@ def _cmd_dyck(args) -> int:
     counts = [[str(mm), str(catalan(mm))] for mm in range(m + 1)]
     files = [("dyck_counts.csv", _table(["semilength", "count"], counts))]
     if args.list_paths:
-        rows = [[str(i), " ".join(f"{s:+d}" for s in p)] for i, p in enumerate(enumerate_dyck(m))]
+        step = {1: "+1", -1: "-1"}.__getitem__
+        rows = ([str(i), " ".join(map(step, p))] for i, p in enumerate(enumerate_dyck(m)))
         files.append(("dyck_paths.csv", _table(["index", "steps"], rows)))
     return _write_outputs(args.out, files)
 

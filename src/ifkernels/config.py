@@ -102,7 +102,7 @@ def _parse_lines(text: str):
             raise ValidationError(f"parse: line {lineno}: empty key")
         if key in pairs:
             raise ValidationError(f"parse: line {lineno}: duplicate key {key!r}")
-        pairs[key] = (value, lineno)
+        pairs[key] = value
     return pairs
 
 
@@ -112,8 +112,7 @@ class _Fields:
 
     def take(self, key, default=None, required=False):
         if key in self.pairs:
-            value, _ = self.pairs.pop(key)
-            return value
+            return self.pairs.pop(key)
         if required:
             raise ValidationError(f"{key}: missing required field")
         return default
@@ -127,7 +126,7 @@ class _Fields:
                     idx = int(idx_text)
                 except ValueError:
                     raise ValidationError(f"{key}: row index must be an integer") from None
-                rows[idx] = self.pairs.pop(key)[0]
+                rows[idx] = self.pairs.pop(key)
         if not rows:
             raise ValidationError(f"{prefix}: missing matrix rows")
         if sorted(rows) != list(range(len(rows))):

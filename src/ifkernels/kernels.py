@@ -54,17 +54,22 @@ Q rows), and the next state is the newest R outputs.  A run takes one
 right-hand block; the maps and rho are two runs.  Memory is
 O(CHUNK R d (d + c)) whatever the horizon, and the number of numpy calls
 per chunk does not depend on CHUNK.
+
+``compare`` sets two kernel sets side by side as plain rows of tuples, one
+per index, each cell the max-abs norm of one matrix
+(``liouville.liou_norms``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bath import SPLITTINGS, EtaTable, influence_pair_matrix
 from .errors import NumericalError, ValidationError
-from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator
+from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator, liou_norms
 
 COND_LIMIT = 1e12
 # Steps per propagation chunk: each chunk is one (CHUNK m d, R d) @ (R d, c)
@@ -302,45 +307,16 @@ def propagate_blocks(kernels: KernelSet, horizon: int, right: np.ndarray | None 
     return _blocks(rows, state, horizon)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-index norm table for two kernel sets plus first-decay indices."""
-
-    threshold: float
-    ks: tuple
-    norms_a: tuple
-    norms_b: tuple
-    term_norms_a: tuple
-    term_norms_b: tuple
-    diffs: tuple
-    first_below_a: int | None
-    first_below_b: int | None
-
-    def rows(self):
-        for i, k in enumerate(self.ks):
-            yield (
-                k,
-                self.norms_a[i],
-                self.term_norms_a[i],
-                self.norms_b[i],
-                self.term_norms_b[i],
-                self.diffs[i],
-            )
-
-
-def _first_below(norms, threshold):
-    """First k whose norm is below ``threshold`` times the k = 1 norm, else None."""
-    below = (k for k, v in enumerate(norms, 1) if v is not None and v < threshold * norms[0])
-    return next(below, None)
-
-
-def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> ComparisonReport:
+def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3):
     """Tabulate per-k norms of two kernel sets and their normwise difference.
 
-    ``threshold`` (finite, > 0) is relative to each set's own k = 1
-    midpoint norm; the report records the first index below it for each
-    set.  The sets must share a splitting and exactly the same dt; their
-    flavors may differ.
+    Returns ``(rows, first_below_a, first_below_b)``.  ``rows`` holds
+    ``(k, |M^a_k|, |T^a_k|, |M^b_k|, |T^b_k|, |M^a_k - M^b_k|)`` for
+    k = 1..max r_max, a cell None past a set's end or where a set has no
+    termination stack.  ``first_below_*`` is the first k whose midpoint
+    norm is below ``threshold`` (finite, > 0) times the set's own k = 1
+    norm, else None.  The sets must share a splitting and exactly the same
+    dt; their flavors may differ.
     """
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValidationError(f"threshold: must be finite and > 0, got {threshold!r}")
@@ -352,25 +328,14 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3) -> Comp
         raise ValidationError("dt_mismatch: kernel sets differ in dt")
     if set_a.dim != set_b.dim:
         raise ValidationError("dim_mismatch: kernel sets differ in dimension")
-    ks = tuple(range(1, max(set_a.r_max, set_b.r_max) + 1))
-
-    def norms(stack):  # liou_norm of each matrix, None past the end
-        vals = [] if stack is None else np.abs(stack).max(axis=(1, 2)).tolist()
-        return tuple(vals + [None] * (len(ks) - len(vals)))
-
     common = min(set_a.r_max, set_b.r_max)
-    norms_a, norms_b = norms(set_a.midpoint), norms(set_b.midpoint)
-    return ComparisonReport(
-        threshold,
-        ks,
-        norms_a,
-        norms_b,
-        norms(set_a.termination),
-        norms(set_b.termination),
-        norms(set_a.midpoint[:common] - set_b.midpoint[:common]),
-        _first_below(norms_a, threshold),
-        _first_below(norms_b, threshold),
-    )
+    stacks = (set_a.midpoint, set_a.termination, set_b.midpoint, set_b.termination,
+              set_a.midpoint[:common] - set_b.midpoint[:common])
+    cols = [liou_norms(stack) for stack in stacks]
+    rows = list(itertools.zip_longest(range(1, max(set_a.r_max, set_b.r_max) + 1), *cols))
+    first_a, first_b = (next((k for k, v in enumerate(norms, 1) if v < threshold * norms[0]), None)
+                        for norms in (cols[0], cols[2]))
+    return rows, first_a, first_b
 
 
 # ---------------------------------------------------------------------------

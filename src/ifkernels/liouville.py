@@ -124,6 +124,11 @@ def liou_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
+def liou_norms(stack) -> list:
+    """``liou_norm`` of each matrix in a stack; an empty list for None."""
+    return [] if stack is None else [liou_norm(a) for a in stack]
+
+
 def check_finite(a: np.ndarray, what: str, error=ValidationError) -> np.ndarray:
     """Raise ``error`` ("non_finite") if a contains NaN/Inf; returns a unchanged."""
     if not np.all(np.isfinite(np.asarray(a))):

@@ -241,21 +241,13 @@ class _PathSums:
             -1, d, ends * d)
         self._tables = {}
 
-    def _grown(self, key, size: int, start, extend):
-        """The shared table ``key`` of ``size`` points: the kept one, extended a point at a time."""
-        have, table = self._tables.get(key, (size + 1, None))
-        if have > size:
-            have, table = 0, start()
-        for point in range(have + 1, size + 1):
-            table = extend(table, point)
-        self._tables[key] = size, table
-        return table
-
-    def _runs(self, key, run: int, first, extend):
-        """The shared table ``key`` of ``run`` points, from the run a point shorter; all are kept."""
+    def _runs(self, key, run: int, first, extend, keep=True):
+        """The table ``key`` of ``run`` points, built from the run before; ``keep`` holds every run."""
         tables = self._tables.setdefault(key, [])
         for r in range(len(tables), run + 1):
             tables.append(extend(tables[-1], r) if r else first())
+            if r and not keep:  # held, runs nobody reads again slowed asym calls 3 %
+                tables[r - 1] = None
         return tables[run]
 
     def after(self, run: int) -> np.ndarray:
@@ -273,8 +265,8 @@ class _PathSums:
             mutual = self.after(r - 1)[:, :, None] * table
             return (self.to_end[offset + r - 1][:, None, :] * mutual).reshape(-1, table.shape[1])
 
-        return self._grown(("ends", offset), run,
-                           lambda: np.ones((1, self.to_end.shape[2]), dtype=complex), extend)
+        return self._runs(("ends", offset), run,
+                          lambda: np.ones((1, self.to_end.shape[2]), dtype=complex), extend, False)
 
     def to_columns(self, run: int) -> np.ndarray:
         """``_cross`` on the keys of ``run`` column points: a new last point extends the run."""
@@ -285,9 +277,9 @@ class _PathSums:
     def row_col(self, q: int, m: int) -> np.ndarray:
         """W[row, key]: the factors of q row points with the column keys; a new first row extends it."""
         cols = self.to_columns(m)
-        return self._grown(("row_col", m), q, lambda: np.ones((1, cols.shape[2]), dtype=complex),
-                           lambda table, r: (cols[r - 1][:, None, :] * table).reshape(
-                               -1, table.shape[1]))
+        return self._runs(("row_col", m), q, lambda: np.ones((1, cols.shape[2]), dtype=complex),
+                          lambda table, r: (cols[r - 1][:, None, :] * table).reshape(
+                              -1, table.shape[1]), False)
 
     def col_ends(self, run: int) -> np.ndarray:
         """[key, (e, a_N)]: ``ends(0, run)`` summed over the tuples of each ``to_columns`` key.
@@ -302,7 +294,8 @@ class _PathSums:
                 table = self.class_of @ table.reshape(d, d, -1)
             return (self.to_end[r - 1][:, None, :] * table.reshape(d, -1, width)).reshape(-1, width)
 
-        return self._grown("col_ends", run, lambda: np.ones((1, width), dtype=complex), extend)
+        return self._runs("col_ends", run, lambda: np.ones((1, width), dtype=complex), extend,
+                          False)
 
     def _sum(self, steps: int) -> np.ndarray:
         """The sum over the interior points of one length, without the two ends alone."""

@@ -994,6 +994,23 @@ class TestCli:
         header = (tmp_path / "one" / "plain" / "trajectory.csv").read_text().split("\n", 1)[0]
         assert "_rho_" in header and "_u_" not in header
 
+    def test_dyck_list_memory_does_not_grow_with_the_paths(self, tmp_path, capsys):
+        # 16796 paths at semilength 10: 10.2 MiB traced when every path and
+        # line was built before the write, 2.5 MiB one batch at a time
+        argv = ["dyck", "--semilength", "10", "--list", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            assert cli_main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        lines = (tmp_path / "dyck_paths.csv").read_text().splitlines()
+        assert len(lines) == 1 + math.comb(20, 10) // 11
+        assert lines[1] == "0," + " ".join(["+1 -1"] * 10)
+        assert lines[-1] == f"{len(lines) - 2}," + " ".join(["+1"] * 10 + ["-1"] * 10)
+        assert peak < 5 * 2**20
+
     def test_dyck_count_only(self, capsys):
         assert cli_main(["dyck", "--semilength", "3", "--count-only"]) == 0
         assert capsys.readouterr().out.strip() == "3,5"

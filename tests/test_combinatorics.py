@@ -30,18 +30,18 @@ class TestCatalan:
 
 class TestDyck:
     def test_semilength_one(self):
-        assert enumerate_dyck(1) == [(1, -1)]
+        assert list(enumerate_dyck(1)) == [(1, -1)]
 
     def test_semilength_two(self):
-        assert enumerate_dyck(2) == [(1, -1, 1, -1), (1, 1, -1, -1)]
+        assert list(enumerate_dyck(2)) == [(1, -1, 1, -1), (1, 1, -1, -1)]
 
     def test_semilength_four_count(self):
-        assert len(enumerate_dyck(4)) == catalan(4) == 14
+        assert len(list(enumerate_dyck(4))) == catalan(4) == 14
 
     @given(st.integers(0, 9))
     @settings(max_examples=10, deadline=None)
     def test_counts_and_invariants(self, m):
-        paths = enumerate_dyck(m)
+        paths = list(enumerate_dyck(m))
         assert len(paths) == catalan(m)
         assert len(set(paths)) == len(paths)
         assert sorted(paths) == paths
@@ -51,8 +51,14 @@ class TestDyck:
             assert min(np.cumsum((0,) + path)) == 0 and sum(path) == 0
 
     def test_range_guard(self):
+        # checked on the call, before a path is asked for
         with pytest.raises(ValidationError, match=r"^range:"):
             enumerate_dyck(15)
+
+    def test_paths_are_yielded_one_at_a_time(self):
+        paths = enumerate_dyck(14)  # 2674440 paths: only the first is made
+        assert next(paths) == (1, -1) * 14
+        assert next(paths) == (1, -1) * 12 + (1, 1, -1, -1)
 
 
 class TestExpansion:

@@ -522,17 +522,17 @@ class TestEndpointDistinctness:
 class TestCompare:
     def test_identical_sets(self, sys2, tables):
         kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")
-        report = compare(kset, kset)
-        assert all(d == 0.0 for d in report.diffs)
+        rows, _, _ = compare(kset, kset)
+        assert all(row[5] == 0.0 for row in rows)
 
     def test_one_step_memory_contrast(self, sys2, tables):
         tab1 = eta_truncated(tables["sym_env"], 1)
         kset, _, _ = extract_kernels(sys2, tab1, 6, "smatpi")
         kttm, _, _ = extract_kernels(sys2, tab1, 6, "ttm")
-        report = compare(kset, kttm, threshold=1e-3)
-        assert report.norms_a[1] < 1e-12
-        assert report.norms_b[1] > 1e-6
-        assert report.first_below_a == 2
+        rows, first_a, _ = compare(kset, kttm, threshold=1e-3)
+        assert rows[1][1] < 1e-12
+        assert rows[1][3] > 1e-6
+        assert first_a == 2
 
     def test_dt_mismatch_rejected(self, sys2, tables):
         kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")
@@ -559,10 +559,12 @@ class TestCompare:
         mats = np.array([1.0, 0.5, 1e-4])[:, None, None] * np.eye(4)
         a = KernelSet("sym_env", 0.1, mats)
         b = KernelSet("sym_env", 0.1, np.zeros((2, 4, 4)))
-        report = compare(a, b, threshold=1e-3)
-        assert report.norms_a == (1.0, 0.5, 1e-4) and report.norms_b == (0.0, 0.0, None)
-        assert report.diffs == (1.0, 0.5, None) and report.term_norms_a == (None,) * 3
-        assert (report.first_below_a, report.first_below_b) == (3, None)
+        rows, first_a, first_b = compare(a, b, threshold=1e-3)
+        k, norms_a, term_norms_a, norms_b, term_norms_b, diffs = zip(*rows)
+        assert k == (1, 2, 3) and term_norms_b == (None,) * 3
+        assert norms_a == (1.0, 0.5, 1e-4) and norms_b == (0.0, 0.0, None)
+        assert diffs == (1.0, 0.5, None) and term_norms_a == (None,) * 3
+        assert (first_a, first_b) == (3, None)
 
     def test_splitting_mismatch_rejected(self, sys2, tables):
         kset, _, _ = extract_kernels(sys2, tables["sym_env"], 4, "ttm")

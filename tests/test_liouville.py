@@ -10,6 +10,7 @@ from ifkernels.liouville import (
     TimeGrid,
     fb_propagator,
     liou_norm,
+    liou_norms,
 )
 
 from _oracles import expm_series
@@ -168,3 +169,12 @@ def test_liou_norm_values():
     m = np.zeros((4, 4), dtype=complex)
     m[2, 1] = 3 - 4j
     assert abs(liou_norm(m) - 5.0) < 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_liou_norms_match_the_stacked_max(scale):
+    # one norm per matrix, bit for bit the max over the stack's last two axes
+    rng = np.random.default_rng(7)
+    stack = scale * (rng.standard_normal((9, 4, 4)) + 1j * rng.standard_normal((9, 4, 4)))
+    assert liou_norms(stack) == np.abs(stack).max(axis=(1, 2)).tolist()
+    assert liou_norms(None) == []
