@@ -52,12 +52,12 @@ import sys
 
 import numpy as np
 
-from .bath import eta_table
+from .bath import SPLITTINGS, eta_table
 from .combinatorics import catalan, enumerate_dyck
 from .config import default_config_text, load_config
 from .errors import NumericalError, ValidationError
 from .kernel_io import load_kernels, save_kernels
-from .kernels import compare, extract_kernels, gqme_kernel, propagate_blocks
+from .kernels import FLAVORS, compare, extract_kernels, gqme_kernel, propagate_blocks
 from .liouville import TimeGrid, liou_norms
 from .pathsum import check_budget, oracle_trajectory
 
@@ -293,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract a kernel set and write it to disk")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--flavor", choices=("smatpi", "ttm"), default=None)
-    p.add_argument("--splitting", choices=("sym_env", "sym_sys", "asym"), default=None)
+    p.add_argument("--flavor", choices=FLAVORS, default=None)
+    p.add_argument("--splitting", choices=SPLITTINGS, default=None)
     p.add_argument("--rmax", type=int, default=None)
 
     p = sub.add_parser("propagate", help="iterate a stored kernel set to long times")

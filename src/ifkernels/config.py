@@ -38,6 +38,7 @@ import numpy as np
 
 from .bath import SPLITTINGS, BathSpec, SpectralDensity
 from .errors import ValidationError
+from .kernels import FLAVORS
 from .liouville import HERMITICITY_TOL, SystemSpec, TimeGrid
 from .pathsum import DEFAULT_BUDGET
 
@@ -95,9 +96,7 @@ def _parse_lines(text: str):
             continue
         if "=" not in line:
             raise ValidationError(f"parse: line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = map(str.strip, line.partition("="))
         if not key:
             raise ValidationError(f"parse: line {lineno}: empty key")
         if key in pairs:
@@ -221,7 +220,7 @@ def parse_config(text: str) -> RunConfig:
     if splitting not in SPLITTINGS:
         raise ValidationError(f"run.splitting: unknown splitting {splitting!r}")
     flavor = fields.take("run.flavor", required=True)
-    if flavor not in ("smatpi", "ttm"):
+    if flavor not in FLAVORS:
         raise ValidationError(f"run.flavor: unknown flavor {flavor!r}")
 
     rho_rows = [
@@ -259,10 +258,14 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def read_text(path) -> str:
+    """The text of an input file; one that is not UTF-8 is a ``parse:`` error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError:
             raise ValidationError(f"parse: {path}: not UTF-8 text") from None
-    return parse_config(text)
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(read_text(path))

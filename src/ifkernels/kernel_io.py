@@ -34,8 +34,9 @@ import itertools
 
 import numpy as np
 
+from .config import read_text
 from .errors import ValidationError
-from .kernels import KernelSet
+from .kernels import FLAVORS, KernelSet
 
 FORMAT_VERSION = 1
 
@@ -89,17 +90,11 @@ def load_kernels(path) -> KernelSet:
     header = {}
     blocks = {}
     current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            raise ValidationError(f"parse: {path}: not UTF-8 text") from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         if "=" in line and "," not in line:
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+            key, _, value = map(str.strip, line.partition("="))
             if key == "matrices":
                 if value not in ("midpoint", "termination", "aux0"):
                     raise ValidationError(f"parse: line {lineno}: unknown block {value!r}")
@@ -118,11 +113,8 @@ def load_kernels(path) -> KernelSet:
         if len(parts) != 5:
             raise ValidationError(f"parse: line {lineno}: expected k,row,col,re,im")
         try:
-            k = int(parts[0])
-            row = int(parts[1])
-            col = int(parts[2])
-            re = float(parts[3])
-            im = float(parts[4])
+            k, row, col = map(int, parts[:3])
+            re, im = map(float, parts[3:])
         except ValueError:
             raise ValidationError(f"parse: line {lineno}: bad numeric field") from None
         entries = blocks[current].setdefault(k, {})
@@ -174,7 +166,7 @@ def load_kernels(path) -> KernelSet:
     try:
         if r_max != len(midpoint):
             raise ValidationError(f"r_max {r_max} but {len(midpoint)} midpoint matrices")
-        if flavor not in ("smatpi", "ttm"):
+        if flavor not in FLAVORS:
             raise ValidationError(f"unknown flavor {flavor!r}")
         if (flavor == "smatpi") != (termination is not None):
             held = "with" if termination is not None else "without"

@@ -71,6 +71,7 @@ from .bath import SPLITTINGS, EtaTable, influence_pair_matrix
 from .errors import NumericalError, ValidationError
 from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator, liou_norms
 
+FLAVORS = ("smatpi", "ttm")  # the kernel hierarchies, as bath.SPLITTINGS names the splittings
 COND_LIMIT = 1e12
 # Steps per propagation chunk: each chunk is one (CHUNK m d, R d) @ (R d, c)
 # product, and the chunk rows take O(CHUNK R d^2) memory.
@@ -362,7 +363,7 @@ def extract_kernels(
     """
     from .pathsum import DEFAULT_BUDGET, oracle_trajectory
 
-    if flavor not in ("smatpi", "ttm"):
+    if flavor not in FLAVORS:
         raise ValidationError(f"unknown flavor {flavor!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
     splitting = eta.splitting

@@ -27,7 +27,8 @@ real), so U[(f,b),(f',b')] = conj(U[(b,f),(b',f')]).  The sums run over the
 canonical columns, the smaller flat index of each mirror pair: (d^2 + n^2)/2
 of the d^2, with d = n^2 values per point.  The mirror columns are filled
 by conjugation and the n^2 self-mirror entries (both values diagonal) keep
-their real part, so every path-sum map has the symmetry exactly.
+their real part.  The dressed asym and sym_sys maps are refilled so too, so
+every map ``oracle_trajectory`` returns has the symmetry exactly.
 
 The interior points 1..N-1 fall into three runs (``_split``): the
 trailing m *column* points, the q *row* points before them, and the
@@ -42,13 +43,14 @@ memory grows as n^4 per point.
 The column points sit 1..m steps and the row points m+1..m+q steps before
 the measured end whatever N is, so their end tables (``col_ends``,
 ``ends``), the cross factors W[row, key] of the rows with the columns
-(``row_col``) and a point's factors with the points after it (``after``,
-``to_columns``) are built once per call, each the previous length's table
-extended by one point.  The origin is one more point before the others,
-its factors taken from the same tables.  Where the columns take every point
-(q = 0, N <= 5 at n = 2) a length is one product (d x K) @ (K x ends d).
-The factors of the two ends alone scale a length's whole sum; they, the
-mirror fill and the finiteness check run once per call, over all lengths.
+(``row_col``) and a point's factors with the rows or columns after it
+(``rows``, ``to_columns``, both by ``_cross``) are built once per call, each
+the previous length's table extended by one point.  The origin is one more
+point before the others, its factors taken from the same tables.  Where the
+columns take every point (q = 0, N <= 5 at n = 2) a length is one product
+(d x K) @ (K x ends d).  The factors of the two ends alone scale a length's
+whole sum; they, the mirror fill and the finiteness check run once per
+call, over all lengths.
 
 The column points are summed by class.  The later point of a pair enters
 its factor through Δs = s+ - s- alone (see ``bath.influence_pair_matrix``),
@@ -99,8 +101,8 @@ sym_sys
 asym
     The initial point carries no influence factors (I_{k,0} = 1) and enters
     through G1 alone: U_N = W_{N-1} . G1, with W the sum sym_sys sums (W_0
-    the single-point factor matrix), refilled from its canonical columns.
-    The auxiliary coincides with the full map, and aux_0 is the identity.
+    the single-point factor matrix).  The auxiliary coincides with the full
+    map, and aux_0 is the identity.
 """
 
 from __future__ import annotations
@@ -231,6 +233,8 @@ class _PathSums:
         # a canonical column (e, a_N, a_0): its row in the (e, a_N) tables and in the a_0 ones
         columns = (np.arange(ends)[:, None] * d * d + self.canonical).ravel()
         self.col_end, self.col_0 = np.divmod(columns, d)
+        # ``rows`` holds the offsets 1..p + 1 that ``_sum`` reads, p the longest length's odometer
+        self.row_offsets = _split(horizon - 1, d, len(columns))[0] + 1
         # by separation s: base[s - 1], the two ends of a path of s steps alone;
         # to_end[s - 1][a, (e, a_N)], the self weight of a point s steps before
         # the measured end and its factors with it
@@ -250,10 +254,11 @@ class _PathSums:
                 tables[r - 1] = None
         return tables[run]
 
-    def after(self, run: int) -> np.ndarray:
-        """``[a, (y_1, .., y_run)]``: a point's factors with the ``run`` points after it."""
-        return self._runs("after", run, lambda: np.ones((self.class_of.shape[1], 1), dtype=complex),
-                          lambda t, r: (t[:, :, None] * self.sep_t[r][:, None, :]).reshape(len(t), -1))
+    def rows(self, run: int) -> np.ndarray:
+        """``_cross`` on every tuple of ``run`` row points: a new last point extends the run."""
+        return self._runs("rows", run,
+                          lambda: np.ones((self.row_offsets, self.class_of.shape[1], 1), dtype=complex),
+                          lambda t, r: _cross(t, self.sep_t, r))
 
     def ends(self, offset: int, run: int) -> np.ndarray:
         """``[(y_0, ..), (e, a_N)]``: a run's self weights, mutual factors and end factors.
@@ -262,7 +267,7 @@ class _PathSums:
         """
 
         def extend(table, r):
-            mutual = self.after(r - 1)[:, :, None] * table
+            mutual = self.rows(r - 1)[0][:, :, None] * table
             return (self.to_end[offset + r - 1][:, None, :] * mutual).reshape(-1, table.shape[1])
 
         return self._runs(("ends", offset), run,
@@ -305,13 +310,7 @@ class _PathSums:
             return (self.to_columns(m)[0] @ self.col_ends(m))[self.col_0, self.col_end]
         # to_rows[k], to_cols[k]: point k's factors with the rows and with the
         # column keys, k = 0 the origin
-        if p:
-            to_rows = np.ones((p + 1, d, 1), dtype=complex)
-            for r in range(1, q + 1):
-                to_rows = _cross(to_rows, self.sep_t, r)
-        else:
-            to_rows = self.after(q)[None]
-        to_rows, to_cols = to_rows[::-1], self.to_columns(m)[p + q :: -1]
+        to_rows, to_cols = self.rows(q)[p::-1], self.to_columns(m)[p + q :: -1]
         col_mat = self.col_ends(m).T[self.col_end]
         col_mat *= to_cols[0][self.col_0]
         row_ends = self.ends(m, q)[:, self.col_end]
@@ -420,9 +419,9 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
     if splitting == "sym_env":
         return maps[0], sums.aux0, maps[-1].copy()
     inner = np.concatenate((sums.aux0[None], maps[0]))[:steps]
-    if splitting == "asym":  # U_N = W_{N-1} . G1, the bare origin's one link
-        full = sums.fill((inner @ g1).reshape(-1, sys.dim**2)[:, sums.canonical])
-        full = check_finite(full, "dressed path sum", NumericalError)
+    full = inner @ g1 if splitting == "asym" else g_half[0] @ inner @ g_half[0]
+    full = sums.fill(full.reshape(-1, sys.dim**2)[:, sums.canonical])
+    full = check_finite(full, "dressed path sum", NumericalError)
+    if splitting == "asym":
         return full, np.eye(sys.dim, dtype=complex), full.copy()
-    full = check_finite(g_half[0] @ inner @ g_half[0], "dressed path sum", NumericalError)
     return full, sums.aux0, maps[0]

@@ -149,6 +149,10 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="unknown splitting"):
             EtaTable("midpoint", 0.1, np.zeros(3), np.zeros(3))
 
+    def test_eta_table_of_an_unknown_splitting(self, bath_default, grid8):
+        with pytest.raises(ValidationError, match="^unknown splitting 'bogus'$"):
+            eta_table(bath_default, grid8, "bogus")
+
     @pytest.mark.parametrize("interior, right", [
         (np.zeros(3), np.zeros(4)),  # unequal lengths
         (np.zeros(1), np.zeros(1)),  # no separation 1

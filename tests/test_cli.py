@@ -127,6 +127,29 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"^parse: line 2"):
             parse_config("system.n = 2\nnot a line\n")
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(small_config() + "= 3\n", "parse: line 17: empty key", id="empty-key"),
+        pytest.param(small_config(**{"system.hamiltonian.row.x": "0+0j 0.5+0j"}),
+                     "system.hamiltonian.row.x: row index must be an integer", id="row-index"),
+        pytest.param("\n".join(line for line in small_config().splitlines()
+                               if not line.startswith("initial_state")),
+                     "initial_state: missing matrix rows", id="no-rows"),
+        pytest.param(small_config(**{"system.hamiltonian.row.0": "0+0j 0.5+0x"}),
+                     "system.hamiltonian: bad complex literal '0.5+0x'", id="complex-literal"),
+        pytest.param(small_config(**{"system.coupling_eigenvalues": "1 one"}),
+                     "system.coupling_eigenvalues: bad real literal", id="coupling-literal"),
+        pytest.param(small_config(**{"initial_state.row.0": "1+0j 0.5+0j"}),
+                     "initial_state: not Hermitian", id="non-hermitian-state"),
+        pytest.param(small_config(**{"initial_state.row.0": "0.5+0j 0+0j"}),
+                     "initial_state: trace must be 1", id="trace"),
+        pytest.param(small_config(**{"run.pathsum_budget": "0"}),
+                     "run.pathsum_budget: must be positive", id="budget"),
+    ])
+    def test_refused_with_its_code(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
 
 class TestKernelFile:
     def test_round_trip(self, tmp_path):
@@ -389,6 +412,31 @@ class TestBadKernelFiles:
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
         assert f"parse: line {at + 1}: {want}" in err
+
+    @pytest.mark.parametrize("case, message", [
+        ("four fields", "parse: line {line}: expected k,row,col,re,im"),
+        ("missing index", "parse: missing matrix index 2"),
+        ("outside dim", "parse: entry (4,0) out of range for dim 4"),
+        ("no midpoint", "parse: no midpoint matrices"),
+    ])
+    def test_refused_with_its_code(self, tmp_path, capsys, case, message):
+        cfg, kpath = _extracted(tmp_path)
+        lines = kpath.read_text().splitlines()
+        start, end = lines.index("matrices = midpoint"), lines.index("matrices = termination")
+        if case == "four fields":
+            lines[start + 1] = lines[start + 1].rsplit(",", 1)[0]
+        elif case == "missing index":  # the midpoint indices 1, 3, 4, 5
+            lines[start:end] = [("5" + line[1:]) if line.startswith("2,") else line
+                                for line in lines[start:end]]
+        elif case == "outside dim":  # matrix 1 keeps its 16 entries
+            lines[start + 16] = "1,4,0" + lines[start + 16][len("1,3,3"):]
+        else:
+            del lines[start:end]
+        kpath.write_text("\n".join(lines) + "\n")
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert err == f"error: {message.format(line=start + 2)}\n"
+        assert not (kpath.parent / "prop").exists()
 
     def test_kernel_set_checks_aux0_shape(self):
         mats = (np.eye(4, dtype=complex),)
@@ -1322,6 +1370,31 @@ class TestCli:
         assert code == 1
         assert err == "error: dt_mismatch: kernel file dt 1e-16 differs from config dt 9e-16\n"
         assert not (kpath.parent / "prop").exists()
+
+    def test_propagate_needs_the_kernel_dim(self, tmp_path, capsys):
+        # an n = 2 kernel file under an n = 3 config, with the same dt
+        kpath = tmp_path / "k" / "kernels.txt"
+        kpath.parent.mkdir()
+        save_kernels(KernelSet("sym_env", 0.1, (np.eye(4, dtype=complex),)), kpath)
+        zero = "0+0j 0+0j 0+0j"
+        cfg = tmp_path / "n3.txt"
+        cfg.write_text(small_config(**{
+            "system.n": "3", "system.coupling_eigenvalues": "1 0 -1",
+            "system.hamiltonian.row.0": zero, "system.hamiltonian.row.1": zero,
+            "system.hamiltonian.row.2": zero, "initial_state.row.0": "1+0j 0+0j 0+0j",
+            "initial_state.row.1": zero, "initial_state.row.2": zero}))
+        code, err = _propagate_exit(cfg, kpath, capsys)
+        assert code == 1
+        assert err == "error: dim_mismatch: kernel file dimension differs from configured system\n"
+        assert not (kpath.parent / "prop").exists()
+
+    def test_init_config_prints_the_default(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert cli_main(["init-config"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == default_config_text() and captured.err == ""
+        assert not list(tmp_path.iterdir())
 
     def test_compare_dt_mismatch(self, tmp_path, capsys):
         _, ka = _extracted(tmp_path / "a")

@@ -128,6 +128,10 @@ class TestTTM:
         assert liou_norm(tensors[0] - maps[0]) == 0.0
         assert liou_norm(tensors[1] - (maps[1] - maps[0] @ maps[0])) < 1e-14
 
+    def test_empty_sequence_refused(self):
+        with pytest.raises(ValidationError, match="^need a non-empty sequence of square matrices$"):
+            extract_ttm([])
+
     def test_back_substitution(self):
         rng = np.random.default_rng(5)
         maps = random_seq(rng, 6, scale=0.5)
@@ -232,6 +236,10 @@ class TestAsymCoincidence:
     def test_wrong_splitting_rejected(self, sys2, tables):
         with pytest.raises(ValidationError, match=r"^splitting_mismatch:"):
             closed_form_asym(sys2, tables["sym_env"], 1)
+
+    def test_order_above_two_rejected(self, sys2, tables):
+        with pytest.raises(ValidationError, match="^order must be 1 or 2$"):
+            closed_form_asym(sys2, tables["asym"], 3)
 
 
 class TestExtractArguments:
@@ -571,6 +579,11 @@ class TestCompare:
         other = KernelSet("asym", 0.1, kset.midpoint)
         with pytest.raises(ValidationError, match=r"^splitting_mismatch:"):
             compare(kset, other)
+
+    def test_dim_mismatch_rejected(self):
+        a, b = (KernelSet("sym_env", 0.1, (np.eye(d),)) for d in (4, 9))
+        with pytest.raises(ValidationError, match="^dim_mismatch: kernel sets differ in dimension$"):
+            compare(a, b)
 
 
 class TestKernelSet:

@@ -43,6 +43,10 @@ class TestSystemSpec:
         with pytest.raises(ValidationError):
             SystemSpec(0.5 * PAULI_X, (1.0,))
 
+    def test_rejects_non_square_hamiltonian(self):
+        with pytest.raises(ValidationError, match="^hamiltonian must be a square matrix$"):
+            SystemSpec(np.zeros((2, 3), dtype=complex), (1.0, -1.0))
+
     def test_rejects_single_state(self):
         with pytest.raises(ValidationError):
             SystemSpec(np.zeros((1, 1), dtype=complex), (1.0,))
@@ -67,6 +71,10 @@ class TestTimeGrid:
             TimeGrid(0.1, 4, 0)
         with pytest.raises(ValidationError):
             TimeGrid(-0.1, 4, 2)
+
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValidationError, match="^n_steps must be >= 1$"):
+            TimeGrid(0.1, 0, 0)
 
 
 @given(st.integers(2, 5), st.integers(0, 24))
@@ -103,6 +111,10 @@ def test_fb_pairs_order():
 class TestPropagator:
     def test_zero_time_is_identity(self, sys2):
         assert liou_norm(fb_propagator(sys2, 0.0) - np.eye(4)) < 1e-14
+
+    def test_rejects_negative_time(self, sys2):
+        with pytest.raises(ValidationError, match="^tau must be >= 0$"):
+            fb_propagator(sys2, -0.1)
 
     def test_zero_hamiltonian_is_identity(self):
         sys0 = SystemSpec(np.zeros((2, 2), dtype=complex), (1.0, -1.0))

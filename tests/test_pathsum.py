@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import bump_correlation, eta_table_from_correlation, path_sum_reference
 from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
@@ -11,6 +13,12 @@ from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import check_budget, oracle_trajectory
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _mirrored(u, n):
+    """``u`` with forward and backward swapped in both flat indices of every map."""
+    m = np.arange(n * n).reshape(n, n).T.ravel()
+    return u[..., m, :][..., :, m]
 
 
 class TestBudget:
@@ -171,6 +179,17 @@ class TestInvariants:
             for b in range(4):
                 assert abs(u[swap(a), swap(b)] - np.conj(u[a, b])) < 1e-12
 
+    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
+    @pytest.mark.parametrize("system, steps", [("sys2", 8), ("sys3", 4)])
+    def test_every_map_is_exactly_mirror_symmetric(self, splitting, system, steps, request,
+                                                   bath_default):
+        # U[m(i), m(j)] = conj(U[i, j]) bit for bit, m swapping forward and
+        # backward, for the full maps, aux0 and the auxiliary maps alike
+        sys_ = request.getfixturevalue(system)
+        tab = eta_table(bath_default, TimeGrid(0.1, steps, steps), splitting)
+        for u in oracle_trajectory(sys_, tab, steps):
+            assert np.array_equal(_mirrored(u, sys_.n), u.conj())
+
     def test_symmetric_splittings_converge_together(self, sys2):
         # fixed total time, shrinking dt: the two symmetric discretizations
         # approach each other (first order; the initial-time boundary term
@@ -227,6 +246,36 @@ class TestPathByPathReference:
             for got, ref in ((short_full[-1], ref_u), (full[n - 1], ref_u),
                              (short_aux[-1], ref_a), (aux[n - 1], ref_a)):
                 assert np.max(np.abs(got - ref)) < 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_drawn_physics_matches_reference(self, data):
+        # repeated coupling eigenvalues merge the Δs classes of the column keys
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        unit = st.floats(-1.0, 1.0)
+        h = np.diag(data.draw(st.lists(unit, min_size=n, max_size=n), label="diagonal")) + 0j
+        for i, j in zip(*np.triu_indices(n, 1)):
+            h[i, j] = complex(data.draw(unit, label="re"), data.draw(unit, label="im"))
+            h[j, i] = np.conj(h[i, j])
+        coupling = data.draw(st.lists(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+                                      min_size=n, max_size=n), label="coupling")
+        beta = data.draw(st.one_of(st.just(np.inf), st.floats(0.5, 5.0)), label="beta")
+        alpha = data.draw(st.floats(0.0, 0.3), label="alpha")
+        omega_c = data.draw(st.floats(1.0, 10.0), label="omega_c")
+        bath = BathSpec(SpectralDensity("ohmic_exponential", alpha, omega_c), beta)
+        dt = data.draw(st.floats(0.05, 0.3), label="dt")
+        steps = data.draw(st.integers(1, 4 if n == 2 else 3), label="steps")
+        splitting = data.draw(st.sampled_from(SPLITTINGS), label="splitting")
+        sys_ = SystemSpec(h, tuple(coupling))
+        tab = eta_table(bath, TimeGrid(dt, steps, steps), splitting)
+        full, aux0, aux = oracle_trajectory(sys_, tab, steps)
+        for u in (full, aux0, aux):
+            assert np.array_equal(_mirrored(u, n), u.conj())
+        assert np.max(np.abs(aux0 - path_sum_reference(sys_, dt, tab, 0, False))) < 1e-12
+        for k in range(1, steps + 1):
+            assert np.max(np.abs(full[k - 1] - path_sum_reference(sys_, dt, tab, k))) < 1e-12
+            ref = path_sum_reference(sys_, dt, tab, k, measured_end=False)
+            assert np.max(np.abs(aux[k - 1] - ref)) < 1e-12
 
     @pytest.mark.parametrize("splitting, measured_end", [("sym_env", True), ("sym_sys", False)])
     def test_odometer_split_matches_reference(self, splitting, measured_end, sys2, bath_default):
