@@ -170,12 +170,9 @@ def _cmd_oracle(args) -> int:
     grid = cfg.grid
     if not 1 <= steps <= grid.n_steps:
         raise ValidationError(f"--steps: {steps} is outside 1..grid.n_steps = {grid.n_steps}")
-    budget = args.budget if args.budget is not None else cfg.pathsum_budget
-    if budget < 1:
-        raise ValidationError(f"--budget: must be >= 1, got {budget}")
-    check_budget(cfg.system.n, steps, budget)  # before the O(steps) table
+    check_budget(cfg.system.n, steps, cfg.pathsum_budget)  # before the O(steps) table
     table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting)
-    full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=budget)
+    full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=cfg.pathsum_budget)
     maps = [(np.eye(full.shape[-1], dtype=complex)[None],), (full,)]  # U_0, then U_1..
     return _write_outputs(_out_dir(args, cfg), [
         ("oracle_maps.csv", lambda path: _write_steps_csv(path, grid.dt, ("u",), maps)),
@@ -288,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("extract", help="extract a kernel set and write it to disk")
     p.add_argument("--config", required=True)

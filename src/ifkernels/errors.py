@@ -21,7 +21,7 @@ code                       exit  raised for
 ``<key>``, ``--<option>``  1     a bad config field or CLI argument, named by
                                  its key (``grid``, ``output.dir``,
                                  ``threshold``) or option (``--out``,
-                                 ``--rmax``, ``--steps``, ``--budget``)
+                                 ``--rmax``, ``--steps``)
 ``io``                     1     a file that cannot be read or written (an
                                  OSError, coded by the CLI)
 ``pathsum_budget``         2     a path sum over the configured budget

@@ -7,9 +7,11 @@ takes every coefficient from the closed-form second integral Q of C and
 never evaluates C(t); the tests check it against a Matsubara-series closed
 form.  Window coefficients come one at a time from a spectral-domain single
 integral (scipy.integrate.quad) instead of second differences of Q; and the
-time-domain eta table integrates C(t - t') over the same windows by nested
-Gauss rules, with C(t) itself from its own frequency quadrature (or closed
-form at T = 0).  The package has no quadrature: every Gauss-Legendre rule,
+time-domain eta table integrates C(t - t') by nested Gauss rules over windows
+it lays out itself, with C(t) itself from its own frequency quadrature (or
+closed form at T = 0).  The window layout of each splitting lives only here:
+production never forms a window, it takes second differences of Q on one
+half-step grid.  The package has no quadrature: every Gauss-Legendre rule,
 from the at most 192 nodes of the window rules to the 32768 of the
 frequency quadrature, comes from Newton's method on P_order here.  The
 time-domain route also takes synthetic correlation functions: the compact
@@ -34,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from ifkernels.bath import BathSpec, EtaTable, _assemble, _window_layout
+from ifkernels.bath import BathSpec, EtaTable
 from ifkernels.kernels import propagate_blocks
 
 
@@ -206,16 +208,33 @@ def _window_integral(corr, win_a, win_b=None):
     raise QuadratureError("quadrature_failed: window integral did not converge")
 
 
+def _window_layout(grid, splitting):
+    """The windows of every stored coefficient, as the bath module assigns them.
+
+    Returns (interior, right): for m = 0..N, the window of the self triangle
+    (m = 0) or the (later, earlier) windows of a pair m apart.  ``right`` is
+    None under sym_sys and asym, whose measured end reads interior values.
+    """
+    dt, seps = grid.dt, range(1, grid.n_steps + 1)
+    if splitting != "sym_env":
+        # uniform windows [k dt, (k+1) dt)
+        return [((0.0, dt),)] + [((m * dt, m * dt + dt), (0.0, dt)) for m in seps], None
+    # centered windows; the measured end owns the trailing half window
+    h = 0.5 * dt
+    interior = [((-h, h),)] + [((m * dt - h, m * dt + h), (-h, h)) for m in seps]
+    return interior, [((-h, 0.0),)] + [((m * dt - h, m * dt), (-h, h)) for m in seps]
+
+
 def eta_table_from_correlation(corr, grid, splitting):
     """An EtaTable by time-domain window quadrature of any correlation function.
 
     ``corr`` takes an array of time differences >= 0 and returns the complex
-    C values; the windows are those of ``bath.eta_table``.
+    C values; the windows are those of ``_window_layout``.
     """
-    triangles, pairs = _window_layout(grid, splitting)
-    values = [_window_integral(corr, win) for win in triangles]
-    values += [_window_integral(corr, win_a, win_b) for win_a, win_b in pairs]
-    return _assemble(grid, splitting, values)
+    interior, right = _window_layout(grid, splitting)
+    interior = [_window_integral(corr, *win) for win in interior]
+    right = interior if right is None else [_window_integral(corr, *win) for win in right]
+    return EtaTable(splitting, grid.dt, interior, right)
 
 
 def time_domain_eta_table(bath, grid, splitting):

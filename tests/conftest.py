@@ -14,6 +14,12 @@ def sys2():
 
 
 @pytest.fixture(scope="session")
+def sys3():
+    h = np.array([[0.0, 0.4, 0.0], [0.4, 0.2, 0.3], [0.0, 0.3, -0.2]], dtype=complex)
+    return SystemSpec(h, (1.0, 0.0, -1.0))
+
+
+@pytest.fixture(scope="session")
 def bath_default():
     return BathSpec(SpectralDensity("ohmic_exponential", 0.1, 5.0), 5.0)
 

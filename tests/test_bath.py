@@ -120,6 +120,18 @@ class TestEtaTable:
         for m in range(0, tab.horizon):
             assert abs(tab.right[m] - tab.interior[m]) > 1e-6
 
+    @pytest.mark.parametrize("beta", [0.5, 5.0, np.inf])
+    @pytest.mark.parametrize("horizon", [1, 11, 400])
+    def test_one_interior_for_every_splitting(self, horizon, beta):
+        # every interior coefficient is the same second difference of Q under
+        # every splitting; only the sym_env measured end has its own values
+        bath = BathSpec(SpectralDensity("ohmic_exponential", 0.1, 5.0), beta)
+        grid = TimeGrid(0.1, horizon, horizon)
+        env, sym, asym = (eta_table(bath, grid, sp) for sp in ("sym_env", "sym_sys", "asym"))
+        assert np.array_equal(env.interior, sym.interior)
+        assert np.array_equal(env.interior, asym.interior)
+        assert np.all(env.right != env.interior)
+
     def test_right_entries_against_spectral_oracle(self, tables):
         tab = tables["sym_env"]
         want = spectral_eta_pair(0.1, 5.0, 5.0, (0.05, 0.1), (-0.05, 0.05))

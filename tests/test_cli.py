@@ -1532,20 +1532,6 @@ class TestCli:
         assert re.fullmatch(f"error: {code}: [^\\n]*\\n", err), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    def test_oracle_budget_below_one_rejected(self, tmp_path, capsys, monkeypatch, budget):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the budget is checked before any eta table is built")
-
-        monkeypatch.setattr("ifkernels.cli.eta_table", forbidden)
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_config())
-        out = tmp_path / "out"
-        argv = ["oracle", "--config", str(cfg), "--out", str(out), "--budget", budget]
-        assert cli_main(argv) == 1
-        assert f"--budget: must be >= 1, got {budget}" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["extract", "oracle"])
     def test_budget_before_the_eta_table(self, tmp_path, capsys, monkeypatch, command):
         # 4^99999 configurations: refused before an eta table of 10^5 steps

@@ -242,6 +242,41 @@ class TestAsymCoincidence:
             closed_form_asym(sys2, tables["asym"], 3)
 
 
+class TestTrotterOrderings:
+    """sym_env and sym_sys share the auxiliary maps, hence the midpoint
+    hierarchy: only their terminations carry the measured-end effects.
+    sym_sys is asym conjugated by the half-step propagator."""
+
+    @pytest.fixture(params=[("sys2", 8), ("sys3", 4)], ids=["n2", "n3"])
+    def case(self, request, bath_default):
+        system, r = request.param
+        grid = TimeGrid(0.1, r, r)
+        return request.getfixturevalue(system), r, {
+            sp: eta_table(bath_default, grid, sp) for sp in ("sym_env", "sym_sys", "asym")}
+
+    def test_symmetric_orderings_share_the_auxiliary_maps(self, case):
+        sys_, r, tabs = case
+        _, env0, env = oracle_trajectory(sys_, tabs["sym_env"], r)
+        _, sys0, sym = oracle_trajectory(sys_, tabs["sym_sys"], r)
+        assert np.array_equal(env0, sys0)
+        assert np.max(np.abs(env - sym)) < 1e-15
+
+    def test_only_the_terminations_differ(self, case):
+        sys_, r, tabs = case
+        env, sym = (extract_kernels(sys_, tabs[sp], r, "smatpi")[0] for sp in ("sym_env", "sym_sys"))
+        assert np.max(np.abs(env.midpoint - sym.midpoint)) < 1e-14
+        assert np.max(np.abs(env.termination - sym.termination)) > 1e-3
+
+    def test_sym_sys_is_asym_conjugated_by_the_half_step(self, case):
+        sys_, r, tabs = case
+        g = fb_propagator(sys_, 0.05)
+        g_inv = np.linalg.inv(g)
+        (sym, sym_full, _), (asym, asym_full, _) = (
+            extract_kernels(sys_, tabs[sp], r, "ttm") for sp in ("sym_sys", "asym"))
+        assert np.max(np.abs(sym_full - g @ asym_full @ g_inv)) < 1e-14
+        assert np.max(np.abs(sym.midpoint - g @ asym.midpoint @ g_inv)) < 1e-14
+
+
 class TestExtractArguments:
     """Bad extraction arguments fail before the path sum is run."""
 

@@ -221,12 +221,6 @@ def test_oracle_trajectory_shapes(sys2, tables):
 SPLITTINGS = ("sym_env", "sym_sys", "asym")
 
 
-@pytest.fixture(scope="module")
-def sys3():
-    h = np.array([[0.0, 0.4, 0.0], [0.4, 0.2, 0.3], [0.0, 0.3, -0.2]], dtype=complex)
-    return SystemSpec(h, (1.0, 0.0, -1.0))
-
-
 class TestPathByPathReference:
     """oracle_trajectory against one-path-at-a-time sums."""
 
