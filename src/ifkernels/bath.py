@@ -84,13 +84,13 @@ class SpectralDensity:
 
     def __post_init__(self):
         if self.kind != "ohmic_exponential":
-            raise ValidationError(f"unsupported spectral density kind {self.kind!r}")
+            raise ValidationError(f"bath: unsupported spectral density kind {self.kind!r}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.omega_c)):
             raise ValidationError("non_finite: alpha and omega_c must be finite")
         if self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
+            raise ValidationError("bath: alpha must be >= 0")
         if not self.omega_c > 0:
-            raise ValidationError("omega_c must be > 0")
+            raise ValidationError("bath: omega_c must be > 0")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class BathSpec:
 
     def __post_init__(self):
         if not (self.beta > 0):
-            raise ValidationError("beta must be positive (use math.inf for T = 0)")
+            raise ValidationError("bath: beta must be positive (use math.inf for T = 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +128,15 @@ class EtaTable:
 
     def __post_init__(self):
         if self.splitting not in SPLITTINGS:
-            raise ValidationError(f"unknown splitting {self.splitting!r}")
+            raise ValidationError(f"splitting: unknown splitting {self.splitting!r}")
         interior = np.array(self.interior, dtype=complex)
         right = interior if self.right is self.interior else np.array(self.right, dtype=complex)
         if interior.ndim != 1 or interior.shape != right.shape or len(interior) < 2:
-            raise ValidationError(
-                f"eta arrays need one length >= 2, got {interior.shape} and {right.shape}"
-            )
+            raise ValidationError(f"dim_mismatch: eta arrays need one length >= 2, got"
+                                  f" {interior.shape} and {right.shape}")
         if self.splitting != "sym_env" and right is not interior:
-            raise ValidationError(f"{self.splitting} tables have no endpoint coefficients")
+            raise ValidationError(f"splitting_mismatch: {self.splitting} tables have"
+                                  " no endpoint coefficients")
         interior.flags.writeable = right.flags.writeable = False
         object.__setattr__(self, "interior", interior)
         object.__setattr__(self, "right", right)

@@ -160,10 +160,6 @@ def _write_steps_csv(path, dt, prefixes, blocks):
     _write_csv(path, header, format_rows(_block_rows(dt, itertools.chain([first], blocks))))
 
 
-def _out_dir(args, cfg):
-    return args.out if args.out is not None else cfg.output_dir
-
-
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     steps = args.steps if args.steps is not None else cfg.grid.r_max
@@ -174,7 +170,7 @@ def _cmd_oracle(args) -> int:
     table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting)
     full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=cfg.pathsum_budget)
     maps = [(np.eye(full.shape[-1], dtype=complex)[None],), (full,)]  # U_0, then U_1..
-    return _write_outputs(_out_dir(args, cfg), [
+    return _write_outputs(args.out, [
         ("oracle_maps.csv", lambda path: _write_steps_csv(path, grid.dt, ("u",), maps)),
     ])
 
@@ -209,7 +205,7 @@ def _cmd_extract(args) -> int:
         rows = ([str(k), _cell(v), "same_formula_unverified" if k == 1 else ""]
                 for k, v in enumerate(gqme, start=1))
         files.append(("gqme_kernel_norms.csv", _table(["k", "norm_K", "note"], rows)))
-    return _write_outputs(_out_dir(args, cfg), files)
+    return _write_outputs(args.out, files)
 
 
 def _cmd_propagate(args) -> int:
@@ -237,7 +233,7 @@ def _cmd_propagate(args) -> int:
             yield (rho.reshape((-1,) + rho0.shape), *maps)
 
     prefixes = ("rho", "u") if args.with_maps else ("rho",)
-    return _write_outputs(_out_dir(args, cfg), [
+    return _write_outputs(args.out, [
         ("trajectory.csv", lambda path: _write_steps_csv(path, cfg.grid.dt, prefixes, tables())),
     ])
 
@@ -283,12 +279,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run the path-sum oracle and write map CSVs")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="out")
     p.add_argument("--steps", type=int, default=None)
 
     p = sub.add_parser("extract", help="extract a kernel set and write it to disk")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="out")
     p.add_argument("--flavor", choices=FLAVORS, default=None)
     p.add_argument("--splitting", choices=SPLITTINGS, default=None)
     p.add_argument("--rmax", type=int, default=None)
@@ -296,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="iterate a stored kernel set to long times")
     p.add_argument("--config", required=True)
     p.add_argument("--kernels", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="out")
     p.add_argument("--with-maps", action="store_true", dest="with_maps")
 
     p = sub.add_parser("compare", help="compare two stored kernel sets")

@@ -22,10 +22,10 @@ under ``<section>.row.<i>`` keys.  Example::
     initial_state.row.0 = 1+0j 0+0j
     initial_state.row.1 = 0+0j 0+0j
 
-Validation re-checks every structural invariant of the embedded types and
-reports violations with the offending field path.  Every number must be
-finite ("non_finite" otherwise); ``bath.beta = inf`` (or ``infinite``) is
-the only way to write zero temperature.
+The embedded types check their own invariants and name their section
+(``system: ...``); every other violation names its field path.  Every
+number must be finite ("non_finite" otherwise); ``bath.beta = inf`` (or
+``infinite``) is the only way to write zero temperature.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class RunConfig:
     flavor: str
     initial_state: np.ndarray
     pathsum_budget: int = DEFAULT_BUDGET
-    output_dir: str = "out"
 
 
 def default_config_text() -> str:
@@ -174,9 +173,7 @@ def parse_config(text: str) -> RunConfig:
     fields = _Fields(_parse_lines(text))
 
     n = _int(fields, "system.n", required=True)
-    ham_rows = [
-        _complex_row(r, "system.hamiltonian") for r in fields.take_rows("system.hamiltonian")
-    ]
+    ham_rows = [_complex_row(r, "system.hamiltonian") for r in fields.take_rows("system.hamiltonian")]
     if len(ham_rows) != n or any(len(r) != n for r in ham_rows):
         raise ValidationError(f"system.hamiltonian: expected {n} rows of {n} entries")
     coupling_raw = fields.take("system.coupling_eigenvalues", required=True)
@@ -186,10 +183,7 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("system.coupling_eigenvalues: bad real literal") from None
     for value in coupling:
         _finite(value, "system.coupling_eigenvalues", coupling_raw)
-    try:
-        system = SystemSpec(np.array(ham_rows, dtype=complex), tuple(coupling))
-    except ValidationError as exc:
-        raise ValidationError(f"system: {exc}") from None
+    system = SystemSpec(np.array(ham_rows, dtype=complex), tuple(coupling))
 
     kind = fields.take("bath.kind", default="ohmic_exponential")
     alpha = _float(fields, "bath.alpha")
@@ -202,19 +196,9 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:
             raise ValidationError(f"bath.beta: expected a number or 'inf', got {beta_raw!r}") from None
         _finite(beta, "bath.beta", beta_raw)
-    try:
-        bath = BathSpec(SpectralDensity(kind, alpha, omega_c), beta)
-    except ValidationError as exc:
-        raise ValidationError(f"bath: {exc}") from None
-
-    try:
-        grid = TimeGrid(
-            _float(fields, "grid.dt"),
-            _int(fields, "grid.n_steps", required=True),
-            _int(fields, "grid.r_max", required=True),
-        )
-    except ValidationError as exc:
-        raise ValidationError(f"grid: {exc}") from None
+    bath = BathSpec(SpectralDensity(kind, alpha, omega_c), beta)
+    grid = TimeGrid(_float(fields, "grid.dt"), _int(fields, "grid.n_steps", required=True),
+                    _int(fields, "grid.r_max", required=True))
 
     splitting = fields.take("run.splitting", required=True)
     if splitting not in SPLITTINGS:
@@ -223,9 +207,7 @@ def parse_config(text: str) -> RunConfig:
     if flavor not in FLAVORS:
         raise ValidationError(f"run.flavor: unknown flavor {flavor!r}")
 
-    rho_rows = [
-        _complex_row(r, "initial_state") for r in fields.take_rows("initial_state")
-    ]
+    rho_rows = [_complex_row(r, "initial_state") for r in fields.take_rows("initial_state")]
     if len(rho_rows) != n or any(len(r) != n for r in rho_rows):
         raise ValidationError(f"initial_state: expected a {n}x{n} matrix")
     rho0 = np.array(rho_rows, dtype=complex)
@@ -237,9 +219,6 @@ def parse_config(text: str) -> RunConfig:
     budget = _int(fields, "run.pathsum_budget", default=DEFAULT_BUDGET)
     if budget < 1:
         raise ValidationError("run.pathsum_budget: must be positive")
-    outdir = fields.take("output.dir", default="out")
-    if not outdir:
-        raise ValidationError("output.dir: must not be empty")
 
     if fields.pairs:
         stray = sorted(fields.pairs)[0]
@@ -254,7 +233,6 @@ def parse_config(text: str) -> RunConfig:
         flavor=flavor,
         initial_state=rho0,
         pathsum_budget=budget,
-        output_dir=outdir,
     )
 
 

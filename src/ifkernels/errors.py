@@ -18,10 +18,15 @@ code                       exit  raised for
 ``size_limit``             1     a dense array above ``pathsum.SIZE_LIMIT``
 ``non_finite``             1     an input that is not finite (a config value,
                                  a system, a kernel file)
-``<key>``, ``--<option>``  1     a bad config field or CLI argument, named by
-                                 its key (``grid``, ``output.dir``,
-                                 ``threshold``) or option (``--out``,
-                                 ``--rmax``, ``--steps``)
+``<key>``, ``--<option>``  1     a bad config value, library argument or CLI
+                                 option, named by its key: a config section
+                                 (``system``, ``bath``, ``grid``,
+                                 ``initial_state``) or field (``run.flavor``),
+                                 a parameter (``splitting``, ``flavor``,
+                                 ``dt``, ``aux0``, ``midpoint``,
+                                 ``termination``, ``order``, ``tau``,
+                                 ``steps``, ``threshold``) or an option
+                                 (``--out``, ``--rmax``, ``--steps``)
 ``io``                     1     a file that cannot be read or written (an
                                  OSError, coded by the CLI)
 ``pathsum_budget``         2     a path sum over the configured budget

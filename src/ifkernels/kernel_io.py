@@ -163,14 +163,16 @@ def load_kernels(path) -> KernelSet:
     if aux0 is not None and len(aux0) != 1:
         raise ValidationError(f"parse: aux0 block holds {len(aux0)} matrices, expected 1")
 
-    try:
-        if r_max != len(midpoint):
-            raise ValidationError(f"r_max {r_max} but {len(midpoint)} midpoint matrices")
-        if flavor not in FLAVORS:
-            raise ValidationError(f"unknown flavor {flavor!r}")
-        if (flavor == "smatpi") != (termination is not None):
-            held = "with" if termination is not None else "without"
-            raise ValidationError(f"{flavor} {splitting} kernels {held} termination matrices")
+    if r_max != len(midpoint):
+        raise ValidationError(f"parse: inconsistent kernel file (r_max {r_max} but"
+                              f" {len(midpoint)} midpoint matrices)")
+    if flavor not in FLAVORS:
+        raise ValidationError(f"parse: inconsistent kernel file (unknown flavor {flavor!r})")
+    if (flavor == "smatpi") != (termination is not None):
+        held = "with" if termination is not None else "without"
+        raise ValidationError(f"parse: inconsistent kernel file ({flavor} {splitting} kernels"
+                              f" {held} termination matrices)")
+    try:  # what KernelSet itself refuses is a bad file too
         return KernelSet(splitting, dt, midpoint, termination, None if aux0 is None else aux0[0])
     except ValidationError as exc:
         raise ValidationError(f"parse: inconsistent kernel file ({exc})") from None

@@ -107,14 +107,14 @@ class KernelSet:
 
     def __post_init__(self):
         if self.splitting not in SPLITTINGS:
-            raise ValidationError(f"unknown splitting {self.splitting!r}")
+            raise ValidationError(f"splitting: unknown splitting {self.splitting!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be finite and > 0, got {self.dt!r}")
+            raise ValidationError(f"dt: must be finite and > 0, got {self.dt!r}")
         kind = f"{self.flavor} {self.splitting} kernels"
         if self.aux0 is None and self.flavor == "smatpi" and self.splitting != "asym":
-            raise ValidationError(f"aux0 matrix missing: {kind} need it")
+            raise ValidationError(f"aux0: matrix missing: {kind} need it")
         if self.aux0 is not None and (self.flavor == "ttm" or self.splitting == "asym"):
-            raise ValidationError(f"aux0 matrix given: {kind} have the identity tail")
+            raise ValidationError(f"aux0: matrix given: {kind} have the identity tail")
         d = None
         for name in ("midpoint", "termination", "aux0"):
             mats = getattr(self, name)
@@ -122,9 +122,10 @@ class KernelSet:
                 continue
             stack = _stack([mats] if name == "aux0" else mats, name)
             if name == "midpoint" and not len(stack):
-                raise ValidationError("r_max must be >= 1: no midpoint matrices")
+                raise ValidationError("midpoint: r_max must be >= 1: no midpoint matrices")
             if name == "termination" and len(stack) != self.r_max:
-                raise ValidationError(f"r_max {self.r_max} but {len(stack)} termination matrices")
+                raise ValidationError(f"termination: r_max {self.r_max} but {len(stack)}"
+                                      " termination matrices")
             d = stack.shape[-1] if d is None else d  # midpoint comes first
             if stack.shape[1:] != (d, d):
                 raise ValidationError(f"dim_mismatch: {name} shape {stack.shape[1:]}, expected {(d, d)}")
@@ -155,12 +156,12 @@ def _inverse(y, b=None, tail=None) -> np.ndarray:
     """
     y = _stack(y, "input")
     if y.ndim != 3 or not len(y):
-        raise ValidationError("need a non-empty sequence of square matrices")
+        raise ValidationError("dim_mismatch: need a non-empty sequence of square matrices")
     length, d = y.shape[0], y.shape[1]
     # B_{L-1}..B_1, newest first, so each residual is one contiguous product
     hist = np.ascontiguousarray((y if b is None else _stack(b, "auxiliary"))[: length - 1][::-1])
     if len(hist) < length - 1:
-        raise ValidationError("auxiliary sequence too short for the solve")
+        raise ValidationError("dim_mismatch: auxiliary sequence too short for the solve")
     if tail is not None and np.linalg.cond(tail) > COND_LIMIT:
         raise NumericalError("aux0_singular: terminal auxiliary matrix is ill conditioned")
     wide = np.empty((d, length * d), dtype=complex)  # [X_1 | X_2 | ... | X_L]
@@ -196,7 +197,7 @@ def gqme_kernel(ttm, dt: float):
     """
     mats = _stack(ttm, "transfer")
     if len(mats) < 2:
-        raise ValidationError("need at least two transfer matrices for a kernel")
+        raise ValidationError("dim_mismatch: need at least two transfer matrices for a kernel")
     return mats[1:] / dt**2
 
 
@@ -214,7 +215,7 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
             f"splitting_mismatch: expected asym table, got {eta_asym.splitting!r}"
         )
     if order not in (1, 2):
-        raise ValidationError("order must be 1 or 2")
+        raise ValidationError("order: must be 1 or 2")
     g1 = fb_propagator(sys, eta_asym.dt)
     i0 = influence_pair_matrix(sys, eta_asym.interior[0]).diagonal()
     if order == 1:
@@ -364,7 +365,7 @@ def extract_kernels(
     from .pathsum import DEFAULT_BUDGET, oracle_trajectory
 
     if flavor not in FLAVORS:
-        raise ValidationError(f"unknown flavor {flavor!r}")
+        raise ValidationError(f"flavor: unknown flavor {flavor!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
     splitting = eta.splitting
     full, aux0, aux = oracle_trajectory(sys, eta, r_max, budget=budget)

@@ -44,22 +44,20 @@ class SystemSpec:
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValidationError("hamiltonian must be a square matrix")
+            raise ValidationError("system: hamiltonian must be a square matrix")
         n = h.shape[0]
         if n < 2:
-            raise ValidationError("need at least 2 system states (n >= 2)")
+            raise ValidationError("system: need at least 2 system states (n >= 2)")
         check_finite(h, "hamiltonian")
         dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
         if dev > HERMITICITY_TOL:
-            raise ValidationError(
-                f"hamiltonian not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.0e})"
-            )
+            raise ValidationError(f"system: hamiltonian not Hermitian (max deviation {dev:.3e}"
+                                  f" > {HERMITICITY_TOL:.0e})")
         s = tuple(float(x) for x in self.coupling_eigenvalues)
         check_finite(np.array(s), "coupling_eigenvalues")
         if len(s) != n:
-            raise ValidationError(
-                f"coupling_eigenvalues must have exactly n={n} entries, got {len(s)}"
-            )
+            raise ValidationError(f"system: coupling_eigenvalues must have exactly n={n} entries,"
+                                  f" got {len(s)}")
         h = h.copy()
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
@@ -85,11 +83,11 @@ class TimeGrid:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValidationError("dt must be positive")
+            raise ValidationError("grid: dt must be positive")
         if self.n_steps < 1:
-            raise ValidationError("n_steps must be >= 1")
+            raise ValidationError("grid: n_steps must be >= 1")
         if not (1 <= self.r_max <= self.n_steps):
-            raise ValidationError("r_max must satisfy 1 <= r_max <= n_steps")
+            raise ValidationError("grid: r_max must satisfy 1 <= r_max <= n_steps")
 
 
 def fb_propagators(sys: SystemSpec, *taus: float) -> list:
@@ -101,7 +99,7 @@ def fb_propagators(sys: SystemSpec, *taus: float) -> list:
     the half-step one.
     """
     if min(taus) < 0:
-        raise ValidationError("tau must be >= 0")
+        raise ValidationError("tau: must be >= 0")
     w, v = np.linalg.eigh(np.asarray(sys.hamiltonian))
     out = []
     for tau in taus:

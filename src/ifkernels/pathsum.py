@@ -402,7 +402,7 @@ def oracle_trajectory(sys: SystemSpec, eta: EtaTable, steps: int, *, budget: int
     sequences are (steps, n^2, n^2) arrays.
     """
     if steps < 0:
-        raise ValidationError(f"steps must be >= 0, got {steps}")
+        raise ValidationError(f"steps: must be >= 0, got {steps}")
     if steps > eta.horizon:
         raise ValidationError(
             f"eta_missing: {steps} steps need separations up to {steps}, table has {eta.horizon}"

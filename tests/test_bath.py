@@ -158,11 +158,11 @@ class TestEtaTable:
 
 class TestConstruction:
     def test_unknown_splitting(self):
-        with pytest.raises(ValidationError, match="unknown splitting"):
+        with pytest.raises(ValidationError, match="^splitting: unknown splitting 'midpoint'$"):
             EtaTable("midpoint", 0.1, np.zeros(3), np.zeros(3))
 
     def test_eta_table_of_an_unknown_splitting(self, bath_default, grid8):
-        with pytest.raises(ValidationError, match="^unknown splitting 'bogus'$"):
+        with pytest.raises(ValidationError, match="^splitting: unknown splitting 'bogus'$"):
             eta_table(bath_default, grid8, "bogus")
 
     @pytest.mark.parametrize("interior, right", [

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifkernels
-from ifkernels import cli, csvtext, kernels, pathsum
+from ifkernels import cli, csvtext, errors, kernels, pathsum
 from ifkernels.bath import eta_table
 from ifkernels.cli import cli_main
 from ifkernels.config import default_config_text, load_config, parse_config
@@ -276,7 +277,8 @@ class TestBadKernelFiles:
         kpath.write_text("\n".join(lines) + "\n")
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
-        assert "parse: inconsistent kernel file (r_max 4 but 3 termination matrices)" in err
+        assert err == ("error: parse: inconsistent kernel file"
+                       " (termination: r_max 4 but 3 termination matrices)\n")
 
     def test_aux0_not_one_dim_by_dim_matrix(self, tmp_path, capsys):
         cfg, kpath = _extracted(tmp_path)
@@ -293,7 +295,8 @@ class TestBadKernelFiles:
         kpath.write_text(kpath.read_text().replace("splitting = sym_env", "splitting = bogus"))
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
-        assert "parse: inconsistent kernel file (unknown splitting 'bogus')" in err
+        assert err == ("error: parse: inconsistent kernel file"
+                       " (splitting: unknown splitting 'bogus')\n")
 
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     def test_smatpi_without_termination(self, tmp_path, capsys, splitting):
@@ -323,7 +326,9 @@ class TestBadKernelFiles:
         _drop_block(kpath, "aux0")
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
-        assert "parse: inconsistent kernel file (aux0 matrix missing" in err
+        splitting = overrides.get("run.splitting", "sym_env")
+        assert err == ("error: parse: inconsistent kernel file (aux0: matrix missing:"
+                       f" smatpi {splitting} kernels need it)\n")
 
     @pytest.mark.parametrize("overrides, kind", [({"run.flavor": "ttm"}, "ttm sym_env"),
                                                  ({"run.splitting": "asym"}, "smatpi asym")])
@@ -335,7 +340,7 @@ class TestBadKernelFiles:
         kpath.write_text(kpath.read_text() + "\n".join(["matrices = aux0"] + aux0) + "\n")
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
-        assert err == ("error: parse: inconsistent kernel file (aux0 matrix given:"
+        assert err == ("error: parse: inconsistent kernel file (aux0: matrix given:"
                        f" {kind} kernels have the identity tail)\n")
         assert not (kpath.parent / "prop").exists()
 
@@ -367,7 +372,8 @@ class TestBadKernelFiles:
         kpath.write_text(kpath.read_text().replace("dt = 0.1\n", f"dt = {dt}\n"))
         code, err = _propagate_exit(cfg, kpath, capsys)
         assert code == 1
-        assert "parse: inconsistent kernel file (dt must be finite and > 0" in err
+        assert err == ("error: parse: inconsistent kernel file"
+                       f" (dt: must be finite and > 0, got {float(dt)!r})\n")
         out = tmp_path / "cmp"
         argv = ["compare", "--kernels-a", str(kpath), "--kernels-b", str(kpath), "--out", str(out)]
         assert cli_main(argv) == 1
@@ -1532,6 +1538,32 @@ class TestCli:
         assert re.fullmatch(f"error: {code}: [^\\n]*\\n", err), err
         assert not out.exists()
 
+    def test_every_library_error_is_coded(self):
+        # every error the package builds begins with its code: a literal
+        # "<code>: " or config's f"{key}: ..."; a code that is not a dotted
+        # config key is named in the errors.py table
+        code = re.compile(r"([a-z][a-z0-9_.]*|--[a-z][a-z0-9-]*): ")
+        uncoded, codes = [], set()
+        package = os.path.dirname(ifkernels.__file__)
+        for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("ValidationError", "NumericalError", "error")):
+                    continue
+                arg = node.args[0] if node.args else ast.Constant(None)
+                parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+                text = [p.value if isinstance(p, ast.Constant) else None for p in parts[:2]]
+                if isinstance(text[0], str) and (found := code.match(text[0])):
+                    codes.add(found.group(1))
+                elif not (text[0] is None and len(text) == 2 and isinstance(text[1], str)
+                          and text[1].startswith(": ")):
+                    uncoded.append(f"{name}:{node.lineno}: {ast.unparse(arg)}")
+        assert not uncoded, f"{len(uncoded)} uncoded:\n" + "\n".join(uncoded)
+        assert {"parse", "system", "grid", "non_finite", "--out"} <= codes  # the walk reached them
+        assert [c for c in sorted(codes) if "." not in c and f"``{c}``" not in errors.__doc__] == []
+
     @pytest.mark.parametrize("command", ["extract", "oracle"])
     def test_budget_before_the_eta_table(self, tmp_path, capsys, monkeypatch, command):
         # 4^99999 configurations: refused before an eta table of 10^5 steps
@@ -1603,24 +1635,32 @@ class TestCli:
         assert capsys.readouterr().err == "error: --out: must not be empty\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
-    def test_empty_output_dir_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+    def test_output_dir_key_is_an_unknown_field(self, tmp_path, capsys, monkeypatch):
+        # --out alone names the output directory; no config key restates it
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.txt").write_text(small_config() + "output.dir =\n")
+        (tmp_path / "cfg.txt").write_text(small_config() + "output.dir = x\n")
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("work before the output.dir check")
+            raise AssertionError("work before the config is refused")
 
         monkeypatch.setattr(cli, "eta_table", forbidden)
         assert cli_main(["extract", "--config", "cfg.txt"]) == 1
-        assert capsys.readouterr().err == "error: output.dir: must not be empty\n"
+        assert capsys.readouterr().err == "error: output.dir: unknown field\n"
         assert os.listdir(tmp_path) == ["cfg.txt"]
 
-    def test_out_falls_back_to_config_dir(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(["oracle", "--config", "cfg.txt", "--steps", "2"], "oracle_maps.csv",
+                     id="oracle"),
+        pytest.param(["extract", "--config", "cfg.txt"], "kernels.txt", id="extract"),
+        pytest.param(["propagate", "--config", "cfg.txt", "--kernels", "k/kernels.txt"],
+                     "trajectory.csv", id="propagate"),
+    ])
+    def test_out_defaults_to_out(self, tmp_path, monkeypatch, argv, name):
         monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_config() + "output.dir = cfgout\n")
-        assert cli_main(["extract", "--config", str(cfg)]) == 0
-        assert (tmp_path / "cfgout" / "kernels.txt").exists()
+        (tmp_path / "cfg.txt").write_text(small_config())
+        assert cli_main(["extract", "--config", "cfg.txt", "--out", "k"]) == 0
+        assert cli_main(argv) == 0
+        assert (tmp_path / "out" / name).is_file()
 
     def test_numpy_only_runtime(self, tmp_path):
         # every subcommand with the test-only packages made unimportable

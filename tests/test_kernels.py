@@ -103,7 +103,8 @@ class TestSolveTermination:
     def test_auxiliary_sequence_too_short(self):
         rng = np.random.default_rng(8)
         full = random_seq(rng, 3)
-        with pytest.raises(ValidationError, match="too short"):
+        with pytest.raises(ValidationError,
+                           match="^dim_mismatch: auxiliary sequence too short for the solve$"):
             solve_termination(full, full[:1])
 
 
@@ -129,7 +130,8 @@ class TestTTM:
         assert liou_norm(tensors[1] - (maps[1] - maps[0] @ maps[0])) < 1e-14
 
     def test_empty_sequence_refused(self):
-        with pytest.raises(ValidationError, match="^need a non-empty sequence of square matrices$"):
+        with pytest.raises(ValidationError,
+                           match="^dim_mismatch: need a non-empty sequence of square matrices$"):
             extract_ttm([])
 
     def test_back_substitution(self):
@@ -238,7 +240,7 @@ class TestAsymCoincidence:
             closed_form_asym(sys2, tables["sym_env"], 1)
 
     def test_order_above_two_rejected(self, sys2, tables):
-        with pytest.raises(ValidationError, match="^order must be 1 or 2$"):
+        with pytest.raises(ValidationError, match="^order: must be 1 or 2$"):
             closed_form_asym(sys2, tables["asym"], 3)
 
 
@@ -277,6 +279,29 @@ class TestTrotterOrderings:
         assert np.max(np.abs(sym.midpoint - g @ asym.midpoint @ g_inv)) < 1e-14
 
 
+class TestPrefix:
+    """A set extracted at R - 1 is the first R - 1 matrices of the set at R, bit
+    for bit: each solve is causal (M_N reads aux_1..aux_N only) and each
+    length's path sum stands alone, so a kernel file holds every shorter set."""
+
+    @pytest.mark.parametrize("flavor", ["smatpi", "ttm"])
+    @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
+    @pytest.mark.parametrize("system, r", [("sys2", 6), ("sys3", 4)], ids=["n2", "n3"])
+    def test_shorter_set_is_a_prefix(self, request, bath_default, system, r, splitting, flavor):
+        sys_ = request.getfixturevalue(system)
+
+        def extract(k):  # from a table of horizon k, as ``extract --rmax k`` builds it
+            table = eta_table(bath_default, TimeGrid(0.1, k, k), splitting)
+            return extract_kernels(sys_, table, k, flavor)[0]
+
+        long, short = extract(r), extract(r - 1)
+        assert short.r_max == r - 1
+        for name in ("midpoint", "termination", "aux0"):
+            a, b = getattr(short, name), getattr(long, name)
+            b = b[: r - 1] if b is not None and name != "aux0" else b
+            assert (a is None and b is None) or np.array_equal(a, b), name
+
+
 class TestExtractArguments:
     """Bad extraction arguments fail before the path sum is run."""
 
@@ -289,7 +314,7 @@ class TestExtractArguments:
 
     @pytest.mark.parametrize("flavor", ["bogus", "SMATPI", None])
     def test_unknown_flavor(self, sys2, tables, flavor):
-        with pytest.raises(ValidationError, match=f"unknown flavor {flavor!r}"):
+        with pytest.raises(ValidationError, match=f"^flavor: unknown flavor {flavor!r}$"):
             extract_kernels(sys2, tables["sym_env"], 3, flavor)
 
 
@@ -624,13 +649,15 @@ class TestCompare:
 class TestKernelSet:
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.1, 0.0])
     def test_rejects_bad_dt(self, dt):
-        with pytest.raises(ValidationError, match="dt must be finite and > 0"):
+        with pytest.raises(ValidationError) as info:
             KernelSet("sym_env", dt, (np.eye(4),))
+        assert str(info.value) == f"dt: must be finite and > 0, got {dt!r}"
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_rejects_wrong_matrix_count(self, count):
         # r_max is the midpoint count, and the termination stack must match it
-        with pytest.raises(ValidationError, match=f"r_max 2 but {count} termination matrices"):
+        with pytest.raises(ValidationError,
+                           match=f"^termination: r_max 2 but {count} termination matrices$"):
             KernelSet("asym", 0.1, [np.eye(4)] * 2, [np.eye(4)] * count)
 
     @pytest.mark.parametrize("field", ["midpoint", "termination", "aux0"])
@@ -650,7 +677,7 @@ class TestKernelSet:
                                        ("asym", mats)]:
             kind = f"{'ttm' if termination is None else 'smatpi'} {splitting} kernels"
             with pytest.raises(ValidationError,
-                               match=f"aux0 matrix given: {kind} have the identity tail"):
+                               match=f"^aux0: matrix given: {kind} have the identity tail$"):
                 KernelSet(splitting, 0.1, mats, termination, 2 * np.eye(4))
 
     def test_uniform_window_smatpi_needs_aux0(self):
@@ -658,12 +685,13 @@ class TestKernelSet:
         mats = (np.eye(4),)
         for splitting in ("sym_env", "sym_sys"):
             with pytest.raises(ValidationError,
-                               match=f"aux0 matrix missing: smatpi {splitting} kernels need it"):
+                               match=f"^aux0: matrix missing: smatpi {splitting} kernels need it$"):
                 KernelSet(splitting, 0.1, mats, mats)
 
     def test_rejects_empty_set(self):
         for empty in ((), np.zeros((0, 4, 4))):
-            with pytest.raises(ValidationError, match="r_max must be >= 1: no midpoint matrices"):
+            with pytest.raises(ValidationError,
+                               match="^midpoint: r_max must be >= 1: no midpoint matrices$"):
                 KernelSet("sym_env", 0.1, empty)
 
     def test_fields_are_the_matrices(self, sys2, tables):
@@ -677,7 +705,7 @@ class TestKernelSet:
                 kset.r_max = 5
 
     def test_rejects_unknown_splitting(self):
-        with pytest.raises(ValidationError, match="unknown splitting 'bogus'"):
+        with pytest.raises(ValidationError, match="^splitting: unknown splitting 'bogus'$"):
             KernelSet("bogus", 0.1, (np.eye(4),))
 
 

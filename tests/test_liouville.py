@@ -44,7 +44,7 @@ class TestSystemSpec:
             SystemSpec(0.5 * PAULI_X, (1.0,))
 
     def test_rejects_non_square_hamiltonian(self):
-        with pytest.raises(ValidationError, match="^hamiltonian must be a square matrix$"):
+        with pytest.raises(ValidationError, match="^system: hamiltonian must be a square matrix$"):
             SystemSpec(np.zeros((2, 3), dtype=complex), (1.0, -1.0))
 
     def test_rejects_single_state(self):
@@ -73,7 +73,7 @@ class TestTimeGrid:
             TimeGrid(-0.1, 4, 2)
 
     def test_rejects_zero_steps(self):
-        with pytest.raises(ValidationError, match="^n_steps must be >= 1$"):
+        with pytest.raises(ValidationError, match="^grid: n_steps must be >= 1$"):
             TimeGrid(0.1, 0, 0)
 
 
@@ -113,7 +113,7 @@ class TestPropagator:
         assert liou_norm(fb_propagator(sys2, 0.0) - np.eye(4)) < 1e-14
 
     def test_rejects_negative_time(self, sys2):
-        with pytest.raises(ValidationError, match="^tau must be >= 0$"):
+        with pytest.raises(ValidationError, match="^tau: must be >= 0$"):
             fb_propagator(sys2, -0.1)
 
     def test_zero_hamiltonian_is_identity(self):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import bump_correlation, eta_table_from_correlation, path_sum_reference
+from _oracles import bump_correlation, eta_table_from_correlation, path_sum_reference, propagate
 from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
 from ifkernels.bath import EtaTable, eta_table, influence_pair_matrix
 from ifkernels.errors import NumericalError, ValidationError
+from ifkernels.kernels import FLAVORS, extract_kernels
 from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
 from ifkernels.pathsum import check_budget, oracle_trajectory
 
@@ -38,7 +39,7 @@ class TestBudget:
             oracle_trajectory(sys2, tab, 16)
 
     def test_steps_bounded_by_grid(self, sys2, tables):
-        with pytest.raises(ValidationError, match="steps must be >= 0, got -1"):
+        with pytest.raises(ValidationError, match="^steps: must be >= 0, got -1$"):
             oracle_trajectory(sys2, tables["sym_env"], -1)
 
 
@@ -221,6 +222,28 @@ def test_oracle_trajectory_shapes(sys2, tables):
 SPLITTINGS = ("sym_env", "sym_sys", "asym")
 
 
+@st.composite
+def _drawn_physics(draw):
+    """(system, bath, dt, steps, splitting): n = 2 or 3, a Hermitian H with entries in [-1, 1]."""
+    # repeated coupling eigenvalues merge the Δs classes of the column keys
+    n = draw(st.sampled_from((2, 3)))
+    unit = st.floats(-1.0, 1.0)
+    h = np.diag(draw(st.lists(unit, min_size=n, max_size=n))) + 0j
+    for i, j in zip(*np.triu_indices(n, 1)):
+        h[i, j] = complex(draw(unit), draw(unit))
+        h[j, i] = np.conj(h[i, j])
+    coupling = draw(st.lists(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+                             min_size=n, max_size=n))
+    beta = draw(st.one_of(st.just(np.inf), st.floats(0.5, 5.0)))
+    alpha = draw(st.floats(0.0, 0.3))
+    omega_c = draw(st.floats(1.0, 10.0))
+    bath = BathSpec(SpectralDensity("ohmic_exponential", alpha, omega_c), beta)
+    dt = draw(st.floats(0.05, 0.3))
+    steps = draw(st.integers(1, 4 if n == 2 else 3))
+    splitting = draw(st.sampled_from(SPLITTINGS))
+    return SystemSpec(h, tuple(coupling)), bath, dt, steps, splitting
+
+
 class TestPathByPathReference:
     """oracle_trajectory against one-path-at-a-time sums."""
 
@@ -242,29 +265,13 @@ class TestPathByPathReference:
                 assert np.max(np.abs(got - ref)) < 1e-13
 
     @settings(max_examples=50, deadline=None)
-    @given(data=st.data())
-    def test_drawn_physics_matches_reference(self, data):
-        # repeated coupling eigenvalues merge the Δs classes of the column keys
-        n = data.draw(st.sampled_from((2, 3)), label="n")
-        unit = st.floats(-1.0, 1.0)
-        h = np.diag(data.draw(st.lists(unit, min_size=n, max_size=n), label="diagonal")) + 0j
-        for i, j in zip(*np.triu_indices(n, 1)):
-            h[i, j] = complex(data.draw(unit, label="re"), data.draw(unit, label="im"))
-            h[j, i] = np.conj(h[i, j])
-        coupling = data.draw(st.lists(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
-                                      min_size=n, max_size=n), label="coupling")
-        beta = data.draw(st.one_of(st.just(np.inf), st.floats(0.5, 5.0)), label="beta")
-        alpha = data.draw(st.floats(0.0, 0.3), label="alpha")
-        omega_c = data.draw(st.floats(1.0, 10.0), label="omega_c")
-        bath = BathSpec(SpectralDensity("ohmic_exponential", alpha, omega_c), beta)
-        dt = data.draw(st.floats(0.05, 0.3), label="dt")
-        steps = data.draw(st.integers(1, 4 if n == 2 else 3), label="steps")
-        splitting = data.draw(st.sampled_from(SPLITTINGS), label="splitting")
-        sys_ = SystemSpec(h, tuple(coupling))
+    @given(physics=_drawn_physics())
+    def test_drawn_physics_matches_reference(self, physics):
+        sys_, bath, dt, steps, splitting = physics
         tab = eta_table(bath, TimeGrid(dt, steps, steps), splitting)
         full, aux0, aux = oracle_trajectory(sys_, tab, steps)
         for u in (full, aux0, aux):
-            assert np.array_equal(_mirrored(u, n), u.conj())
+            assert np.array_equal(_mirrored(u, sys_.n), u.conj())
         assert np.max(np.abs(aux0 - path_sum_reference(sys_, dt, tab, 0, False))) < 1e-12
         for k in range(1, steps + 1):
             assert np.max(np.abs(full[k - 1] - path_sum_reference(sys_, dt, tab, k))) < 1e-12
@@ -282,6 +289,29 @@ class TestPathByPathReference:
         full, _, aux = oracle_trajectory(sys2, tab, 10)
         ref = path_sum_reference(sys2, 0.1, tab, 10, measured_end=measured_end)
         assert np.max(np.abs((full if measured_end else aux)[9] - ref)) < 1e-13
+
+
+class TestDrawnStructure:
+    """The hierarchies' structural facts on the drawn physics of ``_drawn_physics``."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(physics=_drawn_physics())
+    def test_drawn_physics_structure(self, physics):
+        sys_, bath, dt, steps, splitting = physics
+        grid = TimeGrid(dt, steps, steps)
+        tabs = {sp: eta_table(bath, grid, sp) for sp in {splitting, "sym_sys", "asym"}}
+        # within r_max steps either flavor's set rebuilds the maps it was solved from
+        for flavor in FLAVORS:
+            kset, full, _ = extract_kernels(sys_, tabs[splitting], steps, flavor)
+            assert np.max(np.abs(propagate(kset, steps) - full)) < 1e-13
+        # criterion 4: under asym the SMatPI midpoints are the transfer tensors
+        (smatpi, asym_full, _), (ttm, _, _) = (
+            extract_kernels(sys_, tabs["asym"], steps, flavor) for flavor in FLAVORS)
+        assert np.array_equal(smatpi.midpoint, ttm.midpoint)
+        # sym_sys is asym conjugated by the half-step propagator
+        g = fb_propagator(sys_, 0.5 * dt)
+        sym_full, _, _ = oracle_trajectory(sys_, tabs["sym_sys"], steps)
+        assert np.max(np.abs(sym_full - g @ asym_full @ np.linalg.inv(g))) < 1e-13
 
 
 def _split_names(steps, width):
