@@ -16,12 +16,7 @@ from .kernels import (
     solve_midpoint,
     solve_termination,
 )
-from .liouville import (
-    SystemSpec,
-    TimeGrid,
-    fb_propagator,
-    liou_norm,
-)
+from .liouville import SystemSpec, TimeGrid, fb_propagators, liou_norm
 from .pathsum import oracle_trajectory
 
 __version__ = "0.1.0"

@@ -160,31 +160,31 @@ def _write_steps_csv(path, dt, prefixes, blocks):
     _write_csv(path, header, format_rows(_block_rows(dt, itertools.chain([first], blocks))))
 
 
+def _checked_table(cfg, option, steps, splitting):
+    """(steps, eta table) for ``steps`` (grid.r_max if None) path-sum steps, checked first
+    against the range that ``option`` names and against the path-sum budget."""
+    steps = cfg.grid.r_max if steps is None else steps
+    if not 1 <= steps <= cfg.grid.n_steps:
+        raise ValidationError(f"{option}: {steps} is outside 1..grid.n_steps = {cfg.grid.n_steps}")
+    check_budget(cfg.system.n, steps, cfg.pathsum_budget)  # before the O(steps) table
+    return steps, eta_table(cfg.bath, TimeGrid(cfg.grid.dt, steps, steps), splitting)
+
+
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    steps = args.steps if args.steps is not None else cfg.grid.r_max
-    grid = cfg.grid
-    if not 1 <= steps <= grid.n_steps:
-        raise ValidationError(f"--steps: {steps} is outside 1..grid.n_steps = {grid.n_steps}")
-    check_budget(cfg.system.n, steps, cfg.pathsum_budget)  # before the O(steps) table
-    table = eta_table(cfg.bath, TimeGrid(grid.dt, steps, steps), cfg.splitting)
+    steps, table = _checked_table(cfg, "--steps", args.steps, cfg.splitting)
     full, _, _ = oracle_trajectory(cfg.system, table, steps, budget=cfg.pathsum_budget)
     maps = [(np.eye(full.shape[-1], dtype=complex)[None],), (full,)]  # U_0, then U_1..
     return _write_outputs(args.out, [
-        ("oracle_maps.csv", lambda path: _write_steps_csv(path, grid.dt, ("u",), maps)),
+        ("oracle_maps.csv", lambda path: _write_steps_csv(path, cfg.grid.dt, ("u",), maps)),
     ])
 
 
 def _cmd_extract(args) -> int:
     cfg = load_config(args.config)
-    splitting = args.splitting or cfg.splitting
-    flavor = args.flavor or cfg.flavor
-    r_max = args.rmax if args.rmax is not None else cfg.grid.r_max
-    if not 1 <= r_max <= cfg.grid.n_steps:
-        raise ValidationError(f"--rmax: {r_max} is outside 1..grid.n_steps = {cfg.grid.n_steps}")
-    check_budget(cfg.system.n, r_max, cfg.pathsum_budget)  # before the O(r_max) table
-    table = eta_table(cfg.bath, TimeGrid(cfg.grid.dt, r_max, r_max), splitting)
-    kset, _, _ = extract_kernels(cfg.system, table, r_max, flavor, budget=cfg.pathsum_budget)
+    r_max, table = _checked_table(cfg, "--rmax", args.rmax, args.splitting or cfg.splitting)
+    kset, _, _ = extract_kernels(cfg.system, table, r_max, args.flavor or cfg.flavor,
+                                 budget=cfg.pathsum_budget)
     metadata = {
         "system.n": str(cfg.system.n),
         "bath.kind": cfg.bath.spectral_density.kind,

@@ -104,32 +104,29 @@ def _parse_lines(text: str):
     return pairs
 
 
-class _Fields:
-    def __init__(self, pairs):
-        self.pairs = dict(pairs)
+def _take(pairs, key, default=None, required=False):
+    """Pop ``key`` from ``pairs``; a missing one is ``default`` unless it is ``required``."""
+    if key in pairs:
+        return pairs.pop(key)
+    if required:
+        raise ValidationError(f"{key}: missing required field")
+    return default
 
-    def take(self, key, default=None, required=False):
-        if key in self.pairs:
-            return self.pairs.pop(key)
-        if required:
-            raise ValidationError(f"{key}: missing required field")
-        return default
 
-    def take_rows(self, prefix):
-        rows = {}
-        for key in list(self.pairs):
-            if key.startswith(prefix + ".row."):
-                idx_text = key[len(prefix) + 5 :]
-                try:
-                    idx = int(idx_text)
-                except ValueError:
-                    raise ValidationError(f"{key}: row index must be an integer") from None
-                rows[idx] = self.pairs.pop(key)
-        if not rows:
-            raise ValidationError(f"{prefix}: missing matrix rows")
-        if sorted(rows) != list(range(len(rows))):
-            raise ValidationError(f"{prefix}: row indices must be 0..{len(rows) - 1}")
-        return [rows[i] for i in range(len(rows))]
+def _take_rows(pairs, prefix):
+    """Pop the ``<prefix>.row.<i>`` values of ``pairs``, in row order."""
+    rows = {}
+    for key in [k for k in pairs if k.startswith(prefix + ".row.")]:
+        try:
+            idx = int(key[len(prefix) + 5 :])
+        except ValueError:
+            raise ValidationError(f"{key}: row index must be an integer") from None
+        rows[idx] = pairs.pop(key)
+    if not rows:
+        raise ValidationError(f"{prefix}: missing matrix rows")
+    if sorted(rows) != list(range(len(rows))):
+        raise ValidationError(f"{prefix}: row indices must be 0..{len(rows) - 1}")
+    return [rows[i] for i in range(len(rows))]
 
 
 def _finite(value, path, raw):
@@ -150,7 +147,7 @@ def _complex_row(text, path):
 
 
 def _float(fields, key):
-    raw = fields.take(key, required=True)
+    raw = _take(fields, key, required=True)
     try:
         value = float(raw)
     except ValueError:
@@ -159,7 +156,7 @@ def _float(fields, key):
 
 
 def _int(fields, key, default=None, required=False):
-    raw = fields.take(key, default=None, required=required)
+    raw = _take(fields, key, required=required)
     if raw is None:
         return default
     try:
@@ -170,13 +167,13 @@ def _int(fields, key, default=None, required=False):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config text into a RunConfig."""
-    fields = _Fields(_parse_lines(text))
+    fields = _parse_lines(text)
 
     n = _int(fields, "system.n", required=True)
-    ham_rows = [_complex_row(r, "system.hamiltonian") for r in fields.take_rows("system.hamiltonian")]
+    ham_rows = [_complex_row(r, "system.hamiltonian") for r in _take_rows(fields, "system.hamiltonian")]
     if len(ham_rows) != n or any(len(r) != n for r in ham_rows):
         raise ValidationError(f"system.hamiltonian: expected {n} rows of {n} entries")
-    coupling_raw = fields.take("system.coupling_eigenvalues", required=True)
+    coupling_raw = _take(fields, "system.coupling_eigenvalues", required=True)
     try:
         coupling = [float(x) for x in coupling_raw.split()]
     except ValueError:
@@ -185,10 +182,10 @@ def parse_config(text: str) -> RunConfig:
         _finite(value, "system.coupling_eigenvalues", coupling_raw)
     system = SystemSpec(np.array(ham_rows, dtype=complex), tuple(coupling))
 
-    kind = fields.take("bath.kind", default="ohmic_exponential")
+    kind = _take(fields, "bath.kind", default="ohmic_exponential")
     alpha = _float(fields, "bath.alpha")
     omega_c = _float(fields, "bath.omega_c")
-    beta_raw = fields.take("bath.beta", required=True)
+    beta_raw = _take(fields, "bath.beta", required=True)
     beta = math.inf if beta_raw in ("inf", "infinite") else None
     if beta is None:
         try:
@@ -200,14 +197,14 @@ def parse_config(text: str) -> RunConfig:
     grid = TimeGrid(_float(fields, "grid.dt"), _int(fields, "grid.n_steps", required=True),
                     _int(fields, "grid.r_max", required=True))
 
-    splitting = fields.take("run.splitting", required=True)
+    splitting = _take(fields, "run.splitting", required=True)
     if splitting not in SPLITTINGS:
         raise ValidationError(f"run.splitting: unknown splitting {splitting!r}")
-    flavor = fields.take("run.flavor", required=True)
+    flavor = _take(fields, "run.flavor", required=True)
     if flavor not in FLAVORS:
         raise ValidationError(f"run.flavor: unknown flavor {flavor!r}")
 
-    rho_rows = [_complex_row(r, "initial_state") for r in fields.take_rows("initial_state")]
+    rho_rows = [_complex_row(r, "initial_state") for r in _take_rows(fields, "initial_state")]
     if len(rho_rows) != n or any(len(r) != n for r in rho_rows):
         raise ValidationError(f"initial_state: expected a {n}x{n} matrix")
     rho0 = np.array(rho_rows, dtype=complex)
@@ -220,8 +217,8 @@ def parse_config(text: str) -> RunConfig:
     if budget < 1:
         raise ValidationError("run.pathsum_budget: must be positive")
 
-    if fields.pairs:
-        stray = sorted(fields.pairs)[0]
+    if fields:
+        stray = sorted(fields)[0]
         raise ValidationError(f"{stray}: unknown field")
 
     rho0.setflags(write=False)

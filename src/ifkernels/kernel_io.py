@@ -41,16 +41,6 @@ from .kernels import FLAVORS, KernelSet
 FORMAT_VERSION = 1
 
 
-def _format_block(name: str, mats) -> list:
-    lines = [f"matrices = {name}"]
-    for k, mat in enumerate(mats, start=1):
-        m = np.asarray(mat)
-        cells = itertools.product(range(m.shape[0]), range(m.shape[1]))
-        lines += [f"{k},{row},{col},{re!r},{im!r}" for (row, col), re, im
-                  in zip(cells, m.real.ravel().tolist(), m.imag.ravel().tolist())]
-    return lines
-
-
 def save_kernels(kset: KernelSet, path, metadata: dict | None = None) -> None:
     """Write a KernelSet to ``path`` in the text format above.
 
@@ -65,13 +55,14 @@ def save_kernels(kset: KernelSet, path, metadata: dict | None = None) -> None:
         f"r_max = {kset.r_max}",
         f"dim = {kset.dim}",
     ]
-    for key, value in (metadata or {}).items():
-        lines.append(f"meta.{key} = {value}")
-    lines += _format_block("midpoint", kset.midpoint)
-    if kset.termination is not None:
-        lines += _format_block("termination", kset.termination)
-    if kset.aux0 is not None:
-        lines += _format_block("aux0", [kset.aux0])
+    lines += [f"meta.{key} = {value}" for key, value in (metadata or {}).items()]
+    cells = list(itertools.product(range(kset.dim), repeat=2))
+    for name in ("midpoint", "termination", "aux0"):
+        if (mats := getattr(kset, name)) is not None:
+            lines.append(f"matrices = {name}")
+            for k, m in enumerate(mats.reshape(-1, kset.dim, kset.dim), start=1):
+                lines += [f"{k},{row},{col},{re!r},{im!r}" for (row, col), re, im
+                          in zip(cells, m.real.ravel().tolist(), m.imag.ravel().tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -45,15 +45,16 @@ on X_n itself: V = identity gives the maps, and V = vec(rho_0) (c = 1)
 gives the density matrices rho_n = U_n rho_0 without forming any map.  Its
 state, the newest-first stack s_n = (X_n V, ..., X_{n-R+1} V), moves one
 step by the block companion matrix C of size (R d) x (R d) with first block
-row [A_1 | ... | A_R], so X_{n+k} V = P_k s_n with P_k the first block row
-of C^k.  The smatpi maps are read off the same state: U_{n+k} V = Q_k s_n
-with Q_k = [T_1 | ... | T_R] C^(k-1).  The rows P_k, Q_k for k = 1..CHUNK
+row [A_1 | ... | A_R].  With P_k the first block row of C^k, the block rows
+of C^k are P_k, ..., P_1 and then, for k < R, identity selectors.  The maps
+are read off the same state: U_{n+k} V = P_k s_n for ttm and Q_k s_n with
+Q_k = [T_1 | ... | T_R] C^(k-1) for smatpi.  These rows for k = 1..CHUNK
 are built once per run by CHUNK small products; each chunk of CHUNK steps
-is then one (CHUNK m d) x (R d) @ (R d) x c product (m = 1 for ttm, 2 with
-Q rows), and the next state is the newest R outputs.  A run takes one
-right-hand block; the maps and rho are two runs.  Memory is
-O(CHUNK R d (d + c)) whatever the horizon, and the number of numpy calls
-per chunk does not depend on CHUNK.
+is then two products, the read-out rows times the state for its outputs
+and C^CHUNK times the state for the next.  A run takes one right-hand
+block; the maps and rho are two runs.  Memory is O(CHUNK R d (d + c))
+whatever the horizon, and the number of numpy calls per chunk does not
+depend on CHUNK.
 
 ``compare`` sets two kernel sets side by side as plain rows of tuples, one
 per index, each cell the max-abs norm of one matrix
@@ -69,12 +70,14 @@ import numpy as np
 
 from .bath import SPLITTINGS, EtaTable, influence_pair_matrix
 from .errors import NumericalError, ValidationError
-from .liouville import LiouvilleMatrix, SystemSpec, check_finite, fb_propagator, liou_norms
+from .liouville import SystemSpec, check_finite, fb_propagators, liou_norms
+from .pathsum import DEFAULT_BUDGET, check_size
 
 FLAVORS = ("smatpi", "ttm")  # the kernel hierarchies, as bath.SPLITTINGS names the splittings
 COND_LIMIT = 1e12
-# Steps per propagation chunk: each chunk is one (CHUNK m d, R d) @ (R d, c)
-# product, and the chunk rows take O(CHUNK R d^2) memory.
+# Steps per propagation chunk: each chunk is a (CHUNK d, R d) @ (R d, c)
+# read-out and an (R d, R d) @ (R d, c) jump, and the chunk rows take
+# O(CHUNK R d^2) memory.
 CHUNK = 256
 
 
@@ -201,7 +204,7 @@ def gqme_kernel(ttm, dt: float):
     return mats[1:] / dt**2
 
 
-def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> LiouvilleMatrix:
+def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> np.ndarray:
     """Closed-form asymmetric-splitting kernel matrices.
 
     order 1:  T_1[i, j] = I0_i G1[i, j]
@@ -216,7 +219,7 @@ def closed_form_asym(sys: SystemSpec, eta_asym: EtaTable, order: int) -> Liouvil
         )
     if order not in (1, 2):
         raise ValidationError("order: must be 1 or 2")
-    g1 = fb_propagator(sys, eta_asym.dt)
+    g1 = fb_propagators(sys, eta_asym.dt)[0]
     i0 = influence_pair_matrix(sys, eta_asym.interior[0]).diagonal()
     if order == 1:
         return i0[:, None] * g1
@@ -232,32 +235,40 @@ def _wide(mats) -> np.ndarray:
 
 
 def _companion_rows(first: np.ndarray, wide: np.ndarray, count: int) -> np.ndarray:
-    """W C^0, W C^1, ..., W C^(count-1) for each block row W stacked in ``first``.
+    """W C^(count-1), ..., W C^1, W C^0, newest power first, for each block row W in ``first``.
 
     C is the block companion matrix with first block row ``wide`` and
     identities below its diagonal, so W C = W_1 wide + (W moved one block
-    left), where W_1 is the first block of W.  ``first`` is (m d, R d);
-    returns a (count, m d, R d) array, one small product per power.
+    left), where W_1 is the first block of W.  ``first`` is an (m, d, R d)
+    stack; returns an (m, count, d, R d) array, one small product per power.
     """
     d = wide.shape[0]
-    rows = np.empty((count,) + first.shape, dtype=complex)
-    rows[0] = first
-    for k in range(1, count):
-        np.matmul(rows[k - 1][:, :d], wide, out=rows[k])
-        rows[k][:, :-d] += rows[k - 1][:, d:]
+    rows = np.empty((len(first), count) + first.shape[1:], dtype=complex)
+    rows[:, -1] = first
+    for k in range(count - 1, 0, -1):
+        np.matmul(rows[:, k, :, :d], wide, out=rows[:, k - 1])
+        rows[:, k - 1, :, :-d] += rows[:, k, :, d:]
     return rows
 
 
 def _blocks(rows, state, horizon):
-    """Yield the outputs of ``propagate_blocks``, one block per chunk of len(rows) steps."""
-    count, width = rows.shape[0], rows.shape[2]
-    r_max, d, c = state.shape
+    """Yield the outputs of ``propagate_blocks``, one block per chunk of rows.shape[1] steps.
+
+    ``rows[0]`` holds P_CHUNK..P_1 and ``rows[-1]`` the read-out rows, both
+    newest first.  C^CHUNK s is the first R of the P rows times s, over the
+    newest R - CHUNK blocks of s themselves when CHUNK < R.
+    """
+    count, d, width = rows.shape[1:]
+    r_max, c = len(state), state.shape[-1]
+    readout, jump = rows[-1].reshape(-1, width), rows[0, :r_max].reshape(-1, width)
     for start in range(0, horizon, count):
         k = min(count, horizon - start)
+        flat = state.reshape(width, c)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            out = (rows[:k].reshape(-1, width) @ state.reshape(width, c)).reshape(k, -1, d, c)
-        state = np.concatenate((out[::-1, 0], state))[:r_max]
-        block = out[:, -1]
+            block = (readout[(count - k) * d :] @ flat).reshape(k, d, c)[::-1]
+            if start + count < horizon:
+                state = np.concatenate(((jump @ flat).reshape(-1, d, c),
+                                        state[: max(r_max - count, 0)]))
         if not np.isfinite(block).all():
             step = start + 1 + int(np.argmin(np.isfinite(block).reshape(k, -1).all(axis=1)))
             raise NumericalError(f"propagation_diverged: U_{step} is not finite;"
@@ -277,35 +288,30 @@ def propagate_blocks(kernels: KernelSet, horizon: int, right: np.ndarray | None 
     tensors over U itself.  smatpi runs the midpoint matrices over the
     auxiliary sequence from the set's tail, and reads U off it through the
     termination matrices.  Within r_max steps the output rebuilds the maps
-    the set was extracted from;
-    beyond it the sums truncate at r_max (terms are dropped; no
-    renormalization).  A block holding a non-finite entry raises
-    ``propagation_diverged`` instead of being yielded.  A set whose chunk
-    rows, (CHUNK, m d, R d) complex entries with m = 2 for smatpi and 1 for
-    ttm, would exceed ``pathsum.SIZE_LIMIT`` bytes is refused with
-    ``size_limit`` before anything is allocated.
+    the set was extracted from; beyond it the sums truncate at r_max
+    (terms are dropped; no renormalization).  Each chunk is two products:
+    its read-out rows (P_k for ttm, Q_k for smatpi) times the state, and
+    C^CHUNK times the state for the next chunk.  A block holding a
+    non-finite entry raises ``propagation_diverged`` instead of being
+    yielded.  A set whose chunk rows, (CHUNK, d, R d) complex entries for
+    ttm and twice that for smatpi, would exceed ``pathsum.SIZE_LIMIT``
+    bytes is refused with ``size_limit`` before anything is allocated.
     """
-    from .pathsum import SIZE_LIMIT
-
     r_max, d = kernels.r_max, kernels.dim
     count = max(min(CHUNK, horizon), 1)
-    size = 16 * count * (2 if kernels.flavor == "smatpi" else 1) * d * r_max * d
-    if size > SIZE_LIMIT:
-        raise ValidationError(
-            f"size_limit: r_max = {r_max} at dim {d} needs {size / 2**30:.1f} GiB of"
-            f" companion rows, over the {SIZE_LIMIT / 2**30:.1f} GiB limit"
-        )
+    stacks = 1 if kernels.termination is None else 2
+    check_size(16 * count * stacks * d * r_max * d, f"r_max = {r_max} at dim {d} needs",
+               "of companion rows")
     block = np.eye(d, dtype=complex) if right is None else np.asarray(right, dtype=complex)
     if block.ndim != 2 or block.shape[0] != d:
         raise ValidationError(f"dim_mismatch: right-hand block {block.shape}, expected ({d}, c)")
     state = np.zeros((r_max,) + block.shape, dtype=complex)  # X_0 V = tail V, X_{<0} V = 0
     state[0] = block if kernels.aux0 is None else kernels.aux0 @ block
     wide = _wide(kernels.midpoint)
-    first = wide  # P_1 = e_0 C: the recurrence itself
-    if kernels.flavor == "smatpi":  # [T_1 | ... | T_R] C^(k-1) gives U_{n+k}
-        first = np.concatenate((wide, _wide(kernels.termination)))
+    # P_1 = e_0 C, the recurrence itself; smatpi reads U off Q_1 = [T_1 | ... | T_R]
+    first = [wide] if stacks == 1 else [wide, _wide(kernels.termination)]
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent set fails in _blocks
-        rows = _companion_rows(first, wide, count)
+        rows = _companion_rows(np.array(first), wide, count)
     return _blocks(rows, state, horizon)
 
 
@@ -344,14 +350,8 @@ def compare(set_a: KernelSet, set_b: KernelSet, threshold: float = 1e-3):
 # Extraction pipeline
 # ---------------------------------------------------------------------------
 
-def extract_kernels(
-    sys: SystemSpec,
-    eta: EtaTable,
-    r_max: int,
-    flavor: str,
-    *,
-    budget: int | None = None,
-):
+def extract_kernels(sys: SystemSpec, eta: EtaTable, r_max: int, flavor: str, *,
+                    budget: int = DEFAULT_BUDGET):
     """Sum the path-sum oracle for r_max steps and extract a kernel set.
 
     The splitting and dt of the set are those of ``eta``, whose horizon
@@ -362,11 +362,10 @@ def extract_kernels(
     X_n = aux_n G_half: its tail is aux_0 G_half and its termination
     G_half, 0, ..., 0.
     """
-    from .pathsum import DEFAULT_BUDGET, oracle_trajectory
+    from .pathsum import oracle_trajectory  # at call time, so a replaced one is the one run
 
     if flavor not in FLAVORS:
         raise ValidationError(f"flavor: unknown flavor {flavor!r}")
-    budget = DEFAULT_BUDGET if budget is None else budget
     splitting = eta.splitting
     full, aux0, aux = oracle_trajectory(sys, eta, r_max, budget=budget)
     if flavor == "ttm":
@@ -375,7 +374,7 @@ def extract_kernels(
     tail = None if splitting == "asym" else aux0
     mids = solve_midpoint(aux, tail)
     if splitting == "sym_sys":  # U_N = G_half (aux_{N-1} G_half): T_1 = G_half, T_k = 0
-        g_half = fb_propagator(sys, 0.5 * eta.dt)
+        g_half = fb_propagators(sys, 0.5 * eta.dt)[0]
         terms = np.zeros_like(mids)
         terms[0] = g_half
         tail = aux0 @ g_half

@@ -12,6 +12,8 @@ The reduced Planck constant is fixed to 1 throughout the package.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +21,6 @@ import numpy as np
 from .errors import ValidationError
 
 HERMITICITY_TOL = 1e-12
-
-# Liouville matrices are bare ndarrays; the alias documents intent in signatures.
-LiouvilleMatrix = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid: step dt, horizon n_steps, memory truncation r_max."""
+    """Uniform time grid: finite step dt, integer horizon n_steps and memory truncation r_max."""
 
     dt: float
     n_steps: int
@@ -84,6 +83,10 @@ class TimeGrid:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValidationError("grid: dt must be positive")
+        if not math.isfinite(self.dt):
+            raise ValidationError("grid: dt must be finite")
+        if not all(isinstance(v, numbers.Integral) for v in (self.n_steps, self.r_max)):
+            raise ValidationError("grid: n_steps and r_max must be integers")
         if self.n_steps < 1:
             raise ValidationError("grid: n_steps must be >= 1")
         if not (1 <= self.r_max <= self.n_steps):
@@ -107,11 +110,6 @@ def fb_propagators(sys: SystemSpec, *taus: float) -> list:
         out.append((u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(sys.dim, sys.dim))
         out[-1].setflags(write=False)
     return out
-
-
-def fb_propagator(sys: SystemSpec, tau: float) -> LiouvilleMatrix:
-    """The forward-backward propagator G(tau) of ``fb_propagators``."""
-    return fb_propagators(sys, tau)[0]
 
 
 def liou_norm(a: np.ndarray) -> float:

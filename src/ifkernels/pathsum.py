@@ -150,6 +150,13 @@ def _influence(sys, eta, horizon, g1):
     return pairs
 
 
+def check_size(size: int, need: str, what: str):
+    """Refuse ``size`` bytes over SIZE_LIMIT: ``size_limit: <need> <GiB> GiB <what>, ...``."""
+    if size > SIZE_LIMIT:
+        raise ValidationError(f"size_limit: {need} {size / 2**30:.1f} GiB {what},"
+                              f" over the {SIZE_LIMIT / 2**30:.1f} GiB limit")
+
+
 def _check_size(n: int, steps: int, ends: int):
     """Refuse a path sum whose largest dense array would exceed SIZE_LIMIT, before any allocation.
 
@@ -160,12 +167,8 @@ def _check_size(n: int, steps: int, ends: int):
     combines them holds at most one point's share or _BATCH entries (1 MiB).
     """
     d = n * n
-    size = 16 * d * max(d, (steps - 1) * ends * (d * d + d) // 2)
-    if size > SIZE_LIMIT:
-        raise ValidationError(
-            f"size_limit: n = {n} at {steps} steps needs a {size / 2**30:.1f} GiB array,"
-            f" over the {SIZE_LIMIT / 2**30:.1f} GiB limit"
-        )
+    check_size(16 * d * max(d, (steps - 1) * ends * (d * d + d) // 2),
+               f"n = {n} at {steps} steps needs a", "array")
 
 
 def _split(n_int: int, d: int, width: int):

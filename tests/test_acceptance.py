@@ -22,7 +22,7 @@ from ifkernels.kernels import (
     solve_midpoint,
     solve_termination,
 )
-from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
+from ifkernels.liouville import TimeGrid, fb_propagators, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import (
@@ -109,7 +109,7 @@ def test_criterion_5_dressing_identity(sys2, tables):
     aux_0 G_half, are G_half and zeros, and the extracted sym_sys set
     stores exactly that: T_k = 0 for k >= 2.
     """
-    g_half = fb_propagator(sys2, 0.05)
+    g_half = fb_propagators(sys2, 0.05)[0]
     worst = 0.0
     full, aux0, aux = oracle_trajectory(sys2, tables["sym_sys"], 6)
     for n in range(1, 7):

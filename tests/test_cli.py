@@ -27,7 +27,7 @@ from ifkernels.config import default_config_text, load_config, parse_config
 from ifkernels.errors import ValidationError
 from ifkernels.kernel_io import load_kernels, save_kernels
 from ifkernels.kernels import KernelSet, propagate_blocks
-from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
+from ifkernels.liouville import TimeGrid, fb_propagators, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import per_cell_csv, per_element_kernel_block, propagate, rho_recurrence
@@ -1081,7 +1081,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["extract", "--config", str(cfg), "--out", str(out)]) == 0
         kset = load_kernels(out / "kernels.txt")
-        g1 = fb_propagator(sys2, 0.1)
+        g1 = fb_propagators(sys2, 0.1)[0]
         assert liou_norm(kset.midpoint[0] - g1) < 1e-12
         assert all(liou_norm(m) < 1e-12 for m in kset.midpoint[1:])
         norms = (out / "kernel_norms.csv").read_text().splitlines()

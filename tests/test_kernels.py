@@ -22,7 +22,7 @@ from ifkernels.kernels import (
     solve_midpoint,
     solve_termination,
 )
-from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
+from ifkernels.liouville import TimeGrid, fb_propagators, liou_norm
 from ifkernels.pathsum import oracle_trajectory
 
 from _oracles import convolution_reference, eta_truncated, propagate
@@ -172,13 +172,13 @@ class TestGqmeKernel:
 
 class TestDress:
     def test_free_propagation(self, sys2):
-        g1 = fb_propagator(sys2, 0.1)
-        gh = fb_propagator(sys2, 0.05)
+        g1 = fb_propagators(sys2, 0.1)[0]
+        gh = fb_propagators(sys2, 0.05)[0]
         assert liou_norm(gh @ np.linalg.matrix_power(g1, 3) @ gh - np.linalg.matrix_power(g1, 4)) < 1e-12
 
     def test_oracle_identity(self, sys2, tables):
         kset, seed, aux_seed = extract_kernels(sys2, tables["sym_sys"], 4, "smatpi")
-        gh = fb_propagator(sys2, 0.05)
+        gh = fb_propagators(sys2, 0.05)[0]
         u4 = oracle_trajectory(sys2, tables["sym_sys"], 4)[0][3]
         assert liou_norm(gh @ aux_seed[2] @ gh - u4) < 1e-12
 
@@ -231,7 +231,7 @@ class TestAsymCoincidence:
 
         bath0 = BathSpec(SpectralDensity("ohmic_exponential", 0.0, 5.0), 5.0)
         tab0 = eta_table(bath0, grid8, "asym")
-        g1 = fb_propagator(sys2, 0.1)
+        g1 = fb_propagators(sys2, 0.1)[0]
         assert liou_norm(closed_form_asym(sys2, tab0, 1) - g1) < 1e-14
         assert liou_norm(closed_form_asym(sys2, tab0, 2)) < 1e-14
 
@@ -271,7 +271,7 @@ class TestTrotterOrderings:
 
     def test_sym_sys_is_asym_conjugated_by_the_half_step(self, case):
         sys_, r, tabs = case
-        g = fb_propagator(sys_, 0.05)
+        g = fb_propagators(sys_, 0.05)[0]
         g_inv = np.linalg.inv(g)
         (sym, sym_full, _), (asym, asym_full, _) = (
             extract_kernels(sys_, tabs[sp], r, "ttm") for sp in ("sym_sys", "asym"))
@@ -424,7 +424,7 @@ class TestPropagate:
 
         bath0 = BathSpec(SpectralDensity("ohmic_exponential", 0.0, 5.0), 5.0)
         tab0 = eta_table(bath0, grid8, "sym_env")
-        g1 = fb_propagator(sys2, 0.1)
+        g1 = fb_propagators(sys2, 0.1)[0]
         for flavor in ("smatpi", "ttm"):
             kset, seed, aux_seed = extract_kernels(sys2, tab0, 1, flavor)
             traj = propagate(kset, 8)
@@ -535,7 +535,7 @@ class TestEngine:
         if flavor == "ttm":
             exact = convolution_reference(extended(kset.midpoint), 2000)
         elif splitting == "sym_sys":
-            g = extended(fb_propagator(sys2, 0.05))
+            g = extended(fb_propagators(sys2, 0.05)[0])
             aux0 = extended(oracle_trajectory(sys2, tables[splitting], 6)[1])
             aux = convolution_reference(extended(kset.midpoint), 1999, tail=aux0)
             exact = [g @ a @ g for a in [aux0] + aux]

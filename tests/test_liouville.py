@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifkernels.bath import influence_pair_matrix
+from ifkernels.bath import eta_table, influence_pair_matrix
 from ifkernels.errors import ValidationError
 from ifkernels.liouville import (
     SystemSpec,
     TimeGrid,
-    fb_propagator,
+    fb_propagators,
     liou_norm,
     liou_norms,
 )
@@ -76,6 +78,26 @@ class TestTimeGrid:
         with pytest.raises(ValidationError, match="^grid: n_steps must be >= 1$"):
             TimeGrid(0.1, 0, 0)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, -math.inf])
+    def test_rejects_non_positive_dt(self, dt):
+        with pytest.raises(ValidationError, match="^grid: dt must be positive$"):
+            TimeGrid(dt, 4, 2)
+
+    def test_rejects_infinite_dt(self, bath_default):
+        # refused by the grid itself, not later as non-finite eta coefficients
+        with pytest.raises(ValidationError, match="^grid: dt must be finite$"):
+            eta_table(bath_default, TimeGrid(math.inf, 2, 2), "sym_env")
+
+    @pytest.mark.parametrize("n_steps, r_max", [(2.5, 1), (2.0, 1), (4, 2.0), ("4", 2)])
+    def test_rejects_non_integer_counts(self, n_steps, r_max):
+        # refused here, not later as a dim_mismatch of the tables built on it
+        with pytest.raises(ValidationError, match="^grid: n_steps and r_max must be integers$"):
+            TimeGrid(0.1, n_steps, r_max)
+
+    def test_accepts_numpy_integers(self):
+        grid = TimeGrid(0.1, np.int64(4), np.int32(2))
+        assert (grid.n_steps, grid.r_max) == (4, 2)
+
 
 @given(st.integers(2, 5), st.integers(0, 24))
 def test_fb_index_round_trip(n, flat):
@@ -110,20 +132,20 @@ def test_fb_pairs_order():
 
 class TestPropagator:
     def test_zero_time_is_identity(self, sys2):
-        assert liou_norm(fb_propagator(sys2, 0.0) - np.eye(4)) < 1e-14
+        assert liou_norm(fb_propagators(sys2, 0.0)[0] - np.eye(4)) < 1e-14
 
     def test_rejects_negative_time(self, sys2):
         with pytest.raises(ValidationError, match="^tau: must be >= 0$"):
-            fb_propagator(sys2, -0.1)
+            fb_propagators(sys2, -0.1)
 
     def test_zero_hamiltonian_is_identity(self):
         sys0 = SystemSpec(np.zeros((2, 2), dtype=complex), (1.0, -1.0))
-        assert liou_norm(fb_propagator(sys0, 0.1) - np.eye(4)) < 1e-14
+        assert liou_norm(fb_propagators(sys0, 0.1)[0] - np.eye(4)) < 1e-14
 
     def test_pauli_x_pi_swaps_populations(self):
         # H = (1/2) pauli_x, tau = pi: |0><0| maps onto |1><1| with unit weight
         sys_ = SystemSpec(0.5 * PAULI_X, (1.0, -1.0))
-        g = fb_propagator(sys_, np.pi)
+        g = fb_propagators(sys_, np.pi)[0]
         assert abs(abs(g[3, 0]) - 1.0) < 1e-12
         rho = applied(g, np.array([[1, 0], [0, 0]], dtype=complex))
         assert abs(rho[1, 1] - 1.0) < 1e-12
@@ -131,17 +153,17 @@ class TestPropagator:
 
     def test_matches_series_oracle(self, sys2):
         u = expm_series(np.asarray(sys2.hamiltonian), 0.7)
-        g = fb_propagator(sys2, 0.7)
+        g = fb_propagators(sys2, 0.7)[0]
         assert liou_norm(g - np.kron(u, u.conj())) < 1e-13
 
     def test_unitary(self, sys2):
-        g = fb_propagator(sys2, 0.3)
+        g = fb_propagators(sys2, 0.3)[0]
         assert liou_norm(g @ g.conj().T - np.eye(4)) < 1e-12
 
     def test_composition(self, sys2):
-        g1 = fb_propagator(sys2, 0.3)
-        g2 = fb_propagator(sys2, 0.45)
-        g12 = fb_propagator(sys2, 0.75)
+        g1 = fb_propagators(sys2, 0.3)[0]
+        g2 = fb_propagators(sys2, 0.45)[0]
+        g12 = fb_propagators(sys2, 0.75)[0]
         assert liou_norm(g1 @ g2 - g12) < 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -151,7 +173,7 @@ class TestPropagator:
         n = int(rng.integers(2, 4))
         sys_ = SystemSpec(random_hermitian(n, rng), tuple(rng.normal(size=n)))
         rho0 = random_density(n, rng)
-        rho = applied(fb_propagator(sys_, tau), rho0)
+        rho = applied(fb_propagators(sys_, tau)[0], rho0)
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
@@ -167,7 +189,7 @@ class TestApplyMap:
         rho0 = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         u = expm_series(np.asarray(sys2.hamiltonian), 0.4)
         expected = u @ rho0 @ u.conj().T
-        got = applied(fb_propagator(sys2, 0.4), rho0)
+        got = applied(fb_propagators(sys2, 0.4)[0], rho0)
         assert liou_norm(got - expected) < 1e-13
 
     def test_zero_map(self):

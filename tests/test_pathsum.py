@@ -10,7 +10,7 @@ from ifkernels import BathSpec, SpectralDensity, SystemSpec, pathsum
 from ifkernels.bath import EtaTable, eta_table, influence_pair_matrix
 from ifkernels.errors import NumericalError, ValidationError
 from ifkernels.kernels import FLAVORS, extract_kernels
-from ifkernels.liouville import TimeGrid, fb_propagator, liou_norm
+from ifkernels.liouville import TimeGrid, fb_propagators, liou_norm
 from ifkernels.pathsum import check_budget, oracle_trajectory
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -87,7 +87,7 @@ class TestZeroCoupling:
     @pytest.mark.parametrize("splitting", ["sym_env", "sym_sys", "asym"])
     def test_full_map_is_free_propagation(self, splitting, sys2, bath0):
         grid = TimeGrid(0.1, 4, 4)
-        g1 = fb_propagator(sys2, 0.1)
+        g1 = fb_propagators(sys2, 0.1)[0]
         tab = eta_table(bath0, grid, splitting)
         full, _, _ = oracle_trajectory(sys2, tab, 4)
         for n in range(1, 5):
@@ -95,7 +95,7 @@ class TestZeroCoupling:
 
     def test_aux_is_free_propagation(self, sys2, bath0):
         grid = TimeGrid(0.1, 4, 4)
-        g1 = fb_propagator(sys2, 0.1)
+        g1 = fb_propagators(sys2, 0.1)[0]
         tab = eta_table(bath0, grid, "sym_sys")
         _, aux0, aux = oracle_trajectory(sys2, tab, 3)
         for k, a in enumerate([aux0, *aux]):
@@ -125,7 +125,7 @@ class TestStructure:
         assert liou_norm(terms[0] - u1) == 0.0
 
     def test_sym_sys_dressing_identity(self, sys2, tables):
-        g_half = fb_propagator(sys2, 0.05)
+        g_half = fb_propagators(sys2, 0.05)[0]
         full, aux0, aux = oracle_trajectory(sys2, tables["sym_sys"], 6)
         for n in range(1, 7):
             a = aux0 if n == 1 else aux[n - 2]
@@ -150,13 +150,13 @@ class TestStructure:
         grid = TimeGrid(0.1, steps, steps)
         full = oracle_trajectory(sys_, eta_table(bath_default, grid, "asym"), steps)[0]
         _, w0, w = oracle_trajectory(sys_, eta_table(bath_default, grid, "sym_sys"), steps)
-        dressed = np.concatenate((w0[None], w[:-1])) @ fb_propagator(sys_, 0.1)
+        dressed = np.concatenate((w0[None], w[:-1])) @ fb_propagators(sys_, 0.1)[0]
         assert np.max(np.abs(full - dressed)) < 1e-14
 
     def test_asym_first_step_closed_form(self, sys2, tables):
         u1 = oracle_trajectory(sys2, tables["asym"], 1)[0][0]
         i0 = influence_pair_matrix(sys2, tables["asym"].interior[0]).diagonal()
-        g1 = fb_propagator(sys2, 0.1)
+        g1 = fb_propagators(sys2, 0.1)[0]
         assert liou_norm(u1 - i0[:, None] * g1) < 1e-15
 
 
@@ -309,9 +309,28 @@ class TestDrawnStructure:
             extract_kernels(sys_, tabs["asym"], steps, flavor) for flavor in FLAVORS)
         assert np.array_equal(smatpi.midpoint, ttm.midpoint)
         # sym_sys is asym conjugated by the half-step propagator
-        g = fb_propagator(sys_, 0.5 * dt)
+        g = fb_propagators(sys_, 0.5 * dt)[0]
         sym_full, _, _ = oracle_trajectory(sys_, tabs["sym_sys"], steps)
         assert np.max(np.abs(sym_full - g @ asym_full @ np.linalg.inv(g))) < 1e-13
+
+    @settings(max_examples=50, deadline=None)
+    @given(physics=_drawn_physics())
+    def test_drawn_physics_prefix(self, physics):
+        # the set extracted at R - 1 is the first R - 1 matrices of the set at
+        # R, bit for bit, for every splitting and flavor (fixed fixtures in
+        # test_kernels.TestPrefix); each set from its own table, as
+        # ``extract --rmax`` builds it
+        sys_, bath, dt, steps, _ = physics
+        r = max(steps, 2)
+        for splitting in SPLITTINGS:
+            tabs = [eta_table(bath, TimeGrid(dt, k, k), splitting) for k in (r - 1, r)]
+            for flavor in FLAVORS:
+                short, long = (extract_kernels(sys_, tab, k, flavor)[0]
+                               for tab, k in zip(tabs, (r - 1, r)))
+                for name in ("midpoint", "termination", "aux0"):
+                    a, b = getattr(short, name), getattr(long, name)
+                    b = b[: r - 1] if b is not None and name != "aux0" else b
+                    assert (a is None and b is None) or np.array_equal(a, b), (splitting, flavor, name)
 
 
 def _split_names(steps, width):
@@ -378,9 +397,9 @@ class TestGrouping:
         sys_ = request.getfixturevalue(system)
         tab = eta_table(bath_default, TimeGrid(0.1, 11, 11), splitting)
         for coeffs in (tab.interior, tab.right):
-            pairs = pathsum._influence(sys_, coeffs, 11, fb_propagator(sys_, 0.1))
+            pairs = pathsum._influence(sys_, coeffs, 11, fb_propagators(sys_, 0.1)[0])
             expected = np.stack([influence_pair_matrix(sys_, coeffs[s]) for s in range(12)])
-            expected[1] *= fb_propagator(sys_, 0.1)
+            expected[1] *= fb_propagators(sys_, 0.1)[0]
             assert pairs.tobytes() == expected.tobytes()
 
 
